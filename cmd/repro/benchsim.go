@@ -11,15 +11,15 @@ import (
 	"repro/internal/bench"
 )
 
-// cmdBenchSim benchmarks the simulator itself: it times the dense, idle-skip
-// and parallel phase schedulers over a kernel × core-count grid — plus
-// paper-scale big-N points that skip the slow dense leg — cross-checking on
-// every point that all schedulers produce identical simulation results, and
-// writes the report to BENCH_machine.json — the performance trajectory future
-// changes to the hot loop are diffed against. With -against it additionally compares
-// the fresh measurement to a baseline report and exits non-zero on a
-// regression; -cpuprofile/-memprofile capture pprof profiles of the
-// measurement so the next optimisation round starts from evidence.
+// cmdBenchSim benchmarks the simulator itself: it times the dense and
+// idle-skip schedulers over a kernel × core-count grid — plus paper-scale
+// big-N points that skip the slow dense leg — cross-checking on every point
+// that both schedulers produce identical simulation results, and writes the
+// report to BENCH_machine.json — the performance trajectory future changes to
+// the hot loop are diffed against. With -against it additionally compares the
+// fresh measurement to a baseline report and exits non-zero on a regression;
+// -cpuprofile/-memprofile capture pprof profiles of the measurement so the
+// next optimisation round starts from evidence.
 func cmdBenchSim(args []string) error {
 	fs := flag.NewFlagSet("bench-sim", flag.ContinueOnError)
 	kernels := fs.String("kernels", "", "kernel selectors (default: the standard trajectory trio)")
@@ -27,7 +27,6 @@ func cmdBenchSim(args []string) error {
 	cores := fs.String("cores", "", "comma-separated core counts (default: grid default)")
 	seed := fs.Uint64("seed", 1, "workload seed")
 	runs := fs.Int("runs", 0, "timing repetitions per point and scheduler, best wins (0 = grid default)")
-	simWorkers := fs.String("sim-workers", "", "goroutines for the parallel timing leg (\"auto\" = GOMAXPROCS, \"1\" skips the leg; empty = grid default)")
 	bigns := fs.String("bigns", "", "comma-separated paper-scale sizes for the big-N points (\"none\" disables them; empty = grid default)")
 	out := fs.String("o", "BENCH_machine.json", "report output path (empty: print table only)")
 	quick := fs.Bool("quick", false, "seconds-scale grid for CI smoke runs")
@@ -84,13 +83,6 @@ func cmdBenchSim(args []string) error {
 		g.Runs = *runs
 	}
 	g.Seed = *seed
-	if *simWorkers != "" {
-		sw, err := parseSimWorkers(*simWorkers)
-		if err != nil {
-			return err
-		}
-		g.SimWorkers = sw
-	}
 	if *bigns != "" {
 		if strings.EqualFold(*bigns, "none") {
 			g.BigNs = nil

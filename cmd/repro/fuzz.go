@@ -14,11 +14,11 @@ import (
 )
 
 // cmdFuzz runs a differential fuzzing campaign: seeded random mini-C
-// programs through the four-substrate oracle (emulator, dense, idle-skip,
-// parallel machine, plus warm-Reset/pool re-runs), in parallel across
-// workers, stopping at the first divergence. The failure is minimized to a
-// small reproducer and both the original and minimized programs are written
-// to disk. Exit status: 0 when every program agreed, 1 on a divergence.
+// programs through the equivalence oracle (AST interpreter, emulator,
+// idle-skip and dense machine, plus warm-Reset/pool re-runs), in parallel
+// across workers, stopping at the first divergence. The failure is minimized
+// to a small reproducer and both the original and minimized programs are
+// written to disk. Exit status: 0 when every program agreed, 1 on a divergence.
 func cmdFuzz(args []string) error {
 	fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "base seed; program i checks Generate(seed+i)")

@@ -40,15 +40,10 @@ func cmdServe(args []string) error {
 	history := fs.Int("history", 256, "finished jobs kept before the oldest are evicted")
 	grace := fs.Duration("grace", 10*time.Second, "graceful-shutdown budget for in-flight requests and jobs")
 	dense := fs.Bool("dense", false, "use the reference dense scheduler instead of idle-skip")
-	simWorkers := fs.String("sim-workers", "1", "parallel-scheduler goroutines per simulation (\"auto\" = GOMAXPROCS; results are bit-identical for every value)")
 	pool := fs.Bool("machine-pool", true, "reuse warmed machines across submissions that differ only in inputs")
 	lease := fs.Duration("lease", 5*time.Second, "fabric lease TTL: a worker batch unreported past this re-queues")
 	batch := fs.Int("batch", 8, "fabric points per worker lease")
 	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	sw, err := parseSimWorkers(*simWorkers)
-	if err != nil {
 		return err
 	}
 	if *lease <= 0 {
@@ -59,13 +54,14 @@ func cmdServe(args []string) error {
 	}
 
 	// The engine is the server's simulation configuration: every submitted
-	// job measures through it, so the scheduler choice, the parallel worker
-	// count and the warm-machine pool are service-wide settings.
-	eng := &sweep.Engine{Workers: *workers, Dense: *dense, SimWorkers: sw}
+	// job measures through it, so the scheduler choice and the warm-machine
+	// pool are service-wide settings.
+	eng := &sweep.Engine{Workers: *workers, Dense: *dense}
 	if *pool {
 		eng.Pool = machine.NewPool()
 	}
 	if *cacheDir != "" {
+		var err error
 		if eng.Cache, err = sweep.NewCache(*cacheDir); err != nil {
 			return err
 		}
@@ -89,7 +85,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	log.Info("serving", "addr", ln.Addr().String(), "cache", *cacheDir, "jobs", *jobs, "history", *history, "simWorkers", sw, "machinePool", *pool, "lease", *lease, "batch", *batch)
+	log.Info("serving", "addr", ln.Addr().String(), "cache", *cacheDir, "jobs", *jobs, "history", *history, "machinePool", *pool, "lease", *lease, "batch", *batch)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -44,13 +44,8 @@ func cmdSweep(args []string) error {
 	baseline := fs.String("baseline", "", "baseline sweep JSONL to diff against")
 	against := fs.String("against", "", "diff -baseline against this sweep file instead of running")
 	dense := fs.Bool("dense", false, "use the reference dense scheduler instead of idle-skip")
-	simWorkers := fs.String("sim-workers", "1", "parallel-scheduler goroutines per simulation (\"auto\" = GOMAXPROCS; results are bit-identical for every value)")
 	pool := fs.Bool("machine-pool", true, "reuse warmed machines across points that differ only in inputs")
 	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	sw, err := parseSimWorkers(*simWorkers)
-	if err != nil {
 		return err
 	}
 
@@ -96,7 +91,7 @@ func cmdSweep(args []string) error {
 		return err
 	}
 
-	eng := &sweep.Engine{Workers: *workers, Dense: *dense, SimWorkers: sw}
+	eng := &sweep.Engine{Workers: *workers, Dense: *dense}
 	if *pool {
 		eng.Pool = machine.NewPool()
 	}

@@ -44,6 +44,26 @@ func TestReportRoundTripAndTable(t *testing.T) {
 	if rep.Schema != Schema || rep.Speedup <= 0 || rep.DenseNsPerCycle <= 0 {
 		t.Fatalf("degenerate report: %+v", rep)
 	}
+	// All three aggregates describe the points that ran both legs: the quick
+	// grid's big-N point (no dense leg, an order of magnitude more ns/cycle)
+	// must not leak into the idle-skip figure.
+	var denseNs, skipNs, cycles int64
+	for _, p := range rep.Points {
+		if p.DenseNs > 0 {
+			denseNs += p.DenseNs
+			skipNs += p.IdleSkipNs
+			cycles += p.Cycles
+		}
+	}
+	if cycles == 0 || len(rep.Points) == 0 || rep.Points[len(rep.Points)-1].DenseNs != 0 {
+		t.Fatalf("quick grid should mix both-leg points with a dense-less big-N point: %+v", rep.Points)
+	}
+	if want := float64(skipNs) / float64(cycles); rep.IdleSkipNsPerCycle != want {
+		t.Errorf("aggregate idle-skip %.1f ns/cycle, want %.1f over the both-leg points", rep.IdleSkipNsPerCycle, want)
+	}
+	if want := float64(denseNs) / float64(skipNs); rep.Speedup != want {
+		t.Errorf("aggregate speedup %.2f, want dense/idle-skip wall ratio %.2f", rep.Speedup, want)
+	}
 	path := filepath.Join(t.TempDir(), "BENCH_machine.json")
 	if err := rep.Write(path); err != nil {
 		t.Fatal(err)

@@ -10,25 +10,20 @@ import (
 const DefaultTolerance = 0.20
 
 // Delta is one matched point of a Compare: the old and new ns-per-cycle
-// figures of the schedulers and the relative changes of the judged ones.
+// figures of the two schedulers and the relative change of the judged one.
 type Delta struct {
 	Kernel string
 	N      int
 	Cores  int
-	// OldIdle/NewIdle (and the dense and parallel pairs) are ns per
-	// simulated cycle. A leg a report did not run is 0.
+	// OldIdle/NewIdle (and the dense pair) are ns per simulated cycle. A leg
+	// a report did not run is 0.
 	OldIdle, NewIdle   float64
 	OldDense, NewDense float64
-	OldPar, NewPar     float64
 	// Change is NewIdle/OldIdle - 1: negative is faster, positive slower.
 	Change float64
-	// ChangePar is the parallel leg's relative change, judged only when both
-	// reports measured it (otherwise 0 and unjudged).
-	ChangePar float64
 	// Regressed marks points whose idle-skip ns/cycle grew past the
-	// tolerance; RegressedPar the same for the parallel leg.
-	Regressed    bool
-	RegressedPar bool
+	// tolerance.
+	Regressed bool
 }
 
 // Comparison is the outcome of matching a fresh report against a baseline.
@@ -47,9 +42,8 @@ type Comparison struct {
 
 // Compare matches cur's points to old's by (kernel, n, cores) and computes
 // per-point ns-per-cycle deltas. The comparison judges the idle-skip
-// scheduler — the default path every sweep and serve simulation runs on —
-// and, on points where both reports measured it, the parallel phase
-// scheduler; the dense oracle's figures are carried along for context only.
+// scheduler — the path every sweep and serve simulation runs on; the dense
+// oracle's figures are carried along for context only.
 // A tolerance of 0 is honoured (any growth fails); negative selects
 // DefaultTolerance.
 func Compare(old, cur *Report, tolerance float64) *Comparison {
@@ -82,8 +76,6 @@ func Compare(old, cur *Report, tolerance float64) *Comparison {
 			NewIdle:  p.IdleSkipNsPerCycle,
 			OldDense: o.DenseNsPerCycle,
 			NewDense: p.DenseNsPerCycle,
-			OldPar:   o.ParallelNsPerCycle,
-			NewPar:   p.ParallelNsPerCycle,
 		}
 		if d.OldIdle > 0 {
 			d.Change = d.NewIdle/d.OldIdle - 1
@@ -91,20 +83,16 @@ func Compare(old, cur *Report, tolerance float64) *Comparison {
 		} else {
 			c.Invalid++
 		}
-		if d.OldPar > 0 && d.NewPar > 0 {
-			d.ChangePar = d.NewPar/d.OldPar - 1
-			d.RegressedPar = d.ChangePar > tolerance
-		}
 		c.Deltas = append(c.Deltas, d)
 	}
 	return c
 }
 
-// Regressions returns the deltas regressed on either judged leg.
+// Regressions returns the regressed deltas.
 func (c *Comparison) Regressions() []Delta {
 	var out []Delta
 	for _, d := range c.Deltas {
-		if d.Regressed || d.RegressedPar {
+		if d.Regressed {
 			out = append(out, d)
 		}
 	}
@@ -124,48 +112,27 @@ func (c *Comparison) Err() error {
 	}
 	var names []string
 	for _, d := range regs {
-		switch {
-		case d.Regressed && d.RegressedPar:
-			names = append(names, fmt.Sprintf("%s n=%d c%d (idle +%.0f%%, parallel +%.0f%%)",
-				d.Kernel, d.N, d.Cores, 100*d.Change, 100*d.ChangePar))
-		case d.RegressedPar:
-			names = append(names, fmt.Sprintf("%s n=%d c%d (parallel +%.0f%%)",
-				d.Kernel, d.N, d.Cores, 100*d.ChangePar))
-		default:
-			names = append(names, fmt.Sprintf("%s n=%d c%d (+%.0f%%)",
-				d.Kernel, d.N, d.Cores, 100*d.Change))
-		}
+		names = append(names, fmt.Sprintf("%s n=%d c%d (+%.0f%%)", d.Kernel, d.N, d.Cores, 100*d.Change))
 	}
 	return fmt.Errorf("bench: ns/cycle regressed beyond %.0f%% on %d point(s): %s",
 		100*c.Tolerance, len(regs), strings.Join(names, ", "))
 }
 
 // Table renders the comparison benchstat-style: one row per matched point
-// with old and new ns/cycle and the relative delta, idle-skip first (the
-// always-judged scheduler), then the parallel leg (judged when measured on
-// both sides, "-" otherwise), dense for context.
+// with old and new idle-skip ns/cycle and the relative delta, then dense for
+// context.
 func (c *Comparison) Table() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %5s %6s %12s %12s %8s %11s %11s %8s %12s %12s\n",
-		"benchmark", "n", "cores", "old-idle/c", "new-idle/c", "delta",
-		"old-par/c", "new-par/c", "pardelta", "old-dense/c", "new-dense/c")
+	fmt.Fprintf(&b, "%-28s %5s %6s %12s %12s %8s %12s %12s\n",
+		"benchmark", "n", "cores", "old-idle/c", "new-idle/c", "delta", "old-dense/c", "new-dense/c")
 	for _, d := range c.Deltas {
 		name := d.Kernel
 		if i := strings.IndexByte(name, '/'); i >= 0 {
 			name = name[i+1:]
 		}
 		mark := ""
-		switch {
-		case d.Regressed && d.RegressedPar:
-			mark = "  REGRESSED (idle, parallel)"
-		case d.Regressed:
+		if d.Regressed {
 			mark = "  REGRESSED"
-		case d.RegressedPar:
-			mark = "  REGRESSED (parallel)"
-		}
-		parDelta := "-"
-		if d.OldPar > 0 && d.NewPar > 0 {
-			parDelta = fmt.Sprintf("%+.1f%%", 100*d.ChangePar)
 		}
 		// A leg a report did not run is 0 in the Delta; render it as "-" so
 		// a big-N row (no dense leg) reads as absent, not as free.
@@ -175,9 +142,9 @@ func (c *Comparison) Table() string {
 			}
 			return fmt.Sprintf("%.1f", v)
 		}
-		fmt.Fprintf(&b, "%-28s %5d %6d %12.1f %12.1f %+7.1f%% %11s %11s %8s %12s %12s%s\n",
+		fmt.Fprintf(&b, "%-28s %5d %6d %12.1f %12.1f %+7.1f%% %12s %12s%s\n",
 			name, d.N, d.Cores, d.OldIdle, d.NewIdle, 100*d.Change,
-			cell(d.OldPar), cell(d.NewPar), parDelta, cell(d.OldDense), cell(d.NewDense), mark)
+			cell(d.OldDense), cell(d.NewDense), mark)
 	}
 	if c.NewOnly > 0 {
 		fmt.Fprintf(&b, "(%d measured point(s) had no baseline counterpart)\n", c.NewOnly)

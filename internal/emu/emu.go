@@ -299,93 +299,25 @@ func (c *CPU) Step() error {
 		}
 		c.Regs[in.Dst.Reg] = c.effAddr(&in.Src)
 
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL, isa.SHL, isa.SHR, isa.SAR:
-		a := readDst(&in.Dst)
-		b := readSrc(&in.Src)
-		var r uint64
-		switch in.Op {
-		case isa.ADD:
-			r = a + b
-			c.setFlagsAdd(a, b, r)
-		case isa.SUB:
-			r = a - b
-			c.setFlagsSub(a, b, r)
-		case isa.AND:
-			r = a & b
-			c.setFlagsLogic(r)
-		case isa.OR:
-			r = a | b
-			c.setFlagsLogic(r)
-		case isa.XOR:
-			r = a ^ b
-			c.setFlagsLogic(r)
-		case isa.IMUL:
-			r = uint64(int64(a) * int64(b))
-		case isa.SHL:
-			r = a << (b & 63)
-			c.setFlagsLogic(r)
-		case isa.SHR:
-			r = a >> (b & 63)
-			c.setFlagsLogic(r)
-		case isa.SAR:
-			r = uint64(int64(a) >> (b & 63))
-			c.setFlagsLogic(r)
+	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL, isa.SHL, isa.SHR, isa.SAR,
+		isa.NEG, isa.NOT, isa.INC, isa.DEC, isa.CMP, isa.TEST:
+		r, fl, writesFlags := isa.ALU(in.Op, readDst(&in.Dst), readSrc(&in.Src))
+		if writesFlags {
+			c.Regs[isa.Flags] = uint64(fl)
 		}
-		writeDst(&in.Dst, r)
-
-	case isa.NEG:
-		v := readDst(&in.Dst)
-		r := -v
-		c.setFlagsSub(0, v, r)
-		writeDst(&in.Dst, r)
-	case isa.NOT:
-		writeDst(&in.Dst, ^readDst(&in.Dst))
-	case isa.INC:
-		v := readDst(&in.Dst)
-		r := v + 1
-		c.setFlagsAdd(v, 1, r)
-		writeDst(&in.Dst, r)
-	case isa.DEC:
-		v := readDst(&in.Dst)
-		r := v - 1
-		c.setFlagsSub(v, 1, r)
-		writeDst(&in.Dst, r)
+		if !in.Op.DiscardsResult() {
+			writeDst(&in.Dst, r)
+		}
 
 	case isa.CQTO:
 		c.Regs[isa.RDX] = uint64(int64(c.Regs[isa.RAX]) >> 63)
 
-	case isa.DIV:
-		d := readDst(&in.Dst)
-		if d == 0 {
-			return c.fault(in, "division by zero")
+	case isa.DIV, isa.IDIV:
+		quot, rem, err := isa.Divide(in.Op, c.Regs[isa.RAX], c.Regs[isa.RDX], readDst(&in.Dst))
+		if err != nil {
+			return c.fault(in, err.Error())
 		}
-		if c.Regs[isa.RDX] != 0 {
-			// 128-bit dividends are out of scope for the reproduction's
-			// workloads; mini-C always clears rdx first.
-			return c.fault(in, "divq with non-zero rdx (128-bit dividend unsupported)")
-		}
-		q := c.Regs[isa.RAX] / d
-		r := c.Regs[isa.RAX] % d
-		c.Regs[isa.RAX], c.Regs[isa.RDX] = q, r
-
-	case isa.IDIV:
-		d := int64(readDst(&in.Dst))
-		if d == 0 {
-			return c.fault(in, "division by zero")
-		}
-		num := int64(c.Regs[isa.RAX])
-		if int64(c.Regs[isa.RDX]) != num>>63 {
-			return c.fault(in, "idivq with rdx not the sign extension of rax")
-		}
-		c.Regs[isa.RAX] = uint64(num / d)
-		c.Regs[isa.RDX] = uint64(num % d)
-
-	case isa.CMP:
-		a := readDst(&in.Dst)
-		b := readSrc(&in.Src)
-		c.setFlagsSub(a, b, a-b)
-	case isa.TEST:
-		c.setFlagsLogic(readDst(&in.Dst) & readSrc(&in.Src))
+		c.Regs[isa.RAX], c.Regs[isa.RDX] = quot, rem
 
 	case isa.SETcc:
 		v := uint64(0)
@@ -474,18 +406,6 @@ func (c *CPU) Step() error {
 		c.IP = next
 	}
 	return nil
-}
-
-func (c *CPU) setFlagsSub(a, b, r uint64) {
-	c.Regs[isa.Flags] = uint64(isa.FlagsSub(a, b, r))
-}
-
-func (c *CPU) setFlagsAdd(a, b, r uint64) {
-	c.Regs[isa.Flags] = uint64(isa.FlagsAdd(a, b, r))
-}
-
-func (c *CPU) setFlagsLogic(r uint64) {
-	c.Regs[isa.Flags] = uint64(isa.FlagsLogic(r))
 }
 
 // RunTraced runs prog to completion with trace capture and returns the trace

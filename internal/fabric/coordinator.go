@@ -38,6 +38,9 @@ type Coordinator struct {
 
 	// now overrides the clock in tests.
 	now func() time.Time
+	// beforePut, when set by a test, runs before every cache merge, so a
+	// test can hold a record in the window between accepted and durable.
+	beforePut func()
 
 	mu      sync.Mutex
 	seq     int
@@ -191,8 +194,10 @@ func (c *Coordinator) Lease(workerID string) (LeaseResponse, error) {
 // duplicates and discarded, which is what makes duplicated report RPCs and
 // late reports after a re-lease idempotent. A result whose record does not
 // carry the leased point is rejected outright (the point stays pending), so
-// a confused worker cannot corrupt the grid. Accepted successful records
-// are merged into the cache under their content key.
+// a confused worker cannot corrupt the grid. Successful records are merged
+// into the cache under their content key before they complete their task:
+// completion lets Run emit the record, and a record a client has seen must
+// survive a coordinator restart.
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	now := c.clock()
 	c.mu.Lock()
@@ -204,8 +209,26 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	w.lastSeen = now
 	c.stats.Reports++
 	c.expireLocked(now)
+	// The records the second pass below will accept, barring a racing report
+	// of the same task (which then merges the same content twice).
+	var merge []*sweep.Record
+	for i := range req.Results {
+		r := &req.Results[i]
+		if t := c.tasks[r.Task]; t != nil && r.Record.Point == t.st.pts[t.idx] {
+			merge = append(merge, &r.Record)
+		}
+	}
+	c.mu.Unlock()
+	// Cache merge is file IO; do it off the scheduler lock. Put is
+	// content-keyed and atomic, so racing a worker (or a concurrent report of
+	// the same task) writing the same key is harmless.
+	for _, rec := range merge {
+		c.mergeIntoCache(rec)
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var resp ReportResponse
-	var merge []sweep.Record
 	for _, r := range req.Results {
 		t := c.tasks[r.Task]
 		if t == nil || t.st.done[t.idx] {
@@ -222,23 +245,27 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		c.completeLocked(t, r.Record)
 		resp.Accepted++
 		c.stats.Accepted++
-		if r.Record.Err == "" && r.Record.Key != "" {
-			merge = append(merge, r.Record)
-		}
 	}
 	if l := c.leases[req.Lease]; l != nil {
 		c.pruneLeaseLocked(req.Lease, l)
 	}
-	c.mu.Unlock()
-	// Cache merge is file IO; do it off the scheduler lock. Put is
-	// content-keyed and atomic, so racing a worker writing the same key is
-	// harmless.
-	for _, rec := range merge {
-		if err := c.Cache.Put(rec.Key, &rec.Metrics); err != nil {
-			c.logger().Warn("fabric cache merge failed", "key", rec.Key, "error", err)
-		}
-	}
 	return resp, nil
+}
+
+// mergeIntoCache stores a successful record under its content key. It must
+// run before the record's task completes and never under the scheduler lock.
+// A failed Put is logged and the record completes regardless: the sweep's
+// result is still correct, only a later restart would re-simulate the point.
+func (c *Coordinator) mergeIntoCache(rec *sweep.Record) {
+	if rec.Err != "" || rec.Key == "" {
+		return
+	}
+	if c.beforePut != nil {
+		c.beforePut()
+	}
+	if err := c.Cache.Put(rec.Key, &rec.Metrics); err != nil {
+		c.logger().Warn("fabric cache merge failed", "key", rec.Key, "error", err)
+	}
 }
 
 // completeLocked lands an accepted record and retires its task.
@@ -460,6 +487,9 @@ func (c *Coordinator) watch(st *runState, stop <-chan struct{}) {
 		c.logger().Info("fabric fleet quiet, draining locally", "points", len(batch))
 		for _, t := range batch {
 			rec := c.Eng.Measure(t.st.pts[t.idx])
+			// Eng.Measure already stored the point when Cache is the
+			// engine's own store; Put again covers a split configuration.
+			c.mergeIntoCache(&rec)
 			c.mu.Lock()
 			if tt := c.tasks[t.id]; tt != nil && !tt.st.done[tt.idx] {
 				c.completeLocked(tt, rec)
@@ -468,11 +498,6 @@ func (c *Coordinator) watch(st *runState, stop <-chan struct{}) {
 				c.stats.Duplicates++
 			}
 			c.mu.Unlock()
-			// Eng.Measure already stored the point when Cache is the
-			// engine's own store; Put again covers a split configuration.
-			if rec.Err == "" && rec.Key != "" {
-				_ = c.Cache.Put(rec.Key, &rec.Metrics)
-			}
 		}
 	}
 }

@@ -277,3 +277,61 @@ func TestMismatchedPointReportIsRejectedNotCompleted(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordIsDurableBeforeRunEmitsIt parks the coordinator's cache merge on
+// the injected hook and checks the ordering the cold-restart invariant needs:
+// while a reported record's Put is parked its task is still incomplete and
+// Run has emitted nothing, and every record Run does emit is already in the
+// cache. The reporting worker measures without a cache, so the coordinator's
+// merge is the only writer.
+func TestRecordIsDurableBeforeRunEmitsIt(t *testing.T) {
+	cache := newCache(t, t.TempDir())
+	parked := make(chan struct{}, gridSize) // one send per merged record
+	release := make(chan struct{})
+	c := &Coordinator{
+		Eng: &sweep.Engine{Cache: cache}, Cache: cache,
+		LeaseTTL: time.Minute, Batch: gridSize, Log: quietLog(),
+		beforePut: func() { parked <- struct{}{}; <-release },
+	}
+	w := c.Register("prot").Worker
+	emitted := make(chan sweep.Record, gridSize)
+	ran := make(chan error, 1)
+	go func() {
+		_, err := c.Run(grid(), func(r sweep.Record) { emitted <- r })
+		ran <- err
+	}()
+	l := awaitLease(t, c, w)
+	if len(l.Points) != gridSize {
+		t.Fatalf("lease granted %d points, want the whole grid of %d", len(l.Points), gridSize)
+	}
+	reported := make(chan error, 1)
+	go func() {
+		_, err := c.Report(measureReport(&sweep.Engine{}, w, l))
+		reported <- err
+	}()
+
+	<-parked // Report is now inside its first Put
+	c.mu.Lock()
+	_, pending := c.tasks[l.Points[0].Task]
+	c.mu.Unlock()
+	if !pending {
+		t.Error("task completed while its record's cache Put was still parked")
+	}
+	if n := len(emitted); n != 0 {
+		t.Errorf("Run emitted %d record(s) while the first cache Put was still parked", n)
+	}
+
+	close(release)
+	if err := <-reported; err != nil {
+		t.Fatalf("report: %v", err)
+	}
+	for i := 0; i < gridSize; i++ {
+		r := <-emitted
+		if _, ok := cache.Get(r.Key); !ok {
+			t.Errorf("%s n=%d %s emitted but not in the cache", r.Name, r.N, r.Config())
+		}
+	}
+	if err := <-ran; err != nil {
+		t.Fatalf("run: %v", err)
+	}
+}

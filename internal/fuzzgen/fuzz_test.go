@@ -9,7 +9,7 @@ import (
 
 // The native fuzz targets. Plain `go test` replays the committed corpus
 // under testdata/fuzz/ plus the f.Add seeds below — so every CI run drives
-// the corpus through all four substrates and the warm-Reset path; `go test
+// the corpus through every substrate and the warm-Reset path; `go test
 // -fuzz=<target>` explores new seeds from there.
 
 // fuzzSeeds are the baseline corpus replayed on every plain `go test` run,
@@ -17,8 +17,8 @@ import (
 var fuzzSeeds = []uint64{0, 1, 2, 3, 7, 42, 1337, 0xdeadbeef, 1 << 33, ^uint64(0)}
 
 // FuzzTripleEquivalence drives a generated program through the full oracle:
-// emulator vs dense vs idle-skip vs parallel machine, plus warm-Reset and
-// pool re-runs, bit-identical down to stage timestamps.
+// AST interpreter vs emulator vs idle-skip vs dense machine, plus warm-Reset
+// and pool re-runs, bit-identical down to stage timestamps.
 func FuzzTripleEquivalence(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -34,8 +34,7 @@ func FuzzTripleEquivalence(f *testing.F) {
 
 // FuzzResetReproduces hammers the warm-machine lifecycle specifically: one
 // Machine re-run repeatedly through Reset, and through a Pool whose Get
-// re-arms a different scheduler configuration each time, must reproduce the
-// cold run exactly.
+// re-arms the other scheduler each time, must reproduce the cold run exactly.
 func FuzzResetReproduces(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -66,25 +65,25 @@ func FuzzResetReproduces(f *testing.F) {
 			}
 		}
 
-		// Pool path: a hit re-arms Dense/SimWorkers on the cached machine,
-		// so alternating configurations through one pooled machine must
-		// still match a fresh run of each configuration.
+		// Pool path: a hit re-arms Dense on the cached machine, so
+		// alternating schedulers through one pooled machine must still
+		// match the cold run.
 		pool := &machine.Pool{}
 		const key = "fuzz-reset" // caller-chosen identity; checkPooled guards it
-		for _, workers := range []int{0, 2, 0} {
+		for _, dense := range []bool{false, true, false} {
 			c := cfg
-			c.SimWorkers = workers
+			c.Dense = dense
 			pm, err := pool.Get(key, prog, c)
 			if err != nil {
-				t.Fatalf("seed %d: pool get (workers=%d): %v", seed, workers, err)
+				t.Fatalf("seed %d: pool get (dense=%v): %v", seed, dense, err)
 			}
 			got, err := pm.Run()
 			if err != nil {
-				t.Fatalf("seed %d: pooled run (workers=%d): %v", seed, workers, err)
+				t.Fatalf("seed %d: pooled run (dense=%v): %v", seed, dense, err)
 			}
 			pool.Put(key, pm)
 			if diff := diffResults(cold, got); diff != "" {
-				t.Fatalf("seed %d: pooled run (workers=%d) diverged: %s\n%s", seed, workers, diff, p.Source)
+				t.Fatalf("seed %d: pooled run (dense=%v) diverged: %s\n%s", seed, dense, diff, p.Source)
 			}
 		}
 		if s := pool.Stats(); s.Misses != 1 || s.Hits != 2 {

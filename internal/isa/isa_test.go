@@ -354,3 +354,117 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		}
 	}
 }
+
+// TestALU pins the one definition of the integer semantics that the emulator
+// and both evaluating stages of the machine share. Expected values are
+// written out by hand (not recomputed with the implementation's formulas).
+func TestALU(t *testing.T) {
+	const (
+		min64 = uint64(1) << 63 // most negative int64
+		max64 = min64 - 1       // most positive int64
+		ones  = ^uint64(0)      // -1, and the largest uint64
+		none  = FlagsVal(0)
+	)
+	cases := []struct {
+		name  string
+		op    Op
+		a, b  uint64
+		r     uint64
+		fl    FlagsVal
+		wrote bool
+	}{
+		// ADD: carry at 2^64, signed overflow at 2^63.
+		{"add plain", ADD, 2, 3, 5, none, true},
+		{"add carry out to zero", ADD, ones, 1, 0, FlagZ | FlagC, true},
+		{"add carry no overflow", ADD, ones, 2, 1, FlagC, true},
+		{"add overflow to min", ADD, max64, 1, min64, FlagS | FlagO, true},
+		{"add min+min", ADD, min64, min64, 0, FlagZ | FlagC | FlagO, true},
+		{"add neg+pos no overflow", ADD, min64, max64, ones, FlagS, true},
+		// SUB: borrow when a < b unsigned, overflow when signs differ.
+		{"sub equal", SUB, 7, 7, 0, FlagZ, true},
+		{"sub borrow", SUB, 0, 1, ones, FlagS | FlagC, true},
+		{"sub overflow from min", SUB, min64, 1, max64, FlagO, true},
+		{"sub max-(-1) overflows", SUB, max64, ones, min64, FlagS | FlagC | FlagO, true},
+		{"sub 0-min", SUB, 0, min64, min64, FlagS | FlagC | FlagO, true},
+		// CMP and TEST are SUB and AND; callers keep only the flags.
+		{"cmp below", CMP, 3, 5, ones - 1, FlagS | FlagC, true},
+		{"cmp signed less", CMP, min64, 1, max64, FlagO, true},
+		{"test disjoint", TEST, 0xf0, 0x0f, 0, FlagZ, true},
+		{"test sign", TEST, ones, min64, min64, FlagS, true},
+		// Logic: carry and overflow always cleared.
+		{"and", AND, 0xff00, 0x0ff0, 0x0f00, none, true},
+		{"or sign", OR, min64, 1, min64 | 1, FlagS, true},
+		{"xor self", XOR, 0xabc, 0xabc, 0, FlagZ, true},
+		// Shifts: the count is masked to its low 6 bits.
+		{"shl", SHL, 1, 63, min64, FlagS, true},
+		{"shl count 64 is 0", SHL, 5, 64, 5, none, true},
+		{"shl count 65 is 1", SHL, 5, 65, 10, none, true},
+		{"shl count -1 is 63", SHL, 3, ones, min64, FlagS, true},
+		{"shr logical", SHR, min64, 63, 1, none, true},
+		{"shr count 64 is 0", SHR, min64, 64, min64, FlagS, true},
+		{"sar arithmetic", SAR, min64, 63, ones, FlagS, true},
+		{"sar count 127 is 63", SAR, max64, 127, 0, FlagZ, true},
+		// IMUL wraps and leaves the flags alone; so does NOT.
+		{"imul", IMUL, 6, 7, 42, none, false},
+		{"imul negative", IMUL, ones, 5, ones - 4, none, false},
+		{"imul wraps", IMUL, min64, 2, 0, none, false},
+		{"not", NOT, 0, 99, ones, none, false},
+		// One-operand forms ignore b.
+		{"neg zero", NEG, 0, 99, 0, FlagZ, true},
+		{"neg one", NEG, 1, 99, ones, FlagS | FlagC, true},
+		{"neg min overflows", NEG, min64, 99, min64, FlagS | FlagC | FlagO, true},
+		{"inc wraps", INC, ones, 99, 0, FlagZ | FlagC, true},
+		{"inc overflow", INC, max64, 99, min64, FlagS | FlagO, true},
+		{"dec borrow", DEC, 0, 99, ones, FlagS | FlagC, true},
+		{"dec overflow", DEC, min64, 99, max64, FlagO, true},
+	}
+	for _, c := range cases {
+		r, fl, wrote := ALU(c.op, c.a, c.b)
+		if r != c.r || wrote != c.wrote || (wrote && fl != c.fl) {
+			t.Errorf("%s: ALU(%s, %#x, %#x) = %#x, flags %04b, writes %v; want %#x, flags %04b, writes %v",
+				c.name, c.op, c.a, c.b, r, fl, wrote, c.r, c.fl, c.wrote)
+		}
+	}
+
+	// The flags drive the conditions the way x86 defines them.
+	if _, fl, _ := ALU(CMP, min64, 1); !CondL.Eval(fl) || !CondA.Eval(fl) {
+		t.Errorf("cmp min64, 1: want signed-less and unsigned-above, flags %04b", fl)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("ALU accepted a non-ALU opcode")
+		}
+	}()
+	ALU(JMP, 0, 0)
+}
+
+func TestDivide(t *testing.T) {
+	const ones = ^uint64(0)
+	cases := []struct {
+		name        string
+		op          Op
+		rax, rdx, d uint64
+		quot, rem   uint64
+		err         error
+	}{
+		{name: "div", op: DIV, rax: 17, d: 5, quot: 3, rem: 2},
+		{name: "div is unsigned", op: DIV, rax: ones, d: 2, quot: ones >> 1, rem: 1},
+		{name: "div by zero", op: DIV, rax: 1, d: 0, err: ErrDivideByZero},
+		{name: "div by zero wins over rdx", op: DIV, rax: 1, rdx: 1, d: 0, err: ErrDivideByZero},
+		{name: "div non-zero rdx", op: DIV, rax: 1, rdx: 1, d: 3, err: ErrDivWideDividend},
+		{name: "idiv", op: IDIV, rax: 17, d: 5, quot: 3, rem: 2},
+		{name: "idiv truncates toward zero", op: IDIV, rax: ones - 16, rdx: ones, d: 5, quot: ones - 2, rem: ones - 1}, // -17/5 = -3 rem -2
+		{name: "idiv negative divisor", op: IDIV, rax: 17, d: ones - 4, quot: ones - 2, rem: 2},                        // 17/-5 = -3 rem 2
+		{name: "idiv by zero", op: IDIV, rax: 1, d: 0, err: ErrDivideByZero},
+		{name: "idiv positive rax needs rdx 0", op: IDIV, rax: 17, rdx: ones, d: 5, err: ErrIdivWideDividend},
+		{name: "idiv negative rax needs rdx -1", op: IDIV, rax: ones - 16, rdx: 0, d: 5, err: ErrIdivWideDividend},
+	}
+	for _, c := range cases {
+		q, r, err := Divide(c.op, c.rax, c.rdx, c.d)
+		if err != c.err || (err == nil && (q != c.quot || r != c.rem)) {
+			t.Errorf("%s: Divide(%s, rax=%#x, rdx=%#x, %#x) = %#x, %#x, %v; want %#x, %#x, %v",
+				c.name, c.op, c.rax, c.rdx, c.d, q, r, err, c.quot, c.rem, c.err)
+		}
+	}
+}

@@ -99,95 +99,30 @@ func evalRegCompute(in *isa.Instruction, rd func(isa.Reg) uint64, out *regWrites
 			a += rd(in.Src.Index) * uint64(in.Src.Scale)
 		}
 		out.set(in.Dst.Reg, a)
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL, isa.SHL, isa.SHR, isa.SAR:
-		a := rd(in.Dst.Reg)
-		b := src()
-		var r uint64
-		var fl isa.FlagsVal
-		setFlags := true
-		switch in.Op {
-		case isa.ADD:
-			r = a + b
-			fl = isa.FlagsAdd(a, b, r)
-		case isa.SUB:
-			r = a - b
-			fl = isa.FlagsSub(a, b, r)
-		case isa.AND:
-			r = a & b
-			fl = isa.FlagsLogic(r)
-		case isa.OR:
-			r = a | b
-			fl = isa.FlagsLogic(r)
-		case isa.XOR:
-			r = a ^ b
-			fl = isa.FlagsLogic(r)
-		case isa.IMUL:
-			r = uint64(int64(a) * int64(b))
-			setFlags = false
-		case isa.SHL:
-			r = a << (b & 63)
-			fl = isa.FlagsLogic(r)
-		case isa.SHR:
-			r = a >> (b & 63)
-			fl = isa.FlagsLogic(r)
-		case isa.SAR:
-			r = uint64(int64(a) >> (b & 63))
-			fl = isa.FlagsLogic(r)
+	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL, isa.SHL, isa.SHR, isa.SAR,
+		isa.NEG, isa.NOT, isa.INC, isa.DEC, isa.CMP, isa.TEST:
+		r, fl, writesFlags := isa.ALU(in.Op, rd(in.Dst.Reg), src())
+		if !in.Op.DiscardsResult() {
+			out.set(in.Dst.Reg, r)
 		}
-		out.set(in.Dst.Reg, r)
-		if setFlags {
+		if writesFlags {
 			out.set(isa.Flags, uint64(fl))
 		}
-	case isa.NEG:
-		v := rd(in.Dst.Reg)
-		r := -v
-		out.set(in.Dst.Reg, r)
-		out.set(isa.Flags, uint64(isa.FlagsSub(0, v, r)))
-	case isa.NOT:
-		out.set(in.Dst.Reg, ^rd(in.Dst.Reg))
-	case isa.INC:
-		v := rd(in.Dst.Reg)
-		out.set(in.Dst.Reg, v+1)
-		out.set(isa.Flags, uint64(isa.FlagsAdd(v, 1, v+1)))
-	case isa.DEC:
-		v := rd(in.Dst.Reg)
-		out.set(in.Dst.Reg, v-1)
-		out.set(isa.Flags, uint64(isa.FlagsSub(v, 1, v-1)))
 	case isa.CQTO:
 		out.set(isa.RDX, uint64(int64(rd(isa.RAX))>>63))
-	case isa.CMP:
-		a := rd(in.Dst.Reg)
-		b := src()
-		out.set(isa.Flags, uint64(isa.FlagsSub(a, b, a-b)))
-	case isa.TEST:
-		out.set(isa.Flags, uint64(isa.FlagsLogic(rd(in.Dst.Reg)&src())))
 	case isa.SETcc:
 		v := uint64(0)
 		if in.Cond.Eval(isa.FlagsVal(rd(isa.Flags))) {
 			v = 1
 		}
 		out.set(in.Dst.Reg, v)
-	case isa.DIV:
-		d := rd(in.Dst.Reg)
-		if d == 0 {
-			return fmt.Errorf("division by zero")
+	case isa.DIV, isa.IDIV:
+		quot, rem, err := isa.Divide(in.Op, rd(isa.RAX), rd(isa.RDX), rd(in.Dst.Reg))
+		if err != nil {
+			return err
 		}
-		if rd(isa.RDX) != 0 {
-			return fmt.Errorf("divq with non-zero rdx")
-		}
-		out.set(isa.RAX, rd(isa.RAX)/d)
-		out.set(isa.RDX, rd(isa.RAX)%d)
-	case isa.IDIV:
-		d := int64(rd(in.Dst.Reg))
-		if d == 0 {
-			return fmt.Errorf("division by zero")
-		}
-		num := int64(rd(isa.RAX))
-		if int64(rd(isa.RDX)) != num>>63 {
-			return fmt.Errorf("idivq with rdx not the sign extension of rax")
-		}
-		out.set(isa.RAX, uint64(num/d))
-		out.set(isa.RDX, uint64(num%d))
+		out.set(isa.RAX, quot)
+		out.set(isa.RDX, rem)
 	default:
 		return fmt.Errorf("unexpected opcode %s in register compute", in.Op)
 	}
@@ -248,101 +183,32 @@ func (d *DynInst) evalMemAccess(memVal uint64, cyc int64) error {
 		}
 	case isa.POP:
 		d.setReg(in.Dst.Reg, memVal, cyc)
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL:
-		if in.Src.Kind == isa.KindMem {
-			// Load form: dst = dst OP [mem].
-			a := rd(in.Dst.Reg)
-			var r uint64
-			var fl isa.FlagsVal
-			setFlags := true
-			switch in.Op {
-			case isa.ADD:
-				r = a + memVal
-				fl = isa.FlagsAdd(a, memVal, r)
-			case isa.SUB:
-				r = a - memVal
-				fl = isa.FlagsSub(a, memVal, r)
-			case isa.AND:
-				r = a & memVal
-				fl = isa.FlagsLogic(r)
-			case isa.OR:
-				r = a | memVal
-				fl = isa.FlagsLogic(r)
-			case isa.XOR:
-				r = a ^ memVal
-				fl = isa.FlagsLogic(r)
-			case isa.IMUL:
-				r = uint64(int64(a) * int64(memVal))
-				setFlags = false
-			}
+	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL, isa.CMP, isa.TEST:
+		// Load form (dst OP= [mem]) or read-modify-write form ([mem] OP= src):
+		// the loaded word is the source operand of the first and the
+		// destination operand of the second.
+		load := in.Src.Kind == isa.KindMem
+		var a, b uint64
+		switch {
+		case load:
+			a, b = rd(in.Dst.Reg), memVal
+		case in.Src.Kind == isa.KindReg:
+			a, b = memVal, rd(in.Src.Reg)
+		default:
+			a, b = memVal, uint64(in.Src.Imm)
+		}
+		r, fl, writesFlags := isa.ALU(in.Op, a, b)
+		switch {
+		case in.Op.DiscardsResult():
+			// cmpq/testq with a memory operand: flags only.
+		case load:
 			d.setReg(in.Dst.Reg, r, cyc)
-			if setFlags {
-				d.setReg(isa.Flags, uint64(fl), cyc)
-			}
-		} else {
-			// Read-modify-write memory destination.
-			var b uint64
-			if in.Src.Kind == isa.KindReg {
-				b = rd(in.Src.Reg)
-			} else {
-				b = uint64(in.Src.Imm)
-			}
-			a := memVal
-			var r uint64
-			var fl isa.FlagsVal
-			setFlags := true
-			switch in.Op {
-			case isa.ADD:
-				r = a + b
-				fl = isa.FlagsAdd(a, b, r)
-			case isa.SUB:
-				r = a - b
-				fl = isa.FlagsSub(a, b, r)
-			case isa.AND:
-				r = a & b
-				fl = isa.FlagsLogic(r)
-			case isa.OR:
-				r = a | b
-				fl = isa.FlagsLogic(r)
-			case isa.XOR:
-				r = a ^ b
-				fl = isa.FlagsLogic(r)
-			case isa.IMUL:
-				r = uint64(int64(a) * int64(b))
-				setFlags = false
-			}
+		default:
 			d.storeVal = r
-			if setFlags {
-				d.setReg(isa.Flags, uint64(fl), cyc)
-			}
 		}
-	case isa.CMP:
-		// cmpq with a memory operand: flags only.
-		var a, b uint64
-		if in.Src.Kind == isa.KindMem {
-			a, b = rd(in.Dst.Reg), memVal
-		} else {
-			a = memVal
-			if in.Src.Kind == isa.KindReg {
-				b = rd(in.Src.Reg)
-			} else {
-				b = uint64(in.Src.Imm)
-			}
+		if writesFlags {
+			d.setReg(isa.Flags, uint64(fl), cyc)
 		}
-		d.setReg(isa.Flags, uint64(isa.FlagsSub(a, b, a-b)), cyc)
-	case isa.TEST:
-		var a, b uint64
-		if in.Src.Kind == isa.KindMem {
-			a, b = rd(in.Dst.Reg), memVal
-		} else {
-			a = memVal
-			if in.Src.Kind == isa.KindReg {
-				b = rd(in.Src.Reg)
-			} else {
-				b = uint64(in.Src.Imm)
-			}
-		}
-		d.setReg(isa.Flags, uint64(isa.FlagsLogic(a&b)), cyc)
 	default:
 		return fmt.Errorf("machine: unsupported memory op %s", in)
 	}

@@ -67,16 +67,6 @@ type Config struct {
 	// (cycles, timings, message counts); dense exists as the oracle the
 	// idle-skip cross-check tests and `repro bench-sim` compare against.
 	Dense bool
-	// SimWorkers is the host-goroutine count of the parallel scheduler
-	// (parallel.go): the per-core issue scans and wake computation of each
-	// simulated cycle run on that many workers over a static core partition,
-	// with all cross-core effects applied serially at the per-cycle barrier.
-	// <= 1 (the default) keeps the sequential idle-skip scheduler. The
-	// setting is purely a wall-clock knob: results are bit-identical for
-	// every value, because stage selection is a pure function of cycle-start
-	// state (see parallel.go for the argument, and the three-way oracle
-	// tests for the pin). Ignored when Dense is set.
-	SimWorkers int
 	// StallLimit aborts the run when no architectural progress happens for
 	// this many cycles (deadlock detector). Defaults to 10000.
 	StallLimit int64
@@ -346,12 +336,6 @@ type Core struct {
 	lsq       []*DynInst // waiting memory access (unordered)
 	live      int        // hosted, not fully retired sections
 	fetched   int64      // statistics
-
-	// ewSel/maSel are the issue picks (indexes into iq/lsq, -1 = none) the
-	// parallel scheduler's select phase computes each cycle for the apply
-	// phase to consume (see parallel.go). The sequential schedulers never
-	// read them.
-	ewSel, maSel int
 }
 
 // Machine is the whole chip.
@@ -456,7 +440,7 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	}
 	m := &Machine{cfg: cfg, prog: prog, dyns: newArena[DynInst](dynChunk), slots: newArena[slot](slotChunk)}
 	for i := 0; i < cfg.Cores; i++ {
-		m.cores = append(m.cores, &Core{id: i, ewSel: -1, maSel: -1})
+		m.cores = append(m.cores, &Core{id: i})
 	}
 	m.retirePick = make([]*Section, cfg.Cores)
 	m.arPick = make([]*Section, cfg.Cores)
@@ -495,7 +479,6 @@ func (m *Machine) Reset() {
 		c.lsq = c.lsq[:0]
 		c.live = 0
 		c.fetched = 0
-		c.ewSel, c.maSel = -1, -1
 	}
 	for _, r := range m.reqs {
 		m.releaseRequest(r)
@@ -619,14 +602,10 @@ func (m *Machine) assignHost(s *Section, deliverAt int64) {
 
 // Run simulates until completion and returns the result. The default
 // scheduler is idle-skip (see runIdleSkip); Config.Dense selects the
-// reference dense loop, Config.SimWorkers > 1 the parallel phase scheduler
-// (see parallel.go). All three produce bit-identical results.
+// reference dense loop. Both produce bit-identical results.
 func (m *Machine) Run() (*Result, error) {
 	if m.cfg.Dense {
 		return m.runDense()
-	}
-	if m.cfg.SimWorkers > 1 {
-		return m.runParallel()
 	}
 	return m.runIdleSkip()
 }
@@ -797,42 +776,20 @@ const never = int64(math.MaxInt64)
 // condition is decided by stored timestamps alone). Entries may be
 // conservative (too early just wastes a visit); they must never be late.
 // Each entry mirrors one `... < m.cycle` / `... >= m.cycle` comparison in
-// the stage and request code. The enumeration is split into a per-core half
-// (nextWakeCores, strided so the parallel scheduler can partition it across
-// workers) and a global half (nextWakeGlobal: section heads and requests);
-// clamping each entry before taking the minimum is order-independent, so the
-// split merge equals the single-pass value exactly.
+// the stage and request code.
 func (m *Machine) nextWake() int64 {
-	w := m.nextWakeCores(0, 1)
-	if g := m.nextWakeGlobal(); g < w {
-		w = g
-	}
-	return w
-}
-
-// clampWake floors a wake entry to the next cycle: anything at or before the
-// current cycle can only be acted on from cycle+1.
-func (m *Machine) clampWake(t int64) int64 {
-	if t <= m.cycle {
-		return m.cycle + 1
-	}
-	return t
-}
-
-// nextWakeCores enumerates the per-core wake sources of cores from, from+
-// stride, from+2·stride, … — the core-local state only (fetch slot, message
-// FIFO, suspension list, rename/issue/load-store queues). It writes nothing
-// but the visited instructions' own write-once wake caches (via ewWake and
-// maWake), so strided calls over disjoint core sets are safe concurrently.
-func (m *Machine) nextWakeCores(from, stride int) int64 {
 	w := never
 	wake := func(t int64) {
-		if t = m.clampWake(t); t < w {
+		// Anything at or before the current cycle can only be acted on from
+		// cycle+1.
+		if t <= m.cycle {
+			t = m.cycle + 1
+		}
+		if t < w {
 			w = t
 		}
 	}
-	for ci := from; ci < len(m.cores); ci += stride {
-		c := m.cores[ci]
+	for _, c := range m.cores {
 		if c.live == 0 {
 			// Every wake source below is state of a live hosted section.
 			continue
@@ -868,21 +825,6 @@ func (m *Machine) nextWakeCores(from, stride int) int64 {
 				continue
 			}
 			wake(m.maWake(d))
-		}
-	}
-	return w
-}
-
-// nextWakeGlobal enumerates the wake sources that live outside any single
-// core: the in-order address-rename and retire heads of the live sections,
-// and the in-flight renaming requests. It reads section and request state
-// plus producer ready cells — disjoint from the wake caches nextWakeCores
-// writes — so the parallel scheduler overlaps it with the per-core halves.
-func (m *Machine) nextWakeGlobal() int64 {
-	w := never
-	wake := func(t int64) {
-		if t = m.clampWake(t); t < w {
-			w = t
 		}
 	}
 	// Sections before m.oldest are dumped; later ones host the in-order

@@ -1,8 +1,8 @@
-// Three-way scheduler oracle over the full PBBS suite. This lives in the
-// external test package because internal/pbbs imports internal/backend,
-// which imports internal/machine — an in-package test would be an import
-// cycle. The small hand-built workloads' three-way checks (and the
-// scheduler-internals tests) stay in sched_test.go.
+// Scheduler oracle over the full PBBS suite. This lives in the external test
+// package because internal/pbbs imports internal/backend, which imports
+// internal/machine — an in-package test would be an import cycle. The small
+// hand-built workloads' dense ≡ idle-skip checks (and the scheduler-internals
+// tests) stay in sched_test.go.
 package machine_test
 
 import (
@@ -17,28 +17,21 @@ import (
 	"repro/internal/pbbs"
 )
 
-// oracleWorkers is the parallel scheduler's worker count in the oracle runs:
-// more workers than the host has cores on small CI machines, so the
-// cross-worker interleavings are exercised (and, under -race, watched)
-// regardless of host width.
-const oracleWorkers = 4
-
 // runMachine executes a compiled kernel on one scheduler and returns the
 // full machine result. The program and inputs are built once by the caller
-// and shared across the three schedulers: timing rows carry instruction
+// and shared across the two schedulers: timing rows carry instruction
 // pointers, so bit-identity is only meaningful against the same compilation.
-func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs, n, cores int, dense bool, workers int) *machine.Result {
+func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs, n, cores int, dense bool) *machine.Result {
 	t.Helper()
 	mb := &backend.Machine{Cfg: machine.Config{
 		Cores:         cores,
 		CreateLatency: 2,
 		Shortcut:      true,
 		Dense:         dense,
-		SimWorkers:    workers,
 	}}
 	res, err := mb.Run(prog, in, false)
 	if err != nil {
-		t.Fatalf("%s n=%d cores=%d dense=%v workers=%d: %v", k.Name, n, cores, dense, workers, err)
+		t.Fatalf("%s n=%d cores=%d dense=%v: %v", k.Name, n, cores, dense, err)
 	}
 	want, err := k.Ref(n, in)
 	if err != nil {
@@ -78,38 +71,13 @@ func sameResult(t *testing.T, label string, a, b *machine.Result) {
 	}
 }
 
-// TestThreeWayOracle pins the tentpole's exactness claim on the paper's
-// workloads: for every one of the ten PBBS kernels, the dense reference
-// loop, the sequential idle-skip scheduler and the parallel phase scheduler
-// produce bit-identical results — same cycle count, same per-instruction
-// stage timestamps, same NoC accounting, same final architectural state. CI
-// runs this under -race, which also checks the parallel scheduler's phase
-// discipline (no unsynchronized cross-worker access) on real workloads.
-// TestBigNParallelMatches extends the oracle into the paper-scale regime: a
-// quickSort large enough to churn hundreds of sections across 64 cores — the
-// regime the parallel scheduler exists for, where the per-cycle queues are
-// long enough to cross the worker-broadcast threshold organically. The dense
-// leg is skipped (minutes-slow out here); idle-skip is the oracle. -short
-// keeps it to a seconds-scale size.
-func TestBigNParallelMatches(t *testing.T) {
-	k, err := pbbs.Find("quicksort")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 512
-	if testing.Short() {
-		n = 128
-	}
-	prog, err := k.Build(n, minic.ModeFork)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := k.Gen(n, 1)
-	skip := runMachine(t, k, prog, in, n, 64, false, 0)
-	par := runMachine(t, k, prog, in, n, 64, false, oracleWorkers)
-	sameResult(t, fmt.Sprintf("%s n=%d cores=64 idle-skip vs parallel", k.Name, n), skip, par)
-}
-
+// TestThreeWayOracle pins the production scheduler's exactness on the
+// paper's workloads. The three ways are the kernel's reference checksum, the
+// dense reference loop and the idle-skip scheduler: for every one of the
+// eleven kernels both schedulers reproduce the reference checksum
+// (runMachine) and are bit-identical to each other — same cycle count, same
+// per-instruction stage timestamps, same NoC accounting, same final
+// architectural state.
 func TestThreeWayOracle(t *testing.T) {
 	for _, k := range pbbs.Kernels() {
 		k := k
@@ -121,12 +89,9 @@ func TestThreeWayOracle(t *testing.T) {
 			}
 			in := k.Gen(n, 1)
 			for _, cores := range []int{1, 4, 16} {
-				dense := runMachine(t, k, prog, in, n, cores, true, 0)
-				skip := runMachine(t, k, prog, in, n, cores, false, 0)
-				par := runMachine(t, k, prog, in, n, cores, false, oracleWorkers)
-				label := fmt.Sprintf("%s n=%d cores=%d", k.Name, n, cores)
-				sameResult(t, label+" dense vs idle-skip", dense, skip)
-				sameResult(t, label+" idle-skip vs parallel", skip, par)
+				dense := runMachine(t, k, prog, in, n, cores, true)
+				skip := runMachine(t, k, prog, in, n, cores, false)
+				sameResult(t, fmt.Sprintf("%s n=%d cores=%d dense vs idle-skip", k.Name, n, cores), dense, skip)
 			}
 		})
 	}

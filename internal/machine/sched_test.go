@@ -27,23 +27,6 @@ func runSched(t *testing.T, prog *isa.Program, cfg Config, dense bool) *Result {
 	return r
 }
 
-// runPar runs prog under the parallel phase scheduler with the given worker
-// count and returns the result.
-func runPar(t *testing.T, prog *isa.Program, cfg Config, workers int) *Result {
-	t.Helper()
-	cfg.Dense = false
-	cfg.SimWorkers = workers
-	m, err := New(prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := m.Run()
-	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	return r
-}
-
 // checkIdentical asserts two results are bit-identical: every headline
 // metric, every message counter, every per-instruction stage timestamp and
 // every section record.
@@ -87,9 +70,8 @@ func checkIdentical(t *testing.T, label string, dense, skip *Result) {
 // model change — on the paper's workloads it must reproduce the dense loop's
 // result exactly, down to each instruction's six stage timestamps, across
 // core counts, topologies, the shortcut ablation and the packing cap. The
-// same three-way oracle covers the parallel phase scheduler (SimWorkers > 1):
-// dense ≡ idle-skip ≡ parallel. The ten-kernel PBBS leg of the oracle lives
-// in oracle_test.go (external package, to avoid the pbbs import cycle).
+// eleven-kernel PBBS leg of the oracle lives in oracle_test.go (external
+// package, to avoid the pbbs import cycle).
 func TestIdleSkipMatchesDense(t *testing.T) {
 	build := func(f func() (*isa.Program, error)) *isa.Program {
 		p, err := f()
@@ -109,8 +91,6 @@ func TestIdleSkipMatchesDense(t *testing.T) {
 			dense := runSched(t, p, cfg, true)
 			skip := runSched(t, p, cfg, false)
 			checkIdentical(t, name+"/default", dense, skip)
-			par := runPar(t, p, cfg, 4)
-			checkIdentical(t, name+"/default/parallel", dense, par)
 		}
 	}
 	p := workloads["sum40"]
@@ -126,37 +106,6 @@ func TestIdleSkipMatchesDense(t *testing.T) {
 		dense := runSched(t, p, cfg, true)
 		skip := runSched(t, p, cfg, false)
 		checkIdentical(t, fmt.Sprintf("variant %d (%+v)", i, cfg), dense, skip)
-		par := runPar(t, p, cfg, 4)
-		checkIdentical(t, fmt.Sprintf("variant %d (%+v) parallel", i, cfg), dense, par)
-	}
-}
-
-// TestParallelForcedBroadcast re-runs the three-way comparison with the
-// inline-select fallback disabled, so every cycle's select phase (and every
-// idle jump's wake enumeration) actually crosses the worker goroutines even
-// on these small workloads — the configuration the race detector must see.
-// Without this, a workload whose queues never reach parallelMinWork would
-// pass the oracle while exercising only the single-threaded fallback.
-func TestParallelForcedBroadcast(t *testing.T) {
-	old := parallelMinWork
-	parallelMinWork = 0
-	defer func() { parallelMinWork = old }()
-	for _, build := range []func() (*isa.Program, error){
-		func() (*isa.Program, error) { return progs.BuildSumFork(progs.Vector(40)) },
-		func() (*isa.Program, error) { return progs.BuildFibFork(9) },
-	} {
-		p, err := build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, cores := range []int{2, 8, 64} {
-			cfg := DefaultConfig(cores)
-			dense := runSched(t, p, cfg, true)
-			for _, workers := range []int{2, 4, 7} {
-				par := runPar(t, p, cfg, workers)
-				checkIdentical(t, fmt.Sprintf("cores=%d workers=%d", cores, workers), dense, par)
-			}
-		}
 	}
 }
 
@@ -215,27 +164,22 @@ _start: jmp _start
 	if err != nil {
 		t.Fatal(err)
 	}
-	errFor := func(dense bool, workers int) string {
+	errFor := func(dense bool) string {
 		cfg := DefaultConfig(2)
 		cfg.MaxCycles = 5000
 		cfg.Dense = dense
-		cfg.SimWorkers = workers
 		m, err := New(p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		_, rerr := m.Run()
 		if rerr == nil {
-			t.Fatalf("dense=%v workers=%d: infinite loop did not abort", dense, workers)
+			t.Fatalf("dense=%v: infinite loop did not abort", dense)
 		}
 		return rerr.Error()
 	}
-	d := errFor(true, 0)
-	if s := errFor(false, 0); d != s {
+	if d, s := errFor(true), errFor(false); d != s {
 		t.Errorf("abort errors differ:\n dense: %s\n skip:  %s", d, s)
-	}
-	if p := errFor(false, 2); d != p {
-		t.Errorf("abort errors differ:\n dense:    %s\n parallel: %s", d, p)
 	}
 }
 

@@ -324,20 +324,6 @@ func (m *Machine) stageRR(c *Core) {
 // only the address-forming sources gate the stage; for everything else all
 // sources do.
 func (m *Machine) stageEW(c *Core) {
-	if best := m.selectEW(c); best >= 0 {
-		m.ewApply(c, best)
-	}
-}
-
-// selectEW returns the index in c.iq of the instruction the execute-write-back
-// stage issues this cycle, or -1. The scan is the selection half of stageEW,
-// shared verbatim by the sequential and parallel schedulers: readiness tests
-// compare stored timestamps against `< m.cycle`, so the pick is a pure
-// function of cycle-start state and is the same whether the scan runs before
-// or interleaved with the cycle's stage applies. The only writes are d's own
-// wake caches (ewWake), which are write-once derived values — safe for the
-// parallel scheduler because an instruction lives in exactly one core's queue.
-func (m *Machine) selectEW(c *Core) int {
 	best := -1
 	for i, d := range c.iq {
 		// Fast paths: a known-blocked instruction costs one load, a cached
@@ -356,13 +342,9 @@ func (m *Machine) selectEW(c *Core) int {
 			best = i
 		}
 	}
-	return best
-}
-
-// ewApply issues c.iq[best] through the execute-write-back stage: the apply
-// half of stageEW, run serially (in core order) by both schedulers because it
-// mutates shared state (producer cells consumers on other cores poll).
-func (m *Machine) ewApply(c *Core, best int) {
+	if best < 0 {
+		return
+	}
 	d := c.iq[best]
 	swapRemove(&c.iq, best)
 	d.tEW = m.cycle
@@ -482,15 +464,6 @@ func (m *Machine) stageAR(c *Core) {
 // ready when its (cached) wake cycle has passed: its loaded value (if any)
 // and its non-address sources must be ready.
 func (m *Machine) stageMA(c *Core) {
-	if best := m.selectMA(c); best >= 0 {
-		m.maApply(c, best)
-	}
-}
-
-// selectMA is selectEW's memory-access counterpart: the selection half of
-// stageMA, a pure function of cycle-start state (plus d's own write-once wake
-// caches), shared by the sequential and parallel schedulers.
-func (m *Machine) selectMA(c *Core) int {
 	best := -1
 	for i, d := range c.lsq {
 		if d.maBlocked() {
@@ -507,12 +480,9 @@ func (m *Machine) selectMA(c *Core) int {
 			best = i
 		}
 	}
-	return best
-}
-
-// maApply performs the memory access of c.lsq[best]: the apply half of
-// stageMA, serial in both schedulers (it fills producer cells).
-func (m *Machine) maApply(c *Core, best int) {
+	if best < 0 {
+		return
+	}
 	d := c.lsq[best]
 	swapRemove(&c.lsq, best)
 	var mv uint64

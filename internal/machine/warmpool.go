@@ -19,14 +19,13 @@ import (
 // Machines are pooled under a caller-provided key that MUST determine the
 // program content and every shape-affecting configuration field (cores,
 // topology, latencies, caps) — internal/sweep derives it from the encoded
-// program and the point coordinates. The two pure scheduling knobs, Dense
-// and SimWorkers, are deliberately NOT part of the machine's shape: a Get
-// re-arms the pooled machine with the requested values, so one pool serves
-// every scheduler (results are bit-identical across them by the scheduler
-// oracle). Get still cross-checks the pooled machine's program shape and
-// configuration against the request and fails descriptively on a mismatch,
-// so a buggy key derivation surfaces as an error, not as silently wrong
-// results.
+// program and the point coordinates. The pure scheduling knob, Dense, is
+// deliberately NOT part of the machine's shape: a Get re-arms the pooled
+// machine with the requested value, so one pool serves both schedulers
+// (results are bit-identical across them by the scheduler oracle). Get
+// still cross-checks the pooled machine's program shape and configuration
+// against the request and fails descriptively on a mismatch, so a buggy key
+// derivation surfaces as an error, not as silently wrong results.
 type Pool struct {
 	// MaxIdle bounds the machines parked in the pool across all keys;
 	// returning a machine to a full pool drops it for the GC instead. 0
@@ -66,7 +65,7 @@ func (p *Pool) Stats() PoolStats {
 }
 
 // Get returns a machine for prog under cfg: a pooled machine for key, Reset
-// and re-armed with cfg's scheduling knobs, or a freshly constructed one.
+// and re-armed with cfg's scheduler choice, or a freshly constructed one.
 // Either way the machine is in the post-New state — the caller injects
 // inputs into DMH() and calls Run, exactly as after New. After a successful
 // run, return the machine with Put(key, m); after a failed one, drop it (a
@@ -84,7 +83,6 @@ func (p *Pool) Get(key string, prog *isa.Program, cfg Config) (*Machine, error) 
 			return nil, err
 		}
 		m.cfg.Dense = cfg.Dense
-		m.cfg.SimWorkers = cfg.SimWorkers
 		m.Reset()
 		return m, nil
 	}
@@ -117,7 +115,7 @@ func (p *Pool) Put(key string, m *Machine) {
 // program and configuration — the defensive net under the key contract. The
 // program check is on shape (text length, data length, entry), not content:
 // the key is expected to hash the full content, this catches derivation bugs
-// loudly. Dense and SimWorkers are excluded: Get re-arms them per request.
+// loudly. Dense is excluded: Get re-arms it per request.
 func (m *Machine) checkPooled(key string, prog *isa.Program, cfg Config) error {
 	cfg = cfg.withDefaults()
 	old, mismatch := "", ""

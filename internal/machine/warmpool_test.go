@@ -39,9 +39,9 @@ func TestPoolHitMissDrop(t *testing.T) {
 	}
 }
 
-// TestPoolReArmsSchedulers: one pooled machine serves requests with different
-// Dense/SimWorkers settings (those are not part of the machine's shape), and
-// each pooled run reproduces the fresh machine's result bit-identically.
+// TestPoolReArmsSchedulers: one pooled machine serves requests with either
+// Dense setting (the scheduler is not part of the machine's shape), and each
+// pooled run reproduces the fresh machine's result bit-identically.
 func TestPoolReArmsSchedulers(t *testing.T) {
 	prog := mustSumFork(t, 40)
 	base := DefaultConfig(5)
@@ -54,18 +54,16 @@ func TestPoolReArmsSchedulers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dense, par := base, base
+	dense := base
 	dense.Dense = true
-	par.SimWorkers = 3
 	p := NewPool()
-	for _, cfg := range []Config{base, dense, par} {
+	for _, cfg := range []Config{base, dense, base} {
 		m, err := p.Get("sum40", prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.cfg.Dense != cfg.Dense || m.cfg.SimWorkers != cfg.SimWorkers {
-			t.Fatalf("pooled machine not re-armed: have dense=%v workers=%d, want dense=%v workers=%d",
-				m.cfg.Dense, m.cfg.SimWorkers, cfg.Dense, cfg.SimWorkers)
+		if m.cfg.Dense != cfg.Dense {
+			t.Fatalf("pooled machine not re-armed: have dense=%v, want dense=%v", m.cfg.Dense, cfg.Dense)
 		}
 		got, err := m.Run()
 		if err != nil {
