@@ -5,7 +5,7 @@
 //	                 checksums against the pure-Go references
 //	repro ilp      — regenerate the paper's Fig. 7: trace-dataflow ILP of
 //	                 the ten kernels under the sequential and parallel
-//	                 dependence models (batch-measured with a worker pool)
+//	                 dependence models (batch-measured, -workers at a time)
 //	repro machine  — cross-validate kernels on the cycle-level many-core
 //	                 simulator against the emulator and report cycles/IPC
 //	repro analytic — print the Section 5 closed-form scaling table for the

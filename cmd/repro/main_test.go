@@ -143,7 +143,10 @@ func TestRunHelp(t *testing.T) {
 
 // TestRunBadFlag: an undefined flag is a usage error (exit 2) that names the
 // flag on stderr — including -sim-workers, which every simulating subcommand
-// accepted until the parallel scheduler was removed.
+// accepted until the parallel scheduler was removed, and -dense /
+// -machine-pool, which sweep, serve and worker accepted while the engine
+// still had a scheduler switch and an optional pool (-dense lives on only on
+// `repro machine`).
 func TestRunBadFlag(t *testing.T) {
 	cases := [][]string{
 		{"analytic", "-bogus"},
@@ -152,6 +155,12 @@ func TestRunBadFlag(t *testing.T) {
 		{"bench-sim", "-sim-workers", "4"},
 		{"serve", "-sim-workers", "4"},
 		{"worker", "-sim-workers", "4"},
+		{"sweep", "-dense"},
+		{"serve", "-dense"},
+		{"worker", "-dense"},
+		{"sweep", "-machine-pool"},
+		{"serve", "-machine-pool"},
+		{"worker", "-machine-pool"},
 	}
 	for _, args := range cases {
 		out, err := captureStderr(t, func() error { return run(args) })

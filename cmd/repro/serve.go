@@ -13,9 +13,7 @@ import (
 	"time"
 
 	"repro/internal/fabric"
-	"repro/internal/machine"
 	"repro/internal/server"
-	"repro/internal/sweep"
 )
 
 // cmdServe runs the long-lived job server: sweeps and machine runs submitted
@@ -39,8 +37,6 @@ func cmdServe(args []string) error {
 	jobs := fs.Int("jobs", 2, "jobs executing concurrently; further submissions queue")
 	history := fs.Int("history", 256, "finished jobs kept before the oldest are evicted")
 	grace := fs.Duration("grace", 10*time.Second, "graceful-shutdown budget for in-flight requests and jobs")
-	dense := fs.Bool("dense", false, "use the reference dense scheduler instead of idle-skip")
-	pool := fs.Bool("machine-pool", true, "reuse warmed machines across submissions that differ only in inputs")
 	lease := fs.Duration("lease", 5*time.Second, "fabric lease TTL: a worker batch unreported past this re-queues")
 	batch := fs.Int("batch", 8, "fabric points per worker lease")
 	if err := parseFlags(fs, args); err != nil {
@@ -53,18 +49,11 @@ func cmdServe(args []string) error {
 		return usageErrf("bad -batch %d (want at least 1)", *batch)
 	}
 
-	// The engine is the server's simulation configuration: every submitted
-	// job measures through it, so the scheduler choice and the warm-machine
-	// pool are service-wide settings.
-	eng := &sweep.Engine{Workers: *workers, Dense: *dense}
-	if *pool {
-		eng.Pool = machine.NewPool()
-	}
-	if *cacheDir != "" {
-		var err error
-		if eng.Cache, err = sweep.NewCache(*cacheDir); err != nil {
-			return err
-		}
+	// Every submitted job measures through this one engine, so its cache,
+	// warm-machine pool and singleflight are service-wide.
+	eng, err := newEngine(*workers, *cacheDir)
+	if err != nil {
+		return err
 	}
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	coord := &fabric.Coordinator{
@@ -85,7 +74,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	log.Info("serving", "addr", ln.Addr().String(), "cache", *cacheDir, "jobs", *jobs, "history", *history, "machinePool", *pool, "lease", *lease, "batch", *batch)
+	log.Info("serving", "addr", ln.Addr().String(), "cache", *cacheDir, "jobs", *jobs, "history", *history, "lease", *lease, "batch", *batch)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

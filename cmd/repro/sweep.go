@@ -11,6 +11,20 @@ import (
 	"repro/internal/sweep"
 )
 
+// newEngine builds the measurement engine sweep, serve and worker share: a
+// bounded number of concurrent points, a warm-machine pool, and the
+// content-keyed result cache unless cacheDir is empty.
+func newEngine(workers int, cacheDir string) (*sweep.Engine, error) {
+	eng := &sweep.Engine{Workers: workers, Pool: machine.NewPool()}
+	if cacheDir != "" {
+		var err error
+		if eng.Cache, err = sweep.NewCache(cacheDir); err != nil {
+			return nil, err
+		}
+	}
+	return eng, nil
+}
+
 // parseShortcutAxis resolves the -shortcut flag into the sweep axis.
 func parseShortcutAxis(s string) ([]bool, error) {
 	var out []bool
@@ -43,8 +57,6 @@ func cmdSweep(args []string) error {
 	cacheDir := fs.String("cache", ".sweep-cache", "result cache directory (empty disables caching)")
 	baseline := fs.String("baseline", "", "baseline sweep JSONL to diff against")
 	against := fs.String("against", "", "diff -baseline against this sweep file instead of running")
-	dense := fs.Bool("dense", false, "use the reference dense scheduler instead of idle-skip")
-	pool := fs.Bool("machine-pool", true, "reuse warmed machines across points that differ only in inputs")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -91,14 +103,9 @@ func cmdSweep(args []string) error {
 		return err
 	}
 
-	eng := &sweep.Engine{Workers: *workers, Dense: *dense}
-	if *pool {
-		eng.Pool = machine.NewPool()
-	}
-	if *cacheDir != "" {
-		if eng.Cache, err = sweep.NewCache(*cacheDir); err != nil {
-			return err
-		}
+	eng, err := newEngine(*workers, *cacheDir)
+	if err != nil {
+		return err
 	}
 
 	var jw *sweep.JSONLWriter

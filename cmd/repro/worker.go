@@ -11,8 +11,6 @@ import (
 	"syscall"
 
 	"repro/internal/fabric"
-	"repro/internal/machine"
-	"repro/internal/sweep"
 )
 
 // cmdWorker joins a sweep fabric: it registers with a coordinator (a
@@ -28,8 +26,6 @@ func cmdWorker(args []string) error {
 	cacheDir := fs.String("cache", ".sweep-cache", "result cache directory (empty disables caching)")
 	name := fs.String("name", "", "worker label in coordinator logs (default host:pid)")
 	workers := fs.Int("workers", 0, "concurrent measurements per leased batch (0 = GOMAXPROCS)")
-	dense := fs.Bool("dense", false, "use the reference dense scheduler instead of idle-skip")
-	pool := fs.Bool("machine-pool", true, "reuse warmed machines across points that differ only in inputs")
 	poll := fs.Duration("poll", 0, "idle poll interval (0 = coordinator-suggested)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
@@ -39,14 +35,9 @@ func cmdWorker(args []string) error {
 		return usageErrf("bad -coordinator URL %q (want scheme://host:port)", *coord)
 	}
 
-	eng := &sweep.Engine{Workers: *workers, Dense: *dense}
-	if *pool {
-		eng.Pool = machine.NewPool()
-	}
-	if *cacheDir != "" {
-		if eng.Cache, err = sweep.NewCache(*cacheDir); err != nil {
-			return err
-		}
+	eng, err := newEngine(*workers, *cacheDir)
+	if err != nil {
+		return err
 	}
 	if *name == "" {
 		host, _ := os.Hostname()
@@ -57,7 +48,7 @@ func cmdWorker(args []string) error {
 		Coordinator: u.String(), Eng: eng, Name: *name, Log: log, Poll: *poll,
 	}
 	log.Info("worker starting", "coordinator", w.Coordinator, "name", *name,
-		"cache", *cacheDir, "machinePool", *pool)
+		"cache", *cacheDir)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

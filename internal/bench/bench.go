@@ -53,17 +53,13 @@ type Grid struct {
 	// minimum wall time is reported, the usual defence against scheduling
 	// noise.
 	Runs int
-	// BigNs are paper-scale dataset sizes timed for BigNKernels × BigNCores
-	// in addition to the standard grid. Big-N points skip the dense leg
-	// (minutes-slow at these sizes) and are timed once regardless of Runs —
-	// a multi-second simulation is noise-immune without best-of-k.
+	// BigNs are paper-scale dataset sizes timed, in addition to the standard
+	// grid, for quickSort (the fork-heavy kernel with real section churn at
+	// scale) on 64 cores (the many-core regime the paper's scaling studies
+	// live in). Big-N points skip the dense leg (minutes-slow at these sizes)
+	// and are timed once regardless of Runs — a multi-second simulation is
+	// noise-immune without best-of-k.
 	BigNs []int
-	// BigNKernels selects the big-N kernels (pbbs selectors). Empty means
-	// quickSort, the fork-heavy kernel with real section churn at scale.
-	BigNKernels []string
-	// BigNCores are the big-N core counts. Empty means {64}, the
-	// many-core regime the paper's scaling studies live in.
-	BigNCores []int
 }
 
 // DefaultGrid returns the standard trajectory grid: a fork-heavy kernel
@@ -178,22 +174,12 @@ func (g Grid) cases() ([]benchCase, error) {
 	if len(g.BigNs) == 0 {
 		return out, nil
 	}
-	bigSel := strings.Join(g.BigNKernels, ",")
-	if bigSel == "" {
-		bigSel = "quicksort"
-	}
-	bigKs, err := pbbs.FindAll(bigSel)
+	big, err := pbbs.Find("quicksort")
 	if err != nil {
 		return nil, err
 	}
-	bigCores := g.BigNCores
-	if len(bigCores) == 0 {
-		bigCores = []int{64}
-	}
-	for _, k := range bigKs {
-		for _, n := range g.BigNs {
-			out = append(out, benchCase{k: k, n: n, cores: bigCores, runs: 1, dense: false})
-		}
+	for _, n := range g.BigNs {
+		out = append(out, benchCase{k: big, n: n, cores: []int{64}, runs: 1, dense: false})
 	}
 	return out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -56,27 +57,21 @@ type workerInfo struct {
 	lastSeen time.Time
 }
 
-// runState is one Run call in flight: records land at their grid index and
-// each index's ready channel closes exactly once, so the emit loop streams
-// deterministic grid order no matter which worker finishes what when.
-type runState struct {
-	pts       []sweep.Point
-	recs      []sweep.Record
-	done      []bool
-	ready     []chan struct{}
-	remaining int
-}
-
 // task is one grid point awaiting a result. Its ID is the idempotency key:
 // it stays resolvable across lease expiries and re-grants, and is deleted
 // the moment a result is accepted, so every later report of it is a
-// duplicate by construction.
+// duplicate by construction. The record lands at idx of the owning Run's
+// collector, which decides first-write-wins and streams grid order no matter
+// which worker finishes what when.
 type task struct {
 	id     string
-	st     *runState
+	pt     sweep.Point
+	out    *sweep.Stream
 	idx    int
 	queued bool // in pending (guards against double re-queue)
 }
+
+func (t *task) done() bool { return t.out.Done(t.idx) }
 
 type lease struct {
 	id       string
@@ -184,7 +179,7 @@ func (c *Coordinator) Lease(workerID string) (LeaseResponse, error) {
 	c.stats.Granted++
 	resp := LeaseResponse{Lease: l.id, Points: make([]LeasePoint, len(batch))}
 	for i, t := range batch {
-		resp.Points[i] = LeasePoint{Task: t.id, Point: t.st.pts[t.idx]}
+		resp.Points[i] = LeasePoint{Task: t.id, Point: t.pt}
 	}
 	return resp, nil
 }
@@ -214,7 +209,7 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	var merge []*sweep.Record
 	for i := range req.Results {
 		r := &req.Results[i]
-		if t := c.tasks[r.Task]; t != nil && r.Record.Point == t.st.pts[t.idx] {
+		if t := c.tasks[r.Task]; t != nil && r.Record.Point == t.pt {
 			merge = append(merge, &r.Record)
 		}
 	}
@@ -230,21 +225,18 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	defer c.mu.Unlock()
 	var resp ReportResponse
 	for _, r := range req.Results {
-		t := c.tasks[r.Task]
-		if t == nil || t.st.done[t.idx] {
-			resp.Duplicates++
-			c.stats.Duplicates++
-			continue
-		}
-		if r.Record.Point != t.st.pts[t.idx] {
+		switch t := c.tasks[r.Task]; {
+		case t != nil && r.Record.Point != t.pt:
 			c.logger().Warn("fabric report point mismatch, dropped",
 				"worker", req.Worker, "task", r.Task,
-				"want", t.st.pts[t.idx], "got", r.Record.Point)
-			continue
+				"want", t.pt, "got", r.Record.Point)
+		case t != nil && c.completeLocked(t, r.Record):
+			resp.Accepted++
+			c.stats.Accepted++
+		default:
+			resp.Duplicates++
+			c.stats.Duplicates++
 		}
-		c.completeLocked(t, r.Record)
-		resp.Accepted++
-		c.stats.Accepted++
 	}
 	if l := c.leases[req.Lease]; l != nil {
 		c.pruneLeaseLocked(req.Lease, l)
@@ -268,39 +260,26 @@ func (c *Coordinator) mergeIntoCache(rec *sweep.Record) {
 	}
 }
 
-// completeLocked lands an accepted record and retires its task.
-func (c *Coordinator) completeLocked(t *task, rec sweep.Record) {
-	st := t.st
-	st.recs[t.idx] = rec
-	st.done[t.idx] = true
-	close(st.ready[t.idx])
-	st.remaining--
+// completeLocked retires t and lands rec at its grid index through the run's
+// collector, reporting whether rec was the first record for that point. A
+// task completed while re-queued leaves the queue, so pending only ever
+// holds undone tasks.
+func (c *Coordinator) completeLocked(t *task, rec sweep.Record) bool {
 	delete(c.tasks, t.id)
-	if st.remaining == 0 {
-		// The run is over; drop any of its re-queued tasks still pending.
-		keep := c.pending[:0]
-		for _, p := range c.pending {
-			if !p.st.done[p.idx] {
-				keep = append(keep, p)
-			}
-		}
-		c.pending = keep
+	if t.queued {
+		c.pending = slices.DeleteFunc(c.pending, func(p *task) bool { return p == t })
 	}
+	return t.out.Complete(t.idx, rec)
 }
 
-// popLocked takes up to max undone tasks off the front of the queue.
+// popLocked takes up to max tasks off the front of the queue.
 func (c *Coordinator) popLocked(max int) []*task {
-	var out []*task
-	i := 0
-	for ; i < len(c.pending) && len(out) < max; i++ {
-		t := c.pending[i]
+	n := min(max, len(c.pending))
+	out := slices.Clone(c.pending[:n])
+	c.pending = c.pending[n:]
+	for _, t := range out {
 		t.queued = false
-		if t.st.done[t.idx] {
-			continue
-		}
-		out = append(out, t)
 	}
-	c.pending = c.pending[i:]
 	return out
 }
 
@@ -311,7 +290,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 	for id, l := range c.leases {
 		undone := l.tasks[:0]
 		for _, t := range l.tasks {
-			if !t.st.done[t.idx] {
+			if !t.done() {
 				undone = append(undone, t)
 			}
 		}
@@ -343,7 +322,7 @@ func (c *Coordinator) expireLocked(now time.Time) {
 func (c *Coordinator) pruneLeaseLocked(id string, l *lease) {
 	undone := l.tasks[:0]
 	for _, t := range l.tasks {
-		if !t.st.done[t.idx] {
+		if !t.done() {
 			undone = append(undone, t)
 		}
 	}
@@ -365,14 +344,10 @@ func (c *Coordinator) Stats() Stats {
 			s.LiveWorkers++
 		}
 	}
-	for _, t := range c.pending {
-		if !t.st.done[t.idx] {
-			s.Pending++
-		}
-	}
+	s.Pending = len(c.pending)
 	for _, l := range c.leases {
 		for _, t := range l.tasks {
-			if !t.st.done[t.idx] {
+			if !t.done() {
 				s.Leased++
 			}
 		}
@@ -400,22 +375,13 @@ func (c *Coordinator) Run(spec *sweep.Spec, emit func(sweep.Record)) ([]sweep.Re
 		c.mu.Unlock()
 		return c.Eng.Run(spec, emit)
 	}
-	st := &runState{
-		pts:       pts,
-		recs:      make([]sweep.Record, len(pts)),
-		done:      make([]bool, len(pts)),
-		ready:     make([]chan struct{}, len(pts)),
-		remaining: len(pts),
-	}
-	queued := make([]*task, len(pts))
-	for i := range pts {
-		st.ready[i] = make(chan struct{})
+	out := sweep.NewStream(len(pts))
+	for i, pt := range pts {
 		c.seq++
-		t := &task{id: fmt.Sprintf("t%d", c.seq), st: st, idx: i, queued: true}
+		t := &task{id: fmt.Sprintf("t%d", c.seq), pt: pt, out: out, idx: i, queued: true}
 		c.tasks[t.id] = t
-		queued[i] = t
+		c.pending = append(c.pending, t)
 	}
-	c.pending = append(c.pending, queued...)
 	c.mu.Unlock()
 
 	stop := make(chan struct{})
@@ -423,32 +389,20 @@ func (c *Coordinator) Run(spec *sweep.Spec, emit func(sweep.Record)) ([]sweep.Re
 	watch.Add(1)
 	go func() {
 		defer watch.Done()
-		c.watch(st, stop)
+		c.watch(stop)
 	}()
-
-	var errs []error
-	for i := range pts {
-		<-st.ready[i]
-		r := st.recs[i]
-		if emit != nil {
-			emit(r)
-		}
-		if r.Err != "" {
-			errs = append(errs, fmt.Errorf("%s n=%d %s: %s",
-				r.Name, r.N, r.Config(), r.Err))
-		}
-	}
+	recs, err := out.Collect(emit)
 	close(stop)
 	watch.Wait()
-	return st.recs, errors.Join(errs...)
+	return recs, err
 }
 
-// watch keeps one Run live: it expires stale leases between worker polls
-// and, when no worker has contacted the coordinator within the liveness
-// window while points are still pending, measures batches on the local
-// engine. Completion goes through the same first-write-wins path as worker
-// reports, so a worker racing back to life stays harmless.
-func (c *Coordinator) watch(st *runState, stop <-chan struct{}) {
+// watch keeps a Run live until stop closes: every tick it expires stale
+// leases between worker polls and, while no worker has contacted the
+// coordinator within the liveness window and points are still pending,
+// drains them on the local engine batch after batch, re-checking liveness
+// (and stop) between batches so a fleet that comes back gets the rest.
+func (c *Coordinator) watch(stop <-chan struct{}) {
 	tick := c.leaseTTL() / 4
 	if tick < 5*time.Millisecond {
 		tick = 5 * time.Millisecond
@@ -461,43 +415,57 @@ func (c *Coordinator) watch(st *runState, stop <-chan struct{}) {
 			return
 		case <-tk.C:
 		}
-		now := c.clock()
-		c.mu.Lock()
-		if st.remaining == 0 {
-			c.mu.Unlock()
-			return
-		}
-		c.expireLocked(now)
-		live := false
-		for _, w := range c.workers {
-			if now.Sub(w.lastSeen) <= c.liveness() {
-				live = true
-				break
+		for c.drainQuiet() {
+			select {
+			case <-stop:
+				return
+			default:
 			}
-		}
-		var batch []*task
-		if !live {
-			batch = c.popLocked(c.batchSize())
-			c.stats.LocalPoints += len(batch)
-		}
-		c.mu.Unlock()
-		if len(batch) == 0 {
-			continue
-		}
-		c.logger().Info("fabric fleet quiet, draining locally", "points", len(batch))
-		for _, t := range batch {
-			rec := c.Eng.Measure(t.st.pts[t.idx])
-			// Eng.Measure already stored the point when Cache is the
-			// engine's own store; Put again covers a split configuration.
-			c.mergeIntoCache(&rec)
-			c.mu.Lock()
-			if tt := c.tasks[t.id]; tt != nil && !tt.st.done[tt.idx] {
-				c.completeLocked(tt, rec)
-				c.stats.Accepted++
-			} else {
-				c.stats.Duplicates++
-			}
-			c.mu.Unlock()
 		}
 	}
+}
+
+// drainQuiet expires stale leases and, when the fleet is quiet, measures one
+// batch of pending points through the engine's fan-out (honouring
+// Eng.Workers), reporting whether it measured anything. Completion goes
+// through the same first-write-wins path as worker reports, merged into the
+// cache before it is visible, so a worker racing back to life stays harmless.
+func (c *Coordinator) drainQuiet() bool {
+	now := c.clock()
+	c.mu.Lock()
+	c.expireLocked(now)
+	live := false
+	for _, w := range c.workers {
+		if now.Sub(w.lastSeen) <= c.liveness() {
+			live = true
+			break
+		}
+	}
+	var batch []*task
+	if !live {
+		batch = c.popLocked(c.batchSize())
+		c.stats.LocalPoints += len(batch)
+	}
+	c.mu.Unlock()
+	if len(batch) == 0 {
+		return false
+	}
+	c.logger().Info("fabric fleet quiet, draining locally", "points", len(batch))
+	pts := make([]sweep.Point, len(batch))
+	for i, t := range batch {
+		pts[i] = t.pt
+	}
+	c.Eng.MeasureEach(pts, func(i int, rec sweep.Record) {
+		// Eng.Measure already stored the point when Cache is the engine's
+		// own store; Put again covers a split configuration.
+		c.mergeIntoCache(&rec)
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if t := c.tasks[batch[i].id]; t != nil && c.completeLocked(t, rec) {
+			c.stats.Accepted++
+		} else {
+			c.stats.Duplicates++
+		}
+	})
+	return true
 }

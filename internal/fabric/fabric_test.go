@@ -303,3 +303,33 @@ func TestSilentFleetIsDrainedByWatchdog(t *testing.T) {
 		t.Errorf("local engine simulated %d, want %d", eng.Stats().Simulated, gridSize)
 	}
 }
+
+// TestSilentFleetDrainDoesNotWaitATickPerBatch: once the fleet is quiet the
+// watchdog keeps popping batches instead of taking one per tick. With
+// Batch=1 the 8-point grid is 8 batches; at one batch per tick (LeaseTTL/4 =
+// 500ms) the drain would need 4s, so finishing inside 4 ticks proves the
+// batches ran back to back. The fake clock only ages the ghost worker past
+// the liveness window up front; the ticker itself runs on real time.
+func TestSilentFleetDrainDoesNotWaitATickPerBatch(t *testing.T) {
+	const ttl = 2 * time.Second
+	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
+	eng := &sweep.Engine{Cache: newCache(t, t.TempDir()), Workers: 2}
+	c := &Coordinator{
+		Eng: eng, Cache: eng.Cache,
+		LeaseTTL: ttl, Batch: 1, Log: quietLog(), now: clk.Now,
+	}
+	c.Register("ghost")
+	clk.Advance(2*ttl + time.Second)
+
+	start := time.Now()
+	recs, _, err := runJSONL(t, c.Run, grid())
+	elapsed := time.Since(start)
+	mustOK(t, recs, err)
+	if st := c.Stats(); st.LocalPoints != gridSize || st.Accepted != gridSize || st.Granted != 0 {
+		t.Errorf("stats %+v, want all %d points drained locally and none leased", st, gridSize)
+	}
+	if limit := 4 * (ttl / 4); elapsed >= limit {
+		t.Errorf("drain of %d single-point batches took %v, want under %v (one batch per tick needs %v)",
+			gridSize, elapsed, limit, gridSize*(ttl/4))
+	}
+}

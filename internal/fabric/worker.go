@@ -7,8 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/sweep"
@@ -137,36 +135,17 @@ func (w *Worker) serve(ctx context.Context, reg RegisterResponse) error {
 	}
 }
 
-// measure runs a leased batch through the local engine, as concurrently as
-// the engine's worker budget allows.
+// measure runs a leased batch through the local engine's fan-out, as
+// concurrently as the engine's worker budget allows.
 func (w *Worker) measure(pts []LeasePoint) []ReportResult {
 	res := make([]ReportResult, len(pts))
-	par := w.Eng.Workers
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	grid := make([]sweep.Point, len(pts))
+	for i, lp := range pts {
+		grid[i] = lp.Point
 	}
-	if par > len(pts) {
-		par = len(pts)
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for g := 0; g < par; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				res[i] = ReportResult{
-					Task:   pts[i].Task,
-					Record: w.Eng.Measure(pts[i].Point),
-				}
-			}
-		}()
-	}
-	for i := range pts {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	w.Eng.MeasureEach(grid, func(i int, rec sweep.Record) {
+		res[i] = ReportResult{Task: pts[i].Task, Record: rec}
+	})
 	return res
 }
 

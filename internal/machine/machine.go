@@ -435,7 +435,7 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	for i := range prog.Text {
 		switch prog.Text[i].Op {
 		case isa.CALL, isa.RET:
-			return nil, fmt.Errorf("machine: instruction %d is %s; the machine executes fork programs (use internal/forkify or mini-C -fork mode)", i, prog.Text[i].Op)
+			return nil, fmt.Errorf("machine: instruction %d is %s; the machine executes fork programs (compile mini-C with minic.ModeFork)", i, prog.Text[i].Op)
 		}
 	}
 	m := &Machine{cfg: cfg, prog: prog, dyns: newArena[DynInst](dynChunk), slots: newArena[slot](slotChunk)}

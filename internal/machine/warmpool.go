@@ -26,6 +26,10 @@ import (
 // still cross-checks the pooled machine's program shape and configuration
 // against the request and fails descriptively on a mismatch, so a buggy key
 // derivation surfaces as an error, not as silently wrong results.
+//
+// A nil *Pool is the no-pooling pool, like a nil *sweep.Cache: Get constructs
+// a fresh machine every time, Put drops, Stats stays zero — so a caller with
+// an optional pool has one acquisition path.
 type Pool struct {
 	// MaxIdle bounds the machines parked in the pool across all keys;
 	// returning a machine to a full pool drops it for the GC instead. 0
@@ -59,6 +63,9 @@ func NewPool() *Pool { return &Pool{} }
 
 // Stats returns the counters accumulated so far.
 func (p *Pool) Stats() PoolStats {
+	if p == nil {
+		return PoolStats{}
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.stats
@@ -71,6 +78,9 @@ func (p *Pool) Stats() PoolStats {
 // run, return the machine with Put(key, m); after a failed one, drop it (a
 // faulted machine's state is not worth reusing).
 func (p *Pool) Get(key string, prog *isa.Program, cfg Config) (*Machine, error) {
+	if p == nil {
+		return New(prog, cfg)
+	}
 	p.mu.Lock()
 	if ms := p.free[key]; len(ms) > 0 {
 		m := ms[len(ms)-1]
@@ -94,6 +104,9 @@ func (p *Pool) Get(key string, prog *isa.Program, cfg Config) (*Machine, error) 
 // Put parks a machine under key for a later Get. Only machines obtained from
 // Get(key, …) that completed a successful Run belong here.
 func (p *Pool) Put(key string, m *Machine) {
+	if p == nil {
+		return
+	}
 	max := p.MaxIdle
 	if max <= 0 {
 		max = DefaultMaxIdle

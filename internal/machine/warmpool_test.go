@@ -96,3 +96,39 @@ func TestPoolKeyCollision(t *testing.T) {
 		t.Fatalf("collision error %q does not name the mismatch", err)
 	}
 }
+
+// TestNilPoolConstructsFresh: a nil *Pool is the no-pooling pool — every Get
+// is a fresh machine that runs like New's, Put drops, and Stats stays zero.
+func TestNilPoolConstructsFresh(t *testing.T) {
+	prog := mustSumFork(t, 40)
+	cfg := DefaultConfig(4)
+	fresh, err := New(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := fresh.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p *Pool
+	var prev *Machine
+	for round := 0; round < 2; round++ {
+		m, err := p.Get("k", prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m == prev {
+			t.Fatal("nil pool handed the same machine out twice")
+		}
+		got, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIdentical(t, "nil-pool run", want, got)
+		p.Put("k", m)
+		prev = m
+	}
+	if st := p.Stats(); st != (PoolStats{}) {
+		t.Errorf("nil pool stats %+v, want zero", st)
+	}
+}

@@ -3,66 +3,41 @@ package pbbs
 import (
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
+
+	"repro/internal/fanout"
 )
 
 // Batch harness: measure many (kernel, dataset size) points concurrently and
 // aggregate them into the paper's Fig. 7 report. Each point compiles, runs
-// and analyses independently, so a plain worker pool scales it.
+// and analyses independently, so the repo's one parallel-for scales it.
 
-// measureJob is one (kernel, size) point of the Fig. 7 sweep.
-type measureJob struct {
-	k *Kernel
-	n int
-}
-
-// MeasureAll measures every kernel at every dataset size with a pool of
-// workers (workers <= 0 uses GOMAXPROCS). The points come back sorted by
-// (benchmark ID, size). Per-point failures are collected and joined; the
-// successfully measured points are still returned.
+// MeasureAll measures every kernel at every dataset size, at most workers
+// points at a time (workers <= 0 uses GOMAXPROCS; see fanout.Each). The
+// points come back sorted by (benchmark ID, size). Per-point failures are
+// collected and joined; the successfully measured points are still returned.
 func MeasureAll(kernels []*Kernel, sizes []int, seed uint64, workers int) ([]*ILPPoint, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	jobs := make(chan measureJob)
-	var mu sync.Mutex
+	// One placeholder per point to measure, replaced by its measurement.
 	var points []*ILPPoint
-	var errs []error
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				p, err := j.k.MeasureILP(j.n, seed)
-				mu.Lock()
-				if err != nil {
-					errs = append(errs, err)
-				} else {
-					points = append(points, p)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
 	for _, k := range kernels {
 		// Sizes below the kernel's minimum clamp to the same point; dedup so
 		// the sweep measures each (kernel, effective size) once.
 		seen := make(map[int]bool, len(sizes))
 		for _, n := range sizes {
 			n = k.ClampN(n)
-			if seen[n] {
-				continue
+			if !seen[n] {
+				seen[n] = true
+				points = append(points, &ILPPoint{Kernel: k, N: n})
 			}
-			seen[n] = true
-			jobs <- measureJob{k: k, n: n}
 		}
 	}
-	close(jobs)
-	wg.Wait()
+	errs := make([]error, len(points))
+	fanout.Each(len(points), workers, func(i int) {
+		points[i], errs[i] = points[i].Kernel.MeasureILP(points[i].N, seed)
+	})
+	points = slices.DeleteFunc(points, func(p *ILPPoint) bool { return p == nil })
 	sort.Slice(points, func(i, j int) bool {
 		if points[i].Kernel.ID != points[j].Kernel.ID {
 			return points[i].Kernel.ID < points[j].Kernel.ID

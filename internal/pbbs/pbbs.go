@@ -1,8 +1,8 @@
 // Package pbbs implements the reproduction's stand-in for the Problem Based
 // Benchmark Suite used by the paper's Fig. 7 (Table 1): the same ten
-// algorithms, written in mini-C, compiled to the reproduction ISA, run on
-// the functional emulator with trace capture, and analysed with the
-// internal/ilp dependence models.
+// algorithms plus one extra (histogram, #11), written in mini-C, compiled to
+// the reproduction ISA, run on the functional emulator with trace capture,
+// and analysed with the internal/ilp dependence models.
 //
 // The paper traces the original C++ PBBS programs with gcc-generated x86;
 // that substrate is not available here, so each kernel is re-implemented in
@@ -75,7 +75,8 @@ const (
 
 // Kernel is one benchmark of Table 1.
 type Kernel struct {
-	// ID is the paper's benchmark number (1..10; later additions count on).
+	// ID is the paper's benchmark number (1..10 for Table 1; additions
+	// beyond the paper count on — the registry holds eleven).
 	ID int
 	// Name is the paper's "suite/implementation" label.
 	Name string
@@ -148,7 +149,8 @@ func Kernels() []*Kernel {
 // Info is the exported catalog metadata of one kernel: what a serving layer
 // or UI needs to list the Table 1 suite without holding the Kernel itself.
 type Info struct {
-	// ID is the paper's benchmark number (1..10).
+	// ID is the kernel's benchmark number (the paper's 1..10, then 11 for
+	// the histogram extra).
 	ID int `json:"id"`
 	// Name is the paper's "suite/implementation" label.
 	Name string `json:"name"`

@@ -1,13 +1,12 @@
 package sweep
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/backend"
+	"repro/internal/fanout"
 	"repro/internal/machine"
 	"repro/internal/minic"
 	"repro/internal/pbbs"
@@ -33,17 +32,13 @@ func (s Stats) String() string {
 		s.Points, s.Hits, s.Coalesced, s.Simulated, s.Failures)
 }
 
-// Engine measures sweep grids with a worker pool and an optional persistent
-// cache.
+// Engine measures sweep grids on a bounded number of goroutines, with an
+// optional persistent cache and warm-machine pool.
 type Engine struct {
 	// Cache, when non-nil, serves repeated points without re-simulation.
 	Cache *Cache
 	// Workers bounds concurrent measurements; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Dense selects the machine's reference dense scheduler instead of the
-	// default idle-skip one. Simulation outcomes are identical either way
-	// (only SimNs/NsPerCycle differ), so the cache key is unaffected.
-	Dense bool
 	// Pool, when non-nil, serves machines from a warm pool instead of
 	// constructing one per measurement: points sharing a program and
 	// configuration (same kernel, size, cores, topology — only inputs/seed
@@ -64,62 +59,35 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// Run measures every point of the grid. Workers measure concurrently, but
-// emit (when non-nil) is called from a single goroutine in deterministic
-// grid order, as soon as each prefix of the grid is complete — the streaming
-// hook for incremental JSONL output. The returned records are in the same
-// order. Per-point failures are reported inside the records (Record.Err) and
-// joined into the returned error.
+// MeasureEach measures every point, at most Workers at a time (the bound and
+// its GOMAXPROCS default live in internal/fanout), and returns when all have
+// finished. done(i, rec) is called from the measuring goroutine as soon as
+// point i has its record, in no particular order — hand the records to a
+// Stream to get them back in grid order.
+func (e *Engine) MeasureEach(pts []Point, done func(i int, rec Record)) {
+	fanout.Each(len(pts), e.Workers, func(i int) { done(i, e.Measure(pts[i])) })
+}
+
+// Run measures every point of the grid. Points are measured concurrently
+// (MeasureEach), but emit (when non-nil) is called from this goroutine in
+// deterministic grid order, as soon as each prefix of the grid is complete —
+// the streaming hook for incremental JSONL output. The returned records are
+// in the same order. Per-point failures are reported inside the records
+// (Record.Err) and joined into the returned error (Stream.Collect).
 func (e *Engine) Run(spec *Spec, emit func(Record)) ([]Record, error) {
 	pts, err := spec.Points()
 	if err != nil {
 		return nil, err
 	}
-	workers := e.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(pts) && len(pts) > 0 {
-		workers = len(pts)
-	}
-
-	recs := make([]Record, len(pts))
-	ready := make([]chan struct{}, len(pts))
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				recs[i] = e.Measure(pts[i])
-				close(ready[i])
-			}
-		}()
-	}
+	out := NewStream(len(pts))
+	measured := make(chan struct{})
 	go func() {
-		for i := range pts {
-			jobs <- i
-		}
-		close(jobs)
+		defer close(measured)
+		e.MeasureEach(pts, func(i int, rec Record) { out.Complete(i, rec) })
 	}()
-
-	var errs []error
-	for i := range pts {
-		<-ready[i]
-		if emit != nil {
-			emit(recs[i])
-		}
-		if recs[i].Err != "" {
-			errs = append(errs, fmt.Errorf("%s n=%d %s: %s",
-				recs[i].Name, recs[i].N, recs[i].Config(), recs[i].Err))
-		}
-	}
-	wg.Wait()
-	return recs, errors.Join(errs...)
+	recs, err := out.Collect(emit)
+	<-measured
+	return recs, err
 }
 
 // Measure runs one point: resolve the kernel, derive the content key, serve
@@ -191,18 +159,13 @@ func (e *Engine) Measure(p Point) Record {
 		CreateLatency:      2,
 		Shortcut:           p.Shortcut,
 		MaxSectionsPerCore: p.MaxSections,
-		Dense:              e.Dense,
 	}
 	// The timed window covers machine acquisition, input injection and the
 	// run, so SimNs reflects what the pool amortizes: a pooled Get is a
 	// Reset of warmed arenas where a fresh construction allocates them.
 	start := time.Now()
-	var sim *machine.Machine
-	if e.Pool != nil {
-		sim, err = e.Pool.Get(machineKey(prog, p), prog, cfg)
-	} else {
-		sim, err = machine.New(prog, cfg)
-	}
+	mkey := machineKey(prog, p)
+	sim, err := e.Pool.Get(mkey, prog, cfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -215,9 +178,7 @@ func (e *Engine) Measure(p Point) Record {
 		return fail(err)
 	}
 	// A faulted machine is not returned to the pool; this one ran clean.
-	if e.Pool != nil {
-		e.Pool.Put(machineKey(prog, p), sim)
-	}
+	e.Pool.Put(mkey, sim)
 	e.count(func(s *Stats) { s.Simulated++ })
 	want, err := k.Ref(p.N, in)
 	if err != nil {

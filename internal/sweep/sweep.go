@@ -4,14 +4,14 @@
 // section-placement cap} and reports how the paper's fork-based design
 // scales (§4.2, Figs. 8–10).
 //
-// The engine generalises the internal/pbbs batch harness: points are
-// measured concurrently by a worker pool, results stream out in
-// deterministic grid order as JSONL plus a rendered table, and a
-// content-keyed persistent cache (internal/sweep.Cache) makes repeated
-// points free — the cache key hashes the compiled kernel source, the
-// generated inputs and the full machine configuration, so any change to
-// compiler output, workload generator or simulator parameters re-measures
-// exactly the points it invalidates.
+// The package is also the repo's grid runner: Engine.MeasureEach measures
+// points concurrently (bounded by internal/fanout), Stream re-orders the
+// records so results stream out in deterministic grid order as JSONL plus a
+// rendered table, and a content-keyed persistent cache (internal/sweep.Cache)
+// makes repeated points free — the cache key hashes the compiled kernel
+// source, the generated inputs and the full machine configuration, so any
+// change to compiler output, workload generator or simulator parameters
+// re-measures exactly the points it invalidates.
 //
 // Two sweep files can be diffed (Diff, DiffTable) to quantify speedups and
 // regressions between configurations or code revisions: machine IPC,
