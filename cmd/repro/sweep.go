@@ -130,7 +130,8 @@ func cmdSweep(args []string) error {
 		return emitErr
 	}
 	fmt.Print(sweep.Table(recs))
-	fmt.Fprintf(os.Stderr, "sweep: %s\n", eng.Stats())
+	ps := eng.Pool.Stats()
+	fmt.Fprintf(os.Stderr, "sweep: %s; machines: %d built, %d reused, %d dropped\n", eng.Stats(), ps.Misses, ps.Hits, ps.Dropped)
 
 	if *baseline != "" {
 		base, err := sweep.ReadFile(*baseline)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/backend"
@@ -100,74 +101,89 @@ func TestSteadyStateAllocs(t *testing.T) {
 }
 
 // TestSteadyStateAllocsThroughPool re-checks the allocation contract through
-// the warm-machine pool: a Get-hit (Reset + re-arm), injection, run and Put
-// cycle must stay within the same budget as a bare Reset re-run — the pool
-// adds bookkeeping, not per-cycle allocation.
+// the warm-machine pool: a Get-hit (rebind), injection, run and Put cycle
+// must stay within the same budget as a bare Reset re-run — the pool adds
+// bookkeeping, not per-cycle allocation. The second leg is the traffic a
+// sweep grid produces: before every run of the measured program the one
+// pooled machine serves a different program on a different core count
+// (outside the measurement), and the measured program's run — a
+// cross-program, cross-shape rebind every time — still allocates only the
+// fixed handful.
 func TestSteadyStateAllocsThroughPool(t *testing.T) {
-	k, err := pbbs.Find("duplicates")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := k.ClampN(64)
-	prog, err := k.Build(n, minic.ModeFork)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := k.Gen(n, 1)
-	want, err := k.Ref(n, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := machine.DefaultConfig(16)
-	pool := machine.NewPool()
-	warmM, err := pool.Get("alloc", prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inject(t, warmM, prog, in)
-	warm, err := warmM.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if warm.RAX != want {
-		t.Fatalf("checksum %d, reference %d", warm.RAX, want)
-	}
-	pool.Put("alloc", warmM)
-
+	pool := &machine.Pool{MaxIdle: 1}
 	var runErr error
-	avg := testing.AllocsPerRun(3, func() {
-		m, err := pool.Get("alloc", prog, cfg)
+	pooledRun := func(kernel string, cores int) func() {
+		k, err := pbbs.Find(kernel)
 		if err != nil {
-			runErr = err
-			return
+			t.Fatal(err)
 		}
-		for sym, words := range in {
-			addr, _ := prog.DataAddr(sym)
-			for i, w := range words {
-				m.DMH().WriteU64(addr+uint64(8*i), w)
+		n := k.ClampN(64)
+		prog, err := k.Build(n, minic.ModeFork)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := k.Gen(n, 1)
+		want, err := k.Ref(n, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := machine.DefaultConfig(cores)
+		return func() {
+			m, err := pool.Get("", prog, cfg)
+			if err != nil {
+				runErr = err
+				return
+			}
+			for sym, words := range in {
+				addr, _ := prog.DataAddr(sym)
+				for i, w := range words {
+					m.DMH().WriteU64(addr+uint64(8*i), w)
+				}
+			}
+			res, err := m.Run()
+			if err != nil {
+				runErr = err
+				return
+			}
+			pool.Put("", m)
+			if res.RAX != want {
+				runErr = errMismatch
 			}
 		}
-		res, err := m.Run()
-		if err != nil {
-			runErr = err
-			return
-		}
-		pool.Put("alloc", m)
-		if res.RAX != want || res.Cycles != warm.Cycles {
-			runErr = errMismatch
-		}
-	})
-	if runErr != nil {
-		t.Fatalf("pooled re-run failed: %v", runErr)
 	}
-	if s := pool.Stats(); s.Hits < 4 {
-		t.Fatalf("pool stats %+v: the measured loop was not running on pool hits", s)
+	measured, other := pooledRun("duplicates", 16), pooledRun("quicksort", 5)
+
+	for _, leg := range []struct {
+		name    string
+		between func()
+	}{
+		{"same program", func() {}},
+		{"different program in between", other},
+	} {
+		measured() // warm-up: grows the machine to the measured footprint
+		const runs = 3
+		var allocs uint64
+		var ms runtime.MemStats
+		for i := 0; i < runs; i++ {
+			leg.between()
+			runtime.ReadMemStats(&ms)
+			before := ms.Mallocs
+			measured()
+			runtime.ReadMemStats(&ms)
+			allocs += ms.Mallocs - before
+		}
+		if runErr != nil {
+			t.Fatalf("%s: pooled re-run failed: %v", leg.name, runErr)
+		}
+		avg := allocs / runs
+		t.Logf("%s: %d allocs per pooled run", leg.name, avg)
+		if avg > steadyAllocBudget {
+			t.Errorf("%s: pooled run allocated %d times (budget %d) — Get/Put is no longer allocation-free",
+				leg.name, avg, steadyAllocBudget)
+		}
 	}
-	t.Logf("%.0f allocs per pooled run over %d cycles", avg, warm.Cycles)
-	if avg > steadyAllocBudget {
-		t.Errorf("pooled run allocated %.0f times (budget %d) — Get/Put is no longer allocation-free",
-			avg, steadyAllocBudget)
+	if s := pool.Stats(); s.Misses != 1 || s.Dropped != 0 {
+		t.Fatalf("pool stats %+v: the measured loops were not running on one reused machine", s)
 	}
 }
 

@@ -6,7 +6,11 @@ package fabric
 // polling for the asynchronous Run to enqueue its grid.
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -333,5 +337,28 @@ func TestRecordIsDurableBeforeRunEmitsIt(t *testing.T) {
 	}
 	if err := <-ran; err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestOversizedBodies: the protocol handlers cap their bodies at 16 MiB and
+// say so — 413, not the 400 a silently truncated body used to parse into. A
+// body just under the cap is still read in full and judged on its content.
+func TestOversizedBodies(t *testing.T) {
+	h := (&Coordinator{Eng: &sweep.Engine{}, Log: quietLog()}).Handler()
+	const limit = 16 << 20
+	bad := `{"nosuchfield":1}` // parsed in full, then refused as unknown
+	for _, path := range []string{PathRegister, PathLease, PathReport} {
+		for _, c := range []struct{ pad, want int }{
+			{limit - len(bad), http.StatusBadRequest},
+			{limit, http.StatusRequestEntityTooLarge},
+		} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(strings.Repeat(" ", c.pad)+bad)))
+			var e struct{ Error string }
+			if err := json.NewDecoder(rec.Body).Decode(&e); err != nil || rec.Code != c.want || e.Error == "" {
+				t.Errorf("POST %s with a %d-byte body = %d (error %q, %v), want %d with a message",
+					path, c.pad+len(bad), rec.Code, e.Error, err, c.want)
+			}
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 )
 
@@ -15,16 +14,16 @@ func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathRegister, func(w http.ResponseWriter, r *http.Request) {
 		var req RegisterRequest
-		if err := decodeBody(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		if code, err := decodeBody(w, r, &req); err != nil {
+			writeError(w, code, "bad request body: %v", err)
 			return
 		}
 		writeJSON(w, http.StatusOK, c.Register(req.Name))
 	})
 	mux.HandleFunc("POST "+PathLease, func(w http.ResponseWriter, r *http.Request) {
 		var req LeaseRequest
-		if err := decodeBody(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		if code, err := decodeBody(w, r, &req); err != nil {
+			writeError(w, code, "bad request body: %v", err)
 			return
 		}
 		resp, err := c.Lease(req.Worker)
@@ -36,8 +35,8 @@ func (c *Coordinator) Handler() http.Handler {
 	})
 	mux.HandleFunc("POST "+PathReport, func(w http.ResponseWriter, r *http.Request) {
 		var req ReportRequest
-		if err := decodeBody(r, &req); err != nil {
-			writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+		if code, err := decodeBody(w, r, &req); err != nil {
+			writeError(w, code, "bad request body: %v", err)
 			return
 		}
 		resp, err := c.Report(req)
@@ -55,11 +54,16 @@ func (c *Coordinator) Handler() http.Handler {
 
 // decodeBody parses a JSON request body strictly, like the API server:
 // unknown fields are an error. Report bodies carry whole record batches, so
-// the cap is a generous 16 MiB.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 16<<20))
+// the cap is a generous 16 MiB. A failure comes with its status: 413 for a
+// body over the cap, 400 for anything else.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

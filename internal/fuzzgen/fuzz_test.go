@@ -65,15 +65,18 @@ func FuzzResetReproduces(f *testing.F) {
 			}
 		}
 
-		// Pool path: a hit re-arms Dense on the cached machine, so
-		// alternating schedulers through one pooled machine must still
-		// match the cold run.
-		pool := &machine.Pool{}
-		const key = "fuzz-reset" // caller-chosen identity; checkPooled guards it
+		// Pool path: the parked machine last ran another program on another
+		// core count, and every Get rebinds it — program, shape and
+		// scheduler — so alternating schedulers through that one machine
+		// must still match the cold run.
+		pool, err := parkedPool(p.Cores)
+		if err != nil {
+			t.Fatalf("seed %d: park: %v", seed, err)
+		}
 		for _, dense := range []bool{false, true, false} {
 			c := cfg
 			c.Dense = dense
-			pm, err := pool.Get(key, prog, c)
+			pm, err := pool.Get("", prog, c)
 			if err != nil {
 				t.Fatalf("seed %d: pool get (dense=%v): %v", seed, dense, err)
 			}
@@ -81,13 +84,13 @@ func FuzzResetReproduces(f *testing.F) {
 			if err != nil {
 				t.Fatalf("seed %d: pooled run (dense=%v): %v", seed, dense, err)
 			}
-			pool.Put(key, pm)
+			pool.Put("", pm)
 			if diff := diffResults(cold, got); diff != "" {
 				t.Fatalf("seed %d: pooled run (dense=%v) diverged: %s\n%s", seed, dense, diff, p.Source)
 			}
 		}
-		if s := pool.Stats(); s.Misses != 1 || s.Hits != 2 {
-			t.Fatalf("seed %d: pool stats %+v, want 1 miss + 2 hits", seed, s)
+		if s := pool.Stats(); s.Misses != 0 || s.Hits != 3 {
+			t.Fatalf("seed %d: pool stats %+v, want 3 hits on the parked machine", seed, s)
 		}
 	})
 }

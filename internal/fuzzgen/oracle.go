@@ -9,6 +9,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/minic"
+	"repro/internal/progs"
 )
 
 // Failure describes a fuzz case that broke the equivalence invariant.
@@ -136,8 +137,9 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 		return fail("mismatch", "idle-skip vs dense: %s", diff)
 	}
 
-	// Warm re-runs: the same Machine after Reset, and a pool Get → Put →
-	// Get cycle, must reproduce the cold run bit for bit.
+	// Warm re-runs: the same Machine after Reset, and a pooled machine that
+	// last ran another program on another core count (a cross-program,
+	// cross-shape rebind), must reproduce the cold run bit for bit.
 	cfg := machine.DefaultConfig(cores)
 	m, err := machine.New(prog, cfg)
 	if err != nil {
@@ -159,17 +161,11 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 		return fail("mismatch", "cold vs warm-Reset re-run: %s", diff)
 	}
 
-	pool := &machine.Pool{}
-	const key = "fuzz"
-	pm, err := pool.Get(key, prog, cfg)
+	pool, err := parkedPool(cores)
 	if err != nil {
-		return fail("machine", "pool get: %v", err)
+		return fail("machine", "park: %v", err)
 	}
-	if _, err := pm.Run(); err != nil {
-		return fail("machine", "pooled cold run: %v", err)
-	}
-	pool.Put(key, pm)
-	pm, err = pool.Get(key, prog, cfg) // warm hit: comes back via Reset
+	pm, err := pool.Get("", prog, cfg)
 	if err != nil {
 		return fail("machine", "pool warm get: %v", err)
 	}
@@ -178,13 +174,32 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 		return fail("machine", "pooled warm run: %v", err)
 	}
 	if diff := diffResults(ref.Machine, pooled); diff != "" {
-		return fail("mismatch", "idle-skip vs pooled warm re-run: %s", diff)
+		return fail("mismatch", "idle-skip vs pooled run on a rebound machine: %s", diff)
 	}
-	if s := pool.Stats(); s.Hits != 1 || s.Misses != 1 {
-		return fail("machine", "pool stats hits=%d misses=%d, want 1/1", s.Hits, s.Misses)
+	if s := pool.Stats(); s.Hits != 1 || s.Misses != 0 {
+		return fail("machine", "pool stats hits=%d misses=%d, want 1/0", s.Hits, s.Misses)
 	}
 
 	return nil
+}
+
+// parkedPool returns a pool whose one parked machine has just run a small
+// fixed fork program (the paper's sum, six elements) on a core count other
+// than cores — so the next Get, of whatever program, has to rebind it across
+// both program and shape.
+func parkedPool(cores int) (*machine.Pool, error) {
+	prog, err := progs.BuildSumFork(progs.Vector(6))
+	if err != nil {
+		return nil, err
+	}
+	m, err := machine.New(prog, machine.DefaultConfig(cores+3))
+	if err != nil {
+		return nil, err
+	}
+	pool := &machine.Pool{}
+	_, err = m.Run()
+	pool.Put("", m)
+	return pool, err
 }
 
 // diffResults compares two machine results for bit-identity — the same

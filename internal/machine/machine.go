@@ -407,9 +407,6 @@ func init() {
 }
 
 // withDefaults returns cfg with every zero field replaced by its default.
-// New applies it on construction; the warm pool (warmpool.go) applies it to
-// requested configurations so they compare against the normalized one a
-// pooled machine carries.
 func (cfg Config) withDefaults() Config {
 	if cfg.Net == nil {
 		cfg.Net = noc.NewCrossbar(cfg.Cores, 1)
@@ -426,31 +423,62 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// New prepares a machine for prog.
+// New prepares a machine for prog: an empty machine, bound. bind is the only
+// way a machine gets a program — a fresh one here, a parked one in Pool.Get.
 func New(prog *isa.Program, cfg Config) (*Machine, error) {
-	if cfg.Cores < 1 {
-		return nil, fmt.Errorf("machine: need at least one core")
+	m := &Machine{
+		dyns:     newArena[DynInst](dynChunk),
+		slots:    newArena[slot](slotChunk),
+		readBuf:  make([]isa.Reg, 0, 2*isa.NumRegs),
+		writeBuf: make([]isa.Reg, 0, 2*isa.NumRegs),
+		dmh:      emu.NewMemory(),
 	}
-	cfg = cfg.withDefaults()
+	if err := m.bind(prog, cfg); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// bind points the machine at prog under cfg and leaves it ready to run.
+// Nothing a warmed machine owns (arenas, section shells, alias-table backings,
+// request free list, queue buffers, DMH pages) depends on the program; only
+// prog, cfg and the core count do, and bind replaces all three. Validation
+// comes first, so a failed bind leaves the machine exactly as it was.
+func (m *Machine) bind(prog *isa.Program, cfg Config) error {
+	if cfg.Cores < 1 {
+		return fmt.Errorf("machine: need at least one core")
+	}
 	for i := range prog.Text {
 		switch prog.Text[i].Op {
 		case isa.CALL, isa.RET:
-			return nil, fmt.Errorf("machine: instruction %d is %s; the machine executes fork programs (compile mini-C with minic.ModeFork)", i, prog.Text[i].Op)
+			return fmt.Errorf("machine: instruction %d is %s; the machine executes fork programs (compile mini-C with minic.ModeFork)", i, prog.Text[i].Op)
 		}
 	}
-	m := &Machine{cfg: cfg, prog: prog, dyns: newArena[DynInst](dynChunk), slots: newArena[slot](slotChunk)}
-	for i := 0; i < cfg.Cores; i++ {
-		m.cores = append(m.cores, &Core{id: i})
+	m.release()
+	m.prog, m.cfg = prog, cfg.withDefaults()
+	// Cores and pick entries past the new count stay in their slices' spare
+	// capacity — scrubbed by release, queue buffers intact — for a wider chip.
+	n := cfg.Cores
+	m.cores = resized(m.cores, n)
+	for i, c := range m.cores {
+		if c == nil {
+			m.cores[i] = &Core{id: i}
+		}
 	}
-	m.retirePick = make([]*Section, cfg.Cores)
-	m.arPick = make([]*Section, cfg.Cores)
-	m.retireGen = make([]int64, cfg.Cores)
-	m.arGen = make([]int64, cfg.Cores)
-	m.readBuf = make([]isa.Reg, 0, 2*isa.NumRegs)
-	m.writeBuf = make([]isa.Reg, 0, 2*isa.NumRegs)
-	m.dmh = emu.NewMemory()
+	m.retirePick, m.arPick = resized(m.retirePick, n), resized(m.arPick, n)
+	m.retireGen, m.arGen = resized(m.retireGen, n), resized(m.arGen, n)
 	m.boot()
-	return m, nil
+	return nil
+}
+
+// resized returns s with length n, keeping what its storage already holds
+// and zero-filling any growth.
+func resized[T any](s []T, n int) []T {
+	s = s[:cap(s)]
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s[:n]
 }
 
 // Reset rewinds the machine to its post-New state for another run of the
@@ -460,8 +488,16 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 // the program's data segment. Inputs injected into the DMH must be
 // re-injected by the caller, exactly as after New. A warmed machine
 // (one completed Run) re-runs with no steady-state heap allocation — the
-// property pinned by internal/bench's allocation-regression tests.
+// property pinned by internal/bench's allocation-regression tests. It is
+// bind without the rebinding: same program, same configuration.
 func (m *Machine) Reset() {
+	m.release()
+	m.boot()
+}
+
+// release returns the previous run's objects to the machine's pools and
+// zeroes every per-run counter, leaving prog, cfg and the cores in place.
+func (m *Machine) release() {
 	for _, s := range m.order {
 		m.releaseSection(s)
 	}
@@ -487,10 +523,10 @@ func (m *Machine) Reset() {
 	m.reqs = m.reqs[:0]
 	m.dyns.reset()
 	m.slots.reset()
-	for i := range m.retireGen {
-		m.retireGen[i], m.arGen[i] = 0, 0
-		m.retirePick[i], m.arPick[i] = nil, nil
-	}
+	clear(m.retirePick)
+	clear(m.arPick)
+	clear(m.retireGen)
+	clear(m.arGen)
 	m.pickGen = 0
 	m.cycle, m.nextSecID, m.lastMove, m.progress = 0, 0, 0, 0
 	m.rrHost, m.oldest = 0, 0
@@ -500,11 +536,10 @@ func (m *Machine) Reset() {
 	m.regReqs, m.memReqs = 0, 0
 	m.createMsgs, m.reqHops, m.respMsgs, m.dmhAnswers = 0, 0, 0, 0
 	m.dmh.Reset()
-	m.boot()
 }
 
 // boot seeds the committed state and the initial section, the shared tail of
-// New and Reset.
+// bind and Reset.
 func (m *Machine) boot() {
 	m.dmh.CopyIn(isa.DataBase, m.prog.Data)
 	m.arch = [isa.NumRegs]uint64{}

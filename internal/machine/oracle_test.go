@@ -8,6 +8,8 @@ package machine_test
 import (
 	"fmt"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/backend"
@@ -15,6 +17,8 @@ import (
 	"repro/internal/machine"
 	"repro/internal/minic"
 	"repro/internal/pbbs"
+	"repro/internal/progs"
+	"repro/internal/sweep"
 )
 
 // runMachine executes a compiled kernel on one scheduler and returns the
@@ -95,4 +99,170 @@ func TestThreeWayOracle(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRebindOracle pins the one claim the keyless warm pool rests on: a
+// machine carries nothing of its previous program into the next run. ONE
+// machine, taken from a one-slot pool, is bound in turn to every point of the
+// benchmark's G66 grid (eleven kernels × cores {1,16,64} × {crossbar, mesh})
+// and each result — cycles, counters, final registers, sections, every
+// per-instruction six-stage timestamp row — must equal a fresh machine.New
+// run of the same point. The visiting order changes kernel and chip at every
+// step and alternates long with short programs and wide with narrow chips, so
+// every bind both shrinks and grows what the machine holds.
+func TestRebindOracle(t *testing.T) {
+	n := 64
+	if testing.Short() {
+		n = 16
+	}
+	type kernelRun struct {
+		k    *pbbs.Kernel
+		n    int
+		prog *isa.Program
+		in   pbbs.Inputs
+		want uint64
+		size int64 // dynamic instructions, the program's "length"
+	}
+	type chip struct {
+		cores int
+		topo  string
+	}
+	chips := []chip{{64, "crossbar"}, {1, "mesh"}, {16, "crossbar"}, {64, "mesh"}, {1, "crossbar"}, {16, "mesh"}}
+	config := func(c chip) machine.Config {
+		net, err := sweep.MakeNet(c.topo, c.cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return machine.Config{Cores: c.cores, Net: net, CreateLatency: 2, Shortcut: true}
+	}
+	run := func(kr *kernelRun, m *machine.Machine, label string) *machine.Result {
+		if err := backend.Inject(kr.prog, m.DMH(), kr.in); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		res, err := m.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if res.RAX != kr.want {
+			t.Fatalf("%s: checksum %d, reference %d", label, res.RAX, kr.want)
+		}
+		return res
+	}
+
+	var runs []*kernelRun
+	fresh := map[string]*machine.Result{}
+	for _, k := range pbbs.Kernels() {
+		kr := &kernelRun{k: k, n: k.ClampN(n)}
+		var err error
+		if kr.prog, err = k.Build(kr.n, minic.ModeFork); err != nil {
+			t.Fatalf("%s: %v", k.Name, err)
+		}
+		kr.in = k.Gen(kr.n, 1)
+		if kr.want, err = k.Ref(kr.n, kr.in); err != nil {
+			t.Fatalf("%s: reference: %v", k.Name, err)
+		}
+		for _, c := range chips {
+			label := fmt.Sprintf("%s n=%d cores=%d %s", k.Name, kr.n, c.cores, c.topo)
+			m, err := machine.New(kr.prog, config(c))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			fresh[label] = run(kr, m, label+" fresh")
+			kr.size = fresh[label].Instructions
+		}
+		runs = append(runs, kr)
+	}
+	// Longest, shortest, second longest, second shortest, …
+	sort.Slice(runs, func(i, j int) bool { return runs[i].size > runs[j].size })
+	order := make([]*kernelRun, 0, len(runs))
+	for lo, hi := 0, len(runs)-1; lo <= hi; lo, hi = lo+1, hi-1 {
+		order = append(order, runs[lo])
+		if lo != hi {
+			order = append(order, runs[hi])
+		}
+	}
+
+	// 11 kernels and 6 chips are coprime, so stepping both indices together
+	// visits every (kernel, chip) pair exactly once while changing both at
+	// every step.
+	pool := &machine.Pool{MaxIdle: 1}
+	var first *machine.Machine
+	for i := 0; i < len(order)*len(chips); i++ {
+		kr, c := order[i%len(order)], chips[i%len(chips)]
+		label := fmt.Sprintf("%s n=%d cores=%d %s", kr.k.Name, kr.n, c.cores, c.topo)
+		m, err := pool.Get("", kr.prog, config(c))
+		if err != nil {
+			t.Fatalf("%s: Get: %v", label, err)
+		}
+		if first == nil {
+			first = m
+		} else if m != first {
+			t.Fatalf("%s: the pool built a second machine", label)
+		}
+		sameResult(t, label+" rebound vs fresh", fresh[label], run(kr, m, label+" rebound"))
+		delete(fresh, label)
+		pool.Put("", m)
+	}
+	if len(fresh) != 0 {
+		t.Errorf("%d grid points were never visited", len(fresh))
+	}
+	if s := pool.Stats(); s.Misses != 1 || s.Hits != int64(len(order)*len(chips)-1) || s.Dropped != 0 {
+		t.Errorf("pool stats %+v, want 1 machine built and every other point reusing it", s)
+	}
+}
+
+// TestRebindRefusesWhatNewRefuses: a Get the machine cannot serve — a program
+// with CALL, a chip with no cores — fails with New's error whether or not a
+// machine is parked, and the parked machine stays parked and usable.
+func TestRebindRefusesWhatNewRefuses(t *testing.T) {
+	good, err := progs.BuildSumFork(progs.Vector(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	withCall, err := progs.BuildSumCall(progs.Vector(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := machine.RunProgram(good, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := &machine.Pool{MaxIdle: 1}
+	parked, err := pool.Get("", good, machine.DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parked.Run(); err != nil {
+		t.Fatal(err)
+	}
+	pool.Put("", parked)
+	for _, bad := range []struct {
+		label string
+		prog  *isa.Program
+		cfg   machine.Config
+	}{
+		{"program with CALL", withCall, machine.DefaultConfig(4)},
+		{"zero cores", good, machine.DefaultConfig(0)},
+	} {
+		_, newErr := machine.New(bad.prog, bad.cfg)
+		_, getErr := pool.Get("", bad.prog, bad.cfg)
+		if newErr == nil || getErr == nil || getErr.Error() != newErr.Error() {
+			t.Errorf("%s: Get error %v, want New's %v", bad.label, getErr, newErr)
+		}
+		if bad.prog == withCall && !strings.Contains(getErr.Error(), "call") {
+			t.Errorf("%s: error %q does not name the instruction", bad.label, getErr)
+		}
+	}
+	m, err := pool.Get("", good, machine.DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m != parked {
+		t.Fatal("the refused Gets lost the parked machine")
+	}
+	got, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, "parked machine after refused Gets", want, got)
 }

@@ -16,6 +16,15 @@ func mustSumFork(t *testing.T, n int) *isa.Program {
 	return p
 }
 
+func mustFibFork(t *testing.T, n int) *isa.Program {
+	t.Helper()
+	p, err := progs.BuildFibFork(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestFifoSlideAndOrder(t *testing.T) {
 	var f fifo[int]
 	for i := 0; i < 100; i++ {

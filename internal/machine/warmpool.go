@@ -1,44 +1,31 @@
 package machine
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/isa"
 )
 
-// Pool is a warm-machine pool layered on Machine.Reset: callers that run
-// many simulations of the same program and configuration (a sweep over
-// seeds, a benchmark's repetitions, a job server's resubmissions) check a
-// machine out, run it, and return it, so the arenas, queue buffers, alias
-// tables and free lists warmed by the first run are reused instead of a
-// fresh machine being constructed — and, in steady state, the run allocates
-// nothing (the property pinned by internal/bench's allocation tests, which
-// hold through this pool).
-//
-// Machines are pooled under a caller-provided key that MUST determine the
-// program content and every shape-affecting configuration field (cores,
-// topology, latencies, caps) — internal/sweep derives it from the encoded
-// program and the point coordinates. The pure scheduling knob, Dense, is
-// deliberately NOT part of the machine's shape: a Get re-arms the pooled
-// machine with the requested value, so one pool serves both schedulers
-// (results are bit-identical across them by the scheduler oracle). Get
-// still cross-checks the pooled machine's program shape and configuration
-// against the request and fails descriptively on a mismatch, so a buggy key
-// derivation surfaces as an error, not as silently wrong results.
+// Pool is a bounded LIFO of idle, warmed machines. Nothing a machine owns
+// depends on the program it last ran (see Machine.bind), so any parked
+// machine serves any request: Get pops one and binds it to the requested
+// program and configuration — core count, topology, scheduler — and only an
+// empty pool constructs. A grid of different (kernel, chip) points runs on
+// about as many machines as it has workers, bit-identically to fresh ones. A
+// run of a footprint the machine has seen allocates only the fixed handful
+// New's boot does (internal/bench's allocation tests); a larger one regrows
+// only the buffers it outgrows.
 //
 // A nil *Pool is the no-pooling pool, like a nil *sweep.Cache: Get constructs
 // a fresh machine every time, Put drops, Stats stays zero — so a caller with
 // an optional pool has one acquisition path.
 type Pool struct {
-	// MaxIdle bounds the machines parked in the pool across all keys;
-	// returning a machine to a full pool drops it for the GC instead. 0
-	// means DefaultMaxIdle.
+	// MaxIdle bounds the machines parked in the pool; returning a machine to
+	// a full pool drops it for the GC instead. 0 means DefaultMaxIdle.
 	MaxIdle int
 
 	mu    sync.Mutex
-	free  map[string][]*Machine
-	idle  int
+	free  []*Machine
 	stats PoolStats
 }
 
@@ -71,39 +58,40 @@ func (p *Pool) Stats() PoolStats {
 	return p.stats
 }
 
-// Get returns a machine for prog under cfg: a pooled machine for key, Reset
-// and re-armed with cfg's scheduler choice, or a freshly constructed one.
-// Either way the machine is in the post-New state — the caller injects
-// inputs into DMH() and calls Run, exactly as after New. After a successful
-// run, return the machine with Put(key, m); after a failed one, drop it (a
-// faulted machine's state is not worth reusing).
-func (p *Pool) Get(key string, prog *isa.Program, cfg Config) (*Machine, error) {
+// Get returns a machine for prog under cfg: a parked machine bound to them,
+// or a freshly constructed one. Either way the machine is in the post-New
+// state — the caller injects inputs into DMH() and calls Run, exactly as
+// after New — and a request New would refuse fails with New's error, the
+// parked machine staying parked. After a successful run, return the machine
+// with Put; after a failed one, drop it (a faulted machine's state is not
+// worth reusing). The string was the pool key; it is ignored, and stays only
+// until a PR may edit benchmark/, which still passes one.
+func (p *Pool) Get(_ string, prog *isa.Program, cfg Config) (*Machine, error) {
 	if p == nil {
 		return New(prog, cfg)
 	}
 	p.mu.Lock()
-	if ms := p.free[key]; len(ms) > 0 {
-		m := ms[len(ms)-1]
-		ms[len(ms)-1] = nil
-		p.free[key] = ms[:len(ms)-1]
-		p.idle--
-		p.stats.Hits++
+	k := len(p.free) - 1
+	if k < 0 {
+		p.stats.Misses++
 		p.mu.Unlock()
-		if err := m.checkPooled(key, prog, cfg); err != nil {
-			return nil, err
-		}
-		m.cfg.Dense = cfg.Dense
-		m.Reset()
-		return m, nil
+		return New(prog, cfg)
 	}
-	p.stats.Misses++
+	m := p.free[k]
+	p.free[k] = nil
+	p.free = p.free[:k]
+	p.stats.Hits++
 	p.mu.Unlock()
-	return New(prog, cfg)
+	if err := m.bind(prog, cfg); err != nil {
+		p.Put("", m)
+		return nil, err
+	}
+	return m, nil
 }
 
-// Put parks a machine under key for a later Get. Only machines obtained from
-// Get(key, …) that completed a successful Run belong here.
-func (p *Pool) Put(key string, m *Machine) {
+// Put parks a machine for a later Get. Only machines that completed a
+// successful Run belong here. The string is ignored, as in Get.
+func (p *Pool) Put(_ string, m *Machine) {
 	if p == nil {
 		return
 	}
@@ -113,46 +101,9 @@ func (p *Pool) Put(key string, m *Machine) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.idle >= max {
+	if len(p.free) >= max {
 		p.stats.Dropped++
 		return
 	}
-	if p.free == nil {
-		p.free = make(map[string][]*Machine)
-	}
-	p.free[key] = append(p.free[key], m)
-	p.idle++
-}
-
-// checkPooled verifies that a pooled machine actually matches the requested
-// program and configuration — the defensive net under the key contract. The
-// program check is on shape (text length, data length, entry), not content:
-// the key is expected to hash the full content, this catches derivation bugs
-// loudly. Dense is excluded: Get re-arms it per request.
-func (m *Machine) checkPooled(key string, prog *isa.Program, cfg Config) error {
-	cfg = cfg.withDefaults()
-	old, mismatch := "", ""
-	switch {
-	case len(m.prog.Text) != len(prog.Text) || len(m.prog.Data) != len(prog.Data) || m.prog.Entry != prog.Entry:
-		old = fmt.Sprintf("text=%d data=%d entry=%d", len(m.prog.Text), len(m.prog.Data), m.prog.Entry)
-		mismatch = fmt.Sprintf("text=%d data=%d entry=%d", len(prog.Text), len(prog.Data), prog.Entry)
-	case m.cfg.Cores != cfg.Cores:
-		old, mismatch = fmt.Sprintf("cores=%d", m.cfg.Cores), fmt.Sprintf("cores=%d", cfg.Cores)
-	case m.cfg.Net.Name() != cfg.Net.Name():
-		old, mismatch = "net="+m.cfg.Net.Name(), "net="+cfg.Net.Name()
-	case m.cfg.CreateLatency != cfg.CreateLatency:
-		old, mismatch = fmt.Sprintf("createLatency=%d", m.cfg.CreateLatency), fmt.Sprintf("createLatency=%d", cfg.CreateLatency)
-	case m.cfg.Shortcut != cfg.Shortcut:
-		old, mismatch = fmt.Sprintf("shortcut=%v", m.cfg.Shortcut), fmt.Sprintf("shortcut=%v", cfg.Shortcut)
-	case m.cfg.MaxSectionsPerCore != cfg.MaxSectionsPerCore:
-		old, mismatch = fmt.Sprintf("maxSections=%d", m.cfg.MaxSectionsPerCore), fmt.Sprintf("maxSections=%d", cfg.MaxSectionsPerCore)
-	case m.cfg.StallLimit != cfg.StallLimit:
-		old, mismatch = fmt.Sprintf("stallLimit=%d", m.cfg.StallLimit), fmt.Sprintf("stallLimit=%d", cfg.StallLimit)
-	case m.cfg.MaxCycles != cfg.MaxCycles:
-		old, mismatch = fmt.Sprintf("maxCycles=%d", m.cfg.MaxCycles), fmt.Sprintf("maxCycles=%d", cfg.MaxCycles)
-	default:
-		return nil
-	}
-	return fmt.Errorf("machine: pool key %q collision: pooled machine has %s, request wants %s (the pool key must determine the program and configuration)",
-		key, old, mismatch)
+	p.free = append(p.free, m)
 }

@@ -1,32 +1,32 @@
 package machine
 
 import (
-	"strings"
 	"testing"
+
+	"repro/internal/isa"
 )
 
 // TestPoolHitMissDrop pins the pool mechanics: a first Get constructs, a Put
-// then Get under the same key returns the very same machine, and a full pool
-// drops further Puts.
+// then Get returns the very same machine, and a full pool drops further Puts.
 func TestPoolHitMissDrop(t *testing.T) {
 	prog := mustSumFork(t, 40)
 	cfg := DefaultConfig(4)
 	p := &Pool{MaxIdle: 1}
 
-	m1, err := p.Get("k", prog, cfg)
+	m1, err := p.Get("", prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m2, err := p.Get("k", prog, cfg)
+	m2, err := p.Get("", prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m1 == m2 {
 		t.Fatal("two live Gets returned the same machine")
 	}
-	p.Put("k", m1)
-	p.Put("k", m2) // over MaxIdle: dropped
-	m3, err := p.Get("k", prog, cfg)
+	p.Put("", m1)
+	p.Put("", m2) // over MaxIdle: dropped
+	m3, err := p.Get("", prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,8 +40,9 @@ func TestPoolHitMissDrop(t *testing.T) {
 }
 
 // TestPoolReArmsSchedulers: one pooled machine serves requests with either
-// Dense setting (the scheduler is not part of the machine's shape), and each
-// pooled run reproduces the fresh machine's result bit-identically.
+// Dense setting (a Get installs the requested configuration, scheduler
+// included), and each pooled run reproduces the fresh machine's result
+// bit-identically.
 func TestPoolReArmsSchedulers(t *testing.T) {
 	prog := mustSumFork(t, 40)
 	base := DefaultConfig(5)
@@ -58,7 +59,7 @@ func TestPoolReArmsSchedulers(t *testing.T) {
 	dense.Dense = true
 	p := NewPool()
 	for _, cfg := range []Config{base, dense, base} {
-		m, err := p.Get("sum40", prog, cfg)
+		m, err := p.Get("", prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,30 +71,60 @@ func TestPoolReArmsSchedulers(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkIdentical(t, "pooled run", want, got)
-		p.Put("sum40", m)
+		p.Put("", m)
 	}
 	if s := p.Stats(); s.Hits != 2 || s.Misses != 1 {
 		t.Fatalf("stats %+v, want 2 hits, 1 miss", s)
 	}
 }
 
-// TestPoolKeyCollision: a key that maps to machines of different shapes is a
-// key-derivation bug; Get must fail descriptively, not hand back the wrong
-// machine.
+// TestPoolKeyCollision: the pool has no key to collide on — a machine parked
+// by a 4-core run serves an 8-core Get, and then a different program,
+// bit-identically to New. (The name predates the keyless pool; it is pinned
+// by the tests-at-floor list.)
 func TestPoolKeyCollision(t *testing.T) {
-	prog := mustSumFork(t, 40)
+	sum, fib := mustSumFork(t, 40), mustFibFork(t, 7)
 	p := NewPool()
-	m, err := p.Get("k", prog, DefaultConfig(4))
+	m, err := p.Get("", sum, DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Put("k", m)
-	_, err = p.Get("k", prog, DefaultConfig(8))
-	if err == nil {
-		t.Fatal("shape-mismatched Get succeeded")
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "collision") || !strings.Contains(err.Error(), "cores") {
-		t.Fatalf("collision error %q does not name the mismatch", err)
+	p.Put("", m)
+	for _, next := range []struct {
+		label string
+		prog  *isa.Program
+		cores int
+	}{{"wider chip", sum, 8}, {"other program", fib, 3}, {"back again", sum, 4}} {
+		fresh, err := New(next.prog, DefaultConfig(next.cores))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.Get("", next.prog, DefaultConfig(next.cores))
+		if err != nil {
+			t.Fatalf("%s: Get: %v", next.label, err)
+		}
+		if got != m {
+			t.Fatalf("%s: Get constructed instead of rebinding the parked machine", next.label)
+		}
+		res, err := got.Run()
+		if err != nil {
+			t.Fatalf("%s: Run: %v", next.label, err)
+		}
+		if res.Cores != next.cores {
+			t.Fatalf("%s: ran on %d cores, want %d", next.label, res.Cores, next.cores)
+		}
+		checkIdentical(t, next.label, want, res)
+		p.Put("", got)
+	}
+	if s := p.Stats(); s.Hits != 3 || s.Misses != 1 {
+		t.Fatalf("stats %+v, want 3 hits, 1 miss", s)
 	}
 }
 
@@ -113,7 +144,7 @@ func TestNilPoolConstructsFresh(t *testing.T) {
 	var p *Pool
 	var prev *Machine
 	for round := 0; round < 2; round++ {
-		m, err := p.Get("k", prog, cfg)
+		m, err := p.Get("", prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +156,7 @@ func TestNilPoolConstructsFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkIdentical(t, "nil-pool run", want, got)
-		p.Put("k", m)
+		p.Put("", m)
 		prev = m
 	}
 	if st := p.Stats(); st != (PoolStats{}) {

@@ -257,10 +257,12 @@ func (m *Manager) submit(kind Kind, spec *sweep.Spec, point *sweep.Point, grid i
 	return j
 }
 
-// jobDone retires one exec goroutine and wakes the drain once the last one
-// leaves.
+// jobDone retires one exec goroutine — however it ended, so a job failed
+// fast at shutdown settles the history bound like any other — and wakes the
+// drain once the last one leaves.
 func (m *Manager) jobDone() {
 	m.mu.Lock()
+	m.evictLocked()
 	m.inflight--
 	if m.draining && m.inflight == 0 && m.idle != nil {
 		close(m.idle)
@@ -320,9 +322,6 @@ func (m *Manager) exec(j *Job) {
 	j.finish(err)
 	st := j.status()
 	m.log.Info("job finished", "id", j.ID, "state", st.State, "points", st.Points, "error", st.Error)
-	m.mu.Lock()
-	m.evictLocked()
-	m.mu.Unlock()
 }
 
 // Get returns the stored job, if it exists and has not been evicted.

@@ -3,12 +3,13 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/pbbs"
 	"repro/internal/sweep"
@@ -88,18 +89,27 @@ func (s *Server) writeError(w http.ResponseWriter, code int, format string, args
 }
 
 // decode parses a JSON request body strictly: unknown fields are an error
-// (they are always a misspelled axis), bodies are capped at 1 MiB.
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
+// (they are always a misspelled axis), bodies are capped at 1 MiB. A failure
+// comes with its status: 413 for a body over the cap, 400 for anything else.
+func decode(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	err := dec.Decode(v)
+	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge, err
+	}
+	return http.StatusBadRequest, err
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{
 		"status": "ok",
 		"jobs":   s.mgr.Count(),
-		"engine": s.mgr.eng.Stats(),
+		"engine": struct {
+			sweep.Stats
+			// Machines: the warm pool built Misses machines and reused Hits.
+			Machines machine.PoolStats
+		}{s.mgr.eng.Stats(), s.mgr.eng.Pool.Stats()},
 	})
 }
 
@@ -117,8 +127,8 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if code, err := decode(w, r, &req); err != nil {
+		s.writeError(w, code, "bad request body: %v", err)
 		return
 	}
 	spec, err := req.Spec()
@@ -136,8 +146,8 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if code, err := decode(w, r, &req); err != nil {
+		s.writeError(w, code, "bad request body: %v", err)
 		return
 	}
 	p, err := req.Point()

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/pbbs"
 	"repro/internal/sweep"
 )
@@ -123,11 +124,56 @@ func TestCatalogEndpoints(t *testing.T) {
 	}
 }
 
+// TestHealthz: liveness, plus the engine's counters with the warm pool's
+// account beside them — two different points measured on one machine read as
+// one built, one reused.
 func TestHealthz(t *testing.T) {
-	ts := newTestServer(t, &sweep.Engine{})
-	var h struct{ Status string }
+	eng := &sweep.Engine{Pool: machine.NewPool()}
+	for _, cores := range []int{1, 2} {
+		if rec := eng.Measure(sweep.Point{Kernel: 10, N: 8, Cores: cores, Topology: sweep.TopoCrossbar, Shortcut: true, Seed: 1}); rec.Err != "" {
+			t.Fatal(rec.Err)
+		}
+	}
+	ts := newTestServer(t, eng)
+	var h struct {
+		Status string
+		Engine struct {
+			Simulated int
+			Machines  machine.PoolStats
+		}
+	}
 	if code := getJSON(t, ts, "/healthz", &h); code != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("GET /healthz = %d %+v", code, h)
+	}
+	if want := (machine.PoolStats{Hits: 1, Misses: 1}); h.Engine.Simulated != 2 || h.Engine.Machines != want {
+		t.Errorf("GET /healthz engine = %+v, want 2 simulated on %+v", h.Engine, want)
+	}
+}
+
+// TestOversizedBodies: the submission handlers cap their bodies at 1 MiB and
+// say so — 413, not the 400 a silently truncated body used to parse into. A
+// body just under the cap is still read in full and judged on its content.
+func TestOversizedBodies(t *testing.T) {
+	h := New(Config{Engine: &sweep.Engine{}, Log: quietLog()}).Handler()
+	const limit = 1 << 20
+	bad := `{"sizes":[0]}` // parsed in full, then refused as an invalid axis
+	for _, c := range []struct {
+		path string
+		pad  int
+		want int
+	}{
+		{"/v1/sweeps", limit - len(bad), http.StatusBadRequest},
+		{"/v1/sweeps", limit, http.StatusRequestEntityTooLarge},
+		{"/v1/runs", limit - len(bad), http.StatusBadRequest},
+		{"/v1/runs", limit, http.StatusRequestEntityTooLarge},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", c.path, strings.NewReader(strings.Repeat(" ", c.pad)+bad)))
+		var e struct{ Error string }
+		if err := json.NewDecoder(rec.Body).Decode(&e); err != nil || rec.Code != c.want || e.Error == "" {
+			t.Errorf("POST %s with a %d-byte body = %d (error %q, %v), want %d with a message",
+				c.path, c.pad+len(bad), rec.Code, e.Error, err, c.want)
+		}
 	}
 }
 

@@ -59,23 +59,6 @@ func cacheKey(prog *isa.Program, in backend.Inputs, p Point) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// machineKey derives the warm-pool identity of a point's machine: the
-// encoded program plus every configuration coordinate that shapes the
-// simulated chip. It deliberately excludes the inputs and the seed (inputs
-// are injected per run after Machine.Reset), so a pooled machine is reused
-// across every point that differs only in workload data.
-func machineKey(prog *isa.Program, p Point) string {
-	h := sha256.New()
-	put := func(s string) {
-		fmt.Fprintf(h, "%d:%s;", len(s), s)
-	}
-	put("machine-v1")
-	put(string(prog.Encode()))
-	fmt.Fprintf(h, "cores=%d;topo=%s;shortcut=%v;cap=%d;",
-		p.Cores, p.Topology, p.Shortcut, p.MaxSections)
-	return hex.EncodeToString(h.Sum(nil))
-}
-
 // Cache is a persistent content-keyed store of sweep metrics: one JSON file
 // per key under a directory, written atomically (temp file + rename), so
 // concurrent workers and separate processes can share it safely.

@@ -40,11 +40,10 @@ type Engine struct {
 	// Workers bounds concurrent measurements; <= 0 uses GOMAXPROCS.
 	Workers int
 	// Pool, when non-nil, serves machines from a warm pool instead of
-	// constructing one per measurement: points sharing a program and
-	// configuration (same kernel, size, cores, topology — only inputs/seed
-	// differing) reuse a Reset machine, amortizing arena setup. Simulation
-	// outcomes are byte-identical with and without the pool (pinned by
-	// TestPooledRunsMatchFresh).
+	// constructing one per measurement: any parked machine is bound to the
+	// next point's program and chip, whatever it ran before, so a grid runs
+	// on about Workers machines. Outcomes are byte-identical with and without
+	// the pool (pinned by TestPooledRunsMatchFresh).
 	Pool *machine.Pool
 
 	mu      sync.Mutex
@@ -161,11 +160,10 @@ func (e *Engine) Measure(p Point) Record {
 		MaxSectionsPerCore: p.MaxSections,
 	}
 	// The timed window covers machine acquisition, input injection and the
-	// run, so SimNs reflects what the pool amortizes: a pooled Get is a
-	// Reset of warmed arenas where a fresh construction allocates them.
+	// run, so SimNs reflects what the pool amortizes: a pooled Get rebinds
+	// warmed arenas where a fresh construction allocates them.
 	start := time.Now()
-	mkey := machineKey(prog, p)
-	sim, err := e.Pool.Get(mkey, prog, cfg)
+	sim, err := e.Pool.Get("", prog, cfg)
 	if err != nil {
 		return fail(err)
 	}
@@ -178,7 +176,7 @@ func (e *Engine) Measure(p Point) Record {
 		return fail(err)
 	}
 	// A faulted machine is not returned to the pool; this one ran clean.
-	e.Pool.Put(mkey, sim)
+	e.Pool.Put("", sim)
 	e.count(func(s *Stats) { s.Simulated++ })
 	want, err := k.Ref(p.N, in)
 	if err != nil {

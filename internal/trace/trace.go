@@ -105,8 +105,9 @@ func (s Stats) String() string {
 		s.Instructions, s.Loads, s.Stores, s.Branches, s.Taken, s.Calls, s.Returns, s.Forks, s.MaxCallLevel)
 }
 
-// Binary serialisation, for storing traces produced by cmd/emurun and
-// re-analysing them with cmd/ilpstat without re-running the emulator.
+// Binary serialisation, for storing a trace and re-analysing it without
+// re-running the emulator. No command produces trace files: the consumers are
+// benchmark/'s trace.encode_ns_per_inst probe and the round-trip tests.
 
 const traceMagic = "MCT1"
 
