@@ -108,11 +108,14 @@ func TestSteadyStateAllocs(t *testing.T) {
 // pooled machine serves a different program on a different core count
 // (outside the measurement), and the measured program's run — a
 // cross-program, cross-shape rebind every time — still allocates only the
-// fixed handful.
+// fixed handful. In the third leg that other run is cut off half-way by a
+// cycle cap and the machine parked as it stopped, instructions and requests
+// still hanging on the cells and sections they waited for: the next bind must
+// get every one of those objects back, or the measured run re-allocates them.
 func TestSteadyStateAllocsThroughPool(t *testing.T) {
 	pool := &machine.Pool{MaxIdle: 1}
 	var runErr error
-	pooledRun := func(kernel string, cores int) func() {
+	pooledRun := func(kernel string, cores int, abort bool) func() {
 		k, err := pbbs.Find(kernel)
 		if err != nil {
 			t.Fatal(err)
@@ -128,6 +131,13 @@ func TestSteadyStateAllocsThroughPool(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := machine.DefaultConfig(cores)
+		if abort {
+			whole, err := (&backend.Machine{Cfg: cfg}).Run(prog, in, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.MaxCycles = whole.Machine.Cycles / 2
+		}
 		return func() {
 			m, err := pool.Get("", prog, cfg)
 			if err != nil {
@@ -141,6 +151,13 @@ func TestSteadyStateAllocsThroughPool(t *testing.T) {
 				}
 			}
 			res, err := m.Run()
+			if abort {
+				if err == nil {
+					runErr = errString("a run capped at half its cycles succeeded")
+				}
+				pool.Put("", m) // deliberately: the next bind must cope
+				return
+			}
 			if err != nil {
 				runErr = err
 				return
@@ -151,7 +168,8 @@ func TestSteadyStateAllocsThroughPool(t *testing.T) {
 			}
 		}
 	}
-	measured, other := pooledRun("duplicates", 16), pooledRun("quicksort", 5)
+	measured := pooledRun("duplicates", 16, false)
+	other, aborted := pooledRun("quicksort", 5, false), pooledRun("quicksort", 5, true)
 
 	for _, leg := range []struct {
 		name    string
@@ -159,6 +177,7 @@ func TestSteadyStateAllocsThroughPool(t *testing.T) {
 	}{
 		{"same program", func() {}},
 		{"different program in between", other},
+		{"different program aborted in between", aborted},
 	} {
 		measured() // warm-up: grows the machine to the measured footprint
 		const runs = 3

@@ -26,30 +26,29 @@ func (d *DynInst) wrSlot(r isa.Reg) int {
 func (d *DynInst) regWritten(r isa.Reg) bool {
 	for i := 0; i < int(d.nwr); i++ {
 		if d.wrRegs[i] == r {
-			return d.wrAt[i] != 0
+			return d.wr[i].at != 0
 		}
 	}
 	return false
 }
 
-// setReg records one register result of d becoming available at cycle cyc.
-func (d *DynInst) setReg(r isa.Reg, v uint64, cyc int64) {
-	i := d.wrSlot(r)
-	if d.wrAt[i] != 0 {
+// setReg records one register result of d becoming available this cycle.
+func (m *Machine) setReg(d *DynInst, r isa.Reg, v uint64) {
+	c := d.regCell(r)
+	if c.at != 0 {
 		// Keep the earliest availability (e.g. pop's rsp update computed at
 		// fetch must not be delayed by the load half).
-		d.wrVal[i] = v
+		c.v = v
 		return
 	}
-	d.wrVal[i] = v
-	d.wrAt[i] = cyc
+	m.fill(c, v, m.cycle)
 }
 
 // srcValue returns the resolved value of register r among d's sources.
 func (d *DynInst) srcValue(r isa.Reg) uint64 {
 	for i := range d.srcs[:d.nsrcs] {
 		if d.srcs[i].reg == r {
-			return d.srcs[i].prod.value()
+			return d.srcs[i].prod.v
 		}
 	}
 	return 0
@@ -160,29 +159,29 @@ func (d *DynInst) effectiveAddr() uint64 {
 // the register results for loads and/or the stored value for stores.
 // memVal is the loaded value (producers already checked ready by the caller);
 // it is ignored by pure stores.
-func (d *DynInst) evalMemAccess(memVal uint64, cyc int64) error {
+func (m *Machine) evalMemAccess(d *DynInst, memVal uint64) error {
 	in := d.In
 	rd := d.srcValue
 	switch in.Op {
 	case isa.MOV:
 		if in.Src.Kind == isa.KindMem {
-			d.setReg(in.Dst.Reg, memVal, cyc)
+			m.setReg(d, in.Dst.Reg, memVal)
 		} else {
 			// Store: data from reg or imm.
 			if in.Src.Kind == isa.KindReg {
-				d.storeVal = rd(in.Src.Reg)
+				d.mem.v = rd(in.Src.Reg)
 			} else {
-				d.storeVal = uint64(in.Src.Imm)
+				d.mem.v = uint64(in.Src.Imm)
 			}
 		}
 	case isa.PUSH:
 		if in.Src.Kind == isa.KindReg {
-			d.storeVal = rd(in.Src.Reg)
+			d.mem.v = rd(in.Src.Reg)
 		} else {
-			d.storeVal = uint64(in.Src.Imm)
+			d.mem.v = uint64(in.Src.Imm)
 		}
 	case isa.POP:
-		d.setReg(in.Dst.Reg, memVal, cyc)
+		m.setReg(d, in.Dst.Reg, memVal)
 	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL, isa.CMP, isa.TEST:
 		// Load form (dst OP= [mem]) or read-modify-write form ([mem] OP= src):
 		// the loaded word is the source operand of the first and the
@@ -202,12 +201,12 @@ func (d *DynInst) evalMemAccess(memVal uint64, cyc int64) error {
 		case in.Op.DiscardsResult():
 			// cmpq/testq with a memory operand: flags only.
 		case load:
-			d.setReg(in.Dst.Reg, r, cyc)
+			m.setReg(d, in.Dst.Reg, r)
 		default:
-			d.storeVal = r
+			d.mem.v = r
 		}
 		if writesFlags {
-			d.setReg(isa.Flags, uint64(fl), cyc)
+			m.setReg(d, isa.Flags, uint64(fl))
 		}
 	default:
 		return fmt.Errorf("machine: unsupported memory op %s", in)

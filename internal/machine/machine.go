@@ -24,11 +24,24 @@
 // the MAAT an open-addressed table with recycled backing (see pool.go), and
 // the per-core queues reuse their buffers. Machine.Reset rewinds everything
 // for another run on the same program without re-allocating.
+//
+// Waiting work is parked, not polled. The production (idle-skip) scheduler
+// keeps in a core's issue and load-store queues only instructions that are
+// ready or wait for a known cycle; one that waits for a value nobody has
+// produced yet hangs on that value's cell until Machine.fill writes it. A
+// renaming request likewise leaves Machine.reqs for the section whose
+// renamings it waits for (the paper's "enqueued in the ARQ", §4.2) or for the
+// cell whose value it is to export. Host cost per simulated cycle therefore
+// follows what happens in the cycle, not what is in flight. Config.Dense is
+// the reference: it parks nothing and polls every resident and every request
+// every cycle through the same wake computations and the same apply code, so
+// it witnesses independently every wake the production path has to deliver.
 package machine
 
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"repro/internal/emu"
 	"repro/internal/isa"
@@ -60,12 +73,14 @@ type Config struct {
 	// used anyway. 0 keeps the default least-loaded spreading.
 	MaxSectionsPerCore int
 	// Dense selects the reference dense scheduler, which visits every core,
-	// stage and request on every cycle. The default (false) is the idle-skip
-	// scheduler: each cycle visits only cores with runnable work, and when
-	// nothing in the chip can act before a known future cycle the clock
-	// jumps there directly. Both schedulers produce bit-identical results
-	// (cycles, timings, message counts); dense exists as the oracle the
-	// idle-skip cross-check tests and `repro bench-sim` compare against.
+	// stage, queued instruction and request on every cycle. The default
+	// (false) is the idle-skip scheduler: each cycle visits only cores with
+	// runnable work, work blocked on an unproduced value or an unfinished
+	// renaming is parked on what unblocks it, and when nothing in the chip
+	// can act before a known future cycle the clock jumps there directly.
+	// Both schedulers produce bit-identical results (cycles, timings, message
+	// counts); dense exists as the oracle the idle-skip cross-check tests and
+	// `repro bench-sim` compare against.
 	Dense bool
 	// StallLimit aborts the run when no architectural progress happens for
 	// this many cycles (deadlock detector). Defaults to 10000.
@@ -89,71 +104,77 @@ type val struct {
 	full bool
 }
 
-// producer is anything a renamed source can wait on: an in-flight
-// instruction's register result, a store's memory value, a slot filled by a
-// remote renaming response, or an immediately available creation-copy value.
-// Every one of those reduces to the same two words, so a producer simply
-// points at them: the ready-time cell (0 = not yet produced; real cycles
-// start at 1) and the value cell. An instruction's register result points
-// into its wrAt/wrVal cells, a store's memory value at its tMA/storeVal
-// fields, a renaming response at its slot. readyAt is the hottest read in
-// the simulator — every waiting instruction re-polls its blocking source
-// through it — and earlier representations (an interface with dynamic
-// dispatch, then a 40-byte tagged union with a kind switch) both showed up
-// at the top of the CPU profile; two direct loads do not.
-type producer struct {
-	t *int64
-	v *uint64
+// cell is a write-once value with its ready time — the paper's full/empty
+// bit, timed. It is what a renamed source waits on: an in-flight instruction's
+// register result (DynInst.wr), a store's memory value (DynInst.mem), a cache
+// cell filled by a remote renaming response, or an immediately available
+// creation-copy value (the last two come from the slots arena). A consumer
+// holds a plain *cell; at is the hottest read in the simulator, and earlier
+// representations (an interface with dynamic dispatch, then a 40-byte tagged
+// union with a kind switch) both showed up at the top of the CPU profile; a
+// load through one pointer does not.
+//
+// A cell also carries the work that is waiting for it. Under the idle-skip
+// scheduler an instruction that cannot pass its stage because this value is
+// not produced yet leaves its core's issue or load-store queue and is linked
+// on insts; a renaming request whose export waits for this value leaves
+// Machine.reqs and is linked on reqs. Machine.fill — the only writer of at,
+// creation copies aside, which are born full — puts both back. The lists are intrusive (DynInst.next, request.next), so
+// parking allocates nothing, and they are always empty under Config.Dense,
+// which polls instead.
+type cell struct {
+	v     uint64
+	at    int64 // cycle the value became available; 0 until produced (real cycles start at 1)
+	insts *DynInst
+	reqs  *request
 }
-
-func slotProd(sl *slot) producer { return producer{t: &sl.at, v: &sl.v} }
-func regProd(d *DynInst, r isa.Reg) producer {
-	i := d.wrSlot(r)
-	return producer{t: &d.wrAt[i], v: &d.wrVal[i]}
-}
-func memProd(d *DynInst) producer { return producer{t: &d.tMA, v: &d.storeVal} }
-
-// constProd returns an already-available producer (a creation-message
-// register copy), backed by a pre-filled arena slot.
-func (m *Machine) constProd(v uint64, at int64) producer {
-	sl := m.slots.alloc()
-	sl.v = v
-	sl.at = at
-	return slotProd(sl)
-}
-
-// valid reports whether p holds a producer at all.
-func (p *producer) valid() bool { return p.t != nil }
 
 // readyAt returns the cycle the value became available, or -1 if not yet
 // available. A consumer stage running at cycle c may use the value when
 // readyAt() >= 0 && readyAt() < c.
-func (p *producer) readyAt() int64 {
-	if t := *p.t; t != 0 {
-		return t
+func (c *cell) readyAt() int64 {
+	if c.at != 0 {
+		return c.at
 	}
 	return -1
 }
 
-// value returns the produced value; meaningful once readyAt() >= 0.
-func (p *producer) value() uint64 { return *p.v }
-
-// slot is a shared fill cell: renaming-request caches (the paper's
-// "destination d serves as a caching of the missing source") and remotely
-// fetched memory words. Slots are arena-allocated.
-type slot struct {
-	v  uint64
-	at int64 // 0 until filled
+// fill produces c's value, usable from the cycle after at, and wakes what is
+// parked on the cell. Every caller passes at >= m.cycle, which is what makes
+// parking exact: nothing woken here could have acted in the current cycle,
+// so it does not matter that the woken work's core may already have run its
+// stages, or that the poll it replaces would have happened earlier or later
+// in the cycle. Most cells are filled with nobody waiting; the test keeps
+// that case small enough to inline.
+func (m *Machine) fill(c *cell, v uint64, at int64) {
+	c.v, c.at = v, at
+	if c.insts != nil || c.reqs != nil {
+		m.wake(c)
+	}
 }
 
-func (s *slot) fill(v uint64, at int64) {
-	s.v = v
-	s.at = at
+// wake returns the work parked on c to where the schedulers look for it:
+// instructions to their core's issue queue (before execute-write-back) or
+// load-store queue (after it), requests to Machine.reqs.
+func (m *Machine) wake(c *cell) {
+	for d := c.insts; d != nil; {
+		next := d.next
+		d.next = nil
+		core := m.cores[d.Sec.Core]
+		if d.tEW == 0 {
+			core.iq = append(core.iq, d)
+		} else {
+			core.lsq = append(core.lsq, d)
+		}
+		d = next
+	}
+	c.insts = nil
+	m.wakeRequests(&c.reqs)
 }
 
 // srcRef is one resolved register source of an instruction.
 type srcRef struct {
-	prod producer
+	prod *cell
 	reg  isa.Reg
 	addr bool // true when the register only feeds the address computation
 }
@@ -168,7 +189,9 @@ const maxSrcs = 4
 const maxWr = 2
 
 // DynInst is one dynamic instruction in flight. DynInsts are arena-allocated
-// (a chunked arena, pool.go) and recycled wholesale by Machine.Reset.
+// (a chunked arena, pool.go) and recycled wholesale by Machine.Reset. The
+// arena is most of a run's memory, so the size is pinned by TestDynInstSize:
+// the byte-wide fields are packed together for that reason.
 type DynInst struct {
 	Sec   *Section
 	Idx   int // ordinal within the section
@@ -179,28 +202,34 @@ type DynInst struct {
 	class           isa.Class
 	computedAtFetch bool
 	nsrcs           uint8
-	srcs            [maxSrcs]srcRef
 	// Register-result cells: wrRegs names the (at most maxWr) registers the
-	// instruction writes, wrVal/wrAt their values and ready cycles (0 = not
-	// yet produced; real cycles start at 1). Cells are claimed
+	// instruction writes, wr their value cells. Cells are claimed
 	// find-or-create by wrSlot — at fetch for in-stage computed results, at
-	// rename for the alias-table producers — and their wrAt/wrVal words are
-	// exactly what regProd points consumers at. Two cells instead of the
-	// earlier [NumRegs] arrays: the arrays made DynInst so large that
-	// zeroing and GC-scanning the arena dominated fork-heavy workloads.
-	wrRegs [maxWr]isa.Reg
+	// rename for the alias-table producers — and are exactly what regCell
+	// points consumers at. Two cells instead of the earlier [NumRegs] arrays:
+	// the arrays made DynInst so large that zeroing and GC-scanning the arena
+	// dominated fork-heavy workloads.
 	nwr    uint8
-	wrAt   [maxWr]int64
-	wrVal  [maxWr]uint64
-
-	addr     uint64 // effective address (mem ops), set at EW
-	storeVal uint64 // store data, set at MA
-	memSrc   producer
+	wrRegs [maxWr]isa.Reg
 
 	// branch outcome, resolved at fetch or EW
 	taken    bool
-	nextIP   int64
 	resolved bool
+
+	nPending           uint8 // see pendingCopy
+	ewSrcIdx, maSrcIdx uint8 // see ewSrcMax
+
+	srcs [maxSrcs]srcRef
+	wr   [maxWr]cell
+
+	addr uint64 // effective address (mem ops), set at EW
+	// mem is the memory side of a load/store: at is the memory-access cycle
+	// (the MA column of Fig. 10, see tMA) and v a store's data, set at MA — so
+	// the cell is a store's memory value as later loads of the word see it.
+	mem    cell
+	memSrc *cell // the loaded word's producer, set at AR
+
+	nextIP int64 // branch target, with taken/resolved
 
 	// For fork instructions: the created section, and the non-volatile
 	// registers that were not computed at the fork point and must be
@@ -210,58 +239,48 @@ type DynInst struct {
 	// it — the count is a property of the ABI, not of the workload size.
 	createdSec  *Section
 	pendingCopy [16]isa.Reg
-	nPending    uint8
 
 	// Stage timestamps (0 = not yet / not applicable): fetch-decode,
-	// register-rename, execute-write-back, address-rename, memory-access,
-	// retire. These are the six columns of the paper's Fig. 10.
-	tFD, tRR, tEW, tAR, tMA, tRET int64
+	// register-rename, execute-write-back, address-rename and retire. With
+	// the memory-access time (mem.at) these are the six columns of the
+	// paper's Fig. 10.
+	tFD, tRR, tEW, tAR, tRET int64
 
 	// ewWakeAt/maWakeAt cache the earliest cycle the instruction can pass
 	// the execute-write-back / memory-access stage (0 = not yet known).
-	// Producer ready times are write-once, so a known wake never changes
-	// and the per-cycle readiness poll collapses to one comparison.
+	// Cell ready times are write-once, so a known wake never changes and the
+	// per-cycle readiness poll collapses to one comparison.
 	ewWakeAt, maWakeAt int64
 	// ewSrcMax/ewSrcIdx (and the ma pair) make the wake computation
 	// incremental while some source is still unready: sources are confirmed
 	// ready left to right, the running maximum of their ready times is kept,
 	// and a confirmed source is never polled again — only the first
-	// still-unready source is re-polled per visit. Exact for the same
-	// write-once reason the whole-wake cache is. A max of 0 means the
-	// accumulation has not started (real ready times are >= 1); for the ma
-	// pair index 0 is the loaded-value producer, index i+1 is srcs[i].
+	// still-unready source is polled per visit, and it is the cell the
+	// instruction parks on. Exact for the same write-once reason the
+	// whole-wake cache is. A max of 0 means the accumulation has not started
+	// (real ready times are >= 1); for the ma pair index 0 is the loaded-value
+	// producer, index i+1 is srcs[i].
 	ewSrcMax, maSrcMax int64
-	ewSrcIdx, maSrcIdx uint8
-	// ewBlock/maBlock point at the ready cell of the source the last wake
-	// computation blocked on. While that cell is still zero the instruction
-	// cannot possibly pass the stage, so the issue scans skip it with a
-	// single load instead of re-entering the wake computation — the
-	// difference between the blocked and runnable cases dominated the CPU
-	// profile, since most queue residents are blocked most cycles.
-	ewBlock, maBlock *int64
+
+	// next links the instruction on the waiter list of the cell it is parked
+	// on (cell.insts). One link serves both stages: an instruction waits in
+	// the issue queue before execute-write-back and in the load-store queue
+	// after address rename, never in both.
+	next *DynInst
 }
 
 func (d *DynInst) isMem() bool { return d.class == isa.ClassLoad || d.class == isa.ClassStore }
 
-// ewBlocked reports that d provably cannot pass the execute-write-back
-// stage this cycle: no cached wake, and the source the last wake
-// computation blocked on is still unproduced. This is the single
-// definition of the skip test the issue scans and nextWake apply — the
-// exactness of the idle-skip scheduler rests on it, so it must not be
-// re-derived at call sites.
-func (d *DynInst) ewBlocked() bool {
-	return d.ewWakeAt == 0 && d.ewBlock != nil && *d.ewBlock == 0
-}
+// tMA is the cycle d passed the memory-access stage (0 = not yet).
+func (d *DynInst) tMA() int64 { return d.mem.at }
 
-// maBlocked is ewBlocked's memory-access-stage counterpart.
-func (d *DynInst) maBlocked() bool {
-	return d.maWakeAt == 0 && d.maBlock != nil && *d.maBlock == 0
-}
+// regCell returns d's result cell for register r, claiming one on first use.
+func (d *DynInst) regCell(r isa.Reg) *cell { return &d.wr[d.wrSlot(r)] }
 
 // done reports whether the instruction has produced everything it will.
 func (d *DynInst) done() bool {
 	if d.isMem() {
-		return d.tMA != 0
+		return d.tMA() != 0
 	}
 	return d.tEW != 0
 }
@@ -277,10 +296,10 @@ type Section struct {
 	Insts []*DynInst
 
 	// rat is the register alias table (+ request caches + fork copies): a
-	// fixed array indexed by register, with the producer's kind as the
-	// validity mark. The previous map[isa.Reg]producer paid map hashing on
-	// every rename of a 17-entry keyspace.
-	rat  [isa.NumRegs]producer
+	// fixed array indexed by register, nil where the section has no producer
+	// yet. The previous map paid hashing on every rename of a 17-entry
+	// keyspace.
+	rat  [isa.NumRegs]*cell
 	maat maat             // memory address alias table (8-byte words)
 	arQ  fifo[*DynInst]   // memory ops awaiting in-order address renaming
 	init [isa.NumRegs]val // creation-message register copies
@@ -299,6 +318,14 @@ type Section struct {
 	fetchIP    int64
 	stalled    *DynInst         // unresolved control instruction blocking fetch
 	rfSave     [isa.NumRegs]val // fetch RF snapshot while suspended
+
+	// nreqs counts the live renaming requests that name the section as their
+	// from or target; dumpOldest keeps the section's tables while it is not 0.
+	nreqs int
+	// waiting lists the requests parked at the section (idle-skip scheduler
+	// only): they arrived before its renamings were done — the paper's
+	// "enqueued in the ARQ" — and left Machine.reqs until wakeRequests.
+	waiting *request
 }
 
 func (s *Section) fullyRenamed() bool {
@@ -344,9 +371,13 @@ type Machine struct {
 	prog  *isa.Program
 	cores []*Core
 	order []*Section // total section order (dumped sections retained)
-	reqs  []*request
-	dmh   *emu.Memory
-	arch  [isa.NumRegs]uint64
+	// reqs holds the renaming requests processRequests steps each cycle: all
+	// live ones under Config.Dense, otherwise those in flight or waiting for a
+	// known cycle — a request waiting for an event is parked on the section or
+	// cell that will produce it (Section.waiting, cell.reqs).
+	reqs []*request
+	dmh  *emu.Memory
+	arch [isa.NumRegs]uint64
 
 	cycle     int64
 	nextSecID int64
@@ -383,9 +414,10 @@ type Machine struct {
 	// path (pool.go). All of them survive Reset, so a warmed machine re-runs
 	// without growing the heap.
 	dyns     arena[DynInst]
-	slots    arena[slot]
+	slots    arena[cell]
 	secFree  []*Section
 	maatFree [][]maatEntry
+	reqAll   []*request // every request object the machine owns, free or not
 	reqFree  []*request
 	readBuf  []isa.Reg
 	writeBuf []isa.Reg
@@ -428,7 +460,7 @@ func (cfg Config) withDefaults() Config {
 func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	m := &Machine{
 		dyns:     newArena[DynInst](dynChunk),
-		slots:    newArena[slot](slotChunk),
+		slots:    newArena[cell](slotChunk),
 		readBuf:  make([]isa.Reg, 0, 2*isa.NumRegs),
 		writeBuf: make([]isa.Reg, 0, 2*isa.NumRegs),
 		dmh:      emu.NewMemory(),
@@ -516,11 +548,14 @@ func (m *Machine) release() {
 		c.live = 0
 		c.fetched = 0
 	}
-	for _, r := range m.reqs {
-		m.releaseRequest(r)
-	}
+	// Parked requests are on no list release could walk cheaply, so the pool
+	// is rebuilt from the owner list.
 	clear(m.reqs)
 	m.reqs = m.reqs[:0]
+	for _, r := range m.reqAll {
+		*r = request{}
+	}
+	m.reqFree = append(m.reqFree[:0], m.reqAll...)
 	m.dyns.reset()
 	m.slots.reset()
 	clear(m.retirePick)
@@ -680,7 +715,7 @@ func (m *Machine) runDense() (*Result, error) {
 	}
 }
 
-// runIdleSkip is the work-list-driven scheduler. Three observations make it
+// runIdleSkip is the work-list-driven scheduler. Four observations make it
 // exact (not approximate):
 //
 //   - The two stages that scan the whole section order per core (retire and
@@ -703,6 +738,14 @@ func (m *Machine) runDense() (*Result, error) {
 //     nextWake enumerates every such timestamp, so the clock can jump
 //     straight to the minimum — every skipped cycle is one the dense loop
 //     would have spent doing nothing.
+//   - An instruction or request that waits for an event rather than a time —
+//     a value not yet produced, a section not yet renamed — cannot act before
+//     the cycle after the event: a cell filled in cycle c carries a ready
+//     time >= c and consumers need it strictly older, and a request woken by
+//     a stage of cycle c is stepped by the processRequests of cycle c as if
+//     it had been polled. So such work is parked on the cell or section and
+//     comes back to the queues when that is written (Machine.fill,
+//     wakeRequests): the scans and nextWake see only what can have a time.
 //
 // The stall detector and the cycle cap are clamped into the jump so that
 // pathological programs fail at the same cycle, with the same error, as
@@ -849,17 +892,15 @@ func (m *Machine) nextWake() int64 {
 		if !c.renameQ.Empty() {
 			wake(c.renameQ.Front().tFD + 1) // rename the cycle after fetch
 		}
+		// A resident blocked on an unproduced value reads never: no wake until
+		// another action produces the source.
 		for _, d := range c.iq {
-			if d.ewBlocked() {
-				continue // no wake until another action produces the source
-			}
-			wake(m.ewWake(d))
+			w, _ := m.ewWake(d)
+			wake(w)
 		}
 		for _, d := range c.lsq {
-			if d.maBlocked() {
-				continue
-			}
-			wake(m.maWake(d))
+			w, _ := m.maWake(d)
+			wake(w)
 		}
 	}
 	// Sections before m.oldest are dumped; later ones host the in-order
@@ -874,7 +915,7 @@ func (m *Machine) nextWake() int64 {
 			h := s.Insts[s.retired]
 			if h.done() {
 				if h.isMem() {
-					wake(h.tMA + 1)
+					wake(h.tMA() + 1)
 				} else {
 					wake(h.tEW + 1)
 				}
@@ -890,12 +931,10 @@ func (m *Machine) nextWake() int64 {
 		// not yet fully renamed, or a producer slot not yet filled, can only
 		// change through another action, which has its own wake entry).
 		if t := r.target; t != nil {
-			var p *producer
+			var p *cell
 			if r.kind == reqReg {
 				if t.fullyRenamed() {
-					if rp := &t.rat[r.reg]; rp.valid() {
-						p = rp
-					}
+					p = t.rat[r.reg]
 				}
 			} else if t.memRenameDone() {
 				p = t.maat.get(r.addr)
@@ -912,15 +951,15 @@ func (m *Machine) nextWake() int64 {
 
 // ewWake returns the earliest cycle d can pass the execute-write-back stage
 // (a stage boundary: the cycle after the last of its rename and relevant
-// source-ready times), or never while a source value has not been produced
-// yet. A known wake is cached on the instruction — producer ready times are
-// write-once, so it cannot change.
-func (m *Machine) ewWake(d *DynInst) int64 {
+// source-ready times), or never and the blocking cell while a source value
+// has not been produced yet. A known wake is cached on the instruction — cell
+// ready times are write-once, so it cannot change.
+func (m *Machine) ewWake(d *DynInst) (int64, *cell) {
 	if d.ewWakeAt != 0 {
-		return d.ewWakeAt
+		return d.ewWakeAt, nil
 	}
 	if d.tRR == 0 {
-		return never // not renamed yet: the rename-queue entry covers it
+		return never, nil // not renamed yet: the rename-queue entry covers it
 	}
 	t := d.ewSrcMax
 	if t == 0 {
@@ -937,8 +976,7 @@ func (m *Machine) ewWake(d *DynInst) int64 {
 			at := s.prod.readyAt()
 			if at < 0 {
 				d.ewSrcMax = t
-				d.ewBlock = s.prod.t
-				return never
+				return never, s.prod
 			}
 			if at > t {
 				t = at
@@ -947,30 +985,29 @@ func (m *Machine) ewWake(d *DynInst) int64 {
 		}
 	}
 	d.ewWakeAt = t + 1
-	return d.ewWakeAt
+	return d.ewWakeAt, nil
 }
 
 // maWake returns the earliest cycle d can pass the memory-access stage, or
-// never while its loaded value or a source is not yet produced. A known wake
-// is cached, like ewWake's.
-func (m *Machine) maWake(d *DynInst) int64 {
+// never and the blocking cell while its loaded value or a source is not yet
+// produced. A known wake is cached, like ewWake's.
+func (m *Machine) maWake(d *DynInst) (int64, *cell) {
 	if d.maWakeAt != 0 {
-		return d.maWakeAt
+		return d.maWakeAt, nil
 	}
 	if d.tAR == 0 {
-		return never // not address-renamed yet: the AR head entry covers it
+		return never, nil // not address-renamed yet: the AR head entry covers it
 	}
 	t := d.maSrcMax
 	if t == 0 {
 		t = d.tAR
 	}
 	if d.maSrcIdx == 0 {
-		if d.memSrc.valid() {
+		if d.memSrc != nil {
 			at := d.memSrc.readyAt()
 			if at < 0 {
 				d.maSrcMax = t
-				d.maBlock = d.memSrc.t
-				return never
+				return never, d.memSrc
 			}
 			if at > t {
 				t = at
@@ -979,12 +1016,11 @@ func (m *Machine) maWake(d *DynInst) int64 {
 		d.maSrcIdx = 1
 	}
 	for int(d.maSrcIdx) <= int(d.nsrcs) {
-		p := &d.srcs[d.maSrcIdx-1].prod
+		p := d.srcs[d.maSrcIdx-1].prod
 		at := p.readyAt()
 		if at < 0 {
 			d.maSrcMax = t
-			d.maBlock = p.t
-			return never
+			return never, p
 		}
 		if at > t {
 			t = at
@@ -992,7 +1028,7 @@ func (m *Machine) maWake(d *DynInst) int64 {
 		d.maSrcIdx++
 	}
 	d.maWakeAt = t + 1
-	return d.maWakeAt
+	return d.maWakeAt, nil
 }
 
 func (m *Machine) done() bool {
@@ -1002,18 +1038,20 @@ func (m *Machine) done() bool {
 	return m.oldest >= len(m.order)
 }
 
-// stuckReport summarises pipeline state for deadlock diagnostics.
+// stuckReport summarises pipeline state for deadlock diagnostics. The request
+// total counts every unanswered request (each answer is one response
+// message), parked or not, so the text is the same under both schedulers.
 func (m *Machine) stuckReport() string {
-	s := ""
+	var b strings.Builder
 	for _, sec := range m.order {
 		if sec.dumped {
 			continue
 		}
-		s += fmt.Sprintf("[sec %d core %d pos %d: %d insts fetchDone=%v renamed=%d retired=%d memRen=%d/%d stalled=%v] ",
+		fmt.Fprintf(&b, "[sec %d core %d pos %d: %d insts fetchDone=%v renamed=%d retired=%d memRen=%d/%d stalled=%v] ",
 			sec.ID, sec.Core, sec.Pos, len(sec.Insts), sec.fetchDone, sec.renamed, sec.retired, sec.memRen, sec.memOps, sec.stalled != nil)
 	}
-	s += fmt.Sprintf("reqs=%d", len(m.reqs))
-	return s
+	fmt.Fprintf(&b, "reqs=%d", m.regReqs+m.memReqs-m.respMsgs)
+	return b.String()
 }
 
 // dumpOldest retires the oldest fully retired sections into the DMH and the
@@ -1027,19 +1065,19 @@ func (m *Machine) dumpOldest() {
 		}
 		// A section with pending incoming requests keeps its tables until
 		// they are answered.
-		if m.hasRequestsAt(s) {
+		if s.nreqs > 0 {
 			return
 		}
 		// Memory writes, in section order (last store to a word wins).
 		for _, d := range s.Insts {
 			if d.class == isa.ClassStore {
-				m.dmh.WriteU64(d.addr, d.storeVal)
+				m.dmh.WriteU64(d.addr, d.mem.v)
 			}
 		}
 		// Register state: every renamed or cached register value.
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if p := &s.rat[r]; p.valid() && p.readyAt() >= 0 {
-				m.arch[r] = p.value()
+			if p := s.rat[r]; p != nil && p.readyAt() >= 0 {
+				m.arch[r] = p.v
 			}
 		}
 		s.dumped = true
@@ -1050,13 +1088,4 @@ func (m *Machine) dumpOldest() {
 		m.oldest++
 		m.progress++
 	}
-}
-
-func (m *Machine) hasRequestsAt(s *Section) bool {
-	for _, r := range m.reqs {
-		if r.target == s || r.from == s {
-			return true
-		}
-	}
-	return false
 }

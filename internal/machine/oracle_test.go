@@ -16,6 +16,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/minic"
+	"repro/internal/noc"
 	"repro/internal/pbbs"
 	"repro/internal/progs"
 	"repro/internal/sweep"
@@ -25,24 +26,20 @@ import (
 // full machine result. The program and inputs are built once by the caller
 // and shared across the two schedulers: timing rows carry instruction
 // pointers, so bit-identity is only meaningful against the same compilation.
-func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs, n, cores int, dense bool) *machine.Result {
+func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs, n int, cfg machine.Config, dense bool) *machine.Result {
 	t.Helper()
-	mb := &backend.Machine{Cfg: machine.Config{
-		Cores:         cores,
-		CreateLatency: 2,
-		Shortcut:      true,
-		Dense:         dense,
-	}}
+	cfg.Dense = dense
+	mb := &backend.Machine{Cfg: cfg}
 	res, err := mb.Run(prog, in, false)
 	if err != nil {
-		t.Fatalf("%s n=%d cores=%d dense=%v: %v", k.Name, n, cores, dense, err)
+		t.Fatalf("%s n=%d cores=%d dense=%v: %v", k.Name, n, cfg.Cores, dense, err)
 	}
 	want, err := k.Ref(n, in)
 	if err != nil {
 		t.Fatalf("%s n=%d: reference: %v", k.Name, n, err)
 	}
 	if res.RAX != want {
-		t.Fatalf("%s n=%d cores=%d: checksum %d, reference %d", k.Name, n, cores, res.RAX, want)
+		t.Fatalf("%s n=%d cores=%d: checksum %d, reference %d", k.Name, n, cfg.Cores, res.RAX, want)
 	}
 	return res.Machine
 }
@@ -82,6 +79,15 @@ func sameResult(t *testing.T, label string, a, b *machine.Result) {
 // (runMachine) and are bit-identical to each other — same cycle count, same
 // per-instruction stage timestamps, same NoC accounting, same final
 // architectural state.
+//
+// At n=12 the queues hold a handful of entries. The deep-queue legs run the
+// three kernels with the longest dependence chains at n=128, where a core's
+// queues hold hundreds of instructions blocked on unproduced values and
+// hundreds of requests wait at unrenamed sections — the work the idle-skip
+// scheduler parks and the dense one polls — on one core and sixteen, a
+// crossbar and a mesh whose three-cycle hops spread the wake times, with the
+// call-level shortcut on and off (off, requests visit every section). A
+// late or lost wake moves a timestamp row and fails here.
 func TestThreeWayOracle(t *testing.T) {
 	for _, k := range pbbs.Kernels() {
 		k := k
@@ -93,9 +99,44 @@ func TestThreeWayOracle(t *testing.T) {
 			}
 			in := k.Gen(n, 1)
 			for _, cores := range []int{1, 4, 16} {
-				dense := runMachine(t, k, prog, in, n, cores, true)
-				skip := runMachine(t, k, prog, in, n, cores, false)
+				cfg := machine.Config{Cores: cores, CreateLatency: 2, Shortcut: true}
+				dense := runMachine(t, k, prog, in, n, cfg, true)
+				skip := runMachine(t, k, prog, in, n, cfg, false)
 				sameResult(t, fmt.Sprintf("%s n=%d cores=%d dense vs idle-skip", k.Name, n, cores), dense, skip)
+			}
+		})
+	}
+	for _, name := range []string{"quickSort", "quickHull", "parallelKruskal"} {
+		k, err := pbbs.Find(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run("deep-"+name, func(t *testing.T) {
+			t.Parallel() // most of the time is the dense legs
+			n := 128
+			if testing.Short() { // the race job; dense at n=128 is minutes there
+				n = 32
+			}
+			n = k.ClampN(n)
+			prog, err := k.Build(n, minic.ModeFork)
+			if err != nil {
+				t.Fatalf("%s: %v", k.Name, err)
+			}
+			in := k.Gen(n, 1)
+			for _, cores := range []int{1, 16} {
+				w := 1
+				for w*w < cores {
+					w++
+				}
+				for _, net := range []noc.Network{noc.NewCrossbar(cores, 1), noc.NewMesh(w, cores/w, 3)} {
+					for _, shortcut := range []bool{true, false} {
+						cfg := machine.Config{Cores: cores, Net: net, CreateLatency: 2, Shortcut: shortcut}
+						dense := runMachine(t, k, prog, in, n, cfg, true)
+						skip := runMachine(t, k, prog, in, n, cfg, false)
+						sameResult(t, fmt.Sprintf("%s n=%d cores=%d %s shortcut=%v dense vs idle-skip",
+							k.Name, n, cores, net.Name(), shortcut), dense, skip)
+					}
+				}
 			}
 		})
 	}
@@ -109,7 +150,11 @@ func TestThreeWayOracle(t *testing.T) {
 // per-instruction six-stage timestamp row — must equal a fresh machine.New
 // run of the same point. The visiting order changes kernel and chip at every
 // step and alternates long with short programs and wide with narrow chips, so
-// every bind both shrinks and grows what the machine holds.
+// every bind both shrinks and grows what the machine holds. After every
+// second point the machine is also bound to the same point under a cycle cap
+// that aborts the run half-way — instructions parked on unproduced values,
+// requests parked at unrenamed sections — and parked like that, so half the
+// binds start from a machine that stopped mid-run.
 func TestRebindOracle(t *testing.T) {
 	n := 64
 	if testing.Short() {
@@ -199,14 +244,30 @@ func TestRebindOracle(t *testing.T) {
 		} else if m != first {
 			t.Fatalf("%s: the pool built a second machine", label)
 		}
-		sameResult(t, label+" rebound vs fresh", fresh[label], run(kr, m, label+" rebound"))
+		got := run(kr, m, label+" rebound")
+		sameResult(t, label+" rebound vs fresh", fresh[label], got)
 		delete(fresh, label)
 		pool.Put("", m)
+		if i%2 == 1 {
+			capped := config(c)
+			capped.MaxCycles = got.Cycles / 2
+			if m, err = pool.Get("", kr.prog, capped); err != nil {
+				t.Fatalf("%s: capped Get: %v", label, err)
+			}
+			if err := backend.Inject(kr.prog, m.DMH(), kr.in); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if _, err := m.Run(); err == nil {
+				t.Fatalf("%s: a run capped at half its cycles succeeded", label)
+			}
+			pool.Put("", m) // deliberately: the next bind must cope
+		}
 	}
 	if len(fresh) != 0 {
 		t.Errorf("%d grid points were never visited", len(fresh))
 	}
-	if s := pool.Stats(); s.Misses != 1 || s.Hits != int64(len(order)*len(chips)-1) || s.Dropped != 0 {
+	points := len(order) * len(chips)
+	if s := pool.Stats(); s.Misses != 1 || s.Hits != int64(points+points/2-1) || s.Dropped != 0 {
 		t.Errorf("pool stats %+v, want 1 machine built and every other point reusing it", s)
 	}
 }

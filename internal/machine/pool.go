@@ -152,13 +152,11 @@ func (a *arena[T]) reset() {
 const maatMinSize = 16
 
 // maat is the per-section Memory Address Alias Table: an open-addressed,
-// linear-probing hash table from data addresses to producers, replacing the
-// previous map[uint64]producer. The backing array is recycled through the
-// machine's free list when the owning section dumps (Machine.releaseMaat),
-// so in steady state sections are born with a right-sized table and no
-// per-section map allocation happens. An entry whose producer is
-// invalid (nil ready cell) is empty — producers are only ever inserted
-// valid.
+// linear-probing hash table from data addresses to producer cells, replacing
+// the previous map. The backing array is recycled through the machine's free
+// list when the owning section dumps (Machine.releaseMaat), so in steady
+// state sections are born with a right-sized table and no per-section map
+// allocation happens. An entry with a nil cell is empty.
 type maat struct {
 	entries []maatEntry
 	n       int
@@ -166,7 +164,7 @@ type maat struct {
 }
 
 type maatEntry struct {
-	p   producer
+	p   *cell
 	key uint64
 }
 
@@ -177,19 +175,19 @@ func maatHash(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 }
 
 func maatShift(size int) uint8 { return uint8(64 - bits.TrailingZeros(uint(size))) }
 
-// get returns a pointer to the producer stored for key, or nil.
-func (t *maat) get(key uint64) *producer {
+// get returns the producer cell stored for key, or nil.
+func (t *maat) get(key uint64) *cell {
 	if t.n == 0 {
 		return nil
 	}
 	i := maatHash(key) >> t.shift
 	for {
 		e := &t.entries[i]
-		if !e.p.valid() {
+		if e.p == nil {
 			return nil
 		}
 		if e.key == key {
-			return &e.p
+			return e.p
 		}
 		i++
 		if i == uint64(len(t.entries)) {
@@ -200,14 +198,14 @@ func (t *maat) get(key uint64) *producer {
 
 // maatPut inserts or overwrites key's producer in s's table, growing through
 // the machine's recycled backing arrays when the load factor passes 3/4.
-func (m *Machine) maatPut(t *maat, key uint64, p producer) {
+func (m *Machine) maatPut(t *maat, key uint64, p *cell) {
 	if len(t.entries) == 0 || (t.n+1)*4 > len(t.entries)*3 {
 		m.maatGrow(t)
 	}
 	i := maatHash(key) >> t.shift
 	for {
 		e := &t.entries[i]
-		if !e.p.valid() {
+		if e.p == nil {
 			e.key = key
 			e.p = p
 			t.n++
@@ -236,7 +234,7 @@ func (m *Machine) maatGrow(t *maat) {
 	t.shift = maatShift(want)
 	t.n = 0
 	for i := range old {
-		if old[i].p.valid() {
+		if old[i].p != nil {
 			m.maatPut(t, old[i].key, old[i].p)
 		}
 	}
@@ -316,7 +314,9 @@ func (m *Machine) newRequest() *request {
 		m.reqFree = m.reqFree[:k]
 		return r
 	}
-	return &request{}
+	r := &request{}
+	m.reqAll = append(m.reqAll, r)
+	return r
 }
 
 // releaseRequest scrubs r (dropping its section and slot references) and

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/progs"
@@ -89,9 +90,8 @@ func TestFifoRemoveKeepsOrder(t *testing.T) {
 func TestMaatTable(t *testing.T) {
 	m := &Machine{}
 	var tbl maat
-	cell := make([]int64, 600)
-	vals := make([]uint64, 600)
-	prod := func(i int) producer { return producer{t: &cell[i], v: &vals[i]} }
+	cells := make([]cell, 600)
+	prod := func(i int) *cell { return &cells[i] }
 
 	const n = 512 // several growth rounds past maatMinSize
 	for i := 0; i < n; i++ {
@@ -102,7 +102,7 @@ func TestMaatTable(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		p := tbl.get(uint64(i * 8))
-		if p == nil || p.t != &cell[i] {
+		if p == nil || p != &cells[i] {
 			t.Fatalf("key %d: wrong or missing producer", i*8)
 		}
 	}
@@ -114,7 +114,7 @@ func TestMaatTable(t *testing.T) {
 	if tbl.n != n {
 		t.Fatalf("overwrite changed count to %d", tbl.n)
 	}
-	if p := tbl.get(0); p == nil || p.t != &cell[599] {
+	if p := tbl.get(0); p == nil || p != &cells[599] {
 		t.Fatal("overwrite did not take")
 	}
 
@@ -136,7 +136,7 @@ func TestMaatTable(t *testing.T) {
 		t.Fatal("recycled table not empty")
 	}
 	m.maatPut(&tbl2, 40, prod(7))
-	if p := tbl2.get(40); p == nil || p.t != &cell[7] {
+	if p := tbl2.get(40); p == nil || p != &cells[7] {
 		t.Fatal("recycled table lost an insert")
 	}
 }
@@ -180,6 +180,18 @@ func TestArenaChunkBoundaries(t *testing.T) {
 	}
 }
 
+// TestDynInstSize pins the arena's unit of memory: one DynInst per simulated
+// instruction is most of what a run allocates — 486 B per instruction on the
+// benchmark's paper-scale point, which bounds alloc_b_per_work at 5 %, so
+// even three more words here show there. A field added must be paid for by
+// another (368 bytes before the value cells carried waiter lists; packing
+// the byte-wide fields and one-pointer producers paid for those).
+func TestDynInstSize(t *testing.T) {
+	if got := unsafe.Sizeof(DynInst{}); got > 336 {
+		t.Errorf("DynInst is %d bytes, budget 336", got)
+	}
+}
+
 // TestMaatBigN scales the alias table to thousands of keys — the footprint a
 // paper-scale section can accumulate — across several growth/rehash rounds,
 // then checks the recycle path hands the big backing to the next table.
@@ -187,16 +199,16 @@ func TestMaatBigN(t *testing.T) {
 	m := &Machine{}
 	var tbl maat
 	const n = 5000
-	cell := make([]int64, n)
+	cells := make([]cell, n)
 	for i := 0; i < n; i++ {
-		m.maatPut(&tbl, uint64(i*8), producer{t: &cell[i]})
+		m.maatPut(&tbl, uint64(i*8), &cells[i])
 	}
 	if tbl.n != n {
 		t.Fatalf("table count %d, want %d", tbl.n, n)
 	}
 	for i := 0; i < n; i++ {
 		p := tbl.get(uint64(i * 8))
-		if p == nil || p.t != &cell[i] {
+		if p == nil || p != &cells[i] {
 			t.Fatalf("key %d: wrong or missing producer after growth", i*8)
 		}
 	}
@@ -210,7 +222,7 @@ func TestMaatBigN(t *testing.T) {
 		t.Fatalf("recycled backing has %d entries, want the big array back", len(tbl2.entries))
 	}
 	for i := range tbl2.entries {
-		if tbl2.entries[i].p.valid() {
+		if tbl2.entries[i].p != nil {
 			t.Fatalf("recycled entry %d not scrubbed", i)
 		}
 	}
@@ -242,26 +254,44 @@ func TestResetReproduces(t *testing.T) {
 	}
 }
 
+// parked counts the instructions and requests on waiter lists anywhere in
+// the machine: on the cells of every fetched instruction, on every arena
+// cell handed out, and at every section.
+func parked(m *Machine) (insts, reqs int) {
+	count := func(c *cell) {
+		for d := c.insts; d != nil; d = d.next {
+			insts++
+		}
+		for r := c.reqs; r != nil; r = r.next {
+			reqs++
+		}
+	}
+	for _, s := range m.order {
+		for r := s.waiting; r != nil; r = r.next {
+			reqs++
+		}
+		for _, d := range s.Insts {
+			count(&d.wr[0])
+			count(&d.wr[1])
+			count(&d.mem)
+		}
+	}
+	for _, chunk := range m.slots.chunks {
+		for i := range chunk {
+			count(&chunk[i])
+		}
+	}
+	return insts, reqs
+}
+
 // TestResetAfterError: Reset must also recover a machine whose run aborted
-// (sections not dumped, requests possibly in flight) back to a clean,
-// runnable state.
+// (sections not dumped, requests in flight, instructions and requests parked
+// on cells and sections) back to a clean, runnable state: the next run equals
+// a fresh machine's bit for bit, nothing stays parked on a recycled cell or
+// section, every request object is back in the pool, and the abort-and-rerun
+// cycle allocates no more than a plain warmed re-run.
 func TestResetAfterError(t *testing.T) {
 	p := mustSumFork(t, 40)
-	cfg := DefaultConfig(2)
-	cfg.MaxCycles = 10 // abort mid-run
-	m, err := New(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Run(); err == nil {
-		t.Fatal("truncated run unexpectedly succeeded")
-	}
-	m.Reset()
-	m.cfg.MaxCycles = 100 << 20
-	got, err := m.Run()
-	if err != nil {
-		t.Fatalf("run after error+Reset: %v", err)
-	}
 	fresh, err := New(p, DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
@@ -270,5 +300,56 @@ func TestResetAfterError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkIdentical(t, "reset after error", want, got)
+
+	m, err := New(p, DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	abort := func() {
+		m.cfg.MaxCycles = want.Cycles / 2 // mid-run
+		if _, err := m.Run(); err == nil {
+			t.Fatal("truncated run unexpectedly succeeded")
+		}
+	}
+	rerun := func() *Result {
+		m.Reset()
+		m.cfg.MaxCycles = 100 << 20
+		got, err := m.Run()
+		if err != nil {
+			t.Fatalf("run after error+Reset: %v", err)
+		}
+		return got
+	}
+
+	abort()
+	if insts, reqs := parked(m); insts == 0 || reqs == 0 {
+		t.Fatalf("the aborted run left %d instructions and %d requests parked; the test needs both", insts, reqs)
+	}
+	m.Reset()
+	if insts, reqs := parked(m); insts != 0 || reqs != 0 {
+		t.Errorf("after Reset %d instructions and %d requests are still parked", insts, reqs)
+	}
+	if len(m.reqFree) != len(m.reqAll) {
+		t.Errorf("after Reset %d of %d request objects are pooled", len(m.reqFree), len(m.reqAll))
+	}
+	for _, s := range m.secFree {
+		if s.waiting != nil || s.nreqs != 0 {
+			t.Fatalf("pooled section keeps a waiter list or a request count (%d)", s.nreqs)
+		}
+	}
+	checkIdentical(t, "reset after error", want, rerun())
+
+	var again *Result
+	allocs := testing.AllocsPerRun(3, func() {
+		m.Reset()
+		abort()
+		again = rerun()
+	})
+	checkIdentical(t, "reset after repeated errors", want, again)
+	// The Result's two slices, the abort's error text and the fixed handful
+	// boot allocates; a leaked request or a regrown queue would add one per
+	// object.
+	if allocs > 64 {
+		t.Errorf("abort, Reset and re-run allocate %.0f times on a warmed machine, budget 64", allocs)
+	}
 }

@@ -30,6 +30,16 @@ const (
 // no live predecessor remains, the committed architectural state (registers)
 // or the DMH (memory) answers — the paper's "the request travels back to the
 // loader".
+//
+// A request in Machine.reqs is stepped every cycle. Under the idle-skip
+// scheduler one that waits for an event — its target's renamings, or the
+// value it is to export — is parked instead: it leaves the list for the
+// waiter list of the section or cell concerned and comes back when that
+// renames its last instruction, forks, or is filled (wakeRequests). No
+// contention is modelled — Network.Latency is a pure function and a section
+// answers any number of requests in a cycle — so a step never depends on
+// another request's, and the order woken requests rejoin the list in is
+// immaterial.
 type request struct {
 	kind     reqKind
 	reg      isa.Reg
@@ -38,18 +48,19 @@ type request struct {
 	shortcut bool  // rsp-based positive-offset address (§4.2 statement ii)
 
 	reqSec *Section
-	sl     *slot
+	sl     *cell // the requester's cache cell, filled by the answer
 
 	from        *Section // last searched section (or the requester)
 	target      *Section // section the request is travelling to / waiting at
 	availableAt int64    // cycle the request is available at its location
-	done        bool
 
 	hops int // visited sections, for statistics
+
+	next *request // link on the waiter list the request is parked on
 }
 
 // addRequest creates a renaming request for instruction d.
-func (m *Machine) addRequest(kind reqKind, reg isa.Reg, addr uint64, d *DynInst, sl *slot) {
+func (m *Machine) addRequest(kind reqKind, reg isa.Reg, addr uint64, d *DynInst, sl *cell) {
 	r := m.newRequest()
 	r.kind = kind
 	r.reg = reg
@@ -58,6 +69,7 @@ func (m *Machine) addRequest(kind reqKind, reg isa.Reg, addr uint64, d *DynInst,
 	r.reqSec = d.Sec
 	r.sl = sl
 	r.from = d.Sec
+	d.Sec.nreqs++
 	r.availableAt = m.cycle
 	if kind == reqMem {
 		r.shortcut = rspPositive(d.In)
@@ -99,45 +111,69 @@ func (m *Machine) searchTarget(r *request) *Section {
 	return s
 }
 
-// processRequests advances every in-flight renaming request by at most one
-// protocol step per cycle. Finished requests are compacted out of the list
-// in place — surviving requests keep their relative order and are only moved
-// when a hole has actually opened before them (the previous drain loop
-// rewrote the whole list through append every cycle) — and returned to the
-// machine's pool.
+// processRequests advances every listed renaming request by at most one
+// protocol step per cycle and compacts the ones that left — answered, or
+// parked — out of the list in place. A step can fill a cell and so wake
+// requests onto the end of the list; they are stepped in the same pass
+// (and only wait: the value they were woken for is usable next cycle).
 func (m *Machine) processRequests() {
 	w := 0
-	for i, r := range m.reqs {
-		m.stepRequest(r)
-		if r.done {
-			m.releaseRequest(r)
-			continue
-		}
-		if w != i {
+	for i := 0; i < len(m.reqs); i++ {
+		r := m.reqs[i]
+		if m.stepRequest(r) {
 			m.reqs[w] = r
+			w++
 		}
-		w++
 	}
-	if w != len(m.reqs) {
-		clear(m.reqs[w:])
-		m.reqs = m.reqs[:w]
-	}
+	clear(m.reqs[w:])
+	m.reqs = m.reqs[:w]
 }
 
-func (m *Machine) stepRequest(r *request) {
-	if r.done || m.cycle < r.availableAt {
-		return
+// park sets r aside on a waiter list until wakeRequests returns it, and
+// reports whether r stays in Machine.reqs — which it does under the dense
+// scheduler, whose poll of every request every cycle is the reference for
+// the wakes this one must deliver.
+func (m *Machine) park(r *request, on **request) bool {
+	if m.cfg.Dense {
+		return true
+	}
+	r.next, *on = *on, r
+	return false
+}
+
+// wakeRequests returns the requests parked on a list to Machine.reqs. Every
+// caller runs before or inside the cycle's processRequests, so a woken
+// request is stepped in the cycle of the event it waited for, as when polled.
+func (m *Machine) wakeRequests(on **request) {
+	for r := *on; r != nil; {
+		next := r.next
+		r.next = nil
+		m.reqs = append(m.reqs, r)
+		r = next
+	}
+	*on = nil
+}
+
+// stepRequest advances r by one protocol step and reports whether it stays
+// in Machine.reqs (false: answered and released, or parked).
+func (m *Machine) stepRequest(r *request) bool {
+	if m.cycle < r.availableAt {
+		return true
 	}
 	want := m.searchTarget(r)
 	if want == nil {
 		m.answerFromCommitted(r)
-		return
+		return false
 	}
 	if r.target != want {
 		// Travel to the (possibly re-evaluated) predecessor's core. The
 		// re-evaluation handles sections inserted between the last search
 		// point and the requester by later forks.
+		if r.target != nil {
+			r.target.nreqs--
+		}
 		r.target = want
+		want.nreqs++
 		from := r.reqSec.Core
 		if r.from != r.reqSec && r.from.Core >= 0 {
 			from = r.from.Core
@@ -149,51 +185,61 @@ func (m *Machine) stepRequest(r *request) {
 		r.availableAt = m.cycle + m.cfg.Net.Latency(from, to)
 		r.hops++
 		m.reqHops++
-		return
+		return true
 	}
 	// At the target: it must be completely renamed before it can answer,
 	// otherwise the request waits (the export instruction is not yet
 	// insertable).
+	var p *cell
 	if r.kind == reqReg {
 		if !want.fullyRenamed() {
-			return
+			return m.park(r, &want.waiting)
 		}
-		p := &want.rat[r.reg]
-		if !p.valid() {
-			r.from = want
-			r.target = nil
-			m.progress++
-			return
+		p = want.rat[r.reg]
+	} else {
+		if !want.memRenameDone() {
+			return m.park(r, &want.waiting)
 		}
-		m.deliver(r, p)
-		return
+		p = want.maat.get(r.addr)
 	}
-	if !want.memRenameDone() {
-		return
-	}
-	p := want.maat.get(r.addr)
 	if p == nil {
+		// A miss: the target becomes the last searched section.
+		r.from.nreqs--
 		r.from = want
 		r.target = nil
 		m.progress++
-		return
+		return true
 	}
-	m.deliver(r, p)
+	return m.deliver(r, p)
 }
 
 // deliver sends the producer's value back to the requester once it is
 // available (the paper's export instruction waits in the IQ/LSQ for the
-// requested value, then reads it and sends it through the RERU/MERU).
-func (m *Machine) deliver(r *request, p *producer) {
+// requested value, then reads it and sends it through the RERU/MERU), and
+// reports whether r stays in Machine.reqs.
+func (m *Machine) deliver(r *request, p *cell) bool {
 	at := p.readyAt()
-	if at < 0 || at >= m.cycle {
-		return // value not produced yet; the export waits
+	if at < 0 {
+		return m.park(r, &p.reqs) // value not produced yet; the export waits
+	}
+	if at >= m.cycle {
+		return true // produced this cycle or arriving later: readable after
 	}
 	back := m.cfg.Net.Latency(r.target.Core, r.reqSec.Core)
-	r.sl.fill(p.value(), m.cycle+back)
-	r.done = true
+	m.fill(r.sl, p.v, m.cycle+back)
+	m.answered(r)
+	return false
+}
+
+// answered accounts for r's response message and retires the request.
+func (m *Machine) answered(r *request) {
 	m.respMsgs++
 	m.progress++
+	r.from.nreqs--
+	if r.target != nil {
+		r.target.nreqs--
+	}
+	m.releaseRequest(r)
 }
 
 // answerFromCommitted serves a request from the committed architectural
@@ -211,9 +257,7 @@ func (m *Machine) answerFromCommitted(r *request) {
 	// One cycle to reach the DMH/loader, one processing cycle, one cycle
 	// back: the value is usable three cycles after the request left
 	// (Fig. 10's "counting 3 cycles to reach the producer and return").
-	r.sl.fill(v, m.cycle+2)
-	r.done = true
-	m.respMsgs++
+	m.fill(r.sl, v, m.cycle+2)
 	m.dmhAnswers++
-	m.progress++
+	m.answered(r)
 }

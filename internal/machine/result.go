@@ -143,7 +143,7 @@ func (m *Machine) result() *Result {
 			r.Timings = append(r.Timings, InstTiming{
 				Section: s.ID, SecPos: s.Pos, Idx: d.Idx, IP: d.IP,
 				In: d.In, Level: d.Level,
-				FD: d.tFD, RR: d.tRR, EW: d.tEW, AR: d.tAR, MA: d.tMA, RET: d.tRET,
+				FD: d.tFD, RR: d.tRR, EW: d.tEW, AR: d.tAR, MA: d.tMA(), RET: d.tRET,
 			})
 		}
 		r.Sections = append(r.Sections, info)

@@ -106,7 +106,7 @@ func (m *Machine) stageFD(c *Core) {
 			}
 			for i := 0; i < out.n; i++ {
 				r, v := out.reg[i], out.val[i]
-				d.setReg(r, v, m.cycle)
+				m.setReg(d, r, v)
 				c.rf[r] = val{v: v, full: true}
 			}
 			d.computedAtFetch = true
@@ -126,7 +126,7 @@ func (m *Machine) stageFD(c *Core) {
 			if in.Op == isa.POP {
 				nrsp = c.rf[isa.RSP].v + 8
 			}
-			d.setReg(isa.RSP, nrsp, m.cycle)
+			m.setReg(d, isa.RSP, nrsp)
 			c.rf[isa.RSP] = val{v: nrsp, full: true}
 			if in.Op == isa.POP && in.Dst.Kind == isa.KindReg {
 				c.rf[in.Dst.Reg] = val{}
@@ -242,6 +242,9 @@ func (m *Machine) doFork(c *Core, sec *Section, d *DynInst) {
 	}
 	d.createdSec = created
 	m.insertAfter(sec, created)
+	// The new section sits between sec and whatever follows it: a request
+	// parked at sec must now search it first.
+	m.wakeRequests(&sec.waiting)
 	m.createMsgs++
 	m.assignHost(created, m.cycle+m.cfg.CreateLatency)
 }
@@ -252,16 +255,16 @@ func (m *Machine) doFork(c *Core, sec *Section, d *DynInst) {
 // the creation-copy constant or the request-backed cache slot on a miss
 // (§4.2: a missing source allocates a caching destination and sends a
 // renaming request backwards along the section order).
-func (m *Machine) ratLookup(sec *Section, r isa.Reg, d *DynInst) *producer {
-	p := &sec.rat[r]
-	if !p.valid() {
+func (m *Machine) ratLookup(sec *Section, r isa.Reg, d *DynInst) *cell {
+	p := sec.rat[r]
+	if p == nil {
+		p = m.slots.alloc()
 		if sec.init[r].full {
-			*p = m.constProd(sec.init[r].v, sec.firstFetch)
+			p.v, p.at = sec.init[r].v, sec.firstFetch
 		} else {
-			sl := m.slots.alloc()
-			*p = slotProd(sl)
-			m.addRequest(reqReg, r, 0, d, sl)
+			m.addRequest(reqReg, r, 0, d, p)
 		}
+		sec.rat[r] = p
 	}
 	return p
 }
@@ -290,23 +293,29 @@ func (m *Machine) stageRR(c *Core) {
 				m.err = fmt.Errorf("machine: ip=%d (%s): more than %d register sources", d.IP, d.In, maxSrcs)
 				return
 			}
-			d.srcs[d.nsrcs] = srcRef{reg: r, prod: *p, addr: aRegs.Has(r)}
+			d.srcs[d.nsrcs] = srcRef{reg: r, prod: p, addr: aRegs.Has(r)}
 			d.nsrcs++
 		}
 	}
 	for _, r := range m.regWriteSet(d.In) {
-		sec.rat[r] = regProd(d, r)
+		sec.rat[r] = d.regCell(r)
 	}
 	if d.In.Op == isa.FORK && d.nPending > 0 {
 		// Deferred non-volatile copies: link the created section to the
 		// creator's current producers.
 		for _, r := range d.pendingCopy[:d.nPending] {
-			d.createdSec.rat[r] = *m.ratLookup(sec, r, d)
+			d.createdSec.rat[r] = m.ratLookup(sec, r, d)
 		}
 	}
 	d.tRR = m.cycle
 	sec.renamed++
 	m.progress++
+	// Fetching the section's last instruction cannot complete its renaming
+	// (that instruction is still to be renamed), so this stage and arApply
+	// are the only places a parked request's wait can end.
+	if sec.fullyRenamed() {
+		m.wakeRequests(&sec.waiting)
+	}
 	if d.isMem() {
 		sec.memOps++
 		sec.arQ.Push(d)
@@ -322,25 +331,27 @@ func (m *Machine) stageRR(c *Core) {
 // stalled control instructions resolve and unblock fetch. An instruction is
 // ready when its (cached) wake cycle has passed: for memory instructions
 // only the address-forming sources gate the stage; for everything else all
-// sources do.
+// sources do. An instruction blocked on an unproduced value leaves the queue
+// for that value's waiter list (Machine.fill brings it back); the dense
+// scheduler keeps it and polls again next cycle.
 func (m *Machine) stageEW(c *Core) {
 	best := -1
-	for i, d := range c.iq {
-		// Fast paths: a known-blocked instruction costs one load, a cached
-		// wake one comparison; ewWake handles the rest.
-		if d.ewBlocked() {
-			continue
-		}
+	for i := 0; i < len(c.iq); {
+		d := c.iq[i]
+		// Fast path: a cached wake costs one comparison.
 		w := d.ewWakeAt
 		if w == 0 {
-			w = m.ewWake(d)
+			var on *cell
+			if w, on = m.ewWake(d); on != nil && !m.cfg.Dense {
+				swapRemove(&c.iq, i) // the swapped-in resident is examined next
+				d.next, on.insts = on.insts, d
+				continue
+			}
 		}
-		if w > m.cycle {
-			continue
-		}
-		if best < 0 || older(d, c.iq[best]) {
+		if w <= m.cycle && (best < 0 || older(d, c.iq[best])) {
 			best = i
 		}
+		i++
 	}
 	if best < 0 {
 		return
@@ -355,12 +366,12 @@ func (m *Machine) stageEW(c *Core) {
 		// The register half of push/pop, if not computed at fetch.
 		if d.In.Op == isa.PUSH {
 			if !d.regWritten(isa.RSP) {
-				d.setReg(isa.RSP, d.srcValue(isa.RSP)-8, m.cycle)
+				m.setReg(d, isa.RSP, d.srcValue(isa.RSP)-8)
 			}
 		}
 		if d.In.Op == isa.POP {
 			if !d.regWritten(isa.RSP) {
-				d.setReg(isa.RSP, d.srcValue(isa.RSP)+8, m.cycle)
+				m.setReg(d, isa.RSP, d.srcValue(isa.RSP)+8)
 			}
 		}
 		return
@@ -386,7 +397,7 @@ func (m *Machine) stageEW(c *Core) {
 			return
 		}
 		for i := 0; i < out.n; i++ {
-			d.setReg(out.reg[i], out.val[i], m.cycle)
+			m.setReg(d, out.reg[i], out.val[i])
 		}
 	}
 }
@@ -413,20 +424,22 @@ func (m *Machine) arApply(c *Core, sec *Section, d *DynInst) {
 
 	if _, reads := d.In.MemRead(); reads {
 		if p := sec.maat.get(d.addr); p != nil {
-			d.memSrc = *p
+			d.memSrc = p
 		} else {
-			sl := m.slots.alloc()
-			d.memSrc = slotProd(sl)
+			d.memSrc = m.slots.alloc()
 			m.maatPut(&sec.maat, d.addr, d.memSrc)
-			m.addRequest(reqMem, 0, d.addr, d, sl)
+			m.addRequest(reqMem, 0, d.addr, d, d.memSrc)
 		}
 	}
 	if _, writes := d.In.MemWrite(); writes {
-		m.maatPut(&sec.maat, d.addr, memProd(d))
+		m.maatPut(&sec.maat, d.addr, &d.mem)
 	}
 	d.tAR = m.cycle
 	sec.memRen++
 	m.progress++
+	if sec.memRenameDone() {
+		m.wakeRequests(&sec.waiting)
+	}
 	c.lsq = append(c.lsq, d)
 }
 
@@ -462,23 +475,25 @@ func (m *Machine) stageAR(c *Core) {
 // per cycle, oldest ready first. Loads deliver their value to the register
 // results; stores make their value available to consumers. An instruction is
 // ready when its (cached) wake cycle has passed: its loaded value (if any)
-// and its non-address sources must be ready.
+// and its non-address sources must be ready. Blocked residents park as in
+// stageEW.
 func (m *Machine) stageMA(c *Core) {
 	best := -1
-	for i, d := range c.lsq {
-		if d.maBlocked() {
-			continue
-		}
+	for i := 0; i < len(c.lsq); {
+		d := c.lsq[i]
 		w := d.maWakeAt
 		if w == 0 {
-			w = m.maWake(d)
+			var on *cell
+			if w, on = m.maWake(d); on != nil && !m.cfg.Dense {
+				swapRemove(&c.lsq, i)
+				d.next, on.insts = on.insts, d
+				continue
+			}
 		}
-		if w > m.cycle {
-			continue
-		}
-		if best < 0 || older(d, c.lsq[best]) {
+		if w <= m.cycle && (best < 0 || older(d, c.lsq[best])) {
 			best = i
 		}
+		i++
 	}
 	if best < 0 {
 		return
@@ -486,14 +501,14 @@ func (m *Machine) stageMA(c *Core) {
 	d := c.lsq[best]
 	swapRemove(&c.lsq, best)
 	var mv uint64
-	if d.memSrc.valid() {
-		mv = d.memSrc.value()
+	if d.memSrc != nil {
+		mv = d.memSrc.v
 	}
-	if err := d.evalMemAccess(mv, m.cycle); err != nil {
+	if err := m.evalMemAccess(d, mv); err != nil {
 		m.err = err
 		return
 	}
-	d.tMA = m.cycle
+	m.fill(&d.mem, d.mem.v, m.cycle)
 	m.progress++
 }
 
@@ -512,7 +527,7 @@ func (m *Machine) retireHead(s *Section) *DynInst {
 	// A stage boundary: the completing event must be strictly older than
 	// this cycle.
 	if h.isMem() {
-		if h.tMA >= m.cycle {
+		if h.tMA() >= m.cycle {
 			return nil
 		}
 	} else if h.tEW >= m.cycle {
