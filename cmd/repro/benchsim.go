@@ -13,10 +13,10 @@ import (
 
 // cmdBenchSim benchmarks the simulator itself: it times the dense and
 // idle-skip schedulers over a kernel × core-count grid — plus paper-scale
-// big-N points that skip the slow dense leg — cross-checking on every point
-// that both schedulers produce identical simulation results, and writes the
-// report to BENCH_machine.json — the performance trajectory future changes to
-// the hot loop are diffed against. With -against it additionally compares the
+// big-N points and the §5 sum on 3 072 cores, which skip the slow dense leg —
+// cross-checking on every point that both schedulers produce identical
+// simulation results, and writes the report to BENCH_machine.json — the
+// performance trajectory future changes to the hot loop are diffed against. With -against it additionally compares the
 // fresh measurement to a baseline report and exits non-zero on a regression;
 // -cpuprofile/-memprofile capture pprof profiles of the measurement so the
 // next optimisation round starts from evidence.
@@ -27,7 +27,7 @@ func cmdBenchSim(args []string) error {
 	cores := fs.String("cores", "", "comma-separated core counts (default: grid default)")
 	seed := fs.Uint64("seed", 1, "workload seed")
 	runs := fs.Int("runs", 0, "timing repetitions per point and scheduler, best wins (0 = grid default)")
-	bigns := fs.String("bigns", "", "comma-separated paper-scale sizes for the big-N points (\"none\" disables them; empty = grid default)")
+	bigns := fs.String("bigns", "", "comma-separated paper-scale sizes for the big-N points (\"none\" disables them and the 3072-core sum; empty = grid default)")
 	out := fs.String("o", "BENCH_machine.json", "report output path (empty: print table only)")
 	quick := fs.Bool("quick", false, "seconds-scale grid for CI smoke runs")
 	verify := fs.String("verify", "", "load and print an existing report instead of measuring")
@@ -85,7 +85,8 @@ func cmdBenchSim(args []string) error {
 	g.Seed = *seed
 	if *bigns != "" {
 		if strings.EqualFold(*bigns, "none") {
-			g.BigNs = nil
+			// Nothing that skips the dense leg: the big-N points and the wide sum.
+			g.BigNs, g.WideSums = nil, nil
 		} else {
 			bns, err := parseSizes(*bigns)
 			if err != nil {

@@ -13,6 +13,13 @@
 // which is exactly why idle-skip exists — and are timed once: a multi-second
 // simulation does not need best-of-three to be noise-immune.
 //
+// The kernels are long and narrow: tens of sections live at a time, whatever
+// the chip. The paper's own §5 example is the opposite — the sum of 5·2ⁿ
+// elements makes 6·2ⁿ−1 sections of 10–20 instructions and wants a core for
+// each — so the grid also times that sum on as many cores as sections plus
+// one: at n=9, 3 072 cores for a run of 2 377 cycles, where any scheduler work
+// proportional to the chip rather than to the cycle's events dominates.
+//
 // `repro bench-sim` serialises the report to BENCH_machine.json, the
 // checked-in performance trajectory every future change to the simulator's
 // hot loop is diffed against.
@@ -26,9 +33,12 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/analytic"
 	"repro/internal/backend"
+	"repro/internal/isa"
 	"repro/internal/minic"
 	"repro/internal/pbbs"
+	"repro/internal/progs"
 )
 
 // Schema identifies the BENCH_machine.json format. v3 drops v2's parallel
@@ -60,7 +70,18 @@ type Grid struct {
 	// and are timed once regardless of Runs — a multi-second simulation is
 	// noise-immune without best-of-k.
 	BigNs []int
+	// Sums and WideSums are doubling steps n of the paper's §5 sum reduction
+	// (5·2ⁿ elements, progs.BuildSumFork), each timed on analytic.Sections(n)+1
+	// cores — a core per section and the loader's, the paper's "as many cores
+	// as sections" and the shape of the repository benchmark's sum_paper
+	// workload. Sums run both legs Runs times, like the standard grid;
+	// WideSums are the big ones, idle-skip only and timed once, like BigNs.
+	// Their points are named SumKernel with n the element count.
+	Sums, WideSums []int
 }
+
+// SumKernel is the Point.Kernel of the §5 sum points.
+const SumKernel = "paper/sum"
 
 // DefaultGrid returns the standard trajectory grid: a fork-heavy kernel
 // (quickSort), the few-sections extreme (removeDuplicates runs two sections,
@@ -77,21 +98,28 @@ func DefaultGrid() Grid {
 		// 512 and 1024 are seconds-to-a-minute on a single-CPU host; 2048
 		// already costs minutes, too slow for a checked-in trajectory.
 		BigNs: []int{512, 1024},
+		// n=5 is 191 sections on 192 cores (three bitset words of cores) and
+		// still quick under dense; n=9 is the paper's 1 280-element example
+		// doubled, 3 071 sections on 3 072 cores.
+		Sums:     []int{5},
+		WideSums: []int{9},
 	}
 }
 
 // QuickGrid returns a seconds-scale grid for CI smoke runs. It keeps one
-// big-N point (quickSort n=512 on 64 cores), so the smoke run exercises both
-// schedulers and the paper-scale regime — and its points all have DefaultGrid
-// counterparts, so -against a full-grid baseline judges each of them.
+// big-N point (quickSort n=512 on 64 cores) and the wide sum (3 072 cores), so
+// the smoke run exercises both schedulers, the paper-scale regime and the
+// wide-chip regime — and its points all have DefaultGrid counterparts, so
+// -against a full-grid baseline judges each of them.
 func QuickGrid() Grid {
 	return Grid{
-		Kernels: []string{"duplicates"},
-		N:       64,
-		Cores:   []int{1, 64},
-		Seed:    1,
-		Runs:    1,
-		BigNs:   []int{512},
+		Kernels:  []string{"duplicates"},
+		N:        64,
+		Cores:    []int{1, 64},
+		Seed:     1,
+		Runs:     1,
+		BigNs:    []int{512},
+		WideSums: []int{9},
 	}
 }
 
@@ -144,20 +172,53 @@ type Report struct {
 	Speedup            float64 `json:"speedup"`
 }
 
-// benchCase is one (kernel, n) of the grid with the core counts to sweep:
-// the program and inputs are built once per case.
+// benchCase is one program of the grid with the core counts to sweep: the
+// program, its inputs and its reference checksum are built once per case.
 type benchCase struct {
-	k     *pbbs.Kernel
+	name  string
 	n     int
 	cores []int
 	runs  int
-	// dense selects whether the reference dense leg runs; big-N cases skip
-	// it (minutes-slow) and use idle-skip as the point's oracle instead.
+	// dense selects whether the reference dense leg runs; big-N and wide
+	// cases skip it (minutes-slow) and use idle-skip as the point's oracle
+	// instead.
 	dense bool
+	build func() (prog *isa.Program, in backend.Inputs, want uint64, err error)
+}
+
+// kernelCase is the case of PBBS kernel k at dataset size n (clamped).
+func kernelCase(k *pbbs.Kernel, n int, seed uint64, cores []int, runs int, dense bool) benchCase {
+	n = k.ClampN(n)
+	return benchCase{name: k.Name, n: n, cores: cores, runs: runs, dense: dense,
+		build: func() (*isa.Program, backend.Inputs, uint64, error) {
+			prog, err := k.Build(n, minic.ModeFork)
+			if err != nil {
+				return nil, nil, 0, err
+			}
+			in := k.Gen(n, seed)
+			want, err := k.Ref(n, in)
+			if err != nil {
+				return nil, nil, 0, fmt.Errorf("reference: %w", err)
+			}
+			return prog, in, want, nil
+		}}
+}
+
+// sumCase is the case of the §5 sum at doubling step n, on a core per section
+// plus one. The vector is baked into the program's data segment, so there are
+// no inputs to inject.
+func sumCase(step, runs int, dense bool) benchCase {
+	elems := int(analytic.Elements(step))
+	return benchCase{name: SumKernel, n: elems, cores: []int{int(analytic.Sections(step)) + 1}, runs: runs, dense: dense,
+		build: func() (*isa.Program, backend.Inputs, uint64, error) {
+			prog, err := progs.BuildSumFork(progs.Vector(elems))
+			return prog, nil, progs.VectorSum(elems), err
+		}}
 }
 
 // cases expands the grid into its measurement cases: the standard kernel ×
-// core grid at g.N, then the big-N cases.
+// core grid at g.N and the sums that run both legs, then the big-N and wide
+// cases.
 func (g Grid) cases() ([]benchCase, error) {
 	sel := strings.Join(g.Kernels, ",")
 	if sel == "" {
@@ -169,17 +230,22 @@ func (g Grid) cases() ([]benchCase, error) {
 	}
 	var out []benchCase
 	for _, k := range ks {
-		out = append(out, benchCase{k: k, n: g.N, cores: g.Cores, runs: g.Runs, dense: true})
+		out = append(out, kernelCase(k, g.N, g.Seed, g.Cores, g.Runs, true))
 	}
-	if len(g.BigNs) == 0 {
-		return out, nil
+	for _, step := range g.Sums {
+		out = append(out, sumCase(step, g.Runs, true))
 	}
-	big, err := pbbs.Find("quicksort")
-	if err != nil {
-		return nil, err
+	if len(g.BigNs) > 0 {
+		big, err := pbbs.Find("quicksort")
+		if err != nil {
+			return nil, err
+		}
+		for _, n := range g.BigNs {
+			out = append(out, kernelCase(big, n, g.Seed, []int{64}, 1, false))
+		}
 	}
-	for _, n := range g.BigNs {
-		out = append(out, benchCase{k: big, n: n, cores: []int{64}, runs: 1, dense: false})
+	for _, step := range g.WideSums {
+		out = append(out, sumCase(step, 1, false))
 	}
 	return out, nil
 }
@@ -217,19 +283,12 @@ func Measure(g Grid) (*Report, error) {
 	// Aggregate accumulators, over the points that ran both legs.
 	var denseNs, skipNs, cycles int64
 	for _, bc := range cases {
-		k := bc.k
-		n := k.ClampN(bc.n)
-		prog, err := k.Build(n, minic.ModeFork)
+		prog, in, want, err := bc.build()
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", k.Name, err)
-		}
-		in := k.Gen(n, g.Seed)
-		want, err := k.Ref(n, in)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s: reference: %w", k.Name, err)
+			return nil, fmt.Errorf("bench: %s: %w", bc.name, err)
 		}
 		for _, cores := range bc.cores {
-			pt := Point{Kernel: k.Name, N: n, Cores: cores}
+			pt := Point{Kernel: bc.name, N: bc.n, Cores: cores}
 			// The legs of this point, in oracle-first order: every later leg
 			// is cross-checked against the first one's results.
 			type leg struct {
@@ -258,12 +317,12 @@ func Measure(g Grid) (*Report, error) {
 					res, err := mb.Run(prog, in, false)
 					ns := time.Since(start).Nanoseconds()
 					if err != nil {
-						return nil, fmt.Errorf("bench: %s c%d %s: %w", k.Name, cores, l.name, err)
+						return nil, fmt.Errorf("bench: %s c%d %s: %w", bc.name, cores, l.name, err)
 					}
 					mr := res.Machine
 					if mr.RAX != want {
 						return nil, fmt.Errorf("bench: %s c%d %s: checksum %d, reference %d",
-							k.Name, cores, l.name, mr.RAX, want)
+							bc.name, cores, l.name, mr.RAX, want)
 					}
 					if *l.best == 0 || ns < *l.best {
 						*l.best = ns
@@ -277,7 +336,7 @@ func Measure(g Grid) (*Report, error) {
 						mr.NocMessages() != pt.NocMessages {
 						return nil, fmt.Errorf(
 							"bench: %s c%d: %s diverges from the %s oracle (cycles %d vs %d, instr %d vs %d, noc %d vs %d)",
-							k.Name, cores, l.name, legs[0].name, mr.Cycles, pt.Cycles,
+							bc.name, cores, l.name, legs[0].name, mr.Cycles, pt.Cycles,
 							mr.Instructions, pt.Instructions, mr.NocMessages(), pt.NocMessages)
 					}
 				}

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -58,6 +59,12 @@ func TestReportRoundTripAndTable(t *testing.T) {
 	if cycles == 0 || len(rep.Points) == 0 || rep.Points[len(rep.Points)-1].DenseNs != 0 {
 		t.Fatalf("quick grid should mix both-leg points with a dense-less big-N point: %+v", rep.Points)
 	}
+	// The wide-chip point — the §5 sum on a core per section — closes the
+	// quick grid, so a CI smoke run times it and -against judges it.
+	if last := rep.Points[len(rep.Points)-1]; last.Kernel != SumKernel || last.N != 2560 ||
+		last.Cores != 3072 || last.Sections != 3072 || last.IdleSkipNs <= 0 {
+		t.Errorf("quick grid's last point is %+v, want the sum of 2560 elements on 3072 cores", last)
+	}
 	if want := float64(skipNs) / float64(cycles); rep.IdleSkipNsPerCycle != want {
 		t.Errorf("aggregate idle-skip %.1f ns/cycle, want %.1f over the both-leg points", rep.IdleSkipNsPerCycle, want)
 	}
@@ -79,6 +86,49 @@ func TestReportRoundTripAndTable(t *testing.T) {
 	for _, want := range []string{"deterministicHash", "speedup", "aggregate:"} {
 		if !strings.Contains(tbl, want) {
 			t.Errorf("table missing %q:\n%s", want, tbl)
+		}
+	}
+}
+
+// TestDefaultGridShape: the committed trajectory's grid keeps its regimes —
+// the kernel trio on {1, 16, 64} cores and the 192-core sum with both legs,
+// then the big-N points and the 3 072-core sum without the dense one — and
+// every quick-grid point has a default-grid counterpart for -against.
+func TestDefaultGridShape(t *testing.T) {
+	type row struct {
+		name  string
+		n     int
+		cores int
+		dense bool
+	}
+	rows := func(g Grid) (out []row) {
+		cases, err := g.cases()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cases {
+			for _, cores := range c.cores {
+				out = append(out, row{c.name, c.n, cores, c.dense})
+			}
+		}
+		return out
+	}
+	def := rows(DefaultGrid())
+	if len(def) != 13 {
+		t.Fatalf("default grid has %d points, want 9 kernel points, 2 sums and 2 big-N: %+v", len(def), def)
+	}
+	for _, want := range []row{
+		{SumKernel, 160, 192, true},
+		{"comparisonSort/quickSort", 1024, 64, false},
+		{SumKernel, 2560, 3072, false},
+	} {
+		if !slices.Contains(def, want) {
+			t.Errorf("default grid lacks %+v", want)
+		}
+	}
+	for _, q := range rows(QuickGrid()) {
+		if !slices.Contains(def, q) {
+			t.Errorf("quick-grid point %+v has no default-grid counterpart", q)
 		}
 	}
 }

@@ -36,6 +36,18 @@
 // the reference: it parks nothing and polls every resident and every request
 // every cycle through the same wake computations and the same apply code, so
 // it witnesses independently every wake the production path has to deliver.
+//
+// Nor does the production scheduler walk the chip — the paper's runs want a
+// core per section, thousands of cores that each fetch one short section and
+// wait. What it needs to find is found through the event that changes it: a
+// core is visited while it is armed, and the two ways work reaches a core from
+// outside arm it (Machine.armed); a section is a candidate for retirement or
+// address renaming while it is on its core's ready list, and the completion
+// of its head lists it (Core.retireReady, Core.arReady); a forked section's
+// host is read from cores indexed by load, moved where the load changes
+// (Machine.loads). Config.Dense visits every core, scans the section order per
+// core and reads every core's load instead — see runIdleSkip for why the two
+// agree.
 package machine
 
 import (
@@ -73,11 +85,12 @@ type Config struct {
 	// used anyway. 0 keeps the default least-loaded spreading.
 	MaxSectionsPerCore int
 	// Dense selects the reference dense scheduler, which visits every core,
-	// stage, queued instruction and request on every cycle. The default
-	// (false) is the idle-skip scheduler: each cycle visits only cores with
-	// runnable work, work blocked on an unproduced value or an unfinished
-	// renaming is parked on what unblocks it, and when nothing in the chip
-	// can act before a known future cycle the clock jumps there directly.
+	// stage, queued instruction and request on every cycle, and reads every
+	// core's load to place a section. The default (false) is the idle-skip
+	// scheduler: each cycle visits only the armed cores, work blocked on an
+	// unproduced value or an unfinished renaming is parked on what unblocks
+	// it, and when nothing in the chip can act before a known future cycle
+	// the clock jumps there directly.
 	// Both schedulers produce bit-identical results (cycles, timings, message
 	// counts); dense exists as the oracle the idle-skip cross-check tests and
 	// `repro bench-sim` compare against.
@@ -166,6 +179,7 @@ func (m *Machine) wake(c *cell) {
 		} else {
 			core.lsq = append(core.lsq, d)
 		}
+		m.armed.set(core.id)
 		d = next
 	}
 	c.insts = nil
@@ -326,6 +340,18 @@ type Section struct {
 	// only): they arrived before its renamings were done — the paper's
 	// "enqueued in the ARQ" — and left Machine.reqs until wakeRequests.
 	waiting *request
+
+	// retireListed/arListed say the section is on its hosting core's
+	// retireReady/arReady list (idle-skip scheduler only), so that it is
+	// listed at most once; retireNext/arNext link it there. The completion of
+	// its retire head, or the execution of its address-rename head, lists it
+	// (listRetire, listAR) — both happen in a stage of the hosting core, so a
+	// listing is never late: the head passes the strictly-older test from the
+	// next cycle, and the core is being visited, hence armed, when it is
+	// listed. The core's pick unlists the section when it finds the head no
+	// longer complete (the previous head went, the next one has not finished).
+	retireListed, arListed bool
+	retireNext, arNext     *Section
 }
 
 func (s *Section) fullyRenamed() bool {
@@ -352,6 +378,11 @@ type sectionMsg struct {
 // structures: the FIFOs slide instead of re-slicing, and the issue/load-store
 // queues delete by swap (their storage order carries no meaning — selection
 // orders by the explicit (section position, ordinal) comparison).
+//
+// Work reaches a core from outside its own stages in two ways only: a
+// section-creation message pushed on pending (assignHost) and a parked
+// instruction put back on iq or lsq (Machine.wake). Both arm the core in
+// Machine.armed, which is all the idle-skip scheduler visits.
 type Core struct {
 	id        int
 	rf        [isa.NumRegs]val // fetch-stage register file
@@ -361,8 +392,17 @@ type Core struct {
 	renameQ   fifo[*DynInst]
 	iq        []*DynInst // waiting execution (unordered)
 	lsq       []*DynInst // waiting memory access (unordered)
-	live      int        // hosted, not fully retired sections
-	fetched   int64      // statistics
+	// retireReady/arReady are the hosted sections whose retire head has
+	// completed / whose address-rename head has executed (idle-skip scheduler
+	// only; unordered, linked through Section.retireNext/arNext so that
+	// listing allocates nothing). A section's instructions complete only in
+	// this core's own stages, so the lists change only while the core is being
+	// visited, and what pickRetire/pickAR find when the visit starts is what a
+	// scan of the whole section order at the start of the cycle would have
+	// found.
+	retireReady, arReady *Section
+	live                 int   // hosted, undumped sections; changed through Machine.setLive
+	fetched              int64 // statistics
 }
 
 // Machine is the whole chip.
@@ -395,15 +435,14 @@ type Machine struct {
 	pendingCreates   int
 	regReqs, memReqs int64
 
-	// retirePick/arPick are the idle-skip scheduler's per-core work lists for
-	// the two stages that scan the section order: one pass over the live
-	// sections fills them, replacing the dense loop's per-core scans. An
-	// entry is valid only when its generation matches pickGen — bumping the
-	// generation invalidates every pick without rewriting two pointer
-	// arrays each cycle.
-	retirePick, arPick []*Section
-	retireGen, arGen   []int64
-	pickGen            int64
+	// armed is the set of cores the idle-skip scheduler visits: every core
+	// that may have something to do is in it (see Core), and a visit that
+	// finds nothing takes the core out. visits counts those visits — the
+	// scheduler's own work, which tests bound by the run's events.
+	armed  bitset
+	visits int64
+	// loads indexes the cores by Core.live for chooseHost.
+	loads hostIndex
 
 	// NoC message accounting: section-creation messages sent by forks,
 	// request-forwarding messages between cores, value responses travelling
@@ -488,17 +527,19 @@ func (m *Machine) bind(prog *isa.Program, cfg Config) error {
 	}
 	m.release()
 	m.prog, m.cfg = prog, cfg.withDefaults()
-	// Cores and pick entries past the new count stay in their slices' spare
-	// capacity — scrubbed by release, queue buffers intact — for a wider chip.
-	n := cfg.Cores
-	m.cores = resized(m.cores, n)
-	for i, c := range m.cores {
-		if c == nil {
-			m.cores[i] = &Core{id: i}
-		}
+	// Cores past the new count stay in the slice's spare capacity — scrubbed
+	// by release, queue buffers intact — for a wider chip. A chip wider than
+	// any before gets its new cores from one allocation.
+	m.cores = resized(m.cores, cfg.Cores)
+	built := cfg.Cores
+	for built > 0 && m.cores[built-1] == nil {
+		built--
 	}
-	m.retirePick, m.arPick = resized(m.retirePick, n), resized(m.arPick, n)
-	m.retireGen, m.arGen = resized(m.retireGen, n), resized(m.arGen, n)
+	slab := make([]Core, cfg.Cores-built)
+	for i := range slab {
+		slab[i].id = built + i
+		m.cores[built+i] = &slab[i]
+	}
 	m.boot()
 	return nil
 }
@@ -545,6 +586,7 @@ func (m *Machine) release() {
 		c.iq = c.iq[:0]
 		clear(c.lsq)
 		c.lsq = c.lsq[:0]
+		c.retireReady, c.arReady = nil, nil
 		c.live = 0
 		c.fetched = 0
 	}
@@ -558,12 +600,7 @@ func (m *Machine) release() {
 	m.reqFree = append(m.reqFree[:0], m.reqAll...)
 	m.dyns.reset()
 	m.slots.reset()
-	clear(m.retirePick)
-	clear(m.arPick)
-	clear(m.retireGen)
-	clear(m.arGen)
-	m.pickGen = 0
-	m.cycle, m.nextSecID, m.lastMove, m.progress = 0, 0, 0, 0
+	m.cycle, m.nextSecID, m.lastMove, m.progress, m.visits = 0, 0, 0, 0, 0
 	m.rrHost, m.oldest = 0, 0
 	m.hltSeen, m.quietMove = false, false
 	m.err = nil
@@ -576,6 +613,10 @@ func (m *Machine) release() {
 // boot seeds the committed state and the initial section, the shared tail of
 // bind and Reset.
 func (m *Machine) boot() {
+	// No core is armed and every core is unloaded, at the width bind chose.
+	m.armed = resized(m.armed, (len(m.cores)+63)>>6)
+	clear(m.armed)
+	m.loads.reset(len(m.cores))
 	m.dmh.CopyIn(isa.DataBase, m.prog.Data)
 	m.arch = [isa.NumRegs]uint64{}
 	m.arch[isa.RSP] = isa.StackTop
@@ -637,8 +678,23 @@ func (m *Machine) nextOf(s *Section) *Section {
 // loaded core wins, round-robin on ties. With Config.MaxSectionsPerCore > 0
 // the policy packs instead: the most loaded core still under the cap wins,
 // so sections fill one core after another; when every core is at the cap
-// the least loaded core is used (the cap is soft).
+// the least loaded core is used (the cap is soft). scanHost is the policy's
+// executable definition and the dense scheduler's chooser; the production
+// scheduler asks the host index, which must name the same core.
 func (m *Machine) chooseHost() int {
+	var best int
+	if m.cfg.Dense {
+		best = m.scanHost()
+	} else {
+		best = m.loads.pick(m.rrHost, m.cfg.MaxSectionsPerCore)
+	}
+	m.rrHost = (best + 1) % len(m.cores)
+	return best
+}
+
+// scanHost applies the host policy by reading every core's load, starting
+// at rrHost.
+func (m *Machine) scanHost() int {
 	best, bestLoad := -1, int(^uint(0)>>1)
 	packed, packedLoad := -1, -1
 	n := len(m.cores)
@@ -657,16 +713,23 @@ func (m *Machine) chooseHost() int {
 	if packed >= 0 {
 		best = packed
 	}
-	m.rrHost = (best + 1) % n
 	return best
+}
+
+// setLive records that c now hosts live undumped sections, keeping the host
+// index in step.
+func (m *Machine) setLive(c *Core, live int) {
+	m.loads.move(c.id, c.live, live)
+	c.live = live
 }
 
 func (m *Machine) assignHost(s *Section, deliverAt int64) {
 	host := m.chooseHost()
 	s.Core = host
 	c := m.cores[host]
-	c.live++
+	m.setLive(c, c.live+1)
 	c.pending.Push(sectionMsg{sec: s, deliverAt: deliverAt})
+	m.armed.set(host)
 	m.pendingCreates++
 }
 
@@ -715,21 +778,34 @@ func (m *Machine) runDense() (*Result, error) {
 	}
 }
 
-// runIdleSkip is the work-list-driven scheduler. Four observations make it
-// exact (not approximate):
+// runIdleSkip is the work-list-driven scheduler: nothing in it walks the chip
+// or the section order. Four observations make it exact (not approximate):
 //
 //   - The two stages that scan the whole section order per core (retire and
-//     address rename) pick the oldest hosted section whose head is eligible,
-//     and eligibility cannot change mid-cycle (a completion timestamp set
-//     this cycle fails the strictly-older boundary either way), so one pass
-//     over the live sections computes every core's pick up front (pickHeads)
-//     — same choice, O(sections) instead of O(cores × sections).
-//   - A core hosting no live section cannot act: every stage reads only the
-//     core's own slots and queues, and all of them (the fetch slot, the
-//     message FIFO, the suspension list, the rename/issue/load-store
-//     queues) hold state of live hosted sections, so c.live == 0 — already
-//     maintained incrementally for the host chooser — implies the core is
-//     inert and is skipped with one comparison.
+//     address rename) pick the oldest hosted section whose head is eligible.
+//     A head becomes eligible through one event — it completes (retire) or
+//     executes (address rename) — and that event is a stage of the hosting
+//     core, so the stage lists the section on the core's retireReady/arReady
+//     (listRetire, listAR) and the pick is the oldest listed section whose
+//     head passes the same strictly-older test the scans apply (pickRetire,
+//     pickAR). A listing cannot be late: a timestamp set this cycle fails the
+//     test until the next cycle either way. And picking when the core is
+//     visited equals picking at the start of the cycle, as the scans do
+//     relative to the other cores: no other core's stage completes this
+//     core's instructions, and a fork elsewhere renumbers positions without
+//     reordering two existing sections, so the minimum is stable.
+//   - A core can act only on its own slots and queues (the fetch slot, the
+//     message FIFO, the suspension list, the rename/issue/load-store queues)
+//     and its ready lists, and work reaches those from outside the core's own
+//     stages in two ways only: a section-creation message (assignHost) and a
+//     parked instruction coming back (Machine.wake). Both arm the core in
+//     Machine.armed; the scheduler visits the armed cores, in ascending order
+//     like the dense loop — so the forks of one cycle reach chooseHost in the
+//     same order — and disarms a core when a visit finds no pick, nothing in
+//     the slots and queues (coreActive) and empty ready lists. Arming cannot
+//     be late either: a message is consumable only after its delivery cycle
+//     and a woken value only from the next cycle, so it does not matter
+//     whether the core is still visited in the cycle that armed it.
 //   - If a whole cycle mutates nothing (no stage fired, no request moved,
 //     no section was suspended or dumped), then the machine state at the
 //     next cycle is identical and the earliest cycle at which anything can
@@ -746,6 +822,13 @@ func (m *Machine) runDense() (*Result, error) {
 //     it had been polled. So such work is parked on the cell or section and
 //     comes back to the queues when that is written (Machine.fill,
 //     wakeRequests): the scans and nextWake see only what can have a time.
+//
+// Placing a forked section reads no core either: chooseHost asks the host
+// index (Machine.loads), which setLive keeps in step with Core.live. The dense
+// loop keeps all three long ways — the per-core scans of the section order,
+// the visit of every core, the linear chooser (scanHost) — through the same
+// apply functions, so every dense ≡ idle-skip comparison witnesses the ready
+// lists, the armed set and the host index.
 //
 // The stall detector and the cycle cap are clamped into the jump so that
 // pathological programs fail at the same cycle, with the same error, as
@@ -776,19 +859,14 @@ func (m *Machine) runIdleSkip() (*Result, error) {
 		}
 		before, hops := m.progress, m.reqHops
 		m.quietMove = false
-		m.pickHeads()
-		for _, c := range m.cores {
-			if c.live == 0 {
-				continue
-			}
-			var rp, ap *Section
-			if m.retireGen[c.id] == m.pickGen {
-				rp = m.retirePick[c.id]
-			}
-			if m.arGen[c.id] == m.pickGen {
-				ap = m.arPick[c.id]
-			}
+		for i := m.armed.next(0); i >= 0; i = m.armed.next(i + 1) {
+			c := m.cores[i]
+			m.visits++
+			rp, ap := m.pickRetire(c), m.pickAR(c)
 			if rp == nil && ap == nil && !coreActive(c) {
+				if c.retireReady == nil && c.arReady == nil {
+					m.armed.unset(i)
+				}
 				continue
 			}
 			if rp != nil {
@@ -810,26 +888,6 @@ func (m *Machine) runIdleSkip() (*Result, error) {
 		} else if m.cycle-m.lastMove > m.cfg.StallLimit {
 			return nil, fmt.Errorf("machine: no progress for %d cycles at cycle %d: %s",
 				m.cfg.StallLimit, m.cycle, m.stuckReport())
-		}
-	}
-}
-
-// pickHeads fills the per-core retire and address-rename picks: for each
-// core, the oldest hosted live section whose respective head is eligible
-// this cycle. m.order[m.oldest:] is exactly the live sections in ascending
-// position, so the first hit per core is the dense loop's min-position
-// choice.
-func (m *Machine) pickHeads() {
-	m.pickGen++
-	for _, s := range m.order[m.oldest:] {
-		c := s.Core
-		if m.retireGen[c] != m.pickGen && m.retireHead(s) != nil {
-			m.retirePick[c] = s
-			m.retireGen[c] = m.pickGen
-		}
-		if m.arGen[c] != m.pickGen && m.arHead(s) != nil {
-			m.arPick[c] = s
-			m.arGen[c] = m.pickGen
 		}
 	}
 }
@@ -867,11 +925,12 @@ func (m *Machine) nextWake() int64 {
 			w = t
 		}
 	}
-	for _, c := range m.cores {
-		if c.live == 0 {
-			// Every wake source below is state of a live hosted section.
-			continue
-		}
+	// Everything a core could act on is state of an armed core: its slots and
+	// queues, and the heads of the sections on its ready lists (entries whose
+	// head is no longer complete have no time and are skipped, as pickRetire
+	// and pickAR will drop them).
+	for i := m.armed.next(0); i >= 0; i = m.armed.next(i + 1) {
+		c := m.cores[i]
 		if c.fetch != nil {
 			if d := c.fetch.stalled; d != nil {
 				if d.resolved && d.tEW > 0 {
@@ -884,8 +943,8 @@ func (m *Machine) nextWake() int64 {
 		if !c.pending.Empty() {
 			wake(c.pending.Front().deliverAt + 1) // creation message consumable
 		}
-		for i, n := 0, c.suspended.Len(); i < n; i++ {
-			if d := c.suspended.At(i).stalled; d != nil && d.resolved && d.tEW > 0 {
+		for j, n := 0, c.suspended.Len(); j < n; j++ {
+			if d := c.suspended.At(j).stalled; d != nil && d.resolved && d.tEW > 0 {
 				wake(d.tEW + 1)
 			}
 		}
@@ -902,22 +961,22 @@ func (m *Machine) nextWake() int64 {
 			w, _ := m.maWake(d)
 			wake(w)
 		}
-	}
-	// Sections before m.oldest are dumped; later ones host the in-order
-	// address-rename and retire heads.
-	for _, s := range m.order[m.oldest:] {
-		if s.arQ.Len() > 0 {
-			if h := s.arQ.Front(); h.tEW > 0 {
-				wake(h.tEW + 1)
+		for s := c.arReady; s != nil; s = s.arNext {
+			if s.arQ.Len() > 0 {
+				if h := s.arQ.Front(); h.tEW > 0 {
+					wake(h.tEW + 1)
+				}
 			}
 		}
-		if s.retired < len(s.Insts) {
-			h := s.Insts[s.retired]
-			if h.done() {
-				if h.isMem() {
-					wake(h.tMA() + 1)
-				} else {
-					wake(h.tEW + 1)
+		for s := c.retireReady; s != nil; s = s.retireNext {
+			if s.retired < len(s.Insts) {
+				h := s.Insts[s.retired]
+				if h.done() {
+					if h.isMem() {
+						wake(h.tMA() + 1)
+					} else {
+						wake(h.tEW + 1)
+					}
 				}
 			}
 		}
@@ -1084,7 +1143,8 @@ func (m *Machine) dumpOldest() {
 		// The section can no longer be searched by renaming requests; its
 		// MAAT backing goes back to the free list for the next section.
 		m.releaseMaat(&s.maat)
-		m.cores[s.Core].live--
+		c := m.cores[s.Core]
+		m.setLive(c, c.live-1)
 		m.oldest++
 		m.progress++
 	}

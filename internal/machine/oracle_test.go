@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analytic"
 	"repro/internal/backend"
 	"repro/internal/isa"
 	"repro/internal/machine"
@@ -88,6 +89,15 @@ func sameResult(t *testing.T, label string, a, b *machine.Result) {
 // crossbar and a mesh whose three-cycle hops spread the wake times, with the
 // call-level shortcut on and off (off, requests visit every section). A
 // late or lost wake moves a timestamp row and fails here.
+//
+// The wide-sum legs cross a machine word: the production scheduler keeps its
+// armed cores and its load buckets in bitsets, and no leg above has more than
+// 16 cores. They run the paper's §5 sum at doubling steps 4 and 5 on as many
+// cores as sections plus one (96, 192 — the benchmark's sum_paper shape) and
+// on 65 and 130 cores, where the spreading chooser wraps in the middle of a
+// word; spreading and packing with caps 1 and 2 (at 65 cores the caps
+// overflow softly); a crossbar and a mesh. The reference here is the vector's
+// closed-form sum.
 func TestThreeWayOracle(t *testing.T) {
 	for _, k := range pbbs.Kernels() {
 		k := k
@@ -106,6 +116,42 @@ func TestThreeWayOracle(t *testing.T) {
 			}
 		})
 	}
+	t.Run("wide-sum", func(t *testing.T) {
+		t.Parallel()
+		for _, n := range []int{4, 5} {
+			elems := int(analytic.Elements(n))
+			prog, err := progs.BuildSumFork(progs.Vector(elems))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cores := range []int{int(analytic.Sections(n)) + 1, 65, 130} {
+				for _, topo := range []string{sweep.TopoCrossbar, sweep.TopoMesh} {
+					for _, maxSec := range []int{0, 1, 2} {
+						label := fmt.Sprintf("sum n=%d cores=%d %s cap=%d", n, cores, topo, maxSec)
+						var res [2]*machine.Result
+						for i, dense := range []bool{true, false} {
+							net, err := sweep.MakeNet(topo, cores)
+							if err != nil {
+								t.Fatal(err)
+							}
+							m, err := machine.New(prog, machine.Config{Cores: cores, Net: net, CreateLatency: 2,
+								Shortcut: true, MaxSectionsPerCore: maxSec, Dense: dense})
+							if err != nil {
+								t.Fatalf("%s: %v", label, err)
+							}
+							if res[i], err = m.Run(); err != nil {
+								t.Fatalf("%s dense=%v: %v", label, dense, err)
+							}
+							if want := progs.VectorSum(elems); res[i].RAX != want {
+								t.Fatalf("%s dense=%v: sum %d, want %d", label, dense, res[i].RAX, want)
+							}
+						}
+						sameResult(t, label+" dense vs idle-skip", res[0], res[1])
+					}
+				}
+			}
+		}
+	})
 	for _, name := range []string{"quickSort", "quickHull", "parallelKruskal"} {
 		k, err := pbbs.Find(name)
 		if err != nil {
@@ -155,6 +201,13 @@ func TestThreeWayOracle(t *testing.T) {
 // that aborts the run half-way — instructions parked on unproduced values,
 // requests parked at unrenamed sections — and parked like that, so half the
 // binds start from a machine that stopped mid-run.
+//
+// The wide leg takes the chip across many bitset words and back: one pooled
+// machine runs the §5 sum on 3 072 cores, then on 1, on 65 and on 3 072 again
+// (the middle two after a run aborted half-way), each equal to a fresh
+// machine's run. An armed bit, a load bucket or a ready list that survived
+// past a narrower chip's width would move the last run's section placement or
+// its timestamps.
 func TestRebindOracle(t *testing.T) {
 	n := 64
 	if testing.Short() {
@@ -266,6 +319,51 @@ func TestRebindOracle(t *testing.T) {
 	if len(fresh) != 0 {
 		t.Errorf("%d grid points were never visited", len(fresh))
 	}
+	t.Run("wide", func(t *testing.T) {
+		wide := &machine.Pool{MaxIdle: 1}
+		var first *machine.Machine
+		for i, step := range []struct{ n, cores int }{{9, 3072}, {2, 1}, {4, 65}, {9, 3072}} {
+			label := fmt.Sprintf("step %d: sum n=%d cores=%d", i, step.n, step.cores)
+			prog, err := progs.BuildSumFork(progs.Vector(int(analytic.Elements(step.n))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := machine.RunProgram(prog, step.cores)
+			if err != nil {
+				t.Fatalf("%s fresh: %v", label, err)
+			}
+			cfg := machine.DefaultConfig(step.cores)
+			if i > 0 {
+				// Stop half-way first and park the machine like that: cores
+				// armed, sections listed, loads spread over the buckets.
+				cfg.MaxCycles = want.Cycles / 2
+				m, err := wide.Get("", prog, cfg)
+				if err != nil {
+					t.Fatalf("%s capped: %v", label, err)
+				}
+				if _, err := m.Run(); err == nil {
+					t.Fatalf("%s: a run capped at half its cycles succeeded", label)
+				}
+				wide.Put("", m)
+				cfg.MaxCycles = 0
+			}
+			m, err := wide.Get("", prog, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if first == nil {
+				first = m
+			} else if m != first {
+				t.Fatalf("%s: the pool built a second machine", label)
+			}
+			got, err := m.Run()
+			if err != nil {
+				t.Fatalf("%s rebound: %v", label, err)
+			}
+			sameResult(t, label+" rebound vs fresh", want, got)
+			wide.Put("", m)
+		}
+	})
 	points := len(order) * len(chips)
 	if s := pool.Stats(); s.Misses != 1 || s.Hits != int64(points+points/2-1) || s.Dropped != 0 {
 		t.Errorf("pool stats %+v, want 1 machine built and every other point reusing it", s)

@@ -8,9 +8,10 @@ import (
 
 // This file holds the allocation-free plumbing behind the simulated hot
 // path: the generic sliding-window FIFO backing the per-core queues, the
-// arenas that pool DynInst and slot objects, the open-addressed memory
-// address alias table recycled through a per-machine free list, and the
-// request/section pools. A profile of the previous implementation showed
+// bitset behind the scheduler's armed cores and the host chooser's index of
+// cores by load, the arenas that pool DynInst and slot objects, the
+// open-addressed memory address alias table recycled through a per-machine
+// free list, and the request/section pools. A profile of the previous implementation showed
 // ~205k heap allocations per quickSort simulation — a fresh *DynInst per
 // dynamic instruction, a map per rename/execute evaluation, interface boxing
 // on every alias-table insert — with the GC charging every simulated cycle.
@@ -99,6 +100,106 @@ func swapRemove(q *[]*DynInst, i int) {
 	s[i] = s[last]
 	s[last] = nil
 	*q = s[:last]
+}
+
+// -------------------------------------------------------------- bitset ----
+
+// bitset is a set of core indices, one bit each: the scheduler's armed cores
+// and the buckets of the host index. Iterating with next visits the members
+// in ascending order, 64 absent cores per word skipped.
+type bitset []uint64
+
+func (b bitset) set(i int)   { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) unset(i int) { b[i>>6] &^= 1 << (i & 63) }
+
+// next returns the smallest member >= from, or -1. It reads the set as it is
+// now, so a loop `for i := b.next(0); i >= 0; i = b.next(i + 1)` also visits
+// members added above i while it runs.
+func (b bitset) next(from int) int {
+	w := from >> 6
+	if w >= len(b) {
+		return -1
+	}
+	if x := b[w] >> (from & 63); x != 0 {
+		return from + bits.TrailingZeros64(x)
+	}
+	for w++; w < len(b); w++ {
+		if b[w] != 0 {
+			return w<<6 + bits.TrailingZeros64(b[w])
+		}
+	}
+	return -1
+}
+
+// ----------------------------------------------------------- host index ----
+
+// hostIndex keeps the cores indexed by load for the host chooser: bucket l
+// is the set of cores hosting exactly l live sections, pop[l] its size.
+// Machine.setLive moves a core between buckets wherever Core.live changes,
+// so choosing a host reads a few words instead of every core's load. The
+// buckets share one backing array, grown as loads are first reached and kept
+// across Reset and bind.
+type hostIndex struct {
+	words int      // words per bucket
+	bits  []uint64 // bucket l is bits[l*words : (l+1)*words]
+	pop   []int
+	min   int // no bucket below min has members; pick advances it lazily
+}
+
+// reset puts all of cores cores in bucket 0.
+func (h *hostIndex) reset(cores int) {
+	h.words = (cores + 63) >> 6
+	clear(h.bits[:cap(h.bits)])
+	clear(h.pop[:cap(h.pop)])
+	h.bits, h.pop, h.min = resized(h.bits, h.words), resized(h.pop, 1), 0
+	for i := range h.bits {
+		h.bits[i] = ^uint64(0)
+	}
+	if r := cores & 63; r != 0 {
+		h.bits[h.words-1] = 1<<r - 1
+	}
+	h.pop[0] = cores
+}
+
+func (h *hostIndex) bucket(l int) bitset { return bitset(h.bits[l*h.words : (l+1)*h.words]) }
+
+// move takes core from bucket from to bucket to.
+func (h *hostIndex) move(core, from, to int) {
+	if to >= len(h.pop) {
+		h.bits, h.pop = resized(h.bits, (to+1)*h.words), resized(h.pop, to+1)
+	}
+	h.bucket(from).unset(core)
+	h.pop[from]--
+	h.bucket(to).set(core)
+	h.pop[to]++
+	if to < h.min {
+		h.min = to
+	}
+}
+
+// pick returns the core Machine.scanHost would choose, with the same meaning
+// of rr (where the round-robin search starts) and limit (the packing cap, 0
+// to spread): the first member, cyclically from rr, of the fullest bucket
+// below limit, or of the emptiest bucket when there is none.
+func (h *hostIndex) pick(rr, limit int) int {
+	l := -1
+	for k := min(limit, len(h.pop)) - 1; k >= h.min; k-- {
+		if h.pop[k] > 0 {
+			l = k
+			break
+		}
+	}
+	if l < 0 {
+		for h.pop[h.min] == 0 {
+			h.min++
+		}
+		l = h.min
+	}
+	b := h.bucket(l)
+	if i := b.next(rr); i >= 0 {
+		return i
+	}
+	return b.next(0)
 }
 
 // -------------------------------------------------------------- arenas ----

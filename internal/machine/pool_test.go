@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -224,6 +226,114 @@ func TestMaatBigN(t *testing.T) {
 	for i := range tbl2.entries {
 		if tbl2.entries[i].p != nil {
 			t.Fatalf("recycled entry %d not scrubbed", i)
+		}
+	}
+}
+
+// TestBitsetNext: next finds the smallest member at or after its argument
+// within a word, across words and not at all, and a loop over next sees a
+// member set above the cursor while it runs (the scheduler arms cores during
+// its own iteration).
+func TestBitsetNext(t *testing.T) {
+	b := make(bitset, 3)
+	for _, i := range []int{0, 63, 64, 130} {
+		b.set(i)
+	}
+	for _, c := range []struct{ from, want int }{
+		{0, 0}, {1, 63}, {63, 63}, {64, 64}, {65, 130}, {130, 130}, {131, -1}, {192, -1}, {500, -1},
+	} {
+		if got := b.next(c.from); got != c.want {
+			t.Errorf("next(%d) = %d, want %d", c.from, got, c.want)
+		}
+	}
+	b.unset(63)
+	var seen []int
+	for i := b.next(0); i >= 0; i = b.next(i + 1) {
+		seen = append(seen, i)
+		if i == 64 {
+			b.set(100) // above the cursor: visited in this pass
+			b.set(5)   // below it: not
+		}
+	}
+	if want := []int{0, 64, 100, 130}; !slices.Equal(seen, want) {
+		t.Errorf("iteration visited %v, want %v", seen, want)
+	}
+}
+
+// TestHostIndexMatchesScan drives the production chooser (hostIndex.pick,
+// through chooseHost) and the policy's executable definition (scanHost) side
+// by side over seeded random sequences of section assignments and dumps: same
+// core and same rrHost at every step, on chips of one core, just under, at
+// and just over one bitset word, and the 3 072 cores of the paper's example;
+// spreading and packing with caps 1–3. Each sequence fills the chip until
+// every core is at the cap and the soft overflow spreads (packing) or every
+// core hosts several sections (spreading), drains it to nothing and fills it
+// half again, so rrHost wraps many times and the index's lazily advanced
+// minimum moves both ways. Loads change only through setLive, as in the
+// machine. One index serves every sequence, reset from a loaded state to a
+// narrower or a wider chip each time, as a pooled machine's is by bind after
+// an aborted run: a bucket bit that survived the reset misplaces a section.
+//
+// Mutation-checked: starting the cyclic search at rr+1 in pick (fails on the
+// first chip wider than one core), skipping the bucket move when a load
+// decreases (the dumpOldest side of setLive) and not clearing the buckets in
+// reset each fail within a few steps.
+func TestHostIndexMatchesScan(t *testing.T) {
+	t.Parallel() // seconds of scanHost on 3 072 cores
+	m := &Machine{}
+	for _, cores := range []int{3072, 1, 65, 63, 64, 3072} {
+		for limit := 0; limit <= 3; limit++ {
+			rng := rand.New(rand.NewPCG(uint64(cores), uint64(limit)))
+			slab := make([]Core, cores)
+			m.cfg = Config{Cores: cores, MaxSectionsPerCore: limit}
+			m.cores = make([]*Core, cores)
+			for i := range slab {
+				slab[i].id = i
+				m.cores[i] = &slab[i]
+			}
+			m.rrHost = 0
+			m.loads.reset(cores)
+			var hosts []int // the hosting core of every live section
+			step := 0
+			// walk assigns with probability pAssign and dumps a random live
+			// section otherwise, until the number of live sections reaches target.
+			walk := func(pAssign float64, target int) {
+				for len(hosts) != target {
+					step++
+					if len(hosts) == 0 || rng.Float64() < pAssign {
+						want := m.scanHost()
+						wantRR := (want + 1) % cores
+						got := m.chooseHost()
+						if got != want || m.rrHost != wantRR {
+							t.Fatalf("cores=%d cap=%d step %d (%d live): index chose core %d (rrHost %d), the scan core %d (rrHost %d)",
+								cores, limit, step, len(hosts), got, m.rrHost, want, wantRR)
+						}
+						m.setLive(m.cores[got], m.cores[got].live+1)
+						hosts = append(hosts, got)
+					} else {
+						i := rng.IntN(len(hosts))
+						c := m.cores[hosts[i]]
+						hosts[i] = hosts[len(hosts)-1]
+						hosts = hosts[:len(hosts)-1]
+						m.setLive(c, c.live-1)
+					}
+				}
+			}
+			full := cores*max(limit, 2) + cores/2 + 3 // past the cap on every core
+			walk(0.7, full)
+			if limit > 0 {
+				for _, c := range m.cores {
+					if c.live < limit {
+						t.Fatalf("cores=%d cap=%d: core %d hosts %d sections with %d live; the walk never reached the soft overflow",
+							cores, limit, c.id, c.live, len(hosts))
+					}
+				}
+			}
+			walk(0.3, 0)
+			if m.loads.pop[0] != cores {
+				t.Errorf("cores=%d cap=%d: %d of %d cores in bucket 0 of an empty chip", cores, limit, m.loads.pop[0], cores)
+			}
+			walk(0.6, full/2) // and the next reset finds it like this
 		}
 	}
 }

@@ -118,6 +118,7 @@ func (m *Machine) result() *Result {
 		DMHAnswers:       m.dmhAnswers,
 	}
 	var fetched int64
+	r.FetchedPerCore = make([]int64, 0, len(m.cores))
 	for _, c := range m.cores {
 		r.FetchedPerCore = append(r.FetchedPerCore, c.fetched)
 		fetched += c.fetched

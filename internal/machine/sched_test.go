@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analytic"
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/noc"
@@ -202,5 +203,62 @@ func TestIdleSkipSkipsCycles(t *testing.T) {
 	// is consumable once deliverAt < cycle, i.e. from cycle 1 on.
 	if got := m.nextWake(); got != 1 {
 		t.Errorf("fresh machine nextWake = %d, want 1", got)
+	}
+}
+
+// runVisits runs the n-th doubling step of the §5 sum (5·2ⁿ elements) under
+// the production scheduler and returns the result with the number of core
+// visits the scheduler made.
+func runVisits(t *testing.T, n, cores int) (*Result, int64) {
+	t.Helper()
+	m, err := New(mustSumFork(t, int(analytic.Elements(n))), DefaultConfig(cores))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r, m.visits
+}
+
+// TestIdleCoresAreFree: a core nothing is sent to costs the scheduler
+// nothing. The sum at n=3 makes 48 sections (47 of the sum and the driver's
+// continuation); on a crossbar the spreading chooser hands them to cores 0, 1,
+// 2, … and never wraps on 48 cores or on 3 072, so the two chips run the same
+// simulation — every timestamp row, section record and counter — and the
+// scheduler must make the same number of core visits for both. The second
+// half bounds the visits of a wide run (n=7: 768 sections on 768 cores) by
+// the run's events rather than by its width. A visit is owed to an event: an
+// instruction passes four to six stages, mostly one visit each; a core waiting
+// for a value with a known arrival cycle is visited while it waits; the last
+// visit of a core finds nothing and disarms it. That is 2.6 visits per
+// instruction fetched or request answered here, and the bound is 4. One walk
+// over the chip per acted cycle would be 768 × 700, sixty per event — this,
+// not a timing, is what fails the day one creeps back.
+func TestIdleCoresAreFree(t *testing.T) {
+	narrow, nv := runVisits(t, 3, int(analytic.Sections(3))+1)
+	wide, wv := runVisits(t, 3, 3072)
+	if len(narrow.FetchedPerCore) != 48 || len(wide.FetchedPerCore) != 3072 {
+		t.Fatalf("FetchedPerCore lengths %d and %d, want 48 and 3072", len(narrow.FetchedPerCore), len(wide.FetchedPerCore))
+	}
+	for c, f := range wide.FetchedPerCore {
+		if c < 48 && f != narrow.FetchedPerCore[c] || c >= 48 && f != 0 {
+			t.Fatalf("core %d fetched %d instructions on the wide chip", c, f)
+		}
+	}
+	// Equal everywhere else, once the chip width is taken out.
+	wide.Cores, wide.FetchedPerCore = narrow.Cores, narrow.FetchedPerCore
+	checkIdentical(t, "sum n=3 on 48 vs 3072 cores", narrow, wide)
+	if nv != wv {
+		t.Errorf("%d core visits on 48 cores, %d on 3072: idle cores are being visited", nv, wv)
+	}
+
+	r, v := runVisits(t, 7, int(analytic.Sections(7))+1)
+	events := r.Instructions + r.ResponseMessages
+	t.Logf("sum n=7: %d cores, %d cycles, %d instructions, %d requests answered, %d core visits (%.2f per event)",
+		r.Cores, r.Cycles, r.Instructions, r.ResponseMessages, v, float64(v)/float64(events))
+	if v > 4*events {
+		t.Errorf("%d core visits for %d events (instructions + requests answered): the scheduler's work follows the chip, not the run", v, events)
 	}
 }

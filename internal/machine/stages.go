@@ -362,6 +362,7 @@ func (m *Machine) stageEW(c *Core) {
 	m.progress++
 
 	if d.isMem() {
+		m.listAR(c, d)
 		d.addr = d.effectiveAddr()
 		// The register half of push/pop, if not computed at fetch.
 		if d.In.Op == isa.PUSH {
@@ -376,6 +377,7 @@ func (m *Machine) stageEW(c *Core) {
 		}
 		return
 	}
+	m.listRetire(c, d)
 	if d.computedAtFetch {
 		return // results already produced in the fetch stage
 	}
@@ -416,6 +418,35 @@ func (m *Machine) arHead(s *Section) *DynInst {
 		return nil
 	}
 	return h
+}
+
+// listAR puts d's section on its hosting core's arReady list if d, which has
+// just executed, is the section's address-rename head.
+func (m *Machine) listAR(c *Core, d *DynInst) {
+	if s := d.Sec; !s.arListed && !m.cfg.Dense && d == s.arQ.Front() {
+		s.arListed = true
+		s.arNext, c.arReady = c.arReady, s
+	}
+}
+
+// pickAR returns the section stageAR would choose for c — the oldest hosted
+// section whose head may pass this cycle — from the core's arReady list, and
+// drops the sections whose head has not executed: the previous head was
+// renamed and its successor will list the section again when it executes.
+func (m *Machine) pickAR(c *Core) *Section {
+	var best *Section
+	for p := &c.arReady; *p != nil; {
+		s := *p
+		if s.arQ.Empty() || s.arQ.Front().tEW == 0 {
+			*p, s.arNext, s.arListed = s.arNext, nil, false
+			continue
+		}
+		if m.arHead(s) != nil && (best == nil || s.Pos < best.Pos) {
+			best = s
+		}
+		p = &s.arNext
+	}
+	return best
 }
 
 // arApply renames the address of sec's AR head d on its hosting core.
@@ -509,6 +540,7 @@ func (m *Machine) stageMA(c *Core) {
 		return
 	}
 	m.fill(&d.mem, d.mem.v, m.cycle)
+	m.listRetire(c, d)
 	m.progress++
 }
 
@@ -534,6 +566,36 @@ func (m *Machine) retireHead(s *Section) *DynInst {
 		return nil
 	}
 	return h
+}
+
+// listRetire puts d's section on its hosting core's retireReady list if d,
+// which has just completed, is the section's retire head. A head that
+// completed earlier, out of order, needs no listing: the section was listed
+// for its predecessor and stays listed while its head is complete.
+func (m *Machine) listRetire(c *Core, d *DynInst) {
+	if s := d.Sec; !s.retireListed && !m.cfg.Dense && d.Idx == s.retired {
+		s.retireListed = true
+		s.retireNext, c.retireReady = c.retireReady, s
+	}
+}
+
+// pickRetire returns the section stageRetire would choose for c — the oldest
+// hosted section whose head may retire this cycle — from the core's
+// retireReady list, and drops the sections whose head is not complete.
+func (m *Machine) pickRetire(c *Core) *Section {
+	var best *Section
+	for p := &c.retireReady; *p != nil; {
+		s := *p
+		if s.retired == len(s.Insts) || !s.Insts[s.retired].done() {
+			*p, s.retireNext, s.retireListed = s.retireNext, nil, false
+			continue
+		}
+		if m.retireHead(s) != nil && (best == nil || s.Pos < best.Pos) {
+			best = s
+		}
+		p = &s.retireNext
+	}
+	return best
 }
 
 // retireApply retires sec's head d.
