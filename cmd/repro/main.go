@@ -268,9 +268,14 @@ func cmdMachine(args []string) error {
 
 func cmdAnalytic(args []string) error {
 	fs := flag.NewFlagSet("analytic", flag.ContinueOnError)
-	maxN := fs.Int("maxn", 8, "largest doubling step")
+	maxN := fs.Int("maxn", 8, "largest doubling step (0..57)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	// The instruction count, 59·2ⁿ − 14, leaves int64 at n = 58 (the element
+	// count 5·2ⁿ at n = 61).
+	if *maxN < 0 || *maxN > 57 {
+		return usageErrf("analytic: -maxn %d out of range (0..57)", *maxN)
 	}
 	fmt.Println("Section 5 — closed-form scaling of the fork sum over 5·2ⁿ elements")
 	fmt.Printf("%3s %10s %14s %11s %12s %10s %11s %10s\n",

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -146,7 +147,8 @@ func TestRunHelp(t *testing.T) {
 // accepted until the parallel scheduler was removed, and -dense /
 // -machine-pool, which sweep, serve and worker accepted while the engine
 // still had a scheduler switch and an optional pool (-dense lives on only on
-// `repro machine`).
+// `repro machine`), and the ten flags bench-sim had while it carried its own
+// grid knobs, report loader and compare (it keeps -quick, -o and -cpuprofile).
 func TestRunBadFlag(t *testing.T) {
 	cases := [][]string{
 		{"analytic", "-bogus"},
@@ -161,6 +163,16 @@ func TestRunBadFlag(t *testing.T) {
 		{"sweep", "-machine-pool"},
 		{"serve", "-machine-pool"},
 		{"worker", "-machine-pool"},
+		{"bench-sim", "-kernels", "quicksort"},
+		{"bench-sim", "-n", "8"},
+		{"bench-sim", "-cores", "1,2"},
+		{"bench-sim", "-seed", "2"},
+		{"bench-sim", "-runs", "1"},
+		{"bench-sim", "-bigns", "none"},
+		{"bench-sim", "-verify", "BENCH_machine.json"},
+		{"bench-sim", "-against", "BENCH_machine.json"},
+		{"bench-sim", "-tolerance", "4.0"},
+		{"bench-sim", "-memprofile", "mem.pprof"},
 	}
 	for _, args := range cases {
 		out, err := captureStderr(t, func() error { return run(args) })
@@ -266,6 +278,18 @@ func TestCmdAnalyticSmoke(t *testing.T) {
 	if !strings.Contains(out, "Section 5") {
 		t.Errorf("analytic output:\n%s", out)
 	}
+	// The whole accepted range prints counts that fit int64; beyond it is a
+	// usage error naming the range, not an overflowed or empty table.
+	out, err = capture(t, func() error { return cmdAnalytic([]string{"-maxn", "57"}) })
+	if err != nil || strings.Contains(out, " -") {
+		t.Errorf("analytic -maxn 57 = %v, with a negative count:\n%s", err, out)
+	}
+	for _, bad := range []string{"58", "61", "70", "-1"} {
+		msg, err := captureStderr(t, func() error { return cmdAnalytic([]string{"-maxn", bad}) })
+		if !errors.Is(err, errUsage) || !strings.Contains(msg, "0..57") {
+			t.Errorf("analytic -maxn %s = %v, want errUsage naming the range; stderr:\n%s", bad, err, msg)
+		}
+	}
 }
 
 func TestCmdSweepSmoke(t *testing.T) {
@@ -325,8 +349,7 @@ func TestCmdFuzzUsageErrors(t *testing.T) {
 }
 
 func TestCmdBenchSimSmoke(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "BENCH_machine.json")
+	path := filepath.Join(t.TempDir(), "BENCH_machine.json")
 	out, err := capture(t, func() error {
 		return cmdBenchSim([]string{"-quick", "-o", path})
 	})
@@ -336,17 +359,43 @@ func TestCmdBenchSimSmoke(t *testing.T) {
 	if !strings.Contains(out, "speedup") {
 		t.Errorf("bench-sim output:\n%s", out)
 	}
-	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
-		t.Fatalf("bench-sim report missing or empty: %v", err)
-	}
-	out, err = capture(t, func() error { return cmdBenchSim([]string{"-verify", path}) })
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "bench-machine-v3") {
-		t.Errorf("bench-sim -verify output:\n%s", out)
+	var rep struct {
+		Schema string
+		Points []struct {
+			Kernel              string
+			N, Cores            int
+			DenseNs, IdleSkipNs int64
+		}
 	}
-	if err := cmdBenchSim([]string{"-verify", filepath.Join(dir, "missing.json")}); err == nil {
-		t.Error("bench-sim -verify accepted a missing file")
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Schema != "bench-machine-v3" {
+		t.Errorf("report schema %q, want bench-machine-v3", rep.Schema)
+	}
+	// The quick grid: removeDuplicates on 1 and 64 cores under both
+	// schedulers, then the two idle-skip-only points.
+	want := []struct {
+		kernel   string
+		n, cores int
+		dense    bool
+	}{
+		{"removeDuplicates/deterministicHash", 64, 1, true},
+		{"removeDuplicates/deterministicHash", 64, 64, true},
+		{"comparisonSort/quickSort", 512, 64, false},
+		{"paper/sum", 2560, 3072, false},
+	}
+	if len(rep.Points) != len(want) {
+		t.Fatalf("report has %d rows, want %d: %+v", len(rep.Points), len(want), rep.Points)
+	}
+	for i, w := range want {
+		p := rep.Points[i]
+		if p.Kernel != w.kernel || p.N != w.n || p.Cores != w.cores || p.IdleSkipNs <= 0 || (p.DenseNs > 0) != w.dense {
+			t.Errorf("row %d is %+v, want %+v", i, p, w)
+		}
 	}
 }

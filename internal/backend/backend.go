@@ -85,11 +85,6 @@ type Writer interface {
 // internal/sweep re-injects inputs after Machine.Reset exactly as a fresh
 // construction would.
 func Inject(prog *isa.Program, mem Writer, in Inputs) error {
-	return inject(prog, mem, in)
-}
-
-// inject writes the inputs at their symbol addresses.
-func inject(prog *isa.Program, mem Writer, in Inputs) error {
 	for sym, words := range in {
 		addr, ok := prog.DataAddr(sym)
 		if !ok {
@@ -131,7 +126,7 @@ func (e *Emulator) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result
 		tr = &trace.Trace{}
 		cpu.TraceHook = func(r *trace.Record) { tr.Append(*r) }
 	}
-	if err := inject(prog, cpu.Mem, in); err != nil {
+	if err := Inject(prog, cpu.Mem, in); err != nil {
 		return nil, err
 	}
 	if _, err := cpu.Run(); err != nil {
@@ -175,7 +170,7 @@ func (m *Machine) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	if err := inject(prog, sim.DMH(), in); err != nil {
+	if err := Inject(prog, sim.DMH(), in); err != nil {
 		return nil, err
 	}
 	r, err := sim.Run()

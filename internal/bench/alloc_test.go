@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/backend"
-	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/minic"
 	"repro/internal/pbbs"
@@ -18,21 +17,6 @@ import (
 // fails loudly — the pre-arena implementation allocated ~30k times on this
 // workload.
 const steadyAllocBudget = 64
-
-// inject writes the workload inputs into the machine's committed memory,
-// exactly as backend.Machine.Run does after machine.New.
-func inject(t *testing.T, m *machine.Machine, prog *isa.Program, in backend.Inputs) {
-	t.Helper()
-	for sym, words := range in {
-		addr, ok := prog.DataAddr(sym)
-		if !ok {
-			t.Fatalf("program has no data symbol %q", sym)
-		}
-		for i, w := range words {
-			m.DMH().WriteU64(addr+uint64(8*i), w)
-		}
-	}
-}
 
 // TestSteadyStateAllocs pins the tentpole's allocation contract: on a warmed
 // machine (arenas grown to the workload's footprint by one completed run),
@@ -60,7 +44,9 @@ func TestSteadyStateAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inject(t, m, prog, in)
+		if err := backend.Inject(prog, m.DMH(), in); err != nil {
+			t.Fatal(err)
+		}
 		warm, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
@@ -72,11 +58,8 @@ func TestSteadyStateAllocs(t *testing.T) {
 		var runErr error
 		avg := testing.AllocsPerRun(3, func() {
 			m.Reset()
-			for sym, words := range in {
-				addr, _ := prog.DataAddr(sym)
-				for i, w := range words {
-					m.DMH().WriteU64(addr+uint64(8*i), w)
-				}
+			if runErr = backend.Inject(prog, m.DMH(), in); runErr != nil {
+				return
 			}
 			res, err := m.Run()
 			if err != nil {
@@ -144,11 +127,8 @@ func TestSteadyStateAllocsThroughPool(t *testing.T) {
 				runErr = err
 				return
 			}
-			for sym, words := range in {
-				addr, _ := prog.DataAddr(sym)
-				for i, w := range words {
-					m.DMH().WriteU64(addr+uint64(8*i), w)
-				}
+			if runErr = backend.Inject(prog, m.DMH(), in); runErr != nil {
+				return
 			}
 			res, err := m.Run()
 			if abort {

@@ -20,9 +20,14 @@
 // one: at n=9, 3 072 cores for a run of 2 377 cycles, where any scheduler work
 // proportional to the chip rather than to the cycle's events dominates.
 //
-// `repro bench-sim` serialises the report to BENCH_machine.json, the
-// checked-in performance trajectory every future change to the simulator's
-// hot loop is diffed against.
+// `repro bench-sim` prints the report and serialises it to BENCH_machine.json,
+// the checked-in dense-vs-idle-skip table nothing else produces. The package
+// does not judge a speed change between two commits: that is the repository
+// benchmark's job (`bash benchmark/run.sh -seed 1 -o A.json` on each side,
+// then `go run ./benchmark -compare A.json B.json`, with bounds taken from
+// recorded spread). To profile one point, use the standard tool on this
+// package's benchmarks: `go test -bench 'MachineRun/quicksort/c64'
+// -cpuprofile cpu.pprof ./internal/bench`.
 package bench
 
 import (
@@ -46,81 +51,62 @@ import (
 // top-level aggregates over the same points: those that ran both legs.
 const Schema = "bench-machine-v3"
 
-// Grid describes the benchmark grid.
-type Grid struct {
-	// Kernels are pbbs selectors (IDs or name substrings). Empty selects the
-	// default trio covering a sorting, a graph and a hashing kernel.
-	Kernels []string
-	// N is the dataset size (clamped per kernel).
-	N int
-	// Cores are the simulated core counts. The 64-core point is where
-	// idle-skip pays: few live sections spread over many cores means most
-	// cores idle most cycles.
-	Cores []int
-	// Seed is the workload seed.
-	Seed uint64
-	// Runs is how many times each (point, scheduler) pair is timed; the
-	// minimum wall time is reported, the usual defence against scheduling
-	// noise.
-	Runs int
-	// BigNs are paper-scale dataset sizes timed, in addition to the standard
-	// grid, for quickSort (the fork-heavy kernel with real section churn at
-	// scale) on 64 cores (the many-core regime the paper's scaling studies
-	// live in). Big-N points skip the dense leg (minutes-slow at these sizes)
-	// and are timed once regardless of Runs — a multi-second simulation is
+// gridCase is one program of a grid and the chips to time it on: the PBBS
+// kernel a pbbs selector names at dataset size n (clamped) on each of cores,
+// or — kernel SumKernel — the paper's §5 sum reduction at doubling step n
+// (5·2ⁿ elements, progs.BuildSumFork) on analytic.Sections(n)+1 cores: a core
+// per section and the loader's, the paper's "as many cores as sections" and
+// the shape of the repository benchmark's sum_paper workload. Every point runs
+// the paper-calibrated default machine on workload seed 1.
+type gridCase struct {
+	kernel string
+	n      int
+	cores  []int
+	// dense selects whether the reference dense leg runs. The cases with it
+	// are timed the grid's number of runs under each scheduler and the minimum
+	// wall time is reported, the usual defence against scheduling noise. Big-N
+	// and wide cases skip it (minutes-slow out there), use idle-skip as the
+	// point's oracle and are timed once: a multi-second simulation is
 	// noise-immune without best-of-k.
-	BigNs []int
-	// Sums and WideSums are doubling steps n of the paper's §5 sum reduction
-	// (5·2ⁿ elements, progs.BuildSumFork), each timed on analytic.Sections(n)+1
-	// cores — a core per section and the loader's, the paper's "as many cores
-	// as sections" and the shape of the repository benchmark's sum_paper
-	// workload. Sums run both legs Runs times, like the standard grid;
-	// WideSums are the big ones, idle-skip only and timed once, like BigNs.
-	// Their points are named SumKernel with n the element count.
-	Sums, WideSums []int
+	dense bool
 }
 
-// SumKernel is the Point.Kernel of the §5 sum points.
+// SumKernel is the Point.Kernel of the §5 sum points; their n is the element
+// count.
 const SumKernel = "paper/sum"
 
-// DefaultGrid returns the standard trajectory grid: a fork-heavy kernel
-// (quickSort), the few-sections extreme (removeDuplicates runs two sections,
-// so on 64 cores almost every core idles almost every cycle) and the
-// many-sections extreme (parallelKruskal, where the dense loop's per-core
-// section scans dominate).
-func DefaultGrid() Grid {
-	return Grid{
-		Kernels: []string{"quicksort", "duplicates", "kruskal"},
-		N:       64,
-		Cores:   []int{1, 16, 64},
-		Seed:    1,
-		Runs:    3,
-		// 512 and 1024 are seconds-to-a-minute on a single-CPU host; 2048
-		// already costs minutes, too slow for a checked-in trajectory.
-		BigNs: []int{512, 1024},
-		// n=5 is 191 sections on 192 cores (three bitset words of cores) and
-		// still quick under dense; n=9 is the paper's 1 280-element example
-		// doubled, 3 071 sections on 3 072 cores.
-		Sums:     []int{5},
-		WideSums: []int{9},
-	}
+// standardGrid is the committed table's grid, best of three runs, in
+// BENCH_machine.json's row order.
+var standardGrid = []gridCase{
+	// A fork-heavy kernel (quickSort), the many-sections extreme
+	// (parallelKruskal, where the dense loop's per-core section scans
+	// dominate) and the few-sections extreme (removeDuplicates runs two
+	// sections). The 64-core point is where idle-skip pays: few live sections
+	// spread over many cores means most cores idle most cycles.
+	{"quicksort", 64, []int{1, 16, 64}, true},
+	{"kruskal", 64, []int{1, 16, 64}, true},
+	{"duplicates", 64, []int{1, 16, 64}, true},
+	// Step 5 is 191 sections on 192 cores (three bitset words of cores) and
+	// still quick under dense.
+	{SumKernel, 5, nil, true},
+	// Paper-scale sizes for quickSort (real section churn at scale) on 64
+	// cores (the many-core regime the paper's scaling studies live in). 512
+	// and 1024 are seconds-to-a-minute on a single-CPU host; 2048 already
+	// costs minutes, too slow for a checked-in table.
+	{"quicksort", 512, []int{64}, false},
+	{"quicksort", 1024, []int{64}, false},
+	// Step 9 is the paper's 1 280-element example doubled, 3 071 sections on
+	// 3 072 cores.
+	{SumKernel, 9, nil, false},
 }
 
-// QuickGrid returns a seconds-scale grid for CI smoke runs. It keeps one
-// big-N point (quickSort n=512 on 64 cores) and the wide sum (3 072 cores), so
-// the smoke run exercises both schedulers, the paper-scale regime and the
-// wide-chip regime — and its points all have DefaultGrid counterparts, so
-// -against a full-grid baseline judges each of them.
-func QuickGrid() Grid {
-	return Grid{
-		Kernels:  []string{"duplicates"},
-		N:        64,
-		Cores:    []int{1, 64},
-		Seed:     1,
-		Runs:     1,
-		BigNs:    []int{512},
-		WideSums: []int{9},
-	}
+// quickGrid is the seconds-scale grid of CI smoke runs, each point timed
+// once: both schedulers, the paper-scale regime and the wide-chip regime.
+// Every one of its points is a standardGrid point too.
+var quickGrid = []gridCase{
+	{"duplicates", 64, []int{1, 64}, true},
+	{"quicksort", 512, []int{64}, false},
+	{SumKernel, 9, nil, false},
 }
 
 // Point is one measured grid point: one kernel at one core count, simulated
@@ -172,104 +158,51 @@ type Report struct {
 	Speedup            float64 `json:"speedup"`
 }
 
-// benchCase is one program of the grid with the core counts to sweep: the
-// program, its inputs and its reference checksum are built once per case.
+// benchCase is a gridCase built: the name and size its points carry in the
+// report, the chips, and the program with its inputs and reference checksum.
 type benchCase struct {
 	name  string
 	n     int
 	cores []int
-	runs  int
-	// dense selects whether the reference dense leg runs; big-N and wide
-	// cases skip it (minutes-slow) and use idle-skip as the point's oracle
-	// instead.
-	dense bool
-	build func() (prog *isa.Program, in backend.Inputs, want uint64, err error)
+	prog  *isa.Program
+	in    backend.Inputs
+	want  uint64
 }
 
-// kernelCase is the case of PBBS kernel k at dataset size n (clamped).
-func kernelCase(k *pbbs.Kernel, n int, seed uint64, cores []int, runs int, dense bool) benchCase {
-	n = k.ClampN(n)
-	return benchCase{name: k.Name, n: n, cores: cores, runs: runs, dense: dense,
-		build: func() (*isa.Program, backend.Inputs, uint64, error) {
-			prog, err := k.Build(n, minic.ModeFork)
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			in := k.Gen(n, seed)
-			want, err := k.Ref(n, in)
-			if err != nil {
-				return nil, nil, 0, fmt.Errorf("reference: %w", err)
-			}
-			return prog, in, want, nil
-		}}
-}
-
-// sumCase is the case of the §5 sum at doubling step n, on a core per section
-// plus one. The vector is baked into the program's data segment, so there are
-// no inputs to inject.
-func sumCase(step, runs int, dense bool) benchCase {
-	elems := int(analytic.Elements(step))
-	return benchCase{name: SumKernel, n: elems, cores: []int{int(analytic.Sections(step)) + 1}, runs: runs, dense: dense,
-		build: func() (*isa.Program, backend.Inputs, uint64, error) {
-			prog, err := progs.BuildSumFork(progs.Vector(elems))
-			return prog, nil, progs.VectorSum(elems), err
-		}}
-}
-
-// cases expands the grid into its measurement cases: the standard kernel ×
-// core grid at g.N and the sums that run both legs, then the big-N and wide
-// cases.
-func (g Grid) cases() ([]benchCase, error) {
-	sel := strings.Join(g.Kernels, ",")
-	if sel == "" {
-		sel = strings.Join(DefaultGrid().Kernels, ",")
+func (c gridCase) build() (benchCase, error) {
+	if c.kernel == SumKernel {
+		// The vector is baked into the program's data segment, so there are
+		// no inputs to inject.
+		elems := int(analytic.Elements(c.n))
+		prog, err := progs.BuildSumFork(progs.Vector(elems))
+		return benchCase{SumKernel, elems, []int{int(analytic.Sections(c.n)) + 1}, prog, nil, progs.VectorSum(elems)}, err
 	}
-	ks, err := pbbs.FindAll(sel)
+	k, err := pbbs.Find(c.kernel)
 	if err != nil {
-		return nil, err
+		return benchCase{}, err
 	}
-	var out []benchCase
-	for _, k := range ks {
-		out = append(out, kernelCase(k, g.N, g.Seed, g.Cores, g.Runs, true))
+	n := k.ClampN(c.n)
+	prog, err := k.Build(n, minic.ModeFork)
+	if err != nil {
+		return benchCase{}, err
 	}
-	for _, step := range g.Sums {
-		out = append(out, sumCase(step, g.Runs, true))
+	in := k.Gen(n, 1)
+	want, err := k.Ref(n, in)
+	if err != nil {
+		return benchCase{}, fmt.Errorf("reference: %w", err)
 	}
-	if len(g.BigNs) > 0 {
-		big, err := pbbs.Find("quicksort")
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range g.BigNs {
-			out = append(out, kernelCase(big, n, g.Seed, []int{64}, 1, false))
-		}
-	}
-	for _, step := range g.WideSums {
-		out = append(out, sumCase(step, 1, false))
-	}
-	return out, nil
+	return benchCase{k.Name, n, c.cores, prog, in, want}, nil
 }
 
-// Measure runs the grid and builds the report. Every point that runs the
-// dense leg cross-checks idle-skip against it: differing cycles, instruction
-// counts, checksums or NoC message totals are an error, so timing numbers are
-// only ever produced for verified-identical simulations.
-func Measure(g Grid) (*Report, error) {
-	if g.N <= 0 {
-		g.N = 64
-	}
-	if g.Runs <= 0 {
-		g.Runs = 1
-	}
-	if len(g.Cores) == 0 {
-		g.Cores = DefaultGrid().Cores
-	}
-	if g.Seed == 0 {
-		g.Seed = 1
-	}
-	cases, err := g.cases()
-	if err != nil {
-		return nil, err
+// Measure runs the standard grid, or the quick one, and builds the report.
+// Every point that runs the dense leg cross-checks idle-skip against it:
+// differing cycles, instruction counts, checksums or NoC message totals are an
+// error, so timing numbers are only ever produced for verified-identical
+// simulations.
+func Measure(quick bool) (*Report, error) {
+	grid, best := standardGrid, 3
+	if quick {
+		grid, best = quickGrid, 1
 	}
 	rep := &Report{
 		Schema:     Schema,
@@ -278,14 +211,18 @@ func Measure(g Grid) (*Report, error) {
 		GOARCH:     runtime.GOARCH,
 		CPUs:       runtime.NumCPU(),
 		Gomaxprocs: runtime.GOMAXPROCS(0),
-		Runs:       g.Runs,
+		Runs:       best,
 	}
 	// Aggregate accumulators, over the points that ran both legs.
 	var denseNs, skipNs, cycles int64
-	for _, bc := range cases {
-		prog, in, want, err := bc.build()
+	for _, gc := range grid {
+		bc, err := gc.build()
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", bc.name, err)
+			return nil, fmt.Errorf("bench: %s: %w", gc.kernel, err)
+		}
+		runs := 1
+		if gc.dense {
+			runs = best
 		}
 		for _, cores := range bc.cores {
 			pt := Point{Kernel: bc.name, N: bc.n, Cores: cores}
@@ -297,11 +234,11 @@ func Measure(g Grid) (*Report, error) {
 				best  *int64
 			}
 			var legs []leg
-			if bc.dense {
+			if gc.dense {
 				legs = append(legs, leg{"dense", true, &pt.DenseNs})
 			}
 			legs = append(legs, leg{"idle-skip", false, &pt.IdleSkipNs})
-			for run := 0; run < bc.runs; run++ {
+			for run := 0; run < runs; run++ {
 				for _, l := range legs {
 					// The paper-calibrated default config (shortcut on,
 					// 2-cycle creates) — the same machine every other entry
@@ -314,15 +251,15 @@ func Measure(g Grid) (*Report, error) {
 					// before it.
 					runtime.GC()
 					start := time.Now()
-					res, err := mb.Run(prog, in, false)
+					res, err := mb.Run(bc.prog, bc.in, false)
 					ns := time.Since(start).Nanoseconds()
 					if err != nil {
 						return nil, fmt.Errorf("bench: %s c%d %s: %w", bc.name, cores, l.name, err)
 					}
 					mr := res.Machine
-					if mr.RAX != want {
+					if mr.RAX != bc.want {
 						return nil, fmt.Errorf("bench: %s c%d %s: checksum %d, reference %d",
-							bc.name, cores, l.name, mr.RAX, want)
+							bc.name, cores, l.name, mr.RAX, bc.want)
 					}
 					if *l.best == 0 || ns < *l.best {
 						*l.best = ns
@@ -367,25 +304,6 @@ func (r *Report) Write(path string) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Load reads and validates a report written by Write.
-func Load(path string) (*Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("bench: %s: %w", path, err)
-	}
-	if r.Schema != Schema {
-		return nil, fmt.Errorf("bench: %s: schema %q, want %q", path, r.Schema, Schema)
-	}
-	if len(r.Points) == 0 {
-		return nil, fmt.Errorf("bench: %s: no points", path)
-	}
-	return &r, nil
 }
 
 // Table renders the report as an aligned text table. The dense leg prints

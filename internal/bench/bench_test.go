@@ -1,44 +1,17 @@
 package bench
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/pbbs"
 )
 
-// TestCrossCheckAllKernels is the acceptance cross-check: on every
-// registered kernel the idle-skip and dense schedulers must produce
-// identical cycles, instruction counts and NoC message totals — Measure
-// errors out on any divergence, so a nil error here is the proof.
-func TestCrossCheckAllKernels(t *testing.T) {
-	want := len(pbbs.Kernels())
-	if want < 11 {
-		t.Fatalf("registry has %d kernels, want at least the ten of Table 1 plus histogram", want)
-	}
-	rep, err := Measure(Grid{Kernels: []string{"all"}, N: 12, Cores: []int{7}, Seed: 1, Runs: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != want {
-		t.Fatalf("measured %d points, want %d", len(rep.Points), want)
-	}
-	for _, p := range rep.Points {
-		if p.Cycles <= 0 || p.Instructions <= 0 || p.DenseNs <= 0 || p.IdleSkipNs <= 0 {
-			t.Errorf("%s: degenerate point %+v", p.Kernel, p)
-		}
-		if p.Speedup <= 0 {
-			t.Errorf("%s: non-positive speedup %v", p.Kernel, p.Speedup)
-		}
-	}
-}
-
 func TestReportRoundTripAndTable(t *testing.T) {
-	rep, err := Measure(QuickGrid())
+	rep, err := Measure(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +33,7 @@ func TestReportRoundTripAndTable(t *testing.T) {
 		t.Fatalf("quick grid should mix both-leg points with a dense-less big-N point: %+v", rep.Points)
 	}
 	// The wide-chip point — the §5 sum on a core per section — closes the
-	// quick grid, so a CI smoke run times it and -against judges it.
+	// quick grid, so a CI smoke run times it.
 	if last := rep.Points[len(rep.Points)-1]; last.Kernel != SumKernel || last.N != 2560 ||
 		last.Cores != 3072 || last.Sections != 3072 || last.IdleSkipNs <= 0 {
 		t.Errorf("quick grid's last point is %+v, want the sum of 2560 elements on 3072 cores", last)
@@ -75,12 +48,16 @@ func TestReportRoundTripAndTable(t *testing.T) {
 	if err := rep.Write(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := new(Report)
+	if err := json.Unmarshal(data, got); err != nil {
+		t.Fatal(err)
+	}
 	if !reflect.DeepEqual(got, rep) {
-		t.Error("report did not survive the Write/Load round trip")
+		t.Error("report did not survive the Write/decode round trip")
 	}
 	tbl := rep.Table()
 	for _, want := range []string{"deterministicHash", "speedup", "aggregate:"} {
@@ -90,10 +67,11 @@ func TestReportRoundTripAndTable(t *testing.T) {
 	}
 }
 
-// TestDefaultGridShape: the committed trajectory's grid keeps its regimes —
-// the kernel trio on {1, 16, 64} cores and the 192-core sum with both legs,
-// then the big-N points and the 3 072-core sum without the dense one — and
-// every quick-grid point has a default-grid counterpart for -against.
+// TestDefaultGridShape: the committed table's grid keeps its regimes and its
+// row order — the kernel trio on {1, 16, 64} cores and the 192-core sum with
+// both legs, then the big-N points and the 3 072-core sum without the dense
+// one — and every quick-grid point is a standard-grid point, so a smoke run's
+// rows can be read against BENCH_machine.json's.
 func TestDefaultGridShape(t *testing.T) {
 	type row struct {
 		name  string
@@ -101,65 +79,41 @@ func TestDefaultGridShape(t *testing.T) {
 		cores int
 		dense bool
 	}
-	rows := func(g Grid) (out []row) {
-		cases, err := g.cases()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, c := range cases {
-			for _, cores := range c.cores {
-				out = append(out, row{c.name, c.n, cores, c.dense})
+	rows := func(g []gridCase) (out []row) {
+		for _, gc := range g {
+			bc, err := gc.build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, cores := range bc.cores {
+				out = append(out, row{bc.name, bc.n, cores, gc.dense})
 			}
 		}
 		return out
 	}
-	def := rows(DefaultGrid())
-	if len(def) != 13 {
-		t.Fatalf("default grid has %d points, want 9 kernel points, 2 sums and 2 big-N: %+v", len(def), def)
-	}
-	for _, want := range []row{
+	const quickSort, kruskal, hash = "comparisonSort/quickSort", "minSpanningForest/parallelKruskal", "removeDuplicates/deterministicHash"
+	def := rows(standardGrid)
+	if want := []row{
+		{quickSort, 64, 1, true}, {quickSort, 64, 16, true}, {quickSort, 64, 64, true},
+		{kruskal, 64, 1, true}, {kruskal, 64, 16, true}, {kruskal, 64, 64, true},
+		{hash, 64, 1, true}, {hash, 64, 16, true}, {hash, 64, 64, true},
 		{SumKernel, 160, 192, true},
-		{"comparisonSort/quickSort", 1024, 64, false},
+		{quickSort, 512, 64, false}, {quickSort, 1024, 64, false},
 		{SumKernel, 2560, 3072, false},
-	} {
-		if !slices.Contains(def, want) {
-			t.Errorf("default grid lacks %+v", want)
-		}
+	}; !slices.Equal(def, want) {
+		t.Errorf("standard grid is\n%+v, want\n%+v", def, want)
 	}
-	for _, q := range rows(QuickGrid()) {
+	for _, q := range rows(quickGrid) {
 		if !slices.Contains(def, q) {
-			t.Errorf("quick-grid point %+v has no default-grid counterpart", q)
+			t.Errorf("quick-grid point %+v has no standard-grid counterpart", q)
 		}
 	}
 }
 
-func TestLoadRejectsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bad); err == nil {
-		t.Error("Load accepted non-JSON")
-	}
-	wrong := filepath.Join(dir, "wrong.json")
-	if err := os.WriteFile(wrong, []byte(`{"schema":"other","points":[{}]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(wrong); err == nil {
-		t.Error("Load accepted a wrong schema")
-	}
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"schema":"`+Schema+`"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(empty); err == nil {
-		t.Error("Load accepted a pointless report")
-	}
-}
-
+// TestBadSelector: a grid case whose selector names no kernel fails to build
+// (and so fails Measure) instead of timing something else.
 func TestBadSelector(t *testing.T) {
-	if _, err := Measure(Grid{Kernels: []string{"no-such-kernel"}}); err == nil {
-		t.Error("Measure accepted an unknown kernel selector")
+	if _, err := (gridCase{kernel: "no-such-kernel", n: 64, cores: []int{1}}).build(); err == nil {
+		t.Error("build accepted an unknown kernel selector")
 	}
 }

@@ -12,8 +12,9 @@ import (
 
 // BenchmarkMachineRun times one full machine simulation per iteration, so
 // `go test -bench MachineRun ./internal/bench` measures the simulator hot
-// path without the custom bench-sim rig. ns/op divided by the reported
-// cycles/op metric is the same ns-per-cycle figure BENCH_machine.json tracks.
+// path of one point, and with -cpuprofile profiles it (e.g. -bench
+// 'MachineRun/quicksort/c64'). ns/op divided by the reported cycles/op metric
+// is the same ns-per-cycle figure BENCH_machine.json tabulates.
 func BenchmarkMachineRun(b *testing.B) {
 	for _, tc := range []struct {
 		kernel string
@@ -72,11 +73,8 @@ func BenchmarkMachineRunSteady(b *testing.B) {
 				b.Fatal(err)
 			}
 			seed := func() {
-				for sym, words := range in {
-					addr, _ := prog.DataAddr(sym)
-					for i, w := range words {
-						m.DMH().WriteU64(addr+uint64(8*i), w)
-					}
+				if err := backend.Inject(prog, m.DMH(), in); err != nil {
+					b.Fatal(err)
 				}
 			}
 			seed()

@@ -29,6 +29,24 @@ func (k *KernelSel) UnmarshalJSON(b []byte) error {
 	return fmt.Errorf("kernel selector must be a number or a string, got %s", b)
 }
 
+// What one request may ask of the server, next to the body caps: a body under
+// 1 MiB can spell a 10⁹-point cross-product, which the manager would
+// enumerate in the handler, and any core count, which the machine turns into
+// a slab of that many cores. The paper's widest run is 3 072 cores. The CLI
+// is not capped.
+const (
+	maxGridPoints = 1 << 16
+	maxCores      = 1 << 16
+)
+
+// checkCores rejects a core count above maxCores.
+func checkCores(cores int) error {
+	if cores > maxCores {
+		return fmt.Errorf("core count %d above the limit of %d", cores, maxCores)
+	}
+	return nil
+}
+
 // SweepRequest is the body of POST /v1/sweeps. Every axis is optional and
 // defaults exactly like `repro sweep`'s flags: all kernels, size 64, 1
 // core, crossbar, shortcut on, no placement cap, seed 1.
@@ -57,6 +75,21 @@ func (r *SweepRequest) Spec() (*sweep.Spec, error) {
 	}
 	if err := spec.Normalize(); err != nil {
 		return nil, err
+	}
+	for _, c := range spec.Cores {
+		if err := checkCores(c); err != nil {
+			return nil, err
+		}
+	}
+	// The grid is at most the product of the axis lengths (each at least 1
+	// once normalised); dividing keeps the check clear of overflow.
+	points := 1
+	for _, axis := range []int{len(spec.Kernels), len(spec.Sizes), len(spec.Cores),
+		len(spec.Topologies), len(spec.Shortcut), len(spec.MaxSections)} {
+		if axis > maxGridPoints/points {
+			return nil, fmt.Errorf("grid above the limit of %d points", maxGridPoints)
+		}
+		points *= axis
 	}
 	return spec, nil
 }
@@ -96,6 +129,9 @@ func (r *RunRequest) Point() (sweep.Point, error) {
 	p.Cores = cmp.Or(r.Cores, 1)
 	if p.Cores < 1 {
 		return p, fmt.Errorf("bad core count %d", p.Cores)
+	}
+	if err := checkCores(p.Cores); err != nil {
+		return p, err
 	}
 	p.Topology = cmp.Or(r.Topology, sweep.TopoCrossbar)
 	if _, err := sweep.MakeNet(p.Topology, p.Cores); err != nil {

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -278,6 +279,28 @@ func TestNotFound(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	ts := newTestServer(t, &sweep.Engine{})
+	// axis is the JSON list 1..n: 10⁴ sizes × 10⁴ cores fit a body of 100 kB
+	// and spell 10⁸ points a kernel, which must be refused before anything
+	// enumerates them.
+	axis := func(n int) string {
+		var b strings.Builder
+		for i := 1; i <= n; i++ {
+			b.WriteString("," + strconv.Itoa(i))
+		}
+		return "[" + b.String()[1:] + "]"
+	}
+	for _, c := range []struct{ path, body string }{
+		{"/v1/sweeps", `{"sizes":` + axis(10000) + `,"cores":` + axis(10000) + `}`},
+		{"/v1/sweeps", `{"kernels":[10],"sizes":` + axis(257) + `,"cores":` + axis(256) + `}`}, // one row over
+		{"/v1/sweeps", `{"kernels":[10],"cores":[1,65537]}`},
+		{"/v1/runs", `{"kernel":"10","cores":65537}`},
+		{"/v1/runs", `{"kernel":"10","cores":4000000000000000000,"topology":"mesh"}`}, // a slab no host has
+	} {
+		var e struct{ Error string }
+		if code := postJSON(t, ts, c.path, c.body, &e); code != http.StatusBadRequest || !strings.Contains(e.Error, "limit of 65536") {
+			t.Errorf("POST %s %.60s… = %d (error %q), want 400 naming the limit", c.path, c.body, code, e.Error)
+		}
+	}
 	cases := []struct{ path, body string }{
 		{"/v1/sweeps", `{`},                                // malformed JSON
 		{"/v1/sweeps", `{"kernals":[1]}`},                  // misspelled field
@@ -297,6 +320,15 @@ func TestBadRequests(t *testing.T) {
 		if code := postJSON(t, ts, c.path, c.body, &e); code != http.StatusBadRequest || e.Error == "" {
 			t.Errorf("POST %s %s = %d (error %q), want 400 with a message", c.path, c.body, code, e.Error)
 		}
+	}
+	// The caps are inclusive: a grid of exactly 65 536 points on up to 65 536
+	// cores is a valid request (resolved here, not submitted).
+	atCap := SweepRequest{Kernels: []KernelSel{"10"}, Sizes: make([]int, 256), Cores: make([]int, 256)}
+	for i := range atCap.Sizes {
+		atCap.Sizes[i], atCap.Cores[i] = i+1, 65536-i
+	}
+	if _, err := atCap.Spec(); err != nil {
+		t.Errorf("a grid at the cap was refused: %v", err)
 	}
 	// Collection endpoints only accept their registered method.
 	if code := getJSON(t, ts, "/v1/sweeps", nil); code != http.StatusMethodNotAllowed {
