@@ -57,6 +57,7 @@ func cmdWorker(args []string) error {
 	}
 	st := eng.Stats()
 	log.Info("worker stopped", "measured", st.Points, "simulated", st.Simulated,
-		"cached", st.Hits, "coalesced", st.Coalesced, "failed", st.Failures)
+		"cached", st.Hits, "coalesced", st.Coalesced, "failed", st.Failures,
+		"frontBuilt", st.FrontBuilt, "frontReused", st.FrontReused)
 	return nil
 }

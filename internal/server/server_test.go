@@ -127,7 +127,7 @@ func TestCatalogEndpoints(t *testing.T) {
 
 // TestHealthz: liveness, plus the engine's counters with the warm pool's
 // account beside them — two different points measured on one machine read as
-// one built, one reused.
+// one built, one reused, and so does the one kernel front end they share.
 func TestHealthz(t *testing.T) {
 	eng := &sweep.Engine{Pool: machine.NewPool()}
 	for _, cores := range []int{1, 2} {
@@ -139,15 +139,16 @@ func TestHealthz(t *testing.T) {
 	var h struct {
 		Status string
 		Engine struct {
-			Simulated int
-			Machines  machine.PoolStats
+			Simulated, FrontBuilt, FrontReused int
+			Machines                           machine.PoolStats
 		}
 	}
 	if code := getJSON(t, ts, "/healthz", &h); code != http.StatusOK || h.Status != "ok" {
 		t.Fatalf("GET /healthz = %d %+v", code, h)
 	}
-	if want := (machine.PoolStats{Hits: 1, Misses: 1}); h.Engine.Simulated != 2 || h.Engine.Machines != want {
-		t.Errorf("GET /healthz engine = %+v, want 2 simulated on %+v", h.Engine, want)
+	if want := (machine.PoolStats{Hits: 1, Misses: 1}); h.Engine.Simulated != 2 || h.Engine.Machines != want ||
+		h.Engine.FrontBuilt != 1 || h.Engine.FrontReused != 1 {
+		t.Errorf("GET /healthz engine = %+v, want 2 simulated on %+v from 1 front end built, 1 reused", h.Engine, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -26,6 +27,16 @@ const cacheVersion = "sweep-v2"
 // the workload generator or the configuration re-measures exactly the points
 // it touches.
 //
+// It is the composition of keyPrefix, which absorbs everything the chip does
+// not change, and finishKey, which appends the chip. The engine remembers the
+// prefix per (kernel, n, seed) and pays only for the second (see frontEnd).
+func cacheKey(prog *isa.Program, in backend.Inputs, p Point) string {
+	return finishKey(keyPrefix(prog, in), p)
+}
+
+// keyPrefix hashes the version, the program and the inputs, and returns the
+// SHA-256 state at that point (crypto/sha256's encoding.BinaryMarshaler).
+//
 // Every variable-length field is framed by its length so the encoding is
 // injective: symbol names via put, each input array by its element count
 // with fixed-width (16-hex-digit) words, and the input section by its symbol
@@ -33,7 +44,7 @@ const cacheVersion = "sweep-v2"
 // length frame, leaving empty arrays contributing nothing and word
 // boundaries resting on the "%x," formatting alone; TestCacheKeyFraming pins
 // the near-miss input pairs that must hash apart.
-func cacheKey(prog *isa.Program, in backend.Inputs, p Point) string {
+func keyPrefix(prog *isa.Program, in backend.Inputs) []byte {
 	h := sha256.New()
 	put := func(s string) {
 		fmt.Fprintf(h, "%d:%s;", len(s), s)
@@ -53,6 +64,22 @@ func cacheKey(prog *isa.Program, in backend.Inputs, p Point) string {
 			fmt.Fprintf(h, "%016x,", w)
 		}
 		fmt.Fprintf(h, ";")
+	}
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil {
+		panic(err) // crypto/sha256 never fails to marshal
+	}
+	return state
+}
+
+// finishKey resumes the hash from a keyPrefix state, appends the point's
+// machine-configuration coordinates and returns the key. The bytes SHA-256
+// sees are the ones the unsplit derivation fed it, so sweep-v2 keys did not
+// move (TestKeysDoNotMove).
+func finishKey(prefix []byte, p Point) string {
+	h := sha256.New()
+	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(prefix); err != nil {
+		panic(err) // prefix is not a keyPrefix state
 	}
 	fmt.Fprintf(h, "cores=%d;topo=%s;shortcut=%v;cap=%d;seed=%d;",
 		p.Cores, p.Topology, p.Shortcut, p.MaxSections, p.Seed)
@@ -82,7 +109,9 @@ func (c *Cache) path(key string) string {
 }
 
 // Get returns the metrics stored under key, if any. Unreadable or corrupt
-// entries count as misses.
+// entries count as misses, and so does valid JSON that is not an entry
+// ("null", "{}"): no run retires zero instructions in zero cycles. The
+// re-measurement's Put overwrites the file.
 func (c *Cache) Get(key string) (*Metrics, bool) {
 	if c == nil {
 		return nil, false
@@ -92,7 +121,7 @@ func (c *Cache) Get(key string) (*Metrics, bool) {
 		return nil, false
 	}
 	var m Metrics
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := json.Unmarshal(data, &m); err != nil || m.Cycles <= 0 || m.Instructions <= 0 {
 		return nil, false
 	}
 	return &m, true

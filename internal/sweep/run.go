@@ -8,7 +8,6 @@ import (
 	"repro/internal/backend"
 	"repro/internal/fanout"
 	"repro/internal/machine"
-	"repro/internal/minic"
 	"repro/internal/pbbs"
 )
 
@@ -25,11 +24,16 @@ type Stats struct {
 	Simulated int
 	// Failures is how many points errored (build, divergence, timeout).
 	Failures int
+	// FrontBuilt is how many points compiled their kernel and hashed its
+	// program and inputs; FrontReused is how many found that already done for
+	// their (kernel, n, seed) and paid a lookup instead (see frontEnd).
+	FrontBuilt  int
+	FrontReused int
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("%d points: %d cached, %d coalesced, %d simulated, %d failed",
-		s.Points, s.Hits, s.Coalesced, s.Simulated, s.Failures)
+	return fmt.Sprintf("%d points: %d cached, %d coalesced, %d simulated, %d failed; front ends: %d built, %d reused",
+		s.Points, s.Hits, s.Coalesced, s.Simulated, s.Failures, s.FrontBuilt, s.FrontReused)
 }
 
 // Engine measures sweep grids on a bounded number of goroutines, with an
@@ -49,6 +53,7 @@ type Engine struct {
 	mu      sync.Mutex
 	stats   Stats
 	flights flightGroup
+	fronts  frontMemo
 }
 
 // Stats returns the counters accumulated over every Run of this engine.
@@ -90,14 +95,17 @@ func (e *Engine) Run(spec *Spec, emit func(Record)) ([]Record, error) {
 }
 
 // Measure runs one point: resolve the kernel, derive the content key, serve
-// from the cache or compile + simulate + validate, and store the outcome. It
-// is the programmatic run-one-point API (the grid path Run and the job
-// server both build on it) and is safe for concurrent use: concurrent
-// measurements of the same content key are coalesced (singleflight), so N
-// identical in-flight submissions simulate a point exactly once and share
-// the outcome. A dataset size below the kernel's minimum is clamped and the
-// display name is normalised; the returned record carries the effective
-// point.
+// from the cache or simulate + validate, and store the outcome. The compiled
+// program and the key's program-and-inputs prefix come from the engine's
+// front-end memo, so a point whose (kernel, n, seed) the engine has seen
+// costs a lookup and the hashing of its chip coordinates before the cache is
+// asked. It is the programmatic run-one-point API (the grid path Run and
+// the job server both build on it) and is safe for concurrent use:
+// concurrent measurements of the same content key are coalesced
+// (singleflight), so N identical in-flight submissions simulate a point
+// exactly once and share the outcome. A dataset size below the kernel's
+// minimum is clamped and the display name is normalised; the returned record
+// carries the effective point.
 func (e *Engine) Measure(p Point) Record {
 	rec := Record{Point: p}
 	e.count(func(s *Stats) { s.Points++ })
@@ -120,12 +128,18 @@ func (e *Engine) Measure(p Point) Record {
 		// caller asked for next to the size that actually ran.
 		rec.RequestedN = requested
 	}
-	prog, err := k.Build(p.N, minic.ModeFork)
-	if err != nil {
-		return fail(err)
+	fe, built := e.fronts.get(k, p.N, p.Seed)
+	e.count(func(s *Stats) {
+		if built {
+			s.FrontBuilt++
+		} else {
+			s.FrontReused++
+		}
+	})
+	if fe.err != nil {
+		return fail(fe.err)
 	}
-	in := k.Gen(p.N, p.Seed)
-	rec.Key = cacheKey(prog, in, p)
+	rec.Key = finishKey(fe.prefix, p)
 
 	f, leader := e.flights.join(rec.Key)
 	if !leader {
@@ -148,6 +162,8 @@ func (e *Engine) Measure(p Point) Record {
 		return rec
 	}
 
+	// Only a miss needs the inputs themselves; the key already covers them.
+	prog, in := fe.prog, k.Gen(p.N, p.Seed)
 	net, err := MakeNet(p.Topology, p.Cores)
 	if err != nil {
 		return fail(err)

@@ -264,6 +264,10 @@ func TestPooledRunsMatchFresh(t *testing.T) {
 	if s := pooled.Pool.Stats(); s.Hits == 0 {
 		t.Fatalf("pool stats %+v: second sweep never hit the pool", s)
 	}
+	// ... all of them bound to the two programs the engine compiled once.
+	if s := pooled.Stats(); s.FrontBuilt != 2 || s.FrontReused != 2*len(got)-2 {
+		t.Errorf("stats %+v: want one front end per kernel shared by every run", s)
+	}
 }
 
 func TestEngineWithoutCache(t *testing.T) {
@@ -359,33 +363,54 @@ func TestMeasureCoalescesConcurrentDuplicates(t *testing.T) {
 	}
 }
 
+// TestCorruptCacheEntryIsMiss: whatever sits in an entry's file that is not
+// an entry — garbage, nothing, valid JSON that decodes to all-zero metrics,
+// the front of an interrupted write — is re-simulated, never served, and the
+// re-simulation's Put heals the file.
 func TestCorruptCacheEntryIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := NewCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := &Engine{Cache: cache}
 	spec := &Spec{Kernels: []int{10}, Sizes: []int{8}, Cores: []int{1}}
-	recs, err := e.Run(spec, nil)
+	recs, err := (&Engine{Cache: cache}).Run(spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, recs[0].Key+".json"), []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e2 := &Engine{Cache: cache}
-	recs2, err := e2.Run(spec, nil)
+	path := filepath.Join(dir, recs[0].Key+".json")
+	entry, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := e2.Stats(); s.Simulated != 1 || s.Hits != 0 {
-		t.Errorf("corrupt entry was not re-simulated: %+v", s)
-	}
-	// Wall-clock timing differs between measurements; everything else is
-	// deterministic.
-	if recs2[0].Metrics.StripTiming() != recs[0].Metrics.StripTiming() {
-		t.Error("re-simulated metrics differ")
+	for _, c := range []struct{ name, content string }{
+		{"not json", "not json"},
+		{"empty", ""},
+		{"null", "null"},
+		{"empty object", "{}"},
+		{"truncated", string(entry[:len(entry)/2])},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := os.WriteFile(path, []byte(c.content), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			e := &Engine{Cache: cache}
+			recs2, err := e.Run(spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s := e.Stats(); s.Simulated != 1 || s.Hits != 0 {
+				t.Errorf("corrupt entry was not re-simulated: %+v", s)
+			}
+			// Wall-clock timing differs between measurements; everything
+			// else is deterministic.
+			if recs2[0].Metrics.StripTiming() != recs[0].Metrics.StripTiming() {
+				t.Error("re-simulated metrics differ")
+			}
+			if m, ok := cache.Get(recs[0].Key); !ok || *m != recs2[0].Metrics {
+				t.Errorf("entry not healed by the re-simulation: %+v, %v", m, ok)
+			}
+		})
 	}
 }
 
