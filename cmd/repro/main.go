@@ -42,7 +42,7 @@ import (
 	"strings"
 
 	"repro/internal/analytic"
-	"repro/internal/backend"
+	"repro/internal/machine"
 	"repro/internal/pbbs"
 )
 
@@ -247,9 +247,9 @@ func cmdMachine(args []string) error {
 	failed := false
 	for _, k := range ks {
 		kn := k.ClampN(*n)
-		mb := backend.NewMachine(*cores)
-		mb.Cfg.Dense = *dense
-		rm, err := k.CrossValidateOn(mb, *n, *seed)
+		cfg := machine.DefaultConfig(*cores)
+		cfg.Dense = *dense
+		rm, err := k.CrossValidateWith(*n, *seed, cfg)
 		if err != nil {
 			fmt.Printf("%-3d %-40s %8d %10s %10s %9s %9s FAIL: %v\n",
 				k.ID, k.Name, kn, "-", "-", "-", "-", err)

@@ -79,16 +79,6 @@ func Assemble(src string) (*Program, error) {
 	return a.prog, nil
 }
 
-// MustAssemble assembles src and panics on error. For tests and examples
-// embedding known-good listings.
-func MustAssemble(src string) *Program {
-	p, err := Assemble(src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 func stripComment(s string) string {
 	if i := strings.IndexByte(s, '#'); i >= 0 {
 		s = s[:i]

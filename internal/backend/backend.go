@@ -1,21 +1,19 @@
-// Package backend abstracts the two execution substrates of the
-// reproduction behind one interface, so that any workload — a PBBS kernel, a
-// hand-written listing, a future suite — can be compiled once per calling
-// convention, injected with its inputs, executed, optionally traced, and
-// cross-validated between substrates:
+// Package backend is the measurement path both substrates share — compile
+// (caller) → inject inputs → run → optional trace capture → result — as four
+// plain functions:
 //
-//   - Emulator: the functional sequential emulator (internal/emu). It runs
-//     both call-mode and fork-mode programs, captures dynamic traces for the
-//     internal/ilp dependence models, and serves as the oracle.
-//   - Machine: the cycle-level many-core simulator (internal/machine). It
-//     runs fork-mode programs only and reports cycles and per-stage timing in
-//     addition to the architectural result.
+//   - Inject writes a workload's inputs at their data symbols.
+//   - Emulator.Run executes on the functional sequential emulator
+//     (internal/emu), which runs call-mode and fork-mode programs, captures
+//     dynamic traces for the internal/ilp dependence models, and is the
+//     oracle.
+//   - RunMachine executes on the cycle-level many-core simulator
+//     (internal/machine), which runs fork-mode programs only and reports
+//     cycles and per-stage timing besides the architectural result.
+//   - CrossValidate is the oracle check that keeps the two in agreement.
 //
-// The pipeline a backend implements is the paper's measurement path —
-// compile (caller) → inject inputs → run → optional trace capture → result
-// — behind both the Section 3 trace study (Fig. 7, via the emulator) and
-// the Section 4/5 machine evaluation; CrossValidate is the oracle check
-// that keeps the two substrates in agreement.
+// It stands behind the Section 3 trace study (Fig. 7, via the emulator) and
+// the Section 4/5 machine evaluation alike.
 package backend
 
 import (
@@ -24,7 +22,6 @@ import (
 	"repro/internal/emu"
 	"repro/internal/isa"
 	"repro/internal/machine"
-	"repro/internal/minic"
 	"repro/internal/trace"
 )
 
@@ -32,15 +29,8 @@ import (
 // before the run starts.
 type Inputs map[string][]uint64
 
-// MemReader is the part of a memory the caller may inspect after a run.
-type MemReader interface {
-	ReadU64(addr uint64) uint64
-}
-
-// Result is the outcome of one backend execution.
+// Result is the outcome of one execution.
 type Result struct {
-	// Backend names the substrate that produced this result.
-	Backend string
 	// RAX is the conventional program result (rax at halt).
 	RAX uint64
 	// Instructions is the dynamic instruction count.
@@ -48,43 +38,21 @@ type Result struct {
 	// Cycles is the simulated time: equal to Instructions on the sequential
 	// emulator, the simulated clock on the machine.
 	Cycles int64
-	// Trace is the captured dynamic trace; nil unless requested and
-	// supported.
+	// Trace is the captured dynamic trace; nil unless an emulator run asked
+	// for it.
 	Trace *trace.Trace
-	// Mem exposes the final memory state (the emulator's memory or the
-	// machine's committed data memory hierarchy).
-	Mem MemReader
-	// Machine holds the full machine result when the machine backend ran;
-	// nil otherwise.
+	// Mem is the final memory state (the emulator's memory or the machine's
+	// committed data memory hierarchy).
+	Mem *emu.Memory
+	// Machine holds the full machine result of a RunMachine; nil otherwise.
 	Machine *machine.Result
-}
-
-// Backend executes programs.
-type Backend interface {
-	// Name identifies the backend for reports.
-	Name() string
-	// Mode is the calling convention programs must be compiled in to run
-	// here. The emulator accepts both modes; the machine requires ModeFork.
-	Mode() minic.Mode
-	// SupportsTrace reports whether Run can capture a dynamic trace.
-	SupportsTrace() bool
-	// Run injects the inputs into a fresh memory image, executes prog to
-	// completion and returns the result. When captureTrace is set and the
-	// backend supports it, Result.Trace holds the dynamic trace.
-	Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result, error)
-}
-
-// Writer is the injection target: both emu.Memory and the machine DMH
-// implement it.
-type Writer interface {
-	WriteU64(addr, v uint64)
 }
 
 // Inject writes the inputs at their symbol addresses. It is exported for
 // callers that manage machine lifetimes themselves — the warm-machine pool in
 // internal/sweep re-injects inputs after Machine.Reset exactly as a fresh
 // construction would.
-func Inject(prog *isa.Program, mem Writer, in Inputs) error {
+func Inject(prog *isa.Program, mem *emu.Memory, in Inputs) error {
 	for sym, words := range in {
 		addr, ok := prog.DataAddr(sym)
 		if !ok {
@@ -97,27 +65,18 @@ func Inject(prog *isa.Program, mem Writer, in Inputs) error {
 	return nil
 }
 
-// Emulator is the sequential functional backend.
+// Emulator is the sequential functional substrate.
 type Emulator struct {
 	// MaxSteps bounds the run; 0 uses the emulator default.
 	MaxSteps int64
 }
 
-// NewEmulator returns an emulator backend with a generous step bound.
+// NewEmulator returns an emulator with a generous step bound.
 func NewEmulator() *Emulator { return &Emulator{MaxSteps: 1 << 31} }
 
-// Name implements Backend.
-func (e *Emulator) Name() string { return "emu" }
-
-// Mode implements Backend. Call mode is the canonical convention here; the
-// emulator also runs fork-mode programs with their sequential-trace
-// semantics.
-func (e *Emulator) Mode() minic.Mode { return minic.ModeCall }
-
-// SupportsTrace implements Backend.
-func (e *Emulator) SupportsTrace() bool { return true }
-
-// Run implements Backend.
+// Run injects the inputs into a fresh memory image, executes prog (either
+// calling convention) to completion and returns the result, with the dynamic
+// trace when captureTrace is set.
 func (e *Emulator) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result, error) {
 	cpu := emu.New(prog)
 	cpu.MaxSteps = e.MaxSteps
@@ -133,7 +92,6 @@ func (e *Emulator) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result
 		return nil, err
 	}
 	return &Result{
-		Backend:      e.Name(),
 		RAX:          cpu.Result(),
 		Instructions: cpu.Steps,
 		Cycles:       cpu.Steps,
@@ -142,31 +100,10 @@ func (e *Emulator) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result
 	}, nil
 }
 
-// Machine is the cycle-level many-core backend.
-type Machine struct {
-	// Cfg parameterises the simulated chip. Cfg.Cores must be >= 1.
-	Cfg machine.Config
-}
-
-// NewMachine returns a machine backend with the paper-calibrated default
-// configuration over the given core count.
-func NewMachine(cores int) *Machine {
-	return &Machine{Cfg: machine.DefaultConfig(cores)}
-}
-
-// Name implements Backend.
-func (m *Machine) Name() string { return fmt.Sprintf("machine(%d cores)", m.Cfg.Cores) }
-
-// Mode implements Backend: the machine executes fork programs only.
-func (m *Machine) Mode() minic.Mode { return minic.ModeFork }
-
-// SupportsTrace implements Backend: the machine reports stage timings, not
-// dependence traces.
-func (m *Machine) SupportsTrace() bool { return false }
-
-// Run implements Backend.
-func (m *Machine) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result, error) {
-	sim, err := machine.New(prog, m.Cfg)
+// RunMachine builds the simulated chip cfg describes, injects the inputs and
+// executes prog, which must be compiled in fork mode, to completion.
+func RunMachine(prog *isa.Program, in Inputs, cfg machine.Config) (*Result, error) {
+	sim, err := machine.New(prog, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -178,7 +115,6 @@ func (m *Machine) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result,
 		return nil, err
 	}
 	return &Result{
-		Backend:      m.Name(),
 		RAX:          r.RAX,
 		Instructions: r.Instructions,
 		Cycles:       r.Cycles,
@@ -187,30 +123,29 @@ func (m *Machine) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result,
 	}, nil
 }
 
-// CrossValidate runs prog with the same inputs on both backends and checks
-// that they agree on the final rax and on every word of the data segment
-// (which holds all global arrays of mini-C programs). It returns the two
-// results for further inspection.
-func CrossValidate(prog *isa.Program, in Inputs, a, b Backend) (*Result, *Result, error) {
-	ra, err := a.Run(prog, in, false)
+// CrossValidate runs prog with the same inputs on the emulator and on the
+// machine cfg describes and checks that they agree on the final rax and on
+// every word of the data segment (which holds all global arrays of mini-C
+// programs). It returns the two results for further inspection.
+func CrossValidate(prog *isa.Program, in Inputs, cfg machine.Config) (emulator, mach *Result, err error) {
+	emulator, err = NewEmulator().Run(prog, in, false)
 	if err != nil {
-		return nil, nil, fmt.Errorf("backend %s: %w", a.Name(), err)
+		return nil, nil, fmt.Errorf("emulator: %w", err)
 	}
-	rb, err := b.Run(prog, in, false)
+	mach, err = RunMachine(prog, in, cfg)
 	if err != nil {
-		return ra, nil, fmt.Errorf("backend %s: %w", b.Name(), err)
+		return emulator, nil, fmt.Errorf("machine (%d cores): %w", cfg.Cores, err)
 	}
-	if ra.RAX != rb.RAX {
-		return ra, rb, fmt.Errorf("backend mismatch: %s rax=%d, %s rax=%d",
-			a.Name(), ra.RAX, b.Name(), rb.RAX)
+	if emulator.RAX != mach.RAX {
+		return emulator, mach, fmt.Errorf("mismatch: emulator rax=%d, machine (%d cores) rax=%d",
+			emulator.RAX, cfg.Cores, mach.RAX)
 	}
 	for off := uint64(0); off < uint64(len(prog.Data)); off += 8 {
 		addr := isa.DataBase + off
-		va, vb := ra.Mem.ReadU64(addr), rb.Mem.ReadU64(addr)
-		if va != vb {
-			return ra, rb, fmt.Errorf("backend mismatch at data[%#x]: %s=%d, %s=%d",
-				addr, a.Name(), va, b.Name(), vb)
+		if ve, vm := emulator.Mem.ReadU64(addr), mach.Mem.ReadU64(addr); ve != vm {
+			return emulator, mach, fmt.Errorf("mismatch at data[%#x]: emulator=%d, machine (%d cores)=%d",
+				addr, ve, cfg.Cores, vm)
 		}
 	}
-	return ra, rb, nil
+	return emulator, mach, nil
 }

@@ -5,11 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/machine"
 	"repro/internal/minic"
 )
 
 // sumSrc sums an injected array; the expected result depends entirely on the
-// injected values, which exercises the inject path on both backends.
+// injected values, which exercises the inject path on both substrates.
 const sumSrc = `
 unsigned long t[16];
 unsigned long n = 16;
@@ -62,8 +63,7 @@ func TestMachineRunWithInputs(t *testing.T) {
 		t.Fatal(err)
 	}
 	in, want := sumInputs()
-	m := NewMachine(4)
-	r, err := m.Run(prog, in, false)
+	r, err := RunMachine(prog, in, machine.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestCrossValidateAgrees(t *testing.T) {
 		t.Fatal(err)
 	}
 	in, _ := sumInputs()
-	ra, rb, err := CrossValidate(prog, in, NewEmulator(), NewMachine(3))
+	ra, rb, err := CrossValidate(prog, in, machine.DefaultConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ unsigned long main(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, _, err := CrossValidate(prog, nil, NewEmulator(), NewMachine(2))
+	ra, _, err := CrossValidate(prog, nil, machine.DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,29 +133,15 @@ func TestInjectUnknownSymbol(t *testing.T) {
 	}
 }
 
-func TestBackendMetadata(t *testing.T) {
-	e := NewEmulator()
-	m := NewMachine(8)
-	if e.Mode() != minic.ModeCall || m.Mode() != minic.ModeFork {
-		t.Error("wrong backend modes")
-	}
-	if !e.SupportsTrace() || m.SupportsTrace() {
-		t.Error("wrong trace support")
-	}
-	if e.Name() == "" || m.Name() == "" {
-		t.Error("empty backend names")
-	}
-}
-
-// TestMachineRejectsCallMode: a call-mode program must be refused by the
-// machine backend, mirroring the simulator's fork-only contract.
+// TestMachineRejectsCallMode: a call-mode program must be refused by
+// RunMachine, mirroring the simulator's fork-only contract.
 func TestMachineRejectsCallMode(t *testing.T) {
 	prog, err := minic.Compile(`long f(void) { return 1; } long main(void) { return f(); }`, minic.ModeCall)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewMachine(2).Run(prog, nil, false); err == nil {
-		t.Error("machine backend accepted a call/ret program")
+	if _, err := RunMachine(prog, nil, machine.DefaultConfig(2)); err == nil {
+		t.Error("RunMachine accepted a call/ret program")
 	}
 }
 

@@ -115,7 +115,7 @@ func TestSteadyStateAllocsThroughPool(t *testing.T) {
 		}
 		cfg := machine.DefaultConfig(cores)
 		if abort {
-			whole, err := (&backend.Machine{Cfg: cfg}).Run(prog, in, false)
+			whole, err := backend.RunMachine(prog, in, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

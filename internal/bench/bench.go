@@ -41,6 +41,7 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/backend"
 	"repro/internal/isa"
+	"repro/internal/machine"
 	"repro/internal/minic"
 	"repro/internal/pbbs"
 	"repro/internal/progs"
@@ -243,15 +244,15 @@ func Measure(quick bool) (*Report, error) {
 					// The paper-calibrated default config (shortcut on,
 					// 2-cycle creates) — the same machine every other entry
 					// point simulates — with only the scheduler varied.
-					mb := backend.NewMachine(cores)
-					mb.Cfg.Dense = l.dense
+					cfg := machine.DefaultConfig(cores)
+					cfg.Dense = l.dense
 					// Collect the previous simulation's garbage outside the
 					// timed window, so each timing reflects its own run, not
 					// the backlog of whichever scheduler happened to go
 					// before it.
 					runtime.GC()
 					start := time.Now()
-					res, err := mb.Run(bc.prog, bc.in, false)
+					res, err := backend.RunMachine(bc.prog, bc.in, cfg)
 					ns := time.Since(start).Nanoseconds()
 					if err != nil {
 						return nil, fmt.Errorf("bench: %s c%d %s: %w", bc.name, cores, l.name, err)

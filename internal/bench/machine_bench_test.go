@@ -39,8 +39,7 @@ func BenchmarkMachineRun(b *testing.B) {
 			b.ReportAllocs()
 			var cycles int64
 			for i := 0; i < b.N; i++ {
-				mb := backend.NewMachine(tc.cores)
-				res, err := mb.Run(prog, in, false)
+				res, err := backend.RunMachine(prog, in, machine.DefaultConfig(tc.cores))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -30,16 +30,6 @@ import (
 // reproduction includes them).
 var NonVolatile = []isa.Reg{isa.RBX, isa.RBP, isa.RSP, isa.RSI, isa.RDI, isa.R12, isa.R13, isa.R14, isa.R15}
 
-// IsNonVolatile reports whether r is in the fork-copied register set.
-func IsNonVolatile(r isa.Reg) bool {
-	for _, nv := range NonVolatile {
-		if nv == r {
-			return true
-		}
-	}
-	return false
-}
-
 const pageBits = 12
 const pageSize = 1 << pageBits
 
@@ -158,7 +148,9 @@ type CPU struct {
 	Mem   *Memory
 	Steps int64
 
-	// TraceHook, when set, receives every retired instruction's record.
+	// TraceHook, when set, receives every retired instruction's record. The
+	// record is the CPU's own and is overwritten by the next step: a hook
+	// that keeps it copies it.
 	TraceHook func(*trace.Record)
 
 	// MaxSteps bounds the run; 0 means the default (256M).
@@ -167,9 +159,7 @@ type CPU struct {
 	level     int32
 	forkStack []forkFrame
 	halted    bool
-
-	regReadBuf  []isa.Reg
-	regWriteBuf []isa.Reg
+	rec       trace.Record
 }
 
 // New prepares a CPU to run prog from its entry point, with the data segment
@@ -181,9 +171,6 @@ func New(prog *isa.Program) *CPU {
 	c.IP = prog.Entry
 	return c
 }
-
-// Halted reports whether the program has finished.
-func (c *CPU) Halted() bool { return c.halted }
 
 // Result returns the conventional program result (rax at halt).
 func (c *CPU) Result() uint64 { return c.Regs[isa.RAX] }
@@ -233,25 +220,17 @@ func (c *CPU) Step() error {
 
 	var rec *trace.Record
 	if c.TraceHook != nil {
-		rec = &trace.Record{Seq: c.Steps, IP: c.IP, Op: in.Op, CallLevel: c.level}
-		c.regReadBuf = in.RegReads(c.regReadBuf[:0])
-		c.regWriteBuf = in.RegWrites(c.regWriteBuf[:0])
-		if len(c.regReadBuf) > 0 {
-			rec.RegReads = append([]isa.Reg(nil), c.regReadBuf...)
-		}
-		if len(c.regWriteBuf) > 0 {
-			rec.RegWrites = append([]isa.Reg(nil), c.regWriteBuf...)
-		}
+		rec = &c.rec
+		*rec = trace.Record{Seq: c.Steps, IP: c.IP, Op: in.Op, CallLevel: c.level}
+		rec.SetRegs(in)
+		// Both addresses form from the registers as they stand before the
+		// instruction executes: the stack operands of isa.MemRead/MemWrite
+		// are (%rsp) for pop/ret and -8(%rsp) for push/call.
 		if mo, ok := in.MemRead(); ok {
-			a := c.effAddr(&mo)
-			if in.Op == isa.POP || in.Op == isa.RET {
-				a = c.Regs[isa.RSP]
-			}
-			rec.MemReads = []trace.MemRef{{Addr: a}}
+			rec.Load, rec.HasLoad = c.effAddr(&mo), true
 		}
 		if mo, ok := in.MemWrite(); ok {
-			a := c.effAddr(&mo)
-			rec.MemWrites = []trace.MemRef{{Addr: a}}
+			rec.Store, rec.HasStore = c.effAddr(&mo), true
 		}
 	}
 
@@ -330,9 +309,6 @@ func (c *CPU) Step() error {
 		v := readSrc(&in.Src)
 		c.Regs[isa.RSP] -= 8
 		c.Mem.WriteU64(c.Regs[isa.RSP], v)
-		if rec != nil {
-			rec.MemWrites = []trace.MemRef{{Addr: c.Regs[isa.RSP]}}
-		}
 	case isa.POP:
 		v := c.Mem.ReadU64(c.Regs[isa.RSP])
 		c.Regs[isa.RSP] += 8
@@ -349,9 +325,6 @@ func (c *CPU) Step() error {
 	case isa.CALL:
 		c.Regs[isa.RSP] -= 8
 		c.Mem.WriteU64(c.Regs[isa.RSP], uint64(c.IP+1))
-		if rec != nil {
-			rec.MemWrites = []trace.MemRef{{Addr: c.Regs[isa.RSP]}}
-		}
 		next = in.Target
 		taken = true
 		c.level++

@@ -422,18 +422,18 @@ t:      .quad 1
 	}
 	// Load record has a memory read at t.
 	ld := tr.Records[1]
-	if len(ld.MemReads) != 1 || ld.MemReads[0].Addr != isa.DataBase {
-		t.Errorf("load memreads = %v", ld.MemReads)
+	if !ld.HasLoad || ld.Load != isa.DataBase || ld.HasStore {
+		t.Errorf("load record = %+v", ld)
 	}
 	// Push writes below the stack top.
 	ps := tr.Records[2]
-	if len(ps.MemWrites) != 1 || ps.MemWrites[0].Addr != isa.StackTop-8 {
-		t.Errorf("push memwrites = %v", ps.MemWrites)
+	if !ps.HasStore || ps.Store != isa.StackTop-8 || ps.HasLoad {
+		t.Errorf("push record = %+v", ps)
 	}
 	// Pop reads the same slot.
 	pp := tr.Records[3]
-	if len(pp.MemReads) != 1 || pp.MemReads[0].Addr != isa.StackTop-8 {
-		t.Errorf("pop memreads = %v", pp.MemReads)
+	if !pp.HasLoad || pp.Load != isa.StackTop-8 || pp.HasStore {
+		t.Errorf("pop record = %+v", pp)
 	}
 	// je taken.
 	if !tr.Records[5].Taken {
@@ -525,23 +525,8 @@ func TestTraceEncodeDecode(t *testing.T) {
 		t.Fatalf("decoded length %d, want %d", back.Len(), tr.Len())
 	}
 	for i := range tr.Records {
-		a, b := &tr.Records[i], &back.Records[i]
-		if a.IP != b.IP || a.Op != b.Op || a.Taken != b.Taken || a.CallLevel != b.CallLevel {
-			t.Fatalf("record %d header mismatch: %+v vs %+v", i, a, b)
-		}
-		if len(a.RegReads) != len(b.RegReads) || len(a.RegWrites) != len(b.RegWrites) ||
-			len(a.MemReads) != len(b.MemReads) || len(a.MemWrites) != len(b.MemWrites) {
-			t.Fatalf("record %d set sizes mismatch", i)
-		}
-		for j := range a.RegReads {
-			if a.RegReads[j] != b.RegReads[j] {
-				t.Fatalf("record %d regread %d mismatch", i, j)
-			}
-		}
-		for j := range a.MemReads {
-			if a.MemReads[j] != b.MemReads[j] {
-				t.Fatalf("record %d memread %d mismatch", i, j)
-			}
+		if a, b := tr.Records[i], back.Records[i]; a != b {
+			t.Fatalf("record %d mismatch: %+v vs %+v", i, a, b)
 		}
 	}
 }

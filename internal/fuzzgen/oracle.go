@@ -108,8 +108,7 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 	runLeg := func(dense bool) (*backend.Result, error) {
 		cfg := machine.DefaultConfig(cores)
 		cfg.Dense = dense
-		mb := &backend.Machine{Cfg: cfg}
-		return mb.Run(prog, nil, false)
+		return backend.RunMachine(prog, nil, cfg)
 	}
 	ref, err := runLeg(false)
 	if err != nil {

@@ -430,13 +430,23 @@ func (k *Kernel) constsFor(n int) (map[string]uint64, error) {
 	return consts, nil
 }
 
+// maxLowered bounds the dataset sizes one kernel keeps lowered. A sweep's
+// size axis is a handful of values; a process that is asked for every size
+// in turn must not keep every AST and source for its lifetime.
+const maxLowered = 32
+
 // lower produces (and caches) the per-n lowering: canonical source text plus
-// the checked AST the interpreter runs.
+// the checked AST the interpreter runs. Going over maxLowered forgets every
+// size: a lowering is a pure function of n, so one asked for again lowers to
+// the same source, and callers holding a forgotten one keep using it.
 func (k *Kernel) lower(n int) (*lowered, error) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	if l, ok := k.cache[n]; ok {
 		return l, nil
+	}
+	if len(k.cache) >= maxLowered {
+		clear(k.cache)
 	}
 	prog, err := k.lowerProgram(n)
 	if err != nil {

@@ -238,6 +238,83 @@ func TestInterpFaults(t *testing.T) {
 	}
 }
 
+// TestInterpFrames pins what a frame indexed by the checker's offsets has to
+// keep of the map of cells it replaced. The programs are mini-C because two
+// of the cases need a declaration without an initialiser, which reads 0 here
+// every time it is reached (the machine would leave the stack word as it
+// was, so only the first two cases are also run on the emulator).
+func TestInterpFrames(t *testing.T) {
+	cases := []struct {
+		name, src string
+		want      uint64
+		emulated  bool
+	}{
+		{"recursion-keeps-the-callers-locals", `
+unsigned long f(unsigned long n) {
+    unsigned long mine = n * 10;
+    if (n == 0) return 0;
+    unsigned long below = f(n - 1);
+    return mine + below + n;
+}
+unsigned long main(void) { return f(3); }`, 66, true},
+		{"loop-body-declaration-is-initialised-each-iteration", `
+unsigned long main(void) {
+    unsigned long s = 0;
+    for (unsigned long i = 0; i < 3; i = i + 1) {
+        unsigned long acc = 5;
+        acc = acc + i;
+        s = s + acc;
+    }
+    return s;
+}`, 18, true},
+		{"uninitialised-declaration-reads-zero-each-iteration", `
+unsigned long main(void) {
+    unsigned long s = 0;
+    for (unsigned long i = 0; i < 3; i = i + 1) {
+        unsigned long u;
+        s = s + u;
+        u = 7;
+    }
+    return s;
+}`, 0, false},
+		{"sibling-scopes-do-not-leak", `
+unsigned long main(void) {
+    unsigned long s = 0;
+    if (s == 0) { unsigned long a = 41; s = s + a; }
+    if (s != 0) { unsigned long b; s = s + b; b = 1; } else { unsigned long c = 9; s = s + c; }
+    return s;
+}`, 41, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			prog, err := minic.Parse(c.src)
+			if err == nil {
+				err = minic.Check(prog)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Interp(prog, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != c.want {
+				t.Errorf("interpreted to %d, want %d", got, c.want)
+			}
+			if !c.emulated {
+				return
+			}
+			compiled, err := minic.Compile(c.src, minic.ModeCall)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e := emulate(t, compiled, nil); e != got {
+				t.Errorf("emulator %d, interpreter %d", e, got)
+			}
+		})
+	}
+}
+
 func TestScanErrors(t *testing.T) {
 	cases := []struct {
 		name, src, wantErr string
@@ -325,6 +402,53 @@ func TestLoweringIsCachedPerN(t *testing.T) {
 	}
 	if a == c {
 		t.Error("different n produced identical sources")
+	}
+}
+
+// TestLoweringCacheIsBounded: a kernel asked for 200 sizes keeps at most
+// maxLowered of them, a forgotten size lowers again to the same bytes and the
+// same checksum, and a remembered size costs Source and Ref no lowering.
+func TestLoweringCacheIsBounded(t *testing.T) {
+	k := scan(t, sumKernel)
+	in := map[string][]uint64{"a": {3, 1, 4, 1, 5, 9, 2, 6}}
+	first, err := k.Source(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := k.Ref(8, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 9; n < 209; n++ {
+		if _, err := k.Source(n); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if len(k.cache) > maxLowered {
+			t.Fatalf("after n=%d the kernel keeps %d sizes, bound %d", n, len(k.cache), maxLowered)
+		}
+	}
+	if _, kept := k.cache[8]; kept {
+		t.Fatal("n=8 survived 200 other sizes: the case below would test nothing")
+	}
+	again, err := k.Source(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != first {
+		t.Error("a forgotten size lowered to different source")
+	}
+	if got, err := k.Ref(8, in); err != nil || got != want {
+		t.Errorf("a forgotten size's reference = %d, %v; want %d", got, err, want)
+	}
+	hit := k.cache[8]
+	if allocs := testing.AllocsPerRun(10, func() { k.Source(8) }); allocs != 0 {
+		t.Errorf("Source on a remembered size allocates %v times", allocs)
+	}
+	if _, err := k.Ref(8, in); err != nil {
+		t.Fatal(err)
+	}
+	if k.cache[8] != hit {
+		t.Error("Source or Ref on a remembered size lowered it again")
 	}
 }
 

@@ -3,6 +3,7 @@ package gofront
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/minic"
 )
@@ -33,29 +34,20 @@ const interpMaxSteps = 4_000_000_000
 // and returns its value. The program must have been checked (names resolved,
 // types assigned); Kernel.Ref arranges that.
 func Interp(prog *minic.Program, in map[string][]uint64) (uint64, error) {
-	ip := &interp{
-		prog:    prog,
-		globals: make(map[*minic.GlobalVar][]uint64, len(prog.Globals)),
-	}
-	byName := make(map[string]*minic.GlobalVar, len(prog.Globals))
-	for _, g := range prog.Globals {
-		n := int64(1)
+	ip := &interp{prog: prog, globals: make([][]uint64, len(prog.Globals))}
+	for i, g := range prog.Globals {
 		if g.Type.Kind == minic.TypeArray {
-			n = g.Type.Len
+			ip.globals[i] = make([]uint64, g.Type.Len)
+		} else {
+			ip.globals[i] = []uint64{g.Init}
 		}
-		words := make([]uint64, n)
-		if g.Type.Kind != minic.TypeArray {
-			words[0] = g.Init
-		}
-		ip.globals[g] = words
-		byName[g.Name] = g
 	}
 	for sym, words := range in {
-		g := byName[sym]
-		if g == nil {
+		i := slices.IndexFunc(prog.Globals, func(g *minic.GlobalVar) bool { return g.Name == sym })
+		if i < 0 {
 			return 0, fmt.Errorf("interp: input for unknown symbol %q", sym)
 		}
-		dst := ip.globals[g]
+		dst := ip.globals[i]
 		if len(words) > len(dst) {
 			return 0, fmt.Errorf("interp: %d input words overflow %q (%d words)", len(words), sym, len(dst))
 		}
@@ -70,7 +62,7 @@ func Interp(prog *minic.Program, in map[string][]uint64) (uint64, error) {
 	if main == nil {
 		return 0, fmt.Errorf("interp: no main function")
 	}
-	ctl, v, err := ip.call(main, nil)
+	ctl, v, err := ip.stmts(newFrame(main), main.Body)
 	if err != nil {
 		return 0, err
 	}
@@ -82,13 +74,24 @@ func Interp(prog *minic.Program, in map[string][]uint64) (uint64, error) {
 
 type interp struct {
 	prog    *minic.Program
-	globals map[*minic.GlobalVar][]uint64
+	globals [][]uint64 // storage of prog.Globals[i]: a handful, found by scanning
 	steps   int64
 }
 
-// frame is one activation record: locals and parameters resolve to cells by
-// the checker's *LocalVar identity.
-type frame map[*minic.LocalVar]*uint64
+// global returns the storage of a global the checker resolved.
+func (ip *interp) global(g *minic.GlobalVar) []uint64 {
+	return ip.globals[slices.Index(ip.prog.Globals, g)]
+}
+
+// frame is one activation record, laid out as the checker laid out the
+// machine's: the word at rbp+Offset is frame[slot(v)]. Check gives every
+// parameter and declaration of a function its own offset, so a name resolves
+// without a lookup and a resolved name cannot miss.
+type frame []uint64
+
+func newFrame(f *minic.Function) frame { return make(frame, f.FrameSize/8) }
+
+func slot(v *minic.LocalVar) int { return int(-v.Offset/8) - 1 }
 
 type control uint8
 
@@ -105,15 +108,6 @@ func (ip *interp) tick() error {
 		return fmt.Errorf("interp: step budget exhausted (possible non-termination)")
 	}
 	return nil
-}
-
-func (ip *interp) call(f *minic.Function, args []uint64) (control, uint64, error) {
-	fr := make(frame, len(f.Locals)+len(f.Params))
-	for i, p := range f.Params {
-		cell := args[i]
-		fr[p] = &cell
-	}
-	return ip.stmts(fr, f.Body)
 }
 
 func (ip *interp) stmts(fr frame, ss []*minic.Stmt) (control, uint64, error) {
@@ -135,15 +129,16 @@ func (ip *interp) stmt(fr frame, s *minic.Stmt) (control, uint64, error) {
 		_, err := ip.eval(fr, s.E)
 		return ctlNone, 0, err
 	case minic.StmtDecl:
-		var cell uint64
+		// A declaration without an initialiser reads 0 here, each time it
+		// is reached; the machine leaves the stack word as it was.
+		var v uint64
 		if s.DeclInit != nil {
-			v, err := ip.eval(fr, s.DeclInit)
-			if err != nil {
+			var err error
+			if v, err = ip.eval(fr, s.DeclInit); err != nil {
 				return ctlNone, 0, err
 			}
-			cell = v
 		}
-		fr[s.Decl] = &cell
+		fr[slot(s.Decl)] = v
 		return ctlNone, 0, nil
 	case minic.StmtIf:
 		c, err := ip.eval(fr, s.E)
@@ -234,17 +229,13 @@ func (ip *interp) cell(fr frame, e *minic.Expr) (*uint64, error) {
 	switch e.Kind {
 	case minic.ExprVar:
 		if e.Local != nil {
-			c := fr[e.Local]
-			if c == nil {
-				return nil, fmt.Errorf("interp: read of undeclared local %q", e.Name)
-			}
-			return c, nil
+			return &fr[slot(e.Local)], nil
 		}
 		if e.Global != nil {
 			if e.Global.Type.Kind == minic.TypeArray {
 				return nil, fmt.Errorf("interp: array %q used as a scalar", e.Name)
 			}
-			return &ip.globals[e.Global][0], nil
+			return &ip.global(e.Global)[0], nil
 		}
 		return nil, fmt.Errorf("interp: unresolved identifier %q", e.Name)
 	case minic.ExprIndex:
@@ -255,7 +246,7 @@ func (ip *interp) cell(fr frame, e *minic.Expr) (*uint64, error) {
 		if err != nil {
 			return nil, err
 		}
-		words := ip.globals[e.L.Global]
+		words := ip.global(e.L.Global)
 		if idx >= uint64(len(words)) {
 			return nil, fmt.Errorf("interp: index %d out of range for %q (%d words)", idx, e.L.Name, len(words))
 		}
@@ -363,15 +354,15 @@ func (ip *interp) eval(fr frame, e *minic.Expr) (uint64, error) {
 		if e.Callee == nil {
 			return 0, fmt.Errorf("interp: unresolved call %q", e.Name)
 		}
-		args := make([]uint64, len(e.Args))
+		callee := newFrame(e.Callee)
 		for i, a := range e.Args {
 			v, err := ip.eval(fr, a)
 			if err != nil {
 				return 0, err
 			}
-			args[i] = v
+			callee[slot(e.Callee.Params[i])] = v
 		}
-		_, v, err := ip.call(e.Callee, args)
+		_, v, err := ip.stmts(callee, e.Callee.Body)
 		return v, err
 	case minic.ExprCond:
 		c, err := ip.eval(fr, e.C)

@@ -213,7 +213,7 @@ func analyzeUnbounded(t *trace.Trace, m Model) Result {
 			}
 		}
 
-		for _, reg := range r.RegReads {
+		for _, reg := range r.RegReads() {
 			if m.IgnoreStackPointer && reg == isa.RSP {
 				continue
 			}
@@ -221,13 +221,13 @@ func analyzeUnbounded(t *trace.Trace, m Model) Result {
 				consider(s.regWrite[reg], ix)
 			}
 		}
-		for _, mr := range r.MemReads {
-			if w, ok := s.memWrite[mr.Addr]; ok {
-				consider(w, s.memWriteIx[mr.Addr])
+		if r.HasLoad {
+			if w, ok := s.memWrite[r.Load]; ok {
+				consider(w, s.memWriteIx[r.Load])
 			}
 		}
 		if !m.RenameRegisters {
-			for _, reg := range r.RegWrites {
+			for _, reg := range r.RegWrites() {
 				if m.IgnoreStackPointer && reg == isa.RSP {
 					continue
 				}
@@ -239,14 +239,12 @@ func analyzeUnbounded(t *trace.Trace, m Model) Result {
 				}
 			}
 		}
-		if !m.RenameMemory {
-			for _, mw := range r.MemWrites {
-				if w, ok := s.memWrite[mw.Addr]; ok {
-					consider(w, s.memWriteIx[mw.Addr]) // WAW
-				}
-				if rr, ok := s.memRead[mw.Addr]; ok {
-					consider(rr, -1) // WAR
-				}
+		if !m.RenameMemory && r.HasStore {
+			if w, ok := s.memWrite[r.Store]; ok {
+				consider(w, s.memWriteIx[r.Store]) // WAW
+			}
+			if rr, ok := s.memRead[r.Store]; ok {
+				consider(rr, -1) // WAR
 			}
 		}
 		if !m.PerfectBranchPrediction && lastBranchCycle > 0 {
@@ -271,25 +269,23 @@ func analyzeUnbounded(t *trace.Trace, m Model) Result {
 		}
 
 		// Update producer state.
-		for _, reg := range r.RegReads {
+		for _, reg := range r.RegReads() {
 			if cycle > s.regRead[reg] {
 				s.regRead[reg] = cycle
 			}
 		}
-		for _, reg := range r.RegWrites {
+		for _, reg := range r.RegWrites() {
 			s.regWrite[reg] = cycle
 			s.regWriteIx[reg] = idx
 			s.regRead[reg] = 0
 		}
-		for _, mr := range r.MemReads {
-			if cycle > s.memRead[mr.Addr] {
-				s.memRead[mr.Addr] = cycle
-			}
+		if r.HasLoad && cycle > s.memRead[r.Load] {
+			s.memRead[r.Load] = cycle
 		}
-		for _, mw := range r.MemWrites {
-			s.memWrite[mw.Addr] = cycle
-			s.memWriteIx[mw.Addr] = idx
-			delete(s.memRead, mw.Addr)
+		if r.HasStore {
+			s.memWrite[r.Store] = cycle
+			s.memWriteIx[r.Store] = idx
+			delete(s.memRead, r.Store)
 		}
 		if r.IsControl() {
 			lastBranchCycle = cycle
@@ -341,19 +337,19 @@ func analyzeWindowed(t *trace.Trace, m Model) Result {
 				d = append(d, int32(ix))
 			}
 		}
-		for _, reg := range r.RegReads {
+		for _, reg := range r.RegReads() {
 			if m.IgnoreStackPointer && reg == isa.RSP {
 				continue
 			}
 			add(s.regWriteIx[reg])
 		}
-		for _, mr := range r.MemReads {
-			if ix, ok := s.memWriteIx[mr.Addr]; ok {
+		if r.HasLoad {
+			if ix, ok := s.memWriteIx[r.Load]; ok {
 				add(ix)
 			}
 		}
 		if !m.RenameRegisters {
-			for _, reg := range r.RegWrites {
+			for _, reg := range r.RegWrites() {
 				if m.IgnoreStackPointer && reg == isa.RSP {
 					continue
 				}
@@ -361,32 +357,30 @@ func analyzeWindowed(t *trace.Trace, m Model) Result {
 				d = append(d, regReadIx[reg]...)
 			}
 		}
-		if !m.RenameMemory {
-			for _, mw := range r.MemWrites {
-				if ix, ok := s.memWriteIx[mw.Addr]; ok {
-					add(ix)
-				}
-				d = append(d, memReadIx[mw.Addr]...)
+		if !m.RenameMemory && r.HasStore {
+			if ix, ok := s.memWriteIx[r.Store]; ok {
+				add(ix)
 			}
+			d = append(d, memReadIx[r.Store]...)
 		}
 		if !m.PerfectBranchPrediction {
 			add(lastBranch)
 		}
 		deps[i] = d
 
-		for _, reg := range r.RegReads {
+		for _, reg := range r.RegReads() {
 			regReadIx[reg] = append(regReadIx[reg], int32(i))
 		}
-		for _, reg := range r.RegWrites {
+		for _, reg := range r.RegWrites() {
 			s.regWriteIx[reg] = int64(i)
 			regReadIx[reg] = regReadIx[reg][:0]
 		}
-		for _, mr := range r.MemReads {
-			memReadIx[mr.Addr] = append(memReadIx[mr.Addr], int32(i))
+		if r.HasLoad {
+			memReadIx[r.Load] = append(memReadIx[r.Load], int32(i))
 		}
-		for _, mw := range r.MemWrites {
-			s.memWriteIx[mw.Addr] = int64(i)
-			delete(memReadIx, mw.Addr)
+		if r.HasStore {
+			s.memWriteIx[r.Store] = int64(i)
+			delete(memReadIx, r.Store)
 		}
 		if r.IsControl() {
 			lastBranch = int64(i)

@@ -345,8 +345,8 @@ main:   pushq %rax
 `)
 	// Sanity: the records do reference rsp.
 	foundRSP := false
-	for _, r := range tr.Records {
-		for _, reg := range r.RegReads {
+	for i := range tr.Records {
+		for _, reg := range tr.Records[i].RegReads() {
 			if reg == isa.RSP {
 				foundRSP = true
 			}

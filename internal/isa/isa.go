@@ -69,9 +69,6 @@ func ParseReg(name string) (Reg, bool) {
 	return 0, false
 }
 
-// IsGPR reports whether r is a general-purpose register (not Flags).
-func (r Reg) IsGPR() bool { return r < Flags }
-
 // RegMask is a bitset over the architectural registers, the allocation-free
 // representation of small register sets (dependence analyses, the
 // simulator's address-source classification and read/write deduplication).
@@ -425,11 +422,6 @@ func (in *Instruction) WritesFlags() bool {
 		return true
 	}
 	return false
-}
-
-// ReadsFlags reports whether the instruction reads the Flags register.
-func (in *Instruction) ReadsFlags() bool {
-	return in.Op == Jcc || in.Op == SETcc
 }
 
 // RegReads appends to buf the registers read by the instruction (including

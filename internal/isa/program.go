@@ -14,8 +14,6 @@ const (
 	DataBase uint64 = 0x10000
 	// StackTop is the initial stack pointer; the stack grows down.
 	StackTop uint64 = 0x7fff0000
-	// HeapBase is where the bump allocator used by mini-C programs starts.
-	HeapBase uint64 = 0x1000000
 )
 
 // Program is a loadable unit: a text segment (one instruction per code
@@ -34,12 +32,6 @@ func NewProgram() *Program {
 		Labels:   make(map[string]int64),
 		DataSyms: make(map[string]uint64),
 	}
-}
-
-// Lookup resolves a code label.
-func (p *Program) Lookup(label string) (int64, bool) {
-	v, ok := p.Labels[label]
-	return v, ok
 }
 
 // DataAddr resolves a data symbol to its absolute byte address.

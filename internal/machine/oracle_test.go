@@ -30,8 +30,7 @@ import (
 func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs, n int, cfg machine.Config, dense bool) *machine.Result {
 	t.Helper()
 	cfg.Dense = dense
-	mb := &backend.Machine{Cfg: cfg}
-	res, err := mb.Run(prog, in, false)
+	res, err := backend.RunMachine(prog, in, cfg)
 	if err != nil {
 		t.Fatalf("%s n=%d cores=%d dense=%v: %v", k.Name, n, cfg.Cores, dense, err)
 	}

@@ -35,9 +35,6 @@ func (t *Type) IsInteger() bool { return t.Kind == TypeLong || t.Kind == TypeULo
 // Pointers compare unsigned.
 func (t *Type) IsUnsigned() bool { return t.Kind == TypeULong || t.Kind == TypePtr }
 
-// IsPtrLike reports whether t is a pointer or an array (decays to pointer).
-func (t *Type) IsPtrLike() bool { return t.Kind == TypePtr || t.Kind == TypeArray }
-
 // Size returns the size in bytes (arrays: whole extent).
 func (t *Type) Size() int64 {
 	if t.Kind == TypeArray {

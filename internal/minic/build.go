@@ -21,9 +21,6 @@ func LongType() *Type { return tyLong }
 // ULongType returns the unsigned 64-bit integer type.
 func ULongType() *Type { return tyULong }
 
-// PtrType returns the type "pointer to elem".
-func PtrType(elem *Type) *Type { return ptrTo(elem) }
-
 // ArrayType returns the type "array of n elem".
 func ArrayType(elem *Type, n int64) *Type { return arrayOf(elem, n) }
 

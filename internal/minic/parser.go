@@ -2,9 +2,38 @@ package minic
 
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
-	toks []token
-	pos  int
-	prog *Program
+	toks  []token
+	pos   int
+	prog  *Program
+	depth int // statements and expressions open around the current token
+}
+
+// maxNesting bounds how deep statements and expressions nest, a chain of
+// operators or subscripts counting one level a link. The parser recurses
+// once per level, and so do the checker, the code generator and the
+// interpreter over the tree it builds; a goroutine stack that outgrows its
+// limit is a crash no caller can recover from, so a source that nests deeper
+// is refused here, with a position. (A refusal abandons the parse, so only
+// the productions that succeed give their levels back.)
+const maxNesting = 256
+
+// enter opens one nesting level.
+func (p *parser) enter() error {
+	if p.depth++; p.depth > maxNesting {
+		return errTok(p.tok(), "statements or expressions nested deeper than %d", maxNesting)
+	}
+	return nil
+}
+
+func (p *parser) leave() { p.depth-- }
+
+// nested parses one production a level deeper.
+func (p *parser) nested(production func() (*Expr, error)) (*Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
+	return production()
 }
 
 func (p *parser) tok() token  { return p.toks[p.pos] }
@@ -224,6 +253,10 @@ func (p *parser) block() ([]*Stmt, error) {
 
 // statement returns one or more statements (a declaration list expands).
 func (p *parser) statement() ([]*Stmt, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	line := p.tok().line
 	switch {
 	case p.accept("{"):
@@ -430,7 +463,14 @@ func (p *parser) simpleStmt() (*Stmt, error) {
 
 func (p *parser) expr() (*Expr, error) { return p.assignExpr() }
 
+// assignExpr is a level of nesting: it calls itself, and every cycle of the
+// expression grammar passes through it except a ternary's else branch and a
+// prefix operator's operand, which are parsed nested.
 func (p *parser) assignExpr() (*Expr, error) {
+	if err := p.enter(); err != nil {
+		return nil, err
+	}
+	defer p.leave()
 	l, err := p.condExpr()
 	if err != nil {
 		return nil, err
@@ -470,7 +510,7 @@ func (p *parser) condExpr() (*Expr, error) {
 		if err := p.expect(":"); err != nil {
 			return nil, err
 		}
-		b, err := p.condExpr()
+		b, err := p.nested(p.condExpr)
 		if err != nil {
 			return nil, err
 		}
@@ -501,7 +541,7 @@ func (p *parser) binExpr(level int) (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
+	for links := 0; ; links++ {
 		t := p.tok()
 		matched := false
 		if t.kind == tokPunct {
@@ -513,7 +553,11 @@ func (p *parser) binExpr(level int) (*Expr, error) {
 			}
 		}
 		if !matched {
+			p.depth -= links
 			return l, nil
+		}
+		if err := p.enter(); err != nil {
+			return nil, err
 		}
 		p.pos++
 		r, err := p.binExpr(level + 1)
@@ -530,18 +574,18 @@ func (p *parser) unaryExpr() (*Expr, error) {
 		switch t.text {
 		case "-", "!", "~", "*", "&":
 			p.pos++
-			e, err := p.unaryExpr()
+			e, err := p.nested(p.unaryExpr)
 			if err != nil {
 				return nil, err
 			}
 			return &Expr{Kind: ExprUnary, Op: t.text, Line: t.line, L: e}, nil
 		case "+":
 			p.pos++
-			return p.unaryExpr()
+			return p.nested(p.unaryExpr)
 		case "++", "--":
 			// Pre-increment sugar: ++x => x = x + 1.
 			p.pos++
-			e, err := p.unaryExpr()
+			e, err := p.nested(p.unaryExpr)
 			if err != nil {
 				return nil, err
 			}
@@ -561,10 +605,14 @@ func (p *parser) postfixExpr() (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	for {
+	for links := 0; ; links++ {
 		t := p.tok()
-		if t.kind != tokPunct {
+		if t.kind != tokPunct || (t.text != "[" && t.text != "(") {
+			p.depth -= links
 			return e, nil
+		}
+		if err := p.enter(); err != nil {
+			return nil, err
 		}
 		switch t.text {
 		case "[":
@@ -600,8 +648,6 @@ func (p *parser) postfixExpr() (*Expr, error) {
 				}
 			}
 			e = call
-		default:
-			return e, nil
 		}
 	}
 }

@@ -29,6 +29,7 @@ import (
 	"repro/internal/backend"
 	"repro/internal/ilp"
 	"repro/internal/isa"
+	"repro/internal/machine"
 	"repro/internal/minic"
 	"repro/internal/trace"
 )
@@ -251,79 +252,60 @@ func (k *Kernel) Build(n int, mode minic.Mode) (*isa.Program, error) {
 	return minic.Compile(src, mode)
 }
 
-// RunResult is the outcome of one kernel execution.
+// RunResult is the outcome of one kernel execution on the emulator.
 type RunResult struct {
 	Kernel   *Kernel      // the benchmark that ran
 	N        int          // effective (clamped) dataset size
-	Backend  string       // substrate that produced the result
 	Checksum uint64       // the mini-C program's result (rax)
 	Expected uint64       // the pure-Go reference checksum
 	Steps    int64        // dynamic instructions
-	Cycles   int64        // simulated cycles (== Steps on the emulator)
 	Trace    *trace.Trace // nil unless traced
 }
 
-// RunOn compiles the kernel in the backend's calling convention, executes it
-// there, and validates the checksum against the Go reference.
-func (k *Kernel) RunOn(b backend.Backend, n int, seed uint64, traced bool) (*RunResult, error) {
-	if traced && !b.SupportsTrace() {
-		return nil, fmt.Errorf("pbbs: %s: backend %s cannot capture traces", k.Name, b.Name())
-	}
+// Run compiles the kernel in call mode, executes it on the sequential
+// emulator, optionally capturing the trace, and validates the checksum
+// against the Go reference.
+func (k *Kernel) Run(n int, seed uint64, traced bool) (*RunResult, error) {
 	n = k.ClampN(n)
-	prog, err := k.Build(n, b.Mode())
+	prog, err := k.Build(n, minic.ModeCall)
 	if err != nil {
 		return nil, fmt.Errorf("pbbs: %s (n=%d): %w", k.Name, n, err)
 	}
 	in := k.Gen(n, seed)
-	r, err := b.Run(prog, in, traced)
+	r, err := backend.NewEmulator().Run(prog, in, traced)
 	if err != nil {
-		return nil, fmt.Errorf("pbbs: %s (n=%d) on %s: %w", k.Name, n, b.Name(), err)
+		return nil, fmt.Errorf("pbbs: %s (n=%d): %w", k.Name, n, err)
 	}
 	want, err := k.Ref(n, in)
 	if err != nil {
 		return nil, fmt.Errorf("pbbs: %s (n=%d): reference: %w", k.Name, n, err)
 	}
-	res := &RunResult{
-		Kernel:   k,
-		N:        n,
-		Backend:  b.Name(),
-		Checksum: r.RAX,
-		Expected: want,
-		Steps:    r.Instructions,
-		Cycles:   r.Cycles,
-		Trace:    r.Trace,
-	}
+	res := &RunResult{Kernel: k, N: n, Checksum: r.RAX, Expected: want, Steps: r.Instructions, Trace: r.Trace}
 	if res.Checksum != res.Expected {
-		return res, fmt.Errorf("pbbs: %s (n=%d) on %s: checksum %d, reference %d",
-			k.Name, n, b.Name(), res.Checksum, res.Expected)
+		return res, fmt.Errorf("pbbs: %s (n=%d): checksum %d, reference %d", k.Name, n, res.Checksum, res.Expected)
 	}
 	return res, nil
 }
 
-// Run executes the kernel on the sequential emulator, optionally capturing
-// the trace, and validates the checksum against the Go reference.
-func (k *Kernel) Run(n int, seed uint64, traced bool) (*RunResult, error) {
-	return k.RunOn(backend.NewEmulator(), n, seed, traced)
-}
-
 // CrossValidate compiles the kernel in fork mode and runs it with identical
-// inputs on the sequential emulator and on the many-core machine, checking
-// that both agree on the final rax and the full data segment, and that the
-// result matches the Go reference checksum. It returns the machine result.
+// inputs on the sequential emulator and on the paper-calibrated default
+// machine of the given core count, checking that both agree on the final rax
+// and the full data segment, and that the result matches the Go reference
+// checksum. It returns the machine result.
 func (k *Kernel) CrossValidate(n int, seed uint64, cores int) (*backend.Result, error) {
-	return k.CrossValidateOn(backend.NewMachine(cores), n, seed)
+	return k.CrossValidateWith(n, seed, machine.DefaultConfig(cores))
 }
 
-// CrossValidateOn is CrossValidate with a caller-configured machine backend
+// CrossValidateWith is CrossValidate on a caller-configured machine
 // (scheduler, topology, placement knobs).
-func (k *Kernel) CrossValidateOn(mb *backend.Machine, n int, seed uint64) (*backend.Result, error) {
+func (k *Kernel) CrossValidateWith(n int, seed uint64, cfg machine.Config) (*backend.Result, error) {
 	n = k.ClampN(n)
-	prog, err := k.Build(n, mb.Mode())
+	prog, err := k.Build(n, minic.ModeFork)
 	if err != nil {
 		return nil, fmt.Errorf("pbbs: %s (n=%d): %w", k.Name, n, err)
 	}
 	in := k.Gen(n, seed)
-	_, rm, err := backend.CrossValidate(prog, in, backend.NewEmulator(), mb)
+	_, rm, err := backend.CrossValidate(prog, in, cfg)
 	if err != nil {
 		return rm, fmt.Errorf("pbbs: %s (n=%d): %w", k.Name, n, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/backend"
 	"repro/internal/minic"
 )
 
@@ -198,20 +197,6 @@ func TestClampToMinN(t *testing.T) {
 	}
 	if res.N != k.MinN {
 		t.Errorf("n clamped to %d, want %d", res.N, k.MinN)
-	}
-}
-
-func TestRunOnReportsBackend(t *testing.T) {
-	k, err := ByID(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := k.RunOn(backend.NewEmulator(), 16, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Backend != "emu" {
-		t.Errorf("backend = %q", res.Backend)
 	}
 }
 

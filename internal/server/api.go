@@ -31,18 +31,20 @@ func (k *KernelSel) UnmarshalJSON(b []byte) error {
 
 // What one request may ask of the server, next to the body caps: a body under
 // 1 MiB can spell a 10⁹-point cross-product, which the manager would
-// enumerate in the handler, and any core count, which the machine turns into
-// a slab of that many cores. The paper's widest run is 3 072 cores. The CLI
-// is not capped.
+// enumerate in the handler; any core count, which the machine turns into a
+// slab of that many cores; and any dataset size, which the kernel's source
+// turns into arrays of that many words in the data segment. The paper's
+// widest run is 3 072 cores. The CLI is not capped.
 const (
 	maxGridPoints = 1 << 16
 	maxCores      = 1 << 16
+	maxN          = 1 << 16
 )
 
-// checkCores rejects a core count above maxCores.
-func checkCores(cores int) error {
-	if cores > maxCores {
-		return fmt.Errorf("core count %d above the limit of %d", cores, maxCores)
+// checkLimit rejects a requested value above its cap.
+func checkLimit(what string, v, limit int) error {
+	if v > limit {
+		return fmt.Errorf("%s %d above the limit of %d", what, v, limit)
 	}
 	return nil
 }
@@ -77,7 +79,12 @@ func (r *SweepRequest) Spec() (*sweep.Spec, error) {
 		return nil, err
 	}
 	for _, c := range spec.Cores {
-		if err := checkCores(c); err != nil {
+		if err := checkLimit("core count", c, maxCores); err != nil {
+			return nil, err
+		}
+	}
+	for _, n := range spec.Sizes {
+		if err := checkLimit("dataset size", n, maxN); err != nil {
 			return nil, err
 		}
 	}
@@ -126,11 +133,14 @@ func (r *RunRequest) Point() (sweep.Point, error) {
 	// and surfaces the original in the record's RequestedN, which an eager
 	// clamp here would erase.
 	p.N = cmp.Or(r.N, 64)
+	if err := checkLimit("dataset size", p.N, maxN); err != nil {
+		return p, err
+	}
 	p.Cores = cmp.Or(r.Cores, 1)
 	if p.Cores < 1 {
 		return p, fmt.Errorf("bad core count %d", p.Cores)
 	}
-	if err := checkCores(p.Cores); err != nil {
+	if err := checkLimit("core count", p.Cores, maxCores); err != nil {
 		return p, err
 	}
 	p.Topology = cmp.Or(r.Topology, sweep.TopoCrossbar)

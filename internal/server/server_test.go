@@ -296,6 +296,8 @@ func TestBadRequests(t *testing.T) {
 		{"/v1/sweeps", `{"kernels":[10],"cores":[1,65537]}`},
 		{"/v1/runs", `{"kernel":"10","cores":65537}`},
 		{"/v1/runs", `{"kernel":"10","cores":4000000000000000000,"topology":"mesh"}`}, // a slab no host has
+		{"/v1/sweeps", `{"kernels":[10],"sizes":[64,65537]}`},
+		{"/v1/runs", `{"kernel":"nn","n":1000000000000}`}, // a 16 TB data segment
 	} {
 		var e struct{ Error string }
 		if code := postJSON(t, ts, c.path, c.body, &e); code != http.StatusBadRequest || !strings.Contains(e.Error, "limit of 65536") {
@@ -322,14 +324,18 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("POST %s %s = %d (error %q), want 400 with a message", c.path, c.body, code, e.Error)
 		}
 	}
-	// The caps are inclusive: a grid of exactly 65 536 points on up to 65 536
-	// cores is a valid request (resolved here, not submitted).
+	// The caps are inclusive: a grid of exactly 65 536 points of up to 65 536
+	// elements on up to 65 536 cores is a valid request (resolved here, not
+	// submitted), and so is one run at both caps.
 	atCap := SweepRequest{Kernels: []KernelSel{"10"}, Sizes: make([]int, 256), Cores: make([]int, 256)}
 	for i := range atCap.Sizes {
-		atCap.Sizes[i], atCap.Cores[i] = i+1, 65536-i
+		atCap.Sizes[i], atCap.Cores[i] = 65536-i, 65536-i
 	}
 	if _, err := atCap.Spec(); err != nil {
 		t.Errorf("a grid at the cap was refused: %v", err)
+	}
+	if _, err := (&RunRequest{Kernel: "10", N: 65536, Cores: 65536}).Point(); err != nil {
+		t.Errorf("a run at the cap was refused: %v", err)
 	}
 	// Collection endpoints only accept their registered method.
 	if code := getJSON(t, ts, "/v1/sweeps", nil); code != http.StatusMethodNotAllowed {

@@ -17,22 +17,48 @@ import (
 	"repro/internal/isa"
 )
 
-// MemRef is one data-memory access of 8 bytes at Addr.
-type MemRef struct {
-	Addr uint64
+// Record is one dynamic instruction instance. It is a fixed-size value with
+// no pointers in it: an instruction of this ISA makes at most one load and one
+// store and names a handful of registers, so the sets live inline, a trace is
+// one flat allocation the collector never scans, and appending a record is a
+// copy.
+type Record struct {
+	Seq       int64  // position in the dynamic trace, from 0
+	IP        int64  // code address (instruction index)
+	Load      uint64 // address of the 8-byte data load, when HasLoad
+	Store     uint64 // address of the 8-byte data store, when HasStore
+	CallLevel int32  // call nesting depth at this instruction
+	Op        isa.Op // opcode, for classification and reporting
+	Taken     bool   // for control instructions: branch taken
+	HasLoad   bool
+	HasStore  bool
+
+	nReads, nWrites uint8
+	reads           [4]isa.Reg // two operands of base+index, or rax, rdx and one of those
+	writes          [2]isa.Reg
 }
 
-// Record is one dynamic instruction instance.
-type Record struct {
-	Seq       int64     // position in the dynamic trace, from 0
-	IP        int64     // code address (instruction index)
-	Op        isa.Op    // opcode, for classification and reporting
-	RegReads  []isa.Reg // architectural registers read (incl. Flags, rsp)
-	RegWrites []isa.Reg // architectural registers written
-	MemReads  []MemRef  // 8-byte data loads
-	MemWrites []MemRef  // 8-byte data stores
-	Taken     bool      // for control instructions: branch taken
-	CallLevel int32     // call nesting depth at this instruction
+// RegReads returns the architectural registers read (incl. Flags, rsp), in
+// the instruction's operand order. The slice aliases the record.
+func (r *Record) RegReads() []isa.Reg { return r.reads[:r.nReads] }
+
+// RegWrites returns the architectural registers written. The slice aliases
+// the record.
+func (r *Record) RegWrites() []isa.Reg { return r.writes[:r.nWrites] }
+
+// SetRegs fills the register sets from the instruction. An instruction whose
+// sets outgrow the record panics: the record is sized for the ISA, and a
+// silently shortened set would drop dependences from every ILP figure.
+func (r *Record) SetRegs(in *isa.Instruction) {
+	r.nReads = fits(in.RegReads(r.reads[:0]), len(r.reads))
+	r.nWrites = fits(in.RegWrites(r.writes[:0]), len(r.writes))
+}
+
+func fits(set []isa.Reg, room int) uint8 {
+	if len(set) > room {
+		panic(fmt.Sprintf("trace: a set of %d registers does not fit a record's %d", len(set), room))
+	}
+	return uint8(len(set))
 }
 
 // IsControl reports whether the record is a control-flow instruction.
@@ -77,8 +103,12 @@ func (t *Trace) ComputeStats() Stats {
 	s.Instructions = len(t.Records)
 	for i := range t.Records {
 		r := &t.Records[i]
-		s.Loads += len(r.MemReads)
-		s.Stores += len(r.MemWrites)
+		if r.HasLoad {
+			s.Loads++
+		}
+		if r.HasStore {
+			s.Stores++
+		}
 		switch r.Op {
 		case isa.Jcc:
 			s.Branches++
@@ -120,6 +150,22 @@ func (t *Trace) Encode() []byte {
 		binary.LittleEndian.PutUint64(tmp[:], v)
 		b.Write(tmp[:])
 	}
+	regs := func(set []isa.Reg) {
+		b.WriteByte(byte(len(set)))
+		for _, reg := range set {
+			b.WriteByte(byte(reg))
+		}
+	}
+	// The format counts a record's loads and stores; the ISA makes at most
+	// one of each.
+	access := func(has bool, addr uint64) {
+		if !has {
+			b.WriteByte(0)
+			return
+		}
+		b.WriteByte(1)
+		u64(addr)
+	}
 	u64(uint64(len(t.Records)))
 	for i := range t.Records {
 		r := &t.Records[i]
@@ -132,22 +178,10 @@ func (t *Trace) Encode() []byte {
 		b.WriteByte(flags)
 		binary.LittleEndian.PutUint32(tmp[:4], uint32(r.CallLevel))
 		b.Write(tmp[:4])
-		b.WriteByte(byte(len(r.RegReads)))
-		for _, reg := range r.RegReads {
-			b.WriteByte(byte(reg))
-		}
-		b.WriteByte(byte(len(r.RegWrites)))
-		for _, reg := range r.RegWrites {
-			b.WriteByte(byte(reg))
-		}
-		b.WriteByte(byte(len(r.MemReads)))
-		for _, m := range r.MemReads {
-			u64(m.Addr)
-		}
-		b.WriteByte(byte(len(r.MemWrites)))
-		for _, m := range r.MemWrites {
-			u64(m.Addr)
-		}
+		regs(r.RegReads())
+		regs(r.RegWrites())
+		access(r.HasLoad, r.Load)
+		access(r.HasStore, r.Store)
 	}
 	return b.Bytes()
 }
@@ -163,6 +197,43 @@ func Decode(buf []byte) (*Trace, error) {
 			return fmt.Errorf("trace: truncated at offset %d", off)
 		}
 		return nil
+	}
+	count := func(room int, what string) (int, error) {
+		if err := need(1); err != nil {
+			return 0, err
+		}
+		k := int(buf[off])
+		if k > room {
+			return 0, fmt.Errorf("trace: %d %s at offset %d, a record holds %d", k, what, off, room)
+		}
+		off++
+		return k, nil
+	}
+	regs := func(dst []isa.Reg) (uint8, error) {
+		k, err := count(len(dst), "registers")
+		if err == nil {
+			err = need(k)
+		}
+		if err != nil {
+			return 0, err
+		}
+		for j := 0; j < k; j++ {
+			dst[j] = isa.Reg(buf[off+j])
+		}
+		off += k
+		return uint8(k), nil
+	}
+	access := func() (addr uint64, has bool, err error) {
+		k, err := count(1, "accesses")
+		if err == nil {
+			err = need(8 * k)
+		}
+		if err != nil || k == 0 {
+			return 0, false, err
+		}
+		addr = binary.LittleEndian.Uint64(buf[off:])
+		off += 8
+		return addr, true, nil
 	}
 	if err := need(8); err != nil {
 		return nil, err
@@ -184,55 +255,17 @@ func Decode(buf []byte) (*Trace, error) {
 		off++
 		r.CallLevel = int32(binary.LittleEndian.Uint32(buf[off:]))
 		off += 4
-		readRegs := func() ([]isa.Reg, error) {
-			if err := need(1); err != nil {
-				return nil, err
-			}
-			k := int(buf[off])
-			off++
-			if err := need(k); err != nil {
-				return nil, err
-			}
-			if k == 0 {
-				return nil, nil
-			}
-			rs := make([]isa.Reg, k)
-			for j := 0; j < k; j++ {
-				rs[j] = isa.Reg(buf[off+j])
-			}
-			off += k
-			return rs, nil
-		}
 		var err error
-		if r.RegReads, err = readRegs(); err != nil {
+		if r.nReads, err = regs(r.reads[:]); err != nil {
 			return nil, err
 		}
-		if r.RegWrites, err = readRegs(); err != nil {
+		if r.nWrites, err = regs(r.writes[:]); err != nil {
 			return nil, err
 		}
-		readMems := func() ([]MemRef, error) {
-			if err := need(1); err != nil {
-				return nil, err
-			}
-			k := int(buf[off])
-			off++
-			if err := need(8 * k); err != nil {
-				return nil, err
-			}
-			if k == 0 {
-				return nil, nil
-			}
-			ms := make([]MemRef, k)
-			for j := 0; j < k; j++ {
-				ms[j].Addr = binary.LittleEndian.Uint64(buf[off:])
-				off += 8
-			}
-			return ms, nil
-		}
-		if r.MemReads, err = readMems(); err != nil {
+		if r.Load, r.HasLoad, err = access(); err != nil {
 			return nil, err
 		}
-		if r.MemWrites, err = readMems(); err != nil {
+		if r.Store, r.HasStore, err = access(); err != nil {
 			return nil, err
 		}
 		t.Records = append(t.Records, r)

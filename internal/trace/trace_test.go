@@ -1,27 +1,34 @@
 package trace
 
 import (
+	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 )
 
+// rec is the one place a test builds a record by hand: header fields from
+// hdr, register sets copied in with the same over-full check SetRegs applies.
+func rec(hdr Record, reads, writes []isa.Reg) Record {
+	hdr.nReads, hdr.nWrites = fits(reads, len(hdr.reads)), fits(writes, len(hdr.writes))
+	copy(hdr.reads[:], reads)
+	copy(hdr.writes[:], writes)
+	return hdr
+}
+
 // synthetic returns a small hand-built trace exercising every record field.
 func synthetic() *Trace {
 	t := &Trace{}
-	t.Append(Record{IP: 0, Op: isa.MOV, RegWrites: []isa.Reg{isa.RAX}})
-	t.Append(Record{IP: 1, Op: isa.MOV, RegReads: []isa.Reg{isa.RAX},
-		MemWrites: []MemRef{{Addr: 0x10000}}})
-	t.Append(Record{IP: 2, Op: isa.ADD,
-		RegReads:  []isa.Reg{isa.RAX, isa.RBX},
-		RegWrites: []isa.Reg{isa.RAX, isa.Flags},
-		MemReads:  []MemRef{{Addr: 0x10008}}})
-	t.Append(Record{IP: 3, Op: isa.Jcc, RegReads: []isa.Reg{isa.Flags}, Taken: true})
-	t.Append(Record{IP: 4, Op: isa.Jcc, RegReads: []isa.Reg{isa.Flags}})
-	t.Append(Record{IP: 5, Op: isa.CALL, CallLevel: 0,
-		MemWrites: []MemRef{{Addr: 0x7ffeff00}}})
-	t.Append(Record{IP: 9, Op: isa.RET, CallLevel: 1,
-		MemReads: []MemRef{{Addr: 0x7ffeff00}}})
+	t.Append(rec(Record{IP: 0, Op: isa.MOV}, nil, []isa.Reg{isa.RAX}))
+	t.Append(rec(Record{IP: 1, Op: isa.MOV, Store: 0x10000, HasStore: true}, []isa.Reg{isa.RAX}, nil))
+	t.Append(rec(Record{IP: 2, Op: isa.ADD, Load: 0x10008, HasLoad: true},
+		[]isa.Reg{isa.RAX, isa.RBX}, []isa.Reg{isa.RAX, isa.Flags}))
+	t.Append(rec(Record{IP: 3, Op: isa.Jcc, Taken: true}, []isa.Reg{isa.Flags}, nil))
+	t.Append(rec(Record{IP: 4, Op: isa.Jcc}, []isa.Reg{isa.Flags}, nil))
+	t.Append(Record{IP: 5, Op: isa.CALL, CallLevel: 0, Store: 0x7ffeff00, HasStore: true})
+	t.Append(Record{IP: 9, Op: isa.RET, CallLevel: 1, Load: 0x7ffeff00, HasLoad: true})
 	t.Append(Record{IP: 6, Op: isa.FORK, CallLevel: 0})
 	t.Append(Record{IP: 7, Op: isa.ENDFORK, CallLevel: 1})
 	t.Append(Record{IP: 8, Op: isa.HLT})
@@ -51,33 +58,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d records, want %d", got.Len(), tr.Len())
 	}
 	for i := range tr.Records {
-		a, b := &tr.Records[i], &got.Records[i]
-		if a.Seq != b.Seq || a.IP != b.IP || a.Op != b.Op || a.Taken != b.Taken || a.CallLevel != b.CallLevel {
-			t.Errorf("record %d header differs: %+v vs %+v", i, a, b)
-		}
-		if len(a.RegReads) != len(b.RegReads) || len(a.RegWrites) != len(b.RegWrites) ||
-			len(a.MemReads) != len(b.MemReads) || len(a.MemWrites) != len(b.MemWrites) {
-			t.Fatalf("record %d set sizes differ: %+v vs %+v", i, a, b)
-		}
-		for j := range a.RegReads {
-			if a.RegReads[j] != b.RegReads[j] {
-				t.Errorf("record %d RegReads[%d] differs", i, j)
-			}
-		}
-		for j := range a.RegWrites {
-			if a.RegWrites[j] != b.RegWrites[j] {
-				t.Errorf("record %d RegWrites[%d] differs", i, j)
-			}
-		}
-		for j := range a.MemReads {
-			if a.MemReads[j] != b.MemReads[j] {
-				t.Errorf("record %d MemReads[%d] differs", i, j)
-			}
-		}
-		for j := range a.MemWrites {
-			if a.MemWrites[j] != b.MemWrites[j] {
-				t.Errorf("record %d MemWrites[%d] differs", i, j)
-			}
+		if a, b := tr.Records[i], got.Records[i]; a != b {
+			t.Errorf("record %d differs: %+v vs %+v", i, a, b)
 		}
 	}
 	// Re-encoding the decoded trace is byte-identical.
@@ -142,6 +124,62 @@ func TestIsControl(t *testing.T) {
 		r := Record{Op: op}
 		if r.IsControl() {
 			t.Errorf("%v classified as control", op)
+		}
+	}
+}
+
+// TestRecordIsFlat pins the two properties the trace's cost rests on: a
+// record holds nothing the collector has to follow (so a trace is one
+// unscanned allocation and growing it is a plain copy), and it stays at 48
+// bytes — a traced run allocates little else, so a word more per record shows
+// in ilp_fig7's alloc_b_per_work.
+func TestRecordIsFlat(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Bool, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("%s is a %s: a record must be pointer-free", path, ty.Kind())
+		}
+	}
+	walk("Record", reflect.TypeOf(Record{}))
+	if got := unsafe.Sizeof(Record{}); got > 48 {
+		t.Errorf("Record is %d bytes, budget 48", got)
+	}
+}
+
+// TestOverfullSetIsAnError: a register set that outgrows the record is never
+// shortened — building one panics, decoding one is an error.
+func TestOverfullSetIsAnError(t *testing.T) {
+	five := []isa.Reg{isa.RAX, isa.RBX, isa.RCX, isa.RDX, isa.RSI}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("a five-register read set was accepted")
+			}
+		}()
+		rec(Record{}, five, nil)
+	}()
+	buf := (&Trace{Records: []Record{{Op: isa.NOP}}}).Encode()
+	// Header: magic, count, then ip(8) op(1) flags(1) level(4); the next
+	// byte counts the register reads.
+	at := 4 + 8 + 14
+	for _, tc := range []struct {
+		at   int
+		n    byte
+		want string
+	}{{at, 5, "registers"}, {at + 1, 3, "registers"}, {at + 2, 2, "accesses"}, {at + 3, 2, "accesses"}} {
+		bad := append([]byte(nil), buf...)
+		bad[tc.at] = tc.n
+		if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("count %d at offset %d: err = %v, want one naming %s", tc.n, tc.at, err, tc.want)
 		}
 	}
 }
