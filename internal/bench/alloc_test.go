@@ -186,6 +186,85 @@ func TestSteadyStateAllocsThroughPool(t *testing.T) {
 	}
 }
 
+// TestRunAllocatesByWindow is the byte side of the allocation contract. A
+// fresh machine's run allocates by what is in flight plus the renaming cells
+// it claims (1.7 cells of 32 bytes per instruction, kept until Reset), not by
+// an object and a row per instruction (440 bytes each before retired
+// instructions left the machine): nearestNeighbors n=64, 328 104 instructions
+// in two sections, stays under 100 bytes per instruction, the DMH pages, the
+// Result and the machine itself included. And asking for the rows costs the
+// rows: a warmed re-run with a collector attached — its buffer grown by the
+// run before — makes no more allocations than a warmed run without one.
+func TestRunAllocatesByWindow(t *testing.T) {
+	k, err := pbbs.Find("nearestNeighbors")
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := k.ClampN(64)
+	prog, err := k.Build(n, minic.ModeFork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := k.Gen(n, 1)
+	want, err := k.Ref(n, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows machine.Collector
+	var m *machine.Machine
+	var res *machine.Result
+	var ms runtime.MemStats
+	measure := func(run func() error) (bytes, mallocs uint64) {
+		runtime.ReadMemStats(&ms)
+		b, a := ms.TotalAlloc, ms.Mallocs
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		if res.RAX != want {
+			t.Fatalf("checksum %d, reference %d", res.RAX, want)
+		}
+		return ms.TotalAlloc - b, ms.Mallocs - a
+	}
+	run := func() (err error) {
+		if err = backend.Inject(prog, m.DMH(), in); err == nil {
+			res, err = m.Run()
+		}
+		return err
+	}
+
+	fresh, _ := measure(func() (err error) {
+		if m, err = machine.New(prog, machine.DefaultConfig(16)); err != nil {
+			return err
+		}
+		return run()
+	})
+	perInst := float64(fresh) / float64(res.Instructions)
+	t.Logf("fresh machine: %d bytes for %d instructions = %.1f B per instruction", fresh, res.Instructions, perInst)
+	if perInst > 100 {
+		t.Errorf("a fresh run allocated %.1f bytes per instruction, budget 100: something is kept per instruction again", perInst)
+	}
+
+	withRows := func() error {
+		m.Reset()
+		rows.Attach(m)
+		if err := run(); err != nil {
+			return err
+		}
+		if got := rows.Timings(res); int64(len(got)) != res.Instructions {
+			t.Fatalf("%d rows of %d instructions", len(got), res.Instructions)
+		}
+		return nil
+	}
+	measure(withRows) // grows the collector's buffer
+	bytes, mallocs := measure(withRows)
+	t.Logf("warmed re-run with the rows collected: %d bytes in %d allocations", bytes, mallocs)
+	if mallocs > steadyAllocBudget {
+		t.Errorf("a warmed re-run with a collector attached allocated %d times (budget %d): the sink is not free of the hot path",
+			mallocs, steadyAllocBudget)
+	}
+}
+
 var errMismatch = errString("warmed re-run produced a different result")
 
 type errString string

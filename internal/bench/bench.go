@@ -91,11 +91,13 @@ var standardGrid = []gridCase{
 	// still quick under dense.
 	{SumKernel, 5, nil, true},
 	// Paper-scale sizes for quickSort (real section churn at scale) on 64
-	// cores (the many-core regime the paper's scaling studies live in). 512
-	// and 1024 are seconds-to-a-minute on a single-CPU host; 2048 already
-	// costs minutes, too slow for a checked-in table.
+	// cores (the many-core regime the paper's scaling studies live in). 4096
+	// is 2.85 million instructions: 5 s and 1.4 GB while every one of them
+	// stayed in memory until the end of the run (440 bytes each), 1.2 s and
+	// 170 MB now that a retired instruction leaves the machine.
 	{"quicksort", 512, []int{64}, false},
 	{"quicksort", 1024, []int{64}, false},
+	{"quicksort", 4096, []int{64}, false},
 	// Step 9 is the paper's 1 280-element example doubled, 3 071 sections on
 	// 3 072 cores.
 	{SumKernel, 9, nil, false},

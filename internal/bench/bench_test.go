@@ -98,7 +98,7 @@ func TestDefaultGridShape(t *testing.T) {
 		{kruskal, 64, 1, true}, {kruskal, 64, 16, true}, {kruskal, 64, 64, true},
 		{hash, 64, 1, true}, {hash, 64, 16, true}, {hash, 64, 64, true},
 		{SumKernel, 160, 192, true},
-		{quickSort, 512, 64, false}, {quickSort, 1024, 64, false},
+		{quickSort, 512, 64, false}, {quickSort, 1024, 64, false}, {quickSort, 4096, 64, false},
 		{SumKernel, 2560, 3072, false},
 	}; !slices.Equal(def, want) {
 		t.Errorf("standard grid is\n%+v, want\n%+v", def, want)

@@ -70,7 +70,7 @@ func TestGeneratorVariety(t *testing.T) {
 }
 
 func TestOracleAcceptsGenerated(t *testing.T) {
-	o := &Oracle{}
+	o := testOracle()
 	seeds := 30
 	if testing.Short() {
 		seeds = 8

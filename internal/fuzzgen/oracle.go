@@ -44,6 +44,33 @@ type Oracle struct {
 	// enough for any generator budget and small enough to fail fast on a
 	// runaway minimizer candidate.
 	MaxSteps int64
+
+	// poison, set by this package's tests, switches the machine it is given to
+	// poisoning retired instructions instead of recycling them (the machine's
+	// unexported test hook). The fresh-construction leg then runs poisoned and
+	// must still equal the plain reference row for row: the schedulers share
+	// the recycling code, so a read of a retired instruction that shifted a
+	// timestamp in both alike would otherwise pass every comparison here.
+	poison func(*machine.Machine)
+}
+
+// run is one machine leg's outcome: the result and the per-instruction rows
+// a collector gathered beside it.
+type run struct {
+	*machine.Result
+	rows []machine.InstTiming
+}
+
+// runRows runs m — freshly built, bound or Reset, and since then poisoned or
+// not — with a row collector attached.
+func runRows(m *machine.Machine) (run, error) {
+	var c machine.Collector
+	c.Attach(m)
+	r, err := m.Run()
+	if err != nil {
+		return run{}, err
+	}
+	return run{r, c.Timings(r)}, nil
 }
 
 const fuzzMaxSteps = 1 << 22 // ~4M steps; generator programs use a few thousand
@@ -105,12 +132,18 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 
 	// Substrate 3: the idle-skip machine is the reference all other machine
 	// legs are compared against.
-	runLeg := func(dense bool) (*backend.Result, error) {
-		cfg := machine.DefaultConfig(cores)
-		cfg.Dense = dense
-		return backend.RunMachine(prog, nil, cfg)
+	cfg := machine.DefaultConfig(cores)
+	runLeg := func(dense bool) (run, *machine.Machine, error) {
+		c := cfg
+		c.Dense = dense
+		m, err := machine.New(prog, c)
+		if err != nil {
+			return run{}, nil, err
+		}
+		r, err := runRows(m)
+		return r, m, err
 	}
-	ref, err := runLeg(false)
+	ref, refM, err := runLeg(false)
 	if err != nil {
 		return fail("machine", "idle-skip: %v", err)
 	}
@@ -121,38 +154,41 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 	}
 	for off := uint64(0); off < uint64(len(prog.Data)); off += 8 {
 		addr := isa.DataBase + off
-		if a, b := emuRes.Mem.ReadU64(addr), ref.Mem.ReadU64(addr); a != b {
+		if a, b := emuRes.Mem.ReadU64(addr), refM.DMH().ReadU64(addr); a != b {
 			return fail("mismatch", "data[%#x]: emulator=%d, idle-skip machine=%d", addr, a, b)
 		}
 	}
 
 	// Substrate 4: the dense leg must be bit-identical to the idle-skip
 	// reference, stage timestamps included.
-	dense, err := runLeg(true)
+	dense, _, err := runLeg(true)
 	if err != nil {
 		return fail("machine", "dense: %v", err)
 	}
-	if diff := diffResults(ref.Machine, dense.Machine); diff != "" {
+	if diff := diffResults(ref, dense); diff != "" {
 		return fail("mismatch", "idle-skip vs dense: %s", diff)
 	}
 
 	// Warm re-runs: the same Machine after Reset, and a pooled machine that
 	// last ran another program on another core count (a cross-program,
-	// cross-shape rebind), must reproduce the cold run bit for bit.
-	cfg := machine.DefaultConfig(cores)
+	// cross-shape rebind), must reproduce the cold run bit for bit. The cold
+	// run is the poisoned leg when the tests ask for one.
 	m, err := machine.New(prog, cfg)
 	if err != nil {
 		return fail("machine", "construct: %v", err)
 	}
-	cold, err := m.Run()
+	if o.poison != nil {
+		o.poison(m)
+	}
+	cold, err := runRows(m)
 	if err != nil {
 		return fail("machine", "cold run: %v", err)
 	}
-	if diff := diffResults(ref.Machine, cold); diff != "" {
+	if diff := diffResults(ref, cold); diff != "" {
 		return fail("mismatch", "idle-skip vs fresh construction: %s", diff)
 	}
 	m.Reset()
-	warm, err := m.Run()
+	warm, err := runRows(m)
 	if err != nil {
 		return fail("machine", "warm run after Reset: %v", err)
 	}
@@ -168,11 +204,11 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 	if err != nil {
 		return fail("machine", "pool warm get: %v", err)
 	}
-	pooled, err := pm.Run()
+	pooled, err := runRows(pm)
 	if err != nil {
 		return fail("machine", "pooled warm run: %v", err)
 	}
-	if diff := diffResults(ref.Machine, pooled); diff != "" {
+	if diff := diffResults(ref, pooled); diff != "" {
 		return fail("mismatch", "idle-skip vs pooled run on a rebound machine: %s", diff)
 	}
 	if s := pool.Stats(); s.Hits != 1 || s.Misses != 0 {
@@ -205,7 +241,7 @@ func parkedPool(cores int) (*machine.Pool, error) {
 // fields the scheduler oracle test pins: headline metrics, final register
 // files, section records, and every per-instruction stage-timestamp row.
 // It returns "" when identical, else a description of the first difference.
-func diffResults(a, b *machine.Result) string {
+func diffResults(a, b run) string {
 	switch {
 	case a.Cycles != b.Cycles:
 		return fmt.Sprintf("cycles %d vs %d", a.Cycles, b.Cycles)
@@ -236,12 +272,12 @@ func diffResults(a, b *machine.Result) string {
 	if !reflect.DeepEqual(a.Sections, b.Sections) {
 		return "section records differ"
 	}
-	if len(a.Timings) != len(b.Timings) {
-		return fmt.Sprintf("%d vs %d timing rows", len(a.Timings), len(b.Timings))
+	if len(a.rows) != len(b.rows) {
+		return fmt.Sprintf("%d vs %d timing rows", len(a.rows), len(b.rows))
 	}
-	for i := range a.Timings {
-		if a.Timings[i] != b.Timings[i] {
-			return fmt.Sprintf("timing row %d: %+v vs %+v", i, a.Timings[i], b.Timings[i])
+	for i := range a.rows {
+		if a.rows[i] != b.rows[i] {
+			return fmt.Sprintf("timing row %d: %+v vs %+v", i, a.rows[i], b.rows[i])
 		}
 	}
 	return ""

@@ -6,20 +6,21 @@ import (
 	"repro/internal/isa"
 )
 
-// wrSlot returns the index of d's result cell for register r, claiming a
-// free cell on first use. An instruction writes at most maxWr registers
+// regCell returns d's result cell for register r, claiming one from the cell
+// arena on first use. An instruction writes at most maxWr registers
 // (guaranteed by isa.Instruction.RegWrites); the array bound traps any
 // violation.
-func (d *DynInst) wrSlot(r isa.Reg) int {
+func (m *Machine) regCell(d *DynInst, r isa.Reg) *cell {
 	for i := 0; i < int(d.nwr); i++ {
 		if d.wrRegs[i] == r {
-			return i
+			return d.wr[i]
 		}
 	}
 	i := int(d.nwr)
 	d.wrRegs[i] = r
+	d.wr[i] = m.cells.alloc()
 	d.nwr++
-	return i
+	return d.wr[i]
 }
 
 // regWritten reports whether d has already produced a result for r.
@@ -34,7 +35,7 @@ func (d *DynInst) regWritten(r isa.Reg) bool {
 
 // setReg records one register result of d becoming available this cycle.
 func (m *Machine) setReg(d *DynInst, r isa.Reg, v uint64) {
-	c := d.regCell(r)
+	c := m.regCell(d, r)
 	if c.at != 0 {
 		// Keep the earliest availability (e.g. pop's rsp update computed at
 		// fetch must not be delayed by the load half).

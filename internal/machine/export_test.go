@@ -1,0 +1,23 @@
+package machine
+
+// What the external test package (oracle_test.go, which has to live outside
+// the package to import internal/pbbs) needs of the unexported test hooks.
+
+// Traced and RunRows are the in-package tests' collector-attached run
+// (sched_test.go).
+type Traced = traced
+
+var RunRows = runRows
+
+// Poison makes m's next run overwrite every instruction it retires with absurd
+// values and never reuse it (Machine.poison); bind and Reset clear it.
+func Poison(m *Machine) { m.poison = true }
+
+// DynChunk is the instruction arena's growth step.
+const DynChunk = dynChunk
+
+// DynStats returns how many DynInsts the last run took from the arena and
+// the most it ever had in flight (fetched and not retired).
+func DynStats(m *Machine) (allocated, peakInFlight int) {
+	return m.dyns.allocated(), m.peakInFlight
+}

@@ -19,11 +19,20 @@
 // against the sequential emulator: same final rax and same final memory.
 //
 // The simulated hot path is allocation-free in steady state: dynamic
-// instructions and renaming slots come from per-machine arenas, sections and
+// instructions and renaming cells come from per-machine arenas, sections and
 // requests from free lists, the register alias table is a fixed array and
 // the MAAT an open-addressed table with recycled backing (see pool.go), and
 // the per-core queues reuse their buffers. Machine.Reset rewinds everything
 // for another run on the same program without re-allocating.
+//
+// What the machine holds is what is in flight. A dynamic instruction is
+// recycled the cycle it retires (retireApply): its per-stage row goes to the
+// caller's sink if there is one (SetSink), its counts are folded into running
+// aggregates, and the object returns to a free list — so the instruction arena
+// follows the run's un-retired window, not its length. What outlives
+// retirement is the renaming cell: alias tables, consumers, fork copies and
+// parked requests point at cells, never at instructions, and cells stay in
+// their arena until Reset.
 //
 // Waiting work is parked, not polled. The production (idle-skip) scheduler
 // keeps in a core's issue and load-store queues only instructions that are
@@ -118,14 +127,17 @@ type val struct {
 }
 
 // cell is a write-once value with its ready time — the paper's full/empty
-// bit, timed. It is what a renamed source waits on: an in-flight instruction's
-// register result (DynInst.wr), a store's memory value (DynInst.mem), a cache
-// cell filled by a remote renaming response, or an immediately available
-// creation-copy value (the last two come from the slots arena). A consumer
-// holds a plain *cell; at is the hottest read in the simulator, and earlier
-// representations (an interface with dynamic dispatch, then a 40-byte tagged
-// union with a kind switch) both showed up at the top of the CPU profile; a
-// load through one pointer does not.
+// bit, timed. It is what a renamed source waits on: an instruction's register
+// result (DynInst.wr), a store's memory value (DynInst.mem), a cache cell
+// filled by a remote renaming response, or an immediately available
+// creation-copy value. All of them come from the cells arena, none lives
+// inside a DynInst: alias tables, consumers' sources, fork copies and parked
+// requests keep pointing at a result long after the instruction that produced
+// it has retired and been recycled. A consumer holds a plain *cell; at is the
+// hottest read in the simulator, and earlier representations (an interface
+// with dynamic dispatch, then a 40-byte tagged union with a kind switch) both
+// showed up at the top of the CPU profile; a load through one pointer does
+// not.
 //
 // A cell also carries the work that is waiting for it. Under the idle-skip
 // scheduler an instruction that cannot pass its stage because this value is
@@ -202,10 +214,13 @@ const maxSrcs = 4
 // destination plus Flags, or rax plus rdx for the divides.
 const maxWr = 2
 
-// DynInst is one dynamic instruction in flight. DynInsts are arena-allocated
-// (a chunked arena, pool.go) and recycled wholesale by Machine.Reset. The
-// arena is most of a run's memory, so the size is pinned by TestDynInstSize:
-// the byte-wide fields are packed together for that reason.
+// DynInst is one dynamic instruction in flight: from its fetch to the cycle it
+// retires, when retireApply recycles it. DynInsts come from a chunked arena
+// (pool.go) through a free list of retired ones, so the arena grows to the
+// run's largest un-retired window. Nothing may hold a *DynInst past its
+// retirement; what has to outlive it — the values it produced — lives in
+// cells. The size is pinned by TestDynInstSize: the byte-wide fields are
+// packed together for that reason.
 type DynInst struct {
 	Sec   *Section
 	Idx   int // ordinal within the section
@@ -218,32 +233,24 @@ type DynInst struct {
 	nsrcs           uint8
 	// Register-result cells: wrRegs names the (at most maxWr) registers the
 	// instruction writes, wr their value cells. Cells are claimed
-	// find-or-create by wrSlot — at fetch for in-stage computed results, at
-	// rename for the alias-table producers — and are exactly what regCell
-	// points consumers at. Two cells instead of the earlier [NumRegs] arrays:
-	// the arrays made DynInst so large that zeroing and GC-scanning the arena
-	// dominated fork-heavy workloads.
+	// find-or-create by regCell — at fetch for in-stage computed results, at
+	// rename for the alias-table producers — and are exactly what the alias
+	// table points consumers at.
 	nwr    uint8
 	wrRegs [maxWr]isa.Reg
-
-	// branch outcome, resolved at fetch or EW
-	taken    bool
-	resolved bool
 
 	nPending           uint8 // see pendingCopy
 	ewSrcIdx, maSrcIdx uint8 // see ewSrcMax
 
 	srcs [maxSrcs]srcRef
-	wr   [maxWr]cell
+	wr   [maxWr]*cell
 
 	addr uint64 // effective address (mem ops), set at EW
-	// mem is the memory side of a load/store: at is the memory-access cycle
-	// (the MA column of Fig. 10, see tMA) and v a store's data, set at MA — so
-	// the cell is a store's memory value as later loads of the word see it.
-	mem    cell
+	// mem is a store's memory value as later loads of the word see it: claimed
+	// at address rename, when the section's MAAT starts naming it, and filled
+	// at memory access. nil for instructions that write no memory.
+	mem    *cell
 	memSrc *cell // the loaded word's producer, set at AR
-
-	nextIP int64 // branch target, with taken/resolved
 
 	// For fork instructions: the created section, and the non-volatile
 	// registers that were not computed at the fork point and must be
@@ -255,10 +262,10 @@ type DynInst struct {
 	pendingCopy [16]isa.Reg
 
 	// Stage timestamps (0 = not yet / not applicable): fetch-decode,
-	// register-rename, execute-write-back, address-rename and retire. With
-	// the memory-access time (mem.at) these are the six columns of the
-	// paper's Fig. 10.
-	tFD, tRR, tEW, tAR, tRET int64
+	// register-rename, execute-write-back, address-rename and memory-access.
+	// With the retire cycle, known when the row is emitted, these are the six
+	// columns of the paper's Fig. 10.
+	tFD, tRR, tEW, tAR, tMA int64
 
 	// ewWakeAt/maWakeAt cache the earliest cycle the instruction can pass
 	// the execute-write-back / memory-access stage (0 = not yet known).
@@ -281,20 +288,18 @@ type DynInst struct {
 	// the issue queue before execute-write-back and in the load-store queue
 	// after address rename, never in both.
 	next *DynInst
+	// secNext links the section's un-retired instructions in fetch order
+	// (Section.head) and, once the instruction has retired, the machine's
+	// free list (Machine.dynFree).
+	secNext *DynInst
 }
 
 func (d *DynInst) isMem() bool { return d.class == isa.ClassLoad || d.class == isa.ClassStore }
 
-// tMA is the cycle d passed the memory-access stage (0 = not yet).
-func (d *DynInst) tMA() int64 { return d.mem.at }
-
-// regCell returns d's result cell for register r, claiming one on first use.
-func (d *DynInst) regCell(r isa.Reg) *cell { return &d.wr[d.wrSlot(r)] }
-
 // done reports whether the instruction has produced everything it will.
 func (d *DynInst) done() bool {
 	if d.isMem() {
-		return d.tMA() != 0
+		return d.tMA != 0
 	}
 	return d.tEW != 0
 }
@@ -307,7 +312,11 @@ type Section struct {
 	Core      int   // hosting core, -1 until the creation message is accepted
 	BaseLevel int32
 
-	Insts []*DynInst
+	// head and tail are the section's un-retired instructions, oldest first,
+	// linked through DynInst.secNext: fetch appends, retire pops. fetched
+	// counts every instruction the section ever fetched.
+	head, tail *DynInst
+	fetched    int
 
 	// rat is the register alias table (+ request caches + fork copies): a
 	// fixed array indexed by register, nil where the section has no producer
@@ -328,10 +337,18 @@ type Section struct {
 
 	createdAt  int64 // fork fetch cycle
 	firstFetch int64
+	lastRetire int64 // cycle of the latest retirement
 	curLevel   int32 // fetch-time call level cursor
 	fetchIP    int64
-	stalled    *DynInst         // unresolved control instruction blocking fetch
-	rfSave     [isa.NumRegs]val // fetch RF snapshot while suspended
+	// stalled says the section's last fetched instruction is a conditional
+	// branch the fetch stage could not compute. The execute-write-back stage
+	// resolves it and leaves the redirect here — resumeAt the cycle, resumeIP
+	// the target — because the branch may well have retired, and been
+	// recycled, by the time a suspended section is picked again.
+	stalled  bool
+	resumeAt int64
+	resumeIP int64
+	rfSave   [isa.NumRegs]val // fetch RF snapshot while suspended
 
 	// nreqs counts the live renaming requests that name the section as their
 	// from or target; dumpOldest keeps the section's tables while it is not 0.
@@ -355,7 +372,7 @@ type Section struct {
 }
 
 func (s *Section) fullyRenamed() bool {
-	return s.fetchDone && s.renamed == len(s.Insts)
+	return s.fetchDone && s.renamed == s.fetched
 }
 
 func (s *Section) memRenameDone() bool {
@@ -363,7 +380,7 @@ func (s *Section) memRenameDone() bool {
 }
 
 func (s *Section) fullyRetired() bool {
-	return s.fetchDone && s.retired == len(s.Insts)
+	return s.fetchDone && s.retired == s.fetched
 }
 
 // sectionMsg is the section-creation message a fork sends to a hosting core.
@@ -410,7 +427,11 @@ type Machine struct {
 	cfg   Config
 	prog  *isa.Program
 	cores []*Core
-	order []*Section // total section order (dumped sections retained)
+	// order is the total section order. Dumped sections stay in it — as shells:
+	// their instructions went when they retired, their MAAT backing when they
+	// dumped — so that Section.Pos keeps indexing it and result() can list
+	// every section of the run.
+	order []*Section
 	// reqs holds the renaming requests processRequests steps each cycle: all
 	// live ones under Config.Dense, otherwise those in flight or waiting for a
 	// known cycle — a request waiting for an event is parked on the section or
@@ -441,6 +462,13 @@ type Machine struct {
 	// scheduler's own work, which tests bound by the run's events.
 	armed  bitset
 	visits int64
+	// inFlight counts the fetched, un-retired instructions and peakInFlight
+	// its maximum over the run: the window the instruction arena has to hold,
+	// which tests compare with what it did allocate.
+	inFlight, peakInFlight int
+	// fetchDone and retireDone are the cycles of the latest fetch and the
+	// latest retirement, folded as they happen.
+	fetchDone, retireDone int64
 	// loads indexes the cores by Core.live for chooseHost.
 	loads hostIndex
 
@@ -453,13 +481,21 @@ type Machine struct {
 	// path (pool.go). All of them survive Reset, so a warmed machine re-runs
 	// without growing the heap.
 	dyns     arena[DynInst]
-	slots    arena[cell]
+	dynFree  *DynInst // retired instructions, linked through secNext
+	cells    arena[cell]
 	secFree  []*Section
 	maatFree [][]maatEntry
 	reqAll   []*request // every request object the machine owns, free or not
 	reqFree  []*request
 	readBuf  []isa.Reg
 	writeBuf []isa.Reg
+
+	// sink receives the row of every instruction as it retires (SetSink).
+	sink func(InstTiming)
+	// poison is the tests' proof that nothing reads a retired instruction:
+	// recycle overwrites the instruction with absurd values and drops it
+	// instead of reusing it, and the run must not notice.
+	poison bool
 }
 
 // DMH returns the data memory hierarchy (the committed memory), for
@@ -499,7 +535,7 @@ func (cfg Config) withDefaults() Config {
 func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	m := &Machine{
 		dyns:     newArena[DynInst](dynChunk),
-		slots:    newArena[cell](slotChunk),
+		cells:    newArena[cell](cellChunk),
 		readBuf:  make([]isa.Reg, 0, 2*isa.NumRegs),
 		writeBuf: make([]isa.Reg, 0, 2*isa.NumRegs),
 		dmh:      emu.NewMemory(),
@@ -556,13 +592,14 @@ func resized[T any](s []T, n int) []T {
 
 // Reset rewinds the machine to its post-New state for another run of the
 // same program, recycling every per-run object: sections, dynamic
-// instructions, slots, requests, alias-table backings and queue buffers all
+// instructions, cells, requests, alias-table backings and queue buffers all
 // return to the machine's pools, and the committed memory is re-seeded with
 // the program's data segment. Inputs injected into the DMH must be
-// re-injected by the caller, exactly as after New. A warmed machine
-// (one completed Run) re-runs with no steady-state heap allocation — the
-// property pinned by internal/bench's allocation-regression tests. It is
-// bind without the rebinding: same program, same configuration.
+// re-injected by the caller, exactly as after New, and so must a row sink
+// (SetSink). A warmed machine (one completed Run) re-runs with no steady-state
+// heap allocation — the property pinned by internal/bench's
+// allocation-regression tests. It is bind without the rebinding: same
+// program, same configuration.
 func (m *Machine) Reset() {
 	m.release()
 	m.boot()
@@ -599,8 +636,12 @@ func (m *Machine) release() {
 	}
 	m.reqFree = append(m.reqFree[:0], m.reqAll...)
 	m.dyns.reset()
-	m.slots.reset()
+	m.dynFree = nil
+	m.cells.reset()
+	m.sink, m.poison = nil, false
 	m.cycle, m.nextSecID, m.lastMove, m.progress, m.visits = 0, 0, 0, 0, 0
+	m.inFlight, m.peakInFlight = 0, 0
+	m.fetchDone, m.retireDone = 0, 0
 	m.rrHost, m.oldest = 0, 0
 	m.hltSeen, m.quietMove = false, false
 	m.err = nil
@@ -870,7 +911,7 @@ func (m *Machine) runIdleSkip() (*Result, error) {
 				continue
 			}
 			if rp != nil {
-				m.retireApply(rp, rp.Insts[rp.retired])
+				m.retireApply(rp, rp.head)
 			}
 			m.stageMA(c)
 			if ap != nil {
@@ -932,9 +973,9 @@ func (m *Machine) nextWake() int64 {
 	for i := m.armed.next(0); i >= 0; i = m.armed.next(i + 1) {
 		c := m.cores[i]
 		if c.fetch != nil {
-			if d := c.fetch.stalled; d != nil {
-				if d.resolved && d.tEW > 0 {
-					wake(d.tEW + 1) // branch redirect visible the cycle after EW
+			if s := c.fetch; s.stalled {
+				if s.resumeAt > 0 {
+					wake(s.resumeAt + 1) // branch redirect visible the cycle after EW
 				}
 			} else {
 				wake(m.cycle + 1) // fetch in flight: one instruction per cycle
@@ -944,8 +985,8 @@ func (m *Machine) nextWake() int64 {
 			wake(c.pending.Front().deliverAt + 1) // creation message consumable
 		}
 		for j, n := 0, c.suspended.Len(); j < n; j++ {
-			if d := c.suspended.At(j).stalled; d != nil && d.resolved && d.tEW > 0 {
-				wake(d.tEW + 1)
+			if s := c.suspended.At(j); s.stalled && s.resumeAt > 0 {
+				wake(s.resumeAt + 1)
 			}
 		}
 		if !c.renameQ.Empty() {
@@ -969,14 +1010,11 @@ func (m *Machine) nextWake() int64 {
 			}
 		}
 		for s := c.retireReady; s != nil; s = s.retireNext {
-			if s.retired < len(s.Insts) {
-				h := s.Insts[s.retired]
-				if h.done() {
-					if h.isMem() {
-						wake(h.tMA() + 1)
-					} else {
-						wake(h.tEW + 1)
-					}
+			if h := s.head; h != nil && h.done() {
+				if h.isMem() {
+					wake(h.tMA + 1)
+				} else {
+					wake(h.tEW + 1)
 				}
 			}
 		}
@@ -1107,7 +1145,7 @@ func (m *Machine) stuckReport() string {
 			continue
 		}
 		fmt.Fprintf(&b, "[sec %d core %d pos %d: %d insts fetchDone=%v renamed=%d retired=%d memRen=%d/%d stalled=%v] ",
-			sec.ID, sec.Core, sec.Pos, len(sec.Insts), sec.fetchDone, sec.renamed, sec.retired, sec.memRen, sec.memOps, sec.stalled != nil)
+			sec.ID, sec.Core, sec.Pos, sec.fetched, sec.fetchDone, sec.renamed, sec.retired, sec.memRen, sec.memOps, sec.stalled)
 	}
 	fmt.Fprintf(&b, "reqs=%d", m.regReqs+m.memReqs-m.respMsgs)
 	return b.String()
@@ -1127,10 +1165,11 @@ func (m *Machine) dumpOldest() {
 		if s.nreqs > 0 {
 			return
 		}
-		// Memory writes, in section order (last store to a word wins).
-		for _, d := range s.Insts {
-			if d.class == isa.ClassStore {
-				m.dmh.WriteU64(d.addr, d.mem.v)
+		// Memory writes: the MAAT names, for every word the section stored
+		// to, the cell of its last store.
+		for i := range s.maat.entries {
+			if e := &s.maat.entries[i]; e.store {
+				m.dmh.WriteU64(e.key, e.p.v)
 			}
 		}
 		// Register state: every renamed or cached register value.

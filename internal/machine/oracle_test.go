@@ -23,16 +23,49 @@ import (
 	"repro/internal/sweep"
 )
 
-// runMachine executes a compiled kernel on one scheduler and returns the
-// full machine result. The program and inputs are built once by the caller
-// and shared across the two schedulers: timing rows carry instruction
-// pointers, so bit-identity is only meaningful against the same compilation.
-func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs, n int, cfg machine.Config, dense bool) *machine.Result {
-	t.Helper()
-	cfg.Dense = dense
-	res, err := backend.RunMachine(prog, in, cfg)
+type traced = machine.Traced
+
+// leg says how a run is to be made: under which scheduler, and whether it
+// poisons the instructions it retires instead of recycling them.
+type leg struct{ dense, poison bool }
+
+var (
+	denseLeg  = leg{dense: true}
+	skipLeg   = leg{}
+	poisonLeg = leg{poison: true}
+)
+
+// runRows injects in into m — freshly built or bound — and runs it as l says
+// (m's configuration already carries the scheduler) with a collector attached.
+func runRows(m *machine.Machine, prog *isa.Program, in pbbs.Inputs, l leg) (traced, error) {
+	if err := backend.Inject(prog, m.DMH(), in); err != nil {
+		return traced{}, err
+	}
+	if l.poison {
+		machine.Poison(m)
+	}
+	return machine.RunRows(m)
+}
+
+// runFresh builds a machine for prog under cfg and l and runs it.
+func runFresh(prog *isa.Program, in pbbs.Inputs, cfg machine.Config, l leg) (traced, error) {
+	cfg.Dense = l.dense
+	m, err := machine.New(prog, cfg)
 	if err != nil {
-		t.Fatalf("%s n=%d cores=%d dense=%v: %v", k.Name, n, cfg.Cores, dense, err)
+		return traced{}, err
+	}
+	return runRows(m, prog, in, l)
+}
+
+// runMachine executes a compiled kernel as one leg and returns the full
+// machine result. The program and inputs are built once by the caller and
+// shared across the legs: timing rows carry instruction pointers, so
+// bit-identity is only meaningful against the same compilation.
+func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs, n int, cfg machine.Config, l leg) traced {
+	t.Helper()
+	res, err := runFresh(prog, in, cfg, l)
+	if err != nil {
+		t.Fatalf("%s n=%d cores=%d %+v: %v", k.Name, n, cfg.Cores, l, err)
 	}
 	want, err := k.Ref(n, in)
 	if err != nil {
@@ -41,12 +74,12 @@ func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs,
 	if res.RAX != want {
 		t.Fatalf("%s n=%d cores=%d: checksum %d, reference %d", k.Name, n, cfg.Cores, res.RAX, want)
 	}
-	return res.Machine
+	return res
 }
 
 // sameResult asserts two machine results are bit-identical, down to each
 // instruction's six stage timestamps and each section record.
-func sameResult(t *testing.T, label string, a, b *machine.Result) {
+func sameResult(t *testing.T, label string, a, b traced) {
 	t.Helper()
 	if a.Cycles != b.Cycles || a.Instructions != b.Instructions || a.RAX != b.RAX ||
 		a.FetchDone != b.FetchDone || a.RetireDone != b.RetireDone ||
@@ -78,7 +111,10 @@ func sameResult(t *testing.T, label string, a, b *machine.Result) {
 // eleven kernels both schedulers reproduce the reference checksum
 // (runMachine) and are bit-identical to each other — same cycle count, same
 // per-instruction stage timestamps, same NoC accounting, same final
-// architectural state.
+// architectural state. A third leg re-runs the production scheduler with
+// every retired instruction poisoned instead of recycled: the two schedulers
+// share that code, so only this leg shows a read of an instruction past its
+// retirement.
 //
 // At n=12 the queues hold a handful of entries. The deep-queue legs run the
 // three kernels with the longest dependence chains at n=128, where a core's
@@ -109,9 +145,11 @@ func TestThreeWayOracle(t *testing.T) {
 			in := k.Gen(n, 1)
 			for _, cores := range []int{1, 4, 16} {
 				cfg := machine.Config{Cores: cores, CreateLatency: 2, Shortcut: true}
-				dense := runMachine(t, k, prog, in, n, cfg, true)
-				skip := runMachine(t, k, prog, in, n, cfg, false)
+				dense := runMachine(t, k, prog, in, n, cfg, denseLeg)
+				skip := runMachine(t, k, prog, in, n, cfg, skipLeg)
 				sameResult(t, fmt.Sprintf("%s n=%d cores=%d dense vs idle-skip", k.Name, n, cores), dense, skip)
+				poisoned := runMachine(t, k, prog, in, n, cfg, poisonLeg)
+				sameResult(t, fmt.Sprintf("%s n=%d cores=%d idle-skip vs poisoned", k.Name, n, cores), skip, poisoned)
 			}
 		})
 	}
@@ -127,25 +165,23 @@ func TestThreeWayOracle(t *testing.T) {
 				for _, topo := range []string{sweep.TopoCrossbar, sweep.TopoMesh} {
 					for _, maxSec := range []int{0, 1, 2} {
 						label := fmt.Sprintf("sum n=%d cores=%d %s cap=%d", n, cores, topo, maxSec)
-						var res [2]*machine.Result
-						for i, dense := range []bool{true, false} {
+						var res [3]traced
+						for i, l := range []leg{denseLeg, skipLeg, poisonLeg} {
 							net, err := sweep.MakeNet(topo, cores)
 							if err != nil {
 								t.Fatal(err)
 							}
-							m, err := machine.New(prog, machine.Config{Cores: cores, Net: net, CreateLatency: 2,
-								Shortcut: true, MaxSectionsPerCore: maxSec, Dense: dense})
+							res[i], err = runFresh(prog, nil, machine.Config{Cores: cores, Net: net, CreateLatency: 2,
+								Shortcut: true, MaxSectionsPerCore: maxSec}, l)
 							if err != nil {
-								t.Fatalf("%s: %v", label, err)
-							}
-							if res[i], err = m.Run(); err != nil {
-								t.Fatalf("%s dense=%v: %v", label, dense, err)
+								t.Fatalf("%s %+v: %v", label, l, err)
 							}
 							if want := progs.VectorSum(elems); res[i].RAX != want {
-								t.Fatalf("%s dense=%v: sum %d, want %d", label, dense, res[i].RAX, want)
+								t.Fatalf("%s %+v: sum %d, want %d", label, l, res[i].RAX, want)
 							}
 						}
 						sameResult(t, label+" dense vs idle-skip", res[0], res[1])
+						sameResult(t, label+" idle-skip vs poisoned", res[1], res[2])
 					}
 				}
 			}
@@ -176,10 +212,13 @@ func TestThreeWayOracle(t *testing.T) {
 				for _, net := range []noc.Network{noc.NewCrossbar(cores, 1), noc.NewMesh(w, cores/w, 3)} {
 					for _, shortcut := range []bool{true, false} {
 						cfg := machine.Config{Cores: cores, Net: net, CreateLatency: 2, Shortcut: shortcut}
-						dense := runMachine(t, k, prog, in, n, cfg, true)
-						skip := runMachine(t, k, prog, in, n, cfg, false)
+						dense := runMachine(t, k, prog, in, n, cfg, denseLeg)
+						skip := runMachine(t, k, prog, in, n, cfg, skipLeg)
 						sameResult(t, fmt.Sprintf("%s n=%d cores=%d %s shortcut=%v dense vs idle-skip",
 							k.Name, n, cores, net.Name(), shortcut), dense, skip)
+						poisoned := runMachine(t, k, prog, in, n, cfg, poisonLeg)
+						sameResult(t, fmt.Sprintf("%s n=%d cores=%d %s shortcut=%v idle-skip vs poisoned",
+							k.Name, n, cores, net.Name(), shortcut), skip, poisoned)
 					}
 				}
 			}
@@ -232,11 +271,8 @@ func TestRebindOracle(t *testing.T) {
 		}
 		return machine.Config{Cores: c.cores, Net: net, CreateLatency: 2, Shortcut: true}
 	}
-	run := func(kr *kernelRun, m *machine.Machine, label string) *machine.Result {
-		if err := backend.Inject(kr.prog, m.DMH(), kr.in); err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		res, err := m.Run()
+	run := func(kr *kernelRun, m *machine.Machine, label string, l leg) traced {
+		res, err := runRows(m, kr.prog, kr.in, l)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -247,7 +283,7 @@ func TestRebindOracle(t *testing.T) {
 	}
 
 	var runs []*kernelRun
-	fresh := map[string]*machine.Result{}
+	fresh := map[string]traced{}
 	for _, k := range pbbs.Kernels() {
 		kr := &kernelRun{k: k, n: k.ClampN(n)}
 		var err error
@@ -264,7 +300,7 @@ func TestRebindOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			fresh[label] = run(kr, m, label+" fresh")
+			fresh[label] = run(kr, m, label+" fresh", skipLeg)
 			kr.size = fresh[label].Instructions
 		}
 		runs = append(runs, kr)
@@ -296,7 +332,14 @@ func TestRebindOracle(t *testing.T) {
 		} else if m != first {
 			t.Fatalf("%s: the pool built a second machine", label)
 		}
-		got := run(kr, m, label+" rebound")
+		// Every third rebound run is a poisoned one: what the bind handed it
+		// is recycled instructions of another program, and what it leaves
+		// behind is an arena grown to the run's length, which Put may trim.
+		l := skipLeg
+		if i%3 == 2 {
+			l = poisonLeg
+		}
+		got := run(kr, m, label+" rebound", l)
 		sameResult(t, label+" rebound vs fresh", fresh[label], got)
 		delete(fresh, label)
 		pool.Put("", m)
@@ -327,11 +370,11 @@ func TestRebindOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := machine.RunProgram(prog, step.cores)
+			cfg := machine.DefaultConfig(step.cores)
+			want, err := runFresh(prog, nil, cfg, skipLeg)
 			if err != nil {
 				t.Fatalf("%s fresh: %v", label, err)
 			}
-			cfg := machine.DefaultConfig(step.cores)
 			if i > 0 {
 				// Stop half-way first and park the machine like that: cores
 				// armed, sections listed, loads spread over the buckets.
@@ -355,7 +398,7 @@ func TestRebindOracle(t *testing.T) {
 			} else if m != first {
 				t.Fatalf("%s: the pool built a second machine", label)
 			}
-			got, err := m.Run()
+			got, err := runRows(m, prog, nil, leg{poison: i%2 == 1})
 			if err != nil {
 				t.Fatalf("%s rebound: %v", label, err)
 			}
@@ -381,7 +424,7 @@ func TestRebindRefusesWhatNewRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := machine.RunProgram(good, 4)
+	want, err := runFresh(good, nil, machine.DefaultConfig(4), skipLeg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,9 +461,59 @@ func TestRebindRefusesWhatNewRefuses(t *testing.T) {
 	if m != parked {
 		t.Fatal("the refused Gets lost the parked machine")
 	}
-	got, err := m.Run()
+	got, err := runRows(m, good, nil, skipLeg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sameResult(t, "parked machine after refused Gets", want, got)
+}
+
+// TestRetiredInstructionsAreRecycled is the memory contract: the instruction
+// arena follows the run's un-retired window, not its length. nearestNeighbors
+// runs 328 104 instructions as two sections with sixteen in flight at most;
+// quickSort n=512 on 64 cores (the benchmark's machine_bign point) 268 554
+// with some 17 000 in flight. A retired instruction that is not handed out
+// again — kept by a list, or leaked past the free list — shows as an arena
+// the size of the run.
+func TestRetiredInstructionsAreRecycled(t *testing.T) {
+	for _, pt := range []struct {
+		kernel   string
+		n, cores int
+		atMost   int // DynInsts, well under the run's length
+	}{
+		{"nearestNeighbors", 64, 16, 1_000},
+		{"quickSort", 512, 64, 40_000},
+	} {
+		k, err := pbbs.Find(pt.kernel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := k.ClampN(pt.n)
+		prog, err := k.Build(n, minic.ModeFork)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := machine.New(prog, machine.DefaultConfig(pt.cores))
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := k.Gen(n, 1)
+		if err := backend.Inject(prog, m.DMH(), in); err != nil {
+			t.Fatal(err)
+		}
+		r, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := k.Ref(n, in); err != nil || r.RAX != want {
+			t.Fatalf("%s: checksum %d, reference %d (%v)", k.Name, r.RAX, want, err)
+		}
+		allocated, peak := machine.DynStats(m)
+		t.Logf("%s n=%d on %d cores: %d instructions, %d sections, at most %d in flight, %d DynInsts allocated",
+			k.Name, n, pt.cores, r.Instructions, len(r.Sections), peak, allocated)
+		if allocated > 2*peak+machine.DynChunk || allocated > pt.atMost {
+			t.Errorf("%s: %d DynInsts allocated for %d instructions with at most %d in flight (bounds %d and %d)",
+				k.Name, allocated, r.Instructions, peak, 2*peak+machine.DynChunk, pt.atMost)
+		}
+	}
 }

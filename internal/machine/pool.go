@@ -9,9 +9,10 @@ import (
 // This file holds the allocation-free plumbing behind the simulated hot
 // path: the generic sliding-window FIFO backing the per-core queues, the
 // bitset behind the scheduler's armed cores and the host chooser's index of
-// cores by load, the arenas that pool DynInst and slot objects, the
-// open-addressed memory address alias table recycled through a per-machine
-// free list, and the request/section pools. A profile of the previous implementation showed
+// cores by load, the arenas that pool DynInst and cell objects (and the free
+// list that recycles a DynInst the cycle it retires), the open-addressed
+// memory address alias table recycled through a per-machine free list, and
+// the request/section pools. A profile of the previous implementation showed
 // ~205k heap allocations per quickSort simulation — a fresh *DynInst per
 // dynamic instruction, a map per rename/execute evaluation, interface boxing
 // on every alias-table insert — with the GC charging every simulated cycle.
@@ -207,18 +208,20 @@ func (h *hostIndex) pick(rr, limit int) int {
 // Arena chunk sizes: one allocation per chunk while the arena grows, zero
 // once it has reached the workload's footprint.
 const (
-	dynChunk  = 256 // DynInst objects (one per dynamic instruction)
-	slotChunk = 512 // renaming-slot cells
+	dynChunk  = 128  // DynInst objects (one per un-retired instruction)
+	cellChunk = 1024 // renaming cells (1.7 per dynamic instruction)
 )
 
 // arena hands out T objects from reusable chunks. Handed-out objects are
 // always zero, but the scrubbing happens in bulk — fresh chunks come zeroed
-// from make, and reset clears the used prefix wholesale — not per alloc,
-// which the profile showed charging every fetched instruction with a
-// ~600-byte memclr. Objects are never freed individually: both uses
-// (DynInst, which sections and the final Result reference until the run is
-// over; slot cells, which can outlive their section via fork copies) stay
-// referenced until Machine.Reset rewinds the arena as a whole.
+// from make, and reset clears the used prefix wholesale — not per alloc.
+// The arena itself never takes an object back before Machine.Reset rewinds
+// it as a whole. That is the whole story for cells, which anything may point
+// at for the rest of the run (alias tables, consumers, fork copies that
+// outlive their section). A DynInst has exactly one owner at a time and is
+// dead once it retires, so the machine keeps a free list in front of this
+// arena (newDyn, recycle) and the arena's high-water mark is the run's
+// largest un-retired window.
 type arena[T any] struct {
 	chunks   [][]T
 	chunk    int
@@ -247,6 +250,54 @@ func (a *arena[T]) reset() {
 	a.ci, a.used = 0, 0
 }
 
+// allocated is the number of objects handed out since the last reset.
+func (a *arena[T]) allocated() int { return a.ci*a.chunk + a.used }
+
+// trim releases the chunks past the first keep to the GC. The arena must
+// have been reset.
+func (a *arena[T]) trim(keep int) {
+	if len(a.chunks) > keep {
+		clear(a.chunks[keep:])
+		a.chunks = a.chunks[:keep]
+	}
+}
+
+// newDyn returns a zeroed DynInst: the latest retired one, or a new one from
+// the arena when every instruction handed out so far is still in flight.
+func (m *Machine) newDyn() *DynInst {
+	d := m.dynFree
+	if d == nil {
+		return m.dyns.alloc()
+	}
+	m.dynFree, d.secNext = d.secNext, nil
+	return d
+}
+
+// recycle takes back a retired instruction, scrubbed. Under the tests' poison
+// switch it is overwritten with absurd values and never handed out again, so
+// that a read of a retired instruction changes the run instead of finding the
+// stale but plausible values a recycled object would still hold.
+func (m *Machine) recycle(d *DynInst) {
+	if m.poison {
+		*d = poisoned
+		return
+	}
+	*d = DynInst{secNext: m.dynFree}
+	m.dynFree = d
+}
+
+// poisoned is what a retired instruction looks like under Machine.poison:
+// nil pointers, counts that index out of every array, timestamps far in the
+// past of any wake computation and in the future of any strictly-older test.
+var poisoned = DynInst{
+	Idx: -1 << 40, IP: -1 << 40, Level: -1 << 20,
+	class: 0xff, computedAtFetch: true, nsrcs: 0xff, nwr: 0xff,
+	nPending: 0xff, ewSrcIdx: 0xff, maSrcIdx: 0xff,
+	addr: 0xdead_dead_dead_dead,
+	tFD:  1 << 60, tRR: 1 << 60, tEW: 1 << 60, tAR: 1 << 60, tMA: 1 << 60,
+	ewWakeAt: -1 << 60, maWakeAt: -1 << 60, ewSrcMax: 1 << 60, maSrcMax: 1 << 60,
+}
+
 // ---------------------------------------------------------------- maat ----
 
 // maatMinSize is the smallest MAAT backing array, a power of two.
@@ -267,6 +318,10 @@ type maat struct {
 type maatEntry struct {
 	p   *cell
 	key uint64
+	// store says a store of the section wrote the word — p is then the cell of
+	// the latest one — rather than a load that missed and cached it. It is what
+	// dumpOldest commits to the DMH.
+	store bool
 }
 
 // maatHash is Fibonacci multiplicative hashing. Indexing uses the high bits
@@ -299,7 +354,8 @@ func (t *maat) get(key uint64) *cell {
 
 // maatPut inserts or overwrites key's producer in s's table, growing through
 // the machine's recycled backing arrays when the load factor passes 3/4.
-func (m *Machine) maatPut(t *maat, key uint64, p *cell) {
+// store marks the producer as a store's cell; a load only ever inserts.
+func (m *Machine) maatPut(t *maat, key uint64, p *cell, store bool) {
 	if len(t.entries) == 0 || (t.n+1)*4 > len(t.entries)*3 {
 		m.maatGrow(t)
 	}
@@ -307,13 +363,12 @@ func (m *Machine) maatPut(t *maat, key uint64, p *cell) {
 	for {
 		e := &t.entries[i]
 		if e.p == nil {
-			e.key = key
-			e.p = p
+			*e = maatEntry{p: p, key: key, store: store}
 			t.n++
 			return
 		}
 		if e.key == key {
-			e.p = p
+			e.p, e.store = p, store
 			return
 		}
 		i++
@@ -336,7 +391,7 @@ func (m *Machine) maatGrow(t *maat) {
 	t.n = 0
 	for i := range old {
 		if old[i].p != nil {
-			m.maatPut(t, old[i].key, old[i].p)
+			m.maatPut(t, old[i].key, old[i].p, old[i].store)
 		}
 	}
 	if old != nil {
@@ -379,9 +434,11 @@ func (m *Machine) releaseMaat(t *maat) {
 // --------------------------------------------------------------- pools ----
 
 // acquireSection returns a recycled or fresh Section shell with a MAAT
-// backing attached. Sections are recycled only by Machine.Reset: the final
-// Result is built from every section of the run, so they stay live until
-// then.
+// backing attached. Shells are recycled only by Machine.Reset: a dumped
+// section keeps its place in Machine.order (positions index it) and its
+// counts, which the final Result lists for every section of the run. What a
+// section no longer needs goes earlier — its instructions as they retire, its
+// MAAT backing when it dumps.
 func (m *Machine) acquireSection() *Section {
 	var s *Section
 	if k := len(m.secFree) - 1; k >= 0 {
@@ -395,15 +452,13 @@ func (m *Machine) acquireSection() *Section {
 	return s
 }
 
-// releaseSection scrubs s and pools it, keeping the instruction slice and
-// address-rename queue capacity for reuse.
+// releaseSection scrubs s and pools it, keeping the address-rename queue's
+// capacity for reuse.
 func (m *Machine) releaseSection(s *Section) {
 	m.releaseMaat(&s.maat)
-	clear(s.Insts)
-	insts := s.Insts[:0]
 	arQ := s.arQ
 	arQ.Reset()
-	*s = Section{Insts: insts, arQ: arQ}
+	*s = Section{arQ: arQ}
 	m.secFree = append(m.secFree, s)
 }
 

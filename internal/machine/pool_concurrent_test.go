@@ -25,10 +25,7 @@ func TestPoolConcurrentGetPut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustRunRows(t, fresh)
 
 	const maxIdle = 2
 	p := &Pool{MaxIdle: maxIdle}
@@ -57,7 +54,7 @@ func TestPoolConcurrentGetPut(t *testing.T) {
 				if m.cfg.Dense != cfg.Dense {
 					t.Errorf("worker %d: machine not re-armed: dense=%v", w, m.cfg.Dense)
 				}
-				got, err := m.Run()
+				got, err := runRows(m)
 				if err != nil {
 					t.Errorf("worker %d: Run: %v", w, err)
 					return
@@ -118,7 +115,7 @@ func TestPoolConcurrentCollision(t *testing.T) {
 	type shape struct {
 		prog *isa.Program
 		cfg  Config
-		want *Result
+		want traced
 	}
 	shapes := []*shape{
 		{prog: mustSumFork(t, 40), cfg: DefaultConfig(4)},
@@ -130,9 +127,7 @@ func TestPoolConcurrentCollision(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sh.want, err = fresh.Run(); err != nil {
-			t.Fatal(err)
-		}
+		sh.want = mustRunRows(t, fresh)
 	}
 	p := NewPool()
 	var gets atomic.Int64
@@ -154,7 +149,7 @@ func TestPoolConcurrentCollision(t *testing.T) {
 				if m.cfg.Cores != sh.cfg.Cores || len(m.cores) != sh.cfg.Cores {
 					t.Errorf("worker %d: got %d-core machine (%d cores live), want %d", w, m.cfg.Cores, len(m.cores), sh.cfg.Cores)
 				}
-				got, err := m.Run()
+				got, err := runRows(m)
 				if err != nil {
 					t.Errorf("worker %d: Run: %v", w, err)
 					return

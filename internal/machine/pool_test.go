@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -97,7 +98,7 @@ func TestMaatTable(t *testing.T) {
 
 	const n = 512 // several growth rounds past maatMinSize
 	for i := 0; i < n; i++ {
-		m.maatPut(&tbl, uint64(i*8), prod(i))
+		m.maatPut(&tbl, uint64(i*8), prod(i), false)
 	}
 	if tbl.n != n {
 		t.Fatalf("table count %d, want %d", tbl.n, n)
@@ -112,7 +113,7 @@ func TestMaatTable(t *testing.T) {
 		t.Fatal("get of absent key returned a producer")
 	}
 	// Overwrite must replace, not duplicate.
-	m.maatPut(&tbl, 0, prod(599))
+	m.maatPut(&tbl, 0, prod(599), false)
 	if tbl.n != n {
 		t.Fatalf("overwrite changed count to %d", tbl.n)
 	}
@@ -137,7 +138,7 @@ func TestMaatTable(t *testing.T) {
 	if tbl2.get(0) != nil || tbl2.n != 0 {
 		t.Fatal("recycled table not empty")
 	}
-	m.maatPut(&tbl2, 40, prod(7))
+	m.maatPut(&tbl2, 40, prod(7), false)
 	if p := tbl2.get(40); p == nil || p != &cells[7] {
 		t.Fatal("recycled table lost an insert")
 	}
@@ -182,15 +183,18 @@ func TestArenaChunkBoundaries(t *testing.T) {
 	}
 }
 
-// TestDynInstSize pins the arena's unit of memory: one DynInst per simulated
-// instruction is most of what a run allocates — 486 B per instruction on the
-// benchmark's paper-scale point, which bounds alloc_b_per_work at 5 %, so
-// even three more words here show there. A field added must be paid for by
-// another (368 bytes before the value cells carried waiter lists; packing
-// the byte-wide fields and one-pointer producers paid for those).
+// TestDynInstSize pins the units of a run's memory. A DynInst lives from
+// fetch to retire, so its size is paid per instruction of the un-retired
+// window and scrubbed once per instruction (recycle); what a run pays per
+// instruction of its length is the cells it claims, 1.7 on average. A field
+// added must be paid for by another (336 bytes while the result cells lived
+// inside the instruction; 368 before the byte-wide fields were packed).
 func TestDynInstSize(t *testing.T) {
-	if got := unsafe.Sizeof(DynInst{}); got > 336 {
-		t.Errorf("DynInst is %d bytes, budget 336", got)
+	if got := unsafe.Sizeof(DynInst{}); got > 264 {
+		t.Errorf("DynInst is %d bytes, budget 264", got)
+	}
+	if got := unsafe.Sizeof(cell{}); got > 32 {
+		t.Errorf("cell is %d bytes, budget 32", got)
 	}
 }
 
@@ -203,7 +207,7 @@ func TestMaatBigN(t *testing.T) {
 	const n = 5000
 	cells := make([]cell, n)
 	for i := 0; i < n; i++ {
-		m.maatPut(&tbl, uint64(i*8), &cells[i])
+		m.maatPut(&tbl, uint64(i*8), &cells[i], false)
 	}
 	if tbl.n != n {
 		t.Fatalf("table count %d, want %d", tbl.n, n)
@@ -339,7 +343,9 @@ func TestHostIndexMatchesScan(t *testing.T) {
 }
 
 // TestResetReproduces pins Machine.Reset's contract: a warmed machine re-runs
-// the same program to a bit-identical Result, under both schedulers.
+// the same program to a bit-identical Result, under both schedulers — also
+// when the run in the middle poisoned every instruction it retired instead of
+// recycling it, and the one after finds the arena grown by that.
 func TestResetReproduces(t *testing.T) {
 	for _, dense := range []bool{false, true} {
 		p := mustSumFork(t, 40)
@@ -349,24 +355,21 @@ func TestResetReproduces(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		first, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round := 0; round < 2; round++ {
+		first := mustRunRows(t, m)
+		for round := 0; round < 3; round++ {
 			m.Reset()
-			again, err := m.Run()
+			m.poison = round == 1 // Reset clears it again
+			again, err := runRows(m)
 			if err != nil {
 				t.Fatalf("dense=%v round %d: %v", dense, round, err)
 			}
-			checkIdentical(t, "reset re-run", first, again)
+			checkIdentical(t, fmt.Sprintf("reset re-run %d", round), first, again)
 		}
 	}
 }
 
 // parked counts the instructions and requests on waiter lists anywhere in
-// the machine: on the cells of every fetched instruction, on every arena
-// cell handed out, and at every section.
+// the machine: on every arena cell handed out and at every section.
 func parked(m *Machine) (insts, reqs int) {
 	count := func(c *cell) {
 		for d := c.insts; d != nil; d = d.next {
@@ -380,13 +383,8 @@ func parked(m *Machine) (insts, reqs int) {
 		for r := s.waiting; r != nil; r = r.next {
 			reqs++
 		}
-		for _, d := range s.Insts {
-			count(&d.wr[0])
-			count(&d.wr[1])
-			count(&d.mem)
-		}
 	}
-	for _, chunk := range m.slots.chunks {
+	for _, chunk := range m.cells.chunks {
 		for i := range chunk {
 			count(&chunk[i])
 		}
@@ -406,10 +404,7 @@ func TestResetAfterError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := fresh.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := mustRunRows(t, fresh)
 
 	m, err := New(p, DefaultConfig(2))
 	if err != nil {
@@ -421,14 +416,16 @@ func TestResetAfterError(t *testing.T) {
 			t.Fatal("truncated run unexpectedly succeeded")
 		}
 	}
-	rerun := func() *Result {
+	var rows Collector // one buffer for every re-run: the allocation bound below
+	rerun := func() traced {
 		m.Reset()
 		m.cfg.MaxCycles = 100 << 20
+		rows.Attach(m)
 		got, err := m.Run()
 		if err != nil {
 			t.Fatalf("run after error+Reset: %v", err)
 		}
-		return got
+		return traced{got, rows.Timings(got)}
 	}
 
 	abort()
@@ -449,16 +446,16 @@ func TestResetAfterError(t *testing.T) {
 	}
 	checkIdentical(t, "reset after error", want, rerun())
 
-	var again *Result
+	var again traced
 	allocs := testing.AllocsPerRun(3, func() {
 		m.Reset()
 		abort()
 		again = rerun()
 	})
 	checkIdentical(t, "reset after repeated errors", want, again)
-	// The Result's two slices, the abort's error text and the fixed handful
-	// boot allocates; a leaked request or a regrown queue would add one per
-	// object.
+	// The Result's slices, the collector's two index arrays, the abort's error
+	// text and the fixed handful boot allocates; a leaked request or a regrown
+	// queue would add one per object.
 	if allocs > 64 {
 		t.Errorf("abort, Reset and re-run allocate %.0f times on a warmed machine, budget 64", allocs)
 	}

@@ -12,9 +12,12 @@ import (
 // a Fig. 10 table. A zero means the stage does not apply (e.g. ar/ma for a
 // register-register instruction).
 type InstTiming struct {
-	Section                 int64 // section ID
-	SecPos                  int   // final position in the total section order
-	Idx                     int   // ordinal within the section (1-based in Label)
+	Section int64 // section ID
+	// SecPos is the section's position in the total section order: the
+	// position at the time of retirement in a row handed to a sink, the final
+	// one in a Collector's rows.
+	SecPos                  int
+	Idx                     int // ordinal within the section (1-based in Label)
 	IP                      int64
 	In                      *isa.Instruction
 	Level                   int32
@@ -29,6 +32,50 @@ func (t InstTiming) Label() string { return fmt.Sprintf("%d-%d", t.SecPos, t.Idx
 // construction on big runs, charged to every simulation whether or not a
 // Fig. 10 table was wanted.
 func (t InstTiming) Text() string { return t.In.String() }
+
+// SetSink makes the next Run hand sink the row of every instruction the cycle
+// it retires — the only moment the machine still has it: a retired
+// instruction is recycled at once, and a Result carries aggregates, not rows.
+// Rows arrive in retirement order, across sections. The sink is per run: bind
+// and Reset clear it, so a pooled or re-run machine never calls a stale one.
+// Most callers want Collector.
+func (m *Machine) SetSink(sink func(InstTiming)) { m.sink = sink }
+
+// Collector gathers the rows of one run and returns them the way the paper's
+// Fig. 10 lists them. The zero value is ready; Attach it again to reuse its
+// buffer for another run.
+type Collector struct{ rows []InstTiming }
+
+// Attach makes c the sink of m's next Run.
+func (c *Collector) Attach(m *Machine) {
+	c.rows = c.rows[:0]
+	m.SetSink(func(t InstTiming) { c.rows = append(c.rows, t) })
+}
+
+// Timings returns the rows of the run that produced r in global trace order
+// (section order, then ordinal), each with its section's final position. The
+// slice is the collector's own buffer, rearranged.
+func (c *Collector) Timings(r *Result) []InstTiming {
+	// Section IDs are creation sequence numbers: 0..len-1, each once.
+	start := make([]int, len(r.Sections)) // by ID: index of the section's first row
+	pos := make([]int, len(r.Sections))   // by ID: final position
+	n := 0
+	for _, s := range r.Sections {
+		start[s.ID], pos[s.ID] = n, s.Pos
+		n += s.Instructions
+	}
+	// Every row has its own destination, so sending each displaced row to its
+	// place sorts the buffer in one pass without a second one. (Rows that
+	// claim one place twice — not a run's — are left where they collide.)
+	dest := func(t *InstTiming) int { return start[t.Section] + t.Idx }
+	for i := range c.rows {
+		for j := dest(&c.rows[i]); j != i && dest(&c.rows[j]) != j; j = dest(&c.rows[i]) {
+			c.rows[i], c.rows[j] = c.rows[j], c.rows[i]
+		}
+		c.rows[i].SecPos = pos[c.rows[i].Section]
+	}
+	return c.rows
+}
 
 // SectionInfo summarises one section.
 type SectionInfo struct {
@@ -58,8 +105,6 @@ type Result struct {
 	RAX uint64
 	// Regs is the final committed architectural register file.
 	Regs [isa.NumRegs]uint64
-	// Timings holds per-instruction stage cycles, in global trace order.
-	Timings []InstTiming
 	// FetchedPerCore counts instructions fetched by each core.
 	FetchedPerCore []int64
 	// Requests counts renaming requests issued (register, memory).
@@ -116,54 +161,37 @@ func (m *Machine) result() *Result {
 		RequestHops:      m.reqHops,
 		ResponseMessages: m.respMsgs,
 		DMHAnswers:       m.dmhAnswers,
+		FetchDone:        m.fetchDone,
+		RetireDone:       m.retireDone,
 	}
-	var fetched int64
 	r.FetchedPerCore = make([]int64, 0, len(m.cores))
 	for _, c := range m.cores {
 		r.FetchedPerCore = append(r.FetchedPerCore, c.fetched)
-		fetched += c.fetched
+		r.Instructions += c.fetched
 	}
-	r.Timings = make([]InstTiming, 0, fetched)
+	// m.order is maintained in ascending position (Pos == index), so the
+	// sections come out in global trace order.
 	r.Sections = make([]SectionInfo, 0, len(m.order))
 	for _, s := range m.order {
-		info := SectionInfo{
+		r.Sections = append(r.Sections, SectionInfo{
 			ID: s.ID, Pos: s.Pos, Core: s.Core, BaseLevel: s.BaseLevel,
-			Instructions: len(s.Insts), CreatedAt: s.createdAt, FirstFetch: s.firstFetch,
-		}
-		for _, d := range s.Insts {
-			r.Instructions++
-			if d.tFD > r.FetchDone {
-				r.FetchDone = d.tFD
-			}
-			if d.tRET > r.RetireDone {
-				r.RetireDone = d.tRET
-			}
-			if d.tRET > info.LastRetire {
-				info.LastRetire = d.tRET
-			}
-			r.Timings = append(r.Timings, InstTiming{
-				Section: s.ID, SecPos: s.Pos, Idx: d.Idx, IP: d.IP,
-				In: d.In, Level: d.Level,
-				FD: d.tFD, RR: d.tRR, EW: d.tEW, AR: d.tAR, MA: d.tMA(), RET: d.tRET,
-			})
-		}
-		r.Sections = append(r.Sections, info)
+			Instructions: s.fetched, CreatedAt: s.createdAt, FirstFetch: s.firstFetch,
+			LastRetire: s.lastRetire,
+		})
 	}
-	// m.order is maintained in ascending position (Pos == index), so both
-	// slices are built already sorted in global trace order.
 	return r
 }
 
-// Fig10Table renders the per-core timing tables in the style of the paper's
-// Fig. 10: one table per core, one row per instruction with its six stage
-// cycles.
-func (r *Result) Fig10Table() string {
+// Fig10Table renders the run's rows (Collector.Timings) as per-core timing
+// tables in the style of the paper's Fig. 10: one table per core, one row per
+// instruction with its six stage cycles.
+func (r *Result) Fig10Table(timings []InstTiming) string {
 	byCore := make(map[int][]InstTiming)
 	secCore := make(map[int]int)
 	for _, s := range r.Sections {
 		secCore[s.Pos] = s.Core
 	}
-	for _, t := range r.Timings {
+	for _, t := range timings {
 		c := secCore[t.SecPos]
 		byCore[c] = append(byCore[c], t)
 	}

@@ -13,17 +13,61 @@ import (
 	"repro/internal/progs"
 )
 
+// traced is a run's result with the per-instruction rows a Collector
+// gathered beside it.
+type traced struct {
+	*Result
+	Timings []InstTiming
+}
+
+// runRows runs m — freshly built, bound or Reset — with a collector attached.
+func runRows(m *Machine) (traced, error) {
+	var c Collector
+	c.Attach(m)
+	r, err := m.Run()
+	if err != nil {
+		return traced{}, err
+	}
+	return traced{r, c.Timings(r)}, nil
+}
+
+// mustRunRows is runRows for a run that has to succeed.
+func mustRunRows(t *testing.T, m *Machine) traced {
+	t.Helper()
+	r, err := runRows(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // runSched runs prog under one scheduler and returns the result.
-func runSched(t *testing.T, prog *isa.Program, cfg Config, dense bool) *Result {
+func runSched(t *testing.T, prog *isa.Program, cfg Config, dense bool) traced {
 	t.Helper()
 	cfg.Dense = dense
 	m, err := New(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Run()
+	r, err := runRows(m)
 	if err != nil {
 		t.Fatalf("dense=%v: %v", dense, err)
+	}
+	return r
+}
+
+// runPoisoned runs prog on the production scheduler with retired instructions
+// poisoned instead of recycled.
+func runPoisoned(t *testing.T, prog *isa.Program, cfg Config) traced {
+	t.Helper()
+	m, err := New(prog, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.poison = true
+	r, err := runRows(m)
+	if err != nil {
+		t.Fatalf("poisoned: %v", err)
 	}
 	return r
 }
@@ -31,7 +75,7 @@ func runSched(t *testing.T, prog *isa.Program, cfg Config, dense bool) *Result {
 // checkIdentical asserts two results are bit-identical: every headline
 // metric, every message counter, every per-instruction stage timestamp and
 // every section record.
-func checkIdentical(t *testing.T, label string, dense, skip *Result) {
+func checkIdentical(t *testing.T, label string, dense, skip traced) {
 	t.Helper()
 	if dense.Cycles != skip.Cycles || dense.Instructions != skip.Instructions ||
 		dense.RAX != skip.RAX || dense.FetchDone != skip.FetchDone ||
@@ -73,6 +117,11 @@ func checkIdentical(t *testing.T, label string, dense, skip *Result) {
 // core counts, topologies, the shortcut ablation and the packing cap. The
 // eleven-kernel PBBS leg of the oracle lives in oracle_test.go (external
 // package, to avoid the pbbs import cycle).
+//
+// Every point also runs a third, poisoned leg: both schedulers recycle a
+// retired instruction through the same code, so a stale read that moved a
+// timestamp would move it in both; with the instruction overwritten by
+// absurd values instead, the rows must still come out the same.
 func TestIdleSkipMatchesDense(t *testing.T) {
 	build := func(f func() (*isa.Program, error)) *isa.Program {
 		p, err := f()
@@ -92,6 +141,7 @@ func TestIdleSkipMatchesDense(t *testing.T) {
 			dense := runSched(t, p, cfg, true)
 			skip := runSched(t, p, cfg, false)
 			checkIdentical(t, name+"/default", dense, skip)
+			checkIdentical(t, name+"/default poisoned", skip, runPoisoned(t, p, cfg))
 		}
 	}
 	p := workloads["sum40"]
@@ -107,6 +157,7 @@ func TestIdleSkipMatchesDense(t *testing.T) {
 		dense := runSched(t, p, cfg, true)
 		skip := runSched(t, p, cfg, false)
 		checkIdentical(t, fmt.Sprintf("variant %d (%+v)", i, cfg), dense, skip)
+		checkIdentical(t, fmt.Sprintf("variant %d (%+v) poisoned", i, cfg), skip, runPoisoned(t, p, cfg))
 	}
 }
 
@@ -209,17 +260,13 @@ func TestIdleSkipSkipsCycles(t *testing.T) {
 // runVisits runs the n-th doubling step of the §5 sum (5·2ⁿ elements) under
 // the production scheduler and returns the result with the number of core
 // visits the scheduler made.
-func runVisits(t *testing.T, n, cores int) (*Result, int64) {
+func runVisits(t *testing.T, n, cores int) (traced, int64) {
 	t.Helper()
 	m, err := New(mustSumFork(t, int(analytic.Elements(n))), DefaultConfig(cores))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r, m.visits
+	return mustRunRows(t, m), m.visits
 }
 
 // TestIdleCoresAreFree: a core nothing is sent to costs the scheduler

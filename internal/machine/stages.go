@@ -17,7 +17,7 @@ func older(a, b *DynInst) bool {
 
 // ---------------------------------------------------------------- fetch ----
 
-// branchResumable reports whether a stalled control instruction's redirect is
+// branchResumable reports whether a stalled section's branch redirect is
 // usable by the fetch stage this cycle. The execute-write-back stage of cycle
 // t publishes the branch target at the end of t, so fetch may resume at t+1 —
 // the same strictly-older boundary every other consumer of a stage result
@@ -25,8 +25,14 @@ func older(a, b *DynInst) bool {
 // that comparison; TestStallResumeLatency pins the one-cycle resume latency
 // so an off-by-one (resuming at t+2, or same-cycle at t) cannot creep back in
 // at any of the three call sites (stalled fetch, hasFetchWork, pickSection).
-func (m *Machine) branchResumable(d *DynInst) bool {
-	return d != nil && d.resolved && d.tEW > 0 && d.tEW < m.cycle
+func (m *Machine) branchResumable(s *Section) bool {
+	return s.stalled && s.resumeAt > 0 && s.resumeAt < m.cycle
+}
+
+// resume redirects a stalled section's fetch to its resolved branch target.
+func (s *Section) resume() {
+	s.fetchIP = s.resumeIP
+	s.stalled, s.resumeAt = false, 0
 }
 
 // stageFD implements the fetch-decode-and-partly-execute stage (Fig. 8):
@@ -40,11 +46,9 @@ func (m *Machine) stageFD(c *Core) {
 		}
 	}
 	sec := c.fetch
-	if sec.stalled != nil {
-		d := sec.stalled
-		if m.branchResumable(d) {
-			sec.fetchIP = d.nextIP
-			sec.stalled = nil
+	if sec.stalled {
+		if m.branchResumable(sec) {
+			sec.resume()
 			m.progress++
 		} else {
 			// A stalled fetch sets the section aside when there is other
@@ -66,15 +70,25 @@ func (m *Machine) stageFD(c *Core) {
 		return
 	}
 	in := &m.prog.Text[sec.fetchIP]
-	d := m.dyns.alloc()
+	d := m.newDyn()
 	d.Sec = sec
-	d.Idx = len(sec.Insts)
+	d.Idx = sec.fetched
 	d.IP = sec.fetchIP
 	d.In = in
 	d.Level = sec.curLevel
 	d.class = in.Classify()
 	d.tFD = m.cycle
-	sec.Insts = append(sec.Insts, d)
+	if sec.tail == nil {
+		sec.head = d
+	} else {
+		sec.tail.secNext = d
+	}
+	sec.tail = d
+	sec.fetched++
+	if m.inFlight++; m.inFlight > m.peakInFlight {
+		m.peakInFlight = m.inFlight
+	}
+	m.fetchDone = m.cycle
 	c.renameQ.Push(d)
 	c.fetched++
 	m.progress++
@@ -141,33 +155,25 @@ func (m *Machine) stageFD(c *Core) {
 		switch in.Op {
 		case isa.JMP:
 			next = in.Target
-			d.taken = true
-			d.resolved = true
 			d.computedAtFetch = true
 		case isa.Jcc:
 			if c.rf[isa.Flags].full {
-				d.taken = in.Cond.Eval(isa.FlagsVal(c.rf[isa.Flags].v))
-				if d.taken {
+				if in.Cond.Eval(isa.FlagsVal(c.rf[isa.Flags].v)) {
 					next = in.Target
 				}
-				d.nextIP = next
-				d.resolved = true
 				d.computedAtFetch = true
 			} else {
 				// The branch target cannot be computed: fetch stalls until
 				// the execute stage resolves it (Fig. 8: "IP is set to
 				// empty ... if target is not computed").
-				sec.stalled = d
+				sec.stalled = true
 			}
 		case isa.FORK:
 			m.doFork(c, sec, d)
 			next = in.Target
-			d.taken = true
-			d.resolved = true
 			d.computedAtFetch = true
 			sec.curLevel++
 		case isa.ENDFORK, isa.HLT:
-			d.resolved = true
 			d.computedAtFetch = true
 			sec.fetchDone = true
 			c.fetch = nil
@@ -186,7 +192,7 @@ func (m *Machine) hasFetchWork(c *Core) bool {
 		return true
 	}
 	for i, n := 0, c.suspended.Len(); i < n; i++ {
-		if m.branchResumable(c.suspended.At(i).stalled) {
+		if m.branchResumable(c.suspended.At(i)) {
 			return true
 		}
 	}
@@ -199,11 +205,9 @@ func (m *Machine) hasFetchWork(c *Core) bool {
 func (m *Machine) pickSection(c *Core) {
 	for i, n := 0, c.suspended.Len(); i < n; i++ {
 		s := c.suspended.At(i)
-		d := s.stalled
-		if m.branchResumable(d) {
+		if m.branchResumable(s) {
 			c.suspended.Remove(i)
-			s.fetchIP = d.nextIP
-			s.stalled = nil
+			s.resume()
 			c.rf = s.rfSave // fetch RF as saved at suspension
 			c.fetch = s
 			m.progress++
@@ -258,7 +262,7 @@ func (m *Machine) doFork(c *Core, sec *Section, d *DynInst) {
 func (m *Machine) ratLookup(sec *Section, r isa.Reg, d *DynInst) *cell {
 	p := sec.rat[r]
 	if p == nil {
-		p = m.slots.alloc()
+		p = m.cells.alloc()
 		if sec.init[r].full {
 			p.v, p.at = sec.init[r].v, sec.firstFetch
 		} else {
@@ -298,7 +302,7 @@ func (m *Machine) stageRR(c *Core) {
 		}
 	}
 	for _, r := range m.regWriteSet(d.In) {
-		sec.rat[r] = d.regCell(r)
+		sec.rat[r] = m.regCell(d, r)
 	}
 	if d.In.Op == isa.FORK && d.nPending > 0 {
 		// Deferred non-volatile copies: link the created section to the
@@ -383,15 +387,14 @@ func (m *Machine) stageEW(c *Core) {
 	}
 	switch d.In.Op {
 	case isa.Jcc:
-		fl := isa.FlagsVal(d.srcValue(isa.Flags))
-		d.taken = d.In.Cond.Eval(fl)
-		d.nextIP = d.IP + 1
-		if d.taken {
-			d.nextIP = d.In.Target
+		// Only a branch the fetch stage could not compute gets here, and its
+		// section has been stalled on it since: the redirect goes to the
+		// section, which outlives the instruction.
+		sec := d.Sec
+		sec.resumeAt, sec.resumeIP = m.cycle, d.IP+1
+		if d.In.Cond.Eval(isa.FlagsVal(d.srcValue(isa.Flags))) {
+			sec.resumeIP = d.In.Target
 		}
-		d.resolved = true
-	case isa.NOP, isa.JMP, isa.FORK, isa.ENDFORK, isa.HLT:
-		d.resolved = true
 	default:
 		var out regWrites
 		if err := evalRegCompute(d.In, d.srcValue, &out); err != nil {
@@ -457,13 +460,14 @@ func (m *Machine) arApply(c *Core, sec *Section, d *DynInst) {
 		if p := sec.maat.get(d.addr); p != nil {
 			d.memSrc = p
 		} else {
-			d.memSrc = m.slots.alloc()
-			m.maatPut(&sec.maat, d.addr, d.memSrc)
+			d.memSrc = m.cells.alloc()
+			m.maatPut(&sec.maat, d.addr, d.memSrc, false)
 			m.addRequest(reqMem, 0, d.addr, d, d.memSrc)
 		}
 	}
 	if _, writes := d.In.MemWrite(); writes {
-		m.maatPut(&sec.maat, d.addr, &d.mem)
+		d.mem = m.cells.alloc()
+		m.maatPut(&sec.maat, d.addr, d.mem, true)
 	}
 	d.tAR = m.cycle
 	sec.memRen++
@@ -539,7 +543,10 @@ func (m *Machine) stageMA(c *Core) {
 		m.err = err
 		return
 	}
-	m.fill(&d.mem, d.mem.v, m.cycle)
+	d.tMA = m.cycle
+	if d.mem != nil {
+		m.fill(d.mem, d.mem.v, m.cycle)
+	}
 	m.listRetire(c, d)
 	m.progress++
 }
@@ -549,17 +556,14 @@ func (m *Machine) stageMA(c *Core) {
 // retireHead returns the section's in-order retirement head if it may retire
 // this cycle (its completing event is strictly older), or nil.
 func (m *Machine) retireHead(s *Section) *DynInst {
-	if s.retired >= len(s.Insts) {
-		return nil
-	}
-	h := s.Insts[s.retired]
-	if !h.done() || h.tRET != 0 {
+	h := s.head
+	if h == nil || !h.done() {
 		return nil
 	}
 	// A stage boundary: the completing event must be strictly older than
 	// this cycle.
 	if h.isMem() {
-		if h.tMA() >= m.cycle {
+		if h.tMA >= m.cycle {
 			return nil
 		}
 	} else if h.tEW >= m.cycle {
@@ -573,7 +577,7 @@ func (m *Machine) retireHead(s *Section) *DynInst {
 // completed earlier, out of order, needs no listing: the section was listed
 // for its predecessor and stays listed while its head is complete.
 func (m *Machine) listRetire(c *Core, d *DynInst) {
-	if s := d.Sec; !s.retireListed && !m.cfg.Dense && d.Idx == s.retired {
+	if s := d.Sec; !s.retireListed && !m.cfg.Dense && d == s.head {
 		s.retireListed = true
 		s.retireNext, c.retireReady = c.retireReady, s
 	}
@@ -586,7 +590,7 @@ func (m *Machine) pickRetire(c *Core) *Section {
 	var best *Section
 	for p := &c.retireReady; *p != nil; {
 		s := *p
-		if s.retired == len(s.Insts) || !s.Insts[s.retired].done() {
+		if s.head == nil || !s.head.done() {
 			*p, s.retireNext, s.retireListed = s.retireNext, nil, false
 			continue
 		}
@@ -598,11 +602,24 @@ func (m *Machine) pickRetire(c *Core) *Section {
 	return best
 }
 
-// retireApply retires sec's head d.
+// retireApply retires sec's head d, and with that d leaves the machine: its
+// row goes to the sink, its place in the aggregates is taken, and the object
+// is recycled. Nothing may refer to d after this — see DynInst.
 func (m *Machine) retireApply(sec *Section, d *DynInst) {
-	d.tRET = m.cycle
+	if sec.head = d.secNext; sec.head == nil {
+		sec.tail = nil
+	}
 	sec.retired++
+	sec.lastRetire, m.retireDone = m.cycle, m.cycle
+	m.inFlight--
 	m.progress++
+	if m.sink != nil {
+		m.sink(InstTiming{
+			Section: sec.ID, SecPos: sec.Pos, Idx: d.Idx, IP: d.IP, In: d.In, Level: d.Level,
+			FD: d.tFD, RR: d.tRR, EW: d.tEW, AR: d.tAR, MA: d.tMA, RET: m.cycle,
+		})
+	}
+	m.recycle(d)
 }
 
 // stageRetire implements the in-order (per section) retirement stage: one

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"sync"
+	"unsafe"
 
 	"repro/internal/isa"
 )
@@ -14,7 +15,10 @@ import (
 // about as many machines as it has workers, bit-identically to fresh ones. A
 // run of a footprint the machine has seen allocates only the fixed handful
 // New's boot does (internal/bench's allocation tests); a larger one regrows
-// only the buffers it outgrows.
+// only the buffers it outgrows. A parked machine keeps the footprint of the
+// largest run it has seen only up to parkedArenaBytes: Put gives the rest of
+// its arenas back to the GC, so one huge point does not pin its memory in the
+// pool for good.
 //
 // A nil *Pool is the no-pooling pool, like a nil *sweep.Cache: Get constructs
 // a fresh machine every time, Put drops, Stats stays zero — so a caller with
@@ -33,6 +37,13 @@ type Pool struct {
 // (their arenas are sized to the workload), so the pool keeps only about as
 // many as a host's worth of sweep workers can have in flight.
 const DefaultMaxIdle = 32
+
+// parkedArenaBytes bounds what a parked machine keeps of its two arenas, half
+// each. It is far above what any point of the bench grids reaches (the cell
+// arena of quickSort n=512 on 64 cores is 15 MB), so a sweep's machines never
+// regrow; it is what a server that once simulated a paper-scale point stops
+// holding on to.
+const parkedArenaBytes = 64 << 20
 
 // PoolStats counts what the pool did.
 type PoolStats struct {
@@ -99,6 +110,7 @@ func (p *Pool) Put(_ string, m *Machine) {
 	if max <= 0 {
 		max = DefaultMaxIdle
 	}
+	m.trim()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free) >= max {
@@ -106,4 +118,19 @@ func (p *Pool) Put(_ string, m *Machine) {
 		return
 	}
 	p.free = append(p.free, m)
+}
+
+// trim cuts the machine's arenas down to parkedArenaBytes. The run that grew
+// them past it is still all over the machine — alias tables, queues and
+// requests point into the chunks to drop — so it is released first, as the
+// next bind would do anyway.
+func (m *Machine) trim() {
+	dyns := parkedArenaBytes / 2 / (dynChunk * int(unsafe.Sizeof(DynInst{})))
+	slots := parkedArenaBytes / 2 / (cellChunk * int(unsafe.Sizeof(cell{})))
+	if len(m.dyns.chunks) <= dyns && len(m.cells.chunks) <= slots {
+		return
+	}
+	m.release()
+	m.dyns.trim(dyns)
+	m.cells.trim(slots)
 }

@@ -9,8 +9,8 @@
 package progs
 
 import (
+	"encoding/binary"
 	"fmt"
-	"strings"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
@@ -69,45 +69,41 @@ sum:    cmpq $2, %rsi           # n>2
         endfork                 # return rax
 `
 
-// dataSegment renders a .data section defining t as the given vector and
-// tlen as its length.
-func dataSegment(t []uint64) string {
-	var b strings.Builder
-	b.WriteString(".data\n")
-	b.WriteString("t: .quad ")
-	for i, v := range t {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%d", v)
+// assembleWithVector assembles the listing src followed by a data segment
+// defining t as the given vector and tlen as its length. The listing only
+// reserves the vector; its words go straight into the assembled image, so a
+// wide vector costs a copy, not a decimal print and parse of every element.
+func assembleWithVector(src string, t []uint64) (*isa.Program, error) {
+	p, err := asm.Assemble(fmt.Sprintf("%s\n.data\nt: .space %d\ntlen: .quad %d\n", src, 8*len(t), len(t)))
+	if err != nil {
+		return nil, err
 	}
-	fmt.Fprintf(&b, "\ntlen: .quad %d\n", len(t))
-	return b.String()
+	words := p.Data[p.DataSyms["t"]-isa.DataBase:]
+	for i, v := range t {
+		binary.LittleEndian.PutUint64(words[8*i:], v)
+	}
+	return p, nil
 }
 
 // BuildSumCall assembles the Fig. 2 program with a driver calling sum(t, len(t)).
 func BuildSumCall(t []uint64) (*isa.Program, error) {
-	src := fmt.Sprintf(`
+	return assembleWithVector(fmt.Sprintf(`
 _start: movq $t, %%rdi
         movq $%d, %%rsi
         call sum
         hlt
-%s
-%s`, len(t), SumCallBody, dataSegment(t))
-	return asm.Assemble(src)
+%s`, len(t), SumCallBody), t)
 }
 
 // BuildSumFork assembles the Fig. 5 program with a driver forking sum(t, len(t)).
 // The driver's continuation (after the whole sum call tree) is the final hlt.
 func BuildSumFork(t []uint64) (*isa.Program, error) {
-	src := fmt.Sprintf(`
+	return assembleWithVector(fmt.Sprintf(`
 _start: movq $t, %%rdi
         movq $%d, %%rsi
         fork sum
         hlt
-%s
-%s`, len(t), SumForkBody, dataSegment(t))
-	return asm.Assemble(src)
+%s`, len(t), SumForkBody), t)
 }
 
 // Vector returns the test vector [1, 2, ..., n], whose sum is n(n+1)/2.
@@ -229,12 +225,10 @@ vmax:   cmpq $2, %rsi
 
 // BuildMaxFork assembles the fork vector-max with a driver over t.
 func BuildMaxFork(t []uint64) (*isa.Program, error) {
-	src := fmt.Sprintf(`
+	return assembleWithVector(fmt.Sprintf(`
 _start: movq $t, %%rdi
         movq $%d, %%rsi
         fork vmax
         hlt
-%s
-%s`, len(t), MaxForkBody, dataSegment(t))
-	return asm.Assemble(src)
+%s`, len(t), MaxForkBody), t)
 }

@@ -1,8 +1,12 @@
 package progs
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/isa"
 )
@@ -83,6 +87,62 @@ func TestSumBuildersAgree(t *testing.T) {
 			}
 			if got := cpu.Result(); got != want {
 				t.Errorf("%s sum(Vector(%d)) = %d, want %d", name, n, got, want)
+			}
+		}
+	}
+}
+
+// textDataSegment is the builders' previous data segment: every element
+// printed in decimal into the listing, for the assembler to parse back.
+func textDataSegment(t []uint64) string {
+	var b strings.Builder
+	b.WriteString(".data\n")
+	b.WriteString("t: .quad ")
+	for i, v := range t {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "%d", v)
+	}
+	fmt.Fprintf(&b, "\ntlen: .quad %d\n", len(t))
+	return b.String()
+}
+
+// TestSumBuildersMatchTextAssembly: writing the vector into the assembled
+// image gives the program the all-text listing gave — same text, data bytes,
+// symbols and entry — for one element, two, an odd count and the paper's
+// 2 560, with values that use all 64 bits.
+func TestSumBuildersMatchTextAssembly(t *testing.T) {
+	for _, b := range []struct {
+		name, driver, body string
+		build              func([]uint64) (*isa.Program, error)
+	}{
+		{"call", "call sum", SumCallBody, BuildSumCall},
+		{"fork", "fork sum", SumForkBody, BuildSumFork},
+		{"vmax", "fork vmax", MaxForkBody, BuildMaxFork},
+	} {
+		for _, n := range []int{1, 2, 5, 2560} {
+			vec := make([]uint64, n)
+			for i := range vec {
+				vec[i] = uint64(i+1) * 0x9e3779b97f4a7c15 // high bits set, never a small decimal
+			}
+			vec[0] = ^uint64(0)
+			want, err := asm.Assemble(fmt.Sprintf(`
+_start: movq $t, %%rdi
+        movq $%d, %%rsi
+        %s
+        hlt
+%s
+%s`, n, b.driver, b.body, textDataSegment(vec)))
+			if err != nil {
+				t.Fatalf("%s n=%d: text assembly: %v", b.name, n, err)
+			}
+			got, err := b.build(vec)
+			if err != nil {
+				t.Fatalf("%s n=%d: %v", b.name, n, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s n=%d: the builder's program differs from the text-assembled one", b.name, n)
 			}
 		}
 	}
