@@ -127,7 +127,7 @@ func vetKernelAt(k *pbbs.Kernel, n int, seed uint64, cores int) error {
 	if canon := minic.Format(prog); k.Lang == pbbs.LangGo && canon != src {
 		return fmt.Errorf("lowered source is not Format-canonical")
 	}
-	if _, err := k.Run(n, seed, false); err != nil {
+	if _, err := k.Run(n, seed, nil); err != nil {
 		return err
 	}
 	if _, err := k.CrossValidate(n, seed, cores); err != nil {

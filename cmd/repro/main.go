@@ -193,7 +193,7 @@ func cmdBench(args []string) error {
 	}
 	fmt.Printf("%-3s %-40s %8s %10s %20s %s\n", "#", "benchmark", "n", "instr", "checksum", "status")
 	for _, k := range ks {
-		res, err := k.Run(*n, *seed, false)
+		res, err := k.Run(*n, *seed, nil)
 		if err != nil {
 			fmt.Printf("%-3d %-40s %8d %10s %20s FAIL: %v\n", k.ID, k.Name, k.ClampN(*n), "-", "-", err)
 			continue

@@ -4,9 +4,9 @@
 //
 //   - Inject writes a workload's inputs at their data symbols.
 //   - Emulator.Run executes on the functional sequential emulator
-//     (internal/emu), which runs call-mode and fork-mode programs, captures
-//     dynamic traces for the internal/ilp dependence models, and is the
-//     oracle.
+//     (internal/emu), which runs call-mode and fork-mode programs, streams
+//     the dynamic trace to the internal/ilp dependence models
+//     (Emulator.Stream; Run can store it), and is the oracle.
 //   - RunMachine executes on the cycle-level many-core simulator
 //     (internal/machine), which runs fork-mode programs only and reports
 //     cycles and per-stage timing besides the architectural result.
@@ -38,8 +38,8 @@ type Result struct {
 	// Cycles is the simulated time: equal to Instructions on the sequential
 	// emulator, the simulated clock on the machine.
 	Cycles int64
-	// Trace is the captured dynamic trace; nil unless an emulator run asked
-	// for it.
+	// Trace is the stored dynamic trace; nil unless Emulator.Run was asked to
+	// capture it.
 	Trace *trace.Trace
 	// Mem is the final memory state (the emulator's memory or the machine's
 	// committed data memory hierarchy).
@@ -76,15 +76,29 @@ func NewEmulator() *Emulator { return &Emulator{MaxSteps: 1 << 31} }
 
 // Run injects the inputs into a fresh memory image, executes prog (either
 // calling convention) to completion and returns the result, with the dynamic
-// trace when captureTrace is set.
+// trace stored when captureTrace is set.
 func (e *Emulator) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result, error) {
+	if !captureTrace {
+		return e.Stream(prog, in, nil)
+	}
+	tr := &trace.Trace{}
+	res, err := e.Stream(prog, in, func(r *trace.Record) { tr.Append(*r) })
+	if err != nil {
+		return nil, err
+	}
+	res.Trace = tr
+	return res, nil
+}
+
+// Stream is Run with the dynamic trace handed, one record per retired
+// instruction, to sink instead of being stored: a trace is as long as the run
+// and an analysis that reads it once (ilp.Analyzer) needs none of it kept. The
+// record is the emulator's own and is overwritten by the next instruction. A
+// nil sink runs untraced.
+func (e *Emulator) Stream(prog *isa.Program, in Inputs, sink func(*trace.Record)) (*Result, error) {
 	cpu := emu.New(prog)
 	cpu.MaxSteps = e.MaxSteps
-	var tr *trace.Trace
-	if captureTrace {
-		tr = &trace.Trace{}
-		cpu.TraceHook = func(r *trace.Record) { tr.Append(*r) }
-	}
+	cpu.TraceHook = sink
 	if err := Inject(prog, cpu.Mem, in); err != nil {
 		return nil, err
 	}
@@ -95,7 +109,6 @@ func (e *Emulator) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result
 		RAX:          cpu.Result(),
 		Instructions: cpu.Steps,
 		Cycles:       cpu.Steps,
-		Trace:        tr,
 		Mem:          cpu.Mem,
 	}, nil
 }

@@ -265,6 +265,32 @@ func TestRunAllocatesByWindow(t *testing.T) {
 	}
 }
 
+// TestMeasureILPAllocatesByFootprint: a Fig. 7 point's memory is the words it
+// touches and the cycles it schedules, not the instructions it runs. A stored
+// trace is 48 bytes an instruction before either analysis has a map to keep
+// (278 in all when the trace was stored); nearestNeighbors n=64, 328 104
+// instructions, stays under 32, the compile, the emulator's pages and both
+// analysers' tables included.
+func TestMeasureILPAllocatesByFootprint(t *testing.T) {
+	k, err := pbbs.Find("nearestNeighbors")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	p, err := k.MeasureILP(64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	perInst := float64(ms.TotalAlloc-before) / float64(p.Instructions)
+	t.Logf("%d bytes for %d instructions = %.1f B per instruction", ms.TotalAlloc-before, p.Instructions, perInst)
+	if perInst > 32 {
+		t.Errorf("a Fig. 7 point allocated %.1f bytes per instruction, budget 32: the trace is stored again", perInst)
+	}
+}
+
 var errMismatch = errString("warmed re-run produced a different result")
 
 type errString string

@@ -5,9 +5,11 @@
 //  1. Reference semantics: every program — mini-C output, hand-written
 //     listings, PBBS kernels — is validated here before any ILP analysis or
 //     machine simulation.
-//  2. Trace capture: a hook records the dynamic trace (register and memory
-//     read/write sets per instruction) consumed by the internal/ilp models
-//     that regenerate the paper's Fig. 7.
+//  2. Trace production: a hook receives the dynamic trace as it happens, one
+//     record (register and memory read/write sets) per retired instruction.
+//     The internal/ilp analysers that regenerate the paper's Fig. 7 step
+//     inside that hook; a caller that wants the trace stored appends the
+//     records to a trace.Trace (RunTraced).
 //  3. Sequential execution of fork programs: fork/endfork are executed with
 //     their *sequential-trace* semantics (the section total order of §2),
 //     which makes the emulator the functional oracle for the many-core
@@ -113,10 +115,12 @@ func (m *Memory) StoreByte(addr uint64, b byte) {
 	m.page(addr, true)[addr&(pageSize-1)] = b
 }
 
-// CopyIn writes buf at addr.
+// CopyIn writes buf at addr, a page at a time.
 func (m *Memory) CopyIn(addr uint64, buf []byte) {
-	for i, b := range buf {
-		m.StoreByte(addr+uint64(i), b)
+	for len(buf) > 0 {
+		n := copy(m.page(addr, true)[addr&(pageSize-1):], buf)
+		addr += uint64(n)
+		buf = buf[n:]
 	}
 }
 

@@ -506,6 +506,45 @@ func TestMemoryQuick(t *testing.T) {
 	}
 }
 
+// TestCopyInMatchesByteStores: CopyIn, which copies a page at a time, leaves
+// the memory a StoreByte per byte leaves — same pages mapped, same words read.
+func TestCopyInMatchesByteStores(t *testing.T) {
+	for _, tc := range []struct {
+		addr uint64
+		n    int
+	}{
+		{isa.DataBase, 0},                  // empty: maps nothing
+		{isa.DataBase + 3, 5},              // unaligned, inside a word
+		{isa.DataBase + pageSize - 3, 6},   // straddles a page inside a word
+		{isa.DataBase + 1, 3*pageSize + 7}, // unaligned start, several pages
+		{isa.DataBase, 2 * pageSize},       // whole pages exactly
+		{isa.DataBase + pageSize - 1, 1},   // last byte of a page
+	} {
+		buf := make([]byte, tc.n)
+		for i := range buf {
+			buf[i] = byte(i*7 + 1)
+		}
+		got, want := NewMemory(), NewMemory()
+		got.CopyIn(tc.addr, buf)
+		for i, b := range buf {
+			want.StoreByte(tc.addr+uint64(i), b)
+		}
+		if len(got.pages) != len(want.pages) {
+			t.Errorf("CopyIn(%#x, %d bytes) maps %d pages, byte stores %d", tc.addr, tc.n, len(got.pages), len(want.pages))
+		}
+		for pn, p := range want.pages {
+			if q := got.pages[pn]; q == nil || *q != *p {
+				t.Errorf("CopyIn(%#x, %d bytes): page %#x differs from byte stores", tc.addr, tc.n, pn)
+			}
+		}
+		for a := tc.addr &^ 7; a < tc.addr+uint64(tc.n)+8; a += 8 {
+			if g, w := got.ReadU64(a), want.ReadU64(a); g != w {
+				t.Errorf("CopyIn(%#x, %d bytes): word at %#x reads %#x, want %#x", tc.addr, tc.n, a, g, w)
+			}
+		}
+	}
+}
+
 // TestTraceEncodeDecode round-trips a real trace through the binary format.
 func TestTraceEncodeDecode(t *testing.T) {
 	p, err := progs.BuildSumCall(progs.Vector(9))

@@ -315,6 +315,49 @@ unsigned long main(void) {
 	}
 }
 
+// TestInterpFrameStackRegrows: callee frames are carved from one word stack,
+// and when that stack regrows, the callers' frames must stay where their
+// holders point. The recursion is deep enough to regrow it at least twice;
+// every level holds a *uint64 into its own frame across the call (the compound
+// assignment resolves its destination first) and writes a local after its
+// callee has returned.
+func TestInterpFrameStackRegrows(t *testing.T) {
+	const depth = 400
+	const src = `
+unsigned long f(unsigned long n) {
+    unsigned long acc = n * 3;
+    if (n == 0) return 1;
+    acc += f(n - 1);
+    unsigned long after = acc ^ n;
+    after = after + f(0) + acc;
+    return after;
+}
+unsigned long main(void) { return f(400); }`
+	prog, err := minic.Parse(src)
+	if err == nil {
+		err = minic.Check(prog)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range prog.Functions {
+		if words := f.FrameSize / 8; f.Name == "f" && depth*words <= 4*frameStackWords {
+			t.Fatalf("%d frames of %d words do not regrow a %d-word stack twice", depth, words, frameStackWords)
+		}
+	}
+	got, err := Interp(prog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiled, err := minic.Compile(src, minic.ModeCall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e := emulate(t, compiled, nil); e != got {
+		t.Errorf("emulator %d, interpreter %d", e, got)
+	}
+}
+
 func TestScanErrors(t *testing.T) {
 	cases := []struct {
 		name, src, wantErr string

@@ -62,7 +62,7 @@ func Interp(prog *minic.Program, in map[string][]uint64) (uint64, error) {
 	if main == nil {
 		return 0, fmt.Errorf("interp: no main function")
 	}
-	ctl, v, err := ip.stmts(newFrame(main), main.Body)
+	ctl, v, err := ip.stmts(ip.push(main), main.Body)
 	if err != nil {
 		return 0, err
 	}
@@ -76,6 +76,7 @@ type interp struct {
 	prog    *minic.Program
 	globals [][]uint64 // storage of prog.Globals[i]: a handful, found by scanning
 	steps   int64
+	stack   []uint64 // the frames of the calls in progress, innermost last
 }
 
 // global returns the storage of a global the checker resolved.
@@ -89,9 +90,29 @@ func (ip *interp) global(g *minic.GlobalVar) []uint64 {
 // without a lookup and a resolved name cannot miss.
 type frame []uint64
 
-func newFrame(f *minic.Function) frame { return make(frame, f.FrameSize/8) }
-
 func slot(v *minic.LocalVar) int { return int(-v.Offset/8) - 1 }
+
+// frameStackWords is the word stack's first capacity; it doubles from there.
+const frameStackWords = 256
+
+// push hands out a zeroed frame for a call of f from the top of the word
+// stack. When the stack must grow, only the frames pushed from then on live in
+// the new array: the callers' frames stay where they are, in the old one,
+// because a caller holds its frame as a slice and may hold a *uint64 into it
+// across the call.
+func (ip *interp) push(f *minic.Function) frame {
+	top, words := len(ip.stack), int(f.FrameSize/8)
+	if top+words > cap(ip.stack) {
+		ip.stack = make([]uint64, top, max(2*cap(ip.stack), top+words, frameStackWords))
+	}
+	ip.stack = ip.stack[:top+words]
+	fr := frame(ip.stack[top:])
+	clear(fr)
+	return fr
+}
+
+// pop returns the innermost frame's words to the stack.
+func (ip *interp) pop(fr frame) { ip.stack = ip.stack[:len(ip.stack)-len(fr)] }
 
 type control uint8
 
@@ -260,6 +281,9 @@ func (ip *interp) eval(fr frame, e *minic.Expr) (uint64, error) {
 	case minic.ExprNum:
 		return e.Num, nil
 	case minic.ExprVar:
+		if e.Local != nil {
+			return fr[slot(e.Local)], nil
+		}
 		c, err := ip.cell(fr, e)
 		if err != nil {
 			return 0, err
@@ -354,7 +378,7 @@ func (ip *interp) eval(fr frame, e *minic.Expr) (uint64, error) {
 		if e.Callee == nil {
 			return 0, fmt.Errorf("interp: unresolved call %q", e.Name)
 		}
-		callee := newFrame(e.Callee)
+		callee := ip.push(e.Callee)
 		for i, a := range e.Args {
 			v, err := ip.eval(fr, a)
 			if err != nil {
@@ -363,6 +387,7 @@ func (ip *interp) eval(fr frame, e *minic.Expr) (uint64, error) {
 			callee[slot(e.Callee.Params[i])] = v
 		}
 		_, v, err := ip.stmts(callee, e.Callee.Body)
+		ip.pop(callee)
 		return v, err
 	case minic.ExprCond:
 		c, err := ip.eval(fr, e.C)

@@ -158,147 +158,205 @@ func (r Result) MeanCriticalDistance() float64 {
 	return sum / n
 }
 
-// Analyze schedules the trace under the model and returns the result.
+// Analyze schedules the trace under the model and returns the result. An
+// unbounded model is an Analyzer fed the stored trace record by record.
 func Analyze(t *trace.Trace, m Model) Result {
 	if m.WindowSize > 0 || m.IssueWidth > 0 {
 		return analyzeWindowed(t, m)
 	}
-	return analyzeUnbounded(t, m)
-}
-
-// depState tracks last writers and readers per location.
-type depState struct {
-	regWrite   [isa.NumRegs]int64 // cycle the last write's value is ready
-	regWriteIx [isa.NumRegs]int64 // trace index of last writer, -1 if none
-	regRead    [isa.NumRegs]int64 // max cycle of reads since last write
-	memWrite   map[uint64]int64
-	memWriteIx map[uint64]int64
-	memRead    map[uint64]int64
-}
-
-func newDepState() *depState {
-	s := &depState{
-		memWrite:   make(map[uint64]int64),
-		memWriteIx: make(map[uint64]int64),
-		memRead:    make(map[uint64]int64),
-	}
-	for i := range s.regWriteIx {
-		s.regWriteIx[i] = -1
-	}
-	return s
-}
-
-// analyzeUnbounded is the infinite-window dataflow limit: each instruction
-// executes at the cycle after its last constraining producer.
-func analyzeUnbounded(t *trace.Trace, m Model) Result {
-	res := Result{Model: m, Instructions: t.Len()}
-	if t.Len() == 0 {
-		return res
-	}
-	s := newDepState()
-	var lastBranchCycle int64 // completion cycle of the last control instr
-	var maxCycle int64
-	counts := make(map[int64]int64) // cycle -> instructions scheduled
-
+	a := NewAnalyzer(m)
 	for i := range t.Records {
-		r := &t.Records[i]
-		idx := int64(i)
-		ready := int64(0) // executes at ready+1
-		criticalProducer := int64(-1)
+		a.Step(&t.Records[i])
+	}
+	return a.Result()
+}
 
-		consider := func(cycle, producerIdx int64) {
-			if cycle > ready {
-				ready = cycle
-				criticalProducer = producerIdx
-			}
+// producer is one row of the renaming table: who last produced a location
+// and who has read it since. Cycles start at 1, so a zero cycle means "none".
+type producer struct {
+	write  int64 // cycle the last write's value is ready
+	writer int64 // trace index of the last writer, meaningful when write != 0
+	read   int64 // max cycle of the reads since the last write
+}
+
+// Analyzer is the infinite-window dataflow limit as a running value: each
+// record it is stepped through executes at the cycle after its last
+// constraining producer. What it remembers is the paper's renaming table —
+// the last producer of each register and of each memory word touched — and
+// how many instructions it scheduled in each cycle; never the trace. Fed from
+// the emulator's hook it analyses a run as it happens.
+type Analyzer struct {
+	n          int64 // records stepped; the next record's trace index
+	regs       [isa.NumRegs]producer
+	mem        memTable
+	lastBranch int64    // completion cycle of the last control instruction
+	perCycle   []uint32 // instructions scheduled in each cycle
+	res        Result   // Model; Cycles, MaxParallelism, DistanceHist as they stand
+}
+
+// NewAnalyzer returns an analysis of the empty trace under an unbounded
+// model. A window or an issue width needs the whole trace at once (Analyze).
+func NewAnalyzer(m Model) *Analyzer {
+	if m.WindowSize > 0 || m.IssueWidth > 0 {
+		panic("ilp: an Analyzer has no window: use Analyze for " + m.Name)
+	}
+	return &Analyzer{
+		res: Result{Model: m},
+		mem: memTable{pages: make(map[uint64]*memPage), unaligned: make(map[uint64]*producer)},
+	}
+}
+
+// Step schedules the next dynamic instruction of the trace. The record is
+// read, not kept.
+func (a *Analyzer) Step(r *trace.Record) {
+	m := &a.res.Model
+	idx := a.n
+	a.n++
+	ready := int64(0) // executes at ready+1
+	criticalProducer := int64(-1)
+
+	consider := func(cycle, producerIdx int64) {
+		if cycle > ready {
+			ready = cycle
+			criticalProducer = producerIdx
 		}
+	}
 
-		for _, reg := range r.RegReads() {
+	var load, store *producer
+	for _, reg := range r.RegReads() {
+		if m.IgnoreStackPointer && reg == isa.RSP {
+			continue
+		}
+		if p := &a.regs[reg]; p.write != 0 {
+			consider(p.write, p.writer)
+		}
+	}
+	if r.HasLoad {
+		load = a.mem.at(r.Load)
+		if load.write != 0 {
+			consider(load.write, load.writer)
+		}
+	}
+	if !m.RenameRegisters {
+		for _, reg := range r.RegWrites() {
 			if m.IgnoreStackPointer && reg == isa.RSP {
 				continue
 			}
-			if ix := s.regWriteIx[reg]; ix >= 0 {
-				consider(s.regWrite[reg], ix)
+			p := &a.regs[reg]
+			if p.write != 0 {
+				consider(p.write, p.writer) // WAW
 			}
-		}
-		if r.HasLoad {
-			if w, ok := s.memWrite[r.Load]; ok {
-				consider(w, s.memWriteIx[r.Load])
+			if p.read != 0 {
+				consider(p.read, -1) // WAR (producer index untracked)
 			}
-		}
-		if !m.RenameRegisters {
-			for _, reg := range r.RegWrites() {
-				if m.IgnoreStackPointer && reg == isa.RSP {
-					continue
-				}
-				if ix := s.regWriteIx[reg]; ix >= 0 {
-					consider(s.regWrite[reg], ix) // WAW
-				}
-				if rr := s.regRead[reg]; rr > 0 {
-					consider(rr, -1) // WAR (producer index untracked)
-				}
-			}
-		}
-		if !m.RenameMemory && r.HasStore {
-			if w, ok := s.memWrite[r.Store]; ok {
-				consider(w, s.memWriteIx[r.Store]) // WAW
-			}
-			if rr, ok := s.memRead[r.Store]; ok {
-				consider(rr, -1) // WAR
-			}
-		}
-		if !m.PerfectBranchPrediction && lastBranchCycle > 0 {
-			consider(lastBranchCycle, -1)
-		}
-
-		cycle := ready + 1
-		counts[cycle]++
-		if cycle > maxCycle {
-			maxCycle = cycle
-		}
-		if criticalProducer >= 0 {
-			d := idx - criticalProducer
-			b := bits.Len64(uint64(d)) - 1
-			if b < 0 {
-				b = 0
-			}
-			if b >= DistanceBuckets {
-				b = DistanceBuckets - 1
-			}
-			res.DistanceHist[b]++
-		}
-
-		// Update producer state.
-		for _, reg := range r.RegReads() {
-			if cycle > s.regRead[reg] {
-				s.regRead[reg] = cycle
-			}
-		}
-		for _, reg := range r.RegWrites() {
-			s.regWrite[reg] = cycle
-			s.regWriteIx[reg] = idx
-			s.regRead[reg] = 0
-		}
-		if r.HasLoad && cycle > s.memRead[r.Load] {
-			s.memRead[r.Load] = cycle
-		}
-		if r.HasStore {
-			s.memWrite[r.Store] = cycle
-			s.memWriteIx[r.Store] = idx
-			delete(s.memRead, r.Store)
-		}
-		if r.IsControl() {
-			lastBranchCycle = cycle
 		}
 	}
-	res.Cycles = maxCycle
-	res.ILP = float64(res.Instructions) / float64(maxCycle)
-	for _, c := range counts {
-		if c > res.MaxParallelism {
-			res.MaxParallelism = c
+	if r.HasStore {
+		store = a.mem.at(r.Store)
+		if !m.RenameMemory {
+			if store.write != 0 {
+				consider(store.write, store.writer) // WAW
+			}
+			if store.read != 0 {
+				consider(store.read, -1) // WAR
+			}
 		}
+	}
+	if !m.PerfectBranchPrediction && a.lastBranch > 0 {
+		consider(a.lastBranch, -1)
+	}
+
+	cycle := ready + 1
+	if cycle >= int64(len(a.perCycle)) {
+		// A cycle is at most one past the latest so far: doubling suffices.
+		grown := make([]uint32, max(2*len(a.perCycle), 1024))
+		copy(grown, a.perCycle)
+		a.perCycle = grown
+	}
+	a.perCycle[cycle]++
+	if c := int64(a.perCycle[cycle]); c > a.res.MaxParallelism {
+		a.res.MaxParallelism = c
+	}
+	if cycle > a.res.Cycles {
+		a.res.Cycles = cycle
+	}
+	if criticalProducer >= 0 {
+		d := idx - criticalProducer // at least 1: a producer is an earlier record
+		b := bits.Len64(uint64(d)) - 1
+		if b >= DistanceBuckets {
+			b = DistanceBuckets - 1
+		}
+		a.res.DistanceHist[b]++
+	}
+
+	// Update producer state: reads before writes, so that an instruction
+	// loading and storing one address leaves it written and unread.
+	for _, reg := range r.RegReads() {
+		if p := &a.regs[reg]; cycle > p.read {
+			p.read = cycle
+		}
+	}
+	for _, reg := range r.RegWrites() {
+		a.regs[reg] = producer{write: cycle, writer: idx}
+	}
+	if load != nil && cycle > load.read {
+		load.read = cycle
+	}
+	if store != nil {
+		*store = producer{write: cycle, writer: idx}
+	}
+	if r.IsControl() {
+		a.lastBranch = cycle
+	}
+}
+
+// Result returns the analysis of the records stepped so far.
+func (a *Analyzer) Result() Result {
+	res := a.res
+	res.Instructions = int(a.n)
+	if a.n > 0 {
+		res.ILP = float64(res.Instructions) / float64(res.Cycles)
 	}
 	return res
+}
+
+// memTable is the memory half of the renaming table: a flat array of
+// producers per page of word addresses, so that the common access — an
+// aligned word on the page touched last — is an index, not a hash.
+type memTable struct {
+	lastPage uint64 // page number of last, valid when last != nil
+	last     *memPage
+	pages    map[uint64]*memPage
+	// unaligned holds the addresses that are not 8-byte aligned: every
+	// address is its own location, whatever it overlaps.
+	unaligned map[uint64]*producer
+}
+
+const memPageBits = 9 // words per page: 512 × 24 B = 12 KiB
+
+type memPage [1 << memPageBits]producer
+
+// at returns the row of an address, absent rows reading as zero.
+func (t *memTable) at(addr uint64) *producer {
+	if addr&7 != 0 {
+		p := t.unaligned[addr]
+		if p == nil {
+			p = new(producer)
+			t.unaligned[addr] = p
+		}
+		return p
+	}
+	word := addr >> 3
+	pn := word >> memPageBits
+	if t.last == nil || t.lastPage != pn {
+		pg := t.pages[pn]
+		if pg == nil {
+			pg = new(memPage)
+			t.pages[pn] = pg
+		}
+		t.lastPage, t.last = pn, pg
+	}
+	return &t.last[word&(1<<memPageBits-1)]
 }
 
 // analyzeWindowed simulates a finite window and/or issue width. Instructions
@@ -324,7 +382,11 @@ func analyzeWindowed(t *trace.Trace, m Model) Result {
 	// indices (we keep only the per-location last producers, as above, but
 	// store indices so the scheduler can test completion).
 	deps := make([][]int32, n)
-	s := newDepState() // reuse maps for indices; cycles unused here
+	var regWriteIx [isa.NumRegs]int64 // trace index of the last writer, -1 if none
+	for i := range regWriteIx {
+		regWriteIx[i] = -1
+	}
+	memWriteIx := make(map[uint64]int64)
 	var lastBranch int64 = -1
 	regReadIx := [isa.NumRegs][]int32{}
 	memReadIx := make(map[uint64][]int32)
@@ -341,10 +403,10 @@ func analyzeWindowed(t *trace.Trace, m Model) Result {
 			if m.IgnoreStackPointer && reg == isa.RSP {
 				continue
 			}
-			add(s.regWriteIx[reg])
+			add(regWriteIx[reg])
 		}
 		if r.HasLoad {
-			if ix, ok := s.memWriteIx[r.Load]; ok {
+			if ix, ok := memWriteIx[r.Load]; ok {
 				add(ix)
 			}
 		}
@@ -353,12 +415,12 @@ func analyzeWindowed(t *trace.Trace, m Model) Result {
 				if m.IgnoreStackPointer && reg == isa.RSP {
 					continue
 				}
-				add(s.regWriteIx[reg])
+				add(regWriteIx[reg])
 				d = append(d, regReadIx[reg]...)
 			}
 		}
 		if !m.RenameMemory && r.HasStore {
-			if ix, ok := s.memWriteIx[r.Store]; ok {
+			if ix, ok := memWriteIx[r.Store]; ok {
 				add(ix)
 			}
 			d = append(d, memReadIx[r.Store]...)
@@ -372,14 +434,14 @@ func analyzeWindowed(t *trace.Trace, m Model) Result {
 			regReadIx[reg] = append(regReadIx[reg], int32(i))
 		}
 		for _, reg := range r.RegWrites() {
-			s.regWriteIx[reg] = int64(i)
+			regWriteIx[reg] = int64(i)
 			regReadIx[reg] = regReadIx[reg][:0]
 		}
 		if r.HasLoad {
 			memReadIx[r.Load] = append(memReadIx[r.Load], int32(i))
 		}
 		if r.HasStore {
-			s.memWriteIx[r.Store] = int64(i)
+			memWriteIx[r.Store] = int64(i)
 			delete(memReadIx, r.Store)
 		}
 		if r.IsControl() {

@@ -254,25 +254,25 @@ func (k *Kernel) Build(n int, mode minic.Mode) (*isa.Program, error) {
 
 // RunResult is the outcome of one kernel execution on the emulator.
 type RunResult struct {
-	Kernel   *Kernel      // the benchmark that ran
-	N        int          // effective (clamped) dataset size
-	Checksum uint64       // the mini-C program's result (rax)
-	Expected uint64       // the pure-Go reference checksum
-	Steps    int64        // dynamic instructions
-	Trace    *trace.Trace // nil unless traced
+	Kernel   *Kernel // the benchmark that ran
+	N        int     // effective (clamped) dataset size
+	Checksum uint64  // the mini-C program's result (rax)
+	Expected uint64  // the pure-Go reference checksum
+	Steps    int64   // dynamic instructions
 }
 
 // Run compiles the kernel in call mode, executes it on the sequential
-// emulator, optionally capturing the trace, and validates the checksum
-// against the Go reference.
-func (k *Kernel) Run(n int, seed uint64, traced bool) (*RunResult, error) {
+// emulator, handing the dynamic trace record by record to sink when it is not
+// nil (backend.Emulator.Stream), and validates the checksum against the Go
+// reference.
+func (k *Kernel) Run(n int, seed uint64, sink func(*trace.Record)) (*RunResult, error) {
 	n = k.ClampN(n)
 	prog, err := k.Build(n, minic.ModeCall)
 	if err != nil {
 		return nil, fmt.Errorf("pbbs: %s (n=%d): %w", k.Name, n, err)
 	}
 	in := k.Gen(n, seed)
-	r, err := backend.NewEmulator().Run(prog, in, traced)
+	r, err := backend.NewEmulator().Stream(prog, in, sink)
 	if err != nil {
 		return nil, fmt.Errorf("pbbs: %s (n=%d): %w", k.Name, n, err)
 	}
@@ -280,7 +280,7 @@ func (k *Kernel) Run(n int, seed uint64, traced bool) (*RunResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pbbs: %s (n=%d): reference: %w", k.Name, n, err)
 	}
-	res := &RunResult{Kernel: k, N: n, Checksum: r.RAX, Expected: want, Steps: r.Instructions, Trace: r.Trace}
+	res := &RunResult{Kernel: k, N: n, Checksum: r.RAX, Expected: want, Steps: r.Instructions}
 	if res.Checksum != res.Expected {
 		return res, fmt.Errorf("pbbs: %s (n=%d): checksum %d, reference %d", k.Name, n, res.Checksum, res.Expected)
 	}
@@ -339,20 +339,24 @@ func (p *ILPPoint) Speedup() float64 {
 	return p.ParILP / p.SeqILP
 }
 
-// MeasureILP runs the kernel traced on the emulator and analyses the trace
-// under the paper's sequential and parallel models.
+// MeasureILP runs the kernel on the emulator and analyses its trace under the
+// paper's sequential and parallel models as it is produced: both analysers
+// step inside the emulator's hook and no trace is stored, so a point's memory
+// is the words it touches, not the instructions it runs.
 func (k *Kernel) MeasureILP(n int, seed uint64) (*ILPPoint, error) {
-	res, err := k.Run(n, seed, true)
+	seq, par := ilp.NewAnalyzer(ilp.Sequential()), ilp.NewAnalyzer(ilp.Parallel())
+	res, err := k.Run(n, seed, func(r *trace.Record) {
+		seq.Step(r)
+		par.Step(r)
+	})
 	if err != nil {
 		return nil, err
 	}
-	seq := ilp.Analyze(res.Trace, ilp.Sequential())
-	par := ilp.Analyze(res.Trace, ilp.Parallel())
 	return &ILPPoint{
 		Kernel:       k,
 		N:            res.N,
-		Instructions: res.Trace.Len(),
-		SeqILP:       seq.ILP,
-		ParILP:       par.ILP,
+		Instructions: int(res.Steps),
+		SeqILP:       seq.Result().ILP,
+		ParILP:       par.Result().ILP,
 	}, nil
 }

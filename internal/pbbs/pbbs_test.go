@@ -48,7 +48,7 @@ func TestAllKernelsOnEmulator(t *testing.T) {
 		t.Run(k.Name, func(t *testing.T) {
 			for _, n := range []int{k.MinN, 16, 48, 96} {
 				for _, seed := range []uint64{1, 42} {
-					res, err := k.Run(n, seed, false)
+					res, err := k.Run(n, seed, nil)
 					if err != nil {
 						t.Fatalf("n=%d seed=%d: %v", n, seed, err)
 					}
@@ -143,6 +143,19 @@ func TestMeasureAllWorkerPool(t *testing.T) {
 			t.Errorf("Fig7 table missing %s", k.Name)
 		}
 	}
+	// Points share nothing: four at a time measure what one at a time does.
+	alone, err := MeasureAll(ks, sizes, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(alone) != len(points) {
+		t.Fatalf("one worker measured %d points, four %d", len(alone), len(points))
+	}
+	for i, p := range points {
+		if *p != *alone[i] {
+			t.Errorf("point %d: four workers %+v, one worker %+v", i, *p, *alone[i])
+		}
+	}
 }
 
 // TestDeterministicInputs: the same (n, seed) must generate identical inputs
@@ -172,11 +185,11 @@ func TestDeterministicInputs(t *testing.T) {
 // the checksum) — guards against generators ignoring the seed.
 func TestSeedChangesChecksum(t *testing.T) {
 	for _, k := range Kernels() {
-		r1, err := k.Run(32, 1, false)
+		r1, err := k.Run(32, 1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := k.Run(32, 2, false)
+		r2, err := k.Run(32, 2, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +204,7 @@ func TestClampToMinN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := k.Run(0, 1, false)
+	res, err := k.Run(0, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
