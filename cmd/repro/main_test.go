@@ -45,8 +45,12 @@ func TestParseCaps(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Errorf("parseCaps = %v, %v", got, err)
 	}
-	if _, err := parseCaps("-1"); err == nil {
-		t.Error("parseCaps accepted a negative cap")
+	// A cap is a whole decimal number: a reader that stops at the first
+	// non-digit would sweep 1, 0, 2 and 7 for the middle four.
+	for _, bad := range []string{"-1", "1x", "0x10", "2.5", "7 8", ""} {
+		if got, err := parseCaps(bad); err == nil {
+			t.Errorf("parseCaps(%q) = %v, want an error", bad, got)
+		}
 	}
 }
 

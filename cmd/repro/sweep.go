@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/machine"
@@ -148,8 +149,8 @@ func cmdSweep(args []string) error {
 func parseCaps(s string) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
-		var n int
-		if _, err := fmt.Sscanf(strings.TrimSpace(f), "%d", &n); err != nil || n < 0 {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil || n < 0 {
 			return nil, fmt.Errorf("bad -maxsec value %q", f)
 		}
 		out = append(out, n)

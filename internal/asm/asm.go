@@ -177,10 +177,12 @@ func (a *assembler) directive(n int, s string) error {
 			if err != nil {
 				return &Error{n, fmt.Sprintf("bad .quad value %q: %v", arg, err)}
 			}
+			if err := a.reserve(n, 8); err != nil {
+				return err
+			}
 			var w [8]byte
 			putU64(w[:], uint64(v))
 			a.prog.Data = append(a.prog.Data, w[:]...)
-			a.dataOff += 8
 		}
 	case ".space", ".zero", ".skip":
 		if a.section != "data" {
@@ -193,11 +195,24 @@ func (a *assembler) directive(n int, s string) error {
 		if err != nil || v < 0 {
 			return &Error{n, fmt.Sprintf("bad size %q", fields[1])}
 		}
+		if err := a.reserve(n, uint64(v)); err != nil {
+			return err
+		}
 		a.prog.Data = append(a.prog.Data, make([]byte, v)...)
-		a.dataOff += uint64(v)
 	default:
 		return &Error{n, fmt.Sprintf("unknown directive %q", fields[0])}
 	}
+	return nil
+}
+
+// reserve grows the data segment by size bytes, or refuses to before
+// anything is allocated: a segment longer than StackTop-DataBase overlaps the
+// stack.
+func (a *assembler) reserve(n int, size uint64) error {
+	if size > isa.StackTop-isa.DataBase-a.dataOff {
+		return &Error{n, fmt.Sprintf("%d data bytes after the first %d would overlap the stack at %#x", size, a.dataOff, isa.StackTop)}
+	}
+	a.dataOff += size
 	return nil
 }
 

@@ -7,9 +7,8 @@ import (
 	"repro/internal/isa"
 )
 
-func TestAssembleSumFigure2(t *testing.T) {
-	// The paper's Fig. 2 must assemble verbatim.
-	src := `
+// fig2Listing is the paper's Fig. 2, which must assemble verbatim.
+const fig2Listing = `
 sum:    cmpq $2, %rsi
         ja .L2
         movq (%rdi), %rax
@@ -36,7 +35,9 @@ sum:    cmpq $2, %rsi
         popq %rbx
         ret
 `
-	p, err := Assemble(src)
+
+func TestAssembleSumFigure2(t *testing.T) {
+	p, err := Assemble(fig2Listing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +71,13 @@ sum:    cmpq $2, %rsi
 	}
 }
 
-func TestAssembleForkEndfork(t *testing.T) {
-	p, err := Assemble(`
+const forkListing = `
 f:      fork f
         endfork
-`)
+`
+
+func TestAssembleForkEndfork(t *testing.T) {
+	p, err := Assemble(forkListing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +89,8 @@ f:      fork f
 	}
 }
 
-func TestAssembleDataSection(t *testing.T) {
-	p, err := Assemble(`
+// dataListing reaches every data directive and data operand form.
+const dataListing = `
 _start: movq $t, %rdi
         movq n, %rsi
         movq t+8, %rax
@@ -98,7 +101,10 @@ t:      .quad 10, 20, 30
 n:      .quad 3
 buf:    .space 64
 end:    .quad 0
-`)
+`
+
+func TestAssembleDataSection(t *testing.T) {
+	p, err := Assemble(dataListing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +150,15 @@ end:    .quad 0
 	}
 }
 
-func TestAssembleComments(t *testing.T) {
-	p, err := Assemble(`
+const commentListing = `
 # full-line comment
 main:   movq $1, %rax   # trailing comment
         hlt             // C++-style comment
 
-`)
+`
+
+func TestAssembleComments(t *testing.T) {
+	p, err := Assemble(commentListing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,13 +167,15 @@ main:   movq $1, %rax   # trailing comment
 	}
 }
 
-func TestAssembleNegativeAndHex(t *testing.T) {
-	p, err := Assemble(`
+const numberListing = `
 main:   movq $-8, %rax
         movq $0x10, %rbx
         movq -16(%rbp), %rcx
         hlt
-`)
+`
+
+func TestAssembleNegativeAndHex(t *testing.T) {
+	p, err := Assemble(numberListing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +190,15 @@ main:   movq $-8, %rax
 	}
 }
 
-func TestAssembleSetcc(t *testing.T) {
-	p, err := Assemble(`
+const setccListing = `
 main:   cmpq %rbx, %rax
         sete %rcx
         setle %rdx
         hlt
-`)
+`
+
+func TestAssembleSetcc(t *testing.T) {
+	p, err := Assemble(setccListing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,28 +210,35 @@ main:   cmpq %rbx, %rax
 	}
 }
 
+// errorCases are listings Assemble refuses, each with a fragment of its error.
+var errorCases = []struct {
+	src  string
+	want string
+}{
+	{"main: frobq %rax", "unknown mnemonic"},
+	{"main: jmp", "needs a label target"},
+	{"main: jmp 42abc", "needs a label target"},
+	{"main: movq %rax", "needs two operands"},
+	{"main: movq (%rax), (%rbx)", "cannot be memory"},
+	{"main: movq %rax, $5", "cannot be an immediate"},
+	{"main: call nowhere", "undefined label"},
+	{"main: movq $nosym, %rax", "undefined symbol"},
+	{"main: movq %xmm0, %rax", "unknown register"},
+	{"main: ret\nmain: ret", "duplicate label"},
+	{".quad 5", ".quad outside data section"},
+	{".data\nx: .quad zz", "bad .quad value"},
+	{".bogus", "unknown directive"},
+	{"main: movq 5(%rax,%rbx,3), %rcx", "bad scale"},
+	{".data\nx: .quad 1\n.text\nmain: hlt\n.data\nx: .quad 2", "duplicate data symbol"},
+	// A segment reaching the stack: each size used to be an allocation of
+	// that many bytes (out of memory for the first, a panic for the second).
+	{".data\nt: .space 0x7fffffffffff", "overlap the stack"},
+	{".data\nt: .space 9223372036854775807", "overlap the stack"},
+	{".data\nt: .space 0x7ffe0001", "overlap the stack"}, // one byte past StackTop-DataBase
+}
+
 func TestAssembleErrors(t *testing.T) {
-	cases := []struct {
-		src  string
-		want string
-	}{
-		{"main: frobq %rax", "unknown mnemonic"},
-		{"main: jmp", "needs a label target"},
-		{"main: jmp 42abc", "needs a label target"},
-		{"main: movq %rax", "needs two operands"},
-		{"main: movq (%rax), (%rbx)", "cannot be memory"},
-		{"main: movq %rax, $5", "cannot be an immediate"},
-		{"main: call nowhere", "undefined label"},
-		{"main: movq $nosym, %rax", "undefined symbol"},
-		{"main: movq %xmm0, %rax", "unknown register"},
-		{"main: ret\nmain: ret", "duplicate label"},
-		{".quad 5", ".quad outside data section"},
-		{".data\nx: .quad zz", "bad .quad value"},
-		{".bogus", "unknown directive"},
-		{"main: movq 5(%rax,%rbx,3), %rcx", "bad scale"},
-		{".data\nx: .quad 1\n.text\nmain: hlt\n.data\nx: .quad 2", "duplicate data symbol"},
-	}
-	for _, c := range cases {
+	for _, c := range errorCases {
 		_, err := Assemble(c.src)
 		if err == nil {
 			t.Errorf("Assemble(%q) succeeded, want error containing %q", c.src, c.want)

@@ -8,8 +8,8 @@
 //  2. Trace production: a hook receives the dynamic trace as it happens, one
 //     record (register and memory read/write sets) per retired instruction.
 //     The internal/ilp analysers that regenerate the paper's Fig. 7 step
-//     inside that hook; a caller that wants the trace stored appends the
-//     records to a trace.Trace (RunTraced).
+//     inside that hook; a caller that wants records kept copies them there
+//     (CPU.TraceHook).
 //  3. Sequential execution of fork programs: fork/endfork are executed with
 //     their *sequential-trace* semantics (the section total order of §2),
 //     which makes the emulator the functional oracle for the many-core
@@ -383,16 +383,6 @@ func (c *CPU) Step() error {
 		c.IP = next
 	}
 	return nil
-}
-
-// RunTraced runs prog to completion with trace capture and returns the trace
-// and the final CPU (for result/memory inspection).
-func RunTraced(prog *isa.Program) (*trace.Trace, *CPU, error) {
-	c := New(prog)
-	t := &trace.Trace{}
-	c.TraceHook = func(r *trace.Record) { t.Append(*r) }
-	_, err := c.Run()
-	return t, c, err
 }
 
 // RunProgram runs prog to completion without tracing and returns the final CPU.

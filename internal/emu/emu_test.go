@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/analytic"
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/progs"
@@ -21,6 +22,19 @@ func run(t *testing.T, src string) *CPU {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// runRecorded runs prog to completion, keeping a copy of every record the
+// trace hook sees.
+func runRecorded(t *testing.T, prog *isa.Program) ([]trace.Record, *CPU) {
+	t.Helper()
+	c := New(prog)
+	var recs []trace.Record
+	c.TraceHook = func(r *trace.Record) { recs = append(recs, *r) }
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return recs, c
 }
 
 func TestMovAndALU(t *testing.T) {
@@ -203,18 +217,15 @@ func TestSumCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, c, err := RunTraced(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, c := runRecorded(t, p)
 	if c.Result() != progs.VectorSum(5) {
 		t.Errorf("sum = %d, want %d", c.Result(), progs.VectorSum(5))
 	}
 	sumStart := p.Labels["sum"]
 	sumEnd := sumStart + 25
 	body := 0
-	for i := range tr.Records {
-		if ip := tr.Records[i].IP; ip >= sumStart && ip < sumEnd {
+	for _, r := range recs {
+		if ip := r.IP; ip >= sumStart && ip < sumEnd {
 			body++
 		}
 	}
@@ -231,18 +242,15 @@ func TestSumFork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, c, err := RunTraced(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, c := runRecorded(t, p)
 	if c.Result() != progs.VectorSum(5) {
 		t.Errorf("sum = %d, want %d", c.Result(), progs.VectorSum(5))
 	}
 	sumStart := p.Labels["sum"]
 	sumEnd := sumStart + 19
 	body := 0
-	for i := range tr.Records {
-		if ip := tr.Records[i].IP; ip >= sumStart && ip < sumEnd {
+	for _, r := range recs {
+		if ip := r.IP; ip >= sumStart && ip < sumEnd {
 			body++
 		}
 	}
@@ -261,21 +269,18 @@ func TestSumForkInstructionFormula(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, c, err := RunTraced(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		recs, c := runRecorded(t, p)
 		if c.Result() != progs.VectorSum(size) {
 			t.Errorf("n=%d: sum = %d, want %d", n, c.Result(), progs.VectorSum(size))
 		}
 		sumStart := p.Labels["sum"]
 		body := 0
-		for i := range tr.Records {
-			if ip := tr.Records[i].IP; ip >= sumStart && ip < sumStart+19 {
+		for _, r := range recs {
+			if ip := r.IP; ip >= sumStart && ip < sumStart+19 {
 				body++
 			}
 		}
-		if want := progs.SumInstructions(n); int64(body) != want {
+		if want := analytic.Instructions(n); int64(body) != want {
 			t.Errorf("n=%d (%d elements): %d instructions, want %d", n, size, body, want)
 		}
 	}
@@ -412,34 +417,31 @@ t:      .quad 1
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := RunTraced(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, _ := runRecorded(t, p)
 	// movq $t,%rdi ; movq (%rdi),%rax ; pushq ; popq ; cmpq ; je ; hlt = 7
-	if tr.Len() != 7 {
-		t.Fatalf("trace length = %d, want 7", tr.Len())
+	if len(recs) != 7 {
+		t.Fatalf("trace length = %d, want 7", len(recs))
 	}
 	// Load record has a memory read at t.
-	ld := tr.Records[1]
+	ld := recs[1]
 	if !ld.HasLoad || ld.Load != isa.DataBase || ld.HasStore {
 		t.Errorf("load record = %+v", ld)
 	}
 	// Push writes below the stack top.
-	ps := tr.Records[2]
+	ps := recs[2]
 	if !ps.HasStore || ps.Store != isa.StackTop-8 || ps.HasLoad {
 		t.Errorf("push record = %+v", ps)
 	}
 	// Pop reads the same slot.
-	pp := tr.Records[3]
+	pp := recs[3]
 	if !pp.HasLoad || pp.Load != isa.StackTop-8 || pp.HasStore {
 		t.Errorf("pop record = %+v", pp)
 	}
 	// je taken.
-	if !tr.Records[5].Taken {
+	if !recs[5].Taken {
 		t.Error("je should be taken")
 	}
-	stats := tr.ComputeStats()
+	stats := (&trace.Trace{Records: recs}).ComputeStats()
 	if stats.Instructions != 7 || stats.Loads != 2 || stats.Stores != 1 || stats.Branches != 1 || stats.Taken != 1 {
 		t.Errorf("stats = %+v", stats)
 	}
@@ -456,18 +458,15 @@ g:      ret
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := RunTraced(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs, _ := runRecorded(t, p)
 	// call f (0), call g (1), ret (2), ret (1), hlt (0)
 	wantLevels := []int32{0, 1, 2, 1, 0}
-	if tr.Len() != len(wantLevels) {
-		t.Fatalf("trace length = %d, want %d", tr.Len(), len(wantLevels))
+	if len(recs) != len(wantLevels) {
+		t.Fatalf("trace length = %d, want %d", len(recs), len(wantLevels))
 	}
 	for i, w := range wantLevels {
-		if tr.Records[i].CallLevel != w {
-			t.Errorf("record %d level = %d, want %d", i, tr.Records[i].CallLevel, w)
+		if recs[i].CallLevel != w {
+			t.Errorf("record %d level = %d, want %d", i, recs[i].CallLevel, w)
 		}
 	}
 }
@@ -541,31 +540,6 @@ func TestCopyInMatchesByteStores(t *testing.T) {
 			if g, w := got.ReadU64(a), want.ReadU64(a); g != w {
 				t.Errorf("CopyIn(%#x, %d bytes): word at %#x reads %#x, want %#x", tc.addr, tc.n, a, g, w)
 			}
-		}
-	}
-}
-
-// TestTraceEncodeDecode round-trips a real trace through the binary format.
-func TestTraceEncodeDecode(t *testing.T) {
-	p, err := progs.BuildSumCall(progs.Vector(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _, err := RunTraced(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	enc := tr.Encode()
-	back, err := trace.Decode(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != tr.Len() {
-		t.Fatalf("decoded length %d, want %d", back.Len(), tr.Len())
-	}
-	for i := range tr.Records {
-		if a, b := tr.Records[i], back.Records[i]; a != b {
-			t.Fatalf("record %d mismatch: %+v vs %+v", i, a, b)
 		}
 	}
 }

@@ -1,11 +1,12 @@
 // Package ilp implements the trace-level instruction-level-parallelism limit
-// analyses used by the paper's Section 3 (Fig. 7) and by the related-work
-// models it cites (Tjaden–Flynn windows, Wall's "good"/"perfect" machines).
+// analysis of the paper's Section 3 (Fig. 7).
 //
 // A dependence Model selects which dynamic dependences constrain execution.
-// Given a trace, Analyze schedules every instruction at the cycle after its
-// last constraining producer (unit latency, unlimited functional units unless
-// a window/issue limit is configured) and reports ILP = instructions/cycles.
+// An Analyzer, stepped one record at a time from the emulator's hook,
+// schedules every instruction at the cycle after its last constraining
+// producer (unit latency, unlimited window and functional units: "the trace
+// is available when the run starts") and reports ILP = instructions/cycles.
+// Fig. 7 stores no trace.
 //
 // The two models the paper plots in Fig. 7:
 //
@@ -28,7 +29,7 @@ import (
 	"repro/internal/trace"
 )
 
-// Model selects the dependences and resources of an ILP limit study.
+// Model selects the dependences of an ILP limit study.
 type Model struct {
 	Name string
 
@@ -46,13 +47,6 @@ type Model struct {
 	// preceding conditional branch (control is resolved before younger
 	// instructions execute).
 	PerfectBranchPrediction bool
-
-	// WindowSize, when non-zero, bounds the in-flight instructions: an
-	// instruction may only issue when fewer than WindowSize older
-	// instructions are incomplete (ROB-style in-order window advance).
-	WindowSize int
-	// IssueWidth, when non-zero, bounds instructions issued per cycle.
-	IssueWidth int
 }
 
 // Sequential returns the paper's sequential-run model (Fig. 7 "seq11" bar):
@@ -75,41 +69,6 @@ func Parallel() Model {
 		RenameRegisters:         true,
 		RenameMemory:            true,
 		IgnoreStackPointer:      true,
-		PerfectBranchPrediction: true,
-	}
-}
-
-// TjadenFlynn returns the 1970 Tjaden–Flynn model: a 10-instruction window
-// with no register renaming and unresolved control flow.
-func TjadenFlynn() Model {
-	return Model{
-		Name:       "tjaden-flynn-10",
-		WindowSize: 10,
-	}
-}
-
-// WallGood approximates Wall's 1991 "good" model: a 2K-instruction window,
-// 64-wide issue, register renaming and (here) perfect branch prediction and
-// perfect alias detection.
-func WallGood() Model {
-	return Model{
-		Name:                    "wall-good",
-		RenameRegisters:         true,
-		RenameMemory:            false,
-		PerfectBranchPrediction: true,
-		WindowSize:              2048,
-		IssueWidth:              64,
-	}
-}
-
-// WallPerfect approximates Wall's "perfect" model: infinite window and
-// issue, infinite renaming, perfect prediction (memory false dependences
-// still honoured, as in the original study's perfect-alias configuration).
-func WallPerfect() Model {
-	return Model{
-		Name:                    "wall-perfect",
-		RenameRegisters:         true,
-		RenameMemory:            false,
 		PerfectBranchPrediction: true,
 	}
 }
@@ -139,31 +98,10 @@ func (r Result) String() string {
 		r.Model.Name, r.Instructions, r.Cycles, r.ILP)
 }
 
-// MeanCriticalDistance returns the average distance (in dynamic
-// instructions) of each instruction's critical producer.
-func (r Result) MeanCriticalDistance() float64 {
-	var n, sum float64
-	for k, c := range r.DistanceHist {
-		// Bucket midpoint approximation.
-		mid := float64(uint64(1)<<uint(k)) * 1.5
-		if k == 0 {
-			mid = 1
-		}
-		n += float64(c)
-		sum += float64(c) * mid
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / n
-}
-
-// Analyze schedules the trace under the model and returns the result. An
-// unbounded model is an Analyzer fed the stored trace record by record.
+// Analyze feeds a stored trace to an Analyzer, record by record. Nothing in
+// the repository stores a trace for Fig. 7; this is the entry point of
+// benchmark/'s stored-trace replay.
 func Analyze(t *trace.Trace, m Model) Result {
-	if m.WindowSize > 0 || m.IssueWidth > 0 {
-		return analyzeWindowed(t, m)
-	}
 	a := NewAnalyzer(m)
 	for i := range t.Records {
 		a.Step(&t.Records[i])
@@ -194,12 +132,8 @@ type Analyzer struct {
 	res        Result   // Model; Cycles, MaxParallelism, DistanceHist as they stand
 }
 
-// NewAnalyzer returns an analysis of the empty trace under an unbounded
-// model. A window or an issue width needs the whole trace at once (Analyze).
+// NewAnalyzer returns an analysis of the empty trace under m.
 func NewAnalyzer(m Model) *Analyzer {
-	if m.WindowSize > 0 || m.IssueWidth > 0 {
-		panic("ilp: an Analyzer has no window: use Analyze for " + m.Name)
-	}
 	return &Analyzer{
 		res: Result{Model: m},
 		mem: memTable{pages: make(map[uint64]*memPage), unaligned: make(map[uint64]*producer)},
@@ -357,142 +291,4 @@ func (t *memTable) at(addr uint64) *producer {
 		t.lastPage, t.last = pn, pg
 	}
 	return &t.last[word&(1<<memPageBits-1)]
-}
-
-// analyzeWindowed simulates a finite window and/or issue width. Instructions
-// enter a ROB-like window in trace order; each cycle, up to IssueWidth ready
-// instructions execute (oldest first); the window head advances over
-// completed instructions.
-func analyzeWindowed(t *trace.Trace, m Model) Result {
-	res := Result{Model: m, Instructions: t.Len()}
-	n := t.Len()
-	if n == 0 {
-		return res
-	}
-	w := m.WindowSize
-	if w <= 0 {
-		w = n
-	}
-	iw := m.IssueWidth
-	if iw <= 0 {
-		iw = n
-	}
-
-	// Pre-compute each instruction's ready constraint as a set of producer
-	// indices (we keep only the per-location last producers, as above, but
-	// store indices so the scheduler can test completion).
-	deps := make([][]int32, n)
-	var regWriteIx [isa.NumRegs]int64 // trace index of the last writer, -1 if none
-	for i := range regWriteIx {
-		regWriteIx[i] = -1
-	}
-	memWriteIx := make(map[uint64]int64)
-	var lastBranch int64 = -1
-	regReadIx := [isa.NumRegs][]int32{}
-	memReadIx := make(map[uint64][]int32)
-
-	for i := range t.Records {
-		r := &t.Records[i]
-		var d []int32
-		add := func(ix int64) {
-			if ix >= 0 {
-				d = append(d, int32(ix))
-			}
-		}
-		for _, reg := range r.RegReads() {
-			if m.IgnoreStackPointer && reg == isa.RSP {
-				continue
-			}
-			add(regWriteIx[reg])
-		}
-		if r.HasLoad {
-			if ix, ok := memWriteIx[r.Load]; ok {
-				add(ix)
-			}
-		}
-		if !m.RenameRegisters {
-			for _, reg := range r.RegWrites() {
-				if m.IgnoreStackPointer && reg == isa.RSP {
-					continue
-				}
-				add(regWriteIx[reg])
-				d = append(d, regReadIx[reg]...)
-			}
-		}
-		if !m.RenameMemory && r.HasStore {
-			if ix, ok := memWriteIx[r.Store]; ok {
-				add(ix)
-			}
-			d = append(d, memReadIx[r.Store]...)
-		}
-		if !m.PerfectBranchPrediction {
-			add(lastBranch)
-		}
-		deps[i] = d
-
-		for _, reg := range r.RegReads() {
-			regReadIx[reg] = append(regReadIx[reg], int32(i))
-		}
-		for _, reg := range r.RegWrites() {
-			regWriteIx[reg] = int64(i)
-			regReadIx[reg] = regReadIx[reg][:0]
-		}
-		if r.HasLoad {
-			memReadIx[r.Load] = append(memReadIx[r.Load], int32(i))
-		}
-		if r.HasStore {
-			memWriteIx[r.Store] = int64(i)
-			delete(memReadIx, r.Store)
-		}
-		if r.IsControl() {
-			lastBranch = int64(i)
-		}
-	}
-
-	// Cycle-stepped schedule.
-	done := make([]int64, n) // completion cycle, 0 = not done
-	head := 0                // oldest instruction not yet completed-and-retired
-	tail := 0                // first instruction not yet in window
-	var cycle int64
-	var maxPar int64
-	remaining := n
-	for remaining > 0 {
-		cycle++
-		// Admit instructions into the window.
-		for tail < n && tail-head < w {
-			tail++
-		}
-		issued := int64(0)
-		for i := head; i < tail && issued < int64(iw); i++ {
-			if done[i] != 0 {
-				continue
-			}
-			ok := true
-			for _, p := range deps[i] {
-				if done[p] == 0 || done[p] >= cycle {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				done[i] = cycle
-				issued++
-				remaining--
-			}
-		}
-		if issued > maxPar {
-			maxPar = issued
-		}
-		// Advance the head over completed instructions.
-		for head < n && done[head] != 0 && done[head] <= cycle {
-			head++
-		}
-		if issued == 0 && head == n {
-			break
-		}
-	}
-	res.Cycles = cycle
-	res.ILP = float64(n) / float64(cycle)
-	res.MaxParallelism = maxPar
-	return res
 }

@@ -11,17 +11,25 @@ import (
 	"repro/internal/trace"
 )
 
+// record runs p on the emulator, appending every record its hook sees.
+func record(t *testing.T, p *isa.Program) *trace.Trace {
+	t.Helper()
+	c := emu.New(p)
+	tr := &trace.Trace{}
+	c.TraceHook = func(r *trace.Record) { tr.Append(*r) }
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func traceOf(t *testing.T, src string) *trace.Trace {
 	t.Helper()
 	p, err := asm.Assemble(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.RunTraced(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return tr
+	return record(t, p)
 }
 
 func TestSerialChainILPIsOne(t *testing.T) {
@@ -164,65 +172,6 @@ loop:   addq $1, %rax
 	}
 }
 
-func TestWindowLimit(t *testing.T) {
-	// 32 independent movs. With a 10-instruction window the schedule needs
-	// ceil(32/10) ≈ 4 cycles; unbounded needs 1.
-	var src string
-	src = "main:\n"
-	for i := 0; i < 32; i++ {
-		src += "        movq $1, %rax\n" // independent under renaming
-	}
-	src += "        hlt\n"
-	tr := traceOf(t, src)
-	m := Model{Name: "w10", RenameRegisters: true, RenameMemory: true, PerfectBranchPrediction: true, WindowSize: 10}
-	r := Analyze(tr, m)
-	if r.Cycles < 4 {
-		t.Errorf("windowed cycles = %d, want >= 4", r.Cycles)
-	}
-	un := Analyze(tr, Parallel())
-	if un.Cycles != 1 {
-		t.Errorf("unbounded cycles = %d, want 1", un.Cycles)
-	}
-}
-
-func TestIssueWidthLimit(t *testing.T) {
-	var src string
-	src = "main:\n"
-	for i := 0; i < 16; i++ {
-		src += "        movq $1, %rax\n"
-	}
-	src += "        hlt\n"
-	tr := traceOf(t, src)
-	m := Model{Name: "iw4", RenameRegisters: true, RenameMemory: true, PerfectBranchPrediction: true, IssueWidth: 4}
-	r := Analyze(tr, m)
-	// 17 instructions at 4 per cycle = 5 cycles.
-	if r.Cycles != 5 {
-		t.Errorf("cycles = %d, want 5", r.Cycles)
-	}
-	if r.MaxParallelism != 4 {
-		t.Errorf("max parallelism = %d, want 4", r.MaxParallelism)
-	}
-}
-
-func TestWindowedMatchesUnboundedWhenHuge(t *testing.T) {
-	// A window larger than the trace must reproduce the unbounded result.
-	p, err := progs.BuildSumCall(progs.Vector(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _, err := emu.RunTraced(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	un := Analyze(tr, Sequential())
-	m := Sequential()
-	m.WindowSize = tr.Len() + 1
-	win := Analyze(tr, m)
-	if un.Cycles != win.Cycles {
-		t.Errorf("unbounded %d cycles != windowed %d cycles", un.Cycles, win.Cycles)
-	}
-}
-
 // TestSumParallelBeatsSequential reproduces the Fig. 7 shape on the paper's
 // own running example: the parallel model's ILP exceeds the sequential
 // model's, and grows with the dataset.
@@ -233,10 +182,7 @@ func TestSumParallelBeatsSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, _, err := emu.RunTraced(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := record(t, p)
 		seq := Analyze(tr, Sequential())
 		par := Analyze(tr, Parallel())
 		if par.ILP <= seq.ILP {
@@ -258,10 +204,7 @@ func TestSequentialILPIsLow(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr, _, err := emu.RunTraced(p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := record(t, p)
 		seq := Analyze(tr, Sequential())
 		if seq.ILP > 10 {
 			t.Errorf("n=%d: sequential ILP %.1f, want < 10", n, seq.ILP)
@@ -277,10 +220,7 @@ func TestDistantILP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.RunTraced(p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := record(t, p)
 	par := Analyze(tr, Parallel())
 	var near, far int64
 	for k, c := range par.DistanceHist {
@@ -293,9 +233,6 @@ func TestDistantILP(t *testing.T) {
 	if far == 0 {
 		t.Error("no distant dependences found; expected distant ILP")
 	}
-	if par.MeanCriticalDistance() <= 1 {
-		t.Errorf("mean critical distance = %.1f, want > 1", par.MeanCriticalDistance())
-	}
 	_ = near
 }
 
@@ -304,14 +241,10 @@ func TestEmptyTrace(t *testing.T) {
 	if r.Cycles != 0 || r.Instructions != 0 {
 		t.Errorf("empty trace result = %+v", r)
 	}
-	r = Analyze(&trace.Trace{}, TjadenFlynn())
-	if r.Cycles != 0 {
-		t.Errorf("empty windowed trace result = %+v", r)
-	}
 }
 
-// TestModelOrderingQuick: for random sum sizes, the four standard models are
-// ordered: TjadenFlynn <= WallGood <= Sequential(=WallPerfect-ish) <= Parallel.
+// TestModelOrderingQuick: for random sum sizes, the two Fig. 7 models are
+// ordered: Sequential <= Parallel.
 func TestModelOrderingQuick(t *testing.T) {
 	f := func(seed uint8) bool {
 		n := 5 + int(seed)%60
@@ -319,16 +252,11 @@ func TestModelOrderingQuick(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		tr, _, err := emu.RunTraced(p)
-		if err != nil {
-			return false
-		}
-		tf := Analyze(tr, TjadenFlynn())
-		wg := Analyze(tr, WallGood())
+		tr := record(t, p)
 		seq := Analyze(tr, Sequential())
 		par := Analyze(tr, Parallel())
 		const eps = 1e-9
-		return tf.ILP <= wg.ILP+eps && wg.ILP <= seq.ILP+eps && seq.ILP <= par.ILP+eps
+		return seq.ILP <= par.ILP+eps
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Error(err)
@@ -354,124 +282,5 @@ main:   pushq %rax
 	}
 	if !foundRSP {
 		t.Fatal("trace does not reference rsp")
-	}
-}
-
-// TestWindowOneSerializes: a 1-instruction window forces a fully serial
-// schedule regardless of dependences.
-func TestWindowOneSerializes(t *testing.T) {
-	var src string
-	src = "main:\n"
-	for i := 0; i < 12; i++ {
-		src += "        movq $1, %rax\n" // independent under renaming
-	}
-	src += "        hlt\n"
-	tr := traceOf(t, src)
-	m := Model{Name: "w1", RenameRegisters: true, RenameMemory: true, PerfectBranchPrediction: true, WindowSize: 1}
-	r := Analyze(tr, m)
-	if r.Cycles != int64(tr.Len()) {
-		t.Errorf("cycles = %d, want %d (one per instruction)", r.Cycles, tr.Len())
-	}
-	if r.MaxParallelism != 1 {
-		t.Errorf("max parallelism = %d, want 1", r.MaxParallelism)
-	}
-}
-
-// TestWindowAndIssueCombine: with both limits configured the schedule obeys
-// the tighter of the two each cycle.
-func TestWindowAndIssueCombine(t *testing.T) {
-	var src string
-	src = "main:\n"
-	for i := 0; i < 24; i++ {
-		src += "        movq $1, %rax\n"
-	}
-	src += "        hlt\n"
-	tr := traceOf(t, src) // 25 instructions, all independent
-	m := Model{Name: "w8iw2", RenameRegisters: true, RenameMemory: true, PerfectBranchPrediction: true, WindowSize: 8, IssueWidth: 2}
-	r := Analyze(tr, m)
-	// Issue width 2 dominates the 8-wide window: ceil(25/2) = 13 cycles.
-	if r.Cycles != 13 {
-		t.Errorf("cycles = %d, want 13", r.Cycles)
-	}
-	if r.MaxParallelism > 2 {
-		t.Errorf("max parallelism = %d, exceeds the issue width", r.MaxParallelism)
-	}
-}
-
-// TestWindowStallsOnChainHead: an in-order window cannot slide past an
-// incomplete head, so a dependence chain at the front gates independent work
-// behind it.
-func TestWindowStallsOnChainHead(t *testing.T) {
-	src := `
-main:   movq $0, %rax
-        addq $1, %rax
-        addq $1, %rax
-        addq $1, %rax
-        movq $1, %rbx
-        movq $2, %rcx
-        movq $3, %rdx
-        hlt
-`
-	tr := traceOf(t, src)
-	narrow := Model{Name: "w2", RenameRegisters: true, RenameMemory: true, PerfectBranchPrediction: true, WindowSize: 2}
-	wide := Model{Name: "w64", RenameRegisters: true, RenameMemory: true, PerfectBranchPrediction: true, WindowSize: 64}
-	rn, rw := Analyze(tr, narrow), Analyze(tr, wide)
-	if rn.Cycles <= rw.Cycles {
-		t.Errorf("2-wide window (%d cycles) not slower than 64-wide (%d cycles)", rn.Cycles, rw.Cycles)
-	}
-	// The chain is 4 long; the wide window hides everything else behind it.
-	if rw.Cycles != 4 {
-		t.Errorf("wide-window cycles = %d, want 4 (the chain length)", rw.Cycles)
-	}
-}
-
-// TestTjadenFlynnBelowWall: the related-work model hierarchy on a real
-// workload: the 10-instruction Tjaden–Flynn window cannot beat Wall's good
-// machine, which cannot beat Wall's perfect machine.
-func TestTjadenFlynnBelowWall(t *testing.T) {
-	p, err := progs.BuildSumCall(progs.Vector(40))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _, err := emu.RunTraced(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tf := Analyze(tr, TjadenFlynn())
-	good := Analyze(tr, WallGood())
-	perfect := Analyze(tr, WallPerfect())
-	if tf.ILP > good.ILP {
-		t.Errorf("Tjaden–Flynn ILP %.2f exceeds Wall-good %.2f", tf.ILP, good.ILP)
-	}
-	if good.ILP > perfect.ILP {
-		t.Errorf("Wall-good ILP %.2f exceeds Wall-perfect %.2f", good.ILP, perfect.ILP)
-	}
-	if good.MaxParallelism > 64 {
-		t.Errorf("Wall-good issued %d in one cycle, exceeds its 64-wide issue", good.MaxParallelism)
-	}
-}
-
-// TestIssueWidthMonotone: widening issue never slows the schedule down.
-func TestIssueWidthMonotone(t *testing.T) {
-	p, err := progs.BuildSumCall(progs.Vector(20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, _, err := emu.RunTraced(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := int64(1 << 62)
-	for _, iw := range []int{1, 2, 4, 8, 16} {
-		m := Parallel()
-		m.IssueWidth = iw
-		r := Analyze(tr, m)
-		if r.Cycles > prev {
-			t.Errorf("issue width %d: %d cycles, slower than narrower issue (%d)", iw, r.Cycles, prev)
-		}
-		if int64(r.MaxParallelism) > int64(iw) {
-			t.Errorf("issue width %d: max parallelism %d exceeds it", iw, r.MaxParallelism)
-		}
-		prev = r.Cycles
 	}
 }

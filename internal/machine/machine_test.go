@@ -10,6 +10,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/noc"
 	"repro/internal/progs"
+	"repro/internal/trace"
 )
 
 // runBoth runs prog on the emulator (oracle) and on the machine with the
@@ -480,17 +481,19 @@ func TestSectionOrderMatchesTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, _, err := emu.RunTraced(p)
-	if err != nil {
+	cpu := emu.New(p)
+	var ips []int64
+	cpu.TraceHook = func(r *trace.Record) { ips = append(ips, r.IP) }
+	if _, err := cpu.Run(); err != nil {
 		t.Fatal(err)
 	}
 	r := runSched(t, p, DefaultConfig(5), false)
-	if int64(tr.Len()) != r.Instructions {
-		t.Fatalf("machine %d instructions, trace %d", r.Instructions, tr.Len())
+	if int64(len(ips)) != r.Instructions {
+		t.Fatalf("machine %d instructions, trace %d", r.Instructions, len(ips))
 	}
 	for i, ti := range r.Timings {
-		if ti.IP != tr.Records[i].IP {
-			t.Fatalf("trace position %d: machine ip %d, emulator ip %d", i, ti.IP, tr.Records[i].IP)
+		if ti.IP != ips[i] {
+			t.Fatalf("trace position %d: machine ip %d, emulator ip %d", i, ti.IP, ips[i])
 		}
 	}
 }

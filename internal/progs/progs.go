@@ -118,14 +118,6 @@ func Vector(n int) []uint64 {
 // VectorSum returns the expected reduction result for Vector(n).
 func VectorSum(n int) uint64 { return uint64(n) * uint64(n+1) / 2 }
 
-// SumInstructions is the paper's Section 5 closed form: the number of
-// instructions in the fork run of sum over a 5·2ⁿ-element array is
-// 45·2ⁿ + 14·(2ⁿ − 1).
-func SumInstructions(n int) int64 {
-	p := int64(1) << uint(n)
-	return 45*p + 14*(p-1)
-}
-
 // FibForkBody is a second fork workload: the naive doubly-recursive
 // Fibonacci, restructured with fork/endfork in the style of Fig. 5.
 // fib(n) with n in rsi, result in rax; r12 holds n across the first fork

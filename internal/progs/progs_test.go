@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/analytic"
 	"repro/internal/asm"
 	"repro/internal/emu"
 	"repro/internal/isa"
@@ -161,7 +162,7 @@ func TestSumInstructionsClosedForm(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := SumInstructions(n) + 4; cpu.Steps != want {
+		if want := analytic.Instructions(n) + 4; cpu.Steps != want {
 			t.Errorf("n=%d: %d instructions, want %d", n, cpu.Steps, want)
 		}
 	}

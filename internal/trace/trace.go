@@ -1,12 +1,17 @@
-// Package trace defines the dynamic instruction trace format produced by the
-// functional emulator and consumed by the ILP analyses — the substrate of
+// Package trace defines the dynamic instruction record produced by the
+// functional emulator and consumed by the ILP analysis — the substrate of
 // the paper's Section 3 trace study (Fig. 7).
 //
 // A Record captures exactly what the paper's dependence models need: the
 // architectural registers read and written (with the Flags register made
 // explicit), the data memory words read and written, and the control outcome.
 // Records are independent of instruction encoding, so the analyser never
-// needs to re-decode anything.
+// needs to re-decode anything. The emulator hands each record to a hook as
+// the instruction retires; Fig. 7 steps its analysers there and keeps none.
+//
+// A Trace stores records in memory, with summary statistics and a binary
+// encoding. No command stores one: they remain for the tests and for
+// benchmark/'s stored-trace probes.
 package trace
 
 import (
@@ -129,19 +134,11 @@ func (t *Trace) ComputeStats() Stats {
 	return s
 }
 
-// String formats the stats for reports.
-func (s Stats) String() string {
-	return fmt.Sprintf("instr=%d loads=%d stores=%d branches=%d (taken %d) calls=%d rets=%d forks=%d maxlevel=%d",
-		s.Instructions, s.Loads, s.Stores, s.Branches, s.Taken, s.Calls, s.Returns, s.Forks, s.MaxCallLevel)
-}
-
-// Binary serialisation, for storing a trace and re-analysing it without
-// re-running the emulator. No command produces trace files: the consumers are
-// benchmark/'s trace.encode_ns_per_inst probe and the round-trip tests.
-
 const traceMagic = "MCT1"
 
-// Encode serialises the trace.
+// Encode serialises the trace in the MCT1 binary format. Nothing reads it
+// back: it is the subject of benchmark/'s trace.encode_ns_per_inst probe, and
+// TestTraceEncodeDigest pins its bytes as a digest of the records.
 func (t *Trace) Encode() []byte {
 	var b bytes.Buffer
 	b.WriteString(traceMagic)
@@ -184,91 +181,4 @@ func (t *Trace) Encode() []byte {
 		access(r.HasStore, r.Store)
 	}
 	return b.Bytes()
-}
-
-// Decode deserialises a trace produced by Encode.
-func Decode(buf []byte) (*Trace, error) {
-	if len(buf) < 4 || string(buf[:4]) != traceMagic {
-		return nil, fmt.Errorf("trace: bad magic")
-	}
-	off := 4
-	need := func(n int) error {
-		if off+n > len(buf) {
-			return fmt.Errorf("trace: truncated at offset %d", off)
-		}
-		return nil
-	}
-	count := func(room int, what string) (int, error) {
-		if err := need(1); err != nil {
-			return 0, err
-		}
-		k := int(buf[off])
-		if k > room {
-			return 0, fmt.Errorf("trace: %d %s at offset %d, a record holds %d", k, what, off, room)
-		}
-		off++
-		return k, nil
-	}
-	regs := func(dst []isa.Reg) (uint8, error) {
-		k, err := count(len(dst), "registers")
-		if err == nil {
-			err = need(k)
-		}
-		if err != nil {
-			return 0, err
-		}
-		for j := 0; j < k; j++ {
-			dst[j] = isa.Reg(buf[off+j])
-		}
-		off += k
-		return uint8(k), nil
-	}
-	access := func() (addr uint64, has bool, err error) {
-		k, err := count(1, "accesses")
-		if err == nil {
-			err = need(8 * k)
-		}
-		if err != nil || k == 0 {
-			return 0, false, err
-		}
-		addr = binary.LittleEndian.Uint64(buf[off:])
-		off += 8
-		return addr, true, nil
-	}
-	if err := need(8); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint64(buf[off:])
-	off += 8
-	t := &Trace{Records: make([]Record, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		var r Record
-		r.Seq = int64(i)
-		if err := need(8 + 1 + 1 + 4); err != nil {
-			return nil, err
-		}
-		r.IP = int64(binary.LittleEndian.Uint64(buf[off:]))
-		off += 8
-		r.Op = isa.Op(buf[off])
-		off++
-		r.Taken = buf[off]&1 != 0
-		off++
-		r.CallLevel = int32(binary.LittleEndian.Uint32(buf[off:]))
-		off += 4
-		var err error
-		if r.nReads, err = regs(r.reads[:]); err != nil {
-			return nil, err
-		}
-		if r.nWrites, err = regs(r.writes[:]); err != nil {
-			return nil, err
-		}
-		if r.Load, r.HasLoad, err = access(); err != nil {
-			return nil, err
-		}
-		if r.Store, r.HasStore, err = access(); err != nil {
-			return nil, err
-		}
-		t.Records = append(t.Records, r)
-	}
-	return t, nil
 }

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"unsafe"
 
@@ -47,43 +46,6 @@ func TestAppendAssignsSeq(t *testing.T) {
 	}
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	tr := synthetic()
-	buf := tr.Encode()
-	got, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != tr.Len() {
-		t.Fatalf("decoded %d records, want %d", got.Len(), tr.Len())
-	}
-	for i := range tr.Records {
-		if a, b := tr.Records[i], got.Records[i]; a != b {
-			t.Errorf("record %d differs: %+v vs %+v", i, a, b)
-		}
-	}
-	// Re-encoding the decoded trace is byte-identical.
-	buf2 := got.Encode()
-	if string(buf) != string(buf2) {
-		t.Error("re-encoded trace differs from original encoding")
-	}
-}
-
-func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode([]byte("XXXX")); err == nil {
-		t.Error("bad magic accepted")
-	}
-	if _, err := Decode(nil); err == nil {
-		t.Error("empty buffer accepted")
-	}
-	buf := synthetic().Encode()
-	for _, cut := range []int{5, 12, 20, len(buf) - 1} {
-		if _, err := Decode(buf[:cut]); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
-		}
-	}
-}
-
 func TestComputeStats(t *testing.T) {
 	s := synthetic().ComputeStats()
 	if s.Instructions != 10 {
@@ -106,9 +68,6 @@ func TestComputeStats(t *testing.T) {
 	}
 	if s.MaxCallLevel != 1 {
 		t.Errorf("MaxCallLevel = %d", s.MaxCallLevel)
-	}
-	if s.String() == "" {
-		t.Error("empty stats string")
 	}
 }
 
@@ -156,7 +115,7 @@ func TestRecordIsFlat(t *testing.T) {
 }
 
 // TestOverfullSetIsAnError: a register set that outgrows the record is never
-// shortened — building one panics, decoding one is an error.
+// shortened — building one panics.
 func TestOverfullSetIsAnError(t *testing.T) {
 	five := []isa.Reg{isa.RAX, isa.RBX, isa.RCX, isa.RDX, isa.RSI}
 	func() {
@@ -167,19 +126,4 @@ func TestOverfullSetIsAnError(t *testing.T) {
 		}()
 		rec(Record{}, five, nil)
 	}()
-	buf := (&Trace{Records: []Record{{Op: isa.NOP}}}).Encode()
-	// Header: magic, count, then ip(8) op(1) flags(1) level(4); the next
-	// byte counts the register reads.
-	at := 4 + 8 + 14
-	for _, tc := range []struct {
-		at   int
-		n    byte
-		want string
-	}{{at, 5, "registers"}, {at + 1, 3, "registers"}, {at + 2, 2, "accesses"}, {at + 3, 2, "accesses"}} {
-		bad := append([]byte(nil), buf...)
-		bad[tc.at] = tc.n
-		if _, err := Decode(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("count %d at offset %d: err = %v, want one naming %s", tc.n, tc.at, err, tc.want)
-		}
-	}
 }
