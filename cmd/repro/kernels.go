@@ -26,6 +26,9 @@ func cmdKernels(args []string) error {
 	if *dump != "" && *vet {
 		return usageErrf("kernels: -dump and -vet are mutually exclusive")
 	}
+	if *cores < 1 {
+		return usageErrf("kernels: bad -cores %d (want at least 1)", *cores)
+	}
 	switch {
 	case *dump != "":
 		return kernelsDump(*dump, *n, *mode)

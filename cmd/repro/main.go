@@ -14,9 +14,6 @@
 //	                 cross-product of kernel × size × cores × NoC topology ×
 //	                 shortcut × placement cap, with a content-keyed result
 //	                 cache, streaming JSONL output and baseline diffing
-//	repro bench-sim — time the simulator itself: dense vs idle-skip
-//	                 scheduler over a kernel × cores grid, cross-checked for
-//	                 identical results, written to BENCH_machine.json
 //	repro serve    — simulation as a service: a long-running HTTP job server
 //	                 over the sweep engine and cache (submit sweeps and runs,
 //	                 poll status, stream JSONL results, browse catalogs); also
@@ -42,7 +39,6 @@ import (
 	"strings"
 
 	"repro/internal/analytic"
-	"repro/internal/machine"
 	"repro/internal/pbbs"
 )
 
@@ -62,7 +58,6 @@ commands:
   machine    cross-validate kernels on the many-core simulator
   analytic   print the Section 5 scaling table
   sweep      scaling laboratory: sweep cores × topology × shortcut × cap
-  bench-sim  benchmark the simulator: dense vs idle-skip scheduler
   serve      HTTP job server over the sweep engine and result cache;
              doubles as the sweep-fabric coordinator
   worker     fabric worker: lease sweep points from a coordinator
@@ -126,8 +121,6 @@ func run(args []string) error {
 		return cmdAnalytic(args[1:])
 	case "sweep":
 		return cmdSweep(args[1:])
-	case "bench-sim":
-		return cmdBenchSim(args[1:])
 	case "serve":
 		return cmdServe(args[1:])
 	case "worker":
@@ -166,13 +159,14 @@ func usageErrf(format string, args ...any) error {
 	return errUsage
 }
 
-// parseSizes parses a comma-separated size list.
-func parseSizes(s string) ([]int, error) {
+// parseInts parses flag name's comma-separated whole decimal numbers, each at
+// least min. A malformed entry is a usage error naming the flag.
+func parseInts(name, s string, min int) ([]int, error) {
 	var out []int
 	for _, f := range strings.Split(s, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad size %q", f)
+		if err != nil || n < min {
+			return nil, usageErrf("bad %s value %q (want whole numbers of at least %d)", name, f, min)
 		}
 		out = append(out, n)
 	}
@@ -212,7 +206,7 @@ func cmdILP(args []string) error {
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
-	ns, err := parseSizes(*sizes)
+	ns, err := parseInts("-sizes", *sizes, 1)
 	if err != nil {
 		return err
 	}
@@ -234,9 +228,11 @@ func cmdMachine(args []string) error {
 	seed := fs.Uint64("seed", 1, "workload seed")
 	cores := fs.Int("cores", 8, "simulated cores")
 	kid := fs.Int("kernel", 0, "benchmark number (0 = all)")
-	dense := fs.Bool("dense", false, "use the reference dense scheduler instead of idle-skip")
 	if err := parseFlags(fs, args); err != nil {
 		return err
+	}
+	if *cores < 1 {
+		return usageErrf("machine: bad -cores %d (want at least 1)", *cores)
 	}
 	ks, err := selectKernels(*kid)
 	if err != nil {
@@ -247,9 +243,7 @@ func cmdMachine(args []string) error {
 	failed := false
 	for _, k := range ks {
 		kn := k.ClampN(*n)
-		cfg := machine.DefaultConfig(*cores)
-		cfg.Dense = *dense
-		rm, err := k.CrossValidateWith(*n, *seed, cfg)
+		rm, err := k.CrossValidate(*n, *seed, *cores)
 		if err != nil {
 			fmt.Printf("%-3d %-40s %8d %10s %10s %9s %9s FAIL: %v\n",
 				k.ID, k.Name, kn, "-", "-", "-", "-", err)

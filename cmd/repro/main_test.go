@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"io"
@@ -15,13 +14,14 @@ import (
 )
 
 func TestParseSizes(t *testing.T) {
-	got, err := parseSizes("1, 4,16")
+	got, err := parseInts("-sizes", "1, 4,16", 1)
 	if err != nil || !reflect.DeepEqual(got, []int{1, 4, 16}) {
-		t.Errorf("parseSizes = %v, %v", got, err)
+		t.Errorf("parseInts(-sizes) = %v, %v", got, err)
 	}
 	for _, bad := range []string{"", "x", "0", "-3", "4,,8"} {
-		if _, err := parseSizes(bad); err == nil {
-			t.Errorf("parseSizes(%q) accepted", bad)
+		msg, err := captureStderr(t, func() error { _, err := parseInts("-sizes", bad, 1); return err })
+		if !errors.Is(err, errUsage) || !strings.Contains(msg, "-sizes") {
+			t.Errorf("parseInts(-sizes, %q) = %v, want a usage error naming -sizes; stderr %q", bad, err, msg)
 		}
 	}
 }
@@ -35,21 +35,21 @@ func TestParseShortcutAxis(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(got, []bool{true, false}) {
 		t.Errorf("parseShortcutAxis(both) = %v, %v", got, err)
 	}
-	if _, err := parseShortcutAxis("maybe"); err == nil {
-		t.Error("parseShortcutAxis accepted garbage")
+	if _, err := captureStderr(t, func() error { _, err := parseShortcutAxis("maybe"); return err }); !errors.Is(err, errUsage) {
+		t.Errorf("parseShortcutAxis(maybe) = %v, want a usage error", err)
 	}
 }
 
 func TestParseCaps(t *testing.T) {
-	got, err := parseCaps("0,2")
+	got, err := parseInts("-maxsec", "0,2", 0)
 	if err != nil || !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Errorf("parseCaps = %v, %v", got, err)
+		t.Errorf("parseInts(-maxsec) = %v, %v", got, err)
 	}
 	// A cap is a whole decimal number: a reader that stops at the first
 	// non-digit would sweep 1, 0, 2 and 7 for the middle four.
 	for _, bad := range []string{"-1", "1x", "0x10", "2.5", "7 8", ""} {
-		if got, err := parseCaps(bad); err == nil {
-			t.Errorf("parseCaps(%q) = %v, want an error", bad, got)
+		if got, err := captureStderr(t, func() error { _, err := parseInts("-maxsec", bad, 0); return err }); !errors.Is(err, errUsage) {
+			t.Errorf("parseInts(-maxsec, %q) = %v, want a usage error; stderr %q", bad, err, got)
 		}
 	}
 }
@@ -150,41 +150,71 @@ func TestRunHelp(t *testing.T) {
 // flag on stderr — including -sim-workers, which every simulating subcommand
 // accepted until the parallel scheduler was removed, and -dense /
 // -machine-pool, which sweep, serve and worker accepted while the engine
-// still had a scheduler switch and an optional pool (-dense lives on only on
-// `repro machine`), and the ten flags bench-sim had while it carried its own
-// grid knobs, report loader and compare (it keeps -quick, -o and -cpuprofile).
+// still had a scheduler switch and an optional pool, and machine until the
+// dense scheduler became a test oracle only. The retired simulator-timing
+// command is an unknown command, exit 2 as well.
 func TestRunBadFlag(t *testing.T) {
-	cases := [][]string{
-		{"analytic", "-bogus"},
-		{"machine", "-sim-workers", "4"},
-		{"sweep", "-sim-workers", "4"},
-		{"bench-sim", "-sim-workers", "4"},
-		{"serve", "-sim-workers", "4"},
-		{"worker", "-sim-workers", "4"},
-		{"sweep", "-dense"},
-		{"serve", "-dense"},
-		{"worker", "-dense"},
-		{"sweep", "-machine-pool"},
-		{"serve", "-machine-pool"},
-		{"worker", "-machine-pool"},
-		{"bench-sim", "-kernels", "quicksort"},
-		{"bench-sim", "-n", "8"},
-		{"bench-sim", "-cores", "1,2"},
-		{"bench-sim", "-seed", "2"},
-		{"bench-sim", "-runs", "1"},
-		{"bench-sim", "-bigns", "none"},
-		{"bench-sim", "-verify", "BENCH_machine.json"},
-		{"bench-sim", "-against", "BENCH_machine.json"},
-		{"bench-sim", "-tolerance", "4.0"},
-		{"bench-sim", "-memprofile", "mem.pprof"},
+	cases := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"analytic", "-bogus"}, "not defined: -bogus"},
+		{[]string{"machine", "-sim-workers", "4"}, "not defined: -sim-workers"},
+		{[]string{"sweep", "-sim-workers", "4"}, "not defined: -sim-workers"},
+		{[]string{"serve", "-sim-workers", "4"}, "not defined: -sim-workers"},
+		{[]string{"worker", "-sim-workers", "4"}, "not defined: -sim-workers"},
+		{[]string{"machine", "-dense"}, "not defined: -dense"},
+		{[]string{"sweep", "-dense"}, "not defined: -dense"},
+		{[]string{"serve", "-dense"}, "not defined: -dense"},
+		{[]string{"worker", "-dense"}, "not defined: -dense"},
+		{[]string{"sweep", "-machine-pool"}, "not defined: -machine-pool"},
+		{[]string{"serve", "-machine-pool"}, "not defined: -machine-pool"},
+		{[]string{"worker", "-machine-pool"}, "not defined: -machine-pool"},
+		{[]string{"bench-sim", "-quick"}, `unknown command "bench-sim"`},
 	}
-	for _, args := range cases {
-		out, err := captureStderr(t, func() error { return run(args) })
+	for _, c := range cases {
+		out, err := captureStderr(t, func() error { return run(c.args) })
 		if !errors.Is(err, errUsage) {
-			t.Errorf("run(%v) = %v, want errUsage", args, err)
+			t.Errorf("run(%v) = %v, want errUsage", c.args, err)
 		}
-		if want := "not defined: " + args[1]; !strings.Contains(out, want) {
-			t.Errorf("run(%v): stderr lacks %q:\n%s", args, want, out)
+		if !strings.Contains(out, c.want) {
+			t.Errorf("run(%v): stderr lacks %q:\n%s", c.args, c.want, out)
+		}
+	}
+}
+
+// TestBadFlagValues: a malformed or out-of-range flag value is a usage error
+// (exit 2) that names the flag, refused before anything runs — not a "bad
+// size" for a core count, nor a FAIL row per kernel and exit 1 for zero cores.
+func TestBadFlagValues(t *testing.T) {
+	cases := []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"sweep", "-cores", "0"}, "-cores"},
+		{[]string{"sweep", "-cores", "1,x"}, "-cores"},
+		{[]string{"sweep", "-sizes", "0"}, "-sizes"},
+		{[]string{"sweep", "-shortcut", "maybe"}, "-shortcut"},
+		{[]string{"sweep", "-maxsec", "1x"}, "-maxsec"},
+		{[]string{"sweep", "-topos", "torus"}, "-topos"},
+		{[]string{"ilp", "-sizes", "-8"}, "-sizes"},
+		{[]string{"machine", "-cores", "0"}, "-cores"},
+		{[]string{"kernels", "-vet", "-cores", "0"}, "-cores"},
+	}
+	for _, c := range cases {
+		var msg string
+		out, err := capture(t, func() (err error) {
+			msg, err = captureStderr(t, func() error { return run(c.args) })
+			return err
+		})
+		if !errors.Is(err, errUsage) || exitCode(err) != 2 {
+			t.Errorf("run(%v) = %v, want a usage error (exit 2)", c.args, err)
+		}
+		if !strings.Contains(msg, c.flag) {
+			t.Errorf("run(%v): stderr does not name %s:\n%s", c.args, c.flag, msg)
+		}
+		if out != "" {
+			t.Errorf("run(%v) ran before refusing:\n%s", c.args, out)
 		}
 	}
 }
@@ -260,17 +290,12 @@ func TestCmdILPSmoke(t *testing.T) {
 }
 
 func TestCmdMachineSmoke(t *testing.T) {
-	for _, args := range [][]string{
-		{"-kernel", "10", "-n", "8", "-cores", "2"},
-		{"-kernel", "10", "-n", "8", "-cores", "2", "-dense"},
-	} {
-		out, err := capture(t, func() error { return cmdMachine(args) })
-		if err != nil {
-			t.Fatalf("%v: %v", args, err)
-		}
-		if !strings.Contains(out, "rax and memory match emulator") {
-			t.Errorf("machine output for %v:\n%s", args, out)
-		}
+	out, err := capture(t, func() error { return cmdMachine([]string{"-kernel", "10", "-n", "8", "-cores", "2"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "rax and memory match emulator") {
+		t.Errorf("machine output:\n%s", out)
 	}
 }
 
@@ -348,58 +373,6 @@ func TestCmdFuzzUsageErrors(t *testing.T) {
 		_, err := captureStderr(t, func() error { return cmdFuzz(args) })
 		if !errors.Is(err, errUsage) {
 			t.Errorf("fuzz %v = %v, want errUsage", args, err)
-		}
-	}
-}
-
-func TestCmdBenchSimSmoke(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_machine.json")
-	out, err := capture(t, func() error {
-		return cmdBenchSim([]string{"-quick", "-o", path})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "speedup") {
-		t.Errorf("bench-sim output:\n%s", out)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep struct {
-		Schema string
-		Points []struct {
-			Kernel              string
-			N, Cores            int
-			DenseNs, IdleSkipNs int64
-		}
-	}
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatal(err)
-	}
-	if rep.Schema != "bench-machine-v3" {
-		t.Errorf("report schema %q, want bench-machine-v3", rep.Schema)
-	}
-	// The quick grid: removeDuplicates on 1 and 64 cores under both
-	// schedulers, then the two idle-skip-only points.
-	want := []struct {
-		kernel   string
-		n, cores int
-		dense    bool
-	}{
-		{"removeDuplicates/deterministicHash", 64, 1, true},
-		{"removeDuplicates/deterministicHash", 64, 64, true},
-		{"comparisonSort/quickSort", 512, 64, false},
-		{"paper/sum", 2560, 3072, false},
-	}
-	if len(rep.Points) != len(want) {
-		t.Fatalf("report has %d rows, want %d: %+v", len(rep.Points), len(want), rep.Points)
-	}
-	for i, w := range want {
-		p := rep.Points[i]
-		if p.Kernel != w.kernel || p.N != w.n || p.Cores != w.cores || p.IdleSkipNs <= 0 || (p.DenseNs > 0) != w.dense {
-			t.Errorf("row %d is %+v, want %+v", i, p, w)
 		}
 	}
 }

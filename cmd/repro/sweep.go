@@ -4,7 +4,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/machine"
@@ -38,7 +37,7 @@ func parseShortcutAxis(s string) ([]bool, error) {
 		case "both":
 			out = append(out, true, false)
 		default:
-			return nil, fmt.Errorf("bad -shortcut value %q (want on|off|both)", f)
+			return nil, usageErrf("bad -shortcut value %q (want on, off or both)", f)
 		}
 	}
 	return out, nil
@@ -88,19 +87,23 @@ func cmdSweep(args []string) error {
 	for _, k := range ks {
 		spec.Kernels = append(spec.Kernels, k.ID)
 	}
-	if spec.Sizes, err = parseSizes(*sizes); err != nil {
+	if spec.Sizes, err = parseInts("-sizes", *sizes, 1); err != nil {
 		return err
 	}
-	if spec.Cores, err = parseSizes(*cores); err != nil {
+	if spec.Cores, err = parseInts("-cores", *cores, 1); err != nil {
 		return err
 	}
 	for _, t := range strings.Split(*topos, ",") {
-		spec.Topologies = append(spec.Topologies, strings.TrimSpace(t))
+		t = strings.TrimSpace(t)
+		if _, err := sweep.MakeNet(t, 1); err != nil {
+			return usageErrf("bad -topos value %q (want %s)", t, strings.Join(sweep.Topologies, ","))
+		}
+		spec.Topologies = append(spec.Topologies, t)
 	}
 	if spec.Shortcut, err = parseShortcutAxis(*shortcut); err != nil {
 		return err
 	}
-	if spec.MaxSections, err = parseCaps(*maxsec); err != nil {
+	if spec.MaxSections, err = parseInts("-maxsec", *maxsec, 0); err != nil {
 		return err
 	}
 
@@ -143,17 +146,4 @@ func cmdSweep(args []string) error {
 		fmt.Print(sweep.DiffTable(sweep.Diff(base, recs)))
 	}
 	return runErr
-}
-
-// parseCaps parses the -maxsec axis: non-negative comma-separated ints.
-func parseCaps(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad -maxsec value %q", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

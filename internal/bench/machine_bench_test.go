@@ -14,7 +14,7 @@ import (
 // `go test -bench MachineRun ./internal/bench` measures the simulator hot
 // path of one point, and with -cpuprofile profiles it (e.g. -bench
 // 'MachineRun/quicksort/c64'). ns/op divided by the reported cycles/op metric
-// is the same ns-per-cycle figure BENCH_machine.json tabulates.
+// is host nanoseconds per simulated cycle.
 func BenchmarkMachineRun(b *testing.B) {
 	for _, tc := range []struct {
 		kernel string

@@ -187,13 +187,17 @@ func (c *Coordinator) Lease(workerID string) (LeaseResponse, error) {
 // Report accepts measured records. Completion is first-write-wins per task:
 // results for already-completed (or unknown) tasks are counted as
 // duplicates and discarded, which is what makes duplicated report RPCs and
-// late reports after a re-lease idempotent. A result whose record does not
-// carry the leased point is rejected outright (the point stays pending), so
-// a confused worker cannot corrupt the grid. Successful records are merged
-// into the cache under their content key before they complete their task:
-// completion lets Run emit the record, and a record a client has seen must
-// survive a coordinator restart.
+// late reports after a re-lease idempotent. A result that does not fit its
+// task (see fits) is rejected outright and the point stays pending, so a
+// confused or hostile worker can neither corrupt the grid nor write outside
+// the cache. Successful records are merged into the cache under their content
+// key before they complete their task: completion lets Run emit the record,
+// and a record a client has seen must survive a coordinator restart. A report
+// of more results than a lease holds is refused whole.
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
+	if len(req.Results) > c.batchSize() {
+		return ReportResponse{}, fmt.Errorf("fabric: report of %d results, a lease holds at most %d", len(req.Results), c.batchSize())
+	}
 	now := c.clock()
 	c.mu.Lock()
 	w := c.workers[req.Worker]
@@ -209,7 +213,7 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	var merge []*sweep.Record
 	for i := range req.Results {
 		r := &req.Results[i]
-		if t := c.tasks[r.Task]; t != nil && r.Record.Point == t.pt {
+		if t := c.tasks[r.Task]; t != nil && fits(t, &r.Record) {
 			merge = append(merge, &r.Record)
 		}
 	}
@@ -226,10 +230,10 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	var resp ReportResponse
 	for _, r := range req.Results {
 		switch t := c.tasks[r.Task]; {
-		case t != nil && r.Record.Point != t.pt:
-			c.logger().Warn("fabric report point mismatch, dropped",
+		case t != nil && !fits(t, &r.Record):
+			c.logger().Warn("fabric report does not fit its task, dropped",
 				"worker", req.Worker, "task", r.Task,
-				"want", t.pt, "got", r.Record.Point)
+				"want", t.pt, "got", r.Record.Point, "key", r.Record.Key)
 		case t != nil && c.completeLocked(t, r.Record):
 			resp.Accepted++
 			c.stats.Accepted++
@@ -244,12 +248,19 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	return resp, nil
 }
 
+// fits reports whether rec may complete t: it carries t's point and, unless
+// it failed, a key of the cache's shape (checked: re-deriving it would
+// compile the kernel on the coordinator).
+func fits(t *task, rec *sweep.Record) bool {
+	return rec.Point == t.pt && (rec.Err != "" || sweep.ValidKey(rec.Key))
+}
+
 // mergeIntoCache stores a successful record under its content key. It must
 // run before the record's task completes and never under the scheduler lock.
 // A failed Put is logged and the record completes regardless: the sweep's
 // result is still correct, only a later restart would re-simulate the point.
 func (c *Coordinator) mergeIntoCache(rec *sweep.Record) {
-	if rec.Err != "" || rec.Key == "" {
+	if rec.Err != "" {
 		return
 	}
 	if c.beforePut != nil {

@@ -6,10 +6,13 @@ package fabric
 // polling for the asynchronous Run to enqueue its grid.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -42,11 +45,12 @@ func (f *fakeClock) Advance(d time.Duration) {
 // newProtocolRig builds a coordinator on a fake clock with one registered
 // worker and a background Run over the quick grid, returning everything a
 // protocol test needs. LeaseTTL is one minute: expiry happens only when the
-// test advances the clock.
+// test advances the clock. The cache sits two directories below the test's
+// own temporary directory, so a key that climbs out of it stays inside that.
 func newProtocolRig(t *testing.T) (*Coordinator, *fakeClock, *sweep.Engine, string, *runHandle) {
 	t.Helper()
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-	eng := &sweep.Engine{Cache: newCache(t, t.TempDir())}
+	eng := &sweep.Engine{Cache: newCache(t, filepath.Join(t.TempDir(), "coord", "cache"))}
 	c := &Coordinator{
 		Eng: eng, Cache: eng.Cache,
 		LeaseTTL: time.Minute, Batch: 4,
@@ -279,6 +283,75 @@ func TestMismatchedPointReportIsRejectedNotCompleted(t *testing.T) {
 		if r.Cores >= 97 {
 			t.Fatalf("bogus record landed in the grid: %+v", r.Point)
 		}
+	}
+}
+
+// TestReportedKeyCannotLeaveTheCache: a registered worker reports a leased
+// point with the right record under the key "../../escaped". The merge joins
+// the key onto the cache directory, so accepting it would write escaped.json
+// two directories above the cache. The result is dropped like a point
+// mismatch — nothing written, the task still open — and the honest record for
+// it is accepted afterwards.
+func TestReportedKeyCannotLeaveTheCache(t *testing.T) {
+	c, _, eng, w, h := newProtocolRig(t)
+	l := awaitLease(t, c, w)
+	root := filepath.Dir(filepath.Dir(eng.Cache.Dir()))
+
+	honest := eng.Measure(l.Points[0].Point)
+	hostile := honest
+	hostile.Key = "../../escaped"
+	resp, err := c.Report(ReportRequest{
+		Worker: w, Lease: l.Lease,
+		Results: []ReportResult{{Task: l.Points[0].Task, Record: hostile}},
+	})
+	if err != nil {
+		t.Fatalf("hostile report: %v", err)
+	}
+	if resp.Accepted != 0 || resp.Duplicates != 0 {
+		t.Errorf("hostile report = %+v, want neither accepted nor duplicate", resp)
+	}
+	if _, err := os.Stat(filepath.Join(root, "escaped.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a reported key wrote outside the cache directory (stat: %v)", err)
+	}
+
+	good, err := c.Report(ReportRequest{
+		Worker: w, Lease: l.Lease,
+		Results: []ReportResult{{Task: l.Points[0].Task, Record: honest}},
+	})
+	if err != nil || good.Accepted != 1 {
+		t.Fatalf("honest report after the hostile one = %+v, %v; want 1 accepted", good, err)
+	}
+	rest := measureReport(eng, w, l)
+	rest.Results = rest.Results[1:]
+	if _, err := c.Report(rest); err != nil {
+		t.Fatalf("report: %v", err)
+	}
+	drainRun(t, c, eng, w, h)
+}
+
+// TestReportOverBatchIsRefused: a lease holds at most Batch points, so a
+// report of more results is malformed. It is refused whole with 400, before
+// any of it is merged or counted.
+func TestReportOverBatchIsRefused(t *testing.T) {
+	c := &Coordinator{Eng: &sweep.Engine{}, Batch: 2, Log: quietLog()}
+	ts := newCoordinator(t, c)
+	w := c.Register("big").Worker
+	for _, n := range []int{2, 3} {
+		body, err := json.Marshal(ReportRequest{Worker: w, Results: make([]ReportResult, n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+PathReport, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if want := map[int]int{2: http.StatusOK, 3: http.StatusBadRequest}[n]; resp.StatusCode != want {
+			t.Errorf("report of %d results with Batch 2 = %d, want %d", n, resp.StatusCode, want)
+		}
+	}
+	if st := c.Stats(); st.Reports != 1 || st.Duplicates != 2 {
+		t.Errorf("stats %+v: want the refused report uncounted and the other's 2 results duplicates", st)
 	}
 }
 

@@ -40,11 +40,14 @@ func (c *Coordinator) Handler() http.Handler {
 			return
 		}
 		resp, err := c.Report(req)
-		if err != nil {
+		switch {
+		case errors.Is(err, ErrUnknownWorker):
 			writeError(w, http.StatusNotFound, "%v", err)
-			return
+		case err != nil:
+			writeError(w, http.StatusBadRequest, "%v", err)
+		default:
+			writeJSON(w, http.StatusOK, resp)
 		}
-		writeJSON(w, http.StatusOK, resp)
 	})
 	mux.HandleFunc("GET "+PathStatus, func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, c.Stats())

@@ -13,6 +13,10 @@ var RunRows = runRows
 // values and never reuse it (Machine.poison); bind and Reset clear it.
 func Poison(m *Machine) { m.poison = true }
 
+// Visits returns how many core visits the idle-skip scheduler has made since
+// m was built, bound or Reset.
+func Visits(m *Machine) int64 { return m.visits }
+
 // DynChunk is the instruction arena's growth step.
 const DynChunk = dynChunk
 

@@ -99,10 +99,8 @@ type Config struct {
 	// scheduler: each cycle visits only the armed cores, work blocked on an
 	// unproduced value or an unfinished renaming is parked on what unblocks
 	// it, and when nothing in the chip can act before a known future cycle
-	// the clock jumps there directly.
-	// Both schedulers produce bit-identical results (cycles, timings, message
-	// counts); dense exists as the oracle the idle-skip cross-check tests and
-	// `repro bench-sim` compare against.
+	// the clock jumps there directly. Both produce bit-identical results;
+	// dense is only the tests' oracle, and no command selects it.
 	Dense bool
 	// StallLimit aborts the run when no architectural progress happens for
 	// this many cycles (deadlock detector). Defaults to 10000.

@@ -49,8 +49,8 @@ func canonical(t *testing.T, k *Kernel, n int) string {
 // canonical form, at n=MinN and n=64. The files were generated from the
 // hand-written templates before the quickSort/dedup/radixSort migration to
 // annotated Go, so a diff here means the compiled program changed — which
-// would silently re-key the sweep cache and detach BENCH_machine.json
-// baselines. Run with -update to rewrite them deliberately.
+// would silently re-key the sweep cache and move benchmark/expected.json's
+// counts. Run with -update to rewrite them deliberately.
 func TestGoldenSources(t *testing.T) {
 	for _, k := range Kernels() {
 		for _, n := range []int{k.MinN, 64} {

@@ -19,8 +19,7 @@ import (
 //  1. the gofront lowering renders byte-identically to the canonicalised
 //     legacy template (so the canonical surface is provably unchanged),
 //  2. the compiled programs are byte-identical (prog.Encode is what the
-//     sweep-v2 cache key and the BENCH_machine.json baselines hash, so
-//     cache keys cannot have moved),
+//     sweep-v2 cache key hashes, so cache keys cannot have moved),
 //  3. the derived generators reproduce the legacy inputs bit for bit, and
 //  4. the interpreter-derived checksum equals the independent legacy
 //     reference (sort/map-based — an algorithmically different witness).

@@ -293,19 +293,13 @@ func (k *Kernel) Run(n int, seed uint64, sink func(*trace.Record)) (*RunResult, 
 // and the full data segment, and that the result matches the Go reference
 // checksum. It returns the machine result.
 func (k *Kernel) CrossValidate(n int, seed uint64, cores int) (*backend.Result, error) {
-	return k.CrossValidateWith(n, seed, machine.DefaultConfig(cores))
-}
-
-// CrossValidateWith is CrossValidate on a caller-configured machine
-// (scheduler, topology, placement knobs).
-func (k *Kernel) CrossValidateWith(n int, seed uint64, cfg machine.Config) (*backend.Result, error) {
 	n = k.ClampN(n)
 	prog, err := k.Build(n, minic.ModeFork)
 	if err != nil {
 		return nil, fmt.Errorf("pbbs: %s (n=%d): %w", k.Name, n, err)
 	}
 	in := k.Gen(n, seed)
-	_, rm, err := backend.CrossValidate(prog, in, cfg)
+	_, rm, err := backend.CrossValidate(prog, in, machine.DefaultConfig(cores))
 	if err != nil {
 		return rm, fmt.Errorf("pbbs: %s (n=%d): %w", k.Name, n, err)
 	}

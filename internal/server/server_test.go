@@ -278,47 +278,54 @@ func TestNotFound(t *testing.T) {
 	waitDone(t, ts, "/v1/runs/"+st.ID)
 }
 
+// axisJSON is the JSON list 1..n: 10⁴ sizes × 10⁴ cores fit a body of 100 kB
+// and spell 10⁸ points a kernel.
+func axisJSON(n int) string {
+	var b strings.Builder
+	for i := 1; i <= n; i++ {
+		b.WriteString("," + strconv.Itoa(i))
+	}
+	return "[" + b.String()[1:] + "]"
+}
+
+// overLimitBodies ask for more than a request may (maxGridPoints, maxCores,
+// maxN); each must be refused with 400 naming the limit, before anything
+// enumerates or allocates what it asks for.
+var overLimitBodies = []struct{ path, body string }{
+	{"/v1/sweeps", `{"sizes":` + axisJSON(10000) + `,"cores":` + axisJSON(10000) + `}`},
+	{"/v1/sweeps", `{"kernels":[10],"sizes":` + axisJSON(257) + `,"cores":` + axisJSON(256) + `}`}, // one row over
+	{"/v1/sweeps", `{"kernels":[10],"cores":[1,65537]}`},
+	{"/v1/runs", `{"kernel":"10","cores":65537}`},
+	{"/v1/runs", `{"kernel":"10","cores":4000000000000000000,"topology":"mesh"}`}, // a slab no host has
+	{"/v1/sweeps", `{"kernels":[10],"sizes":[64,65537]}`},
+	{"/v1/runs", `{"kernel":"nn","n":1000000000000}`}, // a 16 TB data segment
+}
+
+// badBodies are malformed or invalid requests, each refused with 400.
+var badBodies = []struct{ path, body string }{
+	{"/v1/sweeps", `{`},                                // malformed JSON
+	{"/v1/sweeps", `{"kernals":[1]}`},                  // misspelled field
+	{"/v1/sweeps", `{"kernels":["zzz"]}`},              // unknown kernel
+	{"/v1/sweeps", `{"topologies":["torus"]}`},         // unknown topology
+	{"/v1/sweeps", `{"sizes":[0]}`},                    // invalid axis value
+	{"/v1/sweeps", `{"kernels":[true]}`},               // wrong selector type
+	{"/v1/runs", `{`},                                  // malformed JSON
+	{"/v1/runs", `{}`},                                 // missing kernel
+	{"/v1/runs", `{"kernel":"sort"}`},                  // ambiguous selector
+	{"/v1/runs", `{"kernel":"10","topology":"torus"}`}, // unknown topology
+	{"/v1/runs", `{"kernel":"10","cores":-1}`},         // bad core count
+	{"/v1/runs", `{"kernel":"10","maxSections":-1}`},   // bad cap
+}
+
 func TestBadRequests(t *testing.T) {
 	ts := newTestServer(t, &sweep.Engine{})
-	// axis is the JSON list 1..n: 10⁴ sizes × 10⁴ cores fit a body of 100 kB
-	// and spell 10⁸ points a kernel, which must be refused before anything
-	// enumerates them.
-	axis := func(n int) string {
-		var b strings.Builder
-		for i := 1; i <= n; i++ {
-			b.WriteString("," + strconv.Itoa(i))
-		}
-		return "[" + b.String()[1:] + "]"
-	}
-	for _, c := range []struct{ path, body string }{
-		{"/v1/sweeps", `{"sizes":` + axis(10000) + `,"cores":` + axis(10000) + `}`},
-		{"/v1/sweeps", `{"kernels":[10],"sizes":` + axis(257) + `,"cores":` + axis(256) + `}`}, // one row over
-		{"/v1/sweeps", `{"kernels":[10],"cores":[1,65537]}`},
-		{"/v1/runs", `{"kernel":"10","cores":65537}`},
-		{"/v1/runs", `{"kernel":"10","cores":4000000000000000000,"topology":"mesh"}`}, // a slab no host has
-		{"/v1/sweeps", `{"kernels":[10],"sizes":[64,65537]}`},
-		{"/v1/runs", `{"kernel":"nn","n":1000000000000}`}, // a 16 TB data segment
-	} {
+	for _, c := range overLimitBodies {
 		var e struct{ Error string }
 		if code := postJSON(t, ts, c.path, c.body, &e); code != http.StatusBadRequest || !strings.Contains(e.Error, "limit of 65536") {
 			t.Errorf("POST %s %.60s… = %d (error %q), want 400 naming the limit", c.path, c.body, code, e.Error)
 		}
 	}
-	cases := []struct{ path, body string }{
-		{"/v1/sweeps", `{`},                                // malformed JSON
-		{"/v1/sweeps", `{"kernals":[1]}`},                  // misspelled field
-		{"/v1/sweeps", `{"kernels":["zzz"]}`},              // unknown kernel
-		{"/v1/sweeps", `{"topologies":["torus"]}`},         // unknown topology
-		{"/v1/sweeps", `{"sizes":[0]}`},                    // invalid axis value
-		{"/v1/sweeps", `{"kernels":[true]}`},               // wrong selector type
-		{"/v1/runs", `{`},                                  // malformed JSON
-		{"/v1/runs", `{}`},                                 // missing kernel
-		{"/v1/runs", `{"kernel":"sort"}`},                  // ambiguous selector
-		{"/v1/runs", `{"kernel":"10","topology":"torus"}`}, // unknown topology
-		{"/v1/runs", `{"kernel":"10","cores":-1}`},         // bad core count
-		{"/v1/runs", `{"kernel":"10","maxSections":-1}`},   // bad cap
-	}
-	for _, c := range cases {
+	for _, c := range badBodies {
 		var e struct{ Error string }
 		if code := postJSON(t, ts, c.path, c.body, &e); code != http.StatusBadRequest || e.Error == "" {
 			t.Errorf("POST %s %s = %d (error %q), want 400 with a message", c.path, c.body, code, e.Error)

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 
 	"repro/internal/backend"
 	"repro/internal/isa"
@@ -108,12 +109,19 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
+// ValidKey reports whether key has the shape cacheKey gives every key, 64
+// lowercase hex digits: only such a key names a file inside the cache. Keys
+// can come from another process (a fabric report), and "../x" would not.
+func ValidKey(key string) bool {
+	return len(key) == 2*sha256.Size && strings.Trim(key, "0123456789abcdef") == ""
+}
+
 // Get returns the metrics stored under key, if any. Unreadable or corrupt
 // entries count as misses, and so does valid JSON that is not an entry
 // ("null", "{}"): no run retires zero instructions in zero cycles. The
-// re-measurement's Put overwrites the file.
+// re-measurement's Put overwrites the file. A key that is not ValidKey misses.
 func (c *Cache) Get(key string) (*Metrics, bool) {
-	if c == nil {
+	if c == nil || !ValidKey(key) {
 		return nil, false
 	}
 	data, err := os.ReadFile(c.path(key))
@@ -127,10 +135,13 @@ func (c *Cache) Get(key string) (*Metrics, bool) {
 	return &m, true
 }
 
-// Put stores the metrics under key.
+// Put stores the metrics under key, which must be ValidKey.
 func (c *Cache) Put(key string, m *Metrics) error {
 	if c == nil {
 		return nil
+	}
+	if !ValidKey(key) {
+		return fmt.Errorf("sweep: cache: key %q is not a cache key", key)
 	}
 	data, err := json.Marshal(m)
 	if err != nil {

@@ -229,8 +229,8 @@ type Metrics struct {
 	// this point was measured (cache hits keep the time of the original
 	// measurement, so cached re-runs stay byte-identical).
 	SimNs int64 `json:"simNs"`
-	// NsPerCycle is SimNs per simulated cycle — the simulator-performance
-	// figure `repro bench-sim` tracks.
+	// NsPerCycle is SimNs per simulated cycle — the host's speed on this
+	// point, the simulator's figure of merit.
 	NsPerCycle float64 `json:"nsPerCycle"`
 }
 

@@ -414,6 +414,52 @@ func TestCorruptCacheEntryIsMiss(t *testing.T) {
 	}
 }
 
+// TestCacheKeepsToItsDirectory: a key names a file inside the cache only if
+// it has the shape cacheKey makes. Anything else — a path that climbs out,
+// an absolute path, upper-case or short hex — misses on Get and is refused by
+// Put, and nothing is written anywhere.
+func TestCacheKeepsToItsDirectory(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "b")
+	cache, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Metrics{Instructions: 10, Cycles: 5}
+	good := strings.Repeat("0123456789abcdef", 4)
+	if !ValidKey(good) {
+		t.Fatalf("ValidKey(%q) = false", good)
+	}
+	for _, bad := range []string{"", "../../escaped", "/tmp/escaped", good[:63], good + "0",
+		strings.ToUpper(good), "../../" + good[6:], good[:62] + "/x"} {
+		if ValidKey(bad) {
+			t.Errorf("ValidKey(%q) = true", bad)
+		}
+		if err := cache.Put(bad, m); err == nil {
+			t.Errorf("Put(%q) stored an entry", bad)
+		}
+		if _, ok := cache.Get(bad); ok {
+			t.Errorf("Get(%q) hit", bad)
+		}
+	}
+	var files []string
+	filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if len(files) != 0 {
+		t.Errorf("refused keys left files behind: %v", files)
+	}
+	if err := cache.Put(good, m); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := cache.Get(good); !ok || *got != *m {
+		t.Errorf("Get(%q) = %+v, %v after Put", good, got, ok)
+	}
+}
+
 func TestEmitOrderAndJSONLDeterminism(t *testing.T) {
 	render := func() []byte {
 		var buf bytes.Buffer
