@@ -1,12 +1,17 @@
 package backend
 
 import (
+	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/isa"
 	"repro/internal/machine"
 	"repro/internal/minic"
+	"repro/internal/trace"
 )
 
 // sumSrc sums an injected array; the expected result depends entirely on the
@@ -54,6 +59,52 @@ func TestEmulatorRunWithInputs(t *testing.T) {
 	}
 	if r.Cycles != r.Instructions {
 		t.Errorf("emulator cycles %d != instructions %d", r.Cycles, r.Instructions)
+	}
+}
+
+// TestFootprintsUnderConcurrentFirstUse: goroutines that share a fresh
+// program, as the sweep engine's front-end memo shares one, and all make its
+// first use together build its footprint table once — every one sees the same
+// backing array — and stream the same records from it.
+func TestFootprintsUnderConcurrentFirstUse(t *testing.T) {
+	prog, err := minic.Compile(sumSrc, minic.ModeCall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, want := sumInputs()
+	const workers = 8
+	var (
+		rows    [workers]*isa.Footprint
+		records [workers][]trace.Record
+		errs    [workers]error
+		start   = make(chan struct{})
+		wg      sync.WaitGroup
+	)
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			rows[w] = unsafe.SliceData(prog.Footprints())
+			var res *Result
+			res, errs[w] = NewEmulator().Stream(prog, in, func(r *trace.Record) { records[w] = append(records[w], *r) })
+			if errs[w] == nil && res.RAX != want {
+				errs[w] = fmt.Errorf("rax = %d, want %d", res.RAX, want)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for w := range workers {
+		if errs[w] != nil {
+			t.Fatalf("worker %d: %v", w, errs[w])
+		}
+		if rows[w] == nil || rows[w] != rows[0] {
+			t.Errorf("worker %d read the table at %p, worker 0 at %p", w, rows[w], rows[0])
+		}
+		if len(records[w]) == 0 || !slices.Equal(records[w], records[0]) {
+			t.Errorf("worker %d streamed %d records that differ from worker 0's %d", w, len(records[w]), len(records[0]))
+		}
 	}
 }
 

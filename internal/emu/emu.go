@@ -164,6 +164,8 @@ type CPU struct {
 	forkStack []forkFrame
 	halted    bool
 	rec       trace.Record
+	// footprints is Prog's decoded table, taken on the first traced step.
+	footprints []isa.Footprint
 }
 
 // New prepares a CPU to run prog from its entry point, with the data segment
@@ -212,6 +214,18 @@ func (c *CPU) effAddr(o *isa.Operand) uint64 {
 	return a
 }
 
+// refAddr is effAddr for a footprint's memory operand.
+func (c *CPU) refAddr(m *isa.MemRef) uint64 {
+	a := uint64(m.Imm)
+	if m.Base != isa.NoReg {
+		a += c.Regs[m.Base]
+	}
+	if m.Index != isa.NoReg {
+		a += c.Regs[m.Index] * uint64(m.Scale)
+	}
+	return a
+}
+
 // Step executes one instruction.
 func (c *CPU) Step() error {
 	if c.halted {
@@ -224,17 +238,25 @@ func (c *CPU) Step() error {
 
 	var rec *trace.Record
 	if c.TraceHook != nil {
+		if c.footprints == nil {
+			c.footprints = c.Prog.Footprints()
+		}
+		f := &c.footprints[c.IP]
+		// Field by field: a composite literal would be built on the stack
+		// (it reads the CPU it is written into) and copied over, and the
+		// copy's wide loads stall on the narrow stores that built it.
 		rec = &c.rec
-		*rec = trace.Record{Seq: c.Steps, IP: c.IP, Op: in.Op, CallLevel: c.level}
-		rec.SetRegs(in)
+		rec.Seq, rec.IP, rec.CallLevel, rec.Op = c.Steps, c.IP, c.level, in.Op
+		rec.Regs, rec.HasLoad, rec.HasStore = f.Regs, f.HasLoad, f.HasStore
 		// Both addresses form from the registers as they stand before the
 		// instruction executes: the stack operands of isa.MemRead/MemWrite
 		// are (%rsp) for pop/ret and -8(%rsp) for push/call.
-		if mo, ok := in.MemRead(); ok {
-			rec.Load, rec.HasLoad = c.effAddr(&mo), true
+		rec.Load, rec.Store = 0, 0
+		if f.HasLoad {
+			rec.Load = c.refAddr(&f.Load)
 		}
-		if mo, ok := in.MemWrite(); ok {
-			rec.Store, rec.HasStore = c.effAddr(&mo), true
+		if f.HasStore {
+			rec.Store = c.refAddr(&f.Store)
 		}
 	}
 

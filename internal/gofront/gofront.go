@@ -334,6 +334,9 @@ func (k *Kernel) scanFunc(d *ast.FuncDecl) error {
 	if d.Recv != nil {
 		return k.errAt(d.Pos(), "methods are not supported")
 	}
+	if d.Body == nil {
+		return k.errAt(d.Pos(), "function has no body")
+	}
 	line := annotationLine(d.Doc, "//repro:kernel")
 	if line == "" {
 		return nil

@@ -376,6 +376,8 @@ func TestScanErrors(t *testing.T) {
 		{"undeclared", "package kernels\n\n//repro:kernel id=1 name=a/b minn=2\nfunc f() uint64 {\n\treturn y\n}\n", "undeclared identifier"},
 		{"goroutine", "package kernels\n\nfunc g() {\n}\n\n//repro:kernel id=1 name=a/b minn=2\nfunc f() uint64 {\n\tgo g()\n\treturn 0\n}\n", "unsupported statement"},
 		{"range-loop", "package kernels\n\n//repro:array len=n\nvar a []uint64\n\n//repro:kernel id=1 name=a/b minn=2\nfunc f() uint64 {\n\tfor range a {\n\t}\n\treturn 0\n}\n", "unsupported statement"},
+		{"bodiless-entry", bodilessEntry, "test.go:3:1: function has no body"},
+		{"bodiless-helper", bodilessHelper, "test.go:4:1: function has no body"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -156,6 +156,16 @@ var opNames = [NumOps]string{
 	"hlt",
 }
 
+// IsControl reports whether the opcode redirects or terminates a flow: the
+// one list of control opcodes.
+func (o Op) IsControl() bool {
+	switch o {
+	case JMP, Jcc, CALL, RET, FORK, ENDFORK, HLT:
+		return true
+	}
+	return false
+}
+
 // String returns the gas mnemonic (without condition suffix for Jcc/SETcc).
 func (o Op) String() string {
 	if o < NumOps {
@@ -388,9 +398,10 @@ const (
 // a memory source are loads; forms with a memory destination are stores.
 // PUSH/POP are store/load plus an rsp update.
 func (in *Instruction) Classify() Class {
-	switch in.Op {
-	case JMP, Jcc, CALL, RET, FORK, ENDFORK, HLT:
+	if in.Op.IsControl() {
 		return ClassControl
+	}
+	switch in.Op {
 	case IMUL, DIV, IDIV:
 		if in.Src.Kind == KindMem {
 			return ClassLoad
@@ -411,9 +422,6 @@ func (in *Instruction) Classify() Class {
 	}
 	return ClassSimple
 }
-
-// IsControl reports whether the instruction redirects or terminates a flow.
-func (in *Instruction) IsControl() bool { return in.Classify() == ClassControl }
 
 // WritesFlags reports whether the instruction writes the Flags register.
 func (in *Instruction) WritesFlags() bool {
@@ -505,10 +513,6 @@ func (in *Instruction) RegReads(buf []Reg) []Reg {
 		buf = append(buf, in.Dst.Reg)
 	} else if in.Dst.Kind == KindMem {
 		addMem(in.Dst)
-	}
-	if (in.Op == SHL || in.Op == SHR || in.Op == SAR) && in.Src.Kind == KindNone {
-		// Single-operand shift-by-one form has no extra reads.
-		_ = buf
 	}
 	return buf
 }

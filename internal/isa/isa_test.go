@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestRegNames(t *testing.T) {
@@ -277,6 +278,14 @@ func randOperand(r *rand.Rand, allowImm bool) Operand {
 			scale = []uint8{1, 2, 4, 8}[r.Intn(4)]
 		}
 		return MemOp(int64(int32(r.Uint32())), base, idx, scale)
+	}
+}
+
+// TestFootprintIsCompact: every traced step and every dynamic instruction on
+// the machine reads a footprint row, so a row stays small (56 B today).
+func TestFootprintIsCompact(t *testing.T) {
+	if got := unsafe.Sizeof(Footprint{}); got > 64 {
+		t.Errorf("Footprint is %d bytes, budget 64", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Memory layout constants shared by the assembler, emulator and machine.
@@ -17,13 +18,18 @@ const (
 )
 
 // Program is a loadable unit: a text segment (one instruction per code
-// address), an initialised data segment and symbol tables.
+// address), an initialised data segment and symbol tables. Text is fixed once
+// the program is first run: its decoded footprints (Footprints) are built
+// then and kept.
 type Program struct {
 	Text     []Instruction
 	Data     []byte            // initial data segment image, loaded at DataBase
 	Labels   map[string]int64  // code symbols -> instruction index
 	DataSyms map[string]uint64 // data symbols -> byte address
 	Entry    int64             // instruction index where execution starts
+
+	footprintOnce sync.Once
+	footprints    []Footprint
 }
 
 // NewProgram returns an empty program with initialised symbol tables.

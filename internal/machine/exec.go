@@ -129,22 +129,15 @@ func evalRegCompute(in *isa.Instruction, rd func(isa.Reg) uint64, out *regWrites
 	return nil
 }
 
-// effectiveAddr computes the data address of a memory instruction from its
-// resolved register sources. For push the address is rsp-8 (post-decrement);
-// for pop it is the incoming rsp.
-func (d *DynInst) effectiveAddr() uint64 {
-	in := d.In
-	switch in.Op {
-	case isa.PUSH:
-		return d.srcValue(isa.RSP) - 8
-	case isa.POP:
-		return d.srcValue(isa.RSP)
-	}
-	var o isa.Operand
-	if mo, ok := in.MemRead(); ok {
-		o = mo
-	} else if mo, ok := in.MemWrite(); ok {
-		o = mo
+// effectiveAddr computes the data address of memory instruction d, whose
+// footprint is fp, from its resolved register sources: its load's operand,
+// else its store's. A push's address is its store's, -8(%rsp) — the machine
+// pushes registers and immediates, never a loaded word — and a pop's its
+// load's, 0(%rsp).
+func (d *DynInst) effectiveAddr(fp *isa.Footprint) uint64 {
+	o := &fp.Store
+	if fp.HasLoad && d.In.Op != isa.PUSH {
+		o = &fp.Load
 	}
 	a := uint64(o.Imm)
 	if o.Base != isa.NoReg {
@@ -213,17 +206,4 @@ func (m *Machine) evalMemAccess(d *DynInst, memVal uint64) error {
 		return fmt.Errorf("machine: unsupported memory op %s", in)
 	}
 	return nil
-}
-
-// dedupRegs removes duplicates in place, preserving order.
-func dedupRegs(rs []isa.Reg) []isa.Reg {
-	out := rs[:0]
-	var seen isa.RegMask
-	for _, r := range rs {
-		if r < isa.NumRegs && !seen.Has(r) {
-			seen.Add(r)
-			out = append(out, r)
-		}
-	}
-	return out
 }

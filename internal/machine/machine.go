@@ -203,14 +203,12 @@ type srcRef struct {
 	addr bool // true when the register only feeds the address computation
 }
 
-// maxSrcs bounds the register sources of one instruction after
-// deduplication (the widest case is divq with a memory destination: rax,
-// rdx, base, index).
-const maxSrcs = 4
-
-// maxWr bounds the architectural registers one instruction writes: a
-// destination plus Flags, or rax plus rdx for the divides.
-const maxWr = 2
+// maxSrcs and maxWr bound the registers one instruction reads and writes:
+// the room of its footprint's sets.
+const (
+	maxSrcs = isa.MaxReads
+	maxWr   = isa.MaxWrites
+)
 
 // DynInst is one dynamic instruction in flight: from its fetch to the cycle it
 // retires, when retireApply recycles it. DynInsts come from a chunked arena
@@ -422,9 +420,12 @@ type Core struct {
 
 // Machine is the whole chip.
 type Machine struct {
-	cfg   Config
-	prog  *isa.Program
-	cores []*Core
+	cfg  Config
+	prog *isa.Program
+	// footprints is prog's decoded table: what each static instruction
+	// reads, writes and is, read by a dynamic instruction's IP.
+	footprints []isa.Footprint
+	cores      []*Core
 	// order is the total section order. Dumped sections stay in it — as shells:
 	// their instructions went when they retired, their MAAT backing when they
 	// dumped — so that Section.Pos keeps indexing it and result() can list
@@ -485,8 +486,6 @@ type Machine struct {
 	maatFree [][]maatEntry
 	reqAll   []*request // every request object the machine owns, free or not
 	reqFree  []*request
-	readBuf  []isa.Reg
-	writeBuf []isa.Reg
 
 	// sink receives the row of every instruction as it retires (SetSink).
 	sink func(InstTiming)
@@ -532,11 +531,9 @@ func (cfg Config) withDefaults() Config {
 // way a machine gets a program — a fresh one here, a parked one in Pool.Get.
 func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	m := &Machine{
-		dyns:     newArena[DynInst](dynChunk),
-		cells:    newArena[cell](cellChunk),
-		readBuf:  make([]isa.Reg, 0, 2*isa.NumRegs),
-		writeBuf: make([]isa.Reg, 0, 2*isa.NumRegs),
-		dmh:      emu.NewMemory(),
+		dyns:  newArena[DynInst](dynChunk),
+		cells: newArena[cell](cellChunk),
+		dmh:   emu.NewMemory(),
 	}
 	if err := m.bind(prog, cfg); err != nil {
 		return nil, err
@@ -560,7 +557,7 @@ func (m *Machine) bind(prog *isa.Program, cfg Config) error {
 		}
 	}
 	m.release()
-	m.prog, m.cfg = prog, cfg.withDefaults()
+	m.prog, m.footprints, m.cfg = prog, prog.Footprints(), cfg.withDefaults()
 	// Cores past the new count stay in the slice's spare capacity — scrubbed
 	// by release, queue buffers intact — for a wider chip. A chip wider than
 	// any before gets its new cores from one allocation.

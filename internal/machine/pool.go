@@ -1,10 +1,6 @@
 package machine
 
-import (
-	"math/bits"
-
-	"repro/internal/isa"
-)
+import "math/bits"
 
 // This file holds the allocation-free plumbing behind the simulated hot
 // path: the generic sliding-window FIFO backing the per-core queues, the
@@ -480,19 +476,4 @@ func (m *Machine) newRequest() *request {
 func (m *Machine) releaseRequest(r *request) {
 	*r = request{}
 	m.reqFree = append(m.reqFree, r)
-}
-
-// regReads resolves the instruction's deduplicated register reads into the
-// machine's scratch buffer (no per-call slice allocation).
-func (m *Machine) regReads(in *isa.Instruction) []isa.Reg {
-	buf := in.RegReads(m.readBuf[:0])
-	m.readBuf = buf[:0]
-	return dedupRegs(buf)
-}
-
-// regWriteSet is regReads' counterpart for register writes.
-func (m *Machine) regWriteSet(in *isa.Instruction) []isa.Reg {
-	buf := in.RegWrites(m.writeBuf[:0])
-	m.writeBuf = buf[:0]
-	return dedupRegs(buf)
 }

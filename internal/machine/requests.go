@@ -72,7 +72,7 @@ func (m *Machine) addRequest(kind reqKind, reg isa.Reg, addr uint64, d *DynInst,
 	d.Sec.nreqs++
 	r.availableAt = m.cycle
 	if kind == reqMem {
-		r.shortcut = rspPositive(d.In)
+		r.shortcut = rspPositive(&m.footprints[d.IP])
 		m.memReqs++
 	} else {
 		m.regReqs++
@@ -81,20 +81,14 @@ func (m *Machine) addRequest(kind reqKind, reg isa.Reg, addr uint64, d *DynInst,
 	m.progress++
 }
 
-// rspPositive reports whether the instruction's data address is rsp-based
+// rspPositive reports whether the instruction's load address is rsp-based
 // with a non-negative offset — the paper's condition for the call-level
 // shortcut ("stack pointer based variables with a positive offset (e.g.
 // 0(rsp)) benefit from a shortcut eliminating instructions belonging to a
-// call level deeper than the consumer").
-func rspPositive(in *isa.Instruction) bool {
-	if in.Op == isa.POP {
-		return true
-	}
-	o, ok := in.MemRead()
-	if !ok {
-		return false
-	}
-	return o.Base == isa.RSP && o.Index == isa.NoReg && o.Imm >= 0
+// call level deeper than the consumer"). A pop's load is 0(%rsp).
+func rspPositive(fp *isa.Footprint) bool {
+	o := &fp.Load
+	return fp.HasLoad && o.Base == isa.RSP && o.Index == isa.NoReg && o.Imm >= 0
 }
 
 // searchTarget returns the next section the request must search, or nil when

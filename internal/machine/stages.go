@@ -69,14 +69,14 @@ func (m *Machine) stageFD(c *Core) {
 		m.err = fmt.Errorf("machine: section %d fetch out of text at ip=%d", sec.ID, sec.fetchIP)
 		return
 	}
-	in := &m.prog.Text[sec.fetchIP]
+	in, fp := &m.prog.Text[sec.fetchIP], &m.footprints[sec.fetchIP]
 	d := m.newDyn()
 	d.Sec = sec
 	d.Idx = sec.fetched
 	d.IP = sec.fetchIP
 	d.In = in
 	d.Level = sec.curLevel
-	d.class = in.Classify()
+	d.class = fp.Class
 	d.tFD = m.cycle
 	if sec.tail == nil {
 		sec.head = d
@@ -104,15 +104,14 @@ func (m *Machine) stageFD(c *Core) {
 	}
 	rd := func(r isa.Reg) uint64 { return c.rf[r].v }
 	markEmpty := func() {
-		for _, r := range m.regWriteSet(in) {
+		for _, r := range fp.Uniq.Writes() {
 			c.rf[r] = val{}
 		}
 	}
 
 	switch d.class {
 	case isa.ClassSimple:
-		reads := m.regReads(in)
-		if full(reads) {
+		if full(fp.Uniq.Reads()) {
 			var out regWrites
 			if err := evalRegCompute(in, rd, &out); err != nil {
 				m.err = fmt.Errorf("machine: ip=%d (%s): %v", d.IP, in, err)
@@ -144,9 +143,6 @@ func (m *Machine) stageFD(c *Core) {
 			c.rf[isa.RSP] = val{v: nrsp, full: true}
 			if in.Op == isa.POP && in.Dst.Kind == isa.KindReg {
 				c.rf[in.Dst.Reg] = val{}
-			}
-			if in.WritesFlags() {
-				c.rf[isa.Flags] = val{}
 			}
 		} else {
 			markEmpty()
@@ -286,22 +282,16 @@ func (m *Machine) stageRR(c *Core) {
 		return
 	}
 	c.renameQ.Pop()
-	sec := d.Sec
+	sec, fp := d.Sec, &m.footprints[d.IP]
 
-	needsSources := !d.computedAtFetch || d.isMem()
-	if needsSources {
-		aRegs := d.In.AddrRegs()
-		for _, r := range m.regReads(d.In) {
-			p := m.ratLookup(sec, r, d)
-			if d.nsrcs == maxSrcs {
-				m.err = fmt.Errorf("machine: ip=%d (%s): more than %d register sources", d.IP, d.In, maxSrcs)
-				return
-			}
-			d.srcs[d.nsrcs] = srcRef{reg: r, prod: p, addr: aRegs.Has(r)}
+	// Sources take their slots in the footprint's order, one per register.
+	if !d.computedAtFetch || d.isMem() {
+		for _, r := range fp.Uniq.Reads() {
+			d.srcs[d.nsrcs] = srcRef{reg: r, prod: m.ratLookup(sec, r, d), addr: fp.AddrRegs.Has(r)}
 			d.nsrcs++
 		}
 	}
-	for _, r := range m.regWriteSet(d.In) {
+	for _, r := range fp.Uniq.Writes() {
 		sec.rat[r] = m.regCell(d, r)
 	}
 	if d.In.Op == isa.FORK && d.nPending > 0 {
@@ -367,7 +357,7 @@ func (m *Machine) stageEW(c *Core) {
 
 	if d.isMem() {
 		m.listAR(c, d)
-		d.addr = d.effectiveAddr()
+		d.addr = d.effectiveAddr(&m.footprints[d.IP])
 		// The register half of push/pop, if not computed at fetch.
 		if d.In.Op == isa.PUSH {
 			if !d.regWritten(isa.RSP) {
@@ -456,7 +446,8 @@ func (m *Machine) pickAR(c *Core) *Section {
 func (m *Machine) arApply(c *Core, sec *Section, d *DynInst) {
 	sec.arQ.Pop()
 
-	if _, reads := d.In.MemRead(); reads {
+	fp := &m.footprints[d.IP]
+	if fp.HasLoad {
 		if p := sec.maat.get(d.addr); p != nil {
 			d.memSrc = p
 		} else {
@@ -465,7 +456,7 @@ func (m *Machine) arApply(c *Core, sec *Section, d *DynInst) {
 			m.addRequest(reqMem, 0, d.addr, d, d.memSrc)
 		}
 	}
-	if _, writes := d.In.MemWrite(); writes {
+	if fp.HasStore {
 		d.mem = m.cells.alloc()
 		m.maatPut(&sec.maat, d.addr, d.mem, true)
 	}

@@ -13,9 +13,11 @@ import (
 
 // TestRecordHoldsEveryInstruction: every static instruction the repository
 // can run — all kernels in both calling conventions and the hand-written
-// listings — fits a record's inline register sets, in order and in full.
-// SetRegs panics on one that does not, so this test is where an ISA or
-// code-generator change that outgrows the record fails, not a traced run.
+// listings — has a footprint row that is exactly what the isa methods say,
+// and a record built from that row holds its register sets in order and in
+// full. The table's builder panics on a set that outgrows the row, so this
+// test is where an ISA or code-generator change that outgrows the record
+// fails, not a traced run.
 func TestRecordHoldsEveryInstruction(t *testing.T) {
 	var programs []*isa.Program
 	for _, k := range pbbs.Kernels() {
@@ -51,15 +53,39 @@ func TestRecordHoldsEveryInstruction(t *testing.T) {
 	}})
 	insts := 0
 	for _, prog := range programs {
+		rows := prog.Footprints()
+		if len(rows) != len(prog.Text) {
+			t.Fatalf("%d rows for %d instructions", len(rows), len(prog.Text))
+		}
 		for i := range prog.Text {
-			in := &prog.Text[i]
-			var r trace.Record
-			r.SetRegs(in)
-			if want := in.RegReads(nil); !slices.Equal(r.RegReads(), want) {
-				t.Fatalf("%s: record reads %v, instruction reads %v", in, r.RegReads(), want)
+			in, f := &prog.Text[i], &rows[i]
+			r := trace.Record{Regs: f.Regs}
+			reads, writes := in.RegReads(nil), in.RegWrites(nil)
+			if !slices.Equal(r.RegReads(), reads) {
+				t.Fatalf("%s: record reads %v, instruction reads %v", in, r.RegReads(), reads)
 			}
-			if want := in.RegWrites(nil); !slices.Equal(r.RegWrites(), want) {
-				t.Fatalf("%s: record writes %v, instruction writes %v", in, r.RegWrites(), want)
+			if !slices.Equal(r.RegWrites(), writes) {
+				t.Fatalf("%s: record writes %v, instruction writes %v", in, r.RegWrites(), writes)
+			}
+			if got, want := f.Uniq.Reads(), firstOccurrences(reads); !slices.Equal(got, want) {
+				t.Fatalf("%s: row's distinct reads %v, want %v", in, got, want)
+			}
+			if got, want := f.Uniq.Writes(), firstOccurrences(writes); !slices.Equal(got, want) {
+				t.Fatalf("%s: row's distinct writes %v, want %v", in, got, want)
+			}
+			if got, want := f.AddrRegs, in.AddrRegs(); got != want {
+				t.Fatalf("%s: row's address registers %b, want %b", in, got, want)
+			}
+			if got, want := f.Class, in.Classify(); got != want {
+				t.Fatalf("%s: row's class %d, want %d", in, got, want)
+			}
+			load, hasLoad := in.MemRead()
+			if f.HasLoad != hasLoad || hasLoad && !sameAddress(f.Load, load) {
+				t.Fatalf("%s: row loads %v %+v, instruction loads %v %+v", in, f.HasLoad, f.Load, hasLoad, load)
+			}
+			store, hasStore := in.MemWrite()
+			if f.HasStore != hasStore || hasStore && !sameAddress(f.Store, store) {
+				t.Fatalf("%s: row stores %v %+v, instruction stores %v %+v", in, f.HasStore, f.Store, hasStore, store)
 			}
 			insts++
 		}
@@ -67,4 +93,19 @@ func TestRecordHoldsEveryInstruction(t *testing.T) {
 	if insts == 0 {
 		t.Fatal("no instruction checked")
 	}
+}
+
+// firstOccurrences returns rs without repeats, in first-occurrence order.
+func firstOccurrences(rs []isa.Reg) []isa.Reg {
+	var out []isa.Reg
+	for _, r := range rs {
+		if !slices.Contains(out, r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+func sameAddress(m isa.MemRef, o isa.Operand) bool {
+	return m.Imm == o.Imm && m.Base == o.Base && m.Index == o.Index && m.Scale == o.Scale
 }

@@ -17,7 +17,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/isa"
 )
@@ -37,43 +36,19 @@ type Record struct {
 	Taken     bool   // for control instructions: branch taken
 	HasLoad   bool
 	HasStore  bool
-
-	nReads, nWrites uint8
-	reads           [4]isa.Reg // two operands of base+index, or rax, rdx and one of those
-	writes          [2]isa.Reg
+	// Regs are the architectural registers read (incl. Flags, rsp) and
+	// written, in the instruction's operand order: its footprint's Regs.
+	Regs isa.RegSets
 }
 
-// RegReads returns the architectural registers read (incl. Flags, rsp), in
-// the instruction's operand order. The slice aliases the record.
-func (r *Record) RegReads() []isa.Reg { return r.reads[:r.nReads] }
+// RegReads returns the registers read. The slice aliases the record.
+func (r *Record) RegReads() []isa.Reg { return r.Regs.Reads() }
 
-// RegWrites returns the architectural registers written. The slice aliases
-// the record.
-func (r *Record) RegWrites() []isa.Reg { return r.writes[:r.nWrites] }
-
-// SetRegs fills the register sets from the instruction. An instruction whose
-// sets outgrow the record panics: the record is sized for the ISA, and a
-// silently shortened set would drop dependences from every ILP figure.
-func (r *Record) SetRegs(in *isa.Instruction) {
-	r.nReads = fits(in.RegReads(r.reads[:0]), len(r.reads))
-	r.nWrites = fits(in.RegWrites(r.writes[:0]), len(r.writes))
-}
-
-func fits(set []isa.Reg, room int) uint8 {
-	if len(set) > room {
-		panic(fmt.Sprintf("trace: a set of %d registers does not fit a record's %d", len(set), room))
-	}
-	return uint8(len(set))
-}
+// RegWrites returns the registers written. The slice aliases the record.
+func (r *Record) RegWrites() []isa.Reg { return r.Regs.Writes() }
 
 // IsControl reports whether the record is a control-flow instruction.
-func (r *Record) IsControl() bool {
-	switch r.Op {
-	case isa.JMP, isa.Jcc, isa.CALL, isa.RET, isa.FORK, isa.ENDFORK, isa.HLT:
-		return true
-	}
-	return false
-}
+func (r *Record) IsControl() bool { return r.Op.IsControl() }
 
 // Trace is an in-memory dynamic trace.
 type Trace struct {

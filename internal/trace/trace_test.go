@@ -9,11 +9,10 @@ import (
 )
 
 // rec is the one place a test builds a record by hand: header fields from
-// hdr, register sets copied in with the same over-full check SetRegs applies.
+// hdr, register sets copied in with the same over-full check a program's
+// footprint table applies.
 func rec(hdr Record, reads, writes []isa.Reg) Record {
-	hdr.nReads, hdr.nWrites = fits(reads, len(hdr.reads)), fits(writes, len(hdr.writes))
-	copy(hdr.reads[:], reads)
-	copy(hdr.writes[:], writes)
+	hdr.Regs = isa.NewRegSets(reads, writes)
 	return hdr
 }
 
