@@ -274,11 +274,12 @@ func TestRunAllocatesByWindow(t *testing.T) {
 }
 
 // TestMeasureILPAllocatesByFootprint: a Fig. 7 point's memory is the words it
-// touches and the cycles it schedules, not the instructions it runs. A stored
-// trace is 48 bytes an instruction before either analysis has a map to keep
-// (278 in all when the trace was stored); nearestNeighbors n=64, 328 104
-// instructions, stays under 32, the compile, the emulator's pages and both
-// analysers' tables included.
+// touches, not the instructions it runs. A stored trace is 48 bytes an
+// instruction before either analysis has a map to keep (278 in all when the
+// trace was stored), and an array of the instructions scheduled in each cycle
+// was another 4 bytes a cycle; nearestNeighbors n=64, 328 104 instructions,
+// stays under 2, the compile, the emulator's pages and both analysers' tables
+// included.
 func TestMeasureILPAllocatesByFootprint(t *testing.T) {
 	k, err := pbbs.Find("nearestNeighbors")
 	if err != nil {
@@ -294,8 +295,8 @@ func TestMeasureILPAllocatesByFootprint(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	perInst := float64(ms.TotalAlloc-before) / float64(p.Instructions)
 	t.Logf("%d bytes for %d instructions = %.1f B per instruction", ms.TotalAlloc-before, p.Instructions, perInst)
-	if perInst > 32 {
-		t.Errorf("a Fig. 7 point allocated %.1f bytes per instruction, budget 32: the trace is stored again", perInst)
+	if perInst > 2 {
+		t.Errorf("a Fig. 7 point allocated %.1f bytes per instruction, budget 2: something is kept per instruction or per cycle again", perInst)
 	}
 }
 

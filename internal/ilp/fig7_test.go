@@ -2,6 +2,7 @@ package ilp_test
 
 import (
 	"encoding/json"
+	"math"
 	"os"
 	"reflect"
 	"testing"
@@ -17,8 +18,8 @@ import (
 
 // The golden's models: the two Fig. 7 plots, and the zero Model — no
 // renaming, control dependences — which is the only caller of the register
-// WAR/WAW and last-branch arms. (The file also holds rows for a third model
-// whose flags were Sequential()'s; they equal the sequential rows.)
+// WAR/WAW and last-branch arms, and so of the analyser's recording of
+// register reads and branches.
 var goldenModels = []struct {
 	name  string
 	model ilp.Model
@@ -30,14 +31,12 @@ var goldenModels = []struct {
 
 // goldenRow is the reproduced part of an ilp.Result (ILP is their quotient).
 type goldenRow struct {
-	Instructions   int                        `json:"instructions"`
-	Cycles         int64                      `json:"cycles"`
-	MaxParallelism int64                      `json:"maxParallelism"`
-	DistanceHist   [ilp.DistanceBuckets]int64 `json:"distanceHist"`
+	Instructions int   `json:"instructions"`
+	Cycles       int64 `json:"cycles"`
 }
 
 func rowOf(r ilp.Result) goldenRow {
-	return goldenRow{r.Instructions, r.Cycles, r.MaxParallelism, r.DistanceHist}
+	return goldenRow{r.Instructions, r.Cycles}
 }
 
 type goldenKernel struct {
@@ -202,24 +201,33 @@ func TestUnalignedAddressesKeepTheirOwnEntry(t *testing.T) {
 			t.Errorf("%s:\noverlapping %+v\n far apart %+v", gm.name, got, want)
 		}
 	}
-	seq := ilp.Analyze(tr, ilp.Sequential())
-	wantHist := [ilp.DistanceBuckets]int64{1: 2, 2: 2} // 3←1, 8←5; 4←0, 7←2; the WAR-bound stores count nowhere
-	if seq.Cycles != 4 || seq.MaxParallelism != 3 || seq.DistanceHist != wantHist {
-		t.Errorf("sequential: %d cycles, %d at once, distances %v; want 4, 3, %v",
-			seq.Cycles, seq.MaxParallelism, seq.DistanceHist, wantHist)
+	if seq := ilp.Analyze(tr, ilp.Sequential()); seq.Cycles != 4 {
+		t.Errorf("sequential: %d cycles, want 4", seq.Cycles)
 	}
 	if par := ilp.Analyze(tr, ilp.Parallel()); par.Cycles != 2 {
 		t.Errorf("parallel: %d cycles, want 2 (memory renamed: five stores, then four loads)", par.Cycles)
 	}
 }
 
+// seqFlatBand bounds, per kernel, the largest sequential ILP over the smallest
+// across the sizes TestParallelNeverSlowerThanSequential steps. The widest
+// measured is quickHull's 3.02 (n=64) over 2.50 (n=256), 1.21; every other
+// kernel is within 1.13. The parallel ILP of the same kernels moves by far
+// more over these sizes (quickHull 190 → 286 from n=32 to 128).
+const seqFlatBand = 1.25
+
 // TestParallelNeverSlowerThanSequential: the parallel model's dependence edges
 // are a subset of the sequential model's — it drops rsp RAW and memory
 // WAR/WAW and keeps the rest — so no instruction executes later under it.
-// Per kernel and size, its schedule is no longer and its ILP no lower. This is
-// the one relation Fig. 7 guarantees; ILP growing with n is not one of them.
+// Per kernel and size, its schedule is no longer and its ILP no lower. The
+// same runs check the paper's other Fig. 7 claim that holds here: the
+// sequential ILP is flat in n, because the stack and the memory false
+// dependences serialise what a larger dataset would offer; per kernel its
+// max/min stays within seqFlatBand. Parallel ILP growing with n is not
+// checked: three kernels break it (RESULTS.md, PR 28).
 func TestParallelNeverSlowerThanSequential(t *testing.T) {
 	for _, k := range pbbs.Kernels() {
+		lo, hi := math.Inf(1), 0.0
 		for _, n := range []int{32, 64, 128, 256} {
 			seq, par := ilp.NewAnalyzer(ilp.Sequential()), ilp.NewAnalyzer(ilp.Parallel())
 			if _, err := k.Run(n, 1, func(r *trace.Record) {
@@ -233,6 +241,11 @@ func TestParallelNeverSlowerThanSequential(t *testing.T) {
 				t.Errorf("%s n=%d: parallel %d cycles, ILP %.2f; sequential %d cycles, ILP %.2f",
 					k.Name, n, p.Cycles, p.ILP, s.Cycles, s.ILP)
 			}
+			lo, hi = min(lo, s.ILP), max(hi, s.ILP)
+		}
+		if hi > seqFlatBand*lo {
+			t.Errorf("%s: sequential ILP %.2f..%.2f over n = 32..256, max/min %.3f > %.2f: not flat in n",
+				k.Name, lo, hi, hi/lo, seqFlatBand)
 		}
 	}
 }

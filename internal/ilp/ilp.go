@@ -23,7 +23,6 @@ package ilp
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/trace"
@@ -73,23 +72,12 @@ func Parallel() Model {
 	}
 }
 
-// DistanceBuckets is the number of log2 buckets in the dependence distance
-// histogram (bucket k counts critical dependences of distance [2^k, 2^(k+1))).
-const DistanceBuckets = 32
-
 // Result reports one analysis.
 type Result struct {
 	Model        Model
 	Instructions int
 	Cycles       int64
 	ILP          float64
-	// MaxParallelism is the largest number of instructions scheduled in
-	// any single cycle.
-	MaxParallelism int64
-	// DistanceHist[k] counts instructions whose *critical* (latest)
-	// producer is 2^k..2^(k+1)-1 dynamic instructions away. Instructions
-	// with no producer are not counted.
-	DistanceHist [DistanceBuckets]int64
 }
 
 // String formats the headline numbers.
@@ -109,27 +97,25 @@ func Analyze(t *trace.Trace, m Model) Result {
 	return a.Result()
 }
 
-// producer is one row of the renaming table: who last produced a location
-// and who has read it since. Cycles start at 1, so a zero cycle means "none".
+// producer is one row of the renaming table: when a location was last written
+// and read. Cycles start at 1, so a zero cycle means "none".
 type producer struct {
-	write  int64 // cycle the last write's value is ready
-	writer int64 // trace index of the last writer, meaningful when write != 0
-	read   int64 // max cycle of the reads since the last write
+	write int64 // cycle the last write's value is ready
+	read  int64 // max cycle of the reads since the last write
 }
 
 // Analyzer is the infinite-window dataflow limit as a running value: each
 // record it is stepped through executes at the cycle after its last
 // constraining producer. What it remembers is the paper's renaming table —
 // the last producer of each register and of each memory word touched — and
-// how many instructions it scheduled in each cycle; never the trace. Fed from
-// the emulator's hook it analyses a run as it happens.
+// never the trace. Fed from the emulator's hook it analyses a run as it
+// happens.
 type Analyzer struct {
-	n          int64 // records stepped; the next record's trace index
+	n          int64 // records stepped
 	regs       [isa.NumRegs]producer
 	mem        memTable
-	lastBranch int64    // completion cycle of the last control instruction
-	perCycle   []uint32 // instructions scheduled in each cycle
-	res        Result   // Model; Cycles, MaxParallelism, DistanceHist as they stand
+	lastBranch int64  // completion cycle of the last control instruction
+	res        Result // Model; Cycles as it stands
 }
 
 // NewAnalyzer returns an analysis of the empty trace under m.
@@ -144,102 +130,61 @@ func NewAnalyzer(m Model) *Analyzer {
 // read, not kept.
 func (a *Analyzer) Step(r *trace.Record) {
 	m := &a.res.Model
-	idx := a.n
 	a.n++
 	ready := int64(0) // executes at ready+1
-	criticalProducer := int64(-1)
 
-	consider := func(cycle, producerIdx int64) {
-		if cycle > ready {
-			ready = cycle
-			criticalProducer = producerIdx
-		}
-	}
-
+	// Under IgnoreStackPointer rsp's row stays zero (below), so it constrains
+	// nothing and needs no test here.
 	var load, store *producer
 	for _, reg := range r.RegReads() {
-		if m.IgnoreStackPointer && reg == isa.RSP {
-			continue
-		}
-		if p := &a.regs[reg]; p.write != 0 {
-			consider(p.write, p.writer)
-		}
+		ready = max(ready, a.regs[reg].write)
 	}
 	if r.HasLoad {
 		load = a.mem.at(r.Load)
-		if load.write != 0 {
-			consider(load.write, load.writer)
-		}
+		ready = max(ready, load.write)
 	}
 	if !m.RenameRegisters {
 		for _, reg := range r.RegWrites() {
-			if m.IgnoreStackPointer && reg == isa.RSP {
-				continue
-			}
 			p := &a.regs[reg]
-			if p.write != 0 {
-				consider(p.write, p.writer) // WAW
-			}
-			if p.read != 0 {
-				consider(p.read, -1) // WAR (producer index untracked)
-			}
+			ready = max(ready, p.write, p.read) // WAW, WAR
 		}
 	}
 	if r.HasStore {
 		store = a.mem.at(r.Store)
 		if !m.RenameMemory {
-			if store.write != 0 {
-				consider(store.write, store.writer) // WAW
-			}
-			if store.read != 0 {
-				consider(store.read, -1) // WAR
-			}
+			ready = max(ready, store.write, store.read) // WAW, WAR
 		}
 	}
-	if !m.PerfectBranchPrediction && a.lastBranch > 0 {
-		consider(a.lastBranch, -1)
+	if !m.PerfectBranchPrediction {
+		ready = max(ready, a.lastBranch)
 	}
 
 	cycle := ready + 1
-	if cycle >= int64(len(a.perCycle)) {
-		// A cycle is at most one past the latest so far: doubling suffices.
-		grown := make([]uint32, max(2*len(a.perCycle), 1024))
-		copy(grown, a.perCycle)
-		a.perCycle = grown
-	}
-	a.perCycle[cycle]++
-	if c := int64(a.perCycle[cycle]); c > a.res.MaxParallelism {
-		a.res.MaxParallelism = c
-	}
-	if cycle > a.res.Cycles {
-		a.res.Cycles = cycle
-	}
-	if criticalProducer >= 0 {
-		d := idx - criticalProducer // at least 1: a producer is an earlier record
-		b := bits.Len64(uint64(d)) - 1
-		if b >= DistanceBuckets {
-			b = DistanceBuckets - 1
-		}
-		a.res.DistanceHist[b]++
-	}
+	a.res.Cycles = max(a.res.Cycles, cycle)
 
 	// Update producer state: reads before writes, so that an instruction
-	// loading and storing one address leaves it written and unread.
-	for _, reg := range r.RegReads() {
-		if p := &a.regs[reg]; cycle > p.read {
-			p.read = cycle
+	// loading and storing one address leaves it written and unread. State is
+	// recorded only where the model lets a later instruction wait on it; the
+	// model is fixed for the analyser's life.
+	if !m.RenameRegisters {
+		for _, reg := range r.RegReads() {
+			p := &a.regs[reg]
+			p.read = max(p.read, cycle)
 		}
 	}
 	for _, reg := range r.RegWrites() {
-		a.regs[reg] = producer{write: cycle, writer: idx}
+		a.regs[reg] = producer{write: cycle}
 	}
-	if load != nil && cycle > load.read {
-		load.read = cycle
+	if m.IgnoreStackPointer {
+		a.regs[isa.RSP] = producer{}
+	}
+	if load != nil && !m.RenameMemory {
+		load.read = max(load.read, cycle)
 	}
 	if store != nil {
-		*store = producer{write: cycle, writer: idx}
+		*store = producer{write: cycle}
 	}
-	if r.IsControl() {
+	if !m.PerfectBranchPrediction && r.IsControl() {
 		a.lastBranch = cycle
 	}
 }
@@ -266,7 +211,7 @@ type memTable struct {
 	unaligned map[uint64]*producer
 }
 
-const memPageBits = 9 // words per page: 512 × 24 B = 12 KiB
+const memPageBits = 9 // words per page: 512 × 16 B = 8 KiB
 
 type memPage [1 << memPageBits]producer
 
