@@ -354,6 +354,9 @@ func (a *assembler) instruction(n int, s string) error {
 		if err != nil {
 			return &Error{n, err.Error()}
 		}
+		if o.Kind == isa.KindImm {
+			return &Error{n, mn + ": operand cannot be an immediate"}
+		}
 		in.Dst = o
 		if sym != "" {
 			a.fixups = append(a.fixups, fixup{len(a.prog.Text), sym, 2, n})
@@ -370,6 +373,15 @@ func (a *assembler) instruction(n int, s string) error {
 		o, sym, err := a.operand(ops[0])
 		if err != nil {
 			return &Error{n, err.Error()}
+		}
+		switch {
+		case o.Kind == isa.KindImm && op != isa.PUSH:
+			return &Error{n, mn + ": operand cannot be an immediate"}
+		case o.Kind == isa.KindMem && (op == isa.PUSH || op == isa.POP):
+			// The stack slot is the instruction's one data address.
+			return &Error{n, mn + ": a memory operand would be a second data address"}
+		case op == isa.POP && o.Kind == isa.KindReg && o.Reg == isa.RSP:
+			return &Error{n, "popq %rsp: the stack update and the loaded word would both be rsp"}
 		}
 		where := 2
 		if op == isa.PUSH {
@@ -408,6 +420,9 @@ func (a *assembler) instruction(n int, s string) error {
 		}
 		if dst.Kind == isa.KindImm {
 			return &Error{n, mn + ": destination cannot be an immediate"}
+		}
+		if op == isa.LEA && (src.Kind != isa.KindMem || dst.Kind != isa.KindReg) {
+			return &Error{n, "leaq needs a memory source and a register destination"}
 		}
 		in.Src, in.Dst = src, dst
 		if ssym != "" {

@@ -235,6 +235,22 @@ var errorCases = []struct {
 	{".data\nt: .space 0x7fffffffffff", "overlap the stack"},
 	{".data\nt: .space 9223372036854775807", "overlap the stack"},
 	{".data\nt: .space 0x7ffe0001", "overlap the stack"}, // one byte past StackTop-DataBase
+	// Forms with no one meaning: a push or pop of memory needs two data
+	// addresses, a pop into rsp two values for rsp, and an immediate where
+	// a result or a divisor goes, or a leaq of something other than an
+	// address, has nothing to compute.
+	{"main: pushq 8(%rax)", "second data address"},
+	{"main: popq (%rsp)", "second data address"},
+	{"main: popq %rsp", "both be rsp"},
+	{"main: leaq %rbx, %rax", "leaq needs a memory source"},
+	{"main: leaq (%rbx), (%rax)", "cannot be memory"},
+	{"main: leaq $5, %rax", "leaq needs a memory source"},
+	{"main: divq $3", "cannot be an immediate"},
+	{"main: idivq $3", "cannot be an immediate"},
+	{"main: incq $5", "cannot be an immediate"},
+	{"main: negq $1", "cannot be an immediate"},
+	{"main: popq $1", "cannot be an immediate"},
+	{"main: setne $1", "cannot be an immediate"},
 }
 
 func TestAssembleErrors(t *testing.T) {

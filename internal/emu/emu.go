@@ -20,6 +20,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/isa"
@@ -74,11 +75,7 @@ func (m *Memory) ReadU64(addr uint64) uint64 {
 		if p == nil {
 			return 0
 		}
-		var v uint64
-		for i := uint64(0); i < 8; i++ {
-			v |= uint64(p[off+i]) << (8 * i)
-		}
-		return v
+		return binary.LittleEndian.Uint64(p[off:])
 	}
 	var v uint64
 	for i := uint64(0); i < 8; i++ {
@@ -90,10 +87,7 @@ func (m *Memory) ReadU64(addr uint64) uint64 {
 // WriteU64 writes the 8-byte little-endian word v at addr.
 func (m *Memory) WriteU64(addr uint64, v uint64) {
 	if off := addr & (pageSize - 1); off <= pageSize-8 {
-		p := m.page(addr, true)
-		for i := uint64(0); i < 8; i++ {
-			p[off+i] = byte(v >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(m.page(addr, true)[off:], v)
 		return
 	}
 	for i := uint64(0); i < 8; i++ {
@@ -164,14 +158,14 @@ type CPU struct {
 	forkStack []forkFrame
 	halted    bool
 	rec       trace.Record
-	// footprints is Prog's decoded table, taken on the first traced step.
+	// footprints is Prog's decoded table.
 	footprints []isa.Footprint
 }
 
 // New prepares a CPU to run prog from its entry point, with the data segment
 // loaded and the stack pointer initialised.
 func New(prog *isa.Program) *CPU {
-	c := &CPU{Prog: prog, Mem: NewMemory()}
+	c := &CPU{Prog: prog, Mem: NewMemory(), footprints: prog.Footprints()}
 	c.Mem.CopyIn(isa.DataBase, prog.Data)
 	c.Regs[isa.RSP] = isa.StackTop
 	c.IP = prog.Entry
@@ -202,31 +196,8 @@ func (c *CPU) fault(in *isa.Instruction, msg string) error {
 	return &Fault{IP: c.IP, Seq: c.Steps, Msg: msg, Inst: in.String()}
 }
 
-// effAddr computes the effective address of a memory operand.
-func (c *CPU) effAddr(o *isa.Operand) uint64 {
-	a := uint64(o.Imm)
-	if o.Base != isa.NoReg {
-		a += c.Regs[o.Base]
-	}
-	if o.Index != isa.NoReg {
-		a += c.Regs[o.Index] * uint64(o.Scale)
-	}
-	return a
-}
-
-// refAddr is effAddr for a footprint's memory operand.
-func (c *CPU) refAddr(m *isa.MemRef) uint64 {
-	a := uint64(m.Imm)
-	if m.Base != isa.NoReg {
-		a += c.Regs[m.Base]
-	}
-	if m.Index != isa.NoReg {
-		a += c.Regs[m.Index] * uint64(m.Scale)
-	}
-	return a
-}
-
-// Step executes one instruction.
+// Step executes one instruction: a control instruction here, a data
+// instruction through isa.Exec, with the memory accesses its footprint names.
 func (c *CPU) Step() error {
 	if c.halted {
 		return nil
@@ -234,112 +205,35 @@ func (c *CPU) Step() error {
 	if c.IP < 0 || c.IP >= int64(len(c.Prog.Text)) {
 		return &Fault{IP: c.IP, Seq: c.Steps, Msg: "instruction fetch out of text segment"}
 	}
-	in := &c.Prog.Text[c.IP]
+	in, f := &c.Prog.Text[c.IP], &c.footprints[c.IP]
+
+	// Both addresses form from the registers as they stand before the
+	// instruction executes: the stack operands of isa.MemRead/MemWrite are
+	// (%rsp) for pop/ret and -8(%rsp) for push/call.
+	var load, store, word uint64
+	if f.HasLoad {
+		load = f.Load.Addr(&c.Regs)
+		word = c.Mem.ReadU64(load)
+	}
+	if f.HasStore {
+		store = f.Store.Addr(&c.Regs)
+	}
 
 	var rec *trace.Record
 	if c.TraceHook != nil {
-		if c.footprints == nil {
-			c.footprints = c.Prog.Footprints()
-		}
-		f := &c.footprints[c.IP]
 		// Field by field: a composite literal would be built on the stack
 		// (it reads the CPU it is written into) and copied over, and the
 		// copy's wide loads stall on the narrow stores that built it.
 		rec = &c.rec
 		rec.Seq, rec.IP, rec.CallLevel, rec.Op = c.Steps, c.IP, c.level, in.Op
 		rec.Regs, rec.HasLoad, rec.HasStore = f.Regs, f.HasLoad, f.HasStore
-		// Both addresses form from the registers as they stand before the
-		// instruction executes: the stack operands of isa.MemRead/MemWrite
-		// are (%rsp) for pop/ret and -8(%rsp) for push/call.
-		rec.Load, rec.Store = 0, 0
-		if f.HasLoad {
-			rec.Load = c.refAddr(&f.Load)
-		}
-		if f.HasStore {
-			rec.Store = c.refAddr(&f.Store)
-		}
+		rec.Load, rec.Store = load, store
 	}
 
 	next := c.IP + 1
 	taken := false
 
-	readSrc := func(o *isa.Operand) uint64 {
-		switch o.Kind {
-		case isa.KindReg:
-			return c.Regs[o.Reg]
-		case isa.KindImm:
-			return uint64(o.Imm)
-		case isa.KindMem:
-			return c.Mem.ReadU64(c.effAddr(o))
-		}
-		return 0
-	}
-	readDst := func(o *isa.Operand) uint64 {
-		switch o.Kind {
-		case isa.KindReg:
-			return c.Regs[o.Reg]
-		case isa.KindMem:
-			return c.Mem.ReadU64(c.effAddr(o))
-		}
-		return 0
-	}
-	writeDst := func(o *isa.Operand, v uint64) {
-		switch o.Kind {
-		case isa.KindReg:
-			c.Regs[o.Reg] = v
-		case isa.KindMem:
-			c.Mem.WriteU64(c.effAddr(o), v)
-		}
-	}
-
 	switch in.Op {
-	case isa.NOP:
-
-	case isa.MOV:
-		writeDst(&in.Dst, readSrc(&in.Src))
-
-	case isa.LEA:
-		if in.Src.Kind != isa.KindMem || in.Dst.Kind != isa.KindReg {
-			return c.fault(in, "leaq needs mem source and reg destination")
-		}
-		c.Regs[in.Dst.Reg] = c.effAddr(&in.Src)
-
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL, isa.SHL, isa.SHR, isa.SAR,
-		isa.NEG, isa.NOT, isa.INC, isa.DEC, isa.CMP, isa.TEST:
-		r, fl, writesFlags := isa.ALU(in.Op, readDst(&in.Dst), readSrc(&in.Src))
-		if writesFlags {
-			c.Regs[isa.Flags] = uint64(fl)
-		}
-		if !in.Op.DiscardsResult() {
-			writeDst(&in.Dst, r)
-		}
-
-	case isa.CQTO:
-		c.Regs[isa.RDX] = uint64(int64(c.Regs[isa.RAX]) >> 63)
-
-	case isa.DIV, isa.IDIV:
-		quot, rem, err := isa.Divide(in.Op, c.Regs[isa.RAX], c.Regs[isa.RDX], readDst(&in.Dst))
-		if err != nil {
-			return c.fault(in, err.Error())
-		}
-		c.Regs[isa.RAX], c.Regs[isa.RDX] = quot, rem
-
-	case isa.SETcc:
-		v := uint64(0)
-		if in.Cond.Eval(isa.FlagsVal(c.Regs[isa.Flags])) {
-			v = 1
-		}
-		writeDst(&in.Dst, v)
-
-	case isa.PUSH:
-		v := readSrc(&in.Src)
-		c.Regs[isa.RSP] -= 8
-		c.Mem.WriteU64(c.Regs[isa.RSP], v)
-	case isa.POP:
-		v := c.Mem.ReadU64(c.Regs[isa.RSP])
-		c.Regs[isa.RSP] += 8
-		writeDst(&in.Dst, v)
-
 	case isa.JMP:
 		next = in.Target
 		taken = true
@@ -350,27 +244,26 @@ func (c *CPU) Step() error {
 		}
 	case isa.CALL:
 		c.Regs[isa.RSP] -= 8
-		c.Mem.WriteU64(c.Regs[isa.RSP], uint64(c.IP+1))
+		word = uint64(c.IP + 1)
 		next = in.Target
 		taken = true
 		c.level++
 	case isa.RET:
-		ra := c.Mem.ReadU64(c.Regs[isa.RSP])
 		c.Regs[isa.RSP] += 8
-		next = int64(ra)
+		next = int64(word)
 		taken = true
 		if c.level > 0 {
 			c.level--
 		}
 
 	case isa.FORK:
-		var f forkFrame
-		f.resumeIP = c.IP + 1
-		f.level = c.level
+		var fr forkFrame
+		fr.resumeIP = c.IP + 1
+		fr.level = c.level
 		for _, r := range NonVolatile {
-			f.saved[r] = c.Regs[r]
+			fr.saved[r] = c.Regs[r]
 		}
-		c.forkStack = append(c.forkStack, f)
+		c.forkStack = append(c.forkStack, fr)
 		next = in.Target
 		taken = true
 		c.level++
@@ -380,20 +273,26 @@ func (c *CPU) Step() error {
 			taken = true
 			break
 		}
-		f := c.forkStack[len(c.forkStack)-1]
+		fr := c.forkStack[len(c.forkStack)-1]
 		c.forkStack = c.forkStack[:len(c.forkStack)-1]
 		for _, r := range NonVolatile {
-			c.Regs[r] = f.saved[r]
+			c.Regs[r] = fr.saved[r]
 		}
-		next = f.resumeIP
-		c.level = f.level
+		next = fr.resumeIP
+		c.level = fr.level
 		taken = true
 
 	case isa.HLT:
 		c.halted = true
 
 	default:
-		return c.fault(in, "unimplemented opcode")
+		var err error
+		if word, err = isa.Exec(in, &c.Regs, word); err != nil {
+			return c.fault(in, err.Error())
+		}
+	}
+	if f.HasStore {
+		c.Mem.WriteU64(store, word)
 	}
 
 	if rec != nil {

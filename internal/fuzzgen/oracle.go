@@ -117,8 +117,8 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 	}
 
 	// Substrate 2: gofront's interpreter over the checked AST the program
-	// was compiled from. The emulator and the machine evaluate arithmetic
-	// through the same isa.ALU, so a bug there cannot show up as a
+	// was compiled from. The emulator and the machine evaluate instructions
+	// through the same isa.Exec, so a bug there cannot show up as a
 	// disagreement between them; the interpreter shares no code with isa.
 	// It runs after the emulator because only the emulator's step bound is
 	// fuzz-sized.

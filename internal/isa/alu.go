@@ -2,10 +2,9 @@ package isa
 
 import "errors"
 
-// This file is the ISA's integer semantics, written once: the functional
-// emulator and both evaluating stages of the machine (fetch-decode-and-
-// partly-execute, and execute / memory access) call ALU and Divide, so they
-// differ only in where operands come from and where results go.
+// This file is the ISA's integer arithmetic, written once. Its one caller is
+// Exec (exec.go), which the functional emulator and every evaluating stage of
+// the machine run for each data instruction.
 
 // ALU evaluates the arithmetic of one integer instruction. a is the old
 // value of the destination operand and b the value of the source operand

@@ -99,6 +99,19 @@ func (o *Operand) ref() MemRef {
 	return MemRef{Imm: o.Imm, Base: o.Base, Index: o.Index, Scale: o.Scale}
 }
 
+// Addr returns the address disp+base+index·scale with the registers regs
+// holds: the one place the ISA forms an address.
+func (m *MemRef) Addr(regs *[NumRegs]uint64) uint64 {
+	a := uint64(m.Imm)
+	if m.Base != NoReg {
+		a += regs[m.Base]
+	}
+	if m.Index != NoReg {
+		a += regs[m.Index] * uint64(m.Scale)
+	}
+	return a
+}
+
 // dedup drops duplicates (and anything that is not a register) in place,
 // keeping the first occurrence of each.
 func dedup(rs []Reg) []Reg {

@@ -14,6 +14,10 @@
 // Code addresses are instruction indices (one instruction per code address);
 // data addresses are byte addresses in a separate data/stack space. All data
 // operations are 64-bit ("q" suffix).
+//
+// What the instructions mean is here too, once: Exec is what a data
+// instruction computes, and an instruction's Footprint what it reads, writes,
+// loads and stores.
 package isa
 
 import "fmt"
@@ -394,31 +398,22 @@ const (
 	ClassControl              // jmp/jcc/call/ret/fork/endfork/hlt
 )
 
-// Classify returns the pipeline class of the instruction. MOV/ALU forms with
-// a memory source are loads; forms with a memory destination are stores.
-// PUSH/POP are store/load plus an rsp update.
+// Classify returns the pipeline class of the instruction: a control; else a
+// store if it writes memory (read-modify-write forms included), a load if it
+// only reads memory; else complex for imul and the divides, and simple.
 func (in *Instruction) Classify() Class {
 	if in.Op.IsControl() {
 		return ClassControl
 	}
+	if _, ok := in.MemWrite(); ok {
+		return ClassStore
+	}
+	if _, ok := in.MemRead(); ok {
+		return ClassLoad
+	}
 	switch in.Op {
 	case IMUL, DIV, IDIV:
-		if in.Src.Kind == KindMem {
-			return ClassLoad
-		}
 		return ClassComplex
-	case PUSH:
-		return ClassStore
-	case POP:
-		return ClassLoad
-	case LEA:
-		return ClassSimple
-	}
-	if in.Src.Kind == KindMem {
-		return ClassLoad
-	}
-	if in.Dst.Kind == KindMem {
-		return ClassStore
 	}
 	return ClassSimple
 }
@@ -585,12 +580,12 @@ func (in *Instruction) AddrRegs() RegMask {
 }
 
 // MemRead reports whether the instruction loads from data memory, and which
-// operand holds the address.
+// operand holds the address: pop's and ret's (%rsp), a memory source (but
+// leaq's, which is only an address), or a memory destination the opcode
+// takes as an input (Op.readsDst).
 func (in *Instruction) MemRead() (Operand, bool) {
 	switch in.Op {
-	case POP:
-		return MemBase(0, RSP), true
-	case RET:
+	case POP, RET:
 		return MemBase(0, RSP), true
 	case LEA:
 		return Operand{}, false
@@ -598,29 +593,42 @@ func (in *Instruction) MemRead() (Operand, bool) {
 	if in.Src.Kind == KindMem {
 		return in.Src, true
 	}
-	// Read-modify-write memory destinations also load.
-	if in.Dst.Kind == KindMem {
-		switch in.Op {
-		case ADD, SUB, AND, OR, XOR, NEG, NOT, INC, DEC, CMP, TEST:
-			return in.Dst, true
-		}
+	if in.Dst.Kind == KindMem && in.Op.readsDst() {
+		return in.Dst, true
 	}
 	return Operand{}, false
 }
 
 // MemWrite reports whether the instruction stores to data memory, and which
-// operand holds the address. PUSH/CALL store at the post-decrement rsp.
+// operand holds the address: push's and call's -8(%rsp), the post-decrement
+// stack slot, or a memory destination the opcode writes (Op.writesDst).
 func (in *Instruction) MemWrite() (Operand, bool) {
 	switch in.Op {
-	case PUSH:
+	case PUSH, CALL:
 		return MemBase(-8, RSP), true
-	case CALL:
-		return MemBase(-8, RSP), true
-	case CMP, TEST, LEA:
-		return Operand{}, false
 	}
-	if in.Dst.Kind == KindMem {
+	if in.Dst.Kind == KindMem && in.Op.writesDst() {
 		return in.Dst, true
 	}
 	return Operand{}, false
+}
+
+// readsDst reports whether op takes its destination operand as an input: the
+// ALU ops, which combine it with the source (CMP and TEST only read it), and
+// the divides, whose one operand is the divisor.
+func (o Op) readsDst() bool {
+	switch o {
+	case ADD, SUB, AND, OR, XOR, IMUL, SHL, SHR, SAR, NEG, NOT, INC, DEC, CMP, TEST, DIV, IDIV:
+		return true
+	}
+	return false
+}
+
+// writesDst reports whether op writes its destination operand.
+func (o Op) writesDst() bool {
+	switch o {
+	case MOV, LEA, ADD, SUB, AND, OR, XOR, IMUL, SHL, SHR, SAR, NEG, NOT, INC, DEC, SETcc, POP:
+		return true
+	}
+	return false
 }

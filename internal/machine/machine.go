@@ -486,6 +486,8 @@ type Machine struct {
 	maatFree [][]maatEntry
 	reqAll   []*request // every request object the machine owns, free or not
 	reqFree  []*request
+	// scratch is the register file the stages run isa.Exec on (exec.go).
+	scratch [isa.NumRegs]uint64
 
 	// sink receives the row of every instruction as it retires (SetSink).
 	sink func(InstTiming)

@@ -94,15 +94,17 @@ func (m *Machine) stageFD(c *Core) {
 	m.progress++
 	next := sec.fetchIP + 1
 
+	// isa.Exec runs on the scratch register file, filled from the stage's.
+	regs := &m.scratch
 	full := func(rs []isa.Reg) bool {
 		for _, r := range rs {
 			if !c.rf[r].full {
 				return false
 			}
+			regs[r] = c.rf[r].v
 		}
 		return true
 	}
-	rd := func(r isa.Reg) uint64 { return c.rf[r].v }
 	markEmpty := func() {
 		for _, r := range fp.Uniq.Writes() {
 			c.rf[r] = val{}
@@ -112,15 +114,11 @@ func (m *Machine) stageFD(c *Core) {
 	switch d.class {
 	case isa.ClassSimple:
 		if full(fp.Uniq.Reads()) {
-			var out regWrites
-			if err := evalRegCompute(in, rd, &out); err != nil {
-				m.err = fmt.Errorf("machine: ip=%d (%s): %v", d.IP, in, err)
+			if _, ok := m.exec(d, regs, 0); !ok {
 				return
 			}
-			for i := 0; i < out.n; i++ {
-				r, v := out.reg[i], out.val[i]
-				m.setReg(d, r, v)
-				c.rf[r] = val{v: v, full: true}
+			for _, r := range fp.Uniq.Writes() {
+				c.rf[r] = val{v: regs[r], full: true}
 			}
 			d.computedAtFetch = true
 		} else {
@@ -134,18 +132,13 @@ func (m *Machine) stageFD(c *Core) {
 		// The register half of push/pop (the rsp update) is simple and is
 		// computed in-stage when rsp is full, keeping the stack discipline
 		// flowing through the fetch stage.
-		if (in.Op == isa.PUSH || in.Op == isa.POP) && c.rf[isa.RSP].full {
-			nrsp := c.rf[isa.RSP].v - 8
-			if in.Op == isa.POP {
-				nrsp = c.rf[isa.RSP].v + 8
-			}
+		rsp := c.rf[isa.RSP]
+		markEmpty()
+		if (in.Op == isa.PUSH || in.Op == isa.POP) && rsp.full {
+			regs[isa.RSP] = rsp.v
+			nrsp := stackHalf(d, regs)
 			m.setReg(d, isa.RSP, nrsp)
 			c.rf[isa.RSP] = val{v: nrsp, full: true}
-			if in.Op == isa.POP && in.Dst.Kind == isa.KindReg {
-				c.rf[in.Dst.Reg] = val{}
-			}
-		} else {
-			markEmpty()
 		}
 	case isa.ClassControl:
 		switch in.Op {
@@ -357,17 +350,17 @@ func (m *Machine) stageEW(c *Core) {
 
 	if d.isMem() {
 		m.listAR(c, d)
-		d.addr = d.effectiveAddr(&m.footprints[d.IP])
-		// The register half of push/pop, if not computed at fetch.
-		if d.In.Op == isa.PUSH {
-			if !d.regWritten(isa.RSP) {
-				m.setReg(d, isa.RSP, d.srcValue(isa.RSP)-8)
-			}
+		fp, regs := &m.footprints[d.IP], m.srcRegs(d)
+		// One data address: the load's, which is also the store's when there
+		// are both (read-modify-write), else the store's.
+		if fp.HasLoad {
+			d.addr = fp.Load.Addr(regs)
+		} else {
+			d.addr = fp.Store.Addr(regs)
 		}
-		if d.In.Op == isa.POP {
-			if !d.regWritten(isa.RSP) {
-				m.setReg(d, isa.RSP, d.srcValue(isa.RSP)+8)
-			}
+		// The register half of push/pop, if not computed at fetch.
+		if (d.In.Op == isa.PUSH || d.In.Op == isa.POP) && !d.regWritten(isa.RSP) {
+			m.setReg(d, isa.RSP, stackHalf(d, regs))
 		}
 		return
 	}
@@ -382,18 +375,11 @@ func (m *Machine) stageEW(c *Core) {
 		// section, which outlives the instruction.
 		sec := d.Sec
 		sec.resumeAt, sec.resumeIP = m.cycle, d.IP+1
-		if d.In.Cond.Eval(isa.FlagsVal(d.srcValue(isa.Flags))) {
+		if d.In.Cond.Eval(isa.FlagsVal(m.srcRegs(d)[isa.Flags])) {
 			sec.resumeIP = d.In.Target
 		}
 	default:
-		var out regWrites
-		if err := evalRegCompute(d.In, d.srcValue, &out); err != nil {
-			m.err = fmt.Errorf("machine: ip=%d (%s): %v", d.IP, d.In, err)
-			return
-		}
-		for i := 0; i < out.n; i++ {
-			m.setReg(d, out.reg[i], out.val[i])
-		}
+		m.exec(d, m.srcRegs(d), 0)
 	}
 }
 
@@ -526,17 +512,17 @@ func (m *Machine) stageMA(c *Core) {
 	}
 	d := c.lsq[best]
 	swapRemove(&c.lsq, best)
-	var mv uint64
+	var loaded uint64
 	if d.memSrc != nil {
-		mv = d.memSrc.v
+		loaded = d.memSrc.v
 	}
-	if err := m.evalMemAccess(d, mv); err != nil {
-		m.err = err
+	stored, ok := m.exec(d, m.srcRegs(d), loaded)
+	if !ok {
 		return
 	}
 	d.tMA = m.cycle
 	if d.mem != nil {
-		m.fill(d.mem, d.mem.v, m.cycle)
+		m.fill(d.mem, stored, m.cycle)
 	}
 	m.listRetire(c, d)
 	m.progress++

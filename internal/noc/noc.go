@@ -157,13 +157,6 @@ func (q *Queue) Send(net Network, src, dst int, now int64, payload any) {
 	heap.Push(&q.h, m)
 }
 
-// SendAt enqueues a message with an explicit delivery time.
-func (q *Queue) SendAt(src, dst int, deliverAt int64, payload any) {
-	m := Message{Src: src, Dst: dst, DeliverAt: deliverAt, Seq: q.seq, Payload: payload}
-	q.seq++
-	heap.Push(&q.h, m)
-}
-
 // Deliver pops every message whose delivery time is <= now, in
 // (time, send order).
 func (q *Queue) Deliver(now int64) []Message {
@@ -176,20 +169,6 @@ func (q *Queue) Deliver(now int64) []Message {
 
 // Len returns the number of undelivered messages.
 func (q *Queue) Len() int { return q.h.Len() }
-
-// NextDeliverAt returns the earliest delivery time among the undelivered
-// messages, and whether any message is in flight. It lets an idle-skip
-// scheduler built on Queue jump its clock straight to the next network
-// event instead of polling every cycle. (The machine simulator tracks its
-// in-flight messages in per-core FIFOs and request records rather than a
-// Queue, so its nextWake reads those directly; this is the standalone-queue
-// counterpart.)
-func (q *Queue) NextDeliverAt() (int64, bool) {
-	if q.h.Len() == 0 {
-		return 0, false
-	}
-	return q.h[0].DeliverAt, true
-}
 
 type msgHeap []Message
 

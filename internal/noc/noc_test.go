@@ -108,13 +108,13 @@ func TestQueueOrdering(t *testing.T) {
 	q.Send(net, 0, 2, 0, "far")    // deliver at 2
 	q.Send(net, 0, 1, 0, "near-a") // deliver at 1
 	q.Send(net, 0, 1, 0, "near-b") // deliver at 1, sent after near-a
-	q.SendAt(3, 0, 1, "explicit")  // deliver at 1, sent last
+	q.Send(net, 3, 0, 0, "wrap")   // deliver at 1 (the short arc), sent last
 
 	if got := q.Deliver(0); len(got) != 0 {
 		t.Fatalf("delivered %d messages at t=0", len(got))
 	}
 	got := q.Deliver(1)
-	want := []string{"near-a", "near-b", "explicit"}
+	want := []string{"near-a", "near-b", "wrap"}
 	if len(got) != len(want) {
 		t.Fatalf("t=1: delivered %d messages, want %d", len(got), len(want))
 	}
@@ -132,27 +132,5 @@ func TestQueueOrdering(t *testing.T) {
 	}
 	if q.Len() != 0 {
 		t.Errorf("queue not drained: %d", q.Len())
-	}
-}
-
-// TestQueueNextDeliverAt: the earliest-delivery peek used by idle-skip
-// schedulers tracks the head of the heap and reports emptiness.
-func TestQueueNextDeliverAt(t *testing.T) {
-	q := NewQueue()
-	if _, ok := q.NextDeliverAt(); ok {
-		t.Error("empty queue reports an in-flight message")
-	}
-	q.SendAt(0, 1, 7, "late")
-	q.SendAt(0, 2, 3, "early")
-	if at, ok := q.NextDeliverAt(); !ok || at != 3 {
-		t.Errorf("NextDeliverAt = %d,%v, want 3,true", at, ok)
-	}
-	q.Deliver(3)
-	if at, ok := q.NextDeliverAt(); !ok || at != 7 {
-		t.Errorf("after draining t=3: NextDeliverAt = %d,%v, want 7,true", at, ok)
-	}
-	q.Deliver(7)
-	if _, ok := q.NextDeliverAt(); ok {
-		t.Error("drained queue still reports an in-flight message")
 	}
 }

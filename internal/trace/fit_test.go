@@ -44,12 +44,22 @@ func TestRecordHoldsEveryInstruction(t *testing.T) {
 	}
 	// The widest sets the operand forms allow, whether or not a compiler
 	// emits them: rax, rdx and a base+index divisor; two base+index operands;
-	// a pop's rsp and destination.
+	// a pop's rsp and destination. Then the memory-destination forms of one
+	// footprint rule: an ALU op is read-modify-write unless it discards its
+	// result, a divide loads its divisor, and setcc only stores.
 	mem := isa.MemOp(0, isa.RBX, isa.RCX, 8)
 	programs = append(programs, &isa.Program{Text: []isa.Instruction{
 		{Op: isa.IDIV, Dst: mem},
 		{Op: isa.MOV, Src: mem, Dst: isa.MemOp(8, isa.RSI, isa.RDI, 1)},
 		{Op: isa.POP, Dst: isa.RegOp(isa.RBX)},
+		{Op: isa.SHL, Src: isa.ImmOp(3), Dst: mem},
+		{Op: isa.SAR, Src: isa.RegOp(isa.RAX), Dst: mem},
+		{Op: isa.IMUL, Src: isa.RegOp(isa.RAX), Dst: mem},
+		{Op: isa.NEG, Dst: mem},
+		{Op: isa.INC, Dst: mem},
+		{Op: isa.CMP, Src: isa.ImmOp(1), Dst: mem},
+		{Op: isa.DIV, Dst: mem},
+		{Op: isa.SETcc, Cond: isa.CondNE, Dst: mem},
 	}})
 	insts := 0
 	for _, prog := range programs {
