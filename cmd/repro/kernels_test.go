@@ -43,16 +43,6 @@ func TestCmdKernelsDump(t *testing.T) {
 	}
 }
 
-func TestCmdKernelsVetSmoke(t *testing.T) {
-	out, err := capture(t, func() error { return cmdKernels([]string{"-vet", "-n", "8", "-cores", "2"}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(out, "FAIL") || !strings.Contains(out, "histogram/counting") {
-		t.Errorf("vet output:\n%s", out)
-	}
-}
-
 func TestCmdKernelsUsageErrors(t *testing.T) {
 	cases := []struct {
 		name string

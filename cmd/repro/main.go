@@ -1,11 +1,10 @@
 // Command repro exercises the whole reproduction stack from the command
 // line:
 //
-//	repro bench    — run every PBBS kernel on the emulator, validating
-//	                 checksums against the pure-Go references
 //	repro ilp      — regenerate the paper's Fig. 7: trace-dataflow ILP of
 //	                 the ten kernels under the sequential and parallel
-//	                 dependence models (batch-measured, -workers at a time)
+//	                 dependence models (batch-measured, -workers at a time),
+//	                 each emulator run checked against its Go reference
 //	repro machine  — cross-validate kernels on the cycle-level many-core
 //	                 simulator against the emulator and report cycles/IPC
 //	repro analytic — print the Section 5 closed-form scaling table for the
@@ -21,13 +20,8 @@
 //	                 workers, falling back to local execution with none
 //	repro worker   — fabric worker: register with a coordinator, lease grid
 //	                 points, measure them locally and report the records back
-//	repro fuzz     — differential fuzzing: generate seeded random mini-C
-//	                 programs and check the four execution substrates agree
-//	                 bit for bit, minimizing any failure to a reproducer
 //	repro kernels  — the kernel front end: list the catalog (with source
-//	                 language), dump a kernel's generated mini-C + assembly,
-//	                 or -vet the whole suite (every kernel re-derived and
-//	                 cross-checked on emulator + machine)
+//	                 language) or dump a kernel's generated mini-C + assembly
 package main
 
 import (
@@ -53,7 +47,6 @@ func usage() {
 	fmt.Fprintf(os.Stderr, `usage: repro <command> [flags]
 
 commands:
-  bench      run every kernel on the emulator and validate checksums
   ilp        print the Fig. 7 table (sequential vs parallel trace ILP)
   machine    cross-validate kernels on the many-core simulator
   analytic   print the Section 5 scaling table
@@ -61,8 +54,7 @@ commands:
   serve      HTTP job server over the sweep engine and result cache;
              doubles as the sweep-fabric coordinator
   worker     fabric worker: lease sweep points from a coordinator
-  fuzz       differential fuzzing of emulator vs machine schedulers
-  kernels    list the kernel catalog, dump generated mini-C, vet the suite
+  kernels    list the kernel catalog or dump a kernel's generated mini-C
 
 run "repro <command> -h" for the flags of each command.
 `)
@@ -111,8 +103,6 @@ func run(args []string) error {
 		return errUsage
 	}
 	switch cmd := args[0]; cmd {
-	case "bench":
-		return cmdBench(args[1:])
 	case "ilp":
 		return cmdILP(args[1:])
 	case "machine":
@@ -125,8 +115,6 @@ func run(args []string) error {
 		return cmdServe(args[1:])
 	case "worker":
 		return cmdWorker(args[1:])
-	case "fuzz":
-		return cmdFuzz(args[1:])
 	case "kernels":
 		return cmdKernels(args[1:])
 	case "-h", "--help", "help":
@@ -171,30 +159,6 @@ func parseInts(name, s string, min int) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
-	n := fs.Int("n", 64, "dataset size")
-	seed := fs.Uint64("seed", 1, "workload seed")
-	kid := fs.Int("kernel", 0, "benchmark number (0 = all)")
-	if err := parseFlags(fs, args); err != nil {
-		return err
-	}
-	ks, err := selectKernels(*kid)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-3s %-40s %8s %10s %20s %s\n", "#", "benchmark", "n", "instr", "checksum", "status")
-	for _, k := range ks {
-		res, err := k.Run(*n, *seed, nil)
-		if err != nil {
-			fmt.Printf("%-3d %-40s %8d %10s %20s FAIL: %v\n", k.ID, k.Name, k.ClampN(*n), "-", "-", err)
-			continue
-		}
-		fmt.Printf("%-3d %-40s %8d %10d %20d ok\n", k.ID, k.Name, res.N, res.Steps, res.Checksum)
-	}
-	return nil
 }
 
 func cmdILP(args []string) error {

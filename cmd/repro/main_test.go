@@ -151,8 +151,11 @@ func TestRunHelp(t *testing.T) {
 // accepted until the parallel scheduler was removed, and -dense /
 // -machine-pool, which sweep, serve and worker accepted while the engine
 // still had a scheduler switch and an optional pool, and machine until the
-// dense scheduler became a test oracle only. The retired simulator-timing
-// command is an unknown command, exit 2 as well.
+// dense scheduler became a test oracle only. The retired commands (the
+// simulator-timing one, bench, whose rows repro ilp checks, and fuzz, whose
+// campaign is FuzzTripleEquivalence) are unknown commands, and the kernel
+// suite's -vet mode, whose machine legs are repro machine, is an undefined
+// flag: exit 2 as well.
 func TestRunBadFlag(t *testing.T) {
 	cases := []struct {
 		args []string
@@ -171,6 +174,9 @@ func TestRunBadFlag(t *testing.T) {
 		{[]string{"serve", "-machine-pool"}, "not defined: -machine-pool"},
 		{[]string{"worker", "-machine-pool"}, "not defined: -machine-pool"},
 		{[]string{"bench-sim", "-quick"}, `unknown command "bench-sim"`},
+		{[]string{"bench", "-n", "64"}, `unknown command "bench"`},
+		{[]string{"fuzz", "-count", "48"}, `unknown command "fuzz"`},
+		{[]string{"kernels", "-vet"}, "not defined: -vet"},
 	}
 	for _, c := range cases {
 		out, err := captureStderr(t, func() error { return run(c.args) })
@@ -199,7 +205,6 @@ func TestBadFlagValues(t *testing.T) {
 		{[]string{"sweep", "-topos", "torus"}, "-topos"},
 		{[]string{"ilp", "-sizes", "-8"}, "-sizes"},
 		{[]string{"machine", "-cores", "0"}, "-cores"},
-		{[]string{"kernels", "-vet", "-cores", "0"}, "-cores"},
 	}
 	for _, c := range cases {
 		var msg string
@@ -266,16 +271,6 @@ func TestCmdServeBadAddr(t *testing.T) {
 
 // The subcommand smoke tests exercise flag parsing and dispatch end to end
 // on tiny datasets; output correctness is covered by the package tests.
-
-func TestCmdBenchSmoke(t *testing.T) {
-	out, err := capture(t, func() error { return cmdBench([]string{"-kernel", "2", "-n", "8"}) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "quickSort") || !strings.Contains(out, "ok") {
-		t.Errorf("bench output:\n%s", out)
-	}
-}
 
 func TestCmdILPSmoke(t *testing.T) {
 	out, err := capture(t, func() error {
@@ -345,34 +340,5 @@ func TestCmdSweepSmoke(t *testing.T) {
 	}
 	if !strings.Contains(out, "sweep diff") {
 		t.Errorf("sweep diff output:\n%s", out)
-	}
-}
-
-func TestCmdFuzzSmoke(t *testing.T) {
-	dir := t.TempDir()
-	out, err := capture(t, func() error {
-		return cmdFuzz([]string{"-count", "6", "-workers", "2", "-o", dir})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "programs agree across all substrates") {
-		t.Errorf("fuzz output:\n%s", out)
-	}
-	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-		t.Errorf("clean campaign wrote reproducers: %v, %v", ents, err)
-	}
-}
-
-func TestCmdFuzzUsageErrors(t *testing.T) {
-	for _, args := range [][]string{
-		{"-count", "-1"},
-		{"-count", "0"}, // unbounded needs -duration
-		{"-workers", "-2"},
-	} {
-		_, err := captureStderr(t, func() error { return cmdFuzz(args) })
-		if !errors.Is(err, errUsage) {
-			t.Errorf("fuzz %v = %v, want errUsage", args, err)
-		}
 	}
 }

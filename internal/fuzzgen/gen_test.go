@@ -69,9 +69,11 @@ func TestGeneratorVariety(t *testing.T) {
 	}
 }
 
+// TestOracleAcceptsGenerated runs seeds 0..48 through the full oracle,
+// poisoned legs included.
 func TestOracleAcceptsGenerated(t *testing.T) {
 	o := testOracle()
-	seeds := 30
+	seeds := 49
 	if testing.Short() {
 		seeds = 8
 	}
@@ -97,5 +99,25 @@ func TestOracleCatchesBadProgram(t *testing.T) {
 	}
 	if !strings.Contains(f.Error(), "compile") {
 		t.Errorf("Failure.Error() = %q", f.Error())
+	}
+}
+
+// TestShrinkKeepsStage: Shrink minimizes under the oracle at the failure's
+// core count and keeps its stage and seed — here a compile failure appended
+// to a generated program, which shrinks to a main that fails to compile.
+func TestShrinkKeepsStage(t *testing.T) {
+	src := Generate(3).Source + "\nlong broken(void) {\n    return undeclaredName;\n}\n"
+	o := testOracle()
+	f := o.Check(src, 2)
+	if f == nil || f.Stage != "compile" {
+		t.Fatalf("oracle on a program with an undeclared name = %v, want a compile failure", f)
+	}
+	f.Seed = 3
+	min := o.Shrink(f)
+	if min.Stage != "compile" || min.Seed != 3 || min.Cores != 2 {
+		t.Errorf("shrunk failure = %v, want stage compile, seed 3, cores 2", min)
+	}
+	if len(min.Source) >= len(src) || !strings.Contains(min.Detail, "undeclared identifier") {
+		t.Errorf("shrunk %d -> %d bytes:\n%s", len(src), len(min.Source), min.Source)
 	}
 }

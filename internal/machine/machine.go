@@ -703,14 +703,6 @@ func (m *Machine) prevOf(s *Section) *Section {
 	return m.order[s.Pos-1]
 }
 
-// nextOf returns the section immediately after s, or nil.
-func (m *Machine) nextOf(s *Section) *Section {
-	if s.Pos+1 >= len(m.order) {
-		return nil
-	}
-	return m.order[s.Pos+1]
-}
-
 // chooseHost picks the hosting core for a new section (the paper leaves
 // load balancing out of scope). The default policy spreads: the least
 // loaded core wins, round-robin on ties. With Config.MaxSectionsPerCore > 0
