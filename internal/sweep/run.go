@@ -201,7 +201,17 @@ func (e *Engine) Measure(p Point) Record {
 	if mr.RAX != want {
 		return fail(fmt.Errorf("checksum %d, reference %d", mr.RAX, want))
 	}
-	rec.Metrics = Metrics{
+	rec.Metrics = metricsOf(mr, simNs)
+	// The cache is best-effort: a failed store just means the point is
+	// re-simulated next time.
+	_ = e.Cache.Put(rec.Key, &rec.Metrics)
+	return rec
+}
+
+// metricsOf is what a point records of its machine run, simNs the host
+// nanoseconds the run took.
+func metricsOf(mr *machine.Result, simNs int64) Metrics {
+	return Metrics{
 		Instructions:     mr.Instructions,
 		Cycles:           mr.Cycles,
 		IPC:              float64(mr.Instructions) / float64(mr.Cycles),
@@ -219,10 +229,6 @@ func (e *Engine) Measure(p Point) Record {
 		SimNs:            simNs,
 		NsPerCycle:       float64(simNs) / float64(mr.Cycles),
 	}
-	// The cache is best-effort: a failed store just means the point is
-	// re-simulated next time.
-	_ = e.Cache.Put(rec.Key, &rec.Metrics)
-	return rec
 }
 
 func (e *Engine) count(f func(*Stats)) {
