@@ -6,11 +6,11 @@ import (
 	"repro/internal/isa"
 )
 
-// regCell returns d's result cell for register r, claiming one from the cell
-// arena on first use. An instruction writes at most maxWr registers
+// regCell returns d's result cell for register r, claiming one on first use,
+// named by d until it retires. An instruction writes at most maxWr registers
 // (guaranteed by isa.Instruction.RegWrites); the array bound traps any
 // violation.
-func (m *Machine) regCell(d *DynInst, r isa.Reg) *cell {
+func (m *Machine) regCell(d *DynInst, r isa.Reg) cellID {
 	for i := 0; i < int(d.nwr); i++ {
 		if d.wrRegs[i] == r {
 			return d.wr[i]
@@ -18,16 +18,17 @@ func (m *Machine) regCell(d *DynInst, r isa.Reg) *cell {
 	}
 	i := int(d.nwr)
 	d.wrRegs[i] = r
-	d.wr[i] = m.cells.alloc()
+	d.wr[i] = m.newCell()
+	m.names[d.wr[i]]++
 	d.nwr++
 	return d.wr[i]
 }
 
 // regWritten reports whether d has already produced a result for r.
-func (d *DynInst) regWritten(r isa.Reg) bool {
+func (m *Machine) regWritten(d *DynInst, r isa.Reg) bool {
 	for i := 0; i < int(d.nwr); i++ {
 		if d.wrRegs[i] == r {
-			return d.wr[i].at != 0
+			return m.cells[d.wr[i]].at != 0
 		}
 	}
 	return false
@@ -35,7 +36,7 @@ func (d *DynInst) regWritten(r isa.Reg) bool {
 
 // setReg records one register result of d becoming available this cycle.
 func (m *Machine) setReg(d *DynInst, r isa.Reg, v uint64) {
-	c := m.regCell(d, r)
+	c := &m.cells[m.regCell(d, r)]
 	if c.at != 0 {
 		// Keep the earliest availability (e.g. pop's rsp update computed at
 		// fetch must not be delayed by the load half).
@@ -56,7 +57,7 @@ func (m *Machine) setReg(d *DynInst, r isa.Reg, v uint64) {
 func (m *Machine) srcRegs(d *DynInst) *[isa.NumRegs]uint64 {
 	r := &m.scratch
 	for i := range d.srcs[:d.nsrcs] {
-		r[d.srcs[i].reg] = d.srcs[i].prod.v
+		r[d.srcs[i].reg] = m.cells[d.srcs[i].prod].v
 	}
 	return r
 }

@@ -25,3 +25,15 @@ const DynChunk = dynChunk
 func DynStats(m *Machine) (allocated, peakInFlight int) {
 	return m.dyns.allocated(), m.peakInFlight
 }
+
+// CellStats returns how many cells the last run took from the arena — the
+// most that were named at once, since a freed cell is handed out again first
+// — and how many are still named.
+func CellStats(m *Machine) (allocated, named int) {
+	for _, n := range m.names[1:] {
+		if n > 0 {
+			named++
+		}
+	}
+	return len(m.cells) - 1, named
+}

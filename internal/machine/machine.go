@@ -19,20 +19,23 @@
 // against the sequential emulator: same final rax and same final memory.
 //
 // The simulated hot path is allocation-free in steady state: dynamic
-// instructions and renaming cells come from per-machine arenas, sections and
-// requests from free lists, the register alias table is a fixed array and
-// the MAAT an open-addressed table with recycled backing (see pool.go), and
-// the per-core queues reuse their buffers. Machine.Reset rewinds everything
-// for another run on the same program without re-allocating.
+// instructions and renaming cells come from per-machine arenas through free
+// lists, sections and requests from free lists, the register alias table is a
+// fixed array and the MAAT an open-addressed table with recycled backing (see
+// pool.go), and the per-core queues reuse their buffers. Machine.Reset
+// rewinds everything for another run on the same program without
+// re-allocating.
 //
 // What the machine holds is what is in flight. A dynamic instruction is
 // recycled the cycle it retires (retireApply): its per-stage row goes to the
 // caller's sink if there is one (SetSink), its counts are folded into running
 // aggregates, and the object returns to a free list — so the instruction arena
-// follows the run's un-retired window, not its length. What outlives
-// retirement is the renaming cell: alias tables, consumers, fork copies and
-// parked requests point at cells, never at instructions, and cells stay in
-// their arena until Reset.
+// follows the run's un-retired window, not its length. A renaming cell lives
+// as long as something names it — an in-flight instruction, an undumped
+// section's alias tables, a request — like a physical register that is freed
+// when its last reader is done: the places that hold a cell's handle are
+// counted (Machine.names), and the cell is reused once the count is back to
+// zero, so the cell arena follows the window too.
 //
 // Waiting work is parked, not polled. The production (idle-skip) scheduler
 // keeps in a core's issue and load-store queues only instructions that are
@@ -128,14 +131,15 @@ type val struct {
 // bit, timed. It is what a renamed source waits on: an instruction's register
 // result (DynInst.wr), a store's memory value (DynInst.mem), a cache cell
 // filled by a remote renaming response, or an immediately available
-// creation-copy value. All of them come from the cells arena, none lives
-// inside a DynInst: alias tables, consumers' sources, fork copies and parked
-// requests keep pointing at a result long after the instruction that produced
-// it has retired and been recycled. A consumer holds a plain *cell; at is the
-// hottest read in the simulator, and earlier representations (an interface
-// with dynamic dispatch, then a 40-byte tagged union with a kind switch) both
-// showed up at the top of the CPU profile; a load through one pointer does
-// not.
+// creation-copy value. All of them live in the machine's cell arena
+// (Machine.cells), none inside a DynInst: alias tables, consumers' sources,
+// fork copies and requests may keep naming a result after the instruction
+// that produced it has retired and been recycled. Whatever names a cell holds
+// its cellID, and the cell is freed when the last of them lets go (see
+// Machine.names). at is the hottest read in the simulator, and earlier
+// representations (an interface with dynamic dispatch, then a 40-byte tagged
+// union with a kind switch) both showed up at the top of the CPU profile; an
+// indexed load does not.
 //
 // A cell also carries the work that is waiting for it. Under the idle-skip
 // scheduler an instruction that cannot pass its stage because this value is
@@ -151,6 +155,10 @@ type cell struct {
 	insts *DynInst
 	reqs  *request
 }
+
+// cellID is a cell's handle: its index in Machine.cells. The zero handle
+// names no cell.
+type cellID uint32
 
 // readyAt returns the cycle the value became available, or -1 if not yet
 // available. A consumer stage running at cycle c may use the value when
@@ -198,7 +206,7 @@ func (m *Machine) wake(c *cell) {
 
 // srcRef is one resolved register source of an instruction.
 type srcRef struct {
-	prod *cell
+	prod cellID
 	reg  isa.Reg
 	addr bool // true when the register only feeds the address computation
 }
@@ -215,8 +223,9 @@ const (
 // (pool.go) through a free list of retired ones, so the arena grows to the
 // run's largest un-retired window. Nothing may hold a *DynInst past its
 // retirement; what has to outlive it — the values it produced — lives in
-// cells. The size is pinned by TestDynInstSize: the byte-wide fields are
-// packed together for that reason.
+// cells, which it names by handle while it is in flight. The size is pinned
+// by TestDynInstSize: the byte-wide fields are packed together for that
+// reason.
 type DynInst struct {
 	Sec   *Section
 	Idx   int // ordinal within the section
@@ -239,14 +248,14 @@ type DynInst struct {
 	ewSrcIdx, maSrcIdx uint8 // see ewSrcMax
 
 	srcs [maxSrcs]srcRef
-	wr   [maxWr]*cell
+	wr   [maxWr]cellID
 
 	addr uint64 // effective address (mem ops), set at EW
 	// mem is a store's memory value as later loads of the word see it: claimed
 	// at address rename, when the section's MAAT starts naming it, and filled
-	// at memory access. nil for instructions that write no memory.
-	mem    *cell
-	memSrc *cell // the loaded word's producer, set at AR
+	// at memory access. Zero for instructions that write no memory.
+	mem    cellID
+	memSrc cellID // the loaded word's producer, set at AR
 
 	// For fork instructions: the created section, and the non-volatile
 	// registers that were not computed at the fork point and must be
@@ -315,10 +324,10 @@ type Section struct {
 	fetched    int
 
 	// rat is the register alias table (+ request caches + fork copies): a
-	// fixed array indexed by register, nil where the section has no producer
+	// fixed array indexed by register, zero where the section has no producer
 	// yet. The previous map paid hashing on every rename of a 17-entry
 	// keyspace.
-	rat  [isa.NumRegs]*cell
+	rat  [isa.NumRegs]cellID
 	maat maat             // memory address alias table (8-byte words)
 	arQ  fifo[*DynInst]   // memory ops awaiting in-order address renaming
 	init [isa.NumRegs]val // creation-message register copies
@@ -479,9 +488,16 @@ type Machine struct {
 	// Arenas, free lists and scratch buffers behind the allocation-free hot
 	// path (pool.go). All of them survive Reset, so a warmed machine re-runs
 	// without growing the heap.
-	dyns     arena[DynInst]
-	dynFree  *DynInst // retired instructions, linked through secNext
-	cells    arena[cell]
+	dyns    arena[DynInst]
+	dynFree *DynInst // retired instructions, linked through secNext
+	// cells is the cell arena a cellID indexes (cells[0] is never handed
+	// out); names[h] counts the places that hold h — instruction sources and
+	// results, alias-table slots, request slots — and cellFree heads the list
+	// of cells whose count went back to zero, linked through their value
+	// words, for newCell to hand out first.
+	cells    []cell
+	names    []uint32
+	cellFree cellID
 	secFree  []*Section
 	maatFree [][]maatEntry
 	reqAll   []*request // every request object the machine owns, free or not
@@ -491,9 +507,9 @@ type Machine struct {
 
 	// sink receives the row of every instruction as it retires (SetSink).
 	sink func(InstTiming)
-	// poison is the tests' proof that nothing reads a retired instruction:
-	// recycle overwrites the instruction with absurd values and drops it
-	// instead of reusing it, and the run must not notice.
+	// poison is the tests' proof that nothing reads a retired instruction or
+	// a freed cell: recycle and freeCell overwrite the object with absurd
+	// values and drop it instead of reusing it, and the run must not notice.
 	poison bool
 }
 
@@ -533,9 +549,8 @@ func (cfg Config) withDefaults() Config {
 // way a machine gets a program — a fresh one here, a parked one in Pool.Get.
 func New(prog *isa.Program, cfg Config) (*Machine, error) {
 	m := &Machine{
-		dyns:  newArena[DynInst](dynChunk),
-		cells: newArena[cell](cellChunk),
-		dmh:   emu.NewMemory(),
+		dyns: newArena[DynInst](dynChunk),
+		dmh:  emu.NewMemory(),
 	}
 	if err := m.bind(prog, cfg); err != nil {
 		return nil, err
@@ -634,7 +649,7 @@ func (m *Machine) release() {
 	m.reqFree = append(m.reqFree[:0], m.reqAll...)
 	m.dyns.reset()
 	m.dynFree = nil
-	m.cells.reset()
+	m.resetCells()
 	m.sink, m.poison = nil, false
 	m.cycle, m.nextSecID, m.lastMove, m.progress, m.visits = 0, 0, 0, 0, 0
 	m.inFlight, m.peakInFlight = 0, 0
@@ -1017,7 +1032,7 @@ func (m *Machine) nextWake() int64 {
 		// not yet fully renamed, or a producer slot not yet filled, can only
 		// change through another action, which has its own wake entry).
 		if t := r.target; t != nil {
-			var p *cell
+			var p cellID
 			if r.kind == reqReg {
 				if t.fullyRenamed() {
 					p = t.rat[r.reg]
@@ -1025,8 +1040,8 @@ func (m *Machine) nextWake() int64 {
 			} else if t.memRenameDone() {
 				p = t.maat.get(r.addr)
 			}
-			if p != nil {
-				if at := p.readyAt(); at >= 0 {
+			if p != 0 {
+				if at := m.cells[p].readyAt(); at >= 0 {
 					wake(at + 1) // export reads the value the cycle after
 				}
 			}
@@ -1059,10 +1074,11 @@ func (m *Machine) ewWake(d *DynInst) (int64, *cell) {
 				d.ewSrcIdx++
 				continue
 			}
-			at := s.prod.readyAt()
+			c := &m.cells[s.prod]
+			at := c.readyAt()
 			if at < 0 {
 				d.ewSrcMax = t
-				return never, s.prod
+				return never, c
 			}
 			if at > t {
 				t = at
@@ -1089,11 +1105,12 @@ func (m *Machine) maWake(d *DynInst) (int64, *cell) {
 		t = d.tAR
 	}
 	if d.maSrcIdx == 0 {
-		if d.memSrc != nil {
-			at := d.memSrc.readyAt()
+		if d.memSrc != 0 {
+			c := &m.cells[d.memSrc]
+			at := c.readyAt()
 			if at < 0 {
 				d.maSrcMax = t
-				return never, d.memSrc
+				return never, c
 			}
 			if at > t {
 				t = at
@@ -1102,11 +1119,11 @@ func (m *Machine) maWake(d *DynInst) (int64, *cell) {
 		d.maSrcIdx = 1
 	}
 	for int(d.maSrcIdx) <= int(d.nsrcs) {
-		p := d.srcs[d.maSrcIdx-1].prod
-		at := p.readyAt()
+		c := &m.cells[d.srcs[d.maSrcIdx-1].prod]
+		at := c.readyAt()
 		if at < 0 {
 			d.maSrcMax = t
-			return never, p
+			return never, c
 		}
 		if at > t {
 			t = at
@@ -1155,21 +1172,27 @@ func (m *Machine) dumpOldest() {
 			return
 		}
 		// Memory writes: the MAAT names, for every word the section stored
-		// to, the cell of its last store.
+		// to, the cell of its last store. Once committed, an entry lets go of
+		// its cell: the section can no longer be searched by renaming requests.
 		for i := range s.maat.entries {
-			if e := &s.maat.entries[i]; e.store {
-				m.dmh.WriteU64(e.key, e.p.v)
+			e := &s.maat.entries[i]
+			if e.store {
+				m.dmh.WriteU64(e.key, m.cells[e.p].v)
 			}
+			m.unname(e.p)
 		}
 		// Register state: every renamed or cached register value.
 		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			if p := s.rat[r]; p != nil && p.readyAt() >= 0 {
-				m.arch[r] = p.v
+			if h := s.rat[r]; h != 0 {
+				if c := &m.cells[h]; c.readyAt() >= 0 {
+					m.arch[r] = c.v
+				}
+				m.unname(h)
+				s.rat[r] = 0
 			}
 		}
 		s.dumped = true
-		// The section can no longer be searched by renaming requests; its
-		// MAAT backing goes back to the free list for the next section.
+		// The MAAT backing goes back to the free list for the next section.
 		m.releaseMaat(&s.maat)
 		c := m.cores[s.Core]
 		m.setLive(c, c.live-1)

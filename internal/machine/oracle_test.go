@@ -468,6 +468,37 @@ func TestRebindRefusesWhatNewRefuses(t *testing.T) {
 	sameResult(t, "parked machine after refused Gets", want, got)
 }
 
+// runAtScale runs kernel at n on cores on a fresh machine, checks the
+// reference checksum and returns the machine and its result.
+func runAtScale(t *testing.T, kernel string, n, cores int) (*machine.Machine, *machine.Result) {
+	t.Helper()
+	k, err := pbbs.Find(kernel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n = k.ClampN(n)
+	prog, err := k.Build(n, minic.ModeFork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := machine.New(prog, machine.DefaultConfig(cores))
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := k.Gen(n, 1)
+	if err := backend.Inject(prog, m.DMH(), in); err != nil {
+		t.Fatal(err)
+	}
+	r, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, err := k.Ref(n, in); err != nil || r.RAX != want {
+		t.Fatalf("%s: checksum %d, reference %d (%v)", k.Name, r.RAX, want, err)
+	}
+	return m, r
+}
+
 // TestRetiredInstructionsAreRecycled is the memory contract: the instruction
 // arena follows the run's un-retired window, not its length. nearestNeighbors
 // runs 328 104 instructions as two sections with sixteen in flight at most;
@@ -484,36 +515,42 @@ func TestRetiredInstructionsAreRecycled(t *testing.T) {
 		{"nearestNeighbors", 64, 16, 1_000},
 		{"quickSort", 512, 64, 40_000},
 	} {
-		k, err := pbbs.Find(pt.kernel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := k.ClampN(pt.n)
-		prog, err := k.Build(n, minic.ModeFork)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, err := machine.New(prog, machine.DefaultConfig(pt.cores))
-		if err != nil {
-			t.Fatal(err)
-		}
-		in := k.Gen(n, 1)
-		if err := backend.Inject(prog, m.DMH(), in); err != nil {
-			t.Fatal(err)
-		}
-		r, err := m.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want, err := k.Ref(n, in); err != nil || r.RAX != want {
-			t.Fatalf("%s: checksum %d, reference %d (%v)", k.Name, r.RAX, want, err)
-		}
+		m, r := runAtScale(t, pt.kernel, pt.n, pt.cores)
 		allocated, peak := machine.DynStats(m)
 		t.Logf("%s n=%d on %d cores: %d instructions, %d sections, at most %d in flight, %d DynInsts allocated",
-			k.Name, n, pt.cores, r.Instructions, len(r.Sections), peak, allocated)
+			pt.kernel, pt.n, pt.cores, r.Instructions, len(r.Sections), peak, allocated)
 		if allocated > 2*peak+machine.DynChunk || allocated > pt.atMost {
 			t.Errorf("%s: %d DynInsts allocated for %d instructions with at most %d in flight (bounds %d and %d)",
-				k.Name, allocated, r.Instructions, peak, 2*peak+machine.DynChunk, pt.atMost)
+				pt.kernel, allocated, r.Instructions, peak, 2*peak+machine.DynChunk, pt.atMost)
+		}
+	}
+}
+
+// TestCellsFollowTheWindow is the same contract for renaming cells: a cell is
+// freed when the last thing naming it lets go — an instruction retiring, an
+// alias-table slot overwritten or dumped, a request answered — and handed out
+// again, so the arena holds what is named at once, not every cell the run
+// claims. nearestNeighbors n=64 claims 434 091 cells, of which some 160 are
+// named at once; quickSort n=512 on 64 cores claims 352 922, some 23 000 at
+// once. A count that is never let down shows as an arena the size of the run,
+// and at the end of a run nothing names any cell.
+func TestCellsFollowTheWindow(t *testing.T) {
+	for _, pt := range []struct {
+		kernel   string
+		n, cores int
+		atMost   int // cells, well under the run's length
+	}{
+		{"nearestNeighbors", 64, 16, 1_000},
+		{"quickSort", 512, 64, 40_000},
+	} {
+		m, r := runAtScale(t, pt.kernel, pt.n, pt.cores)
+		allocated, named := machine.CellStats(m)
+		t.Logf("%s n=%d on %d cores: %d instructions, %d cells allocated", pt.kernel, pt.n, pt.cores, r.Instructions, allocated)
+		if allocated > pt.atMost {
+			t.Errorf("%s: %d cells allocated for %d instructions (bound %d)", pt.kernel, allocated, r.Instructions, pt.atMost)
+		}
+		if named != 0 {
+			t.Errorf("%s: %d cells are still named after the run", pt.kernel, named)
 		}
 	}
 }

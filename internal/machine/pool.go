@@ -1,17 +1,22 @@
 package machine
 
-import "math/bits"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+)
 
 // This file holds the allocation-free plumbing behind the simulated hot
 // path: the generic sliding-window FIFO backing the per-core queues, the
 // bitset behind the scheduler's armed cores and the host chooser's index of
 // cores by load, the arenas that pool DynInst and cell objects (and the free
-// list that recycles a DynInst the cycle it retires), the open-addressed
-// memory address alias table recycled through a per-machine free list, and
-// the request/section pools. A profile of the previous implementation showed
-// ~205k heap allocations per quickSort simulation — a fresh *DynInst per
-// dynamic instruction, a map per rename/execute evaluation, interface boxing
-// on every alias-table insert — with the GC charging every simulated cycle.
+// lists that recycle a DynInst the cycle it retires and a cell the moment
+// nothing names it), the open-addressed memory address alias table recycled
+// through a per-machine free list, and the request/section pools. A profile
+// of the previous implementation showed ~205k heap allocations per quickSort
+// simulation — a fresh *DynInst per dynamic instruction, a map per
+// rename/execute evaluation, interface boxing on every alias-table insert —
+// with the GC charging every simulated cycle.
 // Steady-state simulation on a warmed machine (see Machine.Reset) now
 // allocates nothing per cycle; the regression tests in internal/bench pin
 // that property.
@@ -201,23 +206,19 @@ func (h *hostIndex) pick(rr, limit int) int {
 
 // -------------------------------------------------------------- arenas ----
 
-// Arena chunk sizes: one allocation per chunk while the arena grows, zero
-// once it has reached the workload's footprint.
-const (
-	dynChunk  = 128  // DynInst objects (one per un-retired instruction)
-	cellChunk = 1024 // renaming cells (1.7 per dynamic instruction)
-)
+// dynChunk is the DynInst arena's growth step: one allocation per chunk while
+// the arena grows, zero once it has reached the run's un-retired window.
+const dynChunk = 128
 
 // arena hands out T objects from reusable chunks. Handed-out objects are
 // always zero, but the scrubbing happens in bulk — fresh chunks come zeroed
 // from make, and reset clears the used prefix wholesale — not per alloc.
 // The arena itself never takes an object back before Machine.Reset rewinds
-// it as a whole. That is the whole story for cells, which anything may point
-// at for the rest of the run (alias tables, consumers, fork copies that
-// outlive their section). A DynInst has exactly one owner at a time and is
+// it as a whole. It holds DynInsts: one has exactly one owner at a time and is
 // dead once it retires, so the machine keeps a free list in front of this
 // arena (newDyn, recycle) and the arena's high-water mark is the run's
-// largest un-retired window.
+// largest un-retired window. Cells, which several places name at once, are
+// held by handle instead (newCell).
 type arena[T any] struct {
 	chunks   [][]T
 	chunk    int
@@ -269,11 +270,20 @@ func (m *Machine) newDyn() *DynInst {
 	return d
 }
 
-// recycle takes back a retired instruction, scrubbed. Under the tests' poison
-// switch it is overwritten with absurd values and never handed out again, so
-// that a read of a retired instruction changes the run instead of finding the
-// stale but plausible values a recycled object would still hold.
+// recycle takes back a retired instruction, scrubbed, and lets go of the
+// cells it named. Under the tests' poison switch it is overwritten with absurd
+// values and never handed out again, so that a read of a retired instruction
+// changes the run instead of finding the stale but plausible values a
+// recycled object would still hold.
 func (m *Machine) recycle(d *DynInst) {
+	for i := range d.srcs[:d.nsrcs] {
+		m.unname(d.srcs[i].prod)
+	}
+	for _, h := range d.wr[:d.nwr] {
+		m.unname(h)
+	}
+	m.unname(d.mem)
+	m.unname(d.memSrc)
 	if m.poison {
 		*d = poisoned
 		return
@@ -294,6 +304,87 @@ var poisoned = DynInst{
 	ewWakeAt: -1 << 60, maWakeAt: -1 << 60, ewSrcMax: 1 << 60, maSrcMax: 1 << 60,
 }
 
+// --------------------------------------------------------------- cells ----
+
+// newCell returns the handle of a zero cell nothing names yet: the latest
+// freed one, or a new one at the end of the arena. The caller names it.
+func (m *Machine) newCell() cellID {
+	h := m.cellFree
+	if h == 0 {
+		return m.appendCell()
+	}
+	c := &m.cells[h]
+	m.cellFree = cellID(c.v)
+	c.v = 0
+	return h
+}
+
+// appendCell adds a cell at the end of the arena, doubling its room when it
+// is full: append alone grows a large slice by a quarter at a time, and a run
+// would allocate five times the arena it ends with instead of two.
+func (m *Machine) appendCell() cellID {
+	if len(m.cells) == cap(m.cells) {
+		m.cells = slices.Grow(m.cells, len(m.cells))
+		m.names = slices.Grow(m.names, len(m.names))
+	}
+	m.cells = append(m.cells, cell{})
+	m.names = append(m.names, 0)
+	return cellID(len(m.cells) - 1)
+}
+
+// unname records that one place holding h let go of it (the zero handle
+// names nothing); the last one frees the cell. Nothing is parked on a cell
+// nobody names: an unproduced cell is named by its producer — the
+// instruction or the request that fills it — until it is filled, and filling
+// wakes what waits. A count that goes below zero means a place held the
+// handle without being counted, and read a freed cell until it let go; that
+// faults the run. Under poison, where a freed cell is never counted again,
+// every such place shows.
+func (m *Machine) unname(h cellID) {
+	if m.names[h] > 1 {
+		m.names[h]--
+	} else if h != 0 {
+		m.lastName(h)
+	}
+}
+
+// lastName is unname's rare end: h's count is 1 or 0.
+func (m *Machine) lastName(h cellID) {
+	if m.names[h] == 1 {
+		m.names[h] = 0
+		m.freeCell(h)
+	} else if m.err == nil {
+		m.err = fmt.Errorf("machine: cell %d let go of more often than it was named", h)
+	}
+}
+
+// freeCell puts an unnamed cell on the free list, scrubbed but for its value
+// word, which links the list. Under the tests' poison switch it is
+// overwritten with absurd values and never handed out again instead, as
+// recycle does with a retired instruction: a read through a handle whose
+// count was let down too early then changes the run.
+func (m *Machine) freeCell(h cellID) {
+	if m.poison {
+		m.cells[h] = poisonedCell
+		return
+	}
+	m.cells[h] = cell{v: uint64(m.cellFree)}
+	m.cellFree = h
+}
+
+// poisonedCell is what a freed cell looks like under Machine.poison: a value
+// no program computes, ready only in a cycle no run reaches.
+var poisonedCell = cell{v: 0xdead_dead_dead_dead, at: 1 << 60}
+
+// resetCells empties the cell arena for the next run, keeping its storage:
+// every cell handed out is scrubbed, and cells[0] stands for the zero handle.
+func (m *Machine) resetCells() {
+	clear(m.cells)
+	clear(m.names)
+	m.cells, m.names = append(m.cells[:0], cell{}), append(m.names[:0], 0)
+	m.cellFree = 0
+}
+
 // ---------------------------------------------------------------- maat ----
 
 // maatMinSize is the smallest MAAT backing array, a power of two.
@@ -304,7 +395,7 @@ const maatMinSize = 16
 // the previous map. The backing array is recycled through the machine's free
 // list when the owning section dumps (Machine.releaseMaat), so in steady
 // state sections are born with a right-sized table and no per-section map
-// allocation happens. An entry with a nil cell is empty.
+// allocation happens. An entry with the zero handle is empty.
 type maat struct {
 	entries []maatEntry
 	n       int
@@ -312,8 +403,8 @@ type maat struct {
 }
 
 type maatEntry struct {
-	p   *cell
 	key uint64
+	p   cellID
 	// store says a store of the section wrote the word — p is then the cell of
 	// the latest one — rather than a load that missed and cached it. It is what
 	// dumpOldest commits to the DMH.
@@ -327,16 +418,16 @@ func maatHash(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 }
 
 func maatShift(size int) uint8 { return uint8(64 - bits.TrailingZeros(uint(size))) }
 
-// get returns the producer cell stored for key, or nil.
-func (t *maat) get(key uint64) *cell {
+// get returns the producer cell stored for key, or the zero handle.
+func (t *maat) get(key uint64) cellID {
 	if t.n == 0 {
-		return nil
+		return 0
 	}
 	i := maatHash(key) >> t.shift
 	for {
 		e := &t.entries[i]
-		if e.p == nil {
-			return nil
+		if e.p == 0 {
+			return 0
 		}
 		if e.key == key {
 			return e.p
@@ -348,24 +439,33 @@ func (t *maat) get(key uint64) *cell {
 	}
 }
 
-// maatPut inserts or overwrites key's producer in s's table, growing through
-// the machine's recycled backing arrays when the load factor passes 3/4.
-// store marks the producer as a store's cell; a load only ever inserts.
-func (m *Machine) maatPut(t *maat, key uint64, p *cell, store bool) {
+// maatPut points key's entry in t at p, which the entry names, and lets go
+// of the cell it named before. store marks the producer as a store's cell; a
+// load only ever inserts.
+func (m *Machine) maatPut(t *maat, key uint64, p cellID, store bool) {
+	m.names[p]++
+	m.unname(m.maatInsert(t, key, p, store))
+}
+
+// maatInsert inserts or overwrites key's producer in t, growing through the
+// machine's recycled backing arrays when the load factor passes 3/4, and
+// returns the producer it overwrote (the zero handle if none).
+func (m *Machine) maatInsert(t *maat, key uint64, p cellID, store bool) cellID {
 	if len(t.entries) == 0 || (t.n+1)*4 > len(t.entries)*3 {
 		m.maatGrow(t)
 	}
 	i := maatHash(key) >> t.shift
 	for {
 		e := &t.entries[i]
-		if e.p == nil {
+		if e.p == 0 {
 			*e = maatEntry{p: p, key: key, store: store}
 			t.n++
-			return
+			return 0
 		}
 		if e.key == key {
+			old := e.p
 			e.p, e.store = p, store
-			return
+			return old
 		}
 		i++
 		if i == uint64(len(t.entries)) {
@@ -386,8 +486,8 @@ func (m *Machine) maatGrow(t *maat) {
 	t.shift = maatShift(want)
 	t.n = 0
 	for i := range old {
-		if old[i].p != nil {
-			m.maatPut(t, old[i].key, old[i].p, old[i].store)
+		if old[i].p != 0 {
+			m.maatInsert(t, old[i].key, old[i].p, old[i].store)
 		}
 	}
 	if old != nil {

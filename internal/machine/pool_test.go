@@ -89,12 +89,17 @@ func TestFifoRemoveKeepsOrder(t *testing.T) {
 // TestMaatTable drives the open-addressed MAAT directly: insert, overwrite,
 // growth-with-rehash and the recycled-backing path. Keys are multiples of 8
 // (word addresses), the worst case for a low-bit hash — the table must stay
-// correct and loadable anyway.
+// correct and loadable anyway. An entry names its cell: the count goes up
+// with the insert, and an overwrite lets the old cell go, which frees it.
 func TestMaatTable(t *testing.T) {
 	m := &Machine{}
+	m.resetCells()
 	var tbl maat
-	cells := make([]cell, 600)
-	prod := func(i int) *cell { return &cells[i] }
+	var prods []cellID
+	for range 600 {
+		prods = append(prods, m.newCell())
+	}
+	prod := func(i int) cellID { return prods[i] }
 
 	const n = 512 // several growth rounds past maatMinSize
 	for i := 0; i < n; i++ {
@@ -105,11 +110,11 @@ func TestMaatTable(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		p := tbl.get(uint64(i * 8))
-		if p == nil || p != &cells[i] {
-			t.Fatalf("key %d: wrong or missing producer", i*8)
+		if p == 0 || p != prod(i) || m.names[p] != 1 {
+			t.Fatalf("key %d: wrong or missing producer, or named %d times", i*8, m.names[p])
 		}
 	}
-	if tbl.get(uint64(n*8)) != nil {
+	if tbl.get(uint64(n*8)) != 0 {
 		t.Fatal("get of absent key returned a producer")
 	}
 	// Overwrite must replace, not duplicate.
@@ -117,8 +122,11 @@ func TestMaatTable(t *testing.T) {
 	if tbl.n != n {
 		t.Fatalf("overwrite changed count to %d", tbl.n)
 	}
-	if p := tbl.get(0); p == nil || p != &cells[599] {
+	if p := tbl.get(0); p == 0 || p != prod(599) {
 		t.Fatal("overwrite did not take")
+	}
+	if m.names[prod(0)] != 0 || m.cellFree != prod(0) || freeCells(m) != 1 {
+		t.Fatalf("the overwritten cell is named %d times; the free list has %d cells, head %d", m.names[prod(0)], freeCells(m), m.cellFree)
 	}
 
 	// Release, then equip a new table: it must reuse the recycled backing
@@ -135,13 +143,22 @@ func TestMaatTable(t *testing.T) {
 	if len(m.maatFree) != pooled || &tbl2.entries[0] != &released[0] {
 		t.Fatal("acquire did not reuse the recycled backing")
 	}
-	if tbl2.get(0) != nil || tbl2.n != 0 {
+	if tbl2.get(0) != 0 || tbl2.n != 0 {
 		t.Fatal("recycled table not empty")
 	}
 	m.maatPut(&tbl2, 40, prod(7), false)
-	if p := tbl2.get(40); p == nil || p != &cells[7] {
+	if p := tbl2.get(40); p == 0 || p != prod(7) {
 		t.Fatal("recycled table lost an insert")
 	}
+}
+
+// freeCells counts the cells on m's free list.
+func freeCells(m *Machine) int {
+	n := 0
+	for h := m.cellFree; h != 0; h = cellID(m.cells[h].v) {
+		n++
+	}
+	return n
 }
 
 // TestArenaChunkBoundaries drives an arena across several chunk boundaries —
@@ -185,16 +202,22 @@ func TestArenaChunkBoundaries(t *testing.T) {
 
 // TestDynInstSize pins the units of a run's memory. A DynInst lives from
 // fetch to retire, so its size is paid per instruction of the un-retired
-// window and scrubbed once per instruction (recycle); what a run pays per
-// instruction of its length is the cells it claims, 1.7 on average. A field
-// added must be paid for by another (336 bytes while the result cells lived
-// inside the instruction; 368 before the byte-wide fields were packed).
+// window and scrubbed once per instruction (recycle); a cell lives while
+// something names it, its 4-byte count beside it, and a MAAT entry while its
+// section is undumped. A field added must be paid for by another. DynInst was
+// 264 bytes while it named cells by pointer (8-byte handles in its sources,
+// 4-byte result and memory handles now), 336 while the result cells lived
+// inside the instruction, 368 before the byte-wide fields were packed; a MAAT
+// entry was 24 bytes with a pointer.
 func TestDynInstSize(t *testing.T) {
-	if got := unsafe.Sizeof(DynInst{}); got > 264 {
-		t.Errorf("DynInst is %d bytes, budget 264", got)
+	if got := unsafe.Sizeof(DynInst{}); got > 216 {
+		t.Errorf("DynInst is %d bytes, budget 216", got)
 	}
 	if got := unsafe.Sizeof(cell{}); got > 32 {
 		t.Errorf("cell is %d bytes, budget 32", got)
+	}
+	if got := unsafe.Sizeof(maatEntry{}); got > 16 {
+		t.Errorf("maatEntry is %d bytes, budget 16", got)
 	}
 }
 
@@ -205,16 +228,14 @@ func TestMaatBigN(t *testing.T) {
 	m := &Machine{}
 	var tbl maat
 	const n = 5000
-	cells := make([]cell, n)
 	for i := 0; i < n; i++ {
-		m.maatPut(&tbl, uint64(i*8), &cells[i], false)
+		m.maatInsert(&tbl, uint64(i*8), cellID(i+1), false)
 	}
 	if tbl.n != n {
 		t.Fatalf("table count %d, want %d", tbl.n, n)
 	}
 	for i := 0; i < n; i++ {
-		p := tbl.get(uint64(i * 8))
-		if p == nil || p != &cells[i] {
+		if p := tbl.get(uint64(i * 8)); p != cellID(i+1) {
 			t.Fatalf("key %d: wrong or missing producer after growth", i*8)
 		}
 	}
@@ -228,7 +249,7 @@ func TestMaatBigN(t *testing.T) {
 		t.Fatalf("recycled backing has %d entries, want the big array back", len(tbl2.entries))
 	}
 	for i := range tbl2.entries {
-		if tbl2.entries[i].p != nil {
+		if tbl2.entries[i].p != 0 {
 			t.Fatalf("recycled entry %d not scrubbed", i)
 		}
 	}
@@ -369,24 +390,20 @@ func TestResetReproduces(t *testing.T) {
 }
 
 // parked counts the instructions and requests on waiter lists anywhere in
-// the machine: on every arena cell handed out and at every section.
+// the machine: on every cell the arena's storage holds, handed out or not,
+// and at every section.
 func parked(m *Machine) (insts, reqs int) {
-	count := func(c *cell) {
-		for d := c.insts; d != nil; d = d.next {
-			insts++
-		}
-		for r := c.reqs; r != nil; r = r.next {
-			reqs++
-		}
-	}
 	for _, s := range m.order {
 		for r := s.waiting; r != nil; r = r.next {
 			reqs++
 		}
 	}
-	for _, chunk := range m.cells.chunks {
-		for i := range chunk {
-			count(&chunk[i])
+	for _, c := range m.cells[:cap(m.cells)] {
+		for d := c.insts; d != nil; d = d.next {
+			insts++
+		}
+		for r := c.reqs; r != nil; r = r.next {
+			reqs++
 		}
 	}
 	return insts, reqs

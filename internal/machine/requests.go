@@ -48,7 +48,7 @@ type request struct {
 	shortcut bool  // rsp-based positive-offset address (§4.2 statement ii)
 
 	reqSec *Section
-	sl     *cell // the requester's cache cell, filled by the answer
+	sl     cellID // the requester's cache cell, filled by the answer
 
 	from        *Section // last searched section (or the requester)
 	target      *Section // section the request is travelling to / waiting at
@@ -60,7 +60,7 @@ type request struct {
 }
 
 // addRequest creates a renaming request for instruction d.
-func (m *Machine) addRequest(kind reqKind, reg isa.Reg, addr uint64, d *DynInst, sl *cell) {
+func (m *Machine) addRequest(kind reqKind, reg isa.Reg, addr uint64, d *DynInst, sl cellID) {
 	r := m.newRequest()
 	r.kind = kind
 	r.reg = reg
@@ -68,6 +68,7 @@ func (m *Machine) addRequest(kind reqKind, reg isa.Reg, addr uint64, d *DynInst,
 	r.level = d.Level
 	r.reqSec = d.Sec
 	r.sl = sl
+	m.names[sl]++
 	r.from = d.Sec
 	d.Sec.nreqs++
 	r.availableAt = m.cycle
@@ -184,7 +185,7 @@ func (m *Machine) stepRequest(r *request) bool {
 	// At the target: it must be completely renamed before it can answer,
 	// otherwise the request waits (the export instruction is not yet
 	// insertable).
-	var p *cell
+	var p cellID
 	if r.kind == reqReg {
 		if !want.fullyRenamed() {
 			return m.park(r, &want.waiting)
@@ -196,7 +197,7 @@ func (m *Machine) stepRequest(r *request) bool {
 		}
 		p = want.maat.get(r.addr)
 	}
-	if p == nil {
+	if p == 0 {
 		// A miss: the target becomes the last searched section.
 		r.from.nreqs--
 		r.from = want
@@ -211,21 +212,23 @@ func (m *Machine) stepRequest(r *request) bool {
 // available (the paper's export instruction waits in the IQ/LSQ for the
 // requested value, then reads it and sends it through the RERU/MERU), and
 // reports whether r stays in Machine.reqs.
-func (m *Machine) deliver(r *request, p *cell) bool {
-	at := p.readyAt()
+func (m *Machine) deliver(r *request, p cellID) bool {
+	c := &m.cells[p]
+	at := c.readyAt()
 	if at < 0 {
-		return m.park(r, &p.reqs) // value not produced yet; the export waits
+		return m.park(r, &c.reqs) // value not produced yet; the export waits
 	}
 	if at >= m.cycle {
 		return true // produced this cycle or arriving later: readable after
 	}
 	back := m.cfg.Net.Latency(r.target.Core, r.reqSec.Core)
-	m.fill(r.sl, p.v, m.cycle+back)
+	m.fill(&m.cells[r.sl], c.v, m.cycle+back)
 	m.answered(r)
 	return false
 }
 
-// answered accounts for r's response message and retires the request.
+// answered accounts for r's response message and retires the request, which
+// lets go of the cell it filled.
 func (m *Machine) answered(r *request) {
 	m.respMsgs++
 	m.progress++
@@ -233,6 +236,7 @@ func (m *Machine) answered(r *request) {
 	if r.target != nil {
 		r.target.nreqs--
 	}
+	m.unname(r.sl)
 	m.releaseRequest(r)
 }
 
@@ -251,7 +255,7 @@ func (m *Machine) answerFromCommitted(r *request) {
 	// One cycle to reach the DMH/loader, one processing cycle, one cycle
 	// back: the value is usable three cycles after the request left
 	// (Fig. 10's "counting 3 cycles to reach the producer and return").
-	m.fill(r.sl, v, m.cycle+2)
+	m.fill(&m.cells[r.sl], v, m.cycle+2)
 	m.dmhAnswers++
 	m.answered(r)
 }

@@ -12,8 +12,9 @@ import (
 // section), waiting for an unproduced value (parks on its cell), answered
 // (released to the pool, scrubbed) and woken in the middle of the pass by
 // that answer (appended behind the compaction cursor, must survive it). The
-// per-section request counts dumpOldest relies on follow every move. The
-// dense scheduler runs the same steps and parks nothing.
+// per-section request counts dumpOldest relies on follow every move, and an
+// answer lets go of the cell it filled. The dense scheduler runs the same
+// steps and parks nothing.
 //
 // Survivors keep their relative order, but nothing depends on it: no
 // contention is modelled (Network.Latency is a pure function and a section
@@ -30,14 +31,20 @@ func TestProcessRequestsCompaction(t *testing.T) {
 		b := &Section{Pos: 1}
 		c := &Section{Pos: 2}
 		m.order = []*Section{a, b, c}
-		unproduced, produced := &cell{}, &cell{v: 42, at: 5}
+		m.resetCells()
+		unproduced, produced := m.newCell(), m.newCell()
+		m.cells[produced] = cell{v: 42, at: 5}
 		a.rat[isa.RBX], a.rat[isa.RCX] = unproduced, produced
+		m.names[unproduced], m.names[produced] = 1, 1
 
 		mk := func(from, target *Section, reg isa.Reg, availableAt int64) *request {
 			r := m.newRequest()
 			r.kind, r.reg = reqReg, reg
 			r.reqSec, r.from, r.target = c, from, target
-			r.sl = &cell{}
+			// The slot is named by the request and by the requester's alias
+			// table, which outlives the answer.
+			r.sl = m.newCell()
+			m.names[r.sl] = 2
 			r.availableAt = availableAt
 			from.nreqs++
 			if target != nil {
@@ -53,7 +60,8 @@ func TestProcessRequestsCompaction(t *testing.T) {
 		// step leaves it on the list.
 		woken := mk(c, b, isa.RAX, 100)
 		m.reqs = []*request{inFlight, atUnrenamed, atUnproduced, answered}
-		sl := answered.sl
+		slID := answered.sl
+		sl := &m.cells[slID]
 		if dense {
 			m.reqs = append(m.reqs, woken)
 		} else {
@@ -78,12 +86,15 @@ func TestProcessRequestsCompaction(t *testing.T) {
 			if b.waiting != atUnrenamed || atUnrenamed.next != nil {
 				t.Error("request at an unrenamed target is not parked on the section")
 			}
-			if unproduced.reqs != atUnproduced || atUnproduced.next != nil {
+			if m.cells[unproduced].reqs != atUnproduced || atUnproduced.next != nil {
 				t.Error("request for an unproduced value is not parked on its cell")
 			}
 		}
 		if sl.v != 42 || sl.at != m.cycle+m.cfg.Net.Latency(0, 0) || sl.reqs != nil {
 			t.Errorf("dense=%v: answer cell = %+v", dense, *sl)
+		}
+		if m.names[slID] != 1 {
+			t.Errorf("dense=%v: the answered slot is named %d times, want 1 (the alias table's)", dense, m.names[slID])
 		}
 		if m.respMsgs != 1 || len(m.reqFree) != 1 || *m.reqFree[0] != (request{}) {
 			t.Errorf("dense=%v: answered request not released scrubbed (%d responses, %d pooled)", dense, m.respMsgs, len(m.reqFree))
@@ -105,8 +116,8 @@ func TestProcessRequestsCompaction(t *testing.T) {
 		}
 		// The value is produced: its waiter comes back and exports it the
 		// cycle after.
-		export := atUnproduced.sl
-		m.fill(unproduced, 7, m.cycle)
+		export := &m.cells[atUnproduced.sl]
+		m.fill(&m.cells[unproduced], 7, m.cycle)
 		m.processRequests()
 		if export.at != 0 {
 			t.Errorf("dense=%v: value exported in the cycle it was produced", dense)

@@ -247,19 +247,31 @@ func (m *Machine) doFork(c *Core, sec *Section, d *DynInst) {
 // ratLookup returns the section's current producer for register r, creating
 // the creation-copy constant or the request-backed cache slot on a miss
 // (§4.2: a missing source allocates a caching destination and sends a
-// renaming request backwards along the section order).
-func (m *Machine) ratLookup(sec *Section, r isa.Reg, d *DynInst) *cell {
-	p := sec.rat[r]
-	if p == nil {
-		p = m.cells.alloc()
+// renaming request backwards along the section order). The caller that
+// stores the handle names the cell.
+func (m *Machine) ratLookup(sec *Section, r isa.Reg, d *DynInst) cellID {
+	h := sec.rat[r]
+	if h == 0 {
+		h = m.newCell()
 		if sec.init[r].full {
-			p.v, p.at = sec.init[r].v, sec.firstFetch
+			c := &m.cells[h]
+			c.v, c.at = sec.init[r].v, sec.firstFetch
 		} else {
-			m.addRequest(reqReg, r, 0, d, p)
+			m.addRequest(reqReg, r, 0, d, h)
 		}
-		sec.rat[r] = p
+		sec.rat[r] = h
+		m.names[h]++
 	}
-	return p
+	return h
+}
+
+// setRAT points sec's alias-table slot for r at h, letting go of the cell it
+// named before.
+func (m *Machine) setRAT(sec *Section, r isa.Reg, h cellID) {
+	m.names[h]++
+	old := sec.rat[r]
+	sec.rat[r] = h
+	m.unname(old)
 }
 
 // stageRR implements the register-rename stage: one instruction per cycle,
@@ -280,18 +292,20 @@ func (m *Machine) stageRR(c *Core) {
 	// Sources take their slots in the footprint's order, one per register.
 	if !d.computedAtFetch || d.isMem() {
 		for _, r := range fp.Uniq.Reads() {
-			d.srcs[d.nsrcs] = srcRef{reg: r, prod: m.ratLookup(sec, r, d), addr: fp.AddrRegs.Has(r)}
+			h := m.ratLookup(sec, r, d)
+			m.names[h]++
+			d.srcs[d.nsrcs] = srcRef{reg: r, prod: h, addr: fp.AddrRegs.Has(r)}
 			d.nsrcs++
 		}
 	}
 	for _, r := range fp.Uniq.Writes() {
-		sec.rat[r] = m.regCell(d, r)
+		m.setRAT(sec, r, m.regCell(d, r))
 	}
 	if d.In.Op == isa.FORK && d.nPending > 0 {
 		// Deferred non-volatile copies: link the created section to the
 		// creator's current producers.
 		for _, r := range d.pendingCopy[:d.nPending] {
-			d.createdSec.rat[r] = m.ratLookup(sec, r, d)
+			m.setRAT(d.createdSec, r, m.ratLookup(sec, r, d))
 		}
 	}
 	d.tRR = m.cycle
@@ -359,7 +373,7 @@ func (m *Machine) stageEW(c *Core) {
 			d.addr = fp.Store.Addr(regs)
 		}
 		// The register half of push/pop, if not computed at fetch.
-		if (d.In.Op == isa.PUSH || d.In.Op == isa.POP) && !d.regWritten(isa.RSP) {
+		if (d.In.Op == isa.PUSH || d.In.Op == isa.POP) && !m.regWritten(d, isa.RSP) {
 			m.setReg(d, isa.RSP, stackHalf(d, regs))
 		}
 		return
@@ -434,16 +448,18 @@ func (m *Machine) arApply(c *Core, sec *Section, d *DynInst) {
 
 	fp := &m.footprints[d.IP]
 	if fp.HasLoad {
-		if p := sec.maat.get(d.addr); p != nil {
-			d.memSrc = p
-		} else {
-			d.memSrc = m.cells.alloc()
-			m.maatPut(&sec.maat, d.addr, d.memSrc, false)
-			m.addRequest(reqMem, 0, d.addr, d, d.memSrc)
+		h := sec.maat.get(d.addr)
+		if h == 0 {
+			h = m.newCell()
+			m.maatPut(&sec.maat, d.addr, h, false)
+			m.addRequest(reqMem, 0, d.addr, d, h)
 		}
+		d.memSrc = h
+		m.names[h]++
 	}
 	if fp.HasStore {
-		d.mem = m.cells.alloc()
+		d.mem = m.newCell()
+		m.names[d.mem]++
 		m.maatPut(&sec.maat, d.addr, d.mem, true)
 	}
 	d.tAR = m.cycle
@@ -513,16 +529,16 @@ func (m *Machine) stageMA(c *Core) {
 	d := c.lsq[best]
 	swapRemove(&c.lsq, best)
 	var loaded uint64
-	if d.memSrc != nil {
-		loaded = d.memSrc.v
+	if d.memSrc != 0 {
+		loaded = m.cells[d.memSrc].v
 	}
 	stored, ok := m.exec(d, m.srcRegs(d), loaded)
 	if !ok {
 		return
 	}
 	d.tMA = m.cycle
-	if d.mem != nil {
-		m.fill(d.mem, stored, m.cycle)
+	if d.mem != 0 {
+		m.fill(&m.cells[d.mem], stored, m.cycle)
 	}
 	m.listRetire(c, d)
 	m.progress++

@@ -39,10 +39,12 @@ type Pool struct {
 const DefaultMaxIdle = 32
 
 // parkedArenaBytes bounds what a parked machine keeps of its two arenas, half
-// each. It is far above what any point of the bench grids reaches (the cell
-// arena of quickSort n=512 on 64 cores is 15 MB), so a sweep's machines never
-// regrow; it is what a server that once simulated a paper-scale point stops
-// holding on to.
+// each. It is far above what any point of the bench grids reaches (quickSort
+// n=512 on 64 cores, the benchmark's machine_bign, peaks at some 17 000
+// DynInsts, 3.6 MB, and 23 000 cells, 0.8 MB), so a sweep's machines never
+// regrow; it is what a server that once simulated a paper-scale point — or a
+// single section that keeps a million words in its MAAT — stops holding on
+// to.
 const parkedArenaBytes = 64 << 20
 
 // PoolStats counts what the pool did.
@@ -110,7 +112,7 @@ func (p *Pool) Put(_ string, m *Machine) {
 	if max <= 0 {
 		max = DefaultMaxIdle
 	}
-	m.trim()
+	m.trim(parkedArenaBytes)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free) >= max {
@@ -120,17 +122,24 @@ func (p *Pool) Put(_ string, m *Machine) {
 	p.free = append(p.free, m)
 }
 
-// trim cuts the machine's arenas down to parkedArenaBytes. The run that grew
-// them past it is still all over the machine — alias tables, queues and
-// requests point into the chunks to drop — so it is released first, as the
-// next bind would do anyway.
-func (m *Machine) trim() {
-	dyns := parkedArenaBytes / 2 / (dynChunk * int(unsafe.Sizeof(DynInst{})))
-	slots := parkedArenaBytes / 2 / (cellChunk * int(unsafe.Sizeof(cell{})))
-	if len(m.dyns.chunks) <= dyns && len(m.cells.chunks) <= slots {
+// trim cuts the machine's arenas down to budget bytes, half each. The run
+// that grew them past it is still all over the machine — alias tables,
+// queues and requests point into the chunks to drop — so it is released
+// first, as the next bind would do anyway. A cell arena over its half is
+// dropped whole; the next run regrows it.
+func (m *Machine) trim(budget int) {
+	dyns := budget / 2 / (dynChunk * int(unsafe.Sizeof(DynInst{})))
+	cells := budget / 2 / cellBytes
+	if len(m.dyns.chunks) <= dyns && cap(m.cells) <= cells {
 		return
 	}
 	m.release()
 	m.dyns.trim(dyns)
-	m.cells.trim(slots)
+	if cap(m.cells) > cells {
+		m.cells, m.names = nil, nil
+		m.resetCells()
+	}
 }
+
+// cellBytes is what the cell arena holds per cell: the cell and its count.
+const cellBytes = int(unsafe.Sizeof(cell{}) + unsafe.Sizeof(uint32(0)))

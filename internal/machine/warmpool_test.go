@@ -2,7 +2,6 @@ package machine
 
 import (
 	"testing"
-	"unsafe"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
@@ -202,49 +201,53 @@ func TestSinkIsClearedByResetAndPool(t *testing.T) {
 }
 
 // TestParkedMachineIsBounded: a machine parked in the pool keeps at most
-// parkedArenaBytes of arenas, whatever it ran last. The program is one
-// section looping 300 000 times over a store: 1.5 M cells, half as much again
-// as the cell arena's share of the budget. Parked, the machine holds the budget and
-// nothing of the run; taken out again, it regrows and reproduces the run bit
-// for bit.
+// parkedArenaBytes of arenas, whatever it ran last — Put trims it to that
+// budget. Here the machine is trimmed to a budget of 4 096 cells' worth
+// before it is parked, and the program is one section storing to 8 192
+// distinct words: its MAAT names a cell per word until the section dumps at
+// the end of the run, twice what the budget lets a machine keep. Trimmed and
+// parked, the machine holds nothing of the run; taken out again, it regrows
+// and reproduces the run bit for bit.
 func TestParkedMachineIsBounded(t *testing.T) {
 	prog, err := asm.Assemble(`
 _start: movq $t, %rdi
-        movq $300000, %rcx
+        movq $8192, %rcx
         movq $0, %rax
 loop:   addq %rcx, %rax
         movq %rax, (%rdi)
+        addq $8, %rdi
         subq $1, %rcx
         jne loop
         hlt
 .data
-t: .quad 0
+t: .space 65536
 `)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep := parkedArenaBytes / 2 / (cellChunk * int(unsafe.Sizeof(cell{})))
+	const keep = 4096
 	p := &Pool{MaxIdle: 1}
 	m, err := p.Get("", prog, DefaultConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := m.Run() // no rows: a million of them is not what is tested here
+	want, err := m.Run() // no rows: they are not what is tested here
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.RAX != 300000*300001/2 {
+	if want.RAX != 8192*8193/2 {
 		t.Fatalf("rax = %d", want.RAX)
 	}
-	if got := len(m.cells.chunks); got <= keep {
-		t.Fatalf("the run grew the cell arena to %d chunks; the test needs more than the %d a parked machine keeps", got, keep)
+	if got := len(m.cells); got <= keep {
+		t.Fatalf("the run grew the cell arena to %d cells; the test needs more than the %d a parked machine keeps", got, keep)
 	}
+	m.trim(2 * keep * cellBytes)
 	p.Put("", m)
-	if got := len(m.cells.chunks); got != keep {
-		t.Errorf("parked with %d cell chunks, want the budget's %d", got, keep)
+	if got := cap(m.cells); got > keep {
+		t.Errorf("parked with room for %d cells, budget %d", got, keep)
 	}
-	if len(m.order) != 0 || m.cells.allocated() != 0 {
-		t.Errorf("parked with %d sections and %d cells of the run still held", len(m.order), m.cells.allocated())
+	if len(m.order) != 0 || len(m.cells) != 1 {
+		t.Errorf("parked with %d sections and %d cells of the run still held", len(m.order), len(m.cells)-1)
 	}
 	again, err := p.Get("", prog, DefaultConfig(2))
 	if err != nil {
@@ -262,8 +265,11 @@ t: .quad 0
 
 // TestPoisonNeverReuses: the poison switch does what the oracles' poisoned
 // legs count on. A poisoned run takes one DynInst from the arena per
-// instruction and leaves every one of them overwritten; a plain run of the
-// same program takes no more than were ever in flight.
+// instruction and leaves every one of them overwritten, and it leaves every
+// cell it took overwritten too — nothing names a cell at the end of a run, so
+// every one was freed — with none handed out twice; a plain run of the same
+// program takes no more DynInsts than were ever in flight, and ends with
+// every cell it took back on the free list.
 func TestPoisonNeverReuses(t *testing.T) {
 	prog := mustSumFork(t, 40)
 	m, err := New(prog, DefaultConfig(4))
@@ -276,6 +282,10 @@ func TestPoisonNeverReuses(t *testing.T) {
 	}
 	if got := m.dyns.allocated(); got != m.peakInFlight || int64(got) >= r.Instructions {
 		t.Errorf("plain run: %d DynInsts allocated, %d in flight at most, %d instructions", got, m.peakInFlight, r.Instructions)
+	}
+	plainCells := len(m.cells) - 1
+	if freeCells(m) != plainCells {
+		t.Errorf("plain run: %d of the %d cells it took are back on the free list", freeCells(m), plainCells)
 	}
 	m.Reset()
 	m.poison = true
@@ -291,6 +301,14 @@ func TestPoisonNeverReuses(t *testing.T) {
 			if chunk[i] != poisoned {
 				t.Fatalf("a retired instruction was not overwritten: %+v", chunk[i])
 			}
+		}
+	}
+	if len(m.cells)-1 <= plainCells || freeCells(m) != 0 {
+		t.Errorf("poisoned run: %d cells taken (%d plain), %d handed back", len(m.cells)-1, plainCells, freeCells(m))
+	}
+	for h, c := range m.cells[1:] {
+		if c != poisonedCell || m.names[h+1] != 0 {
+			t.Fatalf("cell %d is named %d times after the run and reads %+v", h+1, m.names[h+1], c)
 		}
 	}
 }

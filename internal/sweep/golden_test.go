@@ -218,7 +218,11 @@ func goldenDiff(want map[Point]goldenRow, got []goldenRow) string {
 	}
 	var b strings.Builder
 	for _, col := range slices.Sorted(maps.Keys(cols)) {
-		fmt.Fprintf(&b, "  %-20s moved on %3d of %d points, by at most %g\n", col, cols[col].points, len(got), cols[col].most)
+		fmt.Fprintf(&b, "  %-20s moved on %3d of %d points", col, cols[col].points, len(got))
+		if mv := cols[col]; mv.most > 0 {
+			fmt.Fprintf(&b, ", by at most %g", mv.most)
+		}
+		b.WriteByte('\n')
 	}
 	return b.String()
 }
