@@ -1176,6 +1176,9 @@ func (m *Machine) dumpOldest() {
 		// its cell: the section can no longer be searched by renaming requests.
 		for i := range s.maat.entries {
 			e := &s.maat.entries[i]
+			if e.p == 0 {
+				continue
+			}
 			if e.store {
 				m.dmh.WriteU64(e.key, m.cells[e.p].v)
 			}

@@ -282,8 +282,10 @@ func (m *Machine) recycle(d *DynInst) {
 	for _, h := range d.wr[:d.nwr] {
 		m.unname(h)
 	}
-	m.unname(d.mem)
-	m.unname(d.memSrc)
+	if d.isMem() {
+		m.unname(d.mem)
+		m.unname(d.memSrc)
+	}
 	if m.poison {
 		*d = poisoned
 		return
