@@ -6,22 +6,21 @@ import (
 	"repro/internal/isa"
 )
 
-// regCell returns d's result cell for register r, claiming one on first use,
-// named by d until it retires. An instruction writes at most maxWr registers
+// regSlot returns the index of d's result cell for register r in d.wr,
+// claiming a cell on first use. An instruction writes at most maxWr registers
 // (guaranteed by isa.Instruction.RegWrites); the array bound traps any
 // violation.
-func (m *Machine) regCell(d *DynInst, r isa.Reg) cellID {
+func (m *Machine) regSlot(d *DynInst, r isa.Reg) int {
 	for i := 0; i < int(d.nwr); i++ {
 		if d.wrRegs[i] == r {
-			return d.wr[i]
+			return i
 		}
 	}
 	i := int(d.nwr)
 	d.wrRegs[i] = r
 	d.wr[i] = m.newCell()
-	m.names[d.wr[i]]++
 	d.nwr++
-	return d.wr[i]
+	return i
 }
 
 // regWritten reports whether d has already produced a result for r.
@@ -36,7 +35,9 @@ func (m *Machine) regWritten(d *DynInst, r isa.Reg) bool {
 
 // setReg records one register result of d becoming available this cycle.
 func (m *Machine) setReg(d *DynInst, r isa.Reg, v uint64) {
-	c := &m.cells[m.regCell(d, r)]
+	// The arena is indexed after the call: claiming a cell may move it.
+	i := m.regSlot(d, r)
+	c := &m.cells[d.wr[i]]
 	if c.at != 0 {
 		// Keep the earliest availability (e.g. pop's rsp update computed at
 		// fetch must not be delayed by the load half).

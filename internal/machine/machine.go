@@ -31,11 +31,12 @@
 // caller's sink if there is one (SetSink), its counts are folded into running
 // aggregates, and the object returns to a free list — so the instruction arena
 // follows the run's un-retired window, not its length. A renaming cell lives
-// as long as something names it — an in-flight instruction, an undumped
-// section's alias tables, a request — like a physical register that is freed
-// when its last reader is done: the places that hold a cell's handle are
-// counted (Machine.names), and the cell is reused once the count is back to
-// zero, so the cell arena follows the window too.
+// as long as something names it, like a physical register: an undumped
+// section's alias-table slot, a request that is to fill it, or — once a
+// later writer has overwritten the slot — that writer until it retires, by
+// which time every reader of the old value has retired before it. Those
+// names are counted (Machine.names), and the cell is reused once the count
+// is back to zero, so the cell arena follows the window too.
 //
 // Waiting work is parked, not polled. The production (idle-skip) scheduler
 // keeps in a core's issue and load-store queues only instructions that are
@@ -133,9 +134,9 @@ type val struct {
 // filled by a remote renaming response, or an immediately available
 // creation-copy value. All of them live in the machine's cell arena
 // (Machine.cells), none inside a DynInst: alias tables, consumers' sources,
-// fork copies and requests may keep naming a result after the instruction
-// that produced it has retired and been recycled. Whatever names a cell holds
-// its cellID, and the cell is freed when the last of them lets go (see
+// fork copies and requests may keep referring to a result after the
+// instruction that produced it has retired and been recycled. They hold its
+// cellID, and the cell is freed when the last name of it is let go of (see
 // Machine.names). at is the hottest read in the simulator, and earlier
 // representations (an interface with dynamic dispatch, then a 40-byte tagged
 // union with a kind switch) both showed up at the top of the CPU profile; an
@@ -223,7 +224,7 @@ const (
 // (pool.go) through a free list of retired ones, so the arena grows to the
 // run's largest un-retired window. Nothing may hold a *DynInst past its
 // retirement; what has to outlive it — the values it produced — lives in
-// cells, which it names by handle while it is in flight. The size is pinned
+// cells, which it refers to by handle while it is in flight. The size is pinned
 // by TestDynInstSize: the byte-wide fields are packed together for that
 // reason.
 type DynInst struct {
@@ -238,7 +239,7 @@ type DynInst struct {
 	nsrcs           uint8
 	// Register-result cells: wrRegs names the (at most maxWr) registers the
 	// instruction writes, wr their value cells. Cells are claimed
-	// find-or-create by regCell — at fetch for in-stage computed results, at
+	// find-or-create by regSlot — at fetch for in-stage computed results, at
 	// rename for the alias-table producers — and are exactly what the alias
 	// table points consumers at.
 	nwr    uint8
@@ -249,13 +250,24 @@ type DynInst struct {
 
 	srcs [maxSrcs]srcRef
 	wr   [maxWr]cellID
+	// prev[i] is the cell the section's alias table named for wrRegs[i]
+	// before this instruction's rename overwrote the slot, and prevMem the
+	// cell a store's MAAT entry named before address rename overwrote it.
+	// The overwritten slot's name passes to the instruction, which lets go of
+	// it when it retires — as R10000-style renaming frees the previous
+	// physical register when the next writer commits. Every instruction that
+	// read the old cell through the slot was renamed before this one, in the
+	// same section, so it has retired by then; that is why sources (and
+	// memSrc) name nothing.
+	prev [maxWr]cellID
 
 	addr uint64 // effective address (mem ops), set at EW
 	// mem is a store's memory value as later loads of the word see it: claimed
 	// at address rename, when the section's MAAT starts naming it, and filled
 	// at memory access. Zero for instructions that write no memory.
-	mem    cellID
-	memSrc cellID // the loaded word's producer, set at AR
+	mem     cellID
+	memSrc  cellID // the loaded word's producer, set at AR
+	prevMem cellID // see prev
 
 	// For fork instructions: the created section, and the non-volatile
 	// registers that were not computed at the fork point and must be
@@ -491,10 +503,13 @@ type Machine struct {
 	dyns    arena[DynInst]
 	dynFree *DynInst // retired instructions, linked through secNext
 	// cells is the cell arena a cellID indexes (cells[0] is never handed
-	// out); names[h] counts the places that hold h — instruction sources and
-	// results, alias-table slots, request slots — and cellFree heads the list
-	// of cells whose count went back to zero, linked through their value
-	// words, for newCell to hand out first.
+	// out). names[h] counts the names of h: the alias-table slots (RAT and
+	// MAAT entries of undumped sections) that hold it, the requests that are
+	// to fill it, and the in-flight instructions that overwrote a slot
+	// holding it (DynInst.prev). Instruction sources are not names; the
+	// slot they were read from outlives them. cellFree heads the list of
+	// cells whose count went back to zero, linked through their value words,
+	// for newCell to hand out first.
 	cells    []cell
 	names    []uint32
 	cellFree cellID

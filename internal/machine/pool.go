@@ -271,21 +271,16 @@ func (m *Machine) newDyn() *DynInst {
 }
 
 // recycle takes back a retired instruction, scrubbed, and lets go of the
-// cells it named. Under the tests' poison switch it is overwritten with absurd
-// values and never handed out again, so that a read of a retired instruction
-// changes the run instead of finding the stale but plausible values a
-// recycled object would still hold.
+// cells whose alias-table names it took over at rename (DynInst.prev). Under
+// the tests' poison switch it is overwritten with absurd values and never
+// handed out again, so that a read of a retired instruction changes the run
+// instead of finding the stale but plausible values a recycled object would
+// still hold.
 func (m *Machine) recycle(d *DynInst) {
-	for i := range d.srcs[:d.nsrcs] {
-		m.unname(d.srcs[i].prod)
-	}
-	for _, h := range d.wr[:d.nwr] {
+	for _, h := range d.prev[:d.nwr] {
 		m.unname(h)
 	}
-	if d.isMem() {
-		m.unname(d.mem)
-		m.unname(d.memSrc)
-	}
+	m.unname(d.prevMem)
 	if m.poison {
 		*d = poisoned
 		return
@@ -334,28 +329,33 @@ func (m *Machine) appendCell() cellID {
 	return cellID(len(m.cells) - 1)
 }
 
-// unname records that one place holding h let go of it (the zero handle
-// names nothing); the last one frees the cell. Nothing is parked on a cell
-// nobody names: an unproduced cell is named by its producer — the
-// instruction or the request that fills it — until it is filled, and filling
-// wakes what waits. A count that goes below zero means a place held the
-// handle without being counted, and read a freed cell until it let go; that
-// faults the run. Under poison, where a freed cell is never counted again,
-// every such place shows.
+// unname records that one name of h was let go of (the zero handle names
+// nothing); the last one frees the cell, which is the common case: most
+// cells are named by one alias-table slot only. Nothing is parked on a cell
+// nobody names: an unproduced cell is named by the slot its producer — the
+// instruction or the request that fills it — renamed, until the producer has
+// filled it, and filling wakes what waits. A count that goes below zero means
+// a name was let go of twice, or a place named the cell without being
+// counted; that faults the run (overReleased). Under poison, where a freed
+// cell is never counted again, every such place shows.
 func (m *Machine) unname(h cellID) {
-	if m.names[h] > 1 {
-		m.names[h]--
-	} else if h != 0 {
-		m.lastName(h)
+	if h == 0 {
+		return
+	}
+	switch n := m.names[h]; n {
+	case 1:
+		m.names[h] = 0
+		m.freeCell(h)
+	case 0:
+		m.overReleased(h)
+	default:
+		m.names[h] = n - 1
 	}
 }
 
-// lastName is unname's rare end: h's count is 1 or 0.
-func (m *Machine) lastName(h cellID) {
-	if m.names[h] == 1 {
-		m.names[h] = 0
-		m.freeCell(h)
-	} else if m.err == nil {
+// overReleased faults the run: h was let go of more often than it was named.
+func (m *Machine) overReleased(h cellID) {
+	if m.err == nil {
 		m.err = fmt.Errorf("machine: cell %d let go of more often than it was named", h)
 	}
 }
@@ -441,18 +441,11 @@ func (t *maat) get(key uint64) cellID {
 	}
 }
 
-// maatPut points key's entry in t at p, which the entry names, and lets go
-// of the cell it named before. store marks the producer as a store's cell; a
-// load only ever inserts.
-func (m *Machine) maatPut(t *maat, key uint64, p cellID, store bool) {
-	m.names[p]++
-	m.unname(m.maatInsert(t, key, p, store))
-}
-
-// maatInsert inserts or overwrites key's producer in t, growing through the
+// maatPut inserts or overwrites key's producer in t, growing through the
 // machine's recycled backing arrays when the load factor passes 3/4, and
-// returns the producer it overwrote (the zero handle if none).
-func (m *Machine) maatInsert(t *maat, key uint64, p cellID, store bool) cellID {
+// returns the producer it overwrote (the zero handle if none). store marks
+// the producer as a store's cell; a load only ever inserts.
+func (m *Machine) maatPut(t *maat, key uint64, p cellID, store bool) cellID {
 	if len(t.entries) == 0 || (t.n+1)*4 > len(t.entries)*3 {
 		m.maatGrow(t)
 	}
@@ -489,7 +482,7 @@ func (m *Machine) maatGrow(t *maat) {
 	t.n = 0
 	for i := range old {
 		if old[i].p != 0 {
-			m.maatInsert(t, old[i].key, old[i].p, old[i].store)
+			m.maatPut(t, old[i].key, old[i].p, old[i].store)
 		}
 	}
 	if old != nil {

@@ -89,8 +89,9 @@ func TestFifoRemoveKeepsOrder(t *testing.T) {
 // TestMaatTable drives the open-addressed MAAT directly: insert, overwrite,
 // growth-with-rehash and the recycled-backing path. Keys are multiples of 8
 // (word addresses), the worst case for a low-bit hash — the table must stay
-// correct and loadable anyway. An entry names its cell: the count goes up
-// with the insert, and an overwrite lets the old cell go, which frees it.
+// correct and loadable anyway. An insert reports no previous producer, and
+// an overwrite reports the one it displaced: a store takes over the entry's
+// name of that cell and lets go of it when it retires.
 func TestMaatTable(t *testing.T) {
 	m := &Machine{}
 	m.resetCells()
@@ -103,30 +104,31 @@ func TestMaatTable(t *testing.T) {
 
 	const n = 512 // several growth rounds past maatMinSize
 	for i := 0; i < n; i++ {
-		m.maatPut(&tbl, uint64(i*8), prod(i), false)
+		if old := m.maatPut(&tbl, uint64(i*8), prod(i), false); old != 0 {
+			t.Fatalf("insert of key %d displaced cell %d", i*8, old)
+		}
 	}
 	if tbl.n != n {
 		t.Fatalf("table count %d, want %d", tbl.n, n)
 	}
 	for i := 0; i < n; i++ {
 		p := tbl.get(uint64(i * 8))
-		if p == 0 || p != prod(i) || m.names[p] != 1 {
-			t.Fatalf("key %d: wrong or missing producer, or named %d times", i*8, m.names[p])
+		if p == 0 || p != prod(i) {
+			t.Fatalf("key %d: wrong or missing producer", i*8)
 		}
 	}
 	if tbl.get(uint64(n*8)) != 0 {
 		t.Fatal("get of absent key returned a producer")
 	}
 	// Overwrite must replace, not duplicate.
-	m.maatPut(&tbl, 0, prod(599), false)
+	if old := m.maatPut(&tbl, 0, prod(599), true); old != prod(0) {
+		t.Fatalf("overwrite displaced cell %d, want %d", old, prod(0))
+	}
 	if tbl.n != n {
 		t.Fatalf("overwrite changed count to %d", tbl.n)
 	}
 	if p := tbl.get(0); p == 0 || p != prod(599) {
 		t.Fatal("overwrite did not take")
-	}
-	if m.names[prod(0)] != 0 || m.cellFree != prod(0) || freeCells(m) != 1 {
-		t.Fatalf("the overwritten cell is named %d times; the free list has %d cells, head %d", m.names[prod(0)], freeCells(m), m.cellFree)
 	}
 
 	// Release, then equip a new table: it must reuse the recycled backing
@@ -205,13 +207,14 @@ func TestArenaChunkBoundaries(t *testing.T) {
 // window and scrubbed once per instruction (recycle); a cell lives while
 // something names it, its 4-byte count beside it, and a MAAT entry while its
 // section is undumped. A field added must be paid for by another. DynInst was
-// 264 bytes while it named cells by pointer (8-byte handles in its sources,
-// 4-byte result and memory handles now), 336 while the result cells lived
-// inside the instruction, 368 before the byte-wide fields were packed; a MAAT
-// entry was 24 bytes with a pointer.
+// 264 bytes while it named cells by pointer; 4-byte handles make it 216, and
+// the three cells it takes over from the alias tables (prev, prevMem) 232.
+// It was 336 while the result cells lived inside the instruction and 368
+// before the byte-wide fields were packed; a MAAT entry was 24 bytes with a
+// pointer.
 func TestDynInstSize(t *testing.T) {
-	if got := unsafe.Sizeof(DynInst{}); got > 216 {
-		t.Errorf("DynInst is %d bytes, budget 216", got)
+	if got := unsafe.Sizeof(DynInst{}); got > 232 {
+		t.Errorf("DynInst is %d bytes, budget 232", got)
 	}
 	if got := unsafe.Sizeof(cell{}); got > 32 {
 		t.Errorf("cell is %d bytes, budget 32", got)
@@ -229,7 +232,7 @@ func TestMaatBigN(t *testing.T) {
 	var tbl maat
 	const n = 5000
 	for i := 0; i < n; i++ {
-		m.maatInsert(&tbl, uint64(i*8), cellID(i+1), false)
+		m.maatPut(&tbl, uint64(i*8), cellID(i+1), false)
 	}
 	if tbl.n != n {
 		t.Fatalf("table count %d, want %d", tbl.n, n)

