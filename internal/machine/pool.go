@@ -278,9 +278,13 @@ func (m *Machine) newDyn() *DynInst {
 // still hold.
 func (m *Machine) recycle(d *DynInst) {
 	for _, h := range d.prev[:d.nwr] {
-		m.unname(h)
+		if h != 0 {
+			m.unname(h)
+		}
 	}
-	m.unname(d.prevMem)
+	if d.prevMem != 0 {
+		m.unname(d.prevMem)
+	}
 	if m.poison {
 		*d = poisoned
 		return
