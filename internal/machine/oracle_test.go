@@ -530,10 +530,10 @@ func TestRetiredInstructionsAreRecycled(t *testing.T) {
 // freed when the last thing naming it lets go — the instruction that
 // overwrote its alias-table slot retiring, its section dumping, a request
 // answered — and handed out again, so the arena holds what is named at once,
-// not every cell the run claims. nearestNeighbors n=64 claims 434 091 cells, of which some 160 are
-// named at once; quickSort n=512 on 64 cores claims 352 922, some 23 000 at
-// once. A count that is never let down shows as an arena the size of the run,
-// and at the end of a run nothing names any cell.
+// not every cell the run claims. nearestNeighbors n=64 claims 434 091 cells,
+// of which some 160 are named at once; quickSort n=512 on 64 cores claims
+// 352 922, some 23 000 at once. A count that is never let down shows as an
+// arena the size of the run, and at the end of a run nothing names any cell.
 func TestCellsFollowTheWindow(t *testing.T) {
 	for _, pt := range []struct {
 		kernel   string

@@ -41,7 +41,7 @@ const DefaultMaxIdle = 32
 // parkedArenaBytes bounds what a parked machine keeps of its two arenas, half
 // each. It is far above what any point of the bench grids reaches (quickSort
 // n=512 on 64 cores, the benchmark's machine_bign, peaks at some 17 000
-// DynInsts, 3.6 MB, and 23 000 cells, 0.8 MB), so a sweep's machines never
+// DynInsts, 3.9 MB, and 23 000 cells, 0.8 MB), so a sweep's machines never
 // regrow; it is what a server that once simulated a paper-scale point — or a
 // single section that keeps a million words in its MAAT — stops holding on
 // to.
