@@ -122,11 +122,24 @@ func DefaultConfig(cores int) Config {
 	}
 }
 
-// val is a register value with a presence bit (the paper's full/empty bits).
-type val struct {
-	v    uint64
-	full bool
+// regFile is a register file with a presence bit per register (the paper's
+// full/empty bits): v[r] is register r's value, meaningful only while bit r
+// of full is set. The bits are packed in one word, so a register file is 144
+// bytes rather than 17 16-byte value/bit pairs, and copying or emptying a
+// whole one is a plain assignment.
+type regFile struct {
+	v    [isa.NumRegs]uint64
+	full uint32
 }
+
+func (f *regFile) has(r isa.Reg) bool { return f.full&(1<<r) != 0 }
+
+func (f *regFile) set(r isa.Reg, v uint64) {
+	f.v[r] = v
+	f.full |= 1 << r
+}
+
+func (f *regFile) empty(r isa.Reg) { f.full &^= 1 << r }
 
 // cell is a write-once value with its ready time — the paper's full/empty
 // bit, timed. It is what a renamed source waits on: an instruction's register
@@ -323,53 +336,46 @@ func (d *DynInst) done() bool {
 
 // Section is one instruction flow, created by a fork (or the initial flow).
 // Section shells are pooled and recycled by Machine.Reset.
+//
+// The fields are laid out for the loop that reads sections most: a renaming
+// request's search step, which for each section it passes reads the position
+// and host, whether the section is dumped and renamed, one alias-table slot
+// and its request count. Those fields, with what dumpOldest and the retire
+// and address-rename picks test, form a hot header at the front — every one
+// of them starts in the first two cache lines — and the fetch state and the
+// register snapshots, read once per fetch or suspension, come after it.
+// TestSectionLayout pins both the header and the size.
 type Section struct {
-	ID        int64 // creation sequence number
-	Pos       int   // current position in the machine's total order
-	Core      int   // hosting core, -1 until the creation message is accepted
+	// ---- hot header: read by every search step ----
+
+	Pos  int // current position in the machine's total order
+	Core int // hosting core, -1 until the creation message is accepted
+	// fetched counts every instruction the section ever fetched, renamed
+	// those past the rename stage, memOps the memory ops fetched and memRen
+	// those address-renamed.
+	fetched, renamed, memOps, memRen int
+	// nreqs counts the live renaming requests that name the section as their
+	// from or target; dumpOldest keeps the section's tables while it is not 0.
+	nreqs     int
 	BaseLevel int32
+	fetchDone bool
+	dumped    bool
 
-	// head and tail are the section's un-retired instructions, oldest first,
-	// linked through DynInst.secNext: fetch appends, retire pops. fetched
-	// counts every instruction the section ever fetched.
-	head, tail *DynInst
-	fetched    int
-
+	maat maat // memory address alias table (8-byte words)
 	// rat is the register alias table (+ request caches + fork copies): a
 	// fixed array indexed by register, zero where the section has no producer
 	// yet. The previous map paid hashing on every rename of a 17-entry
 	// keyspace.
-	rat  [isa.NumRegs]cellID
-	maat maat             // memory address alias table (8-byte words)
-	arQ  fifo[*DynInst]   // memory ops awaiting in-order address renaming
-	init [isa.NumRegs]val // creation-message register copies
+	rat [isa.NumRegs]cellID
 
-	startIP   int64
-	fetchDone bool
-	renamed   int // instructions past the rename stage
-	memOps    int // memory ops fetched
-	memRen    int // memory ops address-renamed
-	retired   int
-	dumped    bool
+	// ---- cold: fetch, retirement and statistics ----
 
-	createdAt  int64 // fork fetch cycle
-	firstFetch int64
-	lastRetire int64 // cycle of the latest retirement
-	curLevel   int32 // fetch-time call level cursor
-	fetchIP    int64
-	// stalled says the section's last fetched instruction is a conditional
-	// branch the fetch stage could not compute. The execute-write-back stage
-	// resolves it and leaves the redirect here — resumeAt the cycle, resumeIP
-	// the target — because the branch may well have retired, and been
-	// recycled, by the time a suspended section is picked again.
-	stalled  bool
-	resumeAt int64
-	resumeIP int64
-	rfSave   [isa.NumRegs]val // fetch RF snapshot while suspended
-
-	// nreqs counts the live renaming requests that name the section as their
-	// from or target; dumpOldest keeps the section's tables while it is not 0.
-	nreqs int
+	ID int64 // creation sequence number
+	// head and tail are the section's un-retired instructions, oldest first,
+	// linked through DynInst.secNext: fetch appends, retire pops.
+	head, tail *DynInst
+	retired    int
+	arQ        fifo[*DynInst] // memory ops awaiting in-order address renaming
 	// waiting lists the requests parked at the section (idle-skip scheduler
 	// only): they arrived before its renamings were done — the paper's
 	// "enqueued in the ARQ" — and left Machine.reqs until wakeRequests.
@@ -384,8 +390,27 @@ type Section struct {
 	// next cycle, and the core is being visited, hence armed, when it is
 	// listed. The core's pick unlists the section when it finds the head no
 	// longer complete (the previous head went, the next one has not finished).
-	retireListed, arListed bool
 	retireNext, arNext     *Section
+	retireListed, arListed bool
+
+	// stalled says the section's last fetched instruction is a conditional
+	// branch the fetch stage could not compute. The execute-write-back stage
+	// resolves it and leaves the redirect here — resumeAt the cycle, resumeIP
+	// the target — because the branch may well have retired, and been
+	// recycled, by the time a suspended section is picked again.
+	stalled  bool
+	curLevel int32 // fetch-time call level cursor
+	resumeAt int64
+	resumeIP int64
+	startIP  int64
+	fetchIP  int64
+
+	createdAt  int64 // fork fetch cycle
+	firstFetch int64
+	lastRetire int64 // cycle of the latest retirement
+
+	init   regFile // creation-message register copies
+	rfSave regFile // fetch RF snapshot while suspended
 }
 
 func (s *Section) fullyRenamed() bool {
@@ -419,7 +444,7 @@ type sectionMsg struct {
 // Machine.armed, which is all the idle-skip scheduler visits.
 type Core struct {
 	id        int
-	rf        [isa.NumRegs]val // fetch-stage register file
+	rf        regFile // fetch-stage register file
 	fetch     *Section
 	pending   fifo[sectionMsg] // FIFO of section-creation messages
 	suspended fifo[*Section]   // stalled sections set aside to fetch pending ones
@@ -641,7 +666,7 @@ func (m *Machine) release() {
 	clear(m.order)
 	m.order = m.order[:0]
 	for _, c := range m.cores {
-		c.rf = [isa.NumRegs]val{}
+		c.rf = regFile{}
 		c.fetch = nil
 		c.pending.Reset()
 		c.suspended.Reset()
@@ -691,9 +716,7 @@ func (m *Machine) boot() {
 
 	// The initial section: all registers full with the entry state.
 	s := m.newSection(m.prog.Entry, 0, 0)
-	for r := isa.Reg(0); r < isa.NumRegs; r++ {
-		s.init[r] = val{v: m.arch[r], full: true}
-	}
+	s.init = regFile{v: m.arch, full: 1<<isa.NumRegs - 1}
 	m.order = append(m.order, s)
 	s.Pos = 0
 	m.assignHost(s, 0)

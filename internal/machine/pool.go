@@ -402,7 +402,16 @@ const maatMinSize = 16
 // list when the owning section dumps (Machine.releaseMaat), so in steady
 // state sections are born with a right-sized table and no per-section map
 // allocation happens. An entry with the zero handle is empty.
+//
+// bloom is the table's presence word: bit b is set when some key whose hash
+// has b in its top six bits was inserted (maatBit). A search step asks a
+// section for a word it mostly does not hold, and a clear bit answers that
+// from the section's header without a probe of entries. The word never has a
+// false negative: maatPut sets the bit of every key it inserts (rehashing in
+// maatGrow included), no single key is ever deleted, and the word is cleared
+// only together with the whole table (acquireMaat, releaseMaat).
 type maat struct {
+	bloom   uint64
 	entries []maatEntry
 	n       int
 	shift   uint8 // 64 - log2(len(entries)); index = hash >> shift
@@ -424,12 +433,17 @@ func maatHash(key uint64) uint64 { return key * 0x9e3779b97f4a7c15 }
 
 func maatShift(size int) uint8 { return uint8(64 - bits.TrailingZeros(uint(size))) }
 
-// get returns the producer cell stored for key, or the zero handle.
+// maatBit is a hash's bit in the presence word: its top six bits.
+func maatBit(hash uint64) uint64 { return 1 << (hash >> 58) }
+
+// get returns the producer cell stored for key, or the zero handle. An empty
+// table has a zero presence word, so the one test covers it too.
 func (t *maat) get(key uint64) cellID {
-	if t.n == 0 {
+	hash := maatHash(key)
+	if t.bloom&maatBit(hash) == 0 {
 		return 0
 	}
-	i := maatHash(key) >> t.shift
+	i := hash >> t.shift
 	for {
 		e := &t.entries[i]
 		if e.p == 0 {
@@ -453,12 +467,14 @@ func (m *Machine) maatPut(t *maat, key uint64, p cellID, store bool) cellID {
 	if len(t.entries) == 0 || (t.n+1)*4 > len(t.entries)*3 {
 		m.maatGrow(t)
 	}
-	i := maatHash(key) >> t.shift
+	hash := maatHash(key)
+	i := hash >> t.shift
 	for {
 		e := &t.entries[i]
 		if e.p == 0 {
 			*e = maatEntry{p: p, key: key, store: store}
 			t.n++
+			t.bloom |= maatBit(hash)
 			return 0
 		}
 		if e.key == key {
@@ -499,7 +515,7 @@ func (m *Machine) maatGrow(t *maat) {
 // (already cleared at release time); otherwise the table stays empty until
 // the first insert grows it.
 func (m *Machine) acquireMaat(t *maat) {
-	t.n = 0
+	t.n, t.bloom = 0, 0
 	if k := len(m.maatFree) - 1; k >= 0 {
 		t.entries = m.maatFree[k]
 		m.maatFree[k] = nil
@@ -522,7 +538,7 @@ func (m *Machine) releaseMaat(t *maat) {
 	clear(t.entries)
 	m.maatFree = append(m.maatFree, t.entries)
 	t.entries = nil
-	t.n = 0
+	t.n, t.bloom = 0, 0
 	t.shift = 0
 }
 

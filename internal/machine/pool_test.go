@@ -224,6 +224,117 @@ func TestDynInstSize(t *testing.T) {
 	}
 }
 
+// TestSectionLayout pins the layout a renaming request's search step reads.
+// A step reads, of each section it passes, the position and host, whether it
+// is dumped, renamed or address-renamed, its request count, one alias-table
+// slot and the MAAT's presence word; dumpOldest and the retire and
+// address-rename picks read the same counts. All of them start in the first
+// two cache lines, so a step costs two lines of the section instead of the
+// six it read while 544 bytes of register copies sat between them. Section
+// was 904 bytes (Go's 1 024-byte size class), its register files 17 16-byte
+// value/bit pairs each; with the presence bits packed in a word it is 624, in
+// the 640-byte class. A field added must fit in that class.
+func TestSectionLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Section{}); got > 640 {
+		t.Errorf("Section is %d bytes, budget 640", got)
+	}
+	var s Section
+	for _, f := range []struct {
+		name string
+		off  uintptr
+	}{
+		{"Pos", unsafe.Offsetof(s.Pos)},
+		{"Core", unsafe.Offsetof(s.Core)},
+		{"BaseLevel", unsafe.Offsetof(s.BaseLevel)},
+		{"dumped", unsafe.Offsetof(s.dumped)},
+		{"fetchDone", unsafe.Offsetof(s.fetchDone)},
+		{"fetched", unsafe.Offsetof(s.fetched)},
+		{"renamed", unsafe.Offsetof(s.renamed)},
+		{"memOps", unsafe.Offsetof(s.memOps)},
+		{"memRen", unsafe.Offsetof(s.memRen)},
+		{"nreqs", unsafe.Offsetof(s.nreqs)},
+		{"rat", unsafe.Offsetof(s.rat)},
+		{"maat.bloom", unsafe.Offsetof(s.maat) + unsafe.Offsetof(s.maat.bloom)},
+		{"maat.entries", unsafe.Offsetof(s.maat) + unsafe.Offsetof(s.maat.entries)},
+		{"maat.n", unsafe.Offsetof(s.maat) + unsafe.Offsetof(s.maat.n)},
+		{"maat.shift", unsafe.Offsetof(s.maat) + unsafe.Offsetof(s.maat.shift)},
+	} {
+		if f.off >= 128 {
+			t.Errorf("Section.%s is at offset %d, outside the hot header (< 128)", f.name, f.off)
+		}
+	}
+}
+
+// TestMaatPresenceWord checks the MAAT's presence word against its one rule,
+// no false negatives, through several growth rounds: every inserted key is
+// found, a key that was never inserted is not (also when its bit is set by
+// another key), and a table handed back and out again holds nothing of its
+// old keys, with a clear word.
+func TestMaatPresenceWord(t *testing.T) {
+	m := &Machine{}
+	var tbl maat
+	rng := rand.New(rand.NewPCG(35, 1))
+	in := map[uint64]cellID{}
+	for len(in) < 3000 {
+		k := rng.Uint64() &^ 7
+		if _, dup := in[k]; dup {
+			continue
+		}
+		in[k] = cellID(len(in) + 1)
+		m.maatPut(&tbl, k, in[k], false)
+	}
+	if len(tbl.entries) < 4096 {
+		t.Fatalf("table has %d entries, want several growth rounds", len(tbl.entries))
+	}
+	for k, p := range in {
+		if got := tbl.get(k); got != p {
+			t.Fatalf("key %#x: got %d, want %d", k, got, p)
+		}
+	}
+	// Every bit is set, so every absent key shares its bit with a present one.
+	if tbl.bloom != ^uint64(0) {
+		t.Fatalf("presence word %#x after 3000 keys, want every bit set", tbl.bloom)
+	}
+	for i := 0; i < 1000; i++ {
+		k := rng.Uint64() &^ 7
+		if _, ok := in[k]; ok {
+			continue
+		}
+		if got := tbl.get(k); got != 0 {
+			t.Fatalf("absent key %#x: got %d, want 0", k, got)
+		}
+	}
+
+	// A small table: absent keys sharing a present key's bit still miss.
+	var small maat
+	m.maatPut(&small, 8, 1, true)
+	bit := maatBit(maatHash(8))
+	for k, n := uint64(16), 0; n < 100; k += 8 {
+		if maatBit(maatHash(k)) != bit {
+			continue
+		}
+		n++
+		if got := small.get(k); got != 0 {
+			t.Fatalf("key %#x shares key 8's bit: got %d, want 0", k, got)
+		}
+	}
+
+	m.releaseMaat(&tbl)
+	if tbl.bloom != 0 {
+		t.Fatalf("released table's presence word is %#x", tbl.bloom)
+	}
+	var again maat
+	m.acquireMaat(&again)
+	if again.bloom != 0 || len(again.entries) < 4096 {
+		t.Fatalf("acquired table: word %#x, %d entries; want 0 and the big backing", again.bloom, len(again.entries))
+	}
+	for k := range in {
+		if got := again.get(k); got != 0 {
+			t.Fatalf("recycled table finds old key %#x (%d)", k, got)
+		}
+	}
+}
+
 // TestMaatBigN scales the alias table to thousands of keys — the footprint a
 // paper-scale section can accumulate — across several growth/rehash rounds,
 // then checks the recycle path hands the big backing to the next table.

@@ -54,8 +54,6 @@ type request struct {
 	target      *Section // section the request is travelling to / waiting at
 	availableAt int64    // cycle the request is available at its location
 
-	hops int // visited sections, for statistics
-
 	next *request // link on the waiter list the request is parked on
 }
 
@@ -178,7 +176,6 @@ func (m *Machine) stepRequest(r *request) bool {
 			to = from
 		}
 		r.availableAt = m.cycle + m.cfg.Net.Latency(from, to)
-		r.hops++
 		m.reqHops++
 		return true
 	}

@@ -98,16 +98,16 @@ func (m *Machine) stageFD(c *Core) {
 	regs := &m.scratch
 	full := func(rs []isa.Reg) bool {
 		for _, r := range rs {
-			if !c.rf[r].full {
+			if !c.rf.has(r) {
 				return false
 			}
-			regs[r] = c.rf[r].v
+			regs[r] = c.rf.v[r]
 		}
 		return true
 	}
 	markEmpty := func() {
 		for _, r := range fp.Uniq.Writes() {
-			c.rf[r] = val{}
+			c.rf.empty(r)
 		}
 	}
 
@@ -118,7 +118,7 @@ func (m *Machine) stageFD(c *Core) {
 				return
 			}
 			for _, r := range fp.Uniq.Writes() {
-				c.rf[r] = val{v: regs[r], full: true}
+				c.rf.set(r, regs[r])
 			}
 			d.computedAtFetch = true
 		} else {
@@ -132,13 +132,13 @@ func (m *Machine) stageFD(c *Core) {
 		// The register half of push/pop (the rsp update) is simple and is
 		// computed in-stage when rsp is full, keeping the stack discipline
 		// flowing through the fetch stage.
-		rsp := c.rf[isa.RSP]
+		rspFull := c.rf.has(isa.RSP)
 		markEmpty()
-		if (in.Op == isa.PUSH || in.Op == isa.POP) && rsp.full {
-			regs[isa.RSP] = rsp.v
+		if (in.Op == isa.PUSH || in.Op == isa.POP) && rspFull {
+			regs[isa.RSP] = c.rf.v[isa.RSP]
 			nrsp := stackHalf(d, regs)
 			m.setReg(d, isa.RSP, nrsp)
-			c.rf[isa.RSP] = val{v: nrsp, full: true}
+			c.rf.set(isa.RSP, nrsp)
 		}
 	case isa.ClassControl:
 		switch in.Op {
@@ -146,8 +146,8 @@ func (m *Machine) stageFD(c *Core) {
 			next = in.Target
 			d.computedAtFetch = true
 		case isa.Jcc:
-			if c.rf[isa.Flags].full {
-				if in.Cond.Eval(isa.FlagsVal(c.rf[isa.Flags].v)) {
+			if c.rf.has(isa.Flags) {
+				if in.Cond.Eval(isa.FlagsVal(c.rf.v[isa.Flags])) {
 					next = in.Target
 				}
 				d.computedAtFetch = true
@@ -207,9 +207,7 @@ func (m *Machine) pickSection(c *Core) {
 		msg := c.pending.Pop()
 		m.pendingCreates--
 		sec := msg.sec
-		for r := isa.Reg(0); r < isa.NumRegs; r++ {
-			c.rf[r] = sec.init[r]
-		}
+		c.rf = sec.init
 		sec.firstFetch = m.cycle
 		c.fetch = sec
 		m.progress++
@@ -226,8 +224,8 @@ func (m *Machine) pickSection(c *Core) {
 func (m *Machine) doFork(c *Core, sec *Section, d *DynInst) {
 	created := m.newSection(d.IP+1, sec.curLevel, m.cycle)
 	for _, r := range emu.NonVolatile {
-		if c.rf[r].full {
-			created.init[r] = c.rf[r]
+		if c.rf.has(r) {
+			created.init.set(r, c.rf.v[r])
 		} else {
 			d.pendingCopy[d.nPending] = r
 			d.nPending++
@@ -253,9 +251,9 @@ func (m *Machine) ratLookup(sec *Section, r isa.Reg, d *DynInst) cellID {
 	h := sec.rat[r]
 	if h == 0 {
 		h = m.newCell()
-		if sec.init[r].full {
+		if sec.init.has(r) {
 			c := &m.cells[h]
-			c.v, c.at = sec.init[r].v, sec.firstFetch
+			c.v, c.at = sec.init.v[r], sec.firstFetch
 		} else {
 			m.addRequest(reqReg, r, 0, d, h)
 		}
