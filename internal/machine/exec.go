@@ -57,8 +57,8 @@ func (m *Machine) setReg(d *DynInst, r isa.Reg, v uint64) {
 // from it.
 func (m *Machine) srcRegs(d *DynInst) *[isa.NumRegs]uint64 {
 	r := &m.scratch
-	for i := range d.srcs[:d.nsrcs] {
-		r[d.srcs[i].reg] = m.cells[d.srcs[i].prod].v
+	for i, h := range d.srcs[:d.nsrcs] {
+		r[d.srcRegs[i]] = m.cells[h].v
 	}
 	return r
 }
@@ -67,9 +67,10 @@ func (m *Machine) srcRegs(d *DynInst) *[isa.NumRegs]uint64 {
 // its footprint's order, this cycle. It returns the word d's memory operand
 // holds afterwards, or false with m.err set when d faults.
 func (m *Machine) exec(d *DynInst, regs *[isa.NumRegs]uint64, loaded uint64) (uint64, bool) {
-	stored, err := isa.Exec(d.In, regs, loaded)
+	in := m.inst(d)
+	stored, err := isa.Exec(in, regs, loaded)
 	if err != nil {
-		m.err = fmt.Errorf("machine: ip=%d (%s): %v", d.IP, d.In, err)
+		m.err = fmt.Errorf("machine: ip=%d (%s): %v", d.IP, in, err)
 		return 0, false
 	}
 	for _, r := range m.footprints[d.IP].Uniq.Writes() {
@@ -78,12 +79,12 @@ func (m *Machine) exec(d *DynInst, regs *[isa.NumRegs]uint64, loaded uint64) (ui
 	return stored, true
 }
 
-// stackHalf returns the rsp that push or pop d leaves, given the scratch
+// stackHalf returns the rsp that push or pop in leaves, given the scratch
 // register file regs holding its incoming rsp: the register half the fetch or
 // the execute-write-back stage produces before the memory half is known. The
 // word a push stores and the register a pop loads, which may not be known
 // yet, stay in the scratch file. A push or pop cannot fault.
-func stackHalf(d *DynInst, regs *[isa.NumRegs]uint64) uint64 {
-	isa.Exec(d.In, regs, 0)
+func stackHalf(in *isa.Instruction, regs *[isa.NumRegs]uint64) uint64 {
+	isa.Exec(in, regs, 0)
 	return regs[isa.RSP]
 }

@@ -26,6 +26,13 @@ func DynStats(m *Machine) (allocated, peakInFlight int) {
 	return m.dyns.allocated(), m.peakInFlight
 }
 
+// SectionStats returns how many section shells m holds — after a run on a
+// fresh machine, how many it allocated — and how many of them are on its free
+// list rather than in the section order.
+func SectionStats(m *Machine) (held, free int) {
+	return len(m.secFree) + m.order.Len(), len(m.secFree)
+}
+
 // CellStats returns how many cells the last run took from the arena — the
 // most that were named at once, since a freed cell is handed out again first
 // — and how many are still named.

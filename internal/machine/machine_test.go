@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -544,6 +545,16 @@ func TestBadConfig(t *testing.T) {
 	}
 	if _, err := New(p, Config{Cores: 0}); err == nil {
 		t.Error("accepted 0 cores")
+	}
+	// An in-flight instruction keeps its cycles in 32 bits.
+	cfg := DefaultConfig(2)
+	cfg.MaxCycles = math.MaxInt32 + 1
+	if _, err := New(p, cfg); err == nil || !strings.Contains(err.Error(), "MaxCycles") {
+		t.Errorf("MaxCycles %d: error %v, want a refusal", cfg.MaxCycles, err)
+	}
+	cfg.MaxCycles = math.MaxInt32
+	if _, err := New(p, cfg); err != nil {
+		t.Errorf("MaxCycles %d: %v", cfg.MaxCycles, err)
 	}
 }
 

@@ -7,6 +7,7 @@ package machine_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -413,7 +414,7 @@ func TestRebindOracle(t *testing.T) {
 }
 
 // TestRebindRefusesWhatNewRefuses: a Get the machine cannot serve — a program
-// with CALL, a chip with no cores — fails with New's error whether or not a
+// with CALL, a chip with no cores, a cycle cap past 32 bits — fails with New's error whether or not a
 // machine is parked, and the parked machine stays parked and usable.
 func TestRebindRefusesWhatNewRefuses(t *testing.T) {
 	good, err := progs.BuildSumFork(progs.Vector(40))
@@ -444,6 +445,7 @@ func TestRebindRefusesWhatNewRefuses(t *testing.T) {
 	}{
 		{"program with CALL", withCall, machine.DefaultConfig(4)},
 		{"zero cores", good, machine.DefaultConfig(0)},
+		{"MaxCycles past 32 bits", good, machine.Config{Cores: 4, MaxCycles: math.MaxInt32 + 1}},
 	} {
 		_, newErr := machine.New(bad.prog, bad.cfg)
 		_, getErr := pool.Get("", bad.prog, bad.cfg)
@@ -553,4 +555,53 @@ func TestCellsFollowTheWindow(t *testing.T) {
 			t.Errorf("%s: %d cells are still named after the run", pt.kernel, named)
 		}
 	}
+}
+
+// TestSectionsFollowTheWindow is the same contract for section shells: a
+// section leaves the machine when it dumps, and its shell goes to the next
+// fork, so a run allocates as many shells as it has sections undumped at
+// once, not one per section. quickSort n=512 on 64 cores creates 689
+// sections and allocates 31 shells; it allocated all 689 while a dumped
+// section stayed in the order until Reset. The run's result still lists every
+// section, in position order. The §5 sum at n=9 holds nearly all of its 3 072
+// sections undumped at once (3 056 shells), so there reuse saves little; the
+// test logs it.
+func TestSectionsFollowTheWindow(t *testing.T) {
+	m, r := runAtScale(t, "quickSort", 512, 64)
+	shells, free := machine.SectionStats(m)
+	t.Logf("quickSort n=512 on 64 cores: %d sections, %d shells allocated", len(r.Sections), shells)
+	if shells > 128 {
+		t.Errorf("%d shells allocated for %d sections (bound 128)", shells, len(r.Sections))
+	}
+	if free != shells {
+		t.Errorf("only %d of the %d shells are back on the free list after the run", free, shells)
+	}
+	if len(r.Sections) != 689 {
+		t.Errorf("%d sections listed, want 689", len(r.Sections))
+	}
+	seen := make([]bool, len(r.Sections))
+	for i, s := range r.Sections {
+		if s.Pos != i {
+			t.Fatalf("section %d is listed %d-th with position %d", s.ID, i, s.Pos)
+		}
+		if s.ID < 0 || s.ID >= int64(len(seen)) || seen[s.ID] {
+			t.Fatalf("section ID %d listed twice or out of range", s.ID)
+		}
+		seen[s.ID] = true
+	}
+
+	const n = 9
+	p, err := progs.BuildSumFork(progs.Vector(5 << n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err = machine.New(p, machine.DefaultConfig(int(analytic.Sections(n))+1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err = m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	shells, _ = machine.SectionStats(m)
+	t.Logf("sum n=%d: %d sections, %d shells allocated", n, len(r.Sections), shells)
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+
+	"repro/internal/isa"
 )
 
 // This file holds the allocation-free plumbing behind the simulated hot
@@ -27,7 +29,8 @@ import (
 // reusable buffer: Pop advances a head index instead of re-slicing away the
 // front (which leaks capacity and forces append to reallocate), and the
 // dead front region is compacted amortized O(1). The zero value is ready to
-// use.
+// use. Besides the per-core queues it holds the machine's section order,
+// which also inserts in the middle (Insert) and is scanned whole (Items).
 type fifo[T any] struct {
 	buf  []T
 	head int
@@ -41,6 +44,10 @@ func (f *fifo[T]) Front() T { return f.buf[f.head] }
 
 // At returns the i-th element counting from the front.
 func (f *fifo[T]) At(i int) T { return f.buf[f.head+i] }
+
+// Items returns the elements, front first. The slice aliases the buffer and
+// is valid until the next Push, Pop, Insert or Remove.
+func (f *fifo[T]) Items() []T { return f.buf[f.head:] }
 
 // Push appends v at the back.
 func (f *fifo[T]) Push(v T) {
@@ -70,6 +77,16 @@ func (f *fifo[T]) Pop() T {
 		f.head = 0
 	}
 	return v
+}
+
+// Insert puts v at the i-th place counting from the front (i <= Len()),
+// shifting the elements from there on back by one.
+func (f *fifo[T]) Insert(i int, v T) {
+	var zero T
+	f.Push(zero)
+	idx := f.head + i
+	copy(f.buf[idx+1:], f.buf[idx:])
+	f.buf[idx] = v
 }
 
 // Remove deletes the i-th element counting from the front, preserving the
@@ -297,12 +314,13 @@ func (m *Machine) recycle(d *DynInst) {
 // nil pointers, counts that index out of every array, timestamps far in the
 // past of any wake computation and in the future of any strictly-older test.
 var poisoned = DynInst{
-	Idx: -1 << 40, IP: -1 << 40, Level: -1 << 20,
+	Idx: -1 << 30, IP: -1 << 30, Level: -1 << 20,
 	class: 0xff, computedAtFetch: true, nsrcs: 0xff, nwr: 0xff,
-	nPending: 0xff, ewSrcIdx: 0xff, maSrcIdx: 0xff,
+	ewSrcIdx: 0xff, maSrcIdx: 0xff, addrSrcs: 0xff, pendingCopy: ^uint32(0),
+	srcRegs: [maxSrcs]isa.Reg{0xff, 0xff, 0xff, 0xff}, wrRegs: [maxWr]isa.Reg{0xff, 0xff},
 	addr: 0xdead_dead_dead_dead,
-	tFD:  1 << 60, tRR: 1 << 60, tEW: 1 << 60, tAR: 1 << 60, tMA: 1 << 60,
-	ewWakeAt: -1 << 60, maWakeAt: -1 << 60, ewSrcMax: 1 << 60, maSrcMax: 1 << 60,
+	tFD:  1 << 30, tRR: 1 << 30, tEW: 1 << 30, tAR: 1 << 30, tMA: 1 << 30,
+	ewWakeAt: -1 << 30, maWakeAt: -1 << 30, ewSrcMax: 1 << 30, maSrcMax: 1 << 30,
 }
 
 // --------------------------------------------------------------- cells ----
@@ -529,8 +547,9 @@ func (m *Machine) acquireMaat(t *maat) {
 
 // releaseMaat clears t and returns its backing array to the free list. Called
 // when the owning section dumps — after that point no renaming request can
-// search the section (searchTarget skips dumped sections, and dumpOldest
-// refuses to dump a section with requests still at it), so the table is dead.
+// search the section (a search ends at the oldest undumped section, and
+// dumpOldest refuses to dump a section with requests still at it), so the
+// table is dead.
 func (m *Machine) releaseMaat(t *maat) {
 	if t.entries == nil {
 		return
@@ -545,11 +564,10 @@ func (m *Machine) releaseMaat(t *maat) {
 // --------------------------------------------------------------- pools ----
 
 // acquireSection returns a recycled or fresh Section shell with a MAAT
-// backing attached. Shells are recycled only by Machine.Reset: a dumped
-// section keeps its place in Machine.order (positions index it) and its
-// counts, which the final Result lists for every section of the run. What a
-// section no longer needs goes earlier — its instructions as they retire, its
-// MAAT backing when it dumps.
+// backing attached. A shell comes back when its section dumps (dropSection),
+// its record already taken for the run's result, and the next fork reuses it
+// first, so the shells a machine allocates follow the most sections a run
+// has undumped at once, not how many it creates.
 func (m *Machine) acquireSection() *Section {
 	var s *Section
 	if k := len(m.secFree) - 1; k >= 0 {
@@ -571,6 +589,29 @@ func (m *Machine) releaseSection(s *Section) {
 	arQ.Reset()
 	*s = Section{arQ: arQ}
 	m.secFree = append(m.secFree, s)
+}
+
+// dropSection takes back the shell of a section that has just dumped. Under
+// the tests' poison switch it is overwritten with absurd values and never
+// handed out again instead, as recycle does with a retired instruction: a
+// reference to a section that outlived its dump then changes the run.
+func (m *Machine) dropSection(s *Section) {
+	if m.poison {
+		m.releaseMaat(&s.maat)
+		*s = poisonedSection
+		return
+	}
+	m.releaseSection(s)
+}
+
+// poisonedSection is what a dumped section looks like under Machine.poison:
+// a position before every live one, a core no chip has, and counts that
+// index out of every array.
+var poisonedSection = Section{
+	Pos: -1 << 40, Core: -1 << 20, BaseLevel: -1 << 20, ID: -1 << 40,
+	fetched: -1 << 40, renamed: -1 << 40, memOps: -1 << 40, memRen: -1 << 40,
+	nreqs: -1 << 40, retired: -1 << 40, fetchDone: true,
+	resumeAt: -1 << 40, resumeIP: -1 << 40, startIP: -1 << 40, fetchIP: -1 << 40,
 }
 
 // newRequest returns a pooled or fresh renaming request.

@@ -86,6 +86,47 @@ func TestFifoRemoveKeepsOrder(t *testing.T) {
 	}
 }
 
+// TestFifoInsertFollowsTheWindow drives the queue the way the section order
+// is driven — inserts anywhere, pops at the front, a window of about the same
+// size throughout — against a plain slice, and then checks that a warm queue
+// allocates nothing more: the dead front is slid out rather than grown past.
+func TestFifoInsertFollowsTheWindow(t *testing.T) {
+	var f fifo[int]
+	var ref []int
+	rng := rand.New(rand.NewPCG(36, 1))
+	next := 0
+	// step inserts or pops, keeping 20 to 40 elements, and mirrors it on ref
+	// unless ref is nil.
+	step := func(ref *[]int) {
+		if f.Len() < 20 || f.Len() < 40 && rng.IntN(2) == 0 {
+			i := rng.IntN(f.Len() + 1)
+			f.Insert(i, next)
+			if ref != nil {
+				*ref = slices.Insert(*ref, i, next)
+			}
+			next++
+		} else if v := f.Pop(); ref != nil {
+			if v != (*ref)[0] {
+				t.Fatalf("pop %d, want %d", v, (*ref)[0])
+			}
+			*ref = (*ref)[1:]
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		step(&ref)
+		if !slices.Equal(f.Items(), ref) {
+			t.Fatalf("step %d: %v, want %v", i, f.Items(), ref)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for i := 0; i < 1000; i++ {
+			step(nil)
+		}
+	}); allocs != 0 {
+		t.Errorf("a warm queue allocates %.1f times per 1000 steps", allocs)
+	}
+}
+
 // TestMaatTable drives the open-addressed MAAT directly: insert, overwrite,
 // growth-with-rehash and the recycled-backing path. Keys are multiples of 8
 // (word addresses), the worst case for a low-bit hash — the table must stay
@@ -209,12 +250,15 @@ func TestArenaChunkBoundaries(t *testing.T) {
 // section is undumped. A field added must be paid for by another. DynInst was
 // 264 bytes while it named cells by pointer; 4-byte handles make it 216, and
 // the three cells it takes over from the alias tables (prev, prevMem) 232.
-// It was 336 while the result cells lived inside the instruction and 368
-// before the byte-wide fields were packed; a MAAT entry was 24 bytes with a
-// pointer.
+// 232 became 152 when it stopped keeping a pointer to its static instruction
+// (read from the program by IP), its IP, ordinal and nine cycles went to 32
+// bits, its fork copies to a register mask and its sources to cell handles
+// beside packed registers. It was 336 while the result cells lived inside
+// the instruction and 368 before the byte-wide fields were packed; a MAAT
+// entry was 24 bytes with a pointer.
 func TestDynInstSize(t *testing.T) {
-	if got := unsafe.Sizeof(DynInst{}); got > 232 {
-		t.Errorf("DynInst is %d bytes, budget 232", got)
+	if got := unsafe.Sizeof(DynInst{}); got > 160 {
+		t.Errorf("DynInst is %d bytes, budget 160", got)
 	}
 	if got := unsafe.Sizeof(cell{}); got > 32 {
 		t.Errorf("cell is %d bytes, budget 32", got)
@@ -246,7 +290,6 @@ func TestSectionLayout(t *testing.T) {
 		{"Pos", unsafe.Offsetof(s.Pos)},
 		{"Core", unsafe.Offsetof(s.Core)},
 		{"BaseLevel", unsafe.Offsetof(s.BaseLevel)},
-		{"dumped", unsafe.Offsetof(s.dumped)},
 		{"fetchDone", unsafe.Offsetof(s.fetchDone)},
 		{"fetched", unsafe.Offsetof(s.fetched)},
 		{"renamed", unsafe.Offsetof(s.renamed)},
@@ -507,7 +550,7 @@ func TestResetReproduces(t *testing.T) {
 // the machine: on every cell the arena's storage holds, handed out or not,
 // and at every section.
 func parked(m *Machine) (insts, reqs int) {
-	for _, s := range m.order {
+	for _, s := range m.order.Items() {
 		for r := s.waiting; r != nil; r = r.next {
 			reqs++
 		}

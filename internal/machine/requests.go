@@ -95,11 +95,8 @@ func rspPositive(fp *isa.Footprint) bool {
 // skipped). Deeper-level sections are skipped for shortcut requests.
 func (m *Machine) searchTarget(r *request) *Section {
 	s := m.prevOf(r.from)
-	for s != nil && !s.dumped && r.kind == reqMem && r.shortcut && m.cfg.Shortcut && s.BaseLevel > r.level {
+	for s != nil && r.kind == reqMem && r.shortcut && m.cfg.Shortcut && s.BaseLevel > r.level {
 		s = m.prevOf(s)
-	}
-	if s == nil || s.dumped {
-		return nil
 	}
 	return s
 }

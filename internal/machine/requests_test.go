@@ -30,7 +30,9 @@ func TestProcessRequestsCompaction(t *testing.T) {
 		a := &Section{fetchDone: true}
 		b := &Section{Pos: 1}
 		c := &Section{Pos: 2}
-		m.order = []*Section{a, b, c}
+		for _, s := range []*Section{a, b, c} {
+			m.order.Push(s)
+		}
 		m.resetCells()
 		unproduced, produced := m.newCell(), m.newCell()
 		m.cells[produced] = cell{v: 42, at: 5}

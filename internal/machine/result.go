@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -13,9 +14,10 @@ import (
 // register-register instruction).
 type InstTiming struct {
 	Section int64 // section ID
-	// SecPos is the section's position in the total section order: the
-	// position at the time of retirement in a row handed to a sink, the final
-	// one in a Collector's rows.
+	// SecPos is the section's position in the run's total section order,
+	// dumped sections included: the position at the time of retirement in a
+	// row handed to a sink (a later fork before the section moves it), the
+	// final one in a Collector's rows.
 	SecPos                  int
 	Idx                     int // ordinal within the section (1-based in Label)
 	IP                      int64
@@ -169,16 +171,9 @@ func (m *Machine) result() *Result {
 		r.FetchedPerCore = append(r.FetchedPerCore, c.fetched)
 		r.Instructions += c.fetched
 	}
-	// m.order is maintained in ascending position (Pos == index), so the
-	// sections come out in global trace order.
-	r.Sections = make([]SectionInfo, 0, len(m.order))
-	for _, s := range m.order {
-		r.Sections = append(r.Sections, SectionInfo{
-			ID: s.ID, Pos: s.Pos, Core: s.Core, BaseLevel: s.BaseLevel,
-			Instructions: s.fetched, CreatedAt: s.createdAt, FirstFetch: s.firstFetch,
-			LastRetire: s.lastRetire,
-		})
-	}
+	// Sections dump in order, so their records come out in global trace
+	// order, and a run ends with every section dumped.
+	r.Sections = slices.Clone(m.sections)
 	return r
 }
 

@@ -3,6 +3,7 @@ package machine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +21,8 @@ type traced struct {
 	Timings []InstTiming
 }
 
-// runRows runs m — freshly built, bound or Reset — with a collector attached.
+// runRows runs m — freshly built, bound or Reset — with a collector attached,
+// and checks the position each row carried when it retired.
 func runRows(m *Machine) (traced, error) {
 	var c Collector
 	c.Attach(m)
@@ -28,7 +30,38 @@ func runRows(m *Machine) (traced, error) {
 	if err != nil {
 		return traced{}, err
 	}
+	if err := checkRowPositions(c.rows, r.Sections); err != nil {
+		return traced{}, err
+	}
 	return traced{r, c.Timings(r)}, nil
+}
+
+// checkRowPositions checks rows, in the order they retired and as a sink got
+// them, against the run's sections. A row's SecPos is its section's position
+// at the cycle it retired: the number of sections before it in the final
+// order that existed then, dumped or not. Those created in an earlier cycle
+// count for certain, those created in the same cycle may or may not (cores
+// fork and retire in turn within a cycle).
+func checkRowPositions(rows []InstTiming, secs []SectionInfo) error {
+	byID := make([][]int, len(secs))
+	for i := range rows {
+		byID[rows[i].Section] = append(byID[rows[i].Section], i)
+	}
+	var created []int64 // creation cycles of the sections before, ascending
+	for _, s := range secs {
+		for _, i := range byID[s.ID] {
+			t := &rows[i]
+			lo, _ := slices.BinarySearch(created, t.RET)
+			hi, _ := slices.BinarySearch(created, t.RET+1)
+			if t.SecPos < lo || t.SecPos > hi {
+				return fmt.Errorf("row %d of section %d retired at cycle %d in position %d, want %d..%d",
+					t.Idx, t.Section, t.RET, t.SecPos, lo, hi)
+			}
+		}
+		k, _ := slices.BinarySearch(created, s.CreatedAt)
+		created = slices.Insert(created, k, s.CreatedAt)
+	}
+	return nil
 }
 
 // mustRunRows is runRows for a run that has to succeed.

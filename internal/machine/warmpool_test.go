@@ -245,8 +245,9 @@ t: .space 65536
 	if got := cap(m.cells); got > keep {
 		t.Errorf("parked with room for %d cells, budget %d", got, keep)
 	}
-	if len(m.order) != 0 || len(m.cells) != 1 {
-		t.Errorf("parked with %d sections and %d cells of the run still held", len(m.order), len(m.cells)-1)
+	if m.order.Len() != 0 || len(m.sections) != 0 || len(m.cells) != 1 {
+		t.Errorf("parked with %d sections, %d section records and %d cells of the run still held",
+			m.order.Len(), len(m.sections), len(m.cells)-1)
 	}
 	again, err := p.Get("", prog, DefaultConfig(2))
 	if err != nil {
@@ -266,9 +267,10 @@ t: .space 65536
 // legs count on. A poisoned run takes one DynInst from the arena per
 // instruction and leaves every one of them overwritten, and it leaves every
 // cell it took overwritten too — nothing names a cell at the end of a run, so
-// every one was freed — with none handed out twice; a plain run of the same
-// program takes no more DynInsts than were ever in flight, and ends with
-// every cell it took back on the free list.
+// every one was freed — with none handed out twice, and it hands no section
+// shell back; a plain run of the same program takes no more DynInsts than
+// were ever in flight and fewer shells than it has sections, and ends with
+// every cell and every shell it took back on the free list.
 func TestPoisonNeverReuses(t *testing.T) {
 	prog := mustSumFork(t, 40)
 	m, err := New(prog, DefaultConfig(4))
@@ -286,10 +288,16 @@ func TestPoisonNeverReuses(t *testing.T) {
 	if freeCells(m) != plainCells {
 		t.Errorf("plain run: %d of the %d cells it took are back on the free list", freeCells(m), plainCells)
 	}
+	if plainShells := len(m.secFree); plainShells >= len(r.Sections) || m.order.Len() != 0 {
+		t.Errorf("plain run: %d shells for %d sections, %d still in the order", plainShells, len(r.Sections), m.order.Len())
+	}
 	m.Reset()
 	m.poison = true
 	if _, err := m.Run(); err != nil {
 		t.Fatal(err)
+	}
+	if len(m.secFree) != 0 {
+		t.Errorf("poisoned run: %d shells handed back", len(m.secFree))
 	}
 	if got := int64(m.dyns.allocated()); got != r.Instructions {
 		t.Fatalf("poisoned run: %d DynInsts allocated for %d instructions", got, r.Instructions)
