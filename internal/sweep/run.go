@@ -15,7 +15,8 @@ import (
 type Stats struct {
 	// Points is the grid size after normalisation and dedup.
 	Points int
-	// Hits is how many points were served from the cache.
+	// Hits is how many points were served from the cache: its file, or the
+	// engine's memory of an outcome it already read or measured.
 	Hits int
 	// Coalesced is how many points shared a concurrent in-flight measurement
 	// of the same content key instead of simulating (singleflight).
@@ -39,7 +40,10 @@ func (s Stats) String() string {
 // Engine measures sweep grids on a bounded number of goroutines, with an
 // optional persistent cache and warm-machine pool.
 type Engine struct {
-	// Cache, when non-nil, serves repeated points without re-simulation.
+	// Cache, when non-nil, serves repeated points without re-simulation. The
+	// engine also remembers the successful outcomes it read from or stored in
+	// the cache (up to 65 536 of them), so a repeated point costs a map
+	// lookup; the cache stays the copy other engines and processes read.
 	Cache *Cache
 	// Workers bounds concurrent measurements; <= 0 uses GOMAXPROCS.
 	Workers int
@@ -103,9 +107,10 @@ func (e *Engine) Run(spec *Spec, emit func(Record)) ([]Record, error) {
 // the job server both build on it) and is safe for concurrent use:
 // concurrent measurements of the same content key are coalesced
 // (singleflight), so N identical in-flight submissions simulate a point
-// exactly once and share the outcome. A dataset size below the kernel's
-// minimum is clamped and the display name is normalised; the returned record
-// carries the effective point.
+// exactly once and share the outcome; with a Cache, a point this engine
+// already read or measured is served from its memory. A dataset size below
+// the kernel's minimum is clamped and the display name is normalised; the
+// returned record carries the effective point.
 func (e *Engine) Measure(p Point) Record {
 	rec := Record{Point: p}
 	e.count(func(s *Stats) { s.Points++ })
@@ -141,20 +146,25 @@ func (e *Engine) Measure(p Point) Record {
 	}
 	rec.Key = finishKey(fe.prefix, p)
 
-	f, leader := e.flights.join(rec.Key)
+	f, leader, remembered := e.flights.join(rec.Key)
 	if !leader {
 		<-f.done
 		rec.Metrics, rec.Err = f.metrics, f.errMsg
 		e.count(func(s *Stats) {
-			if rec.Err != "" {
+			switch {
+			case rec.Err != "":
 				s.Failures++
-			} else {
+			case remembered:
+				s.Hits++
+			default:
 				s.Coalesced++
 			}
 		})
 		return rec
 	}
-	defer func() { e.flights.finish(rec.Key, f, rec.Metrics, rec.Err) }()
+	// Only an engine with a cache remembers: the memory is a faster copy of
+	// what the cache holds, and an engine without one simulates every call.
+	defer func() { e.flights.finish(rec.Key, f, rec.Metrics, rec.Err, e.Cache != nil) }()
 
 	if m, ok := e.Cache.Get(rec.Key); ok {
 		rec.Metrics = *m

@@ -226,8 +226,9 @@ type Metrics struct {
 	NocMessages      int64   `json:"nocMessages"`
 	Checksum         uint64  `json:"checksum"`
 	// SimNs is the wall-clock nanoseconds the machine simulation took when
-	// this point was measured (cache hits keep the time of the original
-	// measurement, so cached re-runs stay byte-identical).
+	// this point was measured (cache hits, from the file or the engine's
+	// memory, keep the time of the original measurement, so cached re-runs
+	// stay byte-identical).
 	SimNs int64 `json:"simNs"`
 	// NsPerCycle is SimNs per simulated cycle — the host's speed on this
 	// point, the simulator's figure of merit.
