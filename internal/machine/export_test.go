@@ -13,6 +13,10 @@ var RunRows = runRows
 // values and never reuse it (Machine.poison); bind and Reset clear it.
 func Poison(m *Machine) { m.poison = true }
 
+// RelabelEveryFork makes every fork of m's next run relabel the whole section
+// order (Machine.relabelAll); bind and Reset clear it.
+func RelabelEveryFork(m *Machine) { m.relabelAll = true }
+
 // Visits returns how many core visits the idle-skip scheduler has made since
 // m was built, bound or Reset.
 func Visits(m *Machine) int64 { return m.visits }
@@ -30,7 +34,7 @@ func DynStats(m *Machine) (allocated, peakInFlight int) {
 // fresh machine, how many it allocated — and how many of them are on its free
 // list rather than in the section order.
 func SectionStats(m *Machine) (held, free int) {
-	return len(m.secFree) + m.order.Len(), len(m.secFree)
+	return len(m.secFree) + m.undumped(), len(m.secFree)
 }
 
 // CellStats returns how many cells the last run took from the arena — the

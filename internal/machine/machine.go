@@ -40,7 +40,8 @@
 // from its fork to its dump: dumpOldest folds its record into the run's
 // result, takes it out of the section order and hands its shell to the next
 // fork, so the shells follow the sections undumped at once, and the order —
-// which positions index and the dense scheduler scans — holds only those.
+// which a renaming request walks back and the dense scheduler scans — holds
+// only those.
 //
 // Waiting work is parked, not polled. The production (idle-skip) scheduler
 // keeps in a core's issue and load-store queues only instructions that are
@@ -352,21 +353,27 @@ func (d *DynInst) done() bool {
 // the machine's free list for the next fork (acquireSection).
 //
 // The fields are laid out for the loop that reads sections most: a renaming
-// request's search step, which for each section it passes reads the position
-// and host, whether the section is renamed, one alias-table slot and its
-// request count. Those fields, with what dumpOldest and the retire
-// and address-rename picks test, form a hot header at the front — every one
-// of them starts in the first two cache lines — and the fetch state and the
-// register snapshots, read once per fetch or suspension, come after it.
+// request's search step, which for each section it passes reads the link to
+// the one before and the host, whether the section is renamed, one
+// alias-table slot and its request count. Those fields, with what dumpOldest
+// and the retire and address-rename picks test and compare, form a hot header
+// at the front — every one of them starts in the first two cache lines — and
+// the fetch state and the register snapshots, read once per fetch or
+// suspension, come after it.
 // TestSectionLayout pins both the header and the size.
 type Section struct {
 	// ---- hot header: read by every search step ----
 
-	// Pos is the section's current position in the total order of the run's
-	// sections, dumped ones included: the number dumped before it plus its
-	// index in Machine.order.
-	Pos  int
-	Core int // hosting core, -1 until the creation message is accepted
+	// ord is the section's order label: labels increase strictly along the
+	// section order, oldest first, so two undumped sections compare by their
+	// labels as by their places in the run's total order. A fork labels its
+	// continuation between its neighbours' labels and moves no other one
+	// (insertAfter).
+	ord uint64
+	// prev is the undumped section immediately before this one in the order,
+	// nil for the oldest: the next section a renaming request searches.
+	prev *Section
+	Core int // hosting core, -1 until assignHost chooses it; fixed from then on
 	// fetched counts every instruction the section ever fetched, renamed
 	// those past the rename stage, memOps the memory ops fetched and memRen
 	// those address-renamed.
@@ -386,7 +393,8 @@ type Section struct {
 
 	// ---- cold: fetch, retirement and statistics ----
 
-	ID int64 // creation sequence number
+	ID   int64    // creation sequence number
+	next *Section // the undumped section after this one, nil for the newest
 	// head and tail are the section's un-retired instructions, oldest first,
 	// linked through DynInst.secNext: fetch appends, retire pops.
 	head, tail *DynInst
@@ -452,7 +460,7 @@ type sectionMsg struct {
 // Core is one core's pipeline state. The queues are reusable-buffer
 // structures: the FIFOs slide instead of re-slicing, and the issue/load-store
 // queues delete by swap (their storage order carries no meaning — selection
-// orders by the explicit (section position, ordinal) comparison).
+// orders by the explicit (section label, ordinal) comparison).
 //
 // Work reaches a core from outside its own stages in two ways only: a
 // section-creation message pushed on pending (assignHost) and a parked
@@ -488,14 +496,17 @@ type Machine struct {
 	// reads, writes and is, read by a dynamic instruction's IP.
 	footprints []isa.Footprint
 	cores      []*Core
-	// order is the total order of the undumped sections, oldest first: a fork
-	// inserts into it, a dump pops its front. dumped counts the sections
-	// popped, so a section's position in the run's whole order (Section.Pos)
-	// is dumped plus its index here, and sections holds what the run's result
-	// lists of each dumped one, in that order.
-	order    fifo[*Section]
-	dumped   int
-	sections []SectionInfo
+	// head and tail are the ends of the total order of the undumped
+	// sections, oldest first, linked through Section.prev and Section.next: a
+	// fork links its continuation in after the creator (insertAfter), a dump
+	// unlinks the head (popOldest). dumped counts the sections unlinked, so a
+	// section's position in the run's whole order is dumped plus the links
+	// before it — counted only where a position is reported (position) — and
+	// sections holds what the run's result lists of each dumped one, in that
+	// order.
+	head, tail *Section
+	dumped     int
+	sections   []SectionInfo
 	// reqs holds the renaming requests processRequests steps each cycle: all
 	// live ones under Config.Dense, otherwise those in flight or waiting for a
 	// known cycle — a request waiting for an event is parked on the section or
@@ -568,8 +579,13 @@ type Machine struct {
 	// poison is the tests' proof that nothing reads a retired instruction, a
 	// freed cell or a dumped section: recycle, freeCell and dumpOldest
 	// overwrite the object with absurd values and drop it instead of reusing
-	// it, and the run must not notice.
+	// it, and the run must not notice. A poisoned run also checks the section
+	// order at every fork (orderError).
 	poison bool
+	// relabelAll is the tests' proof that no result depends on the order
+	// labels' values, only on how they compare: every fork relabels the whole
+	// order, as it otherwise does only when a gap is used up.
+	relabelAll bool
 }
 
 // DMH returns the data memory hierarchy (the committed memory), for
@@ -675,10 +691,12 @@ func (m *Machine) Reset() {
 // release returns the previous run's objects to the machine's pools and
 // zeroes every per-run counter, leaving prog, cfg and the cores in place.
 func (m *Machine) release() {
-	for _, s := range m.order.Items() {
+	for s := m.head; s != nil; {
+		next := s.next // releaseSection scrubs the link
 		m.releaseSection(s)
+		s = next
 	}
-	m.order.Reset()
+	m.head, m.tail = nil, nil
 	m.sections = m.sections[:0]
 	for _, c := range m.cores {
 		c.rf = regFile{}
@@ -705,7 +723,7 @@ func (m *Machine) release() {
 	m.dyns.reset()
 	m.dynFree = nil
 	m.resetCells()
-	m.sink, m.poison = nil, false
+	m.sink, m.poison, m.relabelAll = nil, false, false
 	m.cycle, m.nextSecID, m.lastMove, m.progress, m.visits = 0, 0, 0, 0, 0
 	m.inFlight, m.peakInFlight = 0, 0
 	m.fetchDone, m.retireDone = 0, 0
@@ -732,8 +750,7 @@ func (m *Machine) boot() {
 	// The initial section: all registers full with the entry state.
 	s := m.newSection(m.prog.Entry, 0, 0)
 	s.init = regFile{v: m.arch, full: 1<<isa.NumRegs - 1}
-	m.order.Push(s)
-	s.Pos = 0
+	m.head, m.tail = s, s
 	m.assignHost(s, 0)
 }
 
@@ -752,24 +769,96 @@ func (m *Machine) newSection(startIP int64, baseLevel int32, createdAt int64) *S
 
 // insertAfter places created immediately after creator in the total order
 // (the paper's §2: "new sections are inserted in place in the list of
-// existing sections ... building the sequential trace of the run").
+// existing sections ... building the sequential trace of the run"). created
+// is labelled halfway between the creator's label and its successor's (the
+// top of the label space when the creator is the newest), which moves no
+// other label. Only when that gap has no room left is the whole order
+// relabelled, a walk of the undumped sections. That is rare: spread evenly
+// over the 64-bit label space, even 3 072 sections leave every gap room for
+// 52 halvings.
 func (m *Machine) insertAfter(creator, created *Section) {
-	at := creator.Pos + 1 - m.dumped
-	m.order.Insert(at, created)
-	live := m.order.Items()
-	for i := at; i < len(live); i++ {
-		live[i].Pos = m.dumped + i
+	if m.relabelAll || gapAfter(creator) < 2 {
+		m.relabel()
+	}
+	created.ord = creator.ord + gapAfter(creator)/2
+	next := creator.next
+	created.prev, created.next = creator, next
+	creator.next = created
+	if next != nil {
+		next.prev = created
+	} else {
+		m.tail = created
+	}
+	if m.poison && m.err == nil {
+		m.err = m.orderError()
 	}
 }
 
-// prevOf returns the undumped section immediately before s in the total
-// order, or nil when s is the oldest.
-func (m *Machine) prevOf(s *Section) *Section {
-	i := s.Pos - m.dumped
-	if i == 0 {
-		return nil
+// gapAfter is the room between s's label and its successor's, or the top of
+// the label space when s is the newest.
+func gapAfter(s *Section) uint64 {
+	if s.next == nil {
+		return math.MaxUint64 - s.ord
 	}
-	return m.order.At(i - 1)
+	return s.next.ord - s.ord
+}
+
+// relabel spreads the undumped sections' labels evenly over the label space,
+// in order, from 0.
+func (m *Machine) relabel() {
+	step := math.MaxUint64 / uint64(m.undumped()+1)
+	var ord uint64
+	for s := m.head; s != nil; s = s.next {
+		s.ord = ord
+		ord += step
+	}
+}
+
+// undumped counts the sections in the order.
+func (m *Machine) undumped() int {
+	n := 0
+	for s := m.head; s != nil; s = s.next {
+		n++
+	}
+	return n
+}
+
+// popOldest unlinks the oldest undumped section and counts it dumped.
+func (m *Machine) popOldest() {
+	if m.head = m.head.next; m.head != nil {
+		m.head.prev = nil
+	} else {
+		m.tail = nil
+	}
+	m.dumped++
+}
+
+// position returns s's position in the run's whole section order: the
+// sections dumped before it and the undumped ones linked before it. It walks
+// the order, so only what reports a position counts it.
+func (m *Machine) position(s *Section) int {
+	n := m.dumped
+	for p := s.prev; p != nil; p = p.prev {
+		n++
+	}
+	return n
+}
+
+// orderError reports how the order is not a well-formed list, or nil: every
+// link must be matched by the one back, the labels must increase strictly
+// from the head, and the walk must end at the tail. Poisoned runs check it at
+// every fork.
+func (m *Machine) orderError() error {
+	var prev *Section
+	for s := m.head; s != nil; prev, s = s, s.next {
+		if s.prev != prev || prev != nil && prev.ord >= s.ord {
+			return fmt.Errorf("machine: section order broken at section %d", s.ID)
+		}
+	}
+	if m.tail != prev {
+		return fmt.Errorf("machine: section order does not end at its tail")
+	}
+	return nil
 }
 
 // chooseHost picks the hosting core for a new section (the paper leaves
@@ -891,8 +980,8 @@ func (m *Machine) runDense() (*Result, error) {
 //     test until the next cycle either way. And picking when the core is
 //     visited equals picking at the start of the cycle, as the scans do
 //     relative to the other cores: no other core's stage completes this
-//     core's instructions, and a fork elsewhere renumbers positions without
-//     reordering two existing sections, so the minimum is stable.
+//     core's instructions, and a fork elsewhere — even one that relabels the
+//     order — reorders no two existing sections, so the minimum is stable.
 //   - A core can act only on its own slots and queues (the fetch slot, the
 //     message FIFO, the suspension list, the rename/issue/load-store queues)
 //     and its ready lists, and work reaches those from outside the core's own
@@ -1191,7 +1280,7 @@ func (m *Machine) done() bool {
 	if !m.hltSeen || m.pendingCreates > 0 {
 		return false
 	}
-	return m.order.Empty()
+	return m.head == nil
 }
 
 // stuckReport summarises pipeline state for deadlock diagnostics. The request
@@ -1199,9 +1288,9 @@ func (m *Machine) done() bool {
 // message), parked or not, so the text is the same under both schedulers.
 func (m *Machine) stuckReport() string {
 	var b strings.Builder
-	for _, sec := range m.order.Items() {
+	for sec, pos := m.head, m.dumped; sec != nil; sec, pos = sec.next, pos+1 {
 		fmt.Fprintf(&b, "[sec %d core %d pos %d: %d insts fetchDone=%v renamed=%d retired=%d memRen=%d/%d stalled=%v] ",
-			sec.ID, sec.Core, sec.Pos, sec.fetched, sec.fetchDone, sec.renamed, sec.retired, sec.memRen, sec.memOps, sec.stalled)
+			sec.ID, sec.Core, pos, sec.fetched, sec.fetchDone, sec.renamed, sec.retired, sec.memRen, sec.memOps, sec.stalled)
 	}
 	fmt.Fprintf(&b, "reqs=%d", m.regReqs+m.memReqs-m.respMsgs)
 	return b.String()
@@ -1215,8 +1304,8 @@ func (m *Machine) stuckReport() string {
 // oldest undumped section — so its record goes to the run's result, it leaves
 // the section order and its shell goes back to the free list.
 func (m *Machine) dumpOldest() {
-	for !m.order.Empty() {
-		s := m.order.Front()
+	for m.head != nil {
+		s := m.head
 		if !s.fullyRetired() {
 			return
 		}
@@ -1250,12 +1339,11 @@ func (m *Machine) dumpOldest() {
 		}
 		// Its position is final: nothing can be inserted before it any more.
 		m.sections = append(m.sections, SectionInfo{
-			ID: s.ID, Pos: s.Pos, Core: s.Core, BaseLevel: s.BaseLevel,
+			ID: s.ID, Pos: m.dumped, Core: s.Core, BaseLevel: s.BaseLevel,
 			Instructions: s.fetched, CreatedAt: s.createdAt, FirstFetch: s.firstFetch,
 			LastRetire: s.lastRetire,
 		})
-		m.order.Pop()
-		m.dumped++
+		m.popOldest()
 		c := m.cores[s.Core]
 		m.setLive(c, c.live-1)
 		unlist(c, s)

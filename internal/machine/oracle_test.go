@@ -605,3 +605,36 @@ func TestSectionsFollowTheWindow(t *testing.T) {
 	shells, _ = machine.SectionStats(m)
 	t.Logf("sum n=%d: %d sections, %d shells allocated", n, len(r.Sections), shells)
 }
+
+// TestRelabelEveryForkMovesNothing: the section order's labels matter only
+// through how they compare. The §5 sum for n=0..7, on TestSumPaperNumbers'
+// chips, runs to the same result, section records and rows when every fork
+// relabels the whole order as when forks relabel only where a gap runs out;
+// RunRows also checks each run's rows against the positions their sections
+// had when they retired. The relabelled run is poisoned, so the order's
+// links and labels are checked at every fork too.
+func TestRelabelEveryForkMovesNothing(t *testing.T) {
+	for n := 0; n <= 7; n++ {
+		p, err := progs.BuildSumFork(progs.Vector(int(analytic.Elements(n))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := machine.DefaultConfig(int(analytic.Sections(n)) + 1)
+		run := func(relabel bool) traced {
+			m, err := machine.New(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if relabel {
+				machine.RelabelEveryFork(m)
+				machine.Poison(m)
+			}
+			r, err := machine.RunRows(m)
+			if err != nil {
+				t.Fatalf("sum n=%d relabel=%v: %v", n, relabel, err)
+			}
+			return r
+		}
+		sameResult(t, fmt.Sprintf("sum n=%d relabelled at every fork", n), run(false), run(true))
+	}
+}

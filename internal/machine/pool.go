@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -29,8 +30,7 @@ import (
 // reusable buffer: Pop advances a head index instead of re-slicing away the
 // front (which leaks capacity and forces append to reallocate), and the
 // dead front region is compacted amortized O(1). The zero value is ready to
-// use. Besides the per-core queues it holds the machine's section order,
-// which also inserts in the middle (Insert) and is scanned whole (Items).
+// use.
 type fifo[T any] struct {
 	buf  []T
 	head int
@@ -44,10 +44,6 @@ func (f *fifo[T]) Front() T { return f.buf[f.head] }
 
 // At returns the i-th element counting from the front.
 func (f *fifo[T]) At(i int) T { return f.buf[f.head+i] }
-
-// Items returns the elements, front first. The slice aliases the buffer and
-// is valid until the next Push, Pop, Insert or Remove.
-func (f *fifo[T]) Items() []T { return f.buf[f.head:] }
 
 // Push appends v at the back.
 func (f *fifo[T]) Push(v T) {
@@ -79,16 +75,6 @@ func (f *fifo[T]) Pop() T {
 	return v
 }
 
-// Insert puts v at the i-th place counting from the front (i <= Len()),
-// shifting the elements from there on back by one.
-func (f *fifo[T]) Insert(i int, v T) {
-	var zero T
-	f.Push(zero)
-	idx := f.head + i
-	copy(f.buf[idx+1:], f.buf[idx:])
-	f.buf[idx] = v
-}
-
 // Remove deletes the i-th element counting from the front, preserving the
 // order of the rest. O(live length) — used only for the tiny per-core
 // suspended list, whose scan order is the suspension order.
@@ -112,7 +98,7 @@ func (f *fifo[T]) Reset() {
 // swapRemove deletes q[i] in O(1) by moving the last element into its place.
 // Used for the issue and load-store queues, whose storage order is
 // irrelevant: issue selection orders candidates by the explicit
-// (section position, ordinal) comparison, never by queue position.
+// (section label, ordinal) comparison, never by queue position.
 func swapRemove(q *[]*DynInst, i int) {
 	s := *q
 	last := len(s) - 1
@@ -605,10 +591,10 @@ func (m *Machine) dropSection(s *Section) {
 }
 
 // poisonedSection is what a dumped section looks like under Machine.poison:
-// a position before every live one, a core no chip has, and counts that
-// index out of every array.
+// a label after every live one, a core no chip has, and counts that index out
+// of every array.
 var poisonedSection = Section{
-	Pos: -1 << 40, Core: -1 << 20, BaseLevel: -1 << 20, ID: -1 << 40,
+	ord: math.MaxUint64, Core: -1 << 20, BaseLevel: -1 << 20, ID: -1 << 40,
 	fetched: -1 << 40, renamed: -1 << 40, memOps: -1 << 40, memRen: -1 << 40,
 	nreqs: -1 << 40, retired: -1 << 40, fetchDone: true,
 	resumeAt: -1 << 40, resumeIP: -1 << 40, startIP: -1 << 40, fetchIP: -1 << 40,

@@ -86,47 +86,6 @@ func TestFifoRemoveKeepsOrder(t *testing.T) {
 	}
 }
 
-// TestFifoInsertFollowsTheWindow drives the queue the way the section order
-// is driven — inserts anywhere, pops at the front, a window of about the same
-// size throughout — against a plain slice, and then checks that a warm queue
-// allocates nothing more: the dead front is slid out rather than grown past.
-func TestFifoInsertFollowsTheWindow(t *testing.T) {
-	var f fifo[int]
-	var ref []int
-	rng := rand.New(rand.NewPCG(36, 1))
-	next := 0
-	// step inserts or pops, keeping 20 to 40 elements, and mirrors it on ref
-	// unless ref is nil.
-	step := func(ref *[]int) {
-		if f.Len() < 20 || f.Len() < 40 && rng.IntN(2) == 0 {
-			i := rng.IntN(f.Len() + 1)
-			f.Insert(i, next)
-			if ref != nil {
-				*ref = slices.Insert(*ref, i, next)
-			}
-			next++
-		} else if v := f.Pop(); ref != nil {
-			if v != (*ref)[0] {
-				t.Fatalf("pop %d, want %d", v, (*ref)[0])
-			}
-			*ref = (*ref)[1:]
-		}
-	}
-	for i := 0; i < 10_000; i++ {
-		step(&ref)
-		if !slices.Equal(f.Items(), ref) {
-			t.Fatalf("step %d: %v, want %v", i, f.Items(), ref)
-		}
-	}
-	if allocs := testing.AllocsPerRun(10, func() {
-		for i := 0; i < 1000; i++ {
-			step(nil)
-		}
-	}); allocs != 0 {
-		t.Errorf("a warm queue allocates %.1f times per 1000 steps", allocs)
-	}
-}
-
 // TestMaatTable drives the open-addressed MAAT directly: insert, overwrite,
 // growth-with-rehash and the recycled-backing path. Keys are multiples of 8
 // (word addresses), the worst case for a low-bit hash — the table must stay
@@ -269,15 +228,16 @@ func TestDynInstSize(t *testing.T) {
 }
 
 // TestSectionLayout pins the layout a renaming request's search step reads.
-// A step reads, of each section it passes, the position and host, whether it
-// is dumped, renamed or address-renamed, its request count, one alias-table
-// slot and the MAAT's presence word; dumpOldest and the retire and
-// address-rename picks read the same counts. All of them start in the first
-// two cache lines, so a step costs two lines of the section instead of the
-// six it read while 544 bytes of register copies sat between them. Section
-// was 904 bytes (Go's 1 024-byte size class), its register files 17 16-byte
-// value/bit pairs each; with the presence bits packed in a word it is 624, in
-// the 640-byte class. A field added must fit in that class.
+// A step reads, of each section it passes, the link to the one before and the
+// host, whether it is dumped, renamed or address-renamed, its request count,
+// one alias-table slot and the MAAT's presence word; dumpOldest and the retire
+// and address-rename picks read the same counts and the order label. All of
+// them start in the first two cache lines, so a step costs two lines of the
+// section instead of the six it read while 544 bytes of register copies sat
+// between them. Section was 904 bytes (Go's 1 024-byte size class), its
+// register files 17 16-byte value/bit pairs each; with the presence bits
+// packed in a word it was 624, and with the order's two links it is 640, all
+// of the 640-byte class. A field added has to make room first.
 func TestSectionLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Section{}); got > 640 {
 		t.Errorf("Section is %d bytes, budget 640", got)
@@ -287,7 +247,8 @@ func TestSectionLayout(t *testing.T) {
 		name string
 		off  uintptr
 	}{
-		{"Pos", unsafe.Offsetof(s.Pos)},
+		{"ord", unsafe.Offsetof(s.ord)},
+		{"prev", unsafe.Offsetof(s.prev)},
 		{"Core", unsafe.Offsetof(s.Core)},
 		{"BaseLevel", unsafe.Offsetof(s.BaseLevel)},
 		{"fetchDone", unsafe.Offsetof(s.fetchDone)},
@@ -305,6 +266,16 @@ func TestSectionLayout(t *testing.T) {
 		if f.off >= 128 {
 			t.Errorf("Section.%s is at offset %d, outside the hot header (< 128)", f.name, f.off)
 		}
+	}
+}
+
+// TestRequestSize pins a renaming request to Go's 64-byte size class: the
+// requester's core, which a step reads, packs beside the consumer's level,
+// and the slot handle beside the kind. A request was 72 bytes before it
+// carried the core (an 80-byte object); an int for the core made it 80.
+func TestRequestSize(t *testing.T) {
+	if got := unsafe.Sizeof(request{}); got > 64 {
+		t.Errorf("request is %d bytes, budget 64", got)
 	}
 }
 
@@ -550,7 +521,7 @@ func TestResetReproduces(t *testing.T) {
 // the machine: on every cell the arena's storage holds, handed out or not,
 // and at every section.
 func parked(m *Machine) (insts, reqs int) {
-	for _, s := range m.order.Items() {
+	for s := m.head; s != nil; s = s.next {
 		for r := s.waiting; r != nil; r = r.next {
 			reqs++
 		}

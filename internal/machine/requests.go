@@ -43,12 +43,16 @@ const (
 type request struct {
 	kind     reqKind
 	reg      isa.Reg
+	shortcut bool   // rsp-based positive-offset address (§4.2 statement ii)
+	sl       cellID // the requester's cache cell, filled by the answer
 	addr     uint64
 	level    int32 // consumer call level, for the call-level shortcut
-	shortcut bool  // rsp-based positive-offset address (§4.2 statement ii)
+	// reqCore is the requester's core, which is fixed once the section is
+	// hosted: a step and an answer read it here rather than from the
+	// requester's header, a cache line the request is not otherwise at.
+	reqCore int32
 
 	reqSec *Section
-	sl     cellID // the requester's cache cell, filled by the answer
 
 	from        *Section // last searched section (or the requester)
 	target      *Section // section the request is travelling to / waiting at
@@ -64,6 +68,7 @@ func (m *Machine) addRequest(kind reqKind, reg isa.Reg, addr uint64, d *DynInst,
 	r.reg = reg
 	r.addr = addr
 	r.level = d.Level
+	r.reqCore = int32(d.Sec.Core)
 	r.reqSec = d.Sec
 	r.sl = sl
 	m.names[sl]++
@@ -94,9 +99,9 @@ func rspPositive(fp *isa.Footprint) bool {
 // the committed state answers (every older live section has been searched or
 // skipped). Deeper-level sections are skipped for shortcut requests.
 func (m *Machine) searchTarget(r *request) *Section {
-	s := m.prevOf(r.from)
+	s := r.from.prev
 	for s != nil && r.kind == reqMem && r.shortcut && m.cfg.Shortcut && s.BaseLevel > r.level {
-		s = m.prevOf(s)
+		s = s.prev
 	}
 	return s
 }
@@ -164,7 +169,7 @@ func (m *Machine) stepRequest(r *request) bool {
 		}
 		r.target = want
 		want.nreqs++
-		from := r.reqSec.Core
+		from := int(r.reqCore)
 		if r.from != r.reqSec && r.from.Core >= 0 {
 			from = r.from.Core
 		}
@@ -215,7 +220,7 @@ func (m *Machine) deliver(r *request, p cellID) bool {
 	if at >= m.cycle {
 		return true // produced this cycle or arriving later: readable after
 	}
-	back := m.cfg.Net.Latency(r.target.Core, r.reqSec.Core)
+	back := m.cfg.Net.Latency(r.target.Core, int(r.reqCore))
 	m.fill(&m.cells[r.sl], c.v, m.cycle+back)
 	m.answered(r)
 	return false

@@ -27,12 +27,10 @@ func TestProcessRequestsCompaction(t *testing.T) {
 		m := &Machine{cfg: Config{Cores: 1, Dense: dense}.withDefaults(), cycle: 10}
 		m.cores = []*Core{{}}
 		// Three sections in order: a is fully renamed, b is still fetching.
-		a := &Section{fetchDone: true}
-		b := &Section{Pos: 1}
-		c := &Section{Pos: 2}
-		for _, s := range []*Section{a, b, c} {
-			m.order.Push(s)
-		}
+		a, b, c := &Section{fetchDone: true}, &Section{}, &Section{}
+		m.head, m.tail = a, a
+		m.insertAfter(a, b)
+		m.insertAfter(b, c)
 		m.resetCells()
 		unproduced, produced := m.newCell(), m.newCell()
 		m.cells[produced] = cell{v: 42, at: 5}

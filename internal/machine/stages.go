@@ -7,10 +7,10 @@ import (
 	"repro/internal/isa"
 )
 
-// older orders dynamic instructions by (section order position, ordinal).
+// older orders dynamic instructions by (section order label, ordinal).
 func older(a, b *DynInst) bool {
-	if a.Sec.Pos != b.Sec.Pos {
-		return a.Sec.Pos < b.Sec.Pos
+	if a.Sec.ord != b.Sec.ord {
+		return a.Sec.ord < b.Sec.ord
 	}
 	return a.Idx < b.Idx
 }
@@ -436,7 +436,7 @@ func (m *Machine) pickAR(c *Core) *Section {
 			*p, s.arNext, s.arListed = s.arNext, nil, false
 			continue
 		}
-		if m.arHead(s) != nil && (best == nil || s.Pos < best.Pos) {
+		if m.arHead(s) != nil && (best == nil || s.ord < best.ord) {
 			best = s
 		}
 		p = &s.arNext
@@ -483,7 +483,7 @@ func (m *Machine) arApply(c *Core, sec *Section, d *DynInst) {
 func (m *Machine) stageAR(c *Core) {
 	var sec *Section
 	var d *DynInst
-	for _, s := range m.order.Items() {
+	for s := m.head; s != nil; s = s.next {
 		if s.Core != c.id {
 			continue
 		}
@@ -491,7 +491,7 @@ func (m *Machine) stageAR(c *Core) {
 		if h == nil {
 			continue
 		}
-		if sec == nil || s.Pos < sec.Pos {
+		if sec == nil || s.ord < sec.ord {
 			sec, d = s, h
 		}
 	}
@@ -611,7 +611,7 @@ func (m *Machine) pickRetire(c *Core) *Section {
 			*p, s.retireNext, s.retireListed = s.retireNext, nil, false
 			continue
 		}
-		if m.retireHead(s) != nil && (best == nil || s.Pos < best.Pos) {
+		if m.retireHead(s) != nil && (best == nil || s.ord < best.ord) {
 			best = s
 		}
 		p = &s.retireNext
@@ -632,7 +632,7 @@ func (m *Machine) retireApply(sec *Section, d *DynInst) {
 	m.progress++
 	if m.sink != nil {
 		m.sink(InstTiming{
-			Section: sec.ID, SecPos: sec.Pos, Idx: int(d.Idx), IP: int64(d.IP), In: m.inst(d), Level: d.Level,
+			Section: sec.ID, SecPos: m.position(sec), Idx: int(d.Idx), IP: int64(d.IP), In: m.inst(d), Level: d.Level,
 			FD: int64(d.tFD), RR: int64(d.tRR), EW: int64(d.tEW), AR: int64(d.tAR), MA: int64(d.tMA), RET: m.cycle,
 		})
 	}
@@ -646,7 +646,7 @@ func (m *Machine) retireApply(sec *Section, d *DynInst) {
 func (m *Machine) stageRetire(c *Core) {
 	var sec *Section
 	var d *DynInst
-	for _, s := range m.order.Items() {
+	for s := m.head; s != nil; s = s.next {
 		if s.Core != c.id {
 			continue
 		}
@@ -654,7 +654,7 @@ func (m *Machine) stageRetire(c *Core) {
 		if h == nil {
 			continue
 		}
-		if sec == nil || s.Pos < sec.Pos {
+		if sec == nil || s.ord < sec.ord {
 			sec, d = s, h
 		}
 	}

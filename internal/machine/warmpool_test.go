@@ -245,9 +245,9 @@ t: .space 65536
 	if got := cap(m.cells); got > keep {
 		t.Errorf("parked with room for %d cells, budget %d", got, keep)
 	}
-	if m.order.Len() != 0 || len(m.sections) != 0 || len(m.cells) != 1 {
+	if m.undumped() != 0 || len(m.sections) != 0 || len(m.cells) != 1 {
 		t.Errorf("parked with %d sections, %d section records and %d cells of the run still held",
-			m.order.Len(), len(m.sections), len(m.cells)-1)
+			m.undumped(), len(m.sections), len(m.cells)-1)
 	}
 	again, err := p.Get("", prog, DefaultConfig(2))
 	if err != nil {
@@ -288,8 +288,8 @@ func TestPoisonNeverReuses(t *testing.T) {
 	if freeCells(m) != plainCells {
 		t.Errorf("plain run: %d of the %d cells it took are back on the free list", freeCells(m), plainCells)
 	}
-	if plainShells := len(m.secFree); plainShells >= len(r.Sections) || m.order.Len() != 0 {
-		t.Errorf("plain run: %d shells for %d sections, %d still in the order", plainShells, len(r.Sections), m.order.Len())
+	if plainShells := len(m.secFree); plainShells >= len(r.Sections) || m.undumped() != 0 {
+		t.Errorf("plain run: %d shells for %d sections, %d still in the order", plainShells, len(r.Sections), m.undumped())
 	}
 	m.Reset()
 	m.poison = true

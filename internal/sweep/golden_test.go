@@ -73,17 +73,25 @@ type goldenRow struct {
 	Rows string `json:"rows"`
 }
 
-// poisonMachine flips the machine's unexported test hook, Machine.poison, by
-// name (it has no exported setter): the run overwrites what it frees —
-// retired instructions, unnamed cells — with absurd values and never hands
-// it out again, so a read of freed state moves a number here.
-func poisonMachine(m *machine.Machine) {
-	f := reflect.ValueOf(m).Elem().FieldByName("poison")
+// The machine's unexported test hooks, which it has no exported setters for:
+// under poisonHook the run overwrites what it frees — retired instructions,
+// unnamed cells, dumped sections — with absurd values and never hands it out
+// again, so a read of freed state moves a number here; under relabelHook every
+// fork relabels the whole section order.
+const (
+	poisonHook  = "poison"
+	relabelHook = "relabelAll"
+)
+
+// setHook flips the machine's boolean test hook of that name.
+func setHook(m *machine.Machine, name string) {
+	f := reflect.ValueOf(m).Elem().FieldByName(name)
 	*(*bool)(unsafe.Pointer(f.UnsafeAddr())) = true
 }
 
-// measureGolden runs p on a fresh machine, poisoned or not, with a collector.
-func measureGolden(p Point, poison bool) (goldenRow, error) {
+// measureGolden runs p on a fresh machine, with the named test hooks set and
+// a collector.
+func measureGolden(p Point, hooks ...string) (goldenRow, error) {
 	row := goldenRow{Point: p}
 	k, err := pbbs.ByID(p.Kernel)
 	if err != nil {
@@ -101,8 +109,8 @@ func measureGolden(p Point, poison bool) (goldenRow, error) {
 	if err != nil {
 		return row, err
 	}
-	if poison {
-		poisonMachine(m)
+	for _, h := range hooks {
+		setHook(m, h)
 	}
 	in := k.Gen(p.N, p.Seed)
 	if err := backend.Inject(prog, m.DMH(), in); err != nil {
@@ -140,14 +148,11 @@ func measureGolden(p Point, poison bool) (goldenRow, error) {
 func TestMachineGolden(t *testing.T) {
 	path := filepath.Join("testdata", machineGolden)
 	pts := goldenPoints(testing.Short() && !*update)
-	got := make([]goldenRow, len(pts))
-	errs := make([]error, len(pts))
-	fanout.Each(len(pts), 0, func(i int) { got[i], errs[i] = measureGolden(pts[i], !*update) })
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("%s %s: %v", pts[i].Name, pts[i].Config(), err)
-		}
+	var hooks []string
+	if !*update {
+		hooks = []string{poisonHook}
 	}
+	got := measureAll(t, pts, hooks...)
 	if *update {
 		var buf bytes.Buffer
 		enc := json.NewEncoder(&buf)
@@ -161,6 +166,40 @@ func TestMachineGolden(t *testing.T) {
 		}
 		return
 	}
+	want := readGolden(t)
+	if s := goldenDiff(want, got); s != "" {
+		t.Errorf("the machine's numbers moved on the golden grid (go test -update rewrites %s):\n%s", path, s)
+	}
+}
+
+// TestMachineGoldenRelabelled: the section order's labels matter only through
+// how they compare. With every fork relabelling the whole order, poisoned,
+// the -short golden points still give the golden metrics and row digests.
+func TestMachineGoldenRelabelled(t *testing.T) {
+	if s := goldenDiff(readGolden(t), measureAll(t, goldenPoints(true), poisonHook, relabelHook)); s != "" {
+		t.Errorf("relabelling the section order at every fork moved the machine's numbers:\n%s", s)
+	}
+}
+
+// measureAll measures pts in parallel with the named test hooks set.
+func measureAll(t *testing.T, pts []Point, hooks ...string) []goldenRow {
+	t.Helper()
+	got := make([]goldenRow, len(pts))
+	errs := make([]error, len(pts))
+	fanout.Each(len(pts), 0, func(i int) { got[i], errs[i] = measureGolden(pts[i], hooks...) })
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("%s %s: %v", pts[i].Name, pts[i].Config(), err)
+		}
+	}
+	return got
+}
+
+// readGolden reads the committed golden file, one row per point of the full
+// grid.
+func readGolden(t *testing.T) map[Point]goldenRow {
+	t.Helper()
+	path := filepath.Join("testdata", machineGolden)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +216,7 @@ func TestMachineGolden(t *testing.T) {
 	if len(want) != len(goldenPoints(false)) {
 		t.Fatalf("%s has %d points, want %d", path, len(want), len(goldenPoints(false)))
 	}
-	if s := goldenDiff(want, got); s != "" {
-		t.Errorf("the machine's numbers moved on the golden grid (go test -update rewrites %s):\n%s", path, s)
-	}
+	return want
 }
 
 // goldenDiff summarises how got differs from want per column: on how many
