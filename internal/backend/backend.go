@@ -92,15 +92,25 @@ func (e *Emulator) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result
 
 // Stream is Run with the dynamic trace handed, one record per retired
 // instruction, to sink instead of being stored: a trace is as long as the run
-// and an analysis that reads it once (ilp.Analyzer) needs none of it kept. The
-// record is the emulator's own and is overwritten by the next instruction. A
-// nil sink runs untraced.
+// and an analysis that reads it once (ilp.Analyzer) needs none of it kept.
+//
+// The emulator runs on the caller's goroutine and sink on a second one, a few
+// thousand records behind (see streamBatch), so the analysis and the
+// emulation run at once. The sink is called once per record, in trace order
+// and never concurrently; the record is valid only during the call. Stream
+// returns after the last call, on the error paths too, and a panic in the
+// sink is re-raised on the caller's goroutine once the emulator has stopped.
+// A nil sink runs untraced, with no second goroutine.
 func (e *Emulator) Stream(prog *isa.Program, in Inputs, sink func(*trace.Record)) (*Result, error) {
 	cpu := emu.New(prog)
 	cpu.MaxSteps = e.MaxSteps
-	cpu.TraceHook = sink
 	if err := Inject(prog, cpu.Mem, in); err != nil {
 		return nil, err
+	}
+	if sink != nil {
+		p := startPipe(sink)
+		defer p.finish()
+		cpu.TraceHook = p.add
 	}
 	if _, err := cpu.Run(); err != nil {
 		return nil, err

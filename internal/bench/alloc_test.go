@@ -1,11 +1,12 @@
 // Package bench holds only tests: the allocation contracts of the machine and
-// of a Fig. 7 point (this file), and the Go benchmarks of one machine run
-// (machine_bench_test.go). It times nothing for a report. How fast the host
-// simulates is judged by the repository benchmark (`bash benchmark/run.sh`
-// and `go run ./benchmark -compare`), host ns per simulated cycle of a sweep
-// point is the `nsPerCycle` field of `repro sweep`'s JSONL, and one point's
-// profile is `go test -run '^$' -bench 'MachineRun/quicksort/c64'
-// -cpuprofile cpu.pprof ./internal/bench`.
+// of a Fig. 7 point (this file), and the Go benchmarks of one machine run and
+// of one Fig. 7 point (machine_bench_test.go). It times nothing for a report.
+// How fast the host simulates is judged by the repository benchmark (`bash
+// benchmark/run.sh` and `go run ./benchmark -compare`), host ns per simulated
+// cycle of a sweep point is the `nsPerCycle` field of `repro sweep`'s JSONL,
+// and one point's profile is `go test -run '^$' -bench
+// 'MachineRun/quicksort/c64' -cpuprofile cpu.pprof ./internal/bench` (or
+// `-bench MeasureILP` for a Fig. 7 point).
 package bench
 
 import (

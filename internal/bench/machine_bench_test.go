@@ -96,3 +96,25 @@ func BenchmarkMachineRunSteady(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMeasureILP times one Fig. 7 point per iteration, nearestNeighbors
+// at n=128: the compile, the traced emulation on the caller's goroutine and
+// both dependence models on the sink's. With -cpuprofile it splits the
+// point's CPU time between the emulator (emu.(*CPU).Run) and the analysers
+// (ilp.(*Analyzer).Step), which run at once on two cores.
+func BenchmarkMeasureILP(b *testing.B) {
+	k, err := pbbs.Find("nearestNeighbors")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var insts int
+	for i := 0; i < b.N; i++ {
+		p, err := k.MeasureILP(128, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts += p.Instructions
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "inst/s")
+}

@@ -7,9 +7,10 @@
 //     machine simulation.
 //  2. Trace production: a hook receives the dynamic trace as it happens, one
 //     record (register and memory read/write sets) per retired instruction.
-//     The internal/ilp analysers that regenerate the paper's Fig. 7 step
-//     inside that hook; a caller that wants records kept copies them there
-//     (CPU.TraceHook).
+//     The internal/ilp analysers that regenerate the paper's Fig. 7 read
+//     it through backend.Emulator.Stream, whose hook copies each record
+//     into a batch for them on a second goroutine; a caller that wants
+//     records kept copies them (CPU.TraceHook).
 //  3. Sequential execution of fork programs: fork/endfork are executed with
 //     their *sequential-trace* semantics (the section total order of §2),
 //     which makes the emulator the functional oracle for the many-core
@@ -146,9 +147,11 @@ type CPU struct {
 	Mem   *Memory
 	Steps int64
 
-	// TraceHook, when set, receives every retired instruction's record. The
-	// record is the CPU's own and is overwritten by the next step: a hook
-	// that keeps it copies it.
+	// TraceHook, when set, receives every retired instruction's record, on
+	// the goroutine that runs the CPU, in trace order. The record is the
+	// CPU's own and is overwritten by the next step: a hook that keeps it
+	// copies it. backend.Emulator.Stream's hook copies it into a batch for a
+	// sink on a second goroutine.
 	TraceHook func(*trace.Record)
 
 	// MaxSteps bounds the run; 0 means the default (256M).

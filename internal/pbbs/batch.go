@@ -15,9 +15,12 @@ import (
 // and analyses independently, so the repo's one parallel-for scales it.
 
 // MeasureAll measures every kernel at every dataset size, at most workers
-// points at a time (workers <= 0 uses GOMAXPROCS; see fanout.Each). The
-// points come back sorted by (benchmark ID, size). Per-point failures are
-// collected and joined; the successfully measured points are still returned.
+// points at a time (workers <= 0 uses GOMAXPROCS; see fanout.Each). workers
+// bounds points, not goroutines: a point's analysis runs beside its emulation
+// on a second goroutine (backend.Emulator.Stream), so even one worker keeps
+// two CPUs busy. The points come back sorted by (benchmark ID, size).
+// Per-point failures are collected and joined; the successfully measured
+// points are still returned.
 func MeasureAll(kernels []*Kernel, sizes []int, seed uint64, workers int) ([]*ILPPoint, error) {
 	// One placeholder per point to measure, replaced by its measurement.
 	var points []*ILPPoint
