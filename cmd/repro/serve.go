@@ -25,7 +25,8 @@ import (
 //
 // The server is also the sweep-fabric coordinator: `repro worker` processes
 // register under /fabric/v1/ and submitted sweeps shard across them in
-// leased batches, every accepted result merging into the server's cache so
+// leased batches that keep each kernel's points on one worker where they
+// can, every accepted result merging into the server's cache so
 // streamed JSONL stays byte-identical to the single-process path. With no
 // workers registered sweeps run on the local engine exactly as before, so
 // mounting the fabric costs nothing.
@@ -38,7 +39,7 @@ func cmdServe(args []string) error {
 	history := fs.Int("history", 256, "finished jobs kept before the oldest are evicted")
 	grace := fs.Duration("grace", 10*time.Second, "graceful-shutdown budget for in-flight requests and jobs")
 	lease := fs.Duration("lease", 5*time.Second, "fabric lease TTL: a worker batch unreported past this re-queues")
-	batch := fs.Int("batch", 8, "fabric points per worker lease")
+	batch := fs.Int("batch", 8, "fabric: most points per worker lease and per report (a lease keeps to one kernel's points where it can and shrinks as the queue drains)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}

@@ -63,6 +63,7 @@ type Program = isa.Program
 func Assemble(src string) (*Program, error) {
 	a := &assembler{prog: isa.NewProgram(), section: "text"}
 	lines := strings.Split(src, "\n")
+	a.prog.Text = make([]isa.Instruction, 0, countInstructions(lines))
 	for i, raw := range lines {
 		if err := a.line(i+1, raw); err != nil {
 			return nil, err
@@ -89,28 +90,48 @@ func stripComment(s string) string {
 	return strings.TrimSpace(s)
 }
 
+// countInstructions counts the lines that assemble to an instruction: what
+// is left after the comment and the labels, unless it is a directive. In the
+// data section such a line is an error, so on success the count is exact
+// and Text is allocated once, at the size it keeps.
+func countInstructions(lines []string) int {
+	n := 0
+	for _, raw := range lines {
+		s := stripComment(raw)
+		for _, rest, ok := cutLabel(s); ok; _, rest, ok = cutLabel(s) {
+			s = rest
+		}
+		if s != "" && s[0] != '.' {
+			n++
+		}
+	}
+	return n
+}
+
+// cutLabel splits a leading label ("name:") off s.
+func cutLabel(s string) (name, rest string, ok bool) {
+	i := strings.IndexByte(s, ':')
+	if i < 0 {
+		return "", s, false
+	}
+	name = strings.TrimSpace(s[:i])
+	if !isIdent(name) {
+		return "", s, false
+	}
+	return name, strings.TrimSpace(s[i+1:]), true
+}
+
 func (a *assembler) line(n int, raw string) error {
 	s := stripComment(raw)
-	if s == "" {
-		return nil
-	}
-	// Peel off leading labels ("name:").
-	for {
-		i := strings.IndexByte(s, ':')
-		if i < 0 {
-			break
-		}
-		name := strings.TrimSpace(s[:i])
-		if !isIdent(name) {
-			break
-		}
+	// Peel off leading labels.
+	for name, rest, ok := cutLabel(s); ok; name, rest, ok = cutLabel(s) {
 		if err := a.defineLabel(n, name); err != nil {
 			return err
 		}
-		s = strings.TrimSpace(s[i+1:])
-		if s == "" {
-			return nil
-		}
+		s = rest
+	}
+	if s == "" {
+		return nil
 	}
 	if strings.HasPrefix(s, ".") {
 		return a.directive(n, s)

@@ -39,9 +39,10 @@ tlen:   .quad 5
 `
 
 // FuzzAssemble is the assembler's untrusted-input contract: any text either
-// assembles to a program whose data segment fits below the stack, or is
-// refused with an *Error naming a line of the text — never a panic, never an
-// allocation sized by a number the segment cannot hold. Plain `go test`
+// assembles to a program whose data segment fits below the stack and whose
+// Text was allocated at exactly its length, or is refused with an *Error
+// naming a line of the text — never a panic, never an allocation sized by a
+// number the segment cannot hold. Plain `go test`
 // replays the seeds (the listings of this package's tests, a fork sum, and
 // testdata/fuzz/FuzzAssemble); `go test -fuzz=FuzzAssemble` explores.
 func FuzzAssemble(f *testing.F) {
@@ -66,6 +67,9 @@ func FuzzAssemble(f *testing.F) {
 		}
 		if uint64(len(p.Data)) > isa.StackTop-isa.DataBase {
 			t.Fatalf("a %d-byte data segment overlaps the stack", len(p.Data))
+		}
+		if cap(p.Text) != len(p.Text) {
+			t.Fatalf("Text holds %d instructions in room for %d", len(p.Text), cap(p.Text))
 		}
 	})
 }

@@ -17,9 +17,12 @@ import (
 var ErrUnknownWorker = errors.New("fabric: unknown worker")
 
 // Coordinator owns sweep grids and hands their points to registered workers
-// in leased batches. The zero value is not usable; populate Eng (and
-// normally Cache) and share one Coordinator between the HTTP handler and
-// every Run caller. All methods are safe for concurrent use.
+// in leased batches that follow front ends: a worker is granted more points
+// of the kernel it compiled for its last lease before anything else, so a
+// kernel is normally compiled by one worker only (see Lease). The zero value
+// is not usable; populate Eng (and normally Cache) and share one Coordinator
+// between the HTTP handler and every Run caller. All methods are safe for
+// concurrent use.
 type Coordinator struct {
 	// Eng runs sweeps locally when no worker is registered and drains
 	// leftover points when the fleet goes quiet mid-sweep. Required.
@@ -32,7 +35,9 @@ type Coordinator struct {
 	// LeaseTTL is how long a worker may sit on a leased batch without
 	// reporting before the points re-queue (default 5s).
 	LeaseTTL time.Duration
-	// Batch is the maximum points per lease (default 8).
+	// Batch is the maximum points per lease and per report (default 8). A
+	// lease is smaller while the queue is short: Lease shares the pending
+	// points out among the live workers.
 	Batch int
 	// Log receives scheduler events; slog.Default when nil.
 	Log *slog.Logger
@@ -43,18 +48,40 @@ type Coordinator struct {
 	// test can hold a record in the window between accepted and durable.
 	beforePut func()
 
-	mu      sync.Mutex
-	seq     int
-	workers map[string]*workerInfo
-	tasks   map[string]*task
-	pending []*task
-	leases  map[string]*lease
-	stats   Stats
+	mu       sync.Mutex
+	seq      int
+	workers  map[string]*workerInfo
+	tasks    map[string]*task
+	requeued []*task             // points of expired leases, granted first
+	queue    []*front            // front ends in the order their first point queued
+	fronts   map[frontKey]*front // the front ends of queue with points pending
+	queued   int                 // points in requeued and queue
+	leases   map[string]*lease
+	stats    Stats
 }
 
 type workerInfo struct {
 	name     string
 	lastSeen time.Time
+	front    frontKey // of the last point granted to the worker
+}
+
+// frontKey names what a point compiles to: the kernel at one dataset size
+// and seed, which is what a worker engine's front-end memo keys on. The
+// queued points come from Spec.Points, whose sizes are already clamped.
+type frontKey struct {
+	kernel int
+	n      int
+	seed   uint64
+}
+
+func frontOf(p sweep.Point) frontKey { return frontKey{p.Kernel, p.N, p.Seed} }
+
+// front is one front end's queued points, in grid order. A worker holds the
+// front end of the last point granted to it.
+type front struct {
+	key   frontKey
+	tasks []*task
 }
 
 // task is one grid point awaiting a result. Its ID is the idempotency key:
@@ -68,7 +95,7 @@ type task struct {
 	pt     sweep.Point
 	out    *sweep.Stream
 	idx    int
-	queued bool // in pending (guards against double re-queue)
+	queued bool // in requeued or a front end's queue (guards against double re-queue)
 }
 
 func (t *task) done() bool { return t.out.Done(t.idx) }
@@ -109,6 +136,11 @@ func (c *Coordinator) pollInterval() time.Duration {
 // fleet triggers the local drain.
 func (c *Coordinator) liveness() time.Duration { return 2 * c.leaseTTL() }
 
+// alive reports whether w's last RPC falls within the liveness window.
+func (c *Coordinator) alive(w *workerInfo, now time.Time) bool {
+	return now.Sub(w.lastSeen) <= c.liveness()
+}
+
 func (c *Coordinator) batchSize() int {
 	if c.Batch > 0 {
 		return c.Batch
@@ -127,6 +159,7 @@ func (c *Coordinator) initLocked() {
 	if c.workers == nil {
 		c.workers = make(map[string]*workerInfo)
 		c.tasks = make(map[string]*task)
+		c.fronts = make(map[frontKey]*front)
 		c.leases = make(map[string]*lease)
 	}
 }
@@ -151,8 +184,21 @@ func (c *Coordinator) Register(name string) RegisterResponse {
 	}
 }
 
-// Lease grants the polling worker up to Batch pending points, or an empty
-// response when nothing is queued.
+// Lease grants the polling worker pending points, or an empty response when
+// nothing is queued. The points of expired leases go first, up to Batch of
+// them and nothing else. Otherwise the grant is a share of
+// s = min(Batch, ⌈pending/(2·live workers)⌉) points, which shrinks as the
+// queue drains so that the last points are spread over the fleet, taken in
+// this order:
+//
+//   - from the front end of the last point granted to this worker, which
+//     its engine has compiled already;
+//   - from whole front ends no other live worker holds, in queue order (one
+//     larger than what is left of the share is split only when the grant
+//     would otherwise be empty);
+//   - only when every pending front end is held by another worker, from the
+//     one with the most points pending: the one place where a kernel is
+//     compiled by two workers.
 func (c *Coordinator) Lease(workerID string) (LeaseResponse, error) {
 	now := c.clock()
 	c.mu.Lock()
@@ -164,7 +210,7 @@ func (c *Coordinator) Lease(workerID string) (LeaseResponse, error) {
 	}
 	w.lastSeen = now
 	c.expireLocked(now)
-	batch := c.popLocked(c.batchSize())
+	batch := c.grantLocked(workerID, w, now)
 	if len(batch) == 0 {
 		return LeaseResponse{}, nil
 	}
@@ -273,30 +319,149 @@ func (c *Coordinator) mergeIntoCache(rec *sweep.Record) {
 
 // completeLocked retires t and lands rec at its grid index through the run's
 // collector, reporting whether rec was the first record for that point. A
-// task completed while re-queued leaves the queue, so pending only ever
+// task completed while re-queued leaves the queue, so the queue only ever
 // holds undone tasks.
 func (c *Coordinator) completeLocked(t *task, rec sweep.Record) bool {
 	delete(c.tasks, t.id)
 	if t.queued {
-		c.pending = slices.DeleteFunc(c.pending, func(p *task) bool { return p == t })
+		t.queued = false
+		c.queued--
+		if i := slices.Index(c.requeued, t); i >= 0 {
+			c.requeued = slices.Delete(c.requeued, i, i+1)
+		} else if f := c.fronts[frontOf(t.pt)]; f != nil {
+			f.tasks = slices.DeleteFunc(f.tasks, func(p *task) bool { return p == t })
+			c.forgetEmptyLocked(f)
+		}
 	}
 	return t.out.Complete(t.idx, rec)
 }
 
-// popLocked takes up to max tasks off the front of the queue.
-func (c *Coordinator) popLocked(max int) []*task {
-	n := min(max, len(c.pending))
-	out := slices.Clone(c.pending[:n])
-	c.pending = c.pending[n:]
-	for _, t := range out {
-		t.queued = false
+// enqueueLocked queues t behind the pending points of its front end.
+func (c *Coordinator) enqueueLocked(t *task) {
+	k := frontOf(t.pt)
+	f := c.fronts[k]
+	if f == nil {
+		f = &front{key: k}
+		c.fronts[k] = f
+		c.queue = append(c.queue, f)
+	}
+	f.tasks = append(f.tasks, t)
+	t.queued = true
+	c.queued++
+}
+
+// grantLocked picks the points of a lease for worker id, as Lease describes,
+// and makes w the holder of the last one's front end.
+func (c *Coordinator) grantLocked(id string, w *workerInfo, now time.Time) []*task {
+	var out []*task
+	if len(c.requeued) > 0 {
+		out = c.takeRequeuedLocked(c.batchSize(), out)
+	} else if c.queued > 0 {
+		live := 0
+		var held []frontKey
+		for wid, o := range c.workers {
+			if !c.alive(o, now) {
+				continue
+			}
+			live++
+			if wid != id {
+				held = append(held, o.front)
+			}
+		}
+		share := min(c.batchSize(), (c.queued+2*live-1)/(2*live))
+		if f := c.fronts[w.front]; f != nil {
+			out = c.takeLocked(f, share, out)
+		}
+		for _, f := range c.queue {
+			room := share - len(out)
+			if room == 0 {
+				break
+			}
+			if len(f.tasks) == 0 || slices.Contains(held, f.key) {
+				continue
+			}
+			if len(f.tasks) > room && len(out) > 0 {
+				break
+			}
+			out = c.takeLocked(f, room, out)
+		}
+		if len(out) == 0 {
+			var most *front
+			for _, f := range c.queue {
+				if most == nil || len(f.tasks) > len(most.tasks) {
+					most = f
+				}
+			}
+			out = c.takeLocked(most, share, out)
+		}
+		c.trimLocked()
+	}
+	if len(out) > 0 {
+		w.front = frontOf(out[len(out)-1].pt)
 	}
 	return out
 }
 
+// popLocked takes up to max tasks off the front of the queue: re-queued
+// points first, then front ends in queue order.
+func (c *Coordinator) popLocked(max int) []*task {
+	out := c.takeRequeuedLocked(max, nil)
+	for _, f := range c.queue {
+		if len(out) == max {
+			break
+		}
+		out = c.takeLocked(f, max-len(out), out)
+	}
+	c.trimLocked()
+	return out
+}
+
+// takeRequeuedLocked appends up to max re-queued points to out.
+func (c *Coordinator) takeRequeuedLocked(max int, out []*task) []*task {
+	n := min(max, len(c.requeued))
+	out = c.dequeueLocked(out, c.requeued[:n])
+	c.requeued = c.requeued[n:]
+	return out
+}
+
+// takeLocked appends up to max of f's points to out, in grid order.
+func (c *Coordinator) takeLocked(f *front, max int, out []*task) []*task {
+	n := min(max, len(f.tasks))
+	out = c.dequeueLocked(out, f.tasks[:n])
+	f.tasks = f.tasks[n:]
+	c.forgetEmptyLocked(f)
+	return out
+}
+
+// dequeueLocked appends ts to out as no longer queued.
+func (c *Coordinator) dequeueLocked(out, ts []*task) []*task {
+	for _, t := range ts {
+		t.queued = false
+	}
+	c.queued -= len(ts)
+	return append(out, ts...)
+}
+
+// forgetEmptyLocked drops f from the map once it has nothing pending; it
+// stays in queue until trimLocked reaches it.
+func (c *Coordinator) forgetEmptyLocked(f *front) {
+	if len(f.tasks) == 0 && c.fronts[f.key] == f {
+		f.tasks = nil
+		delete(c.fronts, f.key)
+	}
+}
+
+// trimLocked drops the empty front ends at the head of the queue.
+func (c *Coordinator) trimLocked() {
+	for len(c.queue) > 0 && len(c.queue[0].tasks) == 0 {
+		c.queue[0] = nil
+		c.queue = c.queue[1:]
+	}
+}
+
 // expireLocked re-queues the unfinished points of every lease past its
-// deadline (at the front: stolen work is the oldest, emit order is waiting
-// on it) and garbage-collects leases whose points all completed.
+// deadline (ahead of every front end: stolen work is the oldest, emit order
+// is waiting on it) and garbage-collects leases whose points all completed.
 func (c *Coordinator) expireLocked(now time.Time) {
 	for id, l := range c.leases {
 		undone := l.tasks[:0]
@@ -320,7 +485,8 @@ func (c *Coordinator) expireLocked(now time.Time) {
 				requeue = append(requeue, t)
 			}
 		}
-		c.pending = append(requeue, c.pending...)
+		c.requeued = append(requeue, c.requeued...)
+		c.queued += len(requeue)
 		c.stats.Expired++
 		delete(c.leases, id)
 		c.logger().Info("fabric lease expired, points re-queued",
@@ -351,11 +517,11 @@ func (c *Coordinator) Stats() Stats {
 	s := c.stats
 	s.Workers = len(c.workers)
 	for _, w := range c.workers {
-		if now.Sub(w.lastSeen) <= c.liveness() {
+		if c.alive(w, now) {
 			s.LiveWorkers++
 		}
 	}
-	s.Pending = len(c.pending)
+	s.Pending = c.queued
 	for _, l := range c.leases {
 		for _, t := range l.tasks {
 			if !t.done() {
@@ -389,9 +555,9 @@ func (c *Coordinator) Run(spec *sweep.Spec, emit func(sweep.Record)) ([]sweep.Re
 	out := sweep.NewStream(len(pts))
 	for i, pt := range pts {
 		c.seq++
-		t := &task{id: fmt.Sprintf("t%d", c.seq), pt: pt, out: out, idx: i, queued: true}
+		t := &task{id: fmt.Sprintf("t%d", c.seq), pt: pt, out: out, idx: i}
 		c.tasks[t.id] = t
-		c.pending = append(c.pending, t)
+		c.enqueueLocked(t)
 	}
 	c.mu.Unlock()
 
@@ -447,7 +613,7 @@ func (c *Coordinator) drainQuiet() bool {
 	c.expireLocked(now)
 	live := false
 	for _, w := range c.workers {
-		if now.Sub(w.lastSeen) <= c.liveness() {
+		if c.alive(w, now) {
 			live = true
 			break
 		}

@@ -3,8 +3,10 @@
 // A Coordinator owns the grid: sweeps submitted through Coordinator.Run are
 // split into points, and registered workers lease batches of them over a
 // small HTTP/JSON protocol (mounted under /fabric/v1/), measure each point
-// with their local sweep.Engine (machine pool and singleflight intact), and
-// report the records back. Work-stealing falls out of the lease discipline:
+// with their local sweep.Engine (machine pool, front-end memo and
+// singleflight intact), and report the records back. A batch follows front
+// ends, so a kernel is normally compiled by the one worker that runs its
+// points (Coordinator.Lease). Work-stealing falls out of the lease discipline:
 // a lease expires after Coordinator.LeaseTTL, its unfinished points re-queue
 // at the front, and whichever worker polls next picks them up — so a worker
 // killed mid-batch costs only its in-flight points.
