@@ -76,23 +76,29 @@ func NewEmulator() *Emulator { return &Emulator{MaxSteps: 1 << 31} }
 
 // Run injects the inputs into a fresh memory image, executes prog (either
 // calling convention) to completion and returns the result, with the dynamic
-// trace stored when captureTrace is set.
+// trace stored when captureTrace is set: the emulator writes it into one
+// buffer it grows as it goes.
 func (e *Emulator) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result, error) {
-	if !captureTrace {
-		return e.Stream(prog, in, nil)
-	}
-	tr := &trace.Trace{}
-	res, err := e.Stream(prog, in, func(r *trace.Record) { tr.Append(*r) })
+	cpu, err := e.load(prog, in)
 	if err != nil {
 		return nil, err
 	}
-	res.Trace = tr
+	if captureTrace {
+		cpu.TraceHook = (*trace.Buffer).Grow
+	}
+	res, err := run(cpu)
+	if err != nil {
+		return nil, err
+	}
+	if captureTrace {
+		res.Trace = &trace.Trace{Records: cpu.Trace.Records[:cpu.Trace.N]}
+	}
 	return res, nil
 }
 
 // Stream is Run with the dynamic trace handed, one record per retired
 // instruction, to sink instead of being stored: a trace is as long as the run
-// and an analysis that reads it once (ilp.Analyzer) needs none of it kept.
+// and an analysis that reads it once (ilp.Fig7) needs none of it kept.
 //
 // The emulator runs on the caller's goroutine and sink on a second one, a few
 // thousand records behind (see streamBatch), so the analysis and the
@@ -102,16 +108,30 @@ func (e *Emulator) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result
 // sink is re-raised on the caller's goroutine once the emulator has stopped.
 // A nil sink runs untraced, with no second goroutine.
 func (e *Emulator) Stream(prog *isa.Program, in Inputs, sink func(*trace.Record)) (*Result, error) {
+	cpu, err := e.load(prog, in)
+	if err != nil {
+		return nil, err
+	}
+	if sink != nil {
+		p := startPipe(sink)
+		defer p.finish(&cpu.Trace)
+		cpu.TraceHook = p.refill
+	}
+	return run(cpu)
+}
+
+// load returns an emulator for prog with the inputs injected.
+func (e *Emulator) load(prog *isa.Program, in Inputs) (*emu.CPU, error) {
 	cpu := emu.New(prog)
 	cpu.MaxSteps = e.MaxSteps
 	if err := Inject(prog, cpu.Mem, in); err != nil {
 		return nil, err
 	}
-	if sink != nil {
-		p := startPipe(sink)
-		defer p.finish()
-		cpu.TraceHook = p.add
-	}
+	return cpu, nil
+}
+
+// run executes cpu to completion.
+func run(cpu *emu.CPU) (*Result, error) {
 	if _, err := cpu.Run(); err != nil {
 		return nil, err
 	}

@@ -120,11 +120,20 @@ func runEmulator(prog *isa.Program, maxSteps int64) (outcome, bool) {
 	cpu.MaxSteps = maxSteps
 	var last trace.Record
 	aligned := true
-	cpu.TraceHook = func(r *trace.Record) {
-		last = *r
-		aligned = aligned && (!r.HasLoad || r.Load%8 == 0) && (!r.HasStore || r.Store%8 == 0)
+	check := func(recs []trace.Record) {
+		for i := range recs {
+			r := &recs[i]
+			aligned = aligned && (!r.HasLoad || r.Load%8 == 0) && (!r.HasStore || r.Store%8 == 0)
+			last = *r
+		}
+	}
+	cpu.Trace.Records = make([]trace.Record, 256)
+	cpu.TraceHook = func(b *trace.Buffer) {
+		check(b.Records[:b.N])
+		b.N = 0
 	}
 	_, err := cpu.Run()
+	check(cpu.Trace.Records[:cpu.Trace.N])
 	return outcomeOf(prog, cpu.Result(), cpu.Mem, err), aligned && last.Op == isa.HLT && last.CallLevel == 0
 }
 

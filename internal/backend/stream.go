@@ -9,10 +9,12 @@ import (
 // A traced Stream runs the emulator on the caller's goroutine and its sink on
 // a second one, so a one-pass analysis (the two Fig. 7 dependence models)
 // runs beside the emulation it reads instead of inside the emulator's step.
-// The emulator's hook copies each record into a batch; a full batch goes to
-// the sink's goroutine, which hands every record in it to the sink, in order,
-// and gives the batch back. Waking the other goroutine costs far more
-// than copying a record, so batches are large and several are in flight:
+// The emulator writes each record in place, into the next slot of a batch
+// that is its trace buffer; the pipe is its trace hook, which sends a full
+// batch to the sink's goroutine and gives the emulator an empty one. The
+// sink's goroutine hands every record of a batch to the sink, in order, and
+// gives the batch back. Waking the other goroutine costs far more than
+// writing a record, so batches are large and several are in flight:
 // streamBatches batches of streamBatch records (96 KiB each) buffer 8 K
 // records, and the emulator waits only when every batch but the one it is
 // filling is still unread.
@@ -28,13 +30,12 @@ const (
 var freeBatches = make(chan []trace.Record, 2*streamBatches)
 
 // pipe is one traced Stream's batches and the goroutine that drains them.
-// Only the emulator's goroutine touches cur, n and owned; the sink's
+// The batch the emulator is filling is its trace buffer (emu.CPU.Trace).
+// Only the emulator's goroutine touches that buffer and owned; the sink's
 // goroutine keeps what it needs per record in locals, so the records are the
 // only memory one goroutine writes per record and the other reads.
 type pipe struct {
-	cur   []trace.Record // the batch the emulator is filling, full length
-	n     int            // records in cur
-	owned int            // batches this Stream has taken
+	owned int // batches this Stream has taken
 
 	// Each channel holds all of this Stream's batches, so no send on it
 	// blocks: the emulator waits only to receive an empty batch.
@@ -48,32 +49,26 @@ type pipe struct {
 	fault any
 }
 
-// startPipe starts the sink's goroutine; the caller hands it records through
-// add and must call finish once the run is over.
+// startPipe starts the sink's goroutine; the caller makes refill the
+// emulator's trace hook and must call finish once the run is over.
 func startPipe(sink func(*trace.Record)) *pipe {
 	p := &pipe{
 		full:  make(chan []trace.Record, streamBatches),
 		empty: make(chan []trace.Record, streamBatches),
 		done:  make(chan struct{}),
 	}
-	p.cur = p.take()
 	go p.drain(sink)
 	return p
 }
 
-// add is the emulator's trace hook: it copies the record, which the emulator
-// overwrites with the next one, and sends a full batch on. The copy goes
-// field by field: the emulator has just built the record with narrow stores,
-// and the wide loads of a whole-struct copy would stall on them.
-func (p *pipe) add(r *trace.Record) {
-	d := &p.cur[p.n]
-	d.Seq, d.IP, d.Load, d.Store = r.Seq, r.IP, r.Load, r.Store
-	d.CallLevel, d.Op, d.Taken, d.HasLoad, d.HasStore = r.CallLevel, r.Op, r.Taken, r.HasLoad, r.HasStore
-	d.Regs = r.Regs
-	if p.n++; p.n == streamBatch {
-		p.full <- p.cur
-		p.cur, p.n = p.take(), 0
+// refill is the emulator's trace hook, called when b has no free slot: it
+// sends the full batch on (there is none before the first record) and makes
+// an empty one the emulator's buffer.
+func (p *pipe) refill(b *trace.Buffer) {
+	if b.N > 0 {
+		p.full <- b.Records
 	}
+	b.Records, b.N = p.take(), 0
 }
 
 // take returns an empty batch: while this Stream holds fewer than
@@ -117,14 +112,16 @@ func (p *pipe) drain(sink func(*trace.Record)) {
 	p.clean = true
 }
 
-// finish sends the partial batch, waits until the sink has been called on it,
-// returns this Stream's batches to freeBatches, and then re-raises on the
-// caller's goroutine whatever ended the sink's goroutine early.
-func (p *pipe) finish() {
-	if p.n > 0 {
-		p.full <- p.cur[:p.n]
-	} else {
-		p.empty <- p.cur
+// finish sends the emulator's partial batch b, waits until the sink has been
+// called on it, returns this Stream's batches to freeBatches, and then
+// re-raises on the caller's goroutine whatever ended the sink's goroutine
+// early.
+func (p *pipe) finish(b *trace.Buffer) {
+	switch {
+	case b.N > 0:
+		p.full <- b.Records[:b.N]
+	case b.Records != nil:
+		p.empty <- b.Records
 	}
 	close(p.full)
 	<-p.done

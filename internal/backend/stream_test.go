@@ -35,8 +35,8 @@ func countedLoop(t *testing.T, insts int) *isa.Program {
 	return prog
 }
 
-// hooked runs prog on a bare emulator with the trace hook keeping every
-// record: what Stream's sink must see.
+// hooked runs prog on a bare emulator that stores its trace in one grown
+// buffer: what Stream's sink must see.
 func hooked(t *testing.T, prog *isa.Program, in backend.Inputs, maxSteps int64) ([]trace.Record, error) {
 	t.Helper()
 	cpu := emu.New(prog)
@@ -44,10 +44,9 @@ func hooked(t *testing.T, prog *isa.Program, in backend.Inputs, maxSteps int64) 
 	if err := backend.Inject(prog, cpu.Mem, in); err != nil {
 		t.Fatal(err)
 	}
-	var recs []trace.Record
-	cpu.TraceHook = func(r *trace.Record) { recs = append(recs, *r) }
+	cpu.TraceHook = (*trace.Buffer).Grow
 	_, err := cpu.Run()
-	return recs, err
+	return cpu.Trace.Records[:cpu.Trace.N], err
 }
 
 // streamed runs prog through Stream with the sink keeping every record.

@@ -280,11 +280,11 @@ func TestRunAllocatesByWindow(t *testing.T) {
 
 // TestMeasureILPAllocatesByFootprint: a Fig. 7 point's memory is the words it
 // touches, not the instructions it runs. A stored trace is 48 bytes an
-// instruction before either analysis has a map to keep (278 in all when the
+// instruction before the analysis has a map to keep (278 in all when the
 // trace was stored), and an array of the instructions scheduled in each cycle
 // was another 4 bytes a cycle; nearestNeighbors n=64, 328 104 instructions,
-// stays under 2, the compile, the emulator's pages and both analysers' tables
-// included.
+// stays under 2, the compile, the emulator's pages, the trace batches and
+// the analysis's one renaming table included.
 func TestMeasureILPAllocatesByFootprint(t *testing.T) {
 	k, err := pbbs.Find("nearestNeighbors")
 	if err != nil {

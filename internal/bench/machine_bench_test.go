@@ -101,7 +101,7 @@ func BenchmarkMachineRunSteady(b *testing.B) {
 // at n=128: the compile, the traced emulation on the caller's goroutine and
 // both dependence models on the sink's. With -cpuprofile it splits the
 // point's CPU time between the emulator (emu.(*CPU).Run) and the analysers
-// (ilp.(*Analyzer).Step), which run at once on two cores.
+// (ilp.(*Fig7).Step), which run at once on two cores.
 func BenchmarkMeasureILP(b *testing.B) {
 	k, err := pbbs.Find("nearestNeighbors")
 	if err != nil {

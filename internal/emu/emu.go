@@ -5,12 +5,14 @@
 //  1. Reference semantics: every program — mini-C output, hand-written
 //     listings, PBBS kernels — is validated here before any ILP analysis or
 //     machine simulation.
-//  2. Trace production: a hook receives the dynamic trace as it happens, one
-//     record (register and memory read/write sets) per retired instruction.
-//     The internal/ilp analysers that regenerate the paper's Fig. 7 read
-//     it through backend.Emulator.Stream, whose hook copies each record
-//     into a batch for them on a second goroutine; a caller that wants
-//     records kept copies them (CPU.TraceHook).
+//  2. Trace production: the CPU writes the dynamic trace as it happens, one
+//     record (register and memory read/write sets) per retired instruction,
+//     in place into the slots of a buffer its hook refills (CPU.Trace,
+//     CPU.TraceHook). The internal/ilp analysis that regenerates the
+//     paper's Fig. 7 reads it through backend.Emulator.Stream, whose
+//     buffers are the batches it hands to a second goroutine; a stored
+//     trace is one buffer grown to the whole run (trace.Buffer.Grow). No
+//     record is copied.
 //  3. Sequential execution of fork programs: fork/endfork are executed with
 //     their *sequential-trace* semantics (the section total order of §2),
 //     which makes the emulator the functional oracle for the many-core
@@ -147,12 +149,17 @@ type CPU struct {
 	Mem   *Memory
 	Steps int64
 
-	// TraceHook, when set, receives every retired instruction's record, on
-	// the goroutine that runs the CPU, in trace order. The record is the
-	// CPU's own and is overwritten by the next step: a hook that keeps it
-	// copies it. backend.Emulator.Stream's hook copies it into a batch for a
-	// sink on a second goroutine.
-	TraceHook func(*trace.Record)
+	// Trace is where the CPU writes the dynamic trace while TraceHook is
+	// set: each retiring instruction's record goes, every field of it, into
+	// the slot Trace.Records[Trace.N], in trace order, and Trace.N counts
+	// it. A faulting instruction's record is written but not counted. When
+	// the slots are all written (an empty Trace included), the CPU calls
+	// TraceHook, on its own goroutine, before the next record: the hook
+	// takes Trace.Records[:Trace.N] and must leave Trace with a free slot,
+	// a new buffer or a grown one. The records the hook has not taken when
+	// the run ends are Trace.Records[:Trace.N].
+	Trace     trace.Buffer
+	TraceHook func(*trace.Buffer)
 
 	// MaxSteps bounds the run; 0 means the default (256M).
 	MaxSteps int64
@@ -160,7 +167,6 @@ type CPU struct {
 	level     int32
 	forkStack []forkFrame
 	halted    bool
-	rec       trace.Record
 	// footprints is Prog's decoded table.
 	footprints []isa.Footprint
 }
@@ -224,10 +230,13 @@ func (c *CPU) Step() error {
 
 	var rec *trace.Record
 	if c.TraceHook != nil {
+		if c.Trace.N == len(c.Trace.Records) {
+			c.TraceHook(&c.Trace)
+		}
 		// Field by field: a composite literal would be built on the stack
-		// (it reads the CPU it is written into) and copied over, and the
+		// (the slot might alias the CPU it reads) and copied over, and the
 		// copy's wide loads stall on the narrow stores that built it.
-		rec = &c.rec
+		rec = &c.Trace.Records[c.Trace.N]
 		rec.Seq, rec.IP, rec.CallLevel, rec.Op = c.Steps, c.IP, c.level, in.Op
 		rec.Regs, rec.HasLoad, rec.HasStore = f.Regs, f.HasLoad, f.HasStore
 		rec.Load, rec.Store = load, store
@@ -300,7 +309,7 @@ func (c *CPU) Step() error {
 
 	if rec != nil {
 		rec.Taken = taken
-		c.TraceHook(rec)
+		c.Trace.N++
 	}
 	c.Steps++
 	if !c.halted {

@@ -24,17 +24,15 @@ func run(t *testing.T, src string) *CPU {
 	return c
 }
 
-// runRecorded runs prog to completion, keeping a copy of every record the
-// trace hook sees.
+// runRecorded runs prog to completion, storing its trace.
 func runRecorded(t *testing.T, prog *isa.Program) ([]trace.Record, *CPU) {
 	t.Helper()
 	c := New(prog)
-	var recs []trace.Record
-	c.TraceHook = func(r *trace.Record) { recs = append(recs, *r) }
+	c.TraceHook = (*trace.Buffer).Grow
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return recs, c
+	return c.Trace.Records[:c.Trace.N], c
 }
 
 func TestMovAndALU(t *testing.T) {
@@ -467,6 +465,68 @@ g:      ret
 	for i, w := range wantLevels {
 		if recs[i].CallLevel != w {
 			t.Errorf("record %d level = %d, want %d", i, recs[i].CallLevel, w)
+		}
+	}
+}
+
+// TestTraceHookSlots: the CPU writes every field of each record into the
+// next slot of its buffer, calls its hook only when no slot is free, and
+// never counts a faulting instruction's record. Buffers of three slots
+// poisoned with a record no instruction makes must come back holding the
+// records a grown buffer, whose slots start zeroed, holds.
+func TestTraceHookSlots(t *testing.T) {
+	p, err := asm.Assemble(`
+main:   movq $t, %rdi
+        movq (%rdi), %rax
+        pushq %rax
+        call f
+        movq $0, %rcx
+        divq %rcx
+        hlt
+f:      ret
+.data
+t:      .quad 7
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// divq faults: movq, movq, pushq, call, ret and movq retire.
+	const retired = 6
+
+	c := New(p)
+	c.TraceHook = (*trace.Buffer).Grow
+	if _, err := c.Run(); err == nil {
+		t.Fatal("division by zero did not fault")
+	}
+	stored := c.Trace.Records[:c.Trace.N]
+	if len(stored) != retired {
+		t.Fatalf("stored %d records, want %d", len(stored), retired)
+	}
+
+	poison := trace.Record{Seq: -1, IP: -1, Load: ^uint64(0), Store: ^uint64(0), CallLevel: -1, Op: isa.FORK,
+		Taken: true, HasLoad: true, HasStore: true, Regs: isa.NewRegSets([]isa.Reg{isa.R15, isa.R14}, []isa.Reg{isa.R13})}
+	var got []trace.Record
+	calls := 0
+	c = New(p)
+	c.TraceHook = func(b *trace.Buffer) {
+		if b.N != len(b.Records) {
+			t.Fatalf("hook called with %d of %d slots written", b.N, len(b.Records))
+		}
+		calls++
+		got = append(got, b.Records...)
+		b.Records, b.N = []trace.Record{poison, poison, poison}, 0
+	}
+	if _, err := c.Run(); err == nil {
+		t.Fatal("division by zero did not fault")
+	}
+	// Two full buffers; the third holds the faulting divq's record, uncounted.
+	if calls != 3 || c.Trace.N != 0 || c.Trace.Records[0].Op != isa.DIV {
+		t.Fatalf("%d hook calls, %d records left, the last slot written by %v: want 3, 0 and div",
+			calls, c.Trace.N, c.Trace.Records[0].Op)
+	}
+	for i, want := range stored {
+		if got[i] != want {
+			t.Errorf("record %d in a poisoned slot:\n got %+v\nwant %+v", i, got[i], want)
 		}
 	}
 }

@@ -63,7 +63,7 @@ type Coordinator struct {
 type workerInfo struct {
 	name     string
 	lastSeen time.Time
-	front    frontKey // of the last point granted to the worker
+	front    frontKey // of the last point granted, unless a re-grant left it (grantLocked)
 }
 
 // frontKey names what a point compiles to: the kernel at one dataset size
@@ -191,8 +191,10 @@ func (c *Coordinator) Register(name string) RegisterResponse {
 // queue drains so that the last points are spread over the fleet, taken in
 // this order:
 //
-//   - from the front end of the last point granted to this worker, which
-//     its engine has compiled already;
+//   - from the front end the worker holds, which its engine has compiled
+//     already: that of the last point granted to it, or, when that grant
+//     was expired points alone, the one it held before while that still
+//     has points queued;
 //   - from whole front ends no other live worker holds, in queue order (one
 //     larger than what is left of the share is split only when the grant
 //     would otherwise be empty);
@@ -351,10 +353,12 @@ func (c *Coordinator) enqueueLocked(t *task) {
 }
 
 // grantLocked picks the points of a lease for worker id, as Lease describes,
-// and makes w the holder of the last one's front end.
+// and makes w the holder of the last one's front end, unless the lease is
+// re-queued points alone and w's own front end still has queued points.
 func (c *Coordinator) grantLocked(id string, w *workerInfo, now time.Time) []*task {
 	var out []*task
-	if len(c.requeued) > 0 {
+	requeuedOnly := len(c.requeued) > 0
+	if requeuedOnly {
 		out = c.takeRequeuedLocked(c.batchSize(), out)
 	} else if c.queued > 0 {
 		live := 0
@@ -396,7 +400,10 @@ func (c *Coordinator) grantLocked(id string, w *workerInfo, now time.Time) []*ta
 		}
 		c.trimLocked()
 	}
-	if len(out) > 0 {
+	// Handing the hold over to the re-queued points' front end would leave
+	// the queued points of w's own unheld, and another worker would build
+	// that front end too.
+	if len(out) > 0 && (!requeuedOnly || c.fronts[w.front] == nil) {
 		w.front = frontOf(out[len(out)-1].pt)
 	}
 	return out

@@ -30,7 +30,6 @@ type leaseCounts struct {
 	splits   int // grants that left part of a front end they took from queued
 	steals   int // grants from the front end the other worker holds
 	regrants int // grants of an expired lease's points
-	kept     int // grants that continued the worker's front end past an earlier unheld one
 }
 
 // TestLeasesFollowFrontEnds has two workers take turns leasing policyGrid and
@@ -45,10 +44,14 @@ type leaseCounts struct {
 //   - the other worker's front end is taken only when no unheld front end
 //     has points left.
 //
+// After each grant the coordinator's record of the front end the worker holds
+// must be the test's: the grant's last, except that a re-grant leaves the
+// worker holding its own front end while that has points unleased. A front
+// end granted to both workers must have reached the second by a steal or by
+// the re-grant.
+//
 // Each run must finish with every point. Between them the two schedules
-// split a front end, steal one, and continue a worker's front end while an
-// earlier one is unheld (the re-grant at step 6 moves the worker that held
-// it elsewhere).
+// split a front end and steal one.
 func TestLeasesFollowFrontEnds(t *testing.T) {
 	var total leaseCounts
 	for _, expire := range []int{6, 7} {
@@ -59,13 +62,72 @@ func TestLeasesFollowFrontEnds(t *testing.T) {
 			}
 			total.splits += n.splits
 			total.steals += n.steals
-			total.kept += n.kept
 		})
 	}
-	if total.splits == 0 || total.steals == 0 || total.kept == 0 {
-		t.Errorf("grants split %d front ends, stole %d and kept to one past an unheld one %d times; want each at least once",
-			total.splits, total.steals, total.kept)
+	// Neither schedule leaves an earlier front end unheld while a worker's
+	// own has points: TestLeaseKeepsOwnFrontAheadOfADeadWorkers makes one.
+	if total.splits == 0 || total.steals == 0 {
+		t.Errorf("grants split %d front ends and stole %d; want each at least once", total.splits, total.steals)
 	}
+}
+
+// TestLeaseKeepsOwnFrontAheadOfADeadWorkers: a worker that stops polling
+// loses its lease, and with it the hold on its front end. The live worker is
+// re-granted the expired points, still holds its own front end, and its next
+// grant takes that front end's last point first, ahead of the dead worker's
+// earlier one.
+func TestLeaseKeepsOwnFrontAheadOfADeadWorkers(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
+	c := &Coordinator{
+		Eng: &sweep.Engine{}, LeaseTTL: time.Minute, Batch: 2,
+		Log: quietLog(), now: clk.Now,
+	}
+	a, b := c.Register("a").Worker, c.Register("b").Worker
+	pts, err := policyGrid().Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := startRun(c.Run, policyGrid())
+	for deadline := time.Now().Add(10 * time.Second); c.Stats().Pending < len(pts); {
+		if time.Now().After(deadline) {
+			t.Fatal("run never queued its grid")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	lease := func(w string) LeaseResponse {
+		t.Helper()
+		l, err := c.Lease(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	fronts := func(l LeaseResponse) []frontKey {
+		var ks []frontKey
+		for _, lp := range l.Points {
+			ks = append(ks, frontOf(lp.Point))
+		}
+		return ks
+	}
+	first, second := frontOf(pts[0]), frontOf(pts[3]) // policyGrid's first two front ends
+	if got := fronts(lease(a)); !slices.Equal(got, []frontKey{first, first}) {
+		t.Fatalf("a's grant: %v, want two points of %v", got, first)
+	}
+	check := func(what string, want ...frontKey) {
+		t.Helper()
+		l := lease(b)
+		if got := fronts(l); !slices.Equal(got, want) {
+			t.Fatalf("b's %s: %v, want %v", what, got, want)
+		}
+		if _, err := c.Report(measureReport(c.Eng, b, l)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("grant", second, second)
+	clk.Advance(2*time.Minute + time.Second) // a's lease expires, and a is no longer alive
+	check("re-grant of a's points", first, first)
+	check("next grant: its own front end's last point, then the dead worker's", second, first)
+	drainRun(t, c, c.Eng, b, h)
 }
 
 func checkLeases(t *testing.T, expire int) leaseCounts {
@@ -91,14 +153,12 @@ func checkLeases(t *testing.T, expire int) leaseCounts {
 	}
 
 	unleased := make(map[sweep.Point]bool, len(pts))
-	first := make(map[frontKey]int) // a front end's place in the queue
-	for i, p := range pts {
+	for _, p := range pts {
 		unleased[p] = true
-		if _, ok := first[frontOf(p)]; !ok {
-			first[frontOf(p)] = i
-		}
 	}
 	holds := map[string]frontKey{}
+	builders := map[frontKey]map[string]bool{} // who was granted a front end's points
+	shared := map[frontKey]bool{}              // front ends a steal or the re-grant handed to a second worker
 	var abandoned LeaseResponse
 	var n leaseCounts
 	for step := 0; ; step++ {
@@ -117,12 +177,9 @@ func checkLeases(t *testing.T, expire int) leaseCounts {
 		for p := range unleased {
 			before[frontOf(p)]++
 		}
-		unheldLeft, unheldEarlier := false, false
+		unheldLeft := false
 		for k := range before {
-			if k != held && k != own {
-				unheldLeft = true
-				unheldEarlier = unheldEarlier || first[k] < first[own]
-			}
+			unheldLeft = unheldLeft || k != held && k != own
 		}
 
 		l, err := c.Lease(w)
@@ -140,8 +197,27 @@ func checkLeases(t *testing.T, expire int) leaseCounts {
 				t.Fatalf("step %d: %v granted while another lease holds it", step, lp.Point)
 			}
 			delete(unleased, lp.Point)
+			k := frontOf(lp.Point)
+			if builders[k] == nil {
+				builders[k] = map[string]bool{}
+			}
+			builders[k][w] = true
 		}
-		holds[w] = frontOf(l.Points[len(l.Points)-1].Point)
+		// The worker now holds the grant's last front end, unless the grant
+		// is the re-queued points alone and its own front end has points left.
+		ownLeft := false
+		for p := range unleased {
+			ownLeft = ownLeft || frontOf(p) == own
+		}
+		if step != expire || !ownLeft {
+			holds[w] = frontOf(l.Points[len(l.Points)-1].Point)
+		}
+		c.mu.Lock()
+		hold := c.workers[w].front
+		c.mu.Unlock()
+		if hold != holds[w] {
+			t.Errorf("step %d: the coordinator has the worker holding %v, want %v", step, hold, holds[w])
+		}
 		t.Logf("step %d: %s granted %v", step, w, l.Points)
 
 		if step == expire {
@@ -150,6 +226,9 @@ func checkLeases(t *testing.T, expire int) leaseCounts {
 					step, taskIDs(l), taskIDs(abandoned))
 			}
 			n.regrants++
+			for _, lp := range l.Points {
+				shared[frontOf(lp.Point)] = true
+			}
 		} else {
 			if len(l.Points) > share {
 				t.Errorf("step %d: %d points granted, share is %d", step, len(l.Points), share)
@@ -163,12 +242,8 @@ func checkLeases(t *testing.T, expire int) leaseCounts {
 				}
 				count[k]++
 			}
-			if before[own] > 0 {
-				if fronts[0] != own {
-					t.Errorf("step %d: worker's front end has %d points unleased, grant starts elsewhere", step, before[own])
-				} else if unheldEarlier {
-					n.kept++
-				}
+			if before[own] > 0 && fronts[0] != own {
+				t.Errorf("step %d: worker's front end has %d points unleased, grant starts elsewhere", step, before[own])
 			}
 			for i, k := range fronts {
 				if i > 0 && count[k] != before[k] {
@@ -179,6 +254,7 @@ func checkLeases(t *testing.T, expire int) leaseCounts {
 				}
 				if k == held && k != own {
 					n.steals++
+					shared[k] = true
 					if before[own] > 0 || unheldLeft {
 						t.Errorf("step %d: took the other worker's front end while others were left", step)
 					}
@@ -192,6 +268,12 @@ func checkLeases(t *testing.T, expire int) leaseCounts {
 		}
 		if _, err := c.Report(measureReport(eng, w, l)); err != nil {
 			t.Fatalf("step %d: report: %v", step, err)
+		}
+	}
+
+	for k, ws := range builders {
+		if len(ws) > 1 && !shared[k] {
+			t.Errorf("front end %v was granted to both workers, neither by a steal nor by the re-grant", k)
 		}
 	}
 

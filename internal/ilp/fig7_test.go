@@ -2,12 +2,14 @@ package ilp_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/backend"
+	"repro/internal/fuzzgen"
 	"repro/internal/ilp"
 	"repro/internal/isa"
 	"repro/internal/minic"
@@ -160,11 +162,13 @@ func TestStreamedEqualsStored(t *testing.T) {
 	}
 }
 
-// TestUnalignedAddressesKeepTheirOwnEntry: an address is a location of its
-// own whatever it overlaps, so a+4 neither aliases a nor a+8 — the schedule is
-// the one the same accesses get on three far-apart aligned words.
-func TestUnalignedAddressesKeepTheirOwnEntry(t *testing.T) {
-	const a = isa.DataBase + 64
+// overlapped is the address the hand-made overlapping trace starts at.
+const overlapped = isa.DataBase + 64
+
+// overlappingTrace is nine stores and loads of the words at a, a+4 and a+8
+// (a = overlapped), each moved to remap[addr] where remap has it.
+func overlappingTrace(remap map[uint64]uint64) *trace.Trace {
+	const a = overlapped
 	accesses := []struct {
 		store bool
 		addr  uint64
@@ -179,23 +183,28 @@ func TestUnalignedAddressesKeepTheirOwnEntry(t *testing.T) {
 		{false, a + 8}, // 7: after 2 — cycle 2
 		{false, a + 4}, // 8: after 5 — cycle 4
 	}
-	build := func(remap map[uint64]uint64) *trace.Trace {
-		tr := &trace.Trace{}
-		for _, ac := range accesses {
-			addr := ac.addr
-			if to, ok := remap[addr]; ok {
-				addr = to
-			}
-			if ac.store {
-				tr.Append(trace.Record{Op: isa.MOV, Store: addr, HasStore: true})
-			} else {
-				tr.Append(trace.Record{Op: isa.MOV, Load: addr, HasLoad: true})
-			}
+	tr := &trace.Trace{}
+	for _, ac := range accesses {
+		addr := ac.addr
+		if to, ok := remap[addr]; ok {
+			addr = to
 		}
-		return tr
+		if ac.store {
+			tr.Append(trace.Record{Op: isa.MOV, Store: addr, HasStore: true})
+		} else {
+			tr.Append(trace.Record{Op: isa.MOV, Load: addr, HasLoad: true})
+		}
 	}
-	tr := build(nil)
-	apart := build(map[uint64]uint64{a: 0x10000, a + 4: 0x20000, a + 8: 0x30000})
+	return tr
+}
+
+// TestUnalignedAddressesKeepTheirOwnEntry: an address is a location of its
+// own whatever it overlaps, so a+4 neither aliases a nor a+8 — the schedule is
+// the one the same accesses get on three far-apart aligned words.
+func TestUnalignedAddressesKeepTheirOwnEntry(t *testing.T) {
+	const a = overlapped
+	tr := overlappingTrace(nil)
+	apart := overlappingTrace(map[uint64]uint64{a: 0x10000, a + 4: 0x20000, a + 8: 0x30000})
 	for _, gm := range goldenModels {
 		if got, want := ilp.Analyze(tr, gm.model), ilp.Analyze(apart, gm.model); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s:\noverlapping %+v\n far apart %+v", gm.name, got, want)
@@ -206,6 +215,69 @@ func TestUnalignedAddressesKeepTheirOwnEntry(t *testing.T) {
 	}
 	if par := ilp.Analyze(tr, ilp.Parallel()); par.Cycles != 2 {
 		t.Errorf("parallel: %d cycles, want 2 (memory renamed: five stores, then four loads)", par.Cycles)
+	}
+}
+
+// TestFig7MatchesTwoAnalyzers: the one-pass Fig7 gives exactly the Results
+// of one reference Analyzer per model over the same records. Fig7 is fed as
+// Fig. 7 feeds it, from Stream's second goroutine; the references read the
+// stored trace. The points: every kernel at the golden's n and seed, the
+// paper's sum in both conventions, forty generated programs (alternately
+// compiled in call and fork mode), and the overlapping-address trace, stepped
+// directly.
+func TestFig7MatchesTwoAnalyzers(t *testing.T) {
+	type point struct {
+		name string
+		prog *isa.Program // nil for a hand-made trace
+		in   pbbs.Inputs
+		tr   *trace.Trace
+	}
+	var points []point
+	for _, k := range pbbs.Kernels() {
+		prog, in := callPoint(t, k, 64, 1)
+		points = append(points, point{name: k.Name, prog: prog, in: in})
+	}
+	for name, build := range map[string]func([]uint64) (*isa.Program, error){
+		"progs/sum-call": progs.BuildSumCall,
+		"progs/sum-fork": progs.BuildSumFork,
+	} {
+		prog, err := build(progs.Vector(160))
+		if err != nil {
+			t.Fatal(err)
+		}
+		points = append(points, point{name: name, prog: prog})
+	}
+	for seed := uint64(1); seed <= 40; seed++ {
+		mode := []minic.Mode{minic.ModeCall, minic.ModeFork}[seed%2]
+		prog, err := minic.Compile(fuzzgen.Generate(seed).Source, mode)
+		if err != nil {
+			t.Fatalf("fuzzgen seed %d: %v", seed, err)
+		}
+		points = append(points, point{name: fmt.Sprintf("fuzzgen seed %d", seed), prog: prog})
+	}
+	points = append(points, point{name: "overlapping addresses", tr: overlappingTrace(nil)})
+
+	for _, p := range points {
+		a := ilp.NewFig7()
+		if p.prog == nil {
+			for i := range p.tr.Records {
+				a.Step(&p.tr.Records[i])
+			}
+		} else {
+			if _, err := backend.NewEmulator().Stream(p.prog, p.in, a.Step); err != nil {
+				t.Fatalf("%s: %v", p.name, err)
+			}
+			p.tr = storedTrace(t, p.prog, p.in)
+		}
+		seq, par := a.Results()
+		for _, c := range []struct{ got, want ilp.Result }{
+			{seq, ilp.Analyze(p.tr, ilp.Sequential())},
+			{par, ilp.Analyze(p.tr, ilp.Parallel())},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Errorf("%s under %s:\n    Fig7 %+v\nAnalyzer %+v", p.name, c.want.Model.Name, c.got, c.want)
+			}
+		}
 	}
 }
 

@@ -2,8 +2,8 @@
 // analysis of the paper's Section 3 (Fig. 7).
 //
 // A dependence Model selects which dynamic dependences constrain execution.
-// An Analyzer, stepped one record at a time from the emulator's hook,
-// schedules every instruction at the cycle after its last constraining
+// An analysis, stepped one record at a time as the emulator produces the
+// trace, schedules every instruction at the cycle after its last constraining
 // producer (unit latency, unlimited window and functional units: "the trace
 // is available when the run starts") and reports ILP = instructions/cycles.
 // Fig. 7 stores no trace.
@@ -19,6 +19,11 @@
 //     delay) and in the same time all the destinations (including memory)
 //     are renamed. The stack pointer dependencies are not considered."
 //     — i.e. register RAW + memory RAW only, no rsp dependences.
+//
+// Fig7 steps both in one pass over each record, with one renaming table
+// whose rows hold both models' state; it is what Fig. 7 runs. Analyzer
+// steps any one Model, flag by flag: it is the reference Fig7 is tested
+// against, and the body of Analyze.
 package ilp
 
 import (
@@ -87,8 +92,8 @@ func (r Result) String() string {
 }
 
 // Analyze feeds a stored trace to an Analyzer, record by record. Nothing in
-// the repository stores a trace for Fig. 7; this is the entry point of
-// benchmark/'s stored-trace replay.
+// the repository stores a trace for Fig. 7; this is the entry point of the
+// tests' references and of benchmark/'s stored-trace replay.
 func Analyze(t *trace.Trace, m Model) Result {
 	a := NewAnalyzer(m)
 	for i := range t.Records {
@@ -108,12 +113,12 @@ type producer struct {
 // record it is stepped through executes at the cycle after its last
 // constraining producer. What it remembers is the paper's renaming table —
 // the last producer of each register and of each memory word touched — and
-// never the trace. Fed from the emulator's hook it analyses a run as it
+// never the trace. Fed as the emulator runs it analyses a run as it
 // happens.
 type Analyzer struct {
 	n          int64 // records stepped
 	regs       [isa.NumRegs]producer
-	mem        memTable
+	mem        memTable[producer]
 	lastBranch int64  // completion cycle of the last control instruction
 	res        Result // Model; Cycles as it stands
 }
@@ -122,7 +127,7 @@ type Analyzer struct {
 func NewAnalyzer(m Model) *Analyzer {
 	return &Analyzer{
 		res: Result{Model: m},
-		mem: memTable{pages: make(map[uint64]*memPage), unaligned: make(map[uint64]*producer)},
+		mem: newMemTable[producer](),
 	}
 }
 
@@ -199,28 +204,34 @@ func (a *Analyzer) Result() Result {
 	return res
 }
 
-// memTable is the memory half of the renaming table: a flat array of
-// producers per page of word addresses, so that the common access — an
-// aligned word on the page touched last — is an index, not a hash.
-type memTable struct {
+// memTable is the memory half of a renaming table: a flat array of rows R per
+// page of word addresses, so that the common access — an aligned word on the
+// page touched last — is an index, not a hash.
+type memTable[R any] struct {
 	lastPage uint64 // page number of last, valid when last != nil
-	last     *memPage
-	pages    map[uint64]*memPage
+	last     *memPage[R]
+	pages    map[uint64]*memPage[R]
 	// unaligned holds the addresses that are not 8-byte aligned: every
 	// address is its own location, whatever it overlaps.
-	unaligned map[uint64]*producer
+	unaligned map[uint64]*R
 }
 
-const memPageBits = 9 // words per page: 512 × 16 B = 8 KiB
+// memPageBits is log2 of a page's words: 512 rows, 8 KiB of producers or
+// 12 KiB of Fig7 rows.
+const memPageBits = 9
 
-type memPage [1 << memPageBits]producer
+type memPage[R any] [1 << memPageBits]R
+
+func newMemTable[R any]() memTable[R] {
+	return memTable[R]{pages: make(map[uint64]*memPage[R]), unaligned: make(map[uint64]*R)}
+}
 
 // at returns the row of an address, absent rows reading as zero.
-func (t *memTable) at(addr uint64) *producer {
+func (t *memTable[R]) at(addr uint64) *R {
 	if addr&7 != 0 {
 		p := t.unaligned[addr]
 		if p == nil {
-			p = new(producer)
+			p = new(R)
 			t.unaligned[addr] = p
 		}
 		return p
@@ -230,7 +241,7 @@ func (t *memTable) at(addr uint64) *producer {
 	if t.last == nil || t.lastPage != pn {
 		pg := t.pages[pn]
 		if pg == nil {
-			pg = new(memPage)
+			pg = new(memPage[R])
 			t.pages[pn] = pg
 		}
 		t.lastPage, t.last = pn, pg

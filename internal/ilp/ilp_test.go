@@ -11,16 +11,15 @@ import (
 	"repro/internal/trace"
 )
 
-// record runs p on the emulator, appending every record its hook sees.
+// record runs p on the emulator, storing its trace.
 func record(t *testing.T, p *isa.Program) *trace.Trace {
 	t.Helper()
 	c := emu.New(p)
-	tr := &trace.Trace{}
-	c.TraceHook = func(r *trace.Record) { tr.Append(*r) }
+	c.TraceHook = (*trace.Buffer).Grow
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return &trace.Trace{Records: c.Trace.Records[:c.Trace.N]}
 }
 
 func traceOf(t *testing.T, src string) *trace.Trace {

@@ -483,10 +483,13 @@ func TestSectionOrderMatchesTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	cpu := emu.New(p)
-	var ips []int64
-	cpu.TraceHook = func(r *trace.Record) { ips = append(ips, r.IP) }
+	cpu.TraceHook = (*trace.Buffer).Grow
 	if _, err := cpu.Run(); err != nil {
 		t.Fatal(err)
+	}
+	var ips []int64
+	for _, r := range cpu.Trace.Records[:cpu.Trace.N] {
+		ips = append(ips, r.IP)
 	}
 	r := runSched(t, p, DefaultConfig(5), false)
 	if int64(len(ips)) != r.Instructions {

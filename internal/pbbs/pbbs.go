@@ -334,23 +334,22 @@ func (p *ILPPoint) Speedup() float64 {
 }
 
 // MeasureILP runs the kernel on the emulator and analyses its trace under the
-// paper's sequential and parallel models as it is produced: both analysers
-// step inside the emulator's hook and no trace is stored, so a point's memory
-// is the words it touches, not the instructions it runs.
+// paper's sequential and parallel models as it is produced: one ilp.Fig7
+// steps both models over each record on Emulator.Stream's second goroutine,
+// and no trace is stored, so a point's memory is the words it touches, not
+// the instructions it runs.
 func (k *Kernel) MeasureILP(n int, seed uint64) (*ILPPoint, error) {
-	seq, par := ilp.NewAnalyzer(ilp.Sequential()), ilp.NewAnalyzer(ilp.Parallel())
-	res, err := k.Run(n, seed, func(r *trace.Record) {
-		seq.Step(r)
-		par.Step(r)
-	})
+	a := ilp.NewFig7()
+	res, err := k.Run(n, seed, a.Step)
 	if err != nil {
 		return nil, err
 	}
+	seq, par := a.Results()
 	return &ILPPoint{
 		Kernel:       k,
 		N:            res.N,
 		Instructions: int(res.Steps),
-		SeqILP:       seq.Result().ILP,
-		ParILP:       par.Result().ILP,
+		SeqILP:       seq.ILP,
+		ParILP:       par.ILP,
 	}, nil
 }

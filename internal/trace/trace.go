@@ -6,8 +6,9 @@
 // architectural registers read and written (with the Flags register made
 // explicit), the data memory words read and written, and the control outcome.
 // Records are independent of instruction encoding, so the analyser never
-// needs to re-decode anything. The emulator hands each record to a hook as
-// the instruction retires; Fig. 7 steps its analysers there and keeps none.
+// needs to re-decode anything. The emulator writes each record in place, into
+// the slots of a Buffer, as the instruction retires; Fig. 7 analyses each
+// batch of them on a second goroutine and keeps none.
 //
 // A Trace stores records in memory, with summary statistics and a binary
 // encoding. No command stores one: they remain for the tests and for
@@ -17,6 +18,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -59,6 +61,22 @@ type Trace struct {
 func (t *Trace) Append(r Record) {
 	r.Seq = int64(len(t.Records))
 	t.Records = append(t.Records, r)
+}
+
+// Buffer is a run of record slots a producer writes in place: Records[:N]
+// are written, and Records[N] is the next record's slot while N is below
+// len(Records). The emulator writes its trace into one (emu.CPU.Trace).
+type Buffer struct {
+	Records []Record
+	N       int
+}
+
+// Grow makes room for the next record by growing Records, keeping every
+// record written: as the emulator's trace hook it stores the whole trace in
+// b, and Records[:N] is the trace once the run is over.
+func (b *Buffer) Grow() {
+	b.Records = slices.Grow(b.Records[:b.N], 1)
+	b.Records = b.Records[:cap(b.Records)]
 }
 
 // Len returns the number of dynamic instructions.
