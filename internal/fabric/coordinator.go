@@ -33,7 +33,8 @@ type Coordinator struct {
 	// — serve the whole grid from cache, byte-identical.
 	Cache *sweep.Cache
 	// LeaseTTL is how long a worker may sit on a leased batch without
-	// reporting before the points re-queue (default 5s).
+	// reporting before the points re-queue (default 5s). A live worker
+	// renews its lease every poll interval while it measures.
 	LeaseTTL time.Duration
 	// Batch is the maximum points per lease and per report (default 8). A
 	// lease is smaller while the queue is short: Lease shares the pending
@@ -52,10 +53,10 @@ type Coordinator struct {
 	seq      int
 	workers  map[string]*workerInfo
 	tasks    map[string]*task
-	requeued []*task             // points of expired leases, granted first
-	queue    []*front            // front ends in the order their first point queued
-	fronts   map[frontKey]*front // the front ends of queue with points pending
-	queued   int                 // points in requeued and queue
+	requeued []*task                // points of expired leases, granted first
+	queue    []*front               // front ends in the order their first point queued
+	fronts   map[sweep.Front]*front // the front ends of queue with points pending
+	queued   int                    // points in requeued and queue
 	leases   map[string]*lease
 	stats    Stats
 }
@@ -63,24 +64,14 @@ type Coordinator struct {
 type workerInfo struct {
 	name     string
 	lastSeen time.Time
-	front    frontKey // of the last point granted, unless a re-grant left it (grantLocked)
+	front    sweep.Front // of the last point granted, unless a re-grant left it (grantLocked)
 }
 
-// frontKey names what a point compiles to: the kernel at one dataset size
-// and seed, which is what a worker engine's front-end memo keys on. The
-// queued points come from Spec.Points, whose sizes are already clamped.
-type frontKey struct {
-	kernel int
-	n      int
-	seed   uint64
-}
-
-func frontOf(p sweep.Point) frontKey { return frontKey{p.Kernel, p.N, p.Seed} }
-
-// front is one front end's queued points, in grid order. A worker holds the
-// front end of the last point granted to it.
+// front is one front end's queued points, in grid order (Spec.Points clamps
+// their sizes, as sweep.Front wants). A worker holds the front end of the
+// last point granted to it.
 type front struct {
-	key   frontKey
+	key   sweep.Front
 	tasks []*task
 }
 
@@ -159,7 +150,7 @@ func (c *Coordinator) initLocked() {
 	if c.workers == nil {
 		c.workers = make(map[string]*workerInfo)
 		c.tasks = make(map[string]*task)
-		c.fronts = make(map[frontKey]*front)
+		c.fronts = make(map[sweep.Front]*front)
 		c.leases = make(map[string]*lease)
 	}
 }
@@ -241,7 +232,10 @@ func (c *Coordinator) Lease(workerID string) (LeaseResponse, error) {
 // the cache. Successful records are merged into the cache under their content
 // key before they complete their task: completion lets Run emit the record,
 // and a record a client has seen must survive a coordinator restart. A report
-// of more results than a lease holds is refused whole.
+// of more results than a lease holds is refused whole. A report from the
+// worker holding its lease moves the lease's deadline one TTL on: a worker
+// renews the lease of a batch it is still measuring with empty reports, so a
+// batch longer than the TTL is not re-queued while it is measured.
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	if len(req.Results) > c.batchSize() {
 		return ReportResponse{}, fmt.Errorf("fabric: report of %d results, a lease holds at most %d", len(req.Results), c.batchSize())
@@ -291,6 +285,9 @@ func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 		}
 	}
 	if l := c.leases[req.Lease]; l != nil {
+		if l.worker == req.Worker {
+			l.deadline = now.Add(c.leaseTTL())
+		}
 		c.pruneLeaseLocked(req.Lease, l)
 	}
 	return resp, nil
@@ -330,7 +327,7 @@ func (c *Coordinator) completeLocked(t *task, rec sweep.Record) bool {
 		c.queued--
 		if i := slices.Index(c.requeued, t); i >= 0 {
 			c.requeued = slices.Delete(c.requeued, i, i+1)
-		} else if f := c.fronts[frontOf(t.pt)]; f != nil {
+		} else if f := c.fronts[t.pt.Front()]; f != nil {
 			f.tasks = slices.DeleteFunc(f.tasks, func(p *task) bool { return p == t })
 			c.forgetEmptyLocked(f)
 		}
@@ -340,7 +337,7 @@ func (c *Coordinator) completeLocked(t *task, rec sweep.Record) bool {
 
 // enqueueLocked queues t behind the pending points of its front end.
 func (c *Coordinator) enqueueLocked(t *task) {
-	k := frontOf(t.pt)
+	k := t.pt.Front()
 	f := c.fronts[k]
 	if f == nil {
 		f = &front{key: k}
@@ -362,7 +359,7 @@ func (c *Coordinator) grantLocked(id string, w *workerInfo, now time.Time) []*ta
 		out = c.takeRequeuedLocked(c.batchSize(), out)
 	} else if c.queued > 0 {
 		live := 0
-		var held []frontKey
+		var held []sweep.Front
 		for wid, o := range c.workers {
 			if !c.alive(o, now) {
 				continue
@@ -404,7 +401,7 @@ func (c *Coordinator) grantLocked(id string, w *workerInfo, now time.Time) []*ta
 	// the queued points of w's own unheld, and another worker would build
 	// that front end too.
 	if len(out) > 0 && (!requeuedOnly || c.fronts[w.front] == nil) {
-		w.front = frontOf(out[len(out)-1].pt)
+		w.front = out[len(out)-1].pt.Front()
 	}
 	return out
 }
@@ -471,22 +468,11 @@ func (c *Coordinator) trimLocked() {
 // is waiting on it) and garbage-collects leases whose points all completed.
 func (c *Coordinator) expireLocked(now time.Time) {
 	for id, l := range c.leases {
-		undone := l.tasks[:0]
+		if c.pruneLeaseLocked(id, l) || !now.After(l.deadline) {
+			continue
+		}
+		requeue := make([]*task, 0, len(l.tasks))
 		for _, t := range l.tasks {
-			if !t.done() {
-				undone = append(undone, t)
-			}
-		}
-		l.tasks = undone
-		if len(undone) == 0 {
-			delete(c.leases, id)
-			continue
-		}
-		if !now.After(l.deadline) {
-			continue
-		}
-		requeue := make([]*task, 0, len(undone))
-		for _, t := range undone {
 			if !t.queued {
 				t.queued = true
 				requeue = append(requeue, t)
@@ -502,18 +488,15 @@ func (c *Coordinator) expireLocked(now time.Time) {
 }
 
 // pruneLeaseLocked drops completed tasks from a lease, deleting it once
-// empty so a fully-reported batch stops counting as leased.
-func (c *Coordinator) pruneLeaseLocked(id string, l *lease) {
-	undone := l.tasks[:0]
-	for _, t := range l.tasks {
-		if !t.done() {
-			undone = append(undone, t)
-		}
-	}
-	l.tasks = undone
-	if len(undone) == 0 {
+// empty so a fully-reported batch stops counting as leased, and reports
+// whether it deleted it.
+func (c *Coordinator) pruneLeaseLocked(id string, l *lease) bool {
+	l.tasks = slices.DeleteFunc(l.tasks, (*task).done)
+	if len(l.tasks) == 0 {
 		delete(c.leases, id)
+		return true
 	}
+	return false
 }
 
 // Stats snapshots the coordinator's counters.

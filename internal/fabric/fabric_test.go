@@ -172,6 +172,37 @@ func TestKilledWorkerCostsOnlyItsInFlightPoints(t *testing.T) {
 	}
 }
 
+// TestLeaseOutlivedByItsBatchIsRenewed leases a lone worker one point that
+// takes longer to simulate than the lease lasts. The worker renews the lease
+// while it measures, so the lease never expires, the watchdog never drains
+// the point on the coordinator, and the point is simulated once.
+func TestLeaseOutlivedByItsBatchIsRenewed(t *testing.T) {
+	coordEng := &sweep.Engine{Cache: newCache(t, t.TempDir())}
+	c := &Coordinator{
+		Eng: coordEng, Cache: coordEng.Cache,
+		LeaseTTL: 120 * time.Millisecond, Batch: 1, Log: quietLog(),
+	}
+	ts := newCoordinator(t, c)
+	w := startWorker(t, ts.URL, "w1", &sweep.Engine{Cache: newCache(t, t.TempDir())}, nil)
+	waitWorkers(t, c, 1)
+	// allNearestNeighbors at n=96 on one core: about 0.2 s of simulation,
+	// twenty times that under -race.
+	spec := &sweep.Spec{Kernels: []int{9}, Sizes: []int{96}, Cores: []int{1}, Seed: 1}
+	start := time.Now()
+	recs, _, err := runJSONL(t, c.Run, spec)
+	took := time.Since(start)
+	mustOK(t, recs, err)
+	if took <= c.LeaseTTL {
+		t.Fatalf("the batch took %v, no longer than its %v lease: nothing to renew", took, c.LeaseTTL)
+	}
+	if st := c.Stats(); st.Expired != 0 || st.LocalPoints != 0 || st.Accepted != 1 || st.Duplicates != 0 || st.Reports < 2 {
+		t.Errorf("coordinator stats %+v after a %v batch: want no expiry, the point accepted once, and a renewal report before it", st, took)
+	}
+	if sim := w.eng.Stats().Simulated + coordEng.Stats().Simulated; sim != 1 {
+		t.Errorf("point simulated %d times, want once", sim)
+	}
+}
+
 func TestSharedCacheSimulatesEveryPointAtMostOnceFleetWide(t *testing.T) {
 	coordDir := t.TempDir()
 	coordEng := &sweep.Engine{Cache: newCache(t, coordDir)}

@@ -8,6 +8,7 @@ package fabric
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -263,11 +264,12 @@ func (k *killSwitch) wait(t *testing.T) {
 }
 
 // killOnFirstReport is the canonical mid-batch kill: the worker's first
-// report RPC is dropped on the wire and the worker dies at that exact
-// moment — after measuring its leased batch, before the coordinator hears
-// about any of it. From the trip on, every RPC from this worker drops, so
-// it is network-dead deterministically even before the context cancel
-// lands.
+// report RPC that carries results is dropped on the wire and the worker dies
+// at that exact moment — after measuring its leased batch, before the
+// coordinator hears about any of it. The empty reports that renew the lease
+// while the batch is measured go through. From the trip on, every RPC from
+// this worker drops, so it is network-dead deterministically even before the
+// context cancel lands.
 func killOnFirstReport(kill *killSwitch) *faultTransport {
 	return &faultTransport{decide: func(req *http.Request) faultAction {
 		select {
@@ -275,9 +277,18 @@ func killOnFirstReport(kill *killSwitch) *faultTransport {
 			return faultAction{drop: true}
 		default:
 		}
-		if pathIs(req, PathReport) {
+		if pathIs(req, PathReport) && len(reportOf(req).Results) > 0 {
 			return faultAction{drop: true, also: kill.trip}
 		}
 		return faultAction{}
 	}}
+}
+
+// reportOf decodes the report a request carries, leaving its body unread.
+func reportOf(req *http.Request) ReportRequest {
+	var rep ReportRequest
+	if body, err := req.GetBody(); err == nil {
+		_ = json.NewDecoder(body).Decode(&rep)
+	}
+	return rep
 }

@@ -102,18 +102,18 @@ func TestLeaseKeepsOwnFrontAheadOfADeadWorkers(t *testing.T) {
 		}
 		return l
 	}
-	fronts := func(l LeaseResponse) []frontKey {
-		var ks []frontKey
+	fronts := func(l LeaseResponse) []sweep.Front {
+		var ks []sweep.Front
 		for _, lp := range l.Points {
-			ks = append(ks, frontOf(lp.Point))
+			ks = append(ks, lp.Point.Front())
 		}
 		return ks
 	}
-	first, second := frontOf(pts[0]), frontOf(pts[3]) // policyGrid's first two front ends
-	if got := fronts(lease(a)); !slices.Equal(got, []frontKey{first, first}) {
+	first, second := pts[0].Front(), pts[3].Front() // policyGrid's first two front ends
+	if got := fronts(lease(a)); !slices.Equal(got, []sweep.Front{first, first}) {
 		t.Fatalf("a's grant: %v, want two points of %v", got, first)
 	}
-	check := func(what string, want ...frontKey) {
+	check := func(what string, want ...sweep.Front) {
 		t.Helper()
 		l := lease(b)
 		if got := fronts(l); !slices.Equal(got, want) {
@@ -156,9 +156,9 @@ func checkLeases(t *testing.T, expire int) leaseCounts {
 	for _, p := range pts {
 		unleased[p] = true
 	}
-	holds := map[string]frontKey{}
-	builders := map[frontKey]map[string]bool{} // who was granted a front end's points
-	shared := map[frontKey]bool{}              // front ends a steal or the re-grant handed to a second worker
+	holds := map[string]sweep.Front{}
+	builders := map[sweep.Front]map[string]bool{} // who was granted a front end's points
+	shared := map[sweep.Front]bool{}              // front ends a steal or the re-grant handed to a second worker
 	var abandoned LeaseResponse
 	var n leaseCounts
 	for step := 0; ; step++ {
@@ -173,9 +173,9 @@ func checkLeases(t *testing.T, expire int) leaseCounts {
 		}
 		share := min(batch, (len(unleased)+3)/4)
 		own, held := holds[w], holds[other]
-		before := make(map[frontKey]int)
+		before := make(map[sweep.Front]int)
 		for p := range unleased {
-			before[frontOf(p)]++
+			before[p.Front()]++
 		}
 		unheldLeft := false
 		for k := range before {
@@ -197,7 +197,7 @@ func checkLeases(t *testing.T, expire int) leaseCounts {
 				t.Fatalf("step %d: %v granted while another lease holds it", step, lp.Point)
 			}
 			delete(unleased, lp.Point)
-			k := frontOf(lp.Point)
+			k := lp.Point.Front()
 			if builders[k] == nil {
 				builders[k] = map[string]bool{}
 			}
@@ -207,10 +207,10 @@ func checkLeases(t *testing.T, expire int) leaseCounts {
 		// is the re-queued points alone and its own front end has points left.
 		ownLeft := false
 		for p := range unleased {
-			ownLeft = ownLeft || frontOf(p) == own
+			ownLeft = ownLeft || p.Front() == own
 		}
 		if step != expire || !ownLeft {
-			holds[w] = frontOf(l.Points[len(l.Points)-1].Point)
+			holds[w] = l.Points[len(l.Points)-1].Point.Front()
 		}
 		c.mu.Lock()
 		hold := c.workers[w].front
@@ -227,16 +227,16 @@ func checkLeases(t *testing.T, expire int) leaseCounts {
 			}
 			n.regrants++
 			for _, lp := range l.Points {
-				shared[frontOf(lp.Point)] = true
+				shared[lp.Point.Front()] = true
 			}
 		} else {
 			if len(l.Points) > share {
 				t.Errorf("step %d: %d points granted, share is %d", step, len(l.Points), share)
 			}
-			var fronts []frontKey // in grant order
-			count := map[frontKey]int{}
+			var fronts []sweep.Front // in grant order
+			count := map[sweep.Front]int{}
 			for _, lp := range l.Points {
-				k := frontOf(lp.Point)
+				k := lp.Point.Front()
 				if count[k] == 0 {
 					fronts = append(fronts, k)
 				}
@@ -301,9 +301,9 @@ func TestFleetCompilesEachFrontEndOnce(t *testing.T) {
 
 	recs, _, err := runJSONL(t, c.Run, grid())
 	mustOK(t, recs, err)
-	fronts := map[frontKey]bool{}
+	fronts := map[sweep.Front]bool{}
 	for _, r := range recs {
-		fronts[frontOf(r.Point)] = true
+		fronts[r.Point.Front()] = true
 	}
 	built := w1.eng.Stats().FrontBuilt + w2.eng.Stats().FrontBuilt
 	if built > len(fronts)+1 {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/sweep"
@@ -27,7 +28,8 @@ type Worker struct {
 	Client *http.Client
 	// Log receives worker events; slog.Default when nil.
 	Log *slog.Logger
-	// Poll overrides the coordinator-suggested idle poll interval.
+	// Poll overrides the coordinator-suggested idle poll interval. Lease
+	// renewals keep to the suggested one.
 	Poll time.Duration
 }
 
@@ -96,12 +98,15 @@ func (w *Worker) register(ctx context.Context) (RegisterResponse, error) {
 // serve is the lease/measure/report loop for one registration. It returns
 // an unknown-worker error to trigger re-registration, or ctx's error.
 func (w *Worker) serve(ctx context.Context, reg RegisterResponse) error {
+	// Renewals keep to the coordinator's interval, a fifth of the lease,
+	// whatever the idle poll.
+	renewal := time.Duration(reg.PollMS) * time.Millisecond
+	if renewal <= 0 {
+		renewal = time.Second
+	}
 	poll := w.Poll
 	if poll <= 0 {
-		poll = time.Duration(reg.PollMS) * time.Millisecond
-	}
-	if poll <= 0 {
-		poll = time.Second
+		poll = renewal
 	}
 	for {
 		if ctx.Err() != nil {
@@ -124,7 +129,9 @@ func (w *Worker) serve(ctx context.Context, reg RegisterResponse) error {
 			}
 			continue
 		}
+		stop := w.renew(ctx, reg.Worker, grant.Lease, renewal)
 		results := w.measure(grant.Points)
+		stop()
 		if err := w.report(ctx, reg.Worker, grant.Lease, results, poll); err != nil {
 			if isUnknownWorker(err) || ctx.Err() != nil {
 				return err
@@ -147,6 +154,36 @@ func (w *Worker) measure(pts []LeasePoint) []ReportResult {
 		res[i] = ReportResult{Task: pts[i].Task, Record: rec}
 	})
 	return res
+}
+
+// renew keeps a lease from expiring while its batch is measured: every
+// interval it sends an empty report for the lease, which moves the lease's
+// deadline (Coordinator.Report). A batch done within one interval sends
+// nothing and starts no goroutine. The returned stop ends the renewals,
+// waiting for one in progress.
+func (w *Worker) renew(ctx context.Context, worker, lease string, interval time.Duration) (stop func()) {
+	var mu sync.Mutex // held by a renewal in progress
+	stopped := false
+	mu.Lock()
+	defer mu.Unlock()
+	var t *time.Timer
+	t = time.AfterFunc(interval, func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped {
+			return
+		}
+		if err := w.post(ctx, PathReport, ReportRequest{Worker: worker, Lease: lease}, new(ReportResponse)); err != nil && ctx.Err() == nil {
+			w.logger().Warn("fabric lease renewal failed", "lease", lease, "error", err)
+		}
+		t.Reset(interval)
+	})
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
+		stopped = true
+		t.Stop()
+	}
 }
 
 // report delivers results, retrying transport failures a few times — the

@@ -111,9 +111,6 @@ type Config struct {
 	// the clock jumps there directly. Both produce bit-identical results;
 	// dense is only the tests' oracle, and no command selects it.
 	Dense bool
-	// StallLimit aborts the run when no architectural progress happens for
-	// this many cycles (deadlock detector). Defaults to 10000.
-	StallLimit int64
 	// MaxCycles aborts runs longer than this. Defaults to 100M.
 	MaxCycles int64
 }
@@ -600,9 +597,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.CreateLatency == 0 {
 		cfg.CreateLatency = 2
 	}
-	if cfg.StallLimit == 0 {
-		cfg.StallLimit = 10000
-	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 100 << 20
 	}
@@ -959,9 +953,9 @@ func (m *Machine) runDense() (*Result, error) {
 		m.dumpOldest()
 		if m.progress != before {
 			m.lastMove = m.cycle
-		} else if m.cycle-m.lastMove > m.cfg.StallLimit {
+		} else if m.cycle-m.lastMove > stallLimit {
 			return nil, fmt.Errorf("machine: no progress for %d cycles at cycle %d: %s",
-				m.cfg.StallLimit, m.cycle, m.stuckReport())
+				stallLimit, m.cycle, m.stuckReport())
 		}
 	}
 }
@@ -1034,7 +1028,7 @@ func (m *Machine) runIdleSkip() (*Result, error) {
 			m.cycle++
 		} else {
 			next := m.nextWake()
-			if bound := m.lastMove + m.cfg.StallLimit + 1; next > bound {
+			if bound := m.lastMove + stallLimit + 1; next > bound {
 				next = bound
 			}
 			if bound := m.cfg.MaxCycles + 1; next > bound {
@@ -1073,9 +1067,9 @@ func (m *Machine) runIdleSkip() (*Result, error) {
 		acted = m.progress != before || m.reqHops != hops || m.quietMove
 		if m.progress != before {
 			m.lastMove = m.cycle
-		} else if m.cycle-m.lastMove > m.cfg.StallLimit {
+		} else if m.cycle-m.lastMove > stallLimit {
 			return nil, fmt.Errorf("machine: no progress for %d cycles at cycle %d: %s",
-				m.cfg.StallLimit, m.cycle, m.stuckReport())
+				stallLimit, m.cycle, m.stuckReport())
 		}
 	}
 }
@@ -1089,6 +1083,10 @@ func coreActive(c *Core) bool {
 		!c.pending.Empty() || !c.suspended.Empty() ||
 		!c.renameQ.Empty() || len(c.iq) > 0 || len(c.lsq) > 0
 }
+
+// stallLimit aborts a run in which nothing architectural has moved for this
+// many cycles: the deadlock detector.
+const stallLimit = 10000
 
 // never is the wake time of work that is blocked on a value or condition not
 // yet produced: it cannot become runnable without some other action first,

@@ -22,7 +22,7 @@
 //
 // Jobs execute on the shared sweep.Engine, so every submission benefits
 // from the persistent cache and from request coalescing: concurrent
-// measurements of the same content key are deduplicated by the engine's
+// measurements of the same point are deduplicated by the engine's
 // singleflight (N identical simultaneous submissions simulate each grid
 // point exactly once). The job history is bounded (finished jobs beyond the
 // limit are evicted oldest-first), requests are logged structurally

@@ -42,8 +42,8 @@ func (s Stats) String() string {
 type Engine struct {
 	// Cache, when non-nil, serves repeated points without re-simulation. The
 	// engine also remembers the successful outcomes it read from or stored in
-	// the cache (up to 65 536 of them), so a repeated point costs a map
-	// lookup; the cache stays the copy other engines and processes read.
+	// the cache, in its points' front ends, so a repeated point costs two map
+	// lookups; the cache stays the copy other engines and processes read.
 	Cache *Cache
 	// Workers bounds concurrent measurements; <= 0 uses GOMAXPROCS.
 	Workers int
@@ -54,10 +54,9 @@ type Engine struct {
 	// the pool (pinned by TestPooledRunsMatchFresh).
 	Pool *machine.Pool
 
-	mu      sync.Mutex
-	stats   Stats
-	flights flightGroup
-	fronts  frontMemo
+	mu     sync.Mutex
+	stats  Stats
+	fronts frontMemo
 }
 
 // Stats returns the counters accumulated over every Run of this engine.
@@ -101,14 +100,14 @@ func (e *Engine) Run(spec *Spec, emit func(Record)) ([]Record, error) {
 // Measure runs one point: resolve the kernel, derive the content key, serve
 // from the cache or simulate + validate, and store the outcome. The compiled
 // program and the key's program-and-inputs prefix come from the engine's
-// front-end memo, so a point whose (kernel, n, seed) the engine has seen
-// costs a lookup and the hashing of its chip coordinates before the cache is
-// asked. It is the programmatic run-one-point API (the grid path Run and
-// the job server both build on it) and is safe for concurrent use:
-// concurrent measurements of the same content key are coalesced
-// (singleflight), so N identical in-flight submissions simulate a point
-// exactly once and share the outcome; with a Cache, a point this engine
-// already read or measured is served from its memory. A dataset size below
+// front-end memo, so a point whose Front the engine has seen costs a lookup
+// and the hashing of its chip coordinates before the cache is asked. It is
+// the programmatic run-one-point API (the grid path Run and the job server
+// both build on it) and is safe for concurrent use: concurrent measurements
+// of a point join one flight in its front end (singleflight), so N identical
+// in-flight submissions simulate a point exactly once and share the outcome;
+// with a Cache, a point this engine already read or measured is served from
+// that front end's memory without deriving its key. A dataset size below
 // the kernel's minimum is clamped and the display name is normalised; the
 // returned record carries the effective point.
 func (e *Engine) Measure(p Point) Record {
@@ -144,12 +143,11 @@ func (e *Engine) Measure(p Point) Record {
 	if fe.err != nil {
 		return fail(fe.err)
 	}
-	rec.Key = finishKey(fe.prefix, p)
-
-	f, leader, remembered := e.flights.join(rec.Key)
+	c := p.chip()
+	f, leader, remembered := e.fronts.join(fe, c)
 	if !leader {
 		<-f.done
-		rec.Metrics, rec.Err = f.metrics, f.errMsg
+		rec.Key, rec.Metrics, rec.Err = f.key, f.metrics, f.errMsg
 		e.count(func(s *Stats) {
 			switch {
 			case rec.Err != "":
@@ -162,9 +160,11 @@ func (e *Engine) Measure(p Point) Record {
 		})
 		return rec
 	}
+	f.key = finishKey(fe.prefix, p)
+	rec.Key = f.key
 	// Only an engine with a cache remembers: the memory is a faster copy of
 	// what the cache holds, and an engine without one simulates every call.
-	defer func() { e.flights.finish(rec.Key, f, rec.Metrics, rec.Err, e.Cache != nil) }()
+	defer func() { e.fronts.finish(f, c, rec.Metrics, rec.Err, e.Cache != nil) }()
 
 	if m, ok := e.Cache.Get(rec.Key); ok {
 		rec.Metrics = *m
@@ -206,8 +206,9 @@ func (e *Engine) Measure(p Point) Record {
 	}
 	rec.Metrics = metricsOf(mr, simNs)
 	// The cache is best-effort: a failed store just means the point is
-	// re-simulated next time.
-	_ = e.Cache.Put(rec.Key, &rec.Metrics)
+	// re-simulated next time. Storing a copy keeps rec off the heap.
+	m := rec.Metrics
+	_ = e.Cache.Put(rec.Key, &m)
 	return rec
 }
 

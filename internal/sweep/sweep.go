@@ -152,6 +152,17 @@ type Point struct {
 	Seed        uint64 `json:"seed"`
 }
 
+// Front is what a point compiles to, the part the scaling study holds fixed
+// while it varies the chip: an engine compiles and hashes once per Front, and
+// the fabric's lease queue groups points by it. N must be clamped.
+type Front struct {
+	Kernel, N int
+	Seed      uint64
+}
+
+// Front returns the Front p compiles to.
+func (p Point) Front() Front { return Front{p.Kernel, p.N, p.Seed} }
+
 // key is the diff-matching identity: every grid coordinate except the
 // human-readable name.
 func (p Point) key() Point {
