@@ -96,18 +96,19 @@ func (e *Emulator) Run(prog *isa.Program, in Inputs, captureTrace bool) (*Result
 	return res, nil
 }
 
-// Stream is Run with the dynamic trace handed, one record per retired
-// instruction, to sink instead of being stored: a trace is as long as the run
-// and an analysis that reads it once (ilp.Fig7) needs none of it kept.
+// Stream is Run with the dynamic trace handed, a batch of records at a time,
+// to sink instead of being stored: a trace is as long as the run and an
+// analysis that reads it once (ilp.Fig7) needs none of it kept.
 //
 // The emulator runs on the caller's goroutine and sink on a second one, a few
 // thousand records behind (see streamBatch), so the analysis and the
-// emulation run at once. The sink is called once per record, in trace order
-// and never concurrently; the record is valid only during the call. Stream
-// returns after the last call, on the error paths too, and a panic in the
-// sink is re-raised on the caller's goroutine once the emulator has stopped.
-// A nil sink runs untraced, with no second goroutine.
-func (e *Emulator) Stream(prog *isa.Program, in Inputs, sink func(*trace.Record)) (*Result, error) {
+// emulation run at once. The sink is called once per batch of consecutive
+// records, in trace order and never concurrently; the batch holds at least
+// one record and is valid only during the call. Stream returns after the last
+// call, on the error paths too, and a panic in the sink is re-raised on the
+// caller's goroutine once the emulator has stopped. A nil sink runs
+// untraced, with no second goroutine.
+func (e *Emulator) Stream(prog *isa.Program, in Inputs, sink func([]trace.Record)) (*Result, error) {
 	cpu, err := e.load(prog, in)
 	if err != nil {
 		return nil, err

@@ -87,7 +87,7 @@ func TestFootprintsUnderConcurrentFirstUse(t *testing.T) {
 			<-start
 			rows[w] = unsafe.SliceData(prog.Footprints())
 			var res *Result
-			res, errs[w] = NewEmulator().Stream(prog, in, func(r *trace.Record) { records[w] = append(records[w], *r) })
+			res, errs[w] = NewEmulator().Stream(prog, in, func(rs []trace.Record) { records[w] = append(records[w], rs...) })
 			if errs[w] == nil && res.RAX != want {
 				errs[w] = fmt.Errorf("rax = %d, want %d", res.RAX, want)
 			}

@@ -12,12 +12,12 @@ import (
 // The emulator writes each record in place, into the next slot of a batch
 // that is its trace buffer; the pipe is its trace hook, which sends a full
 // batch to the sink's goroutine and gives the emulator an empty one. The
-// sink's goroutine hands every record of a batch to the sink, in order, and
-// gives the batch back. Waking the other goroutine costs far more than
-// writing a record, so batches are large and several are in flight:
-// streamBatches batches of streamBatch records (96 KiB each) buffer 8 K
-// records, and the emulator waits only when every batch but the one it is
-// filling is still unread.
+// sink's goroutine hands each batch to the sink, in one call, and gives the
+// batch back. Waking the other goroutine costs far more than writing a
+// record, so batches are large and several are in flight: streamBatches
+// batches of streamBatch records (96 KiB each) buffer 8 K records, and the
+// emulator waits only when every batch but the one it is filling is still
+// unread.
 const (
 	streamBatch   = 2048
 	streamBatches = 4
@@ -51,7 +51,7 @@ type pipe struct {
 
 // startPipe starts the sink's goroutine; the caller makes refill the
 // emulator's trace hook and must call finish once the run is over.
-func startPipe(sink func(*trace.Record)) *pipe {
+func startPipe(sink func([]trace.Record)) *pipe {
 	p := &pipe{
 		full:  make(chan []trace.Record, streamBatches),
 		empty: make(chan []trace.Record, streamBatches),
@@ -91,7 +91,7 @@ func (p *pipe) take() []trace.Record {
 // drain is the sink's goroutine. After a panic (or a Goexit) in the sink it
 // reads the remaining batches without calling the sink, so that the emulator
 // never waits for a batch that is not coming back.
-func (p *pipe) drain(sink func(*trace.Record)) {
+func (p *pipe) drain(sink func([]trace.Record)) {
 	full, empty := p.full, p.empty
 	defer close(p.done)
 	defer func() {
@@ -104,9 +104,7 @@ func (p *pipe) drain(sink func(*trace.Record)) {
 		}
 	}()
 	for b := range full {
-		for i := range b {
-			sink(&b[i])
-		}
+		sink(b)
 		empty <- b[:streamBatch]
 	}
 	p.clean = true

@@ -52,7 +52,7 @@ func hooked(t *testing.T, prog *isa.Program, in backend.Inputs, maxSteps int64) 
 // streamed runs prog through Stream with the sink keeping every record.
 func streamed(prog *isa.Program, in backend.Inputs, maxSteps int64) ([]trace.Record, *backend.Result, error) {
 	var recs []trace.Record
-	res, err := (&backend.Emulator{MaxSteps: maxSteps}).Stream(prog, in, func(r *trace.Record) { recs = append(recs, *r) })
+	res, err := (&backend.Emulator{MaxSteps: maxSteps}).Stream(prog, in, func(rs []trace.Record) { recs = append(recs, rs...) })
 	return recs, res, err
 }
 
@@ -167,7 +167,7 @@ func TestStreamStepBoundLeavesNothingRunning(t *testing.T) {
 // called again, no goroutine is left behind, and the next Stream runs.
 func TestStreamSinkPanicLeavesNothingRunning(t *testing.T) {
 	prog := countedLoop(t, 3*backend.StreamBatch)
-	const stopAt = backend.StreamBatch + 5
+	const stopAt = 2 // the second of about three batches
 	type sentinel struct{ at int }
 	for _, stop := range []struct {
 		name string
@@ -184,7 +184,7 @@ func TestStreamSinkPanicLeavesNothingRunning(t *testing.T) {
 		go func() {
 			defer close(done)
 			defer func() { recovered = recover() }()
-			backend.NewEmulator().Stream(prog, nil, func(*trace.Record) {
+			backend.NewEmulator().Stream(prog, nil, func([]trace.Record) {
 				if calls++; calls == stopAt {
 					stop.do(calls)
 				}
@@ -215,7 +215,7 @@ func TestStreamRecyclesBatches(t *testing.T) {
 	prog := countedLoop(t, 10*backend.StreamBatch)
 	records := 0
 	run := func() {
-		if _, err := backend.NewEmulator().Stream(prog, nil, func(*trace.Record) { records++ }); err != nil {
+		if _, err := backend.NewEmulator().Stream(prog, nil, func(rs []trace.Record) { records += len(rs) }); err != nil {
 			t.Fatal(err)
 		}
 	}

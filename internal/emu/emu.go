@@ -10,9 +10,9 @@
 //     in place into the slots of a buffer its hook refills (CPU.Trace,
 //     CPU.TraceHook). The internal/ilp analysis that regenerates the
 //     paper's Fig. 7 reads it through backend.Emulator.Stream, whose
-//     buffers are the batches it hands to a second goroutine; a stored
-//     trace is one buffer grown to the whole run (trace.Buffer.Grow). No
-//     record is copied.
+//     buffers are the batches it hands to a second goroutine, where the
+//     sink is called once per batch; a stored trace is one buffer grown to
+//     the whole run (trace.Buffer.Grow). No record is copied.
 //  3. Sequential execution of fork programs: fork/endfork are executed with
 //     their *sequential-trace* semantics (the section total order of §2),
 //     which makes the emulator the functional oracle for the many-core
@@ -39,23 +39,50 @@ var NonVolatile = []isa.Reg{isa.RBX, isa.RBP, isa.RSP, isa.RSI, isa.RDI, isa.R12
 const pageBits = 12
 const pageSize = 1 << pageBits
 
+// cacheSlots is the size of Memory's page cache: a power of two, and enough
+// slots that a kernel's data, heap and stack pages seldom share one.
+const cacheSlots = 64
+
+// noPage is a cache slot's tag while it holds no page: page numbers are
+// below 2^(64-pageBits), so no address has it.
+const noPage = ^uint64(0)
+
 // Memory is a sparse, paged, byte-addressed 64-bit memory.
 type Memory struct {
 	pages map[uint64]*[pageSize]byte
+	// cache is a direct-mapped cache of pages, slot pn%cacheSlots holding
+	// page pn or noPage, in front of pages for the aligned-word accesses.
+	// Pages are never unmapped (Reset clears them in place), so a cached
+	// page stays the page its tag names.
+	cache [cacheSlots]struct {
+		pn uint64
+		p  *[pageSize]byte
+	}
 }
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*[pageSize]byte)}
+	m := &Memory{pages: make(map[uint64]*[pageSize]byte)}
+	for i := range m.cache {
+		m.cache[i].pn = noPage
+	}
+	return m
 }
 
+// page returns the page holding addr, mapping it first when create is set;
+// an unmapped page is nil. A mapped page enters the cache.
 func (m *Memory) page(addr uint64, create bool) *[pageSize]byte {
 	pn := addr >> pageBits
 	p := m.pages[pn]
-	if p == nil && create {
+	if p == nil {
+		if !create {
+			return nil
+		}
 		p = new([pageSize]byte)
 		m.pages[pn] = p
 	}
+	e := &m.cache[pn%cacheSlots]
+	e.pn, e.p = pn, p
 	return p
 }
 
@@ -70,9 +97,24 @@ func (m *Memory) Reset() {
 	}
 }
 
+// word returns the 8 bytes at addr when its page is in the cache and they do
+// not cross into the next page, and nil otherwise: the fast path of ReadU64
+// and WriteU64, small enough for CPU.Run to inline. A word that crosses
+// names the next page (page 0 after the highest), which never sits in the
+// slot of addr's page.
+func (m *Memory) word(addr uint64) *[8]byte {
+	if e := &m.cache[(addr>>pageBits)%cacheSlots]; e.pn == (addr+7)>>pageBits {
+		return (*[8]byte)(e.p[addr&(pageSize-1):])
+	}
+	return nil
+}
+
 // ReadU64 reads the 8-byte little-endian word at addr. Unmapped bytes read
 // as zero.
 func (m *Memory) ReadU64(addr uint64) uint64 {
+	if w := m.word(addr); w != nil {
+		return binary.LittleEndian.Uint64(w[:])
+	}
 	if off := addr & (pageSize - 1); off <= pageSize-8 {
 		p := m.page(addr, false)
 		if p == nil {
@@ -89,6 +131,10 @@ func (m *Memory) ReadU64(addr uint64) uint64 {
 
 // WriteU64 writes the 8-byte little-endian word v at addr.
 func (m *Memory) WriteU64(addr uint64, v uint64) {
+	if w := m.word(addr); w != nil {
+		binary.LittleEndian.PutUint64(w[:], v)
+		return
+	}
 	if off := addr & (pageSize - 1); off <= pageSize-8 {
 		binary.LittleEndian.PutUint64(m.page(addr, true)[off:], v)
 		return
@@ -184,138 +230,151 @@ func New(prog *isa.Program) *CPU {
 // Result returns the conventional program result (rax at halt).
 func (c *CPU) Result() uint64 { return c.Regs[isa.RAX] }
 
-// Run executes until HLT or the step bound. It returns the step count.
+// Run executes until HLT, a fault or the step bound, and returns the step
+// count: a control instruction here, a data instruction through isa.Exec,
+// with the memory accesses its footprint names.
+//
+// The loop holds the CPU's state in locals, which the stores into a trace
+// slot cannot alias, and writes it back to c when it returns and before it
+// calls TraceHook.
 func (c *CPU) Run() (int64, error) {
+	if c.halted {
+		return c.Steps, nil
+	}
 	max := c.MaxSteps
 	if max == 0 {
 		max = 256 << 20
 	}
-	for !c.halted {
-		if c.Steps >= max {
-			return c.Steps, &Fault{IP: c.IP, Seq: c.Steps, Msg: fmt.Sprintf("step limit %d exceeded", max)}
-		}
-		if err := c.Step(); err != nil {
-			return c.Steps, err
-		}
-	}
-	return c.Steps, nil
-}
-
-func (c *CPU) fault(in *isa.Instruction, msg string) error {
-	return &Fault{IP: c.IP, Seq: c.Steps, Msg: msg, Inst: in.String()}
-}
-
-// Step executes one instruction: a control instruction here, a data
-// instruction through isa.Exec, with the memory accesses its footprint names.
-func (c *CPU) Step() error {
-	if c.halted {
-		return nil
-	}
-	if c.IP < 0 || c.IP >= int64(len(c.Prog.Text)) {
-		return &Fault{IP: c.IP, Seq: c.Steps, Msg: "instruction fetch out of text segment"}
-	}
-	in, f := &c.Prog.Text[c.IP], &c.footprints[c.IP]
-
-	// Both addresses form from the registers as they stand before the
-	// instruction executes: the stack operands of isa.MemRead/MemWrite are
-	// (%rsp) for pop/ret and -8(%rsp) for push/call.
-	var load, store, word uint64
-	if f.HasLoad {
-		load = f.Load.Addr(&c.Regs)
-		word = c.Mem.ReadU64(load)
-	}
-	if f.HasStore {
-		store = f.Store.Addr(&c.Regs)
-	}
-
-	var rec *trace.Record
-	if c.TraceHook != nil {
-		if c.Trace.N == len(c.Trace.Records) {
-			c.TraceHook(&c.Trace)
-		}
-		// Field by field: a composite literal would be built on the stack
-		// (the slot might alias the CPU it reads) and copied over, and the
-		// copy's wide loads stall on the narrow stores that built it.
-		rec = &c.Trace.Records[c.Trace.N]
-		rec.Seq, rec.IP, rec.CallLevel, rec.Op = c.Steps, c.IP, c.level, in.Op
-		rec.Regs, rec.HasLoad, rec.HasStore = f.Regs, f.HasLoad, f.HasStore
-		rec.Load, rec.Store = load, store
-	}
-
-	next := c.IP + 1
-	taken := false
-
-	switch in.Op {
-	case isa.JMP:
-		next = in.Target
-		taken = true
-	case isa.Jcc:
-		if in.Cond.Eval(isa.FlagsVal(c.Regs[isa.Flags])) {
-			next = in.Target
-			taken = true
-		}
-	case isa.CALL:
-		c.Regs[isa.RSP] -= 8
-		word = uint64(c.IP + 1)
-		next = in.Target
-		taken = true
-		c.level++
-	case isa.RET:
-		c.Regs[isa.RSP] += 8
-		next = int64(word)
-		taken = true
-		if c.level > 0 {
-			c.level--
-		}
-
-	case isa.FORK:
-		var fr forkFrame
-		fr.resumeIP = c.IP + 1
-		fr.level = c.level
-		for _, r := range NonVolatile {
-			fr.saved[r] = c.Regs[r]
-		}
-		c.forkStack = append(c.forkStack, fr)
-		next = in.Target
-		taken = true
-		c.level++
-	case isa.ENDFORK:
-		if len(c.forkStack) == 0 {
-			c.halted = true
-			taken = true
+	text, fps, mem, hook := c.Prog.Text, c.footprints, c.Mem, c.TraceHook
+	ip, steps, level, regs := c.IP, c.Steps, c.level, c.Regs
+	recs, n := c.Trace.Records, c.Trace.N
+	halted := false
+	var err error
+loop:
+	for !halted {
+		if steps >= max {
+			err = &Fault{IP: ip, Seq: steps, Msg: fmt.Sprintf("step limit %d exceeded", max)}
 			break
 		}
-		fr := c.forkStack[len(c.forkStack)-1]
-		c.forkStack = c.forkStack[:len(c.forkStack)-1]
-		for _, r := range NonVolatile {
-			c.Regs[r] = fr.saved[r]
+		if ip < 0 || ip >= int64(len(text)) {
+			err = &Fault{IP: ip, Seq: steps, Msg: "instruction fetch out of text segment"}
+			break
 		}
-		next = fr.resumeIP
-		c.level = fr.level
-		taken = true
+		in, f := &text[ip], &fps[ip]
 
-	case isa.HLT:
-		c.halted = true
+		// Both addresses form from the registers as they stand before the
+		// instruction executes: the stack operands of isa.MemRead/MemWrite
+		// are (%rsp) for pop/ret and -8(%rsp) for push/call.
+		var load, store, word uint64
+		if f.HasLoad {
+			load = f.Load.Addr(&regs)
+			if w := mem.word(load); w != nil {
+				word = binary.LittleEndian.Uint64(w[:])
+			} else {
+				word = mem.ReadU64(load)
+			}
+		}
+		if f.HasStore {
+			store = f.Store.Addr(&regs)
+		}
 
-	default:
-		var err error
-		if word, err = isa.Exec(in, &c.Regs, word); err != nil {
-			return c.fault(in, err.Error())
+		var rec *trace.Record
+		if hook != nil {
+			if n == len(recs) {
+				c.IP, c.Steps, c.level, c.Regs, c.Trace.N = ip, steps, level, regs, n
+				hook(&c.Trace)
+				recs, n = c.Trace.Records, c.Trace.N
+			}
+			// Field by field: a composite literal would be built on the
+			// stack and copied over, and the copy's wide loads stall on the
+			// narrow stores that built it.
+			rec = &recs[n]
+			rec.Seq, rec.IP, rec.CallLevel, rec.Op = steps, ip, level, in.Op
+			rec.Regs, rec.HasLoad, rec.HasStore = f.Regs, f.HasLoad, f.HasStore
+			rec.Load, rec.Store = load, store
+		}
+
+		next := ip + 1
+		taken := false
+
+		switch in.Op {
+		case isa.JMP:
+			next = in.Target
+			taken = true
+		case isa.Jcc:
+			if in.Cond.Eval(isa.FlagsVal(regs[isa.Flags])) {
+				next = in.Target
+				taken = true
+			}
+		case isa.CALL:
+			regs[isa.RSP] -= 8
+			word = uint64(ip + 1)
+			next = in.Target
+			taken = true
+			level++
+		case isa.RET:
+			regs[isa.RSP] += 8
+			next = int64(word)
+			taken = true
+			if level > 0 {
+				level--
+			}
+
+		case isa.FORK:
+			var fr forkFrame
+			fr.resumeIP = ip + 1
+			fr.level = level
+			for _, r := range NonVolatile {
+				fr.saved[r] = regs[r]
+			}
+			c.forkStack = append(c.forkStack, fr)
+			next = in.Target
+			taken = true
+			level++
+		case isa.ENDFORK:
+			if len(c.forkStack) == 0 {
+				halted = true
+				taken = true
+				break
+			}
+			fr := c.forkStack[len(c.forkStack)-1]
+			c.forkStack = c.forkStack[:len(c.forkStack)-1]
+			for _, r := range NonVolatile {
+				regs[r] = fr.saved[r]
+			}
+			next = fr.resumeIP
+			level = fr.level
+			taken = true
+
+		case isa.HLT:
+			halted = true
+
+		default:
+			var xerr error
+			if word, xerr = isa.Exec(in, &regs, word); xerr != nil {
+				err = &Fault{IP: ip, Seq: steps, Msg: xerr.Error(), Inst: in.String()}
+				break loop // its record is written, not counted
+			}
+		}
+		if f.HasStore {
+			if w := mem.word(store); w != nil {
+				binary.LittleEndian.PutUint64(w[:], word)
+			} else {
+				mem.WriteU64(store, word)
+			}
+		}
+
+		if rec != nil {
+			rec.Taken = taken
+			n++
+		}
+		steps++
+		if !halted {
+			ip = next
 		}
 	}
-	if f.HasStore {
-		c.Mem.WriteU64(store, word)
-	}
-
-	if rec != nil {
-		rec.Taken = taken
-		c.Trace.N++
-	}
-	c.Steps++
-	if !c.halted {
-		c.IP = next
-	}
-	return nil
+	c.IP, c.Steps, c.level, c.Regs, c.halted, c.Trace.N = ip, steps, level, regs, halted, n
+	return steps, err
 }
 
 // RunProgram runs prog to completion without tracing and returns the final CPU.

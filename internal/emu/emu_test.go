@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -204,6 +206,74 @@ func TestFetchOutOfText(t *testing.T) {
 	}
 	if _, err := RunProgram(p); err == nil {
 		t.Error("running off the end of text did not fault")
+	}
+}
+
+// TestFaultContract: a run that faults stops at the faulting instruction.
+// The Fault names its IP and its Seq, the CPU's IP and Steps stand as they
+// did before it, and the trace counts only the instructions that retired.
+// An instruction that faults while it executes has its record written into
+// the next slot but not counted; one the CPU cannot fetch or may not start
+// has none.
+func TestFaultContract(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		maxSteps  int64
+		msg       string
+		ip, seq   int64
+		written   bool // the faulting instruction's record is in the next slot
+	}{
+		{"divide", `
+main:   movq $1, %rax
+        movq $0, %rdx
+        movq $0, %rcx
+        divq %rcx
+        hlt
+`, 0, "division by zero", 3, 3, true},
+		{"step limit", `
+main:   nop
+        jmp main
+`, 5, "step limit 5 exceeded", 1, 5, false},
+		{"jump out of text", `
+main:   movq $99, %rax
+        pushq %rax
+        ret
+`, 0, "out of text", 99, 3, false},
+	} {
+		p, err := asm.Assemble(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, traced := range []bool{false, true} {
+			c := New(p)
+			c.MaxSteps = tc.maxSteps
+			if traced {
+				c.TraceHook = (*trace.Buffer).Grow
+			}
+			steps, err := c.Run()
+			f, ok := err.(*Fault)
+			if !ok || !strings.Contains(f.Msg, tc.msg) {
+				t.Fatalf("%s (traced %v): Run returned %v, want a fault saying %q", tc.name, traced, err, tc.msg)
+			}
+			if f.IP != tc.ip || f.Seq != tc.seq {
+				t.Errorf("%s (traced %v): fault at ip=%d seq=%d, want ip=%d seq=%d", tc.name, traced, f.IP, f.Seq, tc.ip, tc.seq)
+			}
+			if c.IP != tc.ip || c.Steps != tc.seq || steps != tc.seq {
+				t.Errorf("%s (traced %v): CPU left at ip=%d after %d steps (Run returned %d), want ip=%d after %d",
+					tc.name, traced, c.IP, c.Steps, steps, tc.ip, tc.seq)
+			}
+			if !traced {
+				continue
+			}
+			if c.Trace.N != int(tc.seq) {
+				t.Errorf("%s: the trace counts %d records, want the %d that retired", tc.name, c.Trace.N, tc.seq)
+			}
+			written := c.Trace.N < len(c.Trace.Records) && c.Trace.Records[c.Trace.N].Seq == tc.seq &&
+				c.Trace.Records[c.Trace.N].IP == tc.ip
+			if written != tc.written {
+				t.Errorf("%s: the faulting instruction's record written: %v, want %v", tc.name, written, tc.written)
+			}
+		}
 	}
 }
 
@@ -562,6 +632,83 @@ func TestMemoryQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMemoryMatchesByteMap: Memory, its page cache included, holds what a
+// map of bytes holds under a random mix of word and byte accesses, CopyIn
+// and Reset. The addresses are on pages that share a cache slot, on the
+// highest page of the address space (whose last words wrap to page 0) and
+// at page ends, where a word crosses into the next page. Every page the
+// cache holds is the page of its tag, and Reset keeps every page mapped.
+func TestMemoryMatchesByteMap(t *testing.T) {
+	const top = ^uint64(0) >> pageBits // the highest page
+	pages := []uint64{0, 1, 2, 1 + cacheSlots, 1 + 2*cacheSlots, top - cacheSlots, top - 1, top}
+	rng := rand.New(rand.NewPCG(1, 2))
+	addr := func() uint64 {
+		off := uint64(rng.IntN(pageSize))
+		switch rng.IntN(3) {
+		case 0:
+			off = pageSize - 1 - uint64(rng.IntN(8))
+		case 1:
+			off &^= 7
+		}
+		return pages[rng.IntN(len(pages))]<<pageBits | off
+	}
+	m, ref := NewMemory(), map[uint64]byte{}
+	want := func(a uint64) uint64 {
+		var v uint64
+		for j := uint64(0); j < 8; j++ {
+			v |= uint64(ref[a+j]) << (8 * j)
+		}
+		return v
+	}
+	for i := 0; i < 20_000; i++ {
+		a := addr()
+		switch op := rng.IntN(100); {
+		case op < 30:
+			v := rng.Uint64()
+			m.WriteU64(a, v)
+			for j := uint64(0); j < 8; j++ {
+				ref[a+j] = byte(v >> (8 * j))
+			}
+		case op < 60:
+			if got := m.ReadU64(a); got != want(a) {
+				t.Fatalf("op %d: ReadU64(%#x) = %#x, want %#x", i, a, got, want(a))
+			}
+		case op < 75:
+			b := byte(rng.Uint32())
+			m.StoreByte(a, b)
+			ref[a] = b
+		case op < 90:
+			if got := m.LoadByte(a); got != ref[a] {
+				t.Fatalf("op %d: LoadByte(%#x) = %#x, want %#x", i, a, got, ref[a])
+			}
+		case op < 99:
+			buf := make([]byte, rng.IntN(2*pageSize))
+			for j := range buf {
+				buf[j] = byte(rng.Uint32())
+				ref[a+uint64(j)] = buf[j]
+			}
+			m.CopyIn(a, buf)
+		default:
+			mapped := len(m.pages)
+			m.Reset()
+			clear(ref)
+			if len(m.pages) != mapped {
+				t.Fatalf("op %d: Reset left %d pages of %d mapped", i, len(m.pages), mapped)
+			}
+		}
+	}
+	for a, b := range ref {
+		if got := m.LoadByte(a); got != b {
+			t.Errorf("byte %#x reads %#x, want %#x", a, got, b)
+		}
+	}
+	for i, e := range m.cache {
+		if e.pn != noPage && (e.pn%cacheSlots != uint64(i) || m.pages[e.pn] != e.p) {
+			t.Errorf("cache slot %d holds a page that is not page %#x", i, e.pn)
+		}
 	}
 }
 

@@ -9,7 +9,10 @@ import (
 
 // Handler serves the fabric protocol (PathRegister, PathLease, PathReport,
 // PathStatus). Mount it next to the API handler on the coordinator's
-// listener; paths carry the /fabric/v1/ prefix already.
+// listener; paths carry the /fabric/v1/ prefix already. A POST is answered
+// 200 with its response, or with a JSON {"error": ...} body and 400 (a body
+// that does not decode, or a report Report refuses), 404 (a lease or report
+// from an unknown worker) or 413 (a body over the cap, see decodeBody).
 func (c *Coordinator) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathRegister, func(w http.ResponseWriter, r *http.Request) {

@@ -32,42 +32,50 @@ func NewFig7() *Fig7 {
 	return &Fig7{mem: newMemTable[fig7Row]()}
 }
 
-// Step schedules the next dynamic instruction of the trace under both
-// models. The record is read, not kept.
-func (a *Fig7) Step(r *trace.Record) {
-	a.n++
-	var seqReady, parReady int64 // executes at ready+1
-	for _, reg := range r.RegReads() {
-		seqReady = max(seqReady, a.seqRegs[reg])
-		parReady = max(parReady, a.parRegs[reg])
-	}
-	var load, store *fig7Row
-	if r.HasLoad {
-		load = a.mem.at(r.Load)
-		seqReady = max(seqReady, load.seqWrite)
-		parReady = max(parReady, load.parWrite)
-	}
-	if r.HasStore {
-		store = a.mem.at(r.Store)
-		seqReady = max(seqReady, store.seqWrite, store.seqRead) // WAW, WAR
-	}
-	seq, par := seqReady+1, parReady+1
-	a.seqCycles = max(a.seqCycles, seq)
-	a.parCycles = max(a.parCycles, par)
+// Step schedules the next dynamic instructions of the trace, the records of
+// rs in order, under both models. The records are read, not kept. How a trace
+// is cut into slices changes nothing.
+func (a *Fig7) Step(rs []trace.Record) {
+	a.n += int64(len(rs))
+	// The schedules' lengths stay in locals across the slice: the stores
+	// into the register and memory rows could alias them in a.
+	seqCycles, parCycles := a.seqCycles, a.parCycles
+	for i := range rs {
+		r := &rs[i]
+		var seqReady, parReady int64 // executes at ready+1
+		for _, reg := range r.RegReads() {
+			seqReady = max(seqReady, a.seqRegs[reg])
+			parReady = max(parReady, a.parRegs[reg])
+		}
+		var load, store *fig7Row
+		if r.HasLoad {
+			load = a.mem.at(r.Load)
+			seqReady = max(seqReady, load.seqWrite)
+			parReady = max(parReady, load.parWrite)
+		}
+		if r.HasStore {
+			store = a.mem.at(r.Store)
+			seqReady = max(seqReady, store.seqWrite, store.seqRead) // WAW, WAR
+		}
+		seq, par := seqReady+1, parReady+1
+		seqCycles = max(seqCycles, seq)
+		parCycles = max(parCycles, par)
 
-	// Reads before writes, as in Analyzer.Step: an instruction loading and
-	// storing one address leaves it written and unread.
-	for _, reg := range r.RegWrites() {
-		a.seqRegs[reg] = seq
-		a.parRegs[reg] = par
+		// Reads before writes, as in Analyzer.Step: an instruction loading
+		// and storing one address leaves it written and unread.
+		for _, reg := range r.RegWrites() {
+			a.seqRegs[reg] = seq
+			a.parRegs[reg] = par
+		}
+		a.parRegs[isa.RSP] = 0
+		if load != nil {
+			load.seqRead = max(load.seqRead, seq)
+		}
+		if store != nil {
+			*store = fig7Row{seqWrite: seq, parWrite: par}
+		}
 	}
-	a.parRegs[isa.RSP] = 0
-	if load != nil {
-		load.seqRead = max(load.seqRead, seq)
-	}
-	if store != nil {
-		*store = fig7Row{seqWrite: seq, parWrite: par}
-	}
+	a.seqCycles, a.parCycles = seqCycles, parCycles
 }
 
 // Results returns the analyses of the records stepped so far, as

@@ -113,9 +113,11 @@ func streamed(t *testing.T, prog *isa.Program, in pbbs.Inputs) []ilp.Result {
 	for i, gm := range goldenModels {
 		as[i] = ilp.NewAnalyzer(gm.model)
 	}
-	_, err := backend.NewEmulator().Stream(prog, in, func(r *trace.Record) {
-		for _, a := range as {
-			a.Step(r)
+	_, err := backend.NewEmulator().Stream(prog, in, func(rs []trace.Record) {
+		for i := range rs {
+			for _, a := range as {
+				a.Step(&rs[i])
+			}
 		}
 	})
 	if err != nil {
@@ -219,12 +221,13 @@ func TestUnalignedAddressesKeepTheirOwnEntry(t *testing.T) {
 }
 
 // TestFig7MatchesTwoAnalyzers: the one-pass Fig7 gives exactly the Results
-// of one reference Analyzer per model over the same records. Fig7 is fed as
-// Fig. 7 feeds it, from Stream's second goroutine; the references read the
-// stored trace. The points: every kernel at the golden's n and seed, the
-// paper's sum in both conventions, forty generated programs (alternately
-// compiled in call and fork mode), and the overlapping-address trace, stepped
-// directly.
+// of one reference Analyzer per model over the same records, however the
+// trace is cut into the slices it steps. Fig7 is fed as Fig. 7 feeds it, from
+// Stream's second goroutine, and over the stored trace in slices of 1, 3 and
+// 2 048 records and whole; the references read the stored trace. The points:
+// every kernel at the golden's n and seed, the paper's sum in both
+// conventions, forty generated programs (alternately compiled in call and
+// fork mode), and the overlapping-address trace, which has no program.
 func TestFig7MatchesTwoAnalyzers(t *testing.T) {
 	type point struct {
 		name string
@@ -257,25 +260,36 @@ func TestFig7MatchesTwoAnalyzers(t *testing.T) {
 	}
 	points = append(points, point{name: "overlapping addresses", tr: overlappingTrace(nil)})
 
+	type fed struct {
+		how string
+		a   *ilp.Fig7
+	}
 	for _, p := range points {
-		a := ilp.NewFig7()
-		if p.prog == nil {
-			for i := range p.tr.Records {
-				a.Step(&p.tr.Records[i])
-			}
-		} else {
+		var feds []fed
+		if p.prog != nil {
+			a := ilp.NewFig7()
 			if _, err := backend.NewEmulator().Stream(p.prog, p.in, a.Step); err != nil {
 				t.Fatalf("%s: %v", p.name, err)
 			}
+			feds = append(feds, fed{"streamed", a})
 			p.tr = storedTrace(t, p.prog, p.in)
 		}
-		seq, par := a.Results()
-		for _, c := range []struct{ got, want ilp.Result }{
-			{seq, ilp.Analyze(p.tr, ilp.Sequential())},
-			{par, ilp.Analyze(p.tr, ilp.Parallel())},
-		} {
-			if !reflect.DeepEqual(c.got, c.want) {
-				t.Errorf("%s under %s:\n    Fig7 %+v\nAnalyzer %+v", p.name, c.want.Model.Name, c.got, c.want)
+		for _, size := range []int{1, 3, 2048, len(p.tr.Records)} {
+			a := ilp.NewFig7()
+			for rs := p.tr.Records; len(rs) > 0; rs = rs[min(size, len(rs)):] {
+				a.Step(rs[:min(size, len(rs))])
+			}
+			feds = append(feds, fed{fmt.Sprintf("in slices of %d", size), a})
+		}
+		for _, f := range feds {
+			seq, par := f.a.Results()
+			for _, c := range []struct{ got, want ilp.Result }{
+				{seq, ilp.Analyze(p.tr, ilp.Sequential())},
+				{par, ilp.Analyze(p.tr, ilp.Parallel())},
+			} {
+				if !reflect.DeepEqual(c.got, c.want) {
+					t.Errorf("%s %s under %s:\n    Fig7 %+v\nAnalyzer %+v", p.name, f.how, c.want.Model.Name, c.got, c.want)
+				}
 			}
 		}
 	}
@@ -302,9 +316,11 @@ func TestParallelNeverSlowerThanSequential(t *testing.T) {
 		lo, hi := math.Inf(1), 0.0
 		for _, n := range []int{32, 64, 128, 256} {
 			seq, par := ilp.NewAnalyzer(ilp.Sequential()), ilp.NewAnalyzer(ilp.Parallel())
-			if _, err := k.Run(n, 1, func(r *trace.Record) {
-				seq.Step(r)
-				par.Step(r)
+			if _, err := k.Run(n, 1, func(rs []trace.Record) {
+				for i := range rs {
+					seq.Step(&rs[i])
+					par.Step(&rs[i])
+				}
 			}); err != nil {
 				t.Fatal(err)
 			}

@@ -262,10 +262,10 @@ type RunResult struct {
 }
 
 // Run compiles the kernel in call mode, executes it on the sequential
-// emulator, handing the dynamic trace record by record to sink when it is not
+// emulator, handing the dynamic trace batch by batch to sink when it is not
 // nil (backend.Emulator.Stream), and validates the checksum against the Go
 // reference.
-func (k *Kernel) Run(n int, seed uint64, sink func(*trace.Record)) (*RunResult, error) {
+func (k *Kernel) Run(n int, seed uint64, sink func([]trace.Record)) (*RunResult, error) {
 	n = k.ClampN(n)
 	prog, err := k.Build(n, minic.ModeCall)
 	if err != nil {
@@ -335,9 +335,9 @@ func (p *ILPPoint) Speedup() float64 {
 
 // MeasureILP runs the kernel on the emulator and analyses its trace under the
 // paper's sequential and parallel models as it is produced: one ilp.Fig7
-// steps both models over each record on Emulator.Stream's second goroutine,
-// and no trace is stored, so a point's memory is the words it touches, not
-// the instructions it runs.
+// steps both models over each batch of records on Emulator.Stream's second
+// goroutine, and no trace is stored, so a point's memory is the words it
+// touches, not the instructions it runs.
 func (k *Kernel) MeasureILP(n int, seed uint64) (*ILPPoint, error) {
 	a := ilp.NewFig7()
 	res, err := k.Run(n, seed, a.Step)
