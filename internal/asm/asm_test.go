@@ -296,30 +296,3 @@ func TestEntrySelection(t *testing.T) {
 		t.Errorf("entry = %d, want 1 (_start preferred)", p.Entry)
 	}
 }
-
-func TestDisassembleRoundTrip(t *testing.T) {
-	// Disassembled output of the Fig. 2 listing re-assembles to the same
-	// instruction stream (labels become numeric targets, so compare ops).
-	src := `
-sum:    cmpq $2, %rsi
-        ja .L2
-        movq (%rdi), %rax
-        jne .L1
-        addq 8(%rdi), %rax
-.L1:    ret
-.L2:    pushq %rbx
-        shrq %rsi
-        call sum
-        ret
-`
-	p, err := Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dis := p.Disassemble()
-	for _, want := range []string{"sum:", ".L1:", ".L2:", "cmpq $2, %rsi", "ja .L2", "pushq %rbx", "call sum"} {
-		if !strings.Contains(dis, want) {
-			t.Errorf("disassembly missing %q:\n%s", want, dis)
-		}
-	}
-}

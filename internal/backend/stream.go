@@ -15,7 +15,7 @@ import (
 // sink's goroutine hands each batch to the sink, in one call, and gives the
 // batch back. Waking the other goroutine costs far more than writing a
 // record, so batches are large and several are in flight: streamBatches
-// batches of streamBatch records (96 KiB each) buffer 8 K records, and the
+// batches of streamBatch records (80 KiB each) buffer 8 K records, and the
 // emulator waits only when every batch but the one it is filling is still
 // unread.
 const (

@@ -289,7 +289,7 @@ loop:
 			// stack and copied over, and the copy's wide loads stall on the
 			// narrow stores that built it.
 			rec = &recs[n]
-			rec.Seq, rec.IP, rec.CallLevel, rec.Op = steps, ip, level, in.Op
+			rec.IP, rec.CallLevel, rec.Op = ip, level, in.Op
 			rec.Regs, rec.HasLoad, rec.HasStore = f.Regs, f.HasLoad, f.HasStore
 			rec.Load, rec.Store = load, store
 		}

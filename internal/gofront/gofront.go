@@ -112,9 +112,6 @@ type Expr struct {
 	node ast.Expr
 }
 
-// String returns the annotation text of the expression.
-func (e Expr) String() string { return e.src }
-
 // parseExpr parses an annotation expression.
 func parseExpr(src string) (Expr, error) {
 	node, err := parser.ParseExpr(src)

@@ -192,9 +192,9 @@ func overlappingTrace(remap map[uint64]uint64) *trace.Trace {
 			addr = to
 		}
 		if ac.store {
-			tr.Append(trace.Record{Op: isa.MOV, Store: addr, HasStore: true})
+			tr.Records = append(tr.Records, trace.Record{Op: isa.MOV, Store: addr, HasStore: true})
 		} else {
-			tr.Append(trace.Record{Op: isa.MOV, Load: addr, HasLoad: true})
+			tr.Records = append(tr.Records, trace.Record{Op: isa.MOV, Load: addr, HasLoad: true})
 		}
 	}
 	return tr

@@ -27,8 +27,6 @@
 package ilp
 
 import (
-	"fmt"
-
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -83,12 +81,6 @@ type Result struct {
 	Instructions int
 	Cycles       int64
 	ILP          float64
-}
-
-// String formats the headline numbers.
-func (r Result) String() string {
-	return fmt.Sprintf("%s: %d instructions, %d cycles, ILP %.1f",
-		r.Model.Name, r.Instructions, r.Cycles, r.ILP)
 }
 
 // Analyze feeds a stored trace to an Analyzer, record by record. Nothing in

@@ -1,7 +1,7 @@
 package isa
 
 import (
-	"math/rand"
+	"bytes"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -263,24 +263,6 @@ func TestRegReadsWrites(t *testing.T) {
 	}
 }
 
-func randOperand(r *rand.Rand, allowImm bool) Operand {
-	switch k := r.Intn(3); {
-	case k == 0:
-		return RegOp(Reg(r.Intn(int(Flags))))
-	case k == 1 && allowImm:
-		return ImmOp(int64(r.Uint64()))
-	default:
-		base := Reg(r.Intn(int(Flags)))
-		idx := NoReg
-		scale := uint8(1)
-		if r.Intn(2) == 0 {
-			idx = Reg(r.Intn(int(Flags)))
-			scale = []uint8{1, 2, 4, 8}[r.Intn(4)]
-		}
-		return MemOp(int64(int32(r.Uint32())), base, idx, scale)
-	}
-}
-
 // TestFootprintIsCompact: every traced step and every dynamic instruction on
 // the machine reads a footprint row, so a row stays small (56 B today).
 func TestFootprintIsCompact(t *testing.T) {
@@ -289,77 +271,75 @@ func TestFootprintIsCompact(t *testing.T) {
 	}
 }
 
-func TestProgramEncodeDecodeRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	for iter := 0; iter < 50; iter++ {
-		p := NewProgram()
-		n := r.Intn(200)
-		for i := 0; i < n; i++ {
-			var in Instruction
-			in.Op = Op(r.Intn(int(NumOps)))
-			in.Cond = Cond(r.Intn(int(NumConds)))
-			in.Src = randOperand(r, true)
-			in.Dst = randOperand(r, false)
-			in.Target = int64(r.Intn(1000))
-			p.Text = append(p.Text, in)
-		}
-		p.Data = make([]byte, r.Intn(256))
-		r.Read(p.Data)
-		p.Labels["main"] = 0
-		p.Labels[".L1"] = int64(r.Intn(n + 1))
-		p.DataSyms["t"] = DataBase
-		p.Entry = int64(r.Intn(n + 1))
-
-		enc := p.Encode()
-		q, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("iter %d: Decode: %v", iter, err)
-		}
-		if len(q.Text) != len(p.Text) {
-			t.Fatalf("iter %d: text length %d != %d", iter, len(q.Text), len(p.Text))
-		}
-		for i := range p.Text {
-			a, b := p.Text[i], q.Text[i]
-			// Label and Sym are presentation-only and not serialised.
-			a.Label, b.Label = "", ""
-			a.Src.Sym, b.Src.Sym = "", ""
-			a.Dst.Sym, b.Dst.Sym = "", ""
-			if a != b {
-				t.Fatalf("iter %d: instruction %d: %+v != %+v", iter, i, a, b)
-			}
-		}
-		if string(q.Data) != string(p.Data) {
-			t.Fatalf("iter %d: data mismatch", iter)
-		}
-		if q.Entry != p.Entry {
-			t.Fatalf("iter %d: entry %d != %d", iter, q.Entry, p.Entry)
-		}
-		for k, v := range p.Labels {
-			if q.Labels[k] != v {
-				t.Fatalf("iter %d: label %q: %d != %d", iter, k, q.Labels[k], v)
-			}
-		}
-		for k, v := range p.DataSyms {
-			if q.DataSyms[k] != v {
-				t.Fatalf("iter %d: datasym %q: %d != %d", iter, k, q.DataSyms[k], v)
-			}
-		}
+// encodeFixture is a small program with every operand kind in both operand
+// positions, symbolic names on an instruction and an operand, and both
+// symbol tables filled.
+func encodeFixture() *Program {
+	p := NewProgram()
+	p.Text = []Instruction{
+		{Op: ADD, Src: RegOp(RBX), Dst: MemOp(16, RSP, RCX, 8)},
+		{Op: MOV, Src: Operand{Kind: KindMem, Imm: int64(DataBase), Base: NoReg, Index: RSI, Scale: 8, Sym: "t"}, Dst: RegOp(RAX)},
+		{Op: CMP, Src: ImmOp(5), Dst: ImmOp(-7)},
+		{Op: Jcc, Cond: CondNE, Target: 0, Label: ".L0"},
+		{Op: HLT},
 	}
+	p.Data = []byte{1, 2, 3, 4}
+	p.Labels[".L0"] = 0
+	p.Labels["main"] = 1
+	p.DataSyms["t"] = DataBase
+	p.Entry = 1
+	return p
 }
 
-func TestDecodeRejectsGarbage(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
-		t.Error("Decode(nil) succeeded")
+// TestEncodeCoversEveryField: Encode is the program part of the sweep cache
+// key, so a change to any field that decides what the program computes must
+// change its bytes, and a change to a name alone must not.
+func TestEncodeCoversEveryField(t *testing.T) {
+	base := encodeFixture().Encode()
+	if again := encodeFixture().Encode(); !bytes.Equal(base, again) {
+		t.Fatal("Encode is not deterministic")
 	}
-	if _, err := Decode([]byte("XXXX")); err == nil {
-		t.Error("Decode(bad magic) succeeded")
+	mutations := map[string]func(p *Program){
+		"Op":                   func(p *Program) { p.Text[0].Op = SUB },
+		"Cond":                 func(p *Program) { p.Text[3].Cond = CondE },
+		"Target":               func(p *Program) { p.Text[3].Target = 2 },
+		"Entry":                func(p *Program) { p.Entry = 0 },
+		"data byte":            func(p *Program) { p.Data[2] ^= 0x40 },
+		"label value":          func(p *Program) { p.Labels["main"] = 2 },
+		"data-symbol value":    func(p *Program) { p.DataSyms["t"] += 8 },
+		"Src.Kind":             func(p *Program) { p.Text[0].Src.Kind = KindImm },
+		"Src.Reg":              func(p *Program) { p.Text[0].Src.Reg = RDX },
+		"Src.Imm (immediate)":  func(p *Program) { p.Text[2].Src.Imm = 6 },
+		"Src.Imm (memory)":     func(p *Program) { p.Text[1].Src.Imm += 8 },
+		"Src.Base":             func(p *Program) { p.Text[1].Src.Base = RBP },
+		"Src.Index":            func(p *Program) { p.Text[1].Src.Index = RDI },
+		"Src.Scale":            func(p *Program) { p.Text[1].Src.Scale = 4 },
+		"Dst.Kind":             func(p *Program) { p.Text[1].Dst.Kind = KindNone },
+		"Dst.Reg":              func(p *Program) { p.Text[1].Dst.Reg = R8 },
+		"Dst.Imm (immediate)":  func(p *Program) { p.Text[2].Dst.Imm = 7 },
+		"Dst.Imm (memory)":     func(p *Program) { p.Text[0].Dst.Imm = 24 },
+		"Dst.Base":             func(p *Program) { p.Text[0].Dst.Base = RBP },
+		"Dst.Index":            func(p *Program) { p.Text[0].Dst.Index = NoReg },
+		"Dst.Scale":            func(p *Program) { p.Text[0].Dst.Scale = 2 },
+		"an instruction added": func(p *Program) { p.Text = append(p.Text, Instruction{Op: NOP}) },
 	}
-	p := NewProgram()
-	p.Text = []Instruction{{Op: RET}}
-	enc := p.Encode()
-	for cut := 5; cut < len(enc); cut += 3 {
-		if _, err := Decode(enc[:cut]); err == nil {
-			t.Errorf("Decode(truncated %d) succeeded", cut)
+	for name, mutate := range mutations {
+		p := encodeFixture()
+		mutate(p)
+		if bytes.Equal(p.Encode(), base) {
+			t.Errorf("changing %s leaves the encoding unchanged", name)
+		}
+	}
+	names := map[string]func(p *Program){
+		"Label":   func(p *Program) { p.Text[3].Label = ".Lother" },
+		"Src.Sym": func(p *Program) { p.Text[1].Src.Sym = "u" },
+		"Dst.Sym": func(p *Program) { p.Text[0].Dst.Sym = "frame" },
+	}
+	for name, mutate := range names {
+		p := encodeFixture()
+		mutate(p)
+		if !bytes.Equal(p.Encode(), base) {
+			t.Errorf("changing %s changes the encoding", name)
 		}
 	}
 }

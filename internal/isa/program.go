@@ -3,9 +3,7 @@ package isa
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -46,27 +44,11 @@ func (p *Program) DataAddr(sym string) (uint64, bool) {
 	return v, ok
 }
 
-// Disassemble renders the whole text segment with labels and addresses.
-func (p *Program) Disassemble() string {
-	byAddr := make(map[int64][]string)
-	for l, a := range p.Labels {
-		byAddr[a] = append(byAddr[a], l)
-	}
-	var b strings.Builder
-	for i := range p.Text {
-		labels := byAddr[int64(i)]
-		sort.Strings(labels)
-		for _, l := range labels {
-			fmt.Fprintf(&b, "%s:\n", l)
-		}
-		fmt.Fprintf(&b, "%6d:\t%s\n", i, p.Text[i].String())
-	}
-	return b.String()
-}
-
-// Binary encoding. The format is a compact, self-describing, versioned
-// serialisation used to store assembled programs; it is not meant to model
-// x86 machine code. Round-tripping is exercised by property tests.
+// Binary encoding. These are the program bytes the sweep cache key hashes
+// (sweep.keyPrefix): entry, text, data and both symbol tables. An
+// instruction's Label and an operand's Sym only name what Target and Imm
+// hold, and are left out. Nothing decodes the bytes, and they do not model
+// x86 machine code.
 
 const progMagic = "MCP1" // Many-Core Program, version 1
 
@@ -148,119 +130,4 @@ func encodeInstr(b *bytes.Buffer, in *Instruction) {
 	var tmp [8]byte
 	binary.LittleEndian.PutUint64(tmp[:], uint64(in.Target))
 	b.Write(tmp[:])
-}
-
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) u8() byte {
-	if d.err != nil {
-		return 0
-	}
-	if d.off >= len(d.buf) {
-		d.err = fmt.Errorf("isa: truncated program at offset %d", d.off)
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	if d.off+8 > len(d.buf) {
-		d.err = fmt.Errorf("isa: truncated program at offset %d", d.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) str() string {
-	n := d.u64()
-	if d.err != nil {
-		return ""
-	}
-	if n > uint64(len(d.buf)-d.off) {
-		d.err = fmt.Errorf("isa: bad string length %d at offset %d", n, d.off)
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+int(n)])
-	d.off += int(n)
-	return s
-}
-
-func (d *decoder) operand() Operand {
-	var o Operand
-	o.Kind = OperandKind(d.u8())
-	switch o.Kind {
-	case KindNone:
-	case KindReg:
-		o.Reg = Reg(d.u8())
-	case KindImm:
-		o.Imm = int64(d.u64())
-	case KindMem:
-		o.Imm = int64(d.u64())
-		o.Base = Reg(d.u8())
-		o.Index = Reg(d.u8())
-		o.Scale = d.u8()
-	default:
-		d.err = fmt.Errorf("isa: bad operand kind %d", o.Kind)
-	}
-	return o
-}
-
-// Decode deserialises a program produced by Encode.
-func Decode(buf []byte) (*Program, error) {
-	if len(buf) < 4 || string(buf[:4]) != progMagic {
-		return nil, fmt.Errorf("isa: bad magic")
-	}
-	d := &decoder{buf: buf, off: 4}
-	p := NewProgram()
-	p.Entry = int64(d.u64())
-	n := d.u64()
-	if d.err == nil && n > uint64(len(buf)) {
-		return nil, fmt.Errorf("isa: implausible text size %d", n)
-	}
-	p.Text = make([]Instruction, 0, n)
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		var in Instruction
-		in.Op = Op(d.u8())
-		in.Cond = Cond(d.u8())
-		in.Src = d.operand()
-		in.Dst = d.operand()
-		in.Target = int64(d.u64())
-		if in.Op >= NumOps {
-			d.err = fmt.Errorf("isa: bad opcode %d at instruction %d", in.Op, i)
-		}
-		p.Text = append(p.Text, in)
-	}
-	nd := d.u64()
-	if d.err == nil {
-		if nd > uint64(len(buf)-d.off) {
-			return nil, fmt.Errorf("isa: bad data size %d", nd)
-		}
-		p.Data = append([]byte(nil), buf[d.off:d.off+int(nd)]...)
-		d.off += int(nd)
-	}
-	nl := d.u64()
-	for i := uint64(0); i < nl && d.err == nil; i++ {
-		k := d.str()
-		p.Labels[k] = int64(d.u64())
-	}
-	ns := d.u64()
-	for i := uint64(0); i < ns && d.err == nil; i++ {
-		k := d.str()
-		p.DataSyms[k] = d.u64()
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return p, nil
 }

@@ -85,7 +85,7 @@ type Config struct {
 	// Net is the on-chip network used to charge message latencies between
 	// cores. Defaults to an ideal crossbar with hop latency 1, which
 	// reproduces the paper's "3 cycles to reach the producer and return"
-	// accounting of Fig. 10.
+	// accounting of Fig. 10. A network's Cores must equal Cores.
 	Net noc.Network
 	// CreateLatency is the section-creation message latency in cycles
 	// (paper footnote 7: "the creation time of the forked section
@@ -624,6 +624,11 @@ func New(prog *isa.Program, cfg Config) (*Machine, error) {
 func (m *Machine) bind(prog *isa.Program, cfg Config) error {
 	if cfg.Cores < 1 {
 		return fmt.Errorf("machine: need at least one core")
+	}
+	// A network over other cores charges latencies between cores it does
+	// not have: a ring over fewer cores makes some of them negative.
+	if cfg.Net != nil && cfg.Net.Cores() != cfg.Cores {
+		return fmt.Errorf("machine: network %s has %d cores, Config.Cores is %d", cfg.Net.Name(), cfg.Net.Cores(), cfg.Cores)
 	}
 	// An in-flight instruction keeps its cycles and its IP in 32 bits.
 	if cfg.MaxCycles > math.MaxInt32 {

@@ -559,6 +559,15 @@ func TestBadConfig(t *testing.T) {
 	if _, err := New(p, cfg); err != nil {
 		t.Errorf("MaxCycles %d: %v", cfg.MaxCycles, err)
 	}
+	// A network over other cores than the chip's: a ring over 8 cores charges
+	// -1 cycles from core 9 to core 0.
+	for _, net := range []noc.Network{noc.NewRing(8, 1), noc.NewCrossbar(16, 1), noc.NewMesh(2, 2, 1)} {
+		cfg := DefaultConfig(10)
+		cfg.Net = net
+		if _, err := New(p, cfg); err == nil || !strings.Contains(err.Error(), "Config.Cores") {
+			t.Errorf("%s on 10 cores: error %v, want a refusal", net.Name(), err)
+		}
+	}
 }
 
 // TestMessageAccounting: every fork sends exactly one creation message, every

@@ -446,6 +446,7 @@ func TestRebindRefusesWhatNewRefuses(t *testing.T) {
 		{"program with CALL", withCall, machine.DefaultConfig(4)},
 		{"zero cores", good, machine.DefaultConfig(0)},
 		{"MaxCycles past 32 bits", good, machine.Config{Cores: 4, MaxCycles: math.MaxInt32 + 1}},
+		{"network over fewer cores", good, machine.Config{Cores: 4, Net: noc.NewRing(3, 1), CreateLatency: 2, Shortcut: true}},
 	} {
 		_, newErr := machine.New(bad.prog, bad.cfg)
 		_, getErr := pool.Get("", bad.prog, bad.cfg)

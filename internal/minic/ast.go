@@ -60,17 +60,6 @@ func (t *Type) String() string {
 	return "?"
 }
 
-// sameType reports structural type equality (array length ignored).
-func sameType(a, b *Type) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	if a.Kind == TypePtr || a.Kind == TypeArray {
-		return sameType(a.Elem, b.Elem)
-	}
-	return true
-}
-
 // ExprKind enumerates expression node kinds.
 type ExprKind uint8
 

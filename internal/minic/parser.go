@@ -36,8 +36,7 @@ func (p *parser) nested(production func() (*Expr, error)) (*Expr, error) {
 	return production()
 }
 
-func (p *parser) tok() token  { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) tok() token { return p.toks[p.pos] }
 
 func (p *parser) accept(text string) bool {
 	t := p.tok()

@@ -27,9 +27,9 @@ import (
 // no pointers in it: an instruction of this ISA makes at most one load and one
 // store and names a handful of registers, so the sets live inline, a trace is
 // one flat allocation the collector never scans, and appending a record is a
-// copy.
+// copy. A record carries no sequence number: its position in the trace is its
+// place in the dynamic instruction stream.
 type Record struct {
-	Seq       int64  // position in the dynamic trace, from 0
 	IP        int64  // code address (instruction index)
 	Load      uint64 // address of the 8-byte data load, when HasLoad
 	Store     uint64 // address of the 8-byte data store, when HasStore
@@ -55,12 +55,6 @@ func (r *Record) IsControl() bool { return r.Op.IsControl() }
 // Trace is an in-memory dynamic trace.
 type Trace struct {
 	Records []Record
-}
-
-// Append adds a record, assigning its sequence number.
-func (t *Trace) Append(r Record) {
-	r.Seq = int64(len(t.Records))
-	t.Records = append(t.Records, r)
 }
 
 // Buffer is a run of record slots a producer writes in place: Records[:N]

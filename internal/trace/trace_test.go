@@ -18,35 +18,27 @@ func rec(hdr Record, reads, writes []isa.Reg) Record {
 
 // synthetic returns a small hand-built trace exercising every record field.
 func synthetic() *Trace {
-	t := &Trace{}
-	t.Append(rec(Record{IP: 0, Op: isa.MOV}, nil, []isa.Reg{isa.RAX}))
-	t.Append(rec(Record{IP: 1, Op: isa.MOV, Store: 0x10000, HasStore: true}, []isa.Reg{isa.RAX}, nil))
-	t.Append(rec(Record{IP: 2, Op: isa.ADD, Load: 0x10008, HasLoad: true},
-		[]isa.Reg{isa.RAX, isa.RBX}, []isa.Reg{isa.RAX, isa.Flags}))
-	t.Append(rec(Record{IP: 3, Op: isa.Jcc, Taken: true}, []isa.Reg{isa.Flags}, nil))
-	t.Append(rec(Record{IP: 4, Op: isa.Jcc}, []isa.Reg{isa.Flags}, nil))
-	t.Append(Record{IP: 5, Op: isa.CALL, CallLevel: 0, Store: 0x7ffeff00, HasStore: true})
-	t.Append(Record{IP: 9, Op: isa.RET, CallLevel: 1, Load: 0x7ffeff00, HasLoad: true})
-	t.Append(Record{IP: 6, Op: isa.FORK, CallLevel: 0})
-	t.Append(Record{IP: 7, Op: isa.ENDFORK, CallLevel: 1})
-	t.Append(Record{IP: 8, Op: isa.HLT})
-	return t
-}
-
-func TestAppendAssignsSeq(t *testing.T) {
-	tr := synthetic()
-	for i, r := range tr.Records {
-		if r.Seq != int64(i) {
-			t.Errorf("record %d has Seq %d", i, r.Seq)
-		}
-	}
-	if tr.Len() != 10 {
-		t.Errorf("Len = %d", tr.Len())
-	}
+	return &Trace{Records: []Record{
+		rec(Record{IP: 0, Op: isa.MOV}, nil, []isa.Reg{isa.RAX}),
+		rec(Record{IP: 1, Op: isa.MOV, Store: 0x10000, HasStore: true}, []isa.Reg{isa.RAX}, nil),
+		rec(Record{IP: 2, Op: isa.ADD, Load: 0x10008, HasLoad: true},
+			[]isa.Reg{isa.RAX, isa.RBX}, []isa.Reg{isa.RAX, isa.Flags}),
+		rec(Record{IP: 3, Op: isa.Jcc, Taken: true}, []isa.Reg{isa.Flags}, nil),
+		rec(Record{IP: 4, Op: isa.Jcc}, []isa.Reg{isa.Flags}, nil),
+		{IP: 5, Op: isa.CALL, CallLevel: 0, Store: 0x7ffeff00, HasStore: true},
+		{IP: 9, Op: isa.RET, CallLevel: 1, Load: 0x7ffeff00, HasLoad: true},
+		{IP: 6, Op: isa.FORK, CallLevel: 0},
+		{IP: 7, Op: isa.ENDFORK, CallLevel: 1},
+		{IP: 8, Op: isa.HLT},
+	}}
 }
 
 func TestComputeStats(t *testing.T) {
-	s := synthetic().ComputeStats()
+	tr := synthetic()
+	if tr.Len() != 10 {
+		t.Errorf("Len = %d", tr.Len())
+	}
+	s := tr.ComputeStats()
 	if s.Instructions != 10 {
 		t.Errorf("Instructions = %d", s.Instructions)
 	}
@@ -88,7 +80,7 @@ func TestIsControl(t *testing.T) {
 
 // TestRecordIsFlat pins the two properties the trace's cost rests on: a
 // record holds nothing the collector has to follow (so a trace is one
-// unscanned allocation and growing it is a plain copy), and it stays at 48
+// unscanned allocation and growing it is a plain copy), and it stays at 40
 // bytes — a traced run allocates little else, so a word more per record shows
 // in ilp_fig7's alloc_b_per_work.
 func TestRecordIsFlat(t *testing.T) {
@@ -108,8 +100,8 @@ func TestRecordIsFlat(t *testing.T) {
 		}
 	}
 	walk("Record", reflect.TypeOf(Record{}))
-	if got := unsafe.Sizeof(Record{}); got > 48 {
-		t.Errorf("Record is %d bytes, budget 48", got)
+	if got := unsafe.Sizeof(Record{}); got > 40 {
+		t.Errorf("Record is %d bytes, budget 40", got)
 	}
 }
 
