@@ -10,7 +10,8 @@
 //   - RunMachine executes on the cycle-level many-core simulator
 //     (internal/machine), which runs fork-mode programs only and reports
 //     cycles and per-stage timing besides the architectural result.
-//   - CrossValidate is the oracle check that keeps the two in agreement.
+//   - CrossValidate is the oracle check that keeps the two in agreement,
+//     through SameState, the one comparison of two runs' final states.
 //
 // It stands behind the Section 3 trace study (Fig. 7, via the emulator) and
 // the Section 4/5 machine evaluation alike.
@@ -168,9 +169,8 @@ func RunMachine(prog *isa.Program, in Inputs, cfg machine.Config) (*Result, erro
 }
 
 // CrossValidate runs prog with the same inputs on the emulator and on the
-// machine cfg describes and checks that they agree on the final rax and on
-// every word of the data segment (which holds all global arrays of mini-C
-// programs). It returns the two results for further inspection.
+// machine cfg describes and checks that they leave the same state
+// (SameState). It returns the two results for further inspection.
 func CrossValidate(prog *isa.Program, in Inputs, cfg machine.Config) (emulator, mach *Result, err error) {
 	emulator, err = NewEmulator().Run(prog, in, false)
 	if err != nil {
@@ -180,16 +180,22 @@ func CrossValidate(prog *isa.Program, in Inputs, cfg machine.Config) (emulator, 
 	if err != nil {
 		return emulator, nil, fmt.Errorf("machine (%d cores): %w", cfg.Cores, err)
 	}
-	if emulator.RAX != mach.RAX {
-		return emulator, mach, fmt.Errorf("mismatch: emulator rax=%d, machine (%d cores) rax=%d",
-			emulator.RAX, cfg.Cores, mach.RAX)
+	return emulator, mach, SameState(prog, emulator, mach, fmt.Sprintf("machine (%d cores)", cfg.Cores))
+}
+
+// SameState returns nil if emulator and other, two runs of prog, leave the
+// same final state: the same rax and the same word at every address of the
+// data segment (which holds all global arrays of mini-C programs). Otherwise
+// it returns an error naming the first difference, with other called name.
+func SameState(prog *isa.Program, emulator, other *Result, name string) error {
+	if emulator.RAX != other.RAX {
+		return fmt.Errorf("mismatch: emulator rax=%d, %s rax=%d", emulator.RAX, name, other.RAX)
 	}
 	for off := uint64(0); off < uint64(len(prog.Data)); off += 8 {
 		addr := isa.DataBase + off
-		if ve, vm := emulator.Mem.ReadU64(addr), mach.Mem.ReadU64(addr); ve != vm {
-			return emulator, mach, fmt.Errorf("mismatch at data[%#x]: emulator=%d, machine (%d cores)=%d",
-				addr, ve, cfg.Cores, vm)
+		if ve, vo := emulator.Mem.ReadU64(addr), other.Mem.ReadU64(addr); ve != vo {
+			return fmt.Errorf("mismatch at data[%#x]: emulator=%d, %s=%d", addr, ve, name, vo)
 		}
 	}
-	return emulator, mach, nil
+	return nil
 }

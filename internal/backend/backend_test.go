@@ -173,6 +173,38 @@ unsigned long main(void) {
 	}
 }
 
+// TestSameStateNamesTheDifference: the one comparison of two runs' final
+// states sees a doctored data word and a doctored rax, and names each in the
+// words CrossValidate reports.
+func TestSameStateNamesTheDifference(t *testing.T) {
+	prog, err := minic.Compile(`
+unsigned long out[8];
+unsigned long main(void) {
+    for (unsigned long i = 0; i < 8; i = i + 1) out[i] = i * 7 + 1;
+    return out[7];
+}
+`, minic.ModeFork)
+	if err != nil {
+		t.Fatal(err)
+	}
+	emulator, mach, err := CrossValidate(prog, nil, machine.DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, _ := prog.DataAddr("out")
+	mach.Mem.WriteU64(addr+24, 23)
+	want := fmt.Sprintf("mismatch at data[%#x]: emulator=22, machine (2 cores)=23", addr+24)
+	if err := SameState(prog, emulator, mach, "machine (2 cores)"); err == nil || err.Error() != want {
+		t.Errorf("doctored data word: %v, want %q", err, want)
+	}
+	mach.Mem.WriteU64(addr+24, 22)
+	mach.RAX++
+	want = "mismatch: emulator rax=50, machine (2 cores) rax=51"
+	if err := SameState(prog, emulator, mach, "machine (2 cores)"); err == nil || err.Error() != want {
+		t.Errorf("doctored rax: %v, want %q", err, want)
+	}
+}
+
 func TestInjectUnknownSymbol(t *testing.T) {
 	prog, err := minic.Compile(`long main(void) { return 0; }`, minic.ModeCall)
 	if err != nil {

@@ -2,7 +2,6 @@ package backend_test
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 
@@ -78,44 +77,13 @@ func everyForm() []string {
 	return append(forms, probeForms...)
 }
 
-// outcome is what a run leaves behind: rax and the data segment's words, or
-// the error that stopped it.
-type outcome struct {
-	rax  uint64
-	data []uint64
-	err  error
-}
-
-func (o outcome) String() string {
-	if o.err != nil {
-		return "fault: " + o.err.Error()
-	}
-	return fmt.Sprintf("rax=%d data=%v", o.rax, o.data)
-}
-
-func (o outcome) same(p outcome) bool {
-	if (o.err != nil) != (p.err != nil) {
-		return false
-	}
-	return o.err != nil || o.rax == p.rax && slices.Equal(o.data, p.data)
-}
-
-func outcomeOf(prog *isa.Program, rax uint64, mem *emu.Memory, err error) outcome {
-	if err != nil {
-		return outcome{err: err}
-	}
-	o := outcome{rax: rax}
-	for off := uint64(0); off < uint64(len(prog.Data)); off += 8 {
-		o.data = append(o.data, mem.ReadU64(isa.DataBase+off))
-	}
-	return o
-}
-
-// runEmulator runs prog on the emulator for at most maxSteps instructions. It
-// also reports whether the run is one the machine models: it stopped at a hlt
-// outside every fork (a forked section ends in endfork), and every load and
-// store was an aligned word (the machine renames memory by word address).
-func runEmulator(prog *isa.Program, maxSteps int64) (outcome, bool) {
+// runEmulator runs prog on the emulator for at most maxSteps instructions and
+// returns what the run left behind, with the error that stopped it if one
+// did. It also reports whether the run is one the machine models: it stopped
+// at a hlt outside every fork (a forked section ends in endfork), and every
+// load and store was an aligned word (the machine renames memory by word
+// address).
+func runEmulator(prog *isa.Program, maxSteps int64) (*backend.Result, bool, error) {
 	cpu := emu.New(prog)
 	cpu.MaxSteps = maxSteps
 	var last trace.Record
@@ -134,23 +102,24 @@ func runEmulator(prog *isa.Program, maxSteps int64) (outcome, bool) {
 	}
 	_, err := cpu.Run()
 	check(cpu.Trace.Records[:cpu.Trace.N])
-	return outcomeOf(prog, cpu.Result(), cpu.Mem, err), aligned && last.Op == isa.HLT && last.CallLevel == 0
+	return &backend.Result{RAX: cpu.Result(), Mem: cpu.Mem}, aligned && last.Op == isa.HLT && last.CallLevel == 0, err
 }
 
 // machinesAgree runs prog on the dense and the idle-skip machine cfg
-// describes, and returns an error naming the first whose outcome differs from
-// want, the emulator's.
-func machinesAgree(prog *isa.Program, want outcome, cfg machine.Config) error {
+// describes, and returns an error naming the first that faults where the
+// emulator did not or the other way round (wantErr is the emulator's fault),
+// or whose final state differs from want, the emulator's (backend.SameState).
+func machinesAgree(prog *isa.Program, want *backend.Result, wantErr error, cfg machine.Config) error {
 	for _, dense := range []bool{true, false} {
 		cfg.Dense = dense
-		var got outcome
-		if r, err := backend.RunMachine(prog, nil, cfg); err != nil {
-			got.err = err
-		} else {
-			got = outcomeOf(prog, r.RAX, r.Mem, nil)
-		}
-		if !got.same(want) {
-			return fmt.Errorf("dense=%v machine: %v\nemulator: %v", dense, got, want)
+		got, err := backend.RunMachine(prog, nil, cfg)
+		switch {
+		case (err != nil) != (wantErr != nil):
+			return fmt.Errorf("dense=%v machine fault: %v; emulator fault: %v", dense, err, wantErr)
+		case err == nil:
+			if err := backend.SameState(prog, want, got, fmt.Sprintf("dense=%v machine", dense)); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -193,10 +162,10 @@ func TestEveryFormAgrees(t *testing.T) {
 				t.Skipf("refused: %v", err)
 			}
 			accepted++
-			want, _ := runEmulator(prog, 1000)
+			want, _, wantErr := runEmulator(prog, 1000)
 			cfg := machine.DefaultConfig(2)
 			cfg.MaxCycles = 10000
-			if err := machinesAgree(prog, want, cfg); err != nil {
+			if err := machinesAgree(prog, want, wantErr, cfg); err != nil {
 				t.Error(err)
 			}
 			i := prog.Labels["form"]

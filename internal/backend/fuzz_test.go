@@ -42,8 +42,8 @@ func FuzzExecAgrees(f *testing.F) {
 				return
 			}
 		}
-		want, modelled := runEmulator(prog, 4096)
-		if want.err != nil || !modelled {
+		want, modelled, err := runEmulator(prog, 4096)
+		if err != nil || !modelled {
 			return
 		}
 		// The call-level shortcut assumes the fork convention's stack
@@ -51,7 +51,7 @@ func FuzzExecAgrees(f *testing.F) {
 		// which arbitrary text breaks (testdata/fuzz/FuzzExecAgrees).
 		cfg := machine.DefaultConfig(2)
 		cfg.MaxCycles, cfg.Shortcut = 1<<17, false
-		if err := machinesAgree(prog, want, cfg); err != nil {
+		if err := machinesAgree(prog, want, nil, cfg); err != nil {
 			t.Fatalf("%v\nprogram:\n%s", err, src)
 		}
 	})

@@ -184,7 +184,6 @@ type forkFrame struct {
 	resumeIP int64
 	saved    [16]uint64 // snapshot of the non-volatile registers
 	level    int32
-	isCall   bool // true when the frame models CALL/RET, false for FORK/ENDFORK
 }
 
 // CPU is the emulator state.

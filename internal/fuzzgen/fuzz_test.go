@@ -6,7 +6,6 @@ import (
 	"unsafe"
 
 	"repro/internal/machine"
-	"repro/internal/minic"
 )
 
 // poisonMachine flips the machine's unexported test hook, Machine.poison: the
@@ -74,59 +73,31 @@ func TestPoisonedLegRuns(t *testing.T) {
 var fuzzSeeds = []uint64{0, 1, 2, 3, 7, 42, 1337, 0xdeadbeef, 1 << 33, ^uint64(0)}
 
 // FuzzTripleEquivalence drives a generated program through the full oracle:
-// AST interpreter vs emulator vs idle-skip vs dense machine, plus warm-Reset
-// and pool re-runs, bit-identical down to stage timestamps. A failure is
-// shrunk under the same oracle and reported with both programs; the corpus
-// file Go writes for the failing seed is the reproducer.
-func FuzzTripleEquivalence(f *testing.F) {
+// AST interpreter vs emulator vs idle-skip vs dense machine, then the reuse
+// legs — a fresh machine, two warm Resets of it and three pooled runs through
+// a rebound parked machine, poisoned where Check poisons them — bit-identical
+// down to stage timestamps. A failure is shrunk under the same oracle and
+// reported with both programs; the corpus file Go writes for the failing seed
+// is the reproducer.
+func FuzzTripleEquivalence(f *testing.F) { fuzzOracle(f) }
+
+// FuzzResetReproduces is FuzzTripleEquivalence over the corpus under its own
+// name in testdata/fuzz/, whose seeds once ran the reuse legs alone; they now
+// run them at the end of the full oracle, after its other legs.
+func FuzzResetReproduces(f *testing.F) { fuzzOracle(f) }
+
+// fuzzOracle is the body of both fuzz targets: fuzzSeeds and the target's
+// corpus, each through the full oracle, a failure shrunk.
+func fuzzOracle(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
 	o := testOracle()
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		if fail := o.CheckProgram(Generate(seed)); fail != nil {
-			fatalShrunk(t, o, fail)
+			min := o.Shrink(fail)
+			t.Fatalf("%v\nprogram (%d bytes):\n%s\nminimized (%d bytes): %s\n%s",
+				fail, len(fail.Source), fail.Source, len(min.Source), min.Detail, min.Source)
 		}
 	})
-}
-
-// FuzzResetReproduces runs only the oracle's reuse legs — a fresh machine,
-// two warm Resets of it and three pooled runs through a rebound parked
-// machine, poisoned where Check poisons them — against one cold idle-skip
-// run, skipping the interpreter, emulator and dense legs. It is the same
-// check as part of FuzzTripleEquivalence, replayed over its own corpus.
-func FuzzResetReproduces(f *testing.F) {
-	for _, s := range fuzzSeeds {
-		f.Add(s)
-	}
-	o := testOracle()
-	f.Fuzz(func(t *testing.T, seed uint64) {
-		p := Generate(seed)
-		prog, err := minic.Compile(p.Source, minic.ModeFork)
-		if err != nil {
-			t.Fatalf("seed %d: %v\n%s", seed, err, p.Source)
-		}
-		cfg := machine.DefaultConfig(p.Cores)
-		m, err := machine.New(prog, cfg)
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		ref, err := runRows(m)
-		if err != nil {
-			t.Fatalf("seed %d: cold run: %v\n%s", seed, err, p.Source)
-		}
-		if fail := o.checkReuse(prog, cfg, ref); fail != nil {
-			fail.Seed, fail.Source, fail.Cores = seed, p.Source, p.Cores
-			fatalShrunk(t, o, fail)
-		}
-	})
-}
-
-// fatalShrunk shrinks fail under the full oracle and fails t with the seed,
-// cores, stage, detail, the generated program and the minimized one.
-func fatalShrunk(t *testing.T, o *Oracle, fail *Failure) {
-	t.Helper()
-	min := o.Shrink(fail)
-	t.Fatalf("%v\nprogram (%d bytes):\n%s\nminimized (%d bytes): %s\n%s",
-		fail, len(fail.Source), fail.Source, len(min.Source), min.Detail, min.Source)
 }

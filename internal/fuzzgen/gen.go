@@ -4,7 +4,7 @@
 // idle-skip and dense machines) plus warm-Reset and pool re-runs, and a
 // delta-debugging minimizer that shrinks failing programs to small
 // reproducers. The native fuzz target FuzzTripleEquivalence in fuzz_test.go
-// is the one campaign over these three pieces.
+// is the one campaign over these three pieces, the reuse legs included.
 package fuzzgen
 
 import (

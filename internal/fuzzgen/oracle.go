@@ -2,7 +2,6 @@ package fuzzgen
 
 import (
 	"fmt"
-	"reflect"
 
 	"repro/internal/backend"
 	"repro/internal/gofront"
@@ -36,8 +35,10 @@ func (f *Failure) Error() string {
 
 // Oracle checks the repo's core invariant on one program: AST interpreter ≡
 // emulator ≡ idle-skip machine ≡ dense machine — checksums, final data
-// segments, and per-instruction stage timestamps — and the machine legs
-// reproduce bit-identically across warm Reset and pool reuse.
+// segments (backend.SameState), and every field of the machine's result and
+// every per-instruction row (machine.Traced.Diff, with each row's position at
+// retirement checked by machine.RunRows) — and the machine legs reproduce
+// bit-identically across warm Reset and pool reuse.
 type Oracle struct {
 	// poison, set by this package's tests, switches the machine it is given to
 	// poisoning retired instructions instead of recycling them (the machine's
@@ -47,25 +48,6 @@ type Oracle struct {
 	// so a read of a retired instruction that shifted a timestamp in both
 	// alike would otherwise pass every comparison here.
 	poison func(*machine.Machine)
-}
-
-// run is one machine leg's outcome: the result and the per-instruction rows
-// a collector gathered beside it.
-type run struct {
-	*machine.Result
-	rows []machine.InstTiming
-}
-
-// runRows runs m — freshly built, bound or Reset, and since then poisoned or
-// not — with a row collector attached.
-func runRows(m *machine.Machine) (run, error) {
-	var c machine.Collector
-	c.Attach(m)
-	r, err := m.Run()
-	if err != nil {
-		return run{}, err
-	}
-	return run{r, c.Timings(r)}, nil
 }
 
 // fuzzMaxSteps bounds the emulator leg: large enough for any generator
@@ -89,9 +71,7 @@ func (o *Oracle) CheckProgram(p *Program) *Failure {
 
 // Check compiles src once in fork mode and runs the compiled program on
 // every substrate, returning nil if all agree or a Failure describing the
-// first divergence. Compiling once is load-bearing: timing rows carry
-// instruction pointers, so bit-identity is only meaningful against the same
-// compilation.
+// first divergence.
 func (o *Oracle) Check(src string, cores int) *Failure {
 	fail := func(stage, format string, args ...any) *Failure {
 		return &Failure{Source: src, Cores: cores, Stage: stage, Detail: fmt.Sprintf(format, args...)}
@@ -133,14 +113,14 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 	// Substrate 3: the idle-skip machine is the reference all other machine
 	// legs are compared against.
 	cfg := machine.DefaultConfig(cores)
-	runLeg := func(dense bool) (run, *machine.Machine, error) {
+	runLeg := func(dense bool) (machine.Traced, *machine.Machine, error) {
 		c := cfg
 		c.Dense = dense
 		m, err := machine.New(prog, c)
 		if err != nil {
-			return run{}, nil, err
+			return machine.Traced{}, nil, err
 		}
-		r, err := runRows(m)
+		r, err := machine.RunRows(m)
 		return r, m, err
 	}
 	ref, refM, err := runLeg(false)
@@ -149,14 +129,8 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 	}
 
 	// Emulator vs machine: architectural state (rax + full data segment).
-	if emuRes.RAX != ref.RAX {
-		return fail("mismatch", "emulator rax=%d, idle-skip machine rax=%d", emuRes.RAX, ref.RAX)
-	}
-	for off := uint64(0); off < uint64(len(prog.Data)); off += 8 {
-		addr := isa.DataBase + off
-		if a, b := emuRes.Mem.ReadU64(addr), refM.DMH().ReadU64(addr); a != b {
-			return fail("mismatch", "data[%#x]: emulator=%d, idle-skip machine=%d", addr, a, b)
-		}
+	if err := backend.SameState(prog, emuRes, &backend.Result{RAX: ref.RAX, Mem: refM.DMH()}, "idle-skip machine"); err != nil {
+		return fail("mismatch", "%v", err)
 	}
 
 	// Substrate 4: the dense leg must be bit-identical to the idle-skip
@@ -165,24 +139,17 @@ func (o *Oracle) Check(src string, cores int) *Failure {
 	if err != nil {
 		return fail("machine", "dense: %v", err)
 	}
-	if diff := diffResults(ref, dense); diff != "" {
+	if diff := ref.Diff(dense); diff != "" {
 		return fail("mismatch", "idle-skip vs dense: %s", diff)
 	}
 
-	if f := o.checkReuse(prog, cfg, ref); f != nil {
-		f.Source, f.Cores = src, cores
-		return f
-	}
-	return nil
+	return o.checkReuse(prog, cfg, ref, fail)
 }
 
 // checkReuse runs the machine's reuse legs of prog at cfg against ref, the
-// plain idle-skip run, and returns a Failure carrying only Stage and Detail.
-func (o *Oracle) checkReuse(prog *isa.Program, cfg machine.Config, ref run) *Failure {
-	fail := func(stage, format string, args ...any) *Failure {
-		return &Failure{Stage: stage, Detail: fmt.Sprintf(format, args...)}
-	}
-
+// plain idle-skip run, and reports the first that fails through fail.
+func (o *Oracle) checkReuse(prog *isa.Program, cfg machine.Config, ref machine.Traced,
+	fail func(stage, format string, args ...any) *Failure) *Failure {
 	// Warm re-runs: the same Machine after Reset, twice, must reproduce the
 	// cold run bit for bit. The cold run and the second warm run are the
 	// poisoned legs when the tests ask for them.
@@ -191,11 +158,11 @@ func (o *Oracle) checkReuse(prog *isa.Program, cfg machine.Config, ref run) *Fai
 		return fail("machine", "construct: %v", err)
 	}
 	o.poisonLeg(m)
-	cold, err := runRows(m)
+	cold, err := machine.RunRows(m)
 	if err != nil {
 		return fail("machine", "cold run: %v", err)
 	}
-	if diff := diffResults(ref, cold); diff != "" {
+	if diff := ref.Diff(cold); diff != "" {
 		return fail("mismatch", "idle-skip vs fresh construction: %s", diff)
 	}
 	for i := 1; i <= 2; i++ {
@@ -203,11 +170,11 @@ func (o *Oracle) checkReuse(prog *isa.Program, cfg machine.Config, ref run) *Fai
 		if i == 2 {
 			o.poisonLeg(m)
 		}
-		warm, err := runRows(m)
+		warm, err := machine.RunRows(m)
 		if err != nil {
 			return fail("machine", "warm run %d after Reset: %v", i, err)
 		}
-		if diff := diffResults(cold, warm); diff != "" {
+		if diff := cold.Diff(warm); diff != "" {
 			return fail("mismatch", "cold vs warm-Reset re-run %d: %s", i, diff)
 		}
 	}
@@ -230,12 +197,12 @@ func (o *Oracle) checkReuse(prog *isa.Program, cfg machine.Config, ref run) *Fai
 		if dense {
 			o.poisonLeg(pm)
 		}
-		pooled, err := runRows(pm)
+		pooled, err := machine.RunRows(pm)
 		if err != nil {
 			return fail("machine", "pooled run (dense=%v): %v", dense, err)
 		}
 		pool.Put("", pm)
-		if diff := diffResults(ref, pooled); diff != "" {
+		if diff := ref.Diff(pooled); diff != "" {
 			return fail("mismatch", "idle-skip vs pooled run (dense=%v) on a rebound machine: %s", dense, diff)
 		}
 	}
@@ -294,50 +261,4 @@ func parkedPool(cores int) (*machine.Pool, error) {
 	_, err = m.Run()
 	pool.Put("", m)
 	return pool, err
-}
-
-// diffResults compares two machine results for bit-identity — the same
-// fields the scheduler oracle test pins: headline metrics, final register
-// files, section records, and every per-instruction stage-timestamp row.
-// It returns "" when identical, else a description of the first difference.
-func diffResults(a, b run) string {
-	switch {
-	case a.Cycles != b.Cycles:
-		return fmt.Sprintf("cycles %d vs %d", a.Cycles, b.Cycles)
-	case a.Instructions != b.Instructions:
-		return fmt.Sprintf("instructions %d vs %d", a.Instructions, b.Instructions)
-	case a.RAX != b.RAX:
-		return fmt.Sprintf("rax %d vs %d", a.RAX, b.RAX)
-	case a.FetchDone != b.FetchDone:
-		return fmt.Sprintf("fetchDone %d vs %d", a.FetchDone, b.FetchDone)
-	case a.RetireDone != b.RetireDone:
-		return fmt.Sprintf("retireDone %d vs %d", a.RetireDone, b.RetireDone)
-	case a.RegRequests != b.RegRequests:
-		return fmt.Sprintf("regRequests %d vs %d", a.RegRequests, b.RegRequests)
-	case a.MemRequests != b.MemRequests:
-		return fmt.Sprintf("memRequests %d vs %d", a.MemRequests, b.MemRequests)
-	case a.CreateMessages != b.CreateMessages:
-		return fmt.Sprintf("createMessages %d vs %d", a.CreateMessages, b.CreateMessages)
-	case a.RequestHops != b.RequestHops:
-		return fmt.Sprintf("requestHops %d vs %d", a.RequestHops, b.RequestHops)
-	case a.ResponseMessages != b.ResponseMessages:
-		return fmt.Sprintf("responseMessages %d vs %d", a.ResponseMessages, b.ResponseMessages)
-	case a.DMHAnswers != b.DMHAnswers:
-		return fmt.Sprintf("dmhAnswers %d vs %d", a.DMHAnswers, b.DMHAnswers)
-	}
-	if a.Regs != b.Regs {
-		return "final register files differ"
-	}
-	if !reflect.DeepEqual(a.Sections, b.Sections) {
-		return "section records differ"
-	}
-	if len(a.rows) != len(b.rows) {
-		return fmt.Sprintf("%d vs %d timing rows", len(a.rows), len(b.rows))
-	}
-	for i := range a.rows {
-		if a.rows[i] != b.rows[i] {
-			return fmt.Sprintf("timing row %d: %+v vs %+v", i, a.rows[i], b.rows[i])
-		}
-	}
-	return ""
 }

@@ -3,7 +3,8 @@ package isa
 import (
 	"bytes"
 	"encoding/binary"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -73,34 +74,16 @@ func (p *Program) Encode() []byte {
 	writeU64(uint64(len(p.Data)))
 	b.Write(p.Data)
 	writeU64(uint64(len(p.Labels)))
-	for _, k := range sortedKeys(p.Labels) {
+	for _, k := range slices.Sorted(maps.Keys(p.Labels)) {
 		writeStr(k)
 		writeU64(uint64(p.Labels[k]))
 	}
 	writeU64(uint64(len(p.DataSyms)))
-	for _, k := range sortedKeysU(p.DataSyms) {
+	for _, k := range slices.Sorted(maps.Keys(p.DataSyms)) {
 		writeStr(k)
 		writeU64(p.DataSyms[k])
 	}
 	return b.Bytes()
-}
-
-func sortedKeys(m map[string]int64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
-}
-
-func sortedKeysU(m map[string]uint64) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 func encodeOperand(b *bytes.Buffer, o *Operand) {

@@ -3,11 +3,8 @@ package machine
 // What the external test package (oracle_test.go, which has to live outside
 // the package to import internal/pbbs) needs of the unexported test hooks.
 
-// Traced and RunRows are the in-package tests' collector-attached run
-// (sched_test.go).
-type Traced = traced
-
-var RunRows = runRows
+// SameRun fails t unless two runs are the same run (same_test.go).
+var SameRun = sameRun
 
 // Poison makes m's next run overwrite every instruction it retires with absurd
 // values and never reuse it (Machine.poison); bind and Reset clear it.

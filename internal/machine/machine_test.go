@@ -414,23 +414,14 @@ func TestTopologies(t *testing.T) {
 	}
 }
 
+// TestDeterminism: two fresh machines run the same program to the same run.
 func TestDeterminism(t *testing.T) {
 	p, err := progs.BuildFibFork(9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, b := runSched(t, p, DefaultConfig(6), false), runSched(t, p, DefaultConfig(6), false)
-	if a.Cycles != b.Cycles || a.Instructions != b.Instructions || a.RAX != b.RAX {
-		t.Errorf("non-deterministic: %v vs %v", a.Summary(), b.Summary())
-	}
-	if len(a.Timings) != len(b.Timings) {
-		t.Fatalf("timing lengths differ")
-	}
-	for i := range a.Timings {
-		if a.Timings[i] != b.Timings[i] {
-			t.Fatalf("timing %d differs: %+v vs %+v", i, a.Timings[i], b.Timings[i])
-		}
-	}
+	sameRun(t, "two runs of fib(9) on 6 cores", a, b)
 }
 
 func TestCallRetRejected(t *testing.T) {

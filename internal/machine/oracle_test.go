@@ -8,7 +8,6 @@ package machine_test
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -24,8 +23,6 @@ import (
 	"repro/internal/sweep"
 )
 
-type traced = machine.Traced
-
 // leg says how a run is to be made: under which scheduler, and whether it
 // poisons the instructions it retires instead of recycling them.
 type leg struct{ dense, poison bool }
@@ -38,9 +35,9 @@ var (
 
 // runRows injects in into m — freshly built or bound — and runs it as l says
 // (m's configuration already carries the scheduler) with a collector attached.
-func runRows(m *machine.Machine, prog *isa.Program, in pbbs.Inputs, l leg) (traced, error) {
+func runRows(m *machine.Machine, prog *isa.Program, in pbbs.Inputs, l leg) (machine.Traced, error) {
 	if err := backend.Inject(prog, m.DMH(), in); err != nil {
-		return traced{}, err
+		return machine.Traced{}, err
 	}
 	if l.poison {
 		machine.Poison(m)
@@ -49,20 +46,19 @@ func runRows(m *machine.Machine, prog *isa.Program, in pbbs.Inputs, l leg) (trac
 }
 
 // runFresh builds a machine for prog under cfg and l and runs it.
-func runFresh(prog *isa.Program, in pbbs.Inputs, cfg machine.Config, l leg) (traced, error) {
+func runFresh(prog *isa.Program, in pbbs.Inputs, cfg machine.Config, l leg) (machine.Traced, error) {
 	cfg.Dense = l.dense
 	m, err := machine.New(prog, cfg)
 	if err != nil {
-		return traced{}, err
+		return machine.Traced{}, err
 	}
 	return runRows(m, prog, in, l)
 }
 
 // runMachine executes a compiled kernel as one leg and returns the full
 // machine result. The program and inputs are built once by the caller and
-// shared across the legs: timing rows carry instruction pointers, so
-// bit-identity is only meaningful against the same compilation.
-func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs, n int, cfg machine.Config, l leg) traced {
+// shared across the legs.
+func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs, n int, cfg machine.Config, l leg) machine.Traced {
 	t.Helper()
 	res, err := runFresh(prog, in, cfg, l)
 	if err != nil {
@@ -76,34 +72,6 @@ func runMachine(t *testing.T, k *pbbs.Kernel, prog *isa.Program, in pbbs.Inputs,
 		t.Fatalf("%s n=%d cores=%d: checksum %d, reference %d", k.Name, n, cfg.Cores, res.RAX, want)
 	}
 	return res
-}
-
-// sameResult asserts two machine results are bit-identical, down to each
-// instruction's six stage timestamps and each section record.
-func sameResult(t *testing.T, label string, a, b traced) {
-	t.Helper()
-	if a.Cycles != b.Cycles || a.Instructions != b.Instructions || a.RAX != b.RAX ||
-		a.FetchDone != b.FetchDone || a.RetireDone != b.RetireDone ||
-		a.RegRequests != b.RegRequests || a.MemRequests != b.MemRequests ||
-		a.CreateMessages != b.CreateMessages || a.RequestHops != b.RequestHops ||
-		a.ResponseMessages != b.ResponseMessages || a.DMHAnswers != b.DMHAnswers {
-		t.Errorf("%s: headline metrics differ:\n a: %s\n b: %s", label, a.Summary(), b.Summary())
-	}
-	if a.Regs != b.Regs {
-		t.Errorf("%s: final register files differ", label)
-	}
-	if !reflect.DeepEqual(a.Sections, b.Sections) {
-		t.Errorf("%s: section records differ", label)
-	}
-	if len(a.Timings) != len(b.Timings) {
-		t.Fatalf("%s: %d vs %d timing rows", label, len(a.Timings), len(b.Timings))
-	}
-	for i := range a.Timings {
-		if a.Timings[i] != b.Timings[i] {
-			t.Errorf("%s: timing row %d differs:\n a: %+v\n b: %+v", label, i, a.Timings[i], b.Timings[i])
-			return
-		}
-	}
 }
 
 // TestThreeWayOracle pins the production scheduler's exactness on the
@@ -148,9 +116,9 @@ func TestThreeWayOracle(t *testing.T) {
 				cfg := machine.Config{Cores: cores, CreateLatency: 2, Shortcut: true}
 				dense := runMachine(t, k, prog, in, n, cfg, denseLeg)
 				skip := runMachine(t, k, prog, in, n, cfg, skipLeg)
-				sameResult(t, fmt.Sprintf("%s n=%d cores=%d dense vs idle-skip", k.Name, n, cores), dense, skip)
+				machine.SameRun(t, fmt.Sprintf("%s n=%d cores=%d dense vs idle-skip", k.Name, n, cores), dense, skip)
 				poisoned := runMachine(t, k, prog, in, n, cfg, poisonLeg)
-				sameResult(t, fmt.Sprintf("%s n=%d cores=%d idle-skip vs poisoned", k.Name, n, cores), skip, poisoned)
+				machine.SameRun(t, fmt.Sprintf("%s n=%d cores=%d idle-skip vs poisoned", k.Name, n, cores), skip, poisoned)
 			}
 		})
 	}
@@ -166,7 +134,7 @@ func TestThreeWayOracle(t *testing.T) {
 				for _, topo := range []string{sweep.TopoCrossbar, sweep.TopoMesh} {
 					for _, maxSec := range []int{0, 1, 2} {
 						label := fmt.Sprintf("sum n=%d cores=%d %s cap=%d", n, cores, topo, maxSec)
-						var res [3]traced
+						var res [3]machine.Traced
 						for i, l := range []leg{denseLeg, skipLeg, poisonLeg} {
 							net, err := sweep.MakeNet(topo, cores)
 							if err != nil {
@@ -181,8 +149,8 @@ func TestThreeWayOracle(t *testing.T) {
 								t.Fatalf("%s %+v: sum %d, want %d", label, l, res[i].RAX, want)
 							}
 						}
-						sameResult(t, label+" dense vs idle-skip", res[0], res[1])
-						sameResult(t, label+" idle-skip vs poisoned", res[1], res[2])
+						machine.SameRun(t, label+" dense vs idle-skip", res[0], res[1])
+						machine.SameRun(t, label+" idle-skip vs poisoned", res[1], res[2])
 					}
 				}
 			}
@@ -215,10 +183,10 @@ func TestThreeWayOracle(t *testing.T) {
 						cfg := machine.Config{Cores: cores, Net: net, CreateLatency: 2, Shortcut: shortcut}
 						dense := runMachine(t, k, prog, in, n, cfg, denseLeg)
 						skip := runMachine(t, k, prog, in, n, cfg, skipLeg)
-						sameResult(t, fmt.Sprintf("%s n=%d cores=%d %s shortcut=%v dense vs idle-skip",
+						machine.SameRun(t, fmt.Sprintf("%s n=%d cores=%d %s shortcut=%v dense vs idle-skip",
 							k.Name, n, cores, net.Name(), shortcut), dense, skip)
 						poisoned := runMachine(t, k, prog, in, n, cfg, poisonLeg)
-						sameResult(t, fmt.Sprintf("%s n=%d cores=%d %s shortcut=%v idle-skip vs poisoned",
+						machine.SameRun(t, fmt.Sprintf("%s n=%d cores=%d %s shortcut=%v idle-skip vs poisoned",
 							k.Name, n, cores, net.Name(), shortcut), skip, poisoned)
 					}
 				}
@@ -272,7 +240,7 @@ func TestRebindOracle(t *testing.T) {
 		}
 		return machine.Config{Cores: c.cores, Net: net, CreateLatency: 2, Shortcut: true}
 	}
-	run := func(kr *kernelRun, m *machine.Machine, label string, l leg) traced {
+	run := func(kr *kernelRun, m *machine.Machine, label string, l leg) machine.Traced {
 		res, err := runRows(m, kr.prog, kr.in, l)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -284,7 +252,7 @@ func TestRebindOracle(t *testing.T) {
 	}
 
 	var runs []*kernelRun
-	fresh := map[string]traced{}
+	fresh := map[string]machine.Traced{}
 	for _, k := range pbbs.Kernels() {
 		kr := &kernelRun{k: k, n: k.ClampN(n)}
 		var err error
@@ -341,7 +309,7 @@ func TestRebindOracle(t *testing.T) {
 			l = poisonLeg
 		}
 		got := run(kr, m, label+" rebound", l)
-		sameResult(t, label+" rebound vs fresh", fresh[label], got)
+		machine.SameRun(t, label+" rebound vs fresh", fresh[label], got)
 		delete(fresh, label)
 		pool.Put("", m)
 		if i%2 == 1 {
@@ -403,7 +371,7 @@ func TestRebindOracle(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s rebound: %v", label, err)
 			}
-			sameResult(t, label+" rebound vs fresh", want, got)
+			machine.SameRun(t, label+" rebound vs fresh", want, got)
 			wide.Put("", m)
 		}
 	})
@@ -468,7 +436,7 @@ func TestRebindRefusesWhatNewRefuses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "parked machine after refused Gets", want, got)
+	machine.SameRun(t, "parked machine after refused Gets", want, got)
 }
 
 // runAtScale runs kernel at n on cores on a fresh machine, checks the
@@ -621,7 +589,7 @@ func TestRelabelEveryForkMovesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := machine.DefaultConfig(int(analytic.Sections(n)) + 1)
-		run := func(relabel bool) traced {
+		run := func(relabel bool) machine.Traced {
 			m, err := machine.New(p, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -636,6 +604,6 @@ func TestRelabelEveryForkMovesNothing(t *testing.T) {
 			}
 			return r
 		}
-		sameResult(t, fmt.Sprintf("sum n=%d relabelled at every fork", n), run(false), run(true))
+		machine.SameRun(t, fmt.Sprintf("sum n=%d relabelled at every fork", n), run(false), run(true))
 	}
 }

@@ -54,12 +54,12 @@ func TestPoolConcurrentGetPut(t *testing.T) {
 				if m.cfg.Dense != cfg.Dense {
 					t.Errorf("worker %d: machine not re-armed: dense=%v", w, m.cfg.Dense)
 				}
-				got, err := runRows(m)
+				got, err := RunRows(m)
 				if err != nil {
 					t.Errorf("worker %d: Run: %v", w, err)
 					return
 				}
-				checkIdentical(t, "concurrent pooled run", want, got)
+				sameRun(t, "concurrent pooled run", want, got)
 				p.Put("", m)
 				puts.Add(1)
 			}
@@ -115,7 +115,7 @@ func TestPoolConcurrentCollision(t *testing.T) {
 	type shape struct {
 		prog *isa.Program
 		cfg  Config
-		want traced
+		want Traced
 	}
 	shapes := []*shape{
 		{prog: mustSumFork(t, 40), cfg: DefaultConfig(4)},
@@ -149,12 +149,12 @@ func TestPoolConcurrentCollision(t *testing.T) {
 				if m.cfg.Cores != sh.cfg.Cores || len(m.cores) != sh.cfg.Cores {
 					t.Errorf("worker %d: got %d-core machine (%d cores live), want %d", w, m.cfg.Cores, len(m.cores), sh.cfg.Cores)
 				}
-				got, err := runRows(m)
+				got, err := RunRows(m)
 				if err != nil {
 					t.Errorf("worker %d: Run: %v", w, err)
 					return
 				}
-				checkIdentical(t, "racing mixed-shape run", sh.want, got)
+				sameRun(t, "racing mixed-shape run", sh.want, got)
 				p.Put("", m)
 			}
 		}(w)

@@ -508,11 +508,11 @@ func TestResetReproduces(t *testing.T) {
 		for round := 0; round < 3; round++ {
 			m.Reset()
 			m.poison = round == 1 // Reset clears it again
-			again, err := runRows(m)
+			again, err := RunRows(m)
 			if err != nil {
 				t.Fatalf("dense=%v round %d: %v", dense, round, err)
 			}
-			checkIdentical(t, fmt.Sprintf("reset re-run %d", round), first, again)
+			sameRun(t, fmt.Sprintf("reset re-run %d", round), first, again)
 		}
 	}
 }
@@ -562,7 +562,7 @@ func TestResetAfterError(t *testing.T) {
 		}
 	}
 	var rows Collector // one buffer for every re-run: the allocation bound below
-	rerun := func() traced {
+	rerun := func() Traced {
 		m.Reset()
 		m.cfg.MaxCycles = 100 << 20
 		rows.Attach(m)
@@ -570,7 +570,7 @@ func TestResetAfterError(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run after error+Reset: %v", err)
 		}
-		return traced{got, rows.Timings(got)}
+		return Traced{got, rows.Timings(got)}
 	}
 
 	abort()
@@ -589,15 +589,15 @@ func TestResetAfterError(t *testing.T) {
 			t.Fatalf("pooled section keeps a waiter list or a request count (%d)", s.nreqs)
 		}
 	}
-	checkIdentical(t, "reset after error", want, rerun())
+	sameRun(t, "reset after error", want, rerun())
 
-	var again traced
+	var again Traced
 	allocs := testing.AllocsPerRun(3, func() {
 		m.Reset()
 		abort()
 		again = rerun()
 	})
-	checkIdentical(t, "reset after repeated errors", want, again)
+	sameRun(t, "reset after repeated errors", want, again)
 	// The Result's slices, the collector's two index arrays, the abort's error
 	// text and the fixed handful boot allocates; a leaked request or a regrown
 	// queue would add one per object.

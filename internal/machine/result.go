@@ -124,8 +124,6 @@ type Result struct {
 	// paper's "the request travels back to the loader") rather than by a
 	// live section.
 	DMHAnswers int64
-	// NetName identifies the topology used.
-	NetName string
 }
 
 // NocMessages returns the total messages charged to the on-chip network:
@@ -156,7 +154,6 @@ func (m *Machine) result() *Result {
 		Cores:            len(m.cores),
 		RAX:              m.arch[isa.RAX],
 		Regs:             m.arch,
-		NetName:          m.cfg.Net.Name(),
 		RegRequests:      m.regReqs,
 		MemRequests:      m.memReqs,
 		CreateMessages:   m.createMsgs,
@@ -220,13 +217,6 @@ func (r *Result) Fig10Table(timings []InstTiming) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// Summary renders the headline numbers.
-func (r *Result) Summary() string {
-	return fmt.Sprintf("cores=%d net=%s sections=%d instructions=%d fetch=%d cycles (%.1f ipc) retire=%d cycles (%.1f ipc) total=%d cycles rax=%d",
-		r.Cores, r.NetName, len(r.Sections), r.Instructions,
-		r.FetchDone, r.FetchIPC(), r.RetireDone, r.RetireIPC(), r.Cycles, r.RAX)
 }
 
 // RunProgram builds a machine with the default configuration and runs prog.

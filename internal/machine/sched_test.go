@@ -2,8 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"reflect"
-	"slices"
 	"strings"
 	"testing"
 
@@ -14,60 +12,10 @@ import (
 	"repro/internal/progs"
 )
 
-// traced is a run's result with the per-instruction rows a Collector
-// gathered beside it.
-type traced struct {
-	*Result
-	Timings []InstTiming
-}
-
-// runRows runs m — freshly built, bound or Reset — with a collector attached,
-// and checks the position each row carried when it retired.
-func runRows(m *Machine) (traced, error) {
-	var c Collector
-	c.Attach(m)
-	r, err := m.Run()
-	if err != nil {
-		return traced{}, err
-	}
-	if err := checkRowPositions(c.rows, r.Sections); err != nil {
-		return traced{}, err
-	}
-	return traced{r, c.Timings(r)}, nil
-}
-
-// checkRowPositions checks rows, in the order they retired and as a sink got
-// them, against the run's sections. A row's SecPos is its section's position
-// at the cycle it retired: the number of sections before it in the final
-// order that existed then, dumped or not. Those created in an earlier cycle
-// count for certain, those created in the same cycle may or may not (cores
-// fork and retire in turn within a cycle).
-func checkRowPositions(rows []InstTiming, secs []SectionInfo) error {
-	byID := make([][]int, len(secs))
-	for i := range rows {
-		byID[rows[i].Section] = append(byID[rows[i].Section], i)
-	}
-	var created []int64 // creation cycles of the sections before, ascending
-	for _, s := range secs {
-		for _, i := range byID[s.ID] {
-			t := &rows[i]
-			lo, _ := slices.BinarySearch(created, t.RET)
-			hi, _ := slices.BinarySearch(created, t.RET+1)
-			if t.SecPos < lo || t.SecPos > hi {
-				return fmt.Errorf("row %d of section %d retired at cycle %d in position %d, want %d..%d",
-					t.Idx, t.Section, t.RET, t.SecPos, lo, hi)
-			}
-		}
-		k, _ := slices.BinarySearch(created, s.CreatedAt)
-		created = slices.Insert(created, k, s.CreatedAt)
-	}
-	return nil
-}
-
-// mustRunRows is runRows for a run that has to succeed.
-func mustRunRows(t *testing.T, m *Machine) traced {
+// mustRunRows is RunRows for a run that has to succeed.
+func mustRunRows(t *testing.T, m *Machine) Traced {
 	t.Helper()
-	r, err := runRows(m)
+	r, err := RunRows(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +23,14 @@ func mustRunRows(t *testing.T, m *Machine) traced {
 }
 
 // runSched runs prog under one scheduler and returns the result.
-func runSched(t *testing.T, prog *isa.Program, cfg Config, dense bool) traced {
+func runSched(t *testing.T, prog *isa.Program, cfg Config, dense bool) Traced {
 	t.Helper()
 	cfg.Dense = dense
 	m, err := New(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := runRows(m)
+	r, err := RunRows(m)
 	if err != nil {
 		t.Fatalf("dense=%v: %v", dense, err)
 	}
@@ -91,57 +39,18 @@ func runSched(t *testing.T, prog *isa.Program, cfg Config, dense bool) traced {
 
 // runPoisoned runs prog on the production scheduler with retired instructions
 // poisoned instead of recycled.
-func runPoisoned(t *testing.T, prog *isa.Program, cfg Config) traced {
+func runPoisoned(t *testing.T, prog *isa.Program, cfg Config) Traced {
 	t.Helper()
 	m, err := New(prog, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.poison = true
-	r, err := runRows(m)
+	r, err := RunRows(m)
 	if err != nil {
 		t.Fatalf("poisoned: %v", err)
 	}
 	return r
-}
-
-// checkIdentical asserts two results are bit-identical: every headline
-// metric, every message counter, every per-instruction stage timestamp and
-// every section record.
-func checkIdentical(t *testing.T, label string, dense, skip traced) {
-	t.Helper()
-	if dense.Cycles != skip.Cycles || dense.Instructions != skip.Instructions ||
-		dense.RAX != skip.RAX || dense.FetchDone != skip.FetchDone ||
-		dense.RetireDone != skip.RetireDone {
-		t.Errorf("%s: headline metrics differ:\n dense: %s\n skip:  %s",
-			label, dense.Summary(), skip.Summary())
-	}
-	if dense.RegRequests != skip.RegRequests || dense.MemRequests != skip.MemRequests ||
-		dense.CreateMessages != skip.CreateMessages || dense.RequestHops != skip.RequestHops ||
-		dense.ResponseMessages != skip.ResponseMessages || dense.DMHAnswers != skip.DMHAnswers ||
-		dense.NocMessages() != skip.NocMessages() {
-		t.Errorf("%s: NoC accounting differs: dense {create %d hops %d resp %d dmh %d}, skip {create %d hops %d resp %d dmh %d}",
-			label, dense.CreateMessages, dense.RequestHops, dense.ResponseMessages, dense.DMHAnswers,
-			skip.CreateMessages, skip.RequestHops, skip.ResponseMessages, skip.DMHAnswers)
-	}
-	if dense.Regs != skip.Regs {
-		t.Errorf("%s: final register files differ", label)
-	}
-	if !reflect.DeepEqual(dense.Sections, skip.Sections) {
-		t.Errorf("%s: section records differ", label)
-	}
-	if !reflect.DeepEqual(dense.Timings, skip.Timings) {
-		if len(dense.Timings) != len(skip.Timings) {
-			t.Fatalf("%s: %d vs %d timing rows", label, len(dense.Timings), len(skip.Timings))
-		}
-		for i := range dense.Timings {
-			if dense.Timings[i] != skip.Timings[i] {
-				t.Errorf("%s: timing row %d differs: dense %+v, skip %+v",
-					label, i, dense.Timings[i], skip.Timings[i])
-				break
-			}
-		}
-	}
 }
 
 // TestIdleSkipMatchesDense: the idle-skip scheduler is an optimisation, not a
@@ -173,8 +82,8 @@ func TestIdleSkipMatchesDense(t *testing.T) {
 			cfg := DefaultConfig(cores)
 			dense := runSched(t, p, cfg, true)
 			skip := runSched(t, p, cfg, false)
-			checkIdentical(t, name+"/default", dense, skip)
-			checkIdentical(t, name+"/default poisoned", skip, runPoisoned(t, p, cfg))
+			sameRun(t, name+"/default", dense, skip)
+			sameRun(t, name+"/default poisoned", skip, runPoisoned(t, p, cfg))
 		}
 	}
 	p := workloads["sum40"]
@@ -189,8 +98,8 @@ func TestIdleSkipMatchesDense(t *testing.T) {
 	for i, cfg := range variants {
 		dense := runSched(t, p, cfg, true)
 		skip := runSched(t, p, cfg, false)
-		checkIdentical(t, fmt.Sprintf("variant %d (%+v)", i, cfg), dense, skip)
-		checkIdentical(t, fmt.Sprintf("variant %d (%+v) poisoned", i, cfg), skip, runPoisoned(t, p, cfg))
+		sameRun(t, fmt.Sprintf("variant %d (%+v)", i, cfg), dense, skip)
+		sameRun(t, fmt.Sprintf("variant %d (%+v) poisoned", i, cfg), skip, runPoisoned(t, p, cfg))
 	}
 }
 
@@ -293,7 +202,7 @@ func TestIdleSkipSkipsCycles(t *testing.T) {
 // runVisits runs the n-th doubling step of the §5 sum (5·2ⁿ elements) under
 // the production scheduler and returns the result with the number of core
 // visits the scheduler made.
-func runVisits(t *testing.T, n, cores int) (traced, int64) {
+func runVisits(t *testing.T, n, cores int) (Traced, int64) {
 	t.Helper()
 	m, err := New(mustSumFork(t, int(analytic.Elements(n))), DefaultConfig(cores))
 	if err != nil {
@@ -329,7 +238,7 @@ func TestIdleCoresAreFree(t *testing.T) {
 	}
 	// Equal everywhere else, once the chip width is taken out.
 	wide.Cores, wide.FetchedPerCore = narrow.Cores, narrow.FetchedPerCore
-	checkIdentical(t, "sum n=3 on 48 vs 3072 cores", narrow, wide)
+	sameRun(t, "sum n=3 on 48 vs 3072 cores", narrow, wide)
 	if nv != wv {
 		t.Errorf("%d core visits on 48 cores, %d on 3072: idle cores are being visited", nv, wv)
 	}

@@ -65,11 +65,11 @@ func TestPoolReArmsSchedulers(t *testing.T) {
 		if m.cfg.Dense != cfg.Dense {
 			t.Fatalf("pooled machine not re-armed: have dense=%v, want dense=%v", m.cfg.Dense, cfg.Dense)
 		}
-		got, err := runRows(m)
+		got, err := RunRows(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkIdentical(t, "pooled run", want, got)
+		sameRun(t, "pooled run", want, got)
 		p.Put("", m)
 	}
 	if s := p.Stats(); s.Hits != 2 || s.Misses != 1 {
@@ -109,14 +109,14 @@ func TestPoolKeyCollision(t *testing.T) {
 		if got != m {
 			t.Fatalf("%s: Get constructed instead of rebinding the parked machine", next.label)
 		}
-		res, err := runRows(got)
+		res, err := RunRows(got)
 		if err != nil {
 			t.Fatalf("%s: Run: %v", next.label, err)
 		}
 		if res.Cores != next.cores {
 			t.Fatalf("%s: ran on %d cores, want %d", next.label, res.Cores, next.cores)
 		}
-		checkIdentical(t, next.label, want, res)
+		sameRun(t, next.label, want, res)
 		p.Put("", got)
 	}
 	if s := p.Stats(); s.Hits != 3 || s.Misses != 1 {
@@ -144,11 +144,11 @@ func TestNilPoolConstructsFresh(t *testing.T) {
 		if m == prev {
 			t.Fatal("nil pool handed the same machine out twice")
 		}
-		got, err := runRows(m)
+		got, err := RunRows(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkIdentical(t, "nil-pool run", want, got)
+		sameRun(t, "nil-pool run", want, got)
 		p.Put("", m)
 		prev = m
 	}
@@ -260,7 +260,7 @@ t: .space 65536
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkIdentical(t, "re-run after trimming", traced{Result: want}, traced{Result: got})
+	sameRun(t, "re-run after trimming", Traced{Result: want}, Traced{Result: got})
 }
 
 // TestPoisonNeverReuses: the poison switch does what the oracles' poisoned

@@ -1,6 +1,8 @@
 package minic
 
 import (
+	"fmt"
+
 	"repro/internal/asm"
 	"repro/internal/isa"
 )
@@ -74,7 +76,7 @@ func CompileAST(prog *Program, mode Mode) (*isa.Program, error) {
 	}
 	p, err := asm.Assemble(text)
 	if err != nil {
-		return nil, errf(0, "internal error assembling generated code: %v", err)
+		return nil, fmt.Errorf("minic: internal error assembling generated code: %w", err)
 	}
 	return p, nil
 }

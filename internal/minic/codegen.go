@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/asm"
 	"repro/internal/isa"
 )
 
@@ -81,24 +80,14 @@ func Generate(prog *Program, mode Mode) (string, error) {
 	return g.b.String(), nil
 }
 
-// Compile parses, checks, generates and assembles src in one step.
+// Compile parses, checks, generates and assembles src in one step: Parse,
+// then CompileAST.
 func Compile(src string, mode Mode) (*isa.Program, error) {
 	prog, err := Parse(src)
 	if err != nil {
 		return nil, err
 	}
-	if err := Check(prog); err != nil {
-		return nil, err
-	}
-	text, err := Generate(prog, mode)
-	if err != nil {
-		return nil, err
-	}
-	p, err := asm.Assemble(text)
-	if err != nil {
-		return nil, fmt.Errorf("minic: internal error assembling generated code: %w", err)
-	}
-	return p, nil
+	return CompileAST(prog, mode)
 }
 
 func (g *gen) emit(s string) {
