@@ -43,6 +43,10 @@ import (
 // (flushing output files, graceful server shutdown) and be untestable.
 var errUsage = errors.New("usage error")
 
+// kernelSelUsage is the help text of the kernel selector flags (ilp and
+// machine -kernel, sweep -kernels), which all resolve through pbbs.FindAll.
+const kernelSelUsage = "kernel selectors: IDs or name substrings, comma-separated"
+
 func usage() {
 	fmt.Fprintf(os.Stderr, `usage: repro <command> [flags]
 
@@ -127,18 +131,6 @@ func run(args []string) error {
 	}
 }
 
-// selectKernels resolves the -kernel flag: 0 means all.
-func selectKernels(id int) ([]*pbbs.Kernel, error) {
-	if id == 0 {
-		return pbbs.Kernels(), nil
-	}
-	k, err := pbbs.ByID(id)
-	if err != nil {
-		return nil, err
-	}
-	return []*pbbs.Kernel{k}, nil
-}
-
 // usageErrf reports a bad invocation on stderr and returns errUsage, so the
 // process exits 2 like any other malformed command line — exitCode prints
 // nothing for errUsage, hence the message here.
@@ -166,7 +158,7 @@ func cmdILP(args []string) error {
 	sizes := fs.String("sizes", "32,64,128", "comma-separated dataset sizes")
 	seed := fs.Uint64("seed", 1, "workload seed")
 	workers := fs.Int("workers", 0, "measurement workers (0 = GOMAXPROCS)")
-	kid := fs.Int("kernel", 0, "benchmark number (0 = all)")
+	kernels := fs.String("kernel", "all", kernelSelUsage)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
@@ -174,7 +166,7 @@ func cmdILP(args []string) error {
 	if err != nil {
 		return err
 	}
-	ks, err := selectKernels(*kid)
+	ks, err := pbbs.FindAll(*kernels)
 	if err != nil {
 		return err
 	}
@@ -191,14 +183,14 @@ func cmdMachine(args []string) error {
 	n := fs.Int("n", 12, "dataset size (kept small: cycle-level simulation)")
 	seed := fs.Uint64("seed", 1, "workload seed")
 	cores := fs.Int("cores", 8, "simulated cores")
-	kid := fs.Int("kernel", 0, "benchmark number (0 = all)")
+	kernels := fs.String("kernel", "all", kernelSelUsage)
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}
 	if *cores < 1 {
 		return usageErrf("machine: bad -cores %d (want at least 1)", *cores)
 	}
-	ks, err := selectKernels(*kid)
+	ks, err := pbbs.FindAll(*kernels)
 	if err != nil {
 		return err
 	}

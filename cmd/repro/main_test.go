@@ -54,17 +54,28 @@ func TestParseCaps(t *testing.T) {
 	}
 }
 
+// TestSelectKernels drives the -kernel selector through cmdILP: "all" is
+// every kernel, a benchmark number and a name substring pick the same one,
+// and an unknown selector is refused before anything is measured.
 func TestSelectKernels(t *testing.T) {
-	all, err := selectKernels(0)
+	rows := func(sel string) ([]string, error) {
+		out, err := capture(t, func() error { return cmdILP([]string{"-kernel", sel, "-sizes", "8"}) })
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		return lines[min(2, len(lines)):], err // past the title and header
+	}
+	all, err := rows("all")
 	if err != nil || len(all) != len(pbbs.Kernels()) {
-		t.Errorf("selectKernels(0) = %d kernels, %v", len(all), err)
+		t.Errorf("-kernel all = %d rows, %v; want %d", len(all), err, len(pbbs.Kernels()))
 	}
-	one, err := selectKernels(2)
-	if err != nil || len(one) != 1 || one[0].ID != 2 {
-		t.Errorf("selectKernels(2) = %v, %v", one, err)
+	two, err := rows("2")
+	if err != nil || len(two) != 1 || !strings.HasPrefix(two[0], "2 ") {
+		t.Errorf("-kernel 2 = %q, %v", two, err)
 	}
-	if _, err := selectKernels(99); err == nil {
-		t.Error("selectKernels accepted an unknown benchmark number")
+	if byName, err := rows("quicksort"); err != nil || !reflect.DeepEqual(byName, two) {
+		t.Errorf("-kernel quicksort = %q, %v; want -kernel 2's %q", byName, err, two)
+	}
+	if got, err := rows("zzz"); err == nil || len(got) != 0 {
+		t.Errorf("-kernel zzz = %q, %v; want an error and no rows", got, err)
 	}
 }
 

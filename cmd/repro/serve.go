@@ -35,11 +35,11 @@ func cmdServe(args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8321", "listen address")
 	cacheDir := fs.String("cache", ".sweep-cache", "result cache directory shared with 'repro sweep' (empty disables caching)")
 	workers := fs.Int("workers", 0, "measurement workers per job (0 = GOMAXPROCS)")
-	jobs := fs.Int("jobs", 2, "jobs executing concurrently; further submissions queue")
-	history := fs.Int("history", 256, "finished jobs kept before the oldest are evicted")
+	jobs := fs.Int("jobs", server.DefaultMaxConcurrentJobs, "jobs executing concurrently; further submissions queue")
+	history := fs.Int("history", server.DefaultMaxHistory, "finished jobs kept before the oldest are evicted")
 	grace := fs.Duration("grace", 10*time.Second, "graceful-shutdown budget for in-flight requests and jobs")
-	lease := fs.Duration("lease", 5*time.Second, "fabric lease TTL: a worker batch unreported past this re-queues")
-	batch := fs.Int("batch", 8, "fabric: most points per worker lease and per report (a lease keeps to one kernel's points where it can and shrinks as the queue drains)")
+	lease := fs.Duration("lease", fabric.DefaultLeaseTTL, "fabric lease TTL: a worker batch unreported past this re-queues")
+	batch := fs.Int("batch", fabric.DefaultBatch, "fabric: most points per worker lease and per report (a lease keeps to one kernel's points where it can and shrinks as the queue drains)")
 	if err := parseFlags(fs, args); err != nil {
 		return err
 	}

@@ -45,10 +45,10 @@ func parseShortcutAxis(s string) ([]bool, error) {
 
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
-	kernels := fs.String("kernels", "all", "kernel selectors: IDs or name substrings, comma-separated")
+	kernels := fs.String("kernels", "all", kernelSelUsage)
 	sizes := fs.String("sizes", "64", "comma-separated dataset sizes")
 	cores := fs.String("cores", "1,4,16", "comma-separated core counts")
-	topos := fs.String("topos", "crossbar", "comma-separated NoC topologies (crossbar,ring,mesh)")
+	topos := fs.String("topos", sweep.TopoCrossbar, "comma-separated NoC topologies ("+strings.Join(sweep.Topologies, ",")+")")
 	shortcut := fs.String("shortcut", "on", "call-level shortcut axis: on, off or both")
 	maxsec := fs.String("maxsec", "0", "comma-separated MaxSectionsPerCore caps (0 = spread)")
 	seed := fs.Uint64("seed", 1, "workload seed")

@@ -16,6 +16,12 @@ import (
 // recovery is to register again.
 var ErrUnknownWorker = errors.New("fabric: unknown worker")
 
+// The coordinator's defaults for LeaseTTL and Batch.
+const (
+	DefaultLeaseTTL = 5 * time.Second
+	DefaultBatch    = 8
+)
+
 // Coordinator owns sweep grids and hands their points to registered workers
 // in leased batches that follow front ends: a worker is granted more points
 // of the kernel it compiled for its last lease before anything else, so a
@@ -33,12 +39,12 @@ type Coordinator struct {
 	// — serve the whole grid from cache, byte-identical.
 	Cache *sweep.Cache
 	// LeaseTTL is how long a worker may sit on a leased batch without
-	// reporting before the points re-queue (default 5s). A live worker
-	// renews its lease every poll interval while it measures.
+	// reporting before the points re-queue (default DefaultLeaseTTL). A live
+	// worker renews its lease every poll interval while it measures.
 	LeaseTTL time.Duration
-	// Batch is the maximum points per lease and per report (default 8). A
-	// lease is smaller while the queue is short: Lease shares the pending
-	// points out among the live workers.
+	// Batch is the maximum points per lease and per report (default
+	// DefaultBatch). A lease is smaller while the queue is short: Lease
+	// shares the pending points out among the live workers.
 	Batch int
 	// Log receives scheduler events; slog.Default when nil.
 	Log *slog.Logger
@@ -109,7 +115,7 @@ func (c *Coordinator) leaseTTL() time.Duration {
 	if c.LeaseTTL > 0 {
 		return c.LeaseTTL
 	}
-	return 5 * time.Second
+	return DefaultLeaseTTL
 }
 
 // pollInterval is the idle-poll suggestion sent to workers: well under the
@@ -136,7 +142,7 @@ func (c *Coordinator) batchSize() int {
 	if c.Batch > 0 {
 		return c.Batch
 	}
-	return 8
+	return DefaultBatch
 }
 
 func (c *Coordinator) logger() *slog.Logger {
@@ -623,9 +629,11 @@ func (c *Coordinator) drainQuiet() bool {
 		pts[i] = t.pt
 	}
 	c.Eng.MeasureEach(pts, func(i int, rec sweep.Record) {
-		// Eng.Measure already stored the point when Cache is the engine's
-		// own store; Put again covers a split configuration.
-		c.mergeIntoCache(&rec)
+		// Eng.Measure has made its best-effort write to the engine's own
+		// store; only a split configuration needs the merge.
+		if c.Cache != c.Eng.Cache {
+			c.mergeIntoCache(&rec)
+		}
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		if t := c.tasks[batch[i].id]; t != nil && c.completeLocked(t, rec) {

@@ -18,6 +18,7 @@ import (
 	"bytes"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -332,6 +333,45 @@ func TestSilentFleetIsDrainedByWatchdog(t *testing.T) {
 	}
 	if eng.Stats().Simulated != gridSize {
 		t.Errorf("local engine simulated %d, want %d", eng.Stats().Simulated, gridSize)
+	}
+}
+
+// TestQuietDrainMergesOnlyIntoASplitStore counts the coordinator's cache
+// merges on the beforePut hook while a quiet fleet's grid drains locally: the
+// engine has already stored each record when the coordinator shares its
+// store, so there are none; a coordinator with a store of its own merges
+// every drained point into it.
+func TestQuietDrainMergesOnlyIntoASplitStore(t *testing.T) {
+	for _, split := range []bool{false, true} {
+		clk := &fakeClock{t: time.Unix(1_000_000, 0)}
+		eng := &sweep.Engine{Cache: newCache(t, t.TempDir()), Workers: 2}
+		store := eng.Cache
+		if split {
+			store = newCache(t, t.TempDir())
+		}
+		var merges atomic.Int64
+		c := &Coordinator{
+			Eng: eng, Cache: store,
+			LeaseTTL: 100 * time.Millisecond, Log: quietLog(), now: clk.Now,
+			beforePut: func() { merges.Add(1) },
+		}
+		c.Register("ghost")
+		clk.Advance(time.Second)
+
+		recs, _, err := runJSONL(t, c.Run, grid())
+		mustOK(t, recs, err)
+		want := int64(0)
+		if split {
+			want = gridSize
+		}
+		if st := c.Stats(); st.LocalPoints != gridSize || merges.Load() != want {
+			t.Errorf("split=%v: %d points drained, %d merges; want %d and %d", split, st.LocalPoints, merges.Load(), gridSize, want)
+		}
+		for _, r := range recs {
+			if _, ok := store.Get(r.Key); !ok {
+				t.Errorf("split=%v: record %s missing from the coordinator's store", split, r.Point.Config())
+			}
+		}
 	}
 }
 

@@ -355,7 +355,7 @@ type Instruction struct {
 	Src    Operand
 	Dst    Operand
 	Target int64  // code address for JMP/Jcc/CALL/FORK
-	Label  string // symbolic target, kept for disassembly
+	Label  string // symbolic target, what String prints for a jump, call or fork
 }
 
 // String disassembles the instruction in gas syntax.

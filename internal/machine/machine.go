@@ -87,9 +87,8 @@ type Config struct {
 	// reproduces the paper's "3 cycles to reach the producer and return"
 	// accounting of Fig. 10. A network's Cores must equal Cores.
 	Net noc.Network
-	// CreateLatency is the section-creation message latency in cycles
-	// (paper footnote 7: "the creation time of the forked section
-	// (2 cycles)"). Defaults to 2.
+	// CreateLatency is the section-creation message latency in cycles.
+	// Defaults to DefaultCreateLatency.
 	CreateLatency int64
 	// Shortcut enables the call-level shortcut for renaming requests whose
 	// address is rsp-based with a non-negative offset (§4.2). Default on
@@ -115,11 +114,15 @@ type Config struct {
 	MaxCycles int64
 }
 
+// DefaultCreateLatency is the section-creation latency of the paper's chip
+// (footnote 7: "the creation time of the forked section (2 cycles)").
+const DefaultCreateLatency = 2
+
 // DefaultConfig returns the paper-calibrated configuration.
 func DefaultConfig(cores int) Config {
 	return Config{
 		Cores:         cores,
-		CreateLatency: 2,
+		CreateLatency: DefaultCreateLatency,
 		Shortcut:      true,
 	}
 }
@@ -595,7 +598,7 @@ func (cfg Config) withDefaults() Config {
 		cfg.Net = noc.NewCrossbar(cfg.Cores, 1)
 	}
 	if cfg.CreateLatency == 0 {
-		cfg.CreateLatency = 2
+		cfg.CreateLatency = DefaultCreateLatency
 	}
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = 100 << 20

@@ -199,13 +199,47 @@ type Info struct {
 	Description string `json:"description"`
 }
 
-// Catalog lists the supported topologies in presentation order. It is the
-// single source of truth for topology names: internal/sweep derives its
-// axis vocabulary from it and the job server serves it at /v1/topologies.
+// topologies is the topology table, the single source of truth for topology
+// names: each one's catalog entry and its constructor over a core count with
+// unit hop latency, in presentation order. Catalog and New read it;
+// internal/sweep derives its axis vocabulary from Catalog and the job server
+// serves Catalog at /v1/topologies.
+var topologies = []struct {
+	Info
+	build func(cores int) Network
+}{
+	{Info{"crossbar", "ideal full crossbar: every pair of distinct cores is one hop apart (the paper's Fig. 10 calibration)"},
+		func(cores int) Network { return NewCrossbar(cores, 1) }},
+	{Info{"ring", "bidirectional ring: latency is the shorter arc distance times the hop cost"},
+		func(cores int) Network { return NewRing(cores, 1) }},
+	{Info{"mesh", "2-D mesh with X-Y routing: latency is the Manhattan distance times the hop cost (cores factorised into the most square w×h grid)"},
+		func(cores int) Network {
+			w := 1 // the largest divisor of cores not above its square root
+			for d := 1; d*d <= cores; d++ {
+				if cores%d == 0 {
+					w = d
+				}
+			}
+			return NewMesh(w, cores/w, 1)
+		}},
+}
+
+// Catalog lists the supported topologies in presentation order.
 func Catalog() []Info {
-	return []Info{
-		{Name: "crossbar", Description: "ideal full crossbar: every pair of distinct cores is one hop apart (the paper's Fig. 10 calibration)"},
-		{Name: "ring", Description: "bidirectional ring: latency is the shorter arc distance times the hop cost"},
-		{Name: "mesh", Description: "2-D mesh with X-Y routing: latency is the Manhattan distance times the hop cost (cores factorised into the most square w×h grid)"},
+	out := make([]Info, len(topologies))
+	for i, t := range topologies {
+		out[i] = t.Info
 	}
+	return out
+}
+
+// New builds the named topology over cores with unit hop latency; ok is
+// false for a name the table does not hold.
+func New(name string, cores int) (net Network, ok bool) {
+	for _, t := range topologies {
+		if t.Name == name {
+			return t.build(cores), true
+		}
+	}
+	return nil, false
 }

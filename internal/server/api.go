@@ -1,7 +1,6 @@
 package server
 
 import (
-	"cmp"
 	"encoding/json"
 	"fmt"
 
@@ -50,8 +49,9 @@ func checkLimit(what string, v, limit int) error {
 }
 
 // SweepRequest is the body of POST /v1/sweeps. Every axis is optional and
-// defaults exactly like `repro sweep`'s flags: all kernels, size 64, 1
-// core, crossbar, shortcut on, no placement cap, seed 1.
+// takes sweep.Spec's default: all kernels, size 64, 1 core, crossbar,
+// shortcut on, no placement cap, seed 1. `repro sweep`'s flags default the
+// same, except -cores, which is 1,4,16.
 type SweepRequest struct {
 	Kernels     []KernelSel `json:"kernels"`
 	Sizes       []int       `json:"sizes"`
@@ -102,8 +102,8 @@ func (r *SweepRequest) Spec() (*sweep.Spec, error) {
 }
 
 // RunRequest is the body of POST /v1/runs: one machine point. Kernel is
-// required; the rest default to 64 elements on 1 crossbar core with the
-// call-level shortcut on, seed 1.
+// required; every other field is the one-point axis of a SweepRequest, so a
+// zero value takes that axis's default and the same checks and caps apply.
 type RunRequest struct {
 	Kernel      KernelSel `json:"kernel"`
 	N           int       `json:"n"`
@@ -114,44 +114,45 @@ type RunRequest struct {
 	Seed        uint64    `json:"seed"`
 }
 
-// Point resolves the request into a validated sweep point (dataset sizes
-// below the kernel's minimum are clamped by the engine).
+// sweepRequest is the one-point SweepRequest the run request stands for.
+func (r *RunRequest) sweepRequest() SweepRequest {
+	req := SweepRequest{
+		Kernels: []KernelSel{r.Kernel}, Sizes: axis(r.N), Cores: axis(r.Cores),
+		Topologies: axis(r.Topology), MaxSections: axis(r.MaxSections), Seed: r.Seed,
+	}
+	if r.Shortcut != nil {
+		req.Shortcut = []bool{*r.Shortcut}
+	}
+	return req
+}
+
+// axis is the one-value axis a run request's field v stands for: empty, so
+// defaulted, when v is the zero value.
+func axis[T comparable](v T) []T {
+	if v == *new(T) {
+		return nil
+	}
+	return []T{v}
+}
+
+// Point resolves the request into the one point of its sweepRequest's spec.
 func (r *RunRequest) Point() (sweep.Point, error) {
-	var p sweep.Point
 	if r.Kernel == "" {
-		return p, fmt.Errorf("kernel is required")
+		return sweep.Point{}, fmt.Errorf("kernel is required")
 	}
-	k, err := pbbs.Find(string(r.Kernel))
+	req := r.sweepRequest()
+	spec, err := req.Spec()
 	if err != nil {
-		return p, err
+		return sweep.Point{}, err
 	}
-	p.Kernel, p.Name = k.ID, k.Name
-	if r.N < 0 {
-		return p, fmt.Errorf("bad dataset size %d", r.N)
+	pts, err := spec.Points()
+	if err != nil {
+		return sweep.Point{}, err
 	}
 	// Keep the requested size: the engine clamps to the kernel's minimum
-	// and surfaces the original in the record's RequestedN, which an eager
-	// clamp here would erase.
-	p.N = cmp.Or(r.N, 64)
-	if err := checkLimit("dataset size", p.N, maxN); err != nil {
-		return p, err
-	}
-	p.Cores = cmp.Or(r.Cores, 1)
-	if p.Cores < 1 {
-		return p, fmt.Errorf("bad core count %d", p.Cores)
-	}
-	if err := checkLimit("core count", p.Cores, maxCores); err != nil {
-		return p, err
-	}
-	p.Topology = cmp.Or(r.Topology, sweep.TopoCrossbar)
-	if _, err := sweep.MakeNet(p.Topology, p.Cores); err != nil {
-		return p, err
-	}
-	p.Shortcut = r.Shortcut == nil || *r.Shortcut
-	if r.MaxSections < 0 {
-		return p, fmt.Errorf("bad max-sections cap %d", r.MaxSections)
-	}
-	p.MaxSections = r.MaxSections
-	p.Seed = cmp.Or(r.Seed, 1)
+	// and surfaces the original in the record's RequestedN, which the
+	// spec's eager clamp would erase.
+	p := pts[0]
+	p.N = spec.Sizes[0]
 	return p, nil
 }

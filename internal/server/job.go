@@ -197,14 +197,21 @@ type Manager struct {
 	idle     chan struct{} // created by Drain, closed when inflight hits 0
 }
 
+// The manager's defaults: finished jobs kept, and jobs executing at once.
+const (
+	DefaultMaxHistory        = 256
+	DefaultMaxConcurrentJobs = 2
+)
+
 // NewManager wires a manager over the engine. maxHistory and maxJobs
-// default to 256 and 2 when non-positive.
+// default to DefaultMaxHistory and DefaultMaxConcurrentJobs when
+// non-positive.
 func NewManager(eng *sweep.Engine, log *slog.Logger, maxHistory, maxJobs int) *Manager {
 	if maxHistory < 1 {
-		maxHistory = 256
+		maxHistory = DefaultMaxHistory
 	}
 	if maxJobs < 1 {
-		maxJobs = 2
+		maxJobs = DefaultMaxConcurrentJobs
 	}
 	if log == nil {
 		log = slog.Default()

@@ -29,10 +29,10 @@ type Config struct {
 	// Log receives request and job-lifecycle records; slog.Default when nil.
 	Log *slog.Logger
 	// MaxHistory bounds the finished jobs kept before the oldest are
-	// evicted (default 256).
+	// evicted (default DefaultMaxHistory).
 	MaxHistory int
 	// MaxConcurrentJobs bounds the jobs executing at once; submissions
-	// beyond it queue in StateSubmitted (default 2).
+	// beyond it queue in StateSubmitted (default DefaultMaxConcurrentJobs).
 	MaxConcurrentJobs int
 }
 

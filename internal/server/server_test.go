@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -576,23 +578,51 @@ func TestKernelSelUnmarshal(t *testing.T) {
 	}
 }
 
+// TestRunRequestDefaults: a run request stands for its one-point sweep
+// request (each zero field an empty axis), and resolves to the point that
+// request's defaults and checks give, at the requested size, unclamped.
 func TestRunRequestDefaults(t *testing.T) {
-	req := RunRequest{Kernel: "quicksort"}
-	p, err := req.Point()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := sweep.Point{Kernel: 2, Name: p.Name, N: 64, Cores: 1, Topology: sweep.TopoCrossbar, Shortcut: true, Seed: 1}
-	if p != want {
-		t.Errorf("defaulted point = %+v, want %+v", p, want)
-	}
 	off := false
-	req = RunRequest{Kernel: "2", N: 8, Cores: 4, Topology: "mesh", Shortcut: &off, MaxSections: 3, Seed: 9}
-	if p, err = req.Point(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Shortcut || p.Topology != "mesh" || p.MaxSections != 3 || p.Seed != 9 {
-		t.Errorf("explicit point = %+v", p)
+	qs := func(p sweep.Point) sweep.Point { p.Kernel, p.Name = 2, "comparisonSort/quickSort"; return p }
+	for _, c := range []struct {
+		run   RunRequest
+		sweep SweepRequest
+		want  sweep.Point // the zero point where the request is refused
+		err   string      // the refusal, or "" where the request is accepted
+	}{
+		{RunRequest{Kernel: "quicksort"}, SweepRequest{Kernels: []KernelSel{"quicksort"}},
+			qs(sweep.Point{N: 64, Cores: 1, Topology: sweep.TopoCrossbar, Shortcut: true, Seed: 1}), ""},
+		{RunRequest{Kernel: "2", N: 8, Cores: 4, Topology: "mesh", Shortcut: &off, MaxSections: 3, Seed: 9},
+			SweepRequest{Kernels: []KernelSel{"2"}, Sizes: []int{8}, Cores: []int{4}, Topologies: []string{"mesh"},
+				Shortcut: []bool{false}, MaxSections: []int{3}, Seed: 9},
+			qs(sweep.Point{N: 8, Cores: 4, Topology: "mesh", Shortcut: false, MaxSections: 3, Seed: 9}), ""},
+		{RunRequest{Kernel: "2", N: 1}, SweepRequest{Kernels: []KernelSel{"2"}, Sizes: []int{1}},
+			qs(sweep.Point{N: 1, Cores: 1, Topology: sweep.TopoCrossbar, Shortcut: true, Seed: 1}), ""},
+		{RunRequest{Kernel: "2", N: -1}, SweepRequest{Kernels: []KernelSel{"2"}, Sizes: []int{-1}},
+			sweep.Point{}, "sweep: bad dataset size -1"},
+		{RunRequest{Kernel: "2", Cores: -1}, SweepRequest{Kernels: []KernelSel{"2"}, Cores: []int{-1}},
+			sweep.Point{}, "sweep: bad core count -1"},
+		{RunRequest{Kernel: "2", MaxSections: -1}, SweepRequest{Kernels: []KernelSel{"2"}, MaxSections: []int{-1}},
+			sweep.Point{}, "sweep: bad max-sections cap -1"},
+		{RunRequest{Kernel: "2", Topology: "torus"}, SweepRequest{Kernels: []KernelSel{"2"}, Topologies: []string{"torus"}},
+			sweep.Point{}, `sweep: unknown topology "torus" (want crossbar|ring|mesh)`},
+		{RunRequest{Kernel: "2", N: maxN + 1}, SweepRequest{Kernels: []KernelSel{"2"}, Sizes: []int{maxN + 1}},
+			sweep.Point{}, fmt.Sprintf("dataset size %d above the limit of %d", maxN+1, maxN)},
+		{RunRequest{Kernel: "2", Cores: maxCores + 1}, SweepRequest{Kernels: []KernelSel{"2"}, Cores: []int{maxCores + 1}},
+			sweep.Point{}, fmt.Sprintf("core count %d above the limit of %d", maxCores+1, maxCores)},
+		{RunRequest{}, SweepRequest{Kernels: []KernelSel{""}}, sweep.Point{}, "kernel is required"},
+	} {
+		if got := c.run.sweepRequest(); !reflect.DeepEqual(got, c.sweep) {
+			t.Errorf("%+v stands for %+v, want %+v", c.run, got, c.sweep)
+		}
+		p, err := c.run.Point()
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
+		if p != c.want || msg != c.err {
+			t.Errorf("%+v resolves to %+v, %v; want %+v, %q", c.run, p, err, c.want, c.err)
+		}
 	}
 }
 

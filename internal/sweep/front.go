@@ -10,19 +10,21 @@ import (
 )
 
 // frontEnd is the half of a point that no chip coordinate touches: the
-// kernel compiled at one dataset size, and the cache key's hash state once
-// that program and the seed's inputs have been absorbed (keyPrefix). The
-// scaling study holds exactly this fixed while it varies cores, topology,
-// shortcut and cap, so every point of a Front shares one, and it keeps the
-// flights of those points.
+// kernel compiled at one dataset size, the seed's inputs, and the cache key's
+// hash state once both have been absorbed (keyPrefix). The scaling study
+// holds exactly this fixed while it varies cores, topology, shortcut and cap,
+// so every point of a Front shares one, and it keeps the flights of those
+// points.
 //
-// The program is shared read-only by every machine the engine binds to it:
-// the machine, the emulator and backend.Inject only read Text, Data and
-// DataSyms.
+// The program and the inputs are shared read-only by every machine the
+// engine binds to them: the machine, the emulator and backend.Inject only
+// read Text, Data and DataSyms, and Inject and the reference checksums only
+// read the inputs.
 type frontEnd struct {
 	once   sync.Once
 	front  Front
 	prog   *isa.Program
+	in     pbbs.Inputs
 	prefix []byte
 	err    error
 
@@ -58,11 +60,12 @@ type flight struct {
 const (
 	// memoBudget bounds the bytes the memo retains, front ends and
 	// remembered outcomes alike: about a thousand front ends (the eleven
-	// kernels at n=64 come to 330 KB, quickSort at n=512 to 28 KB) next to
+	// kernels at n=64 come to 353 KB, quickSort at n=512 to 32 KB) next to
 	// some hundred thousand outcomes.
 	memoBudget = 64 << 20
 	// frontOverhead is charged per front end for the entry itself, its hash
-	// state and its map slot, so that failed builds are bounded too.
+	// state, its input map and its map slot, so that failed builds are
+	// bounded too.
 	frontOverhead = 512
 	// outcomeSize is charged per remembered outcome: its flight, channel,
 	// key and map slot.
@@ -110,14 +113,20 @@ func (fm *frontMemo) get(k *pbbs.Kernel, n int, seed uint64) (fe *frontEnd, buil
 	return fe, built
 }
 
-// build compiles and hashes the front end and returns the bytes it retains.
+// build compiles the front end, generates its inputs and hashes both, and
+// returns the bytes it retains.
 func (fe *frontEnd) build(k *pbbs.Kernel, n int, seed uint64) int {
 	fe.prog, fe.err = k.Build(n, minic.ModeFork)
 	if fe.err != nil {
 		return frontOverhead
 	}
-	fe.prefix = keyPrefix(fe.prog, k.Gen(n, seed))
-	return frontOverhead + len(fe.prog.Text)*int(unsafe.Sizeof(isa.Instruction{})) + len(fe.prog.Data)
+	fe.in = k.Gen(n, seed)
+	fe.prefix = keyPrefix(fe.prog, fe.in)
+	size := frontOverhead + len(fe.prog.Text)*int(unsafe.Sizeof(isa.Instruction{})) + len(fe.prog.Data)
+	for _, words := range fe.in {
+		size += 8 * len(words)
+	}
+	return size
 }
 
 // join returns the flight of chip c in the front end the memo holds for fe's

@@ -172,8 +172,6 @@ func (e *Engine) Measure(p Point) Record {
 		return rec
 	}
 
-	// Only a miss needs the inputs themselves; the key already covers them.
-	prog, in := fe.prog, k.Gen(p.N, p.Seed)
 	cfg, err := configOf(p)
 	if err != nil {
 		return fail(err)
@@ -182,11 +180,11 @@ func (e *Engine) Measure(p Point) Record {
 	// run, so SimNs reflects what the pool amortizes: a pooled Get rebinds
 	// warmed arenas where a fresh construction allocates them.
 	start := time.Now()
-	sim, err := e.Pool.Get("", prog, cfg)
+	sim, err := e.Pool.Get("", fe.prog, cfg)
 	if err != nil {
 		return fail(err)
 	}
-	if err := backend.Inject(prog, sim.DMH(), in); err != nil {
+	if err := backend.Inject(fe.prog, sim.DMH(), fe.in); err != nil {
 		return fail(err)
 	}
 	mr, err := sim.Run()
@@ -197,7 +195,7 @@ func (e *Engine) Measure(p Point) Record {
 	// A faulted machine is not returned to the pool; this one ran clean.
 	e.Pool.Put("", sim)
 	e.count(func(s *Stats) { s.Simulated++ })
-	want, err := k.Ref(p.N, in)
+	want, err := k.Ref(p.N, fe.in)
 	if err != nil {
 		return fail(fmt.Errorf("reference: %w", err))
 	}
@@ -218,13 +216,9 @@ func configOf(p Point) (machine.Config, error) {
 	if err != nil {
 		return machine.Config{}, err
 	}
-	return machine.Config{
-		Cores:              p.Cores,
-		Net:                net,
-		CreateLatency:      2,
-		Shortcut:           p.Shortcut,
-		MaxSectionsPerCore: p.MaxSections,
-	}, nil
+	cfg := machine.DefaultConfig(p.Cores)
+	cfg.Net, cfg.Shortcut, cfg.MaxSectionsPerCore = net, p.Shortcut, p.MaxSections
+	return cfg, nil
 }
 
 // metricsOf is what a point records of its machine run, simNs the host

@@ -34,8 +34,8 @@ const (
 )
 
 // Topologies lists the supported NoC topology names, in catalog order.
-// internal/noc.Catalog is the single source of truth; the constants above
-// exist so grid code can name topologies without indexing the catalog.
+// internal/noc's topology table is the single source of truth; the constants
+// above exist so grid code can name topologies without indexing the catalog.
 var Topologies = func() []string {
 	cat := noc.Catalog()
 	names := make([]string, len(cat))
@@ -46,21 +46,10 @@ var Topologies = func() []string {
 }()
 
 // MakeNet builds the named topology over the given core count with unit hop
-// latency. Meshes use the most square w×h factorisation of cores.
+// latency (noc.New; meshes take the most square w×h factorisation of cores).
 func MakeNet(name string, cores int) (noc.Network, error) {
-	switch name {
-	case TopoCrossbar:
-		return noc.NewCrossbar(cores, 1), nil
-	case TopoRing:
-		return noc.NewRing(cores, 1), nil
-	case TopoMesh:
-		w := 1
-		for d := 1; d*d <= cores; d++ {
-			if cores%d == 0 {
-				w = d
-			}
-		}
-		return noc.NewMesh(w, cores/w, 1), nil
+	if net, ok := noc.New(name, cores); ok {
+		return net, nil
 	}
 	return nil, fmt.Errorf("sweep: unknown topology %q (want %s)", name, strings.Join(Topologies, "|"))
 }

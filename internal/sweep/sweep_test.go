@@ -101,8 +101,14 @@ func TestMakeNet(t *testing.T) {
 			}
 		}
 	}
-	if _, err := MakeNet("torus", 4); err == nil {
-		t.Error("MakeNet accepted an unknown topology")
+	// Meshes take the most square w×h factorisation of the core count.
+	for cores, want := range map[int]string{6: "mesh(2x3,hop=1)", 7: "mesh(1x7,hop=1)", 16: "mesh(4x4,hop=1)"} {
+		if n, err := MakeNet(TopoMesh, cores); err != nil || n.Name() != want {
+			t.Errorf("mesh over %d cores = %v, %v; want %s", cores, n, err, want)
+		}
+	}
+	if _, err := MakeNet("torus", 4); err == nil || err.Error() != `sweep: unknown topology "torus" (want crossbar|ring|mesh)` {
+		t.Errorf("MakeNet(torus) error = %v", err)
 	}
 }
 
