@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/machine"
@@ -43,15 +44,23 @@ func parseShortcutAxis(s string) ([]bool, error) {
 	return out, nil
 }
 
+// shortcutName is the -shortcut value that stands for one shortcut setting.
+func shortcutName(on bool) string {
+	if on {
+		return "on"
+	}
+	return "off"
+}
+
 func cmdSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ContinueOnError)
 	kernels := fs.String("kernels", "all", kernelSelUsage)
-	sizes := fs.String("sizes", "64", "comma-separated dataset sizes")
+	sizes := fs.String("sizes", strconv.Itoa(sweep.DefaultSize), "comma-separated dataset sizes")
 	cores := fs.String("cores", "1,4,16", "comma-separated core counts")
 	topos := fs.String("topos", sweep.TopoCrossbar, "comma-separated NoC topologies ("+strings.Join(sweep.Topologies, ",")+")")
-	shortcut := fs.String("shortcut", "on", "call-level shortcut axis: on, off or both")
-	maxsec := fs.String("maxsec", "0", "comma-separated MaxSectionsPerCore caps (0 = spread)")
-	seed := fs.Uint64("seed", 1, "workload seed")
+	shortcut := fs.String("shortcut", shortcutName(sweep.DefaultShortcut), "call-level shortcut axis: on, off or both")
+	maxsec := fs.String("maxsec", strconv.Itoa(sweep.DefaultMaxSections), "comma-separated MaxSectionsPerCore caps (0 = spread)")
+	seed := fs.Uint64("seed", sweep.DefaultSeed, "workload seed")
 	workers := fs.Int("workers", 0, "measurement workers (0 = GOMAXPROCS)")
 	out := fs.String("o", "", "write results incrementally to this JSONL file")
 	cacheDir := fs.String("cache", ".sweep-cache", "result cache directory (empty disables caching)")

@@ -241,7 +241,7 @@ func (w *Worker) post(ctx context.Context, path string, in, out any) error {
 		}
 		return &statusError{code: resp.StatusCode, msg: string(msg)}
 	}
-	return json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(out)
+	return json.NewDecoder(io.LimitReader(resp.Body, maxBody)).Decode(out)
 }
 
 // sleep waits d or until ctx ends.

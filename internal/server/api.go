@@ -13,17 +13,22 @@ import (
 // pbbs.Find accepts. Both JSON numbers and JSON strings are accepted.
 type KernelSel string
 
-// UnmarshalJSON implements json.Unmarshaler.
+// UnmarshalJSON implements json.Unmarshaler. The first byte picks the
+// decode: a JSON string decodes as a string, anything else as a number, which
+// null passes as the empty selector.
 func (k *KernelSel) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		*k = KernelSel(s)
-		return nil
-	}
-	var n json.Number
-	if err := json.Unmarshal(b, &n); err == nil {
-		*k = KernelSel(n.String())
-		return nil
+	if len(b) > 0 && b[0] == '"' {
+		var s string
+		if err := json.Unmarshal(b, &s); err == nil {
+			*k = KernelSel(s)
+			return nil
+		}
+	} else {
+		var n json.Number
+		if err := json.Unmarshal(b, &n); err == nil {
+			*k = KernelSel(n.String())
+			return nil
+		}
 	}
 	return fmt.Errorf("kernel selector must be a number or a string, got %s", b)
 }

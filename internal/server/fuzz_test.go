@@ -6,11 +6,12 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/jsonhttp"
 	"repro/internal/pbbs"
 	"repro/internal/sweep"
 )
 
-// The request decoders' contract, for any bytes a client can POST: decode
+// The request decoders' contract, for any bytes a client can POST: decoding
 // (strict JSON, 1 MiB) and then Spec or Point either refuse with an error or
 // resolve to something within the caps a request may ask for — never a panic,
 // and never a grid, core count or dataset size past maxGridPoints, maxCores or
@@ -28,9 +29,9 @@ func seedBodies(f *testing.F) {
 	}
 }
 
-// decodeBytes runs body through decode, as a POST of it would.
+// decodeBytes decodes body as a POST of it would be.
 func decodeBytes(body []byte, v any) error {
-	_, err := decode(httptest.NewRecorder(), httptest.NewRequest("POST", "/", bytes.NewReader(body)), v)
+	_, err := jsonhttp.Decode(httptest.NewRecorder(), httptest.NewRequest("POST", "/", bytes.NewReader(body)), maxBody, v)
 	return err
 }
 

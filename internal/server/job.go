@@ -51,22 +51,27 @@ type Job struct {
 	errMsg   string
 	started  time.Time
 	finished time.Time
-	recs     []sweep.Record
-	wake     chan struct{} // closed and replaced on every state/record change
+	recs     []sweep.Record // allocated at the grid's size by setRunning
+	// wake is made by the first watch after a change and closed by the
+	// change: nil while nobody waits, so a job nobody follows makes none.
+	wake chan struct{}
 }
 
 func newJob(id string, kind Kind, spec *sweep.Spec, point *sweep.Point, grid int) *Job {
 	return &Job{
 		ID: id, Kind: kind, Created: time.Now(),
 		spec: spec, point: point, grid: grid,
-		state: StateSubmitted, wake: make(chan struct{}),
+		state: StateSubmitted,
 	}
 }
 
-// signal wakes every watcher. Callers hold j.mu.
+// signal wakes every watcher, if watch handed a channel out. Callers hold
+// j.mu.
 func (j *Job) signal() {
-	close(j.wake)
-	j.wake = make(chan struct{})
+	if j.wake != nil {
+		close(j.wake)
+		j.wake = nil
+	}
 }
 
 func (j *Job) setRunning() {
@@ -74,6 +79,7 @@ func (j *Job) setRunning() {
 	defer j.mu.Unlock()
 	j.state = StateRunning
 	j.started = time.Now()
+	j.recs = make([]sweep.Record, 0, j.grid)
 	j.signal()
 }
 
@@ -106,17 +112,24 @@ func (j *Job) terminal() bool {
 	return j.state == StateDone || j.state == StateFailed
 }
 
-// watch returns the records past from, whether the job has finished, and a
-// channel that closes on the next change — the streaming primitive behind
-// GET /v1/sweeps/{id}/results. The returned slice aliases the job's records,
-// which are append-only, so reading it without the lock is safe.
+// watch returns the records past from, whether the job has finished, and,
+// while it has not, a channel that closes on the next change — the streaming
+// primitive behind GET /v1/sweeps/{id}/results. The returned slice aliases
+// the job's records, which are append-only into a slice that setRunning sized
+// for the whole grid, so reading it without the lock is safe.
 func (j *Job) watch(from int) (news []sweep.Record, finished bool, wake <-chan struct{}) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if from < len(j.recs) {
 		news = j.recs[from:]
 	}
-	return news, j.state == StateDone || j.state == StateFailed, j.wake
+	if j.state == StateDone || j.state == StateFailed {
+		return news, true, nil
+	}
+	if j.wake == nil {
+		j.wake = make(chan struct{})
+	}
+	return news, false, j.wake
 }
 
 // Status is the wire form of a job, returned by the status and list

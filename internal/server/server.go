@@ -3,12 +3,11 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"time"
 
+	"repro/internal/jsonhttp"
 	"repro/internal/machine"
 	"repro/internal/noc"
 	"repro/internal/pbbs"
@@ -76,30 +75,24 @@ func (s *Server) Handler() http.Handler { return s.logged(s.mux) }
 // HTTP listener has stopped.
 func (s *Server) Drain(ctx context.Context) error { return s.mgr.Drain(ctx) }
 
+// writeJSON answers with v as the JSON body and logs a failed write.
 func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	s.logWriteError(jsonhttp.Write(w, code, v))
+}
+
+// writeError answers with a JSON {"error": ...} body and logs a failed write.
+func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
+	s.logWriteError(jsonhttp.Error(w, code, format, args...))
+}
+
+func (s *Server) logWriteError(err error) {
+	if err != nil {
 		s.log.Warn("response write failed", "error", err)
 	}
 }
 
-func (s *Server) writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	s.writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// decode parses a JSON request body strictly: unknown fields are an error
-// (they are always a misspelled axis), bodies are capped at 1 MiB. A failure
-// comes with its status: 413 for a body over the cap, 400 for anything else.
-func decode(w http.ResponseWriter, r *http.Request, v any) (int, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
-		return http.StatusRequestEntityTooLarge, err
-	}
-	return http.StatusBadRequest, err
-}
+// maxBody caps a request body (jsonhttp.Decode answers 413 past it).
+const maxBody = 1 << 20
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, map[string]any{
@@ -127,7 +120,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if code, err := decode(w, r, &req); err != nil {
+	if code, err := jsonhttp.Decode(w, r, maxBody, &req); err != nil {
 		s.writeError(w, code, "bad request body: %v", err)
 		return
 	}
@@ -146,7 +139,7 @@ func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleSubmitRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if code, err := decode(w, r, &req); err != nil {
+	if code, err := jsonhttp.Decode(w, r, maxBody, &req); err != nil {
 		s.writeError(w, code, "bad request body: %v", err)
 		return
 	}
@@ -191,8 +184,8 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	n := 0
 	for {
 		recs, finished, wake := j.watch(n)
-		for _, rec := range recs {
-			if err := enc.Encode(rec); err != nil {
+		for i := range recs {
+			if err := enc.Encode(&recs[i]); err != nil {
 				return
 			}
 			n++

@@ -576,6 +576,45 @@ func TestKernelSelUnmarshal(t *testing.T) {
 	if len(spec.Kernels) != 2 || spec.Kernels[0] != 2 {
 		t.Errorf("resolved kernels = %+v", spec.Kernels)
 	}
+
+	// Every kind of JSON value, in a request body and alone: a string or a
+	// number is the selector its text spells, null the empty selector, and
+	// anything else a refusal naming the value.
+	refused := func(v string) string { return "kernel selector must be a number or a string, got " + v }
+	for _, c := range []struct{ in, want, err string }{
+		{`2`, "2", ""},
+		{`"2"`, "2", ""},
+		{`-1`, "-1", ""},
+		{`2.5`, "2.5", ""},
+		{`1e3`, "1e3", ""},
+		{`"2.5"`, "2.5", ""},
+		{`"bfs"`, "bfs", ""},
+		{`""`, "", ""},
+		{`null`, "", ""},
+		{`true`, "", refused("true")},
+		{`{}`, "", refused("{}")},
+		{`[]`, "", refused("[]")},
+		{`[2]`, "", refused("[2]")},
+	} {
+		var run RunRequest
+		err := json.Unmarshal([]byte(`{"kernel":`+c.in+`}`), &run)
+		msg := ""
+		if err != nil {
+			msg = err.Error()
+		}
+		if msg != c.err || (err == nil && run.Kernel != KernelSel(c.want)) {
+			t.Errorf(`{"kernel":%s} decodes to %q, %v; want %q, %q`, c.in, run.Kernel, err, c.want, c.err)
+		}
+		sel := KernelSel("before")
+		err = sel.UnmarshalJSON([]byte(c.in))
+		msg = ""
+		if err != nil {
+			msg = err.Error()
+		}
+		if msg != c.err || (err == nil && sel != KernelSel(c.want)) {
+			t.Errorf("UnmarshalJSON(%s) = %q, %v; want %q, %q", c.in, sel, err, c.want, c.err)
+		}
+	}
 }
 
 // TestRunRequestDefaults: a run request stands for its one-point sweep

@@ -20,6 +20,7 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/noc"
@@ -31,6 +32,15 @@ const (
 	TopoCrossbar = "crossbar"
 	TopoRing     = "ring"
 	TopoMesh     = "mesh"
+)
+
+// The values Normalize gives a defaulted axis (besides every kernel, one core
+// and TopoCrossbar); `repro sweep`'s flags default to them too.
+const (
+	DefaultSize        = 64
+	DefaultShortcut    = true
+	DefaultMaxSections = 0
+	DefaultSeed        = 1
 )
 
 // Topologies lists the supported NoC topology names, in catalog order.
@@ -88,7 +98,7 @@ func (s *Spec) Normalize() error {
 		}
 	}
 	if len(s.Sizes) == 0 {
-		s.Sizes = []int{64}
+		s.Sizes = []int{DefaultSize}
 	}
 	for _, n := range s.Sizes {
 		if n <= 0 {
@@ -107,15 +117,16 @@ func (s *Spec) Normalize() error {
 		s.Topologies = []string{TopoCrossbar}
 	}
 	for _, t := range s.Topologies {
-		if _, err := MakeNet(t, 1); err != nil {
+		if !slices.Contains(Topologies, t) {
+			_, err := MakeNet(t, 1) // words the refusal
 			return err
 		}
 	}
 	if len(s.Shortcut) == 0 {
-		s.Shortcut = []bool{true}
+		s.Shortcut = []bool{DefaultShortcut}
 	}
 	if len(s.MaxSections) == 0 {
-		s.MaxSections = []int{0}
+		s.MaxSections = []int{DefaultMaxSections}
 	}
 	for _, ms := range s.MaxSections {
 		if ms < 0 {
@@ -123,7 +134,7 @@ func (s *Spec) Normalize() error {
 		}
 	}
 	if s.Seed == 0 {
-		s.Seed = 1
+		s.Seed = DefaultSeed
 	}
 	return nil
 }
@@ -169,36 +180,36 @@ func (p Point) Config() string {
 }
 
 // Points enumerates the grid in deterministic order: kernel, size, cores,
-// topology, shortcut, cap. Sizes below a kernel's minimum clamp onto the
-// same point; such duplicates are enumerated once.
+// topology, shortcut, cap. Each axis keeps a repeated value at its first
+// occurrence only, and a kernel, which runs every size at or below its
+// minimum at the minimum, keeps the first such size only. The grid is a
+// nested product, so this enumerates every distinct point once, in the order
+// of its first occurrence. The result is allocated once, at the product of
+// the axes' distinct lengths, and the spec's axes are only read.
 func (s *Spec) Points() ([]Point, error) {
 	if err := s.Normalize(); err != nil {
 		return nil, err
 	}
-	var pts []Point
-	seen := make(map[Point]bool)
-	for _, id := range s.Kernels {
-		k, err := pbbs.ByID(id)
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range s.Sizes {
-			n = k.ClampN(n)
-			for _, cores := range s.Cores {
-				for _, topo := range s.Topologies {
-					for _, sc := range s.Shortcut {
-						for _, secCap := range s.MaxSections {
-							p := Point{
-								Kernel: k.ID, Name: k.Name, N: n,
-								Cores: cores, Topology: topo,
+	kernels, sizes, cores := distinct(s.Kernels), distinct(s.Sizes), distinct(s.Cores)
+	topos, shortcut, caps := distinct(s.Topologies), distinct(s.Shortcut), distinct(s.MaxSections)
+	pts := make([]Point, 0, len(kernels)*len(sizes)*len(cores)*len(topos)*len(shortcut)*len(caps))
+	for _, id := range kernels {
+		k, _ := pbbs.ByID(id) // Normalize resolved every kernel
+		atMin := slices.IndexFunc(sizes, func(n int) bool { return n <= k.MinN })
+		for i, n := range sizes {
+			if n <= k.MinN && i != atMin {
+				continue
+			}
+			for _, c := range cores {
+				for _, topo := range topos {
+					for _, sc := range shortcut {
+						for _, secCap := range caps {
+							pts = append(pts, Point{
+								Kernel: k.ID, Name: k.Name, N: k.ClampN(n),
+								Cores: c, Topology: topo,
 								Shortcut: sc, MaxSections: secCap,
 								Seed: s.Seed,
-							}
-							if seen[p] {
-								continue
-							}
-							seen[p] = true
-							pts = append(pts, p)
+							})
 						}
 					}
 				}
@@ -206,6 +217,40 @@ func (s *Spec) Points() ([]Point, error) {
 		}
 	}
 	return pts, nil
+}
+
+// distinct returns axis with every value kept at its first occurrence only:
+// axis itself, unmodified and without allocating, when no value repeats. A
+// value repeats if it is among the distinct values before it, found by
+// scanning them or, on an axis longer than 64 values, in a set: the server
+// admits axes of 65 536 values, whose scans would take most of a second.
+func distinct[T comparable](axis []T) []T {
+	var set map[T]bool
+	if len(axis) > 64 {
+		set = make(map[T]bool, len(axis))
+	}
+	var out []T // the distinct values so far, once a value has repeated
+	for i, v := range axis {
+		var repeat bool
+		switch {
+		case set != nil:
+			repeat, set[v] = set[v], true
+		case out == nil:
+			repeat = slices.Contains(axis[:i], v)
+		default:
+			repeat = slices.Contains(out, v)
+		}
+		switch {
+		case repeat && out == nil:
+			out = append(make([]T, 0, len(axis)-1), axis[:i]...)
+		case !repeat && out != nil:
+			out = append(out, v)
+		}
+	}
+	if out == nil {
+		return axis
+	}
+	return out
 }
 
 // Metrics is what one machine run yields for a point: the scaling quantities

@@ -3,9 +3,11 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -56,6 +58,79 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// mapPoints is the reference enumeration Points must reproduce: the nested
+// product of the raw axes in grid order, each size clamped per kernel, with a
+// set of the points seen so far dropping every repeat.
+func mapPoints(t *testing.T, s Spec) []Point {
+	t.Helper()
+	if err := s.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	var pts []Point
+	seen := make(map[Point]bool)
+	for _, id := range s.Kernels {
+		k, err := pbbs.ByID(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range s.Sizes {
+			for _, cores := range s.Cores {
+				for _, topo := range s.Topologies {
+					for _, sc := range s.Shortcut {
+						for _, secCap := range s.MaxSections {
+							p := Point{Kernel: k.ID, Name: k.Name, N: k.ClampN(n), Cores: cores,
+								Topology: topo, Shortcut: sc, MaxSections: secCap, Seed: s.Seed}
+							if !seen[p] {
+								seen[p] = true
+								pts = append(pts, p)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return pts
+}
+
+// checkPoints compares s.Points with mapPoints, content and order, and checks
+// that Points changed none of the caller's axes beyond Normalize's defaults.
+func checkPoints(t *testing.T, s *Spec) {
+	t.Helper()
+	normal := Spec{
+		Kernels: slices.Clone(s.Kernels), Sizes: slices.Clone(s.Sizes), Cores: slices.Clone(s.Cores),
+		Topologies: slices.Clone(s.Topologies), Shortcut: slices.Clone(s.Shortcut),
+		MaxSections: slices.Clone(s.MaxSections), Seed: s.Seed,
+	}
+	want := mapPoints(t, normal)
+	if err := normal.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("Points(%+v) =\n%+v\nwant (the map-deduplicated product)\n%+v", normal, got, want)
+	}
+	if !reflect.DeepEqual(*s, normal) {
+		t.Errorf("Points changed the caller's axes to %+v from %+v", *s, normal)
+	}
+}
+
+// withMinN raises kernel id's minimum dataset size for the rest of the test.
+// Every registered kernel's minimum is 2, so this is what makes a size clamp
+// onto a point for one kernel and not for another.
+func withMinN(t *testing.T, id, minN int) {
+	k, err := pbbs.ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := k.MinN
+	k.MinN = minN
+	t.Cleanup(func() { k.MinN = old })
+}
+
 func TestPointsDedupClampedSizes(t *testing.T) {
 	k, err := pbbs.ByID(2)
 	if err != nil {
@@ -70,6 +145,38 @@ func TestPointsDedupClampedSizes(t *testing.T) {
 	if len(pts) != 1 || pts[0].N != k.MinN {
 		t.Errorf("points = %+v, want one point at the clamped size %d", pts, k.MinN)
 	}
+
+	withMinN(t, 10, 8)
+	for _, s := range []*Spec{
+		// Duplicates on every axis.
+		{Kernels: []int{10, 2, 10}, Sizes: []int{16, 8, 16, 8}, Cores: []int{4, 1, 4},
+			Topologies: []string{TopoRing, TopoCrossbar, TopoRing}, Shortcut: []bool{true, false, true, false},
+			MaxSections: []int{0, 2, 0, 2}, Seed: 3},
+		// Sizes below kernel 10's minimum of 8 collapse for it, not for 2:
+		// 3, 1 and 5 all run at 8 on kernel 10 (at the place of 3), while
+		// kernel 2 runs 3 and 5 and clamps only 1 (onto its minimum of 2).
+		{Kernels: []int{2, 10}, Sizes: []int{3, 12, 1, 5, 8, 2}},
+		{Kernels: []int{10, 2}, Sizes: []int{9, 8, 7, 8, 1}},
+		// Defaulted axes, alone and beside duplicated ones.
+		{},
+		{Kernels: []int{2}},
+		{Sizes: []int{1, 1}, Cores: []int{2, 2}},
+		// Axes past distinct's scan, with repeats early and late.
+		{Kernels: []int{2}, Cores: append(axisOf(100), 7, 100, 1)},
+		{Kernels: []int{2}, Cores: append([]int{5, 5, 5}, axisOf(90)...)},
+		{Kernels: []int{10, 2}, Sizes: append(axisOf(70), axisOf(70)...)},
+	} {
+		checkPoints(t, s)
+	}
+}
+
+// axisOf is the axis 1..n.
+func axisOf(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i + 1
+	}
+	return out
 }
 
 func TestPointsDeterministicOrder(t *testing.T) {
@@ -86,6 +193,37 @@ func TestPointsDeterministicOrder(t *testing.T) {
 	}
 	if len(a) != 8 {
 		t.Errorf("grid size = %d, want 2 kernels × 2 cores × 2 topologies = 8", len(a))
+	}
+	spec := smallSpec()
+	if n := testing.AllocsPerRun(10, func() { _, _ = spec.Points() }); n != 1 {
+		t.Errorf("Points makes %.0f allocations, want 1 (the result)", n)
+	}
+
+	// Seeded random specs over small value pools, so that repeats and
+	// clamps are common and some axes are left to their defaults: each must
+	// enumerate the map-deduplicated product in its order.
+	withMinN(t, 10, 6)
+	rng := rand.New(rand.NewSource(7))
+	pick := func(pool []int) []int {
+		axis := make([]int, rng.Intn(5))
+		for i := range axis {
+			axis[i] = pool[rng.Intn(len(pool))]
+		}
+		return axis
+	}
+	for range 300 {
+		s := &Spec{
+			Kernels: pick([]int{2, 10, 11}), Sizes: pick([]int{1, 2, 5, 6, 7, 16}),
+			Cores: pick([]int{1, 2, 4}), MaxSections: pick([]int{0, 1, 3}),
+			Seed: uint64(rng.Intn(3)),
+		}
+		for range rng.Intn(4) {
+			s.Topologies = append(s.Topologies, Topologies[rng.Intn(len(Topologies))])
+		}
+		for range rng.Intn(3) {
+			s.Shortcut = append(s.Shortcut, rng.Intn(2) == 0)
+		}
+		checkPoints(t, s)
 	}
 }
 
