@@ -27,8 +27,8 @@ const (
 // of the kernel it compiled for its last lease before anything else, so a
 // kernel is normally compiled by one worker only (see Lease). The zero value
 // is not usable; populate Eng (and normally Cache) and share one Coordinator
-// between the HTTP handler and every Run caller. All methods are safe for
-// concurrent use.
+// between the HTTP handler and every Run and Fill caller. All methods are
+// safe for concurrent use.
 type Coordinator struct {
 	// Eng runs sweeps locally when no worker is registered and drains
 	// leftover points when the fleet goes quiet mid-sweep. Required.
@@ -84,8 +84,8 @@ type front struct {
 // task is one grid point awaiting a result. Its ID is the idempotency key:
 // it stays resolvable across lease expiries and re-grants, and is deleted
 // the moment a result is accepted, so every later report of it is a
-// duplicate by construction. The record lands at idx of the owning Run's
-// collector, which decides first-write-wins and streams grid order no matter
+// duplicate by construction. The record lands at idx of the stream the owning
+// Fill fills, which decides first-write-wins and streams grid order no matter
 // which worker finishes what when.
 type task struct {
 	id     string
@@ -236,12 +236,13 @@ func (c *Coordinator) Lease(workerID string) (LeaseResponse, error) {
 // task (see fits) is rejected outright and the point stays pending, so a
 // confused or hostile worker can neither corrupt the grid nor write outside
 // the cache. Successful records are merged into the cache under their content
-// key before they complete their task: completion lets Run emit the record,
-// and a record a client has seen must survive a coordinator restart. A report
-// of more results than a lease holds is refused whole. A report from the
-// worker holding its lease moves the lease's deadline one TTL on: a worker
-// renews the lease of a batch it is still measuring with empty reports, so a
-// batch longer than the TTL is not re-queued while it is measured.
+// key before they complete their task: completion lets the run's readers see
+// the record, and a record a client has seen must survive a coordinator
+// restart. A report of more results than a lease holds is refused whole. A
+// report from the worker holding its lease moves the lease's deadline one TTL
+// on: a worker renews the lease of a batch it is still measuring with empty
+// reports, so a batch longer than the TTL is not re-queued while it is
+// measured.
 func (c *Coordinator) Report(req ReportRequest) (ReportResponse, error) {
 	if len(req.Results) > c.batchSize() {
 		return ReportResponse{}, fmt.Errorf("fabric: report of %d results, a lease holds at most %d", len(req.Results), c.batchSize())
@@ -322,8 +323,8 @@ func (c *Coordinator) mergeIntoCache(rec *sweep.Record) {
 	}
 }
 
-// completeLocked retires t and lands rec at its grid index through the run's
-// collector, reporting whether rec was the first record for that point. A
+// completeLocked retires t and lands rec at its grid index in the run's
+// stream, reporting whether rec was the first record for that point. A
 // task completed while re-queued leaves the queue, so the queue only ever
 // holds undone tasks.
 func (c *Coordinator) completeLocked(t *task, rec sweep.Record) bool {
@@ -529,26 +530,28 @@ func (c *Coordinator) Stats() Stats {
 }
 
 // Run measures every point of the grid, like sweep.Engine.Run and with the
-// same contract: emit (when non-nil) is called from this goroutine in
-// deterministic grid order as each prefix completes, the returned records
-// are in grid order, and per-point failures are joined into the returned
-// error. With no workers registered it delegates to the local engine — the
-// exact single-process path. Otherwise points are queued for lease and a
-// watchdog steals the remainder back for local measurement if the whole
-// fleet goes quiet.
+// same contract: sweep.RunGrid with the coordinator's Fill.
 func (c *Coordinator) Run(spec *sweep.Spec, emit func(sweep.Record)) ([]sweep.Record, error) {
-	pts, err := spec.Points()
-	if err != nil {
-		return nil, err
-	}
+	return sweep.RunGrid(spec, c.Fill, emit)
+}
+
+// Fill lands a record in out for every point, like sweep.Engine.Fill. With no
+// workers registered it is the local engine's Fill — the exact
+// single-process path. Otherwise the points are queued for lease and Fill
+// runs the lease watchdog until out is complete: every tick it expires stale
+// leases between worker polls and, while no worker has contacted the
+// coordinator within the liveness window and points are still pending,
+// drains them on the local engine batch after batch, re-checking liveness
+// (and out) between batches so a fleet that comes back gets the rest.
+func (c *Coordinator) Fill(pts []sweep.Point, out *sweep.Stream) {
 	c.mu.Lock()
 	c.initLocked()
 	if len(c.workers) == 0 || len(pts) == 0 {
 		c.stats.LocalRuns++
 		c.mu.Unlock()
-		return c.Eng.Run(spec, emit)
+		c.Eng.Fill(pts, out)
+		return
 	}
-	out := sweep.NewStream(len(pts))
 	for i, pt := range pts {
 		c.seq++
 		t := &task{id: fmt.Sprintf("t%d", c.seq), pt: pt, out: out, idx: i}
@@ -557,42 +560,21 @@ func (c *Coordinator) Run(spec *sweep.Spec, emit func(sweep.Record)) ([]sweep.Re
 	}
 	c.mu.Unlock()
 
-	stop := make(chan struct{})
-	var watch sync.WaitGroup
-	watch.Add(1)
-	go func() {
-		defer watch.Done()
-		c.watch(stop)
-	}()
-	recs, err := out.Collect(emit)
-	close(stop)
-	watch.Wait()
-	return recs, err
-}
-
-// watch keeps a Run live until stop closes: every tick it expires stale
-// leases between worker polls and, while no worker has contacted the
-// coordinator within the liveness window and points are still pending,
-// drains them on the local engine batch after batch, re-checking liveness
-// (and stop) between batches so a fleet that comes back gets the rest.
-func (c *Coordinator) watch(stop <-chan struct{}) {
-	tick := c.leaseTTL() / 4
-	if tick < 5*time.Millisecond {
-		tick = 5 * time.Millisecond
-	}
-	tk := time.NewTicker(tick)
+	tk := time.NewTicker(max(c.leaseTTL()/4, 5*time.Millisecond))
 	defer tk.Stop()
 	for {
-		select {
-		case <-stop:
+		_, wake := out.Next(0)
+		if wake == nil {
 			return
+		}
+		select {
+		case <-wake:
+			continue
 		case <-tk.C:
 		}
 		for c.drainQuiet() {
-			select {
-			case <-stop:
+			if _, wake := out.Next(0); wake == nil {
 				return
-			default:
 			}
 		}
 	}

@@ -449,3 +449,39 @@ func TestOversizedBodies(t *testing.T) {
 		}
 	}
 }
+
+// TestTrailingData: a protocol body is one JSON value followed by white
+// space at most. A second value or any other data after it is refused with
+// 400 — and 413 once white space runs past the cap — before the handler
+// acts; a body ending in a newline, as json.Encoder writes it, is accepted.
+func TestTrailingData(t *testing.T) {
+	c := &Coordinator{Eng: &sweep.Engine{}, Log: quietLog()}
+	if w := c.Register("pre").Worker; w != "w1" {
+		t.Fatalf("first worker registered as %q", w)
+	}
+	h := c.Handler()
+	const limit = 16 << 20
+	for _, tc := range []struct {
+		path, body string
+		want       int
+	}{
+		{PathRegister, `{"name":"a"}{"name":"b"}`, http.StatusBadRequest},
+		{PathLease, `{"worker":"w1"} garbage`, http.StatusBadRequest},
+		{PathReport, `{"worker":"w1"}]`, http.StatusBadRequest},
+		{PathReport, `{"worker":"w1"}` + strings.Repeat(" ", limit), http.StatusRequestEntityTooLarge},
+		{PathRegister, "{\"name\":\"a\"}\n", http.StatusOK},
+		{PathLease, "{\"worker\":\"w1\"} \r\n\t", http.StatusOK},
+		{PathReport, "{\"worker\":\"w1\"}\n", http.StatusOK},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", tc.path, strings.NewReader(tc.body)))
+		var e struct{ Error string }
+		err := json.NewDecoder(rec.Body).Decode(&e)
+		if rec.Code != tc.want || err != nil || (tc.want != http.StatusOK) != (e.Error != "") {
+			t.Errorf("POST %s %.40q = %d (error %q, %v), want %d", tc.path, tc.body, rec.Code, e.Error, err, tc.want)
+		}
+	}
+	if st := c.Stats(); st.Workers != 2 || st.Reports != 1 {
+		t.Errorf("after the refusals the coordinator counts %d workers and %d reports, want 2 and 1 (the accepted bodies only)", st.Workers, st.Reports)
+	}
+}

@@ -1,7 +1,7 @@
 // Package fabric distributes sweep grids across worker processes.
 //
-// A Coordinator owns the grid: sweeps submitted through Coordinator.Run are
-// split into points, and registered workers lease batches of them over a
+// A Coordinator owns the grid: sweeps submitted through Coordinator.Run or
+// Coordinator.Fill are split into points, and registered workers lease batches of them over a
 // small HTTP/JSON protocol (mounted under /fabric/v1/), measure each point
 // with their local sweep.Engine (machine pool, front-end memo and
 // singleflight intact), and report the records back. A batch follows front

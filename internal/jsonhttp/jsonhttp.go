@@ -7,18 +7,26 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 )
 
-// Decode parses a JSON request body into v strictly: an unknown field is an
-// error (it is always a misspelled one), and the body is capped at limit
-// bytes. A failure comes with its status: 413 for a body over the cap, 400
-// for anything else.
+// Decode parses a JSON request body into v strictly: the body is one value,
+// followed by nothing but white space, an unknown field is an error (it is
+// always a misspelled one), and the body is capped at limit bytes. A failure
+// comes with its status: 413 for a body over the cap, 400 for anything else.
 func Decode(w http.ResponseWriter, r *http.Request, limit int64, v any) (int, error) {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
-	if tooBig := (*http.MaxBytesError)(nil); errors.As(err, &tooBig) {
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if !errors.As(err, new(*http.MaxBytesError)) {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	if errors.As(err, new(*http.MaxBytesError)) {
 		return http.StatusRequestEntityTooLarge, err
 	}
 	return http.StatusBadRequest, err

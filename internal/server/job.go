@@ -31,9 +31,9 @@ const (
 	StateFailed    State = "failed"    // the job (or at least one point) errored
 )
 
-// Job is one submitted unit of work. Records accumulate as the engine emits
-// them — in deterministic grid order — so results can stream while the job
-// still runs.
+// Job is one submitted unit of work. Its records land in its stream as the
+// runner measures them, and readers see them in deterministic grid order, so
+// results can stream while the job still runs.
 type Job struct {
 	// ID addresses the job in the API; IDs are unique per server process.
 	ID string
@@ -42,35 +42,23 @@ type Job struct {
 	// Created is the submission time.
 	Created time.Time
 
-	spec  *sweep.Spec  // the normalised grid (sweep jobs)
-	point *sweep.Point // the single point (run jobs)
-	grid  int          // points in the grid (1 for runs)
+	out *sweep.Stream // the job's records: the grid's, or a run's one point
+	// ended is closed by finish: it releases the results readers of a job
+	// that ended without filling out (failed at shutdown before it ran).
+	ended chan struct{}
 
 	mu       sync.Mutex
 	state    State
 	errMsg   string
 	started  time.Time
 	finished time.Time
-	recs     []sweep.Record // allocated at the grid's size by setRunning
-	// wake is made by the first watch after a change and closed by the
-	// change: nil while nobody waits, so a job nobody follows makes none.
-	wake chan struct{}
 }
 
-func newJob(id string, kind Kind, spec *sweep.Spec, point *sweep.Point, grid int) *Job {
+func newJob(id string, kind Kind, points int) *Job {
 	return &Job{
 		ID: id, Kind: kind, Created: time.Now(),
-		spec: spec, point: point, grid: grid,
+		out: sweep.NewStream(points), ended: make(chan struct{}),
 		state: StateSubmitted,
-	}
-}
-
-// signal wakes every watcher, if watch handed a channel out. Callers hold
-// j.mu.
-func (j *Job) signal() {
-	if j.wake != nil {
-		close(j.wake)
-		j.wake = nil
 	}
 }
 
@@ -79,19 +67,10 @@ func (j *Job) setRunning() {
 	defer j.mu.Unlock()
 	j.state = StateRunning
 	j.started = time.Now()
-	j.recs = make([]sweep.Record, 0, j.grid)
-	j.signal()
-}
-
-func (j *Job) append(r sweep.Record) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.recs = append(j.recs, r)
-	j.signal()
 }
 
 // finish moves the job to done or failed. err carries whole-job failures; a
-// sweep whose points individually failed arrives here with the engine's
+// sweep whose points individually failed arrives here with the stream's
 // joined per-point error.
 func (j *Job) finish(err error) {
 	j.mu.Lock()
@@ -102,7 +81,7 @@ func (j *Job) finish(err error) {
 	} else {
 		j.state = StateDone
 	}
-	j.signal()
+	close(j.ended)
 }
 
 // terminal reports whether the job has finished (done or failed).
@@ -110,26 +89,6 @@ func (j *Job) terminal() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state == StateDone || j.state == StateFailed
-}
-
-// watch returns the records past from, whether the job has finished, and,
-// while it has not, a channel that closes on the next change — the streaming
-// primitive behind GET /v1/sweeps/{id}/results. The returned slice aliases
-// the job's records, which are append-only into a slice that setRunning sized
-// for the whole grid, so reading it without the lock is safe.
-func (j *Job) watch(from int) (news []sweep.Record, finished bool, wake <-chan struct{}) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if from < len(j.recs) {
-		news = j.recs[from:]
-	}
-	if j.state == StateDone || j.state == StateFailed {
-		return news, true, nil
-	}
-	if j.wake == nil {
-		j.wake = make(chan struct{})
-	}
-	return news, false, j.wake
 }
 
 // Status is the wire form of a job, returned by the status and list
@@ -154,9 +113,11 @@ type Status struct {
 func (j *Job) status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	// Read after the state: a finished job's stream is complete.
+	recs := j.out.Prefix()
 	st := Status{
 		ID: j.ID, Kind: j.Kind, State: j.state, Created: j.Created,
-		Points: j.grid, Done: len(j.recs), Error: j.errMsg,
+		Points: j.out.Len(), Done: len(recs), Error: j.errMsg,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -168,20 +129,21 @@ func (j *Job) status() Status {
 	}
 	if j.Kind == KindSweep {
 		st.Results = "/v1/sweeps/" + j.ID + "/results"
-	} else if len(j.recs) > 0 {
-		r := j.recs[0]
+	} else if len(recs) > 0 {
+		r := recs[0]
 		st.Record = &r
 	}
 	return st
 }
 
-// Runner executes sweep grids for the manager: sweep.Engine.Run's exact
-// contract (deterministic grid-order emit, records in grid order, joined
-// per-point errors). The engine itself is the default; the fabric
-// coordinator substitutes the distributed path, sharding grids across
-// registered workers and falling back to the engine with zero workers.
+// Runner measures sweep grids for the manager. Fill lands a record in out for
+// every point, at the point's index, and returns once all have landed; the
+// stream orders them, so a runner may measure in any order. The engine is the
+// default; the fabric coordinator substitutes the distributed path, sharding
+// grids across registered workers and falling back to the engine with zero
+// workers.
 type Runner interface {
-	Run(spec *sweep.Spec, emit func(sweep.Record)) ([]sweep.Record, error)
+	Fill(pts []sweep.Point, out *sweep.Stream)
 }
 
 // Manager owns the job store and executes jobs on the shared sweep engine.
@@ -243,19 +205,19 @@ func (m *Manager) SubmitSweep(spec *sweep.Spec) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.submit(KindSweep, spec, nil, len(pts)), nil
+	return m.submit(KindSweep, pts), nil
 }
 
 // SubmitRun queues a single-point job.
 func (m *Manager) SubmitRun(p sweep.Point) *Job {
-	return m.submit(KindRun, nil, &p, 1)
+	return m.submit(KindRun, []sweep.Point{p})
 }
 
-func (m *Manager) submit(kind Kind, spec *sweep.Spec, point *sweep.Point, grid int) *Job {
+func (m *Manager) submit(kind Kind, pts []sweep.Point) *Job {
 	m.mu.Lock()
 	m.seq++
 	id := fmt.Sprintf("%s-%d", kind, m.seq)
-	j := newJob(id, kind, spec, point, grid)
+	j := newJob(id, kind, len(pts))
 	m.jobs[id] = j
 	m.order = append(m.order, id)
 	m.evictLocked()
@@ -272,8 +234,8 @@ func (m *Manager) submit(kind Kind, spec *sweep.Spec, point *sweep.Point, grid i
 	}
 	m.inflight++
 	m.mu.Unlock()
-	m.log.Info("job submitted", "id", id, "kind", kind, "points", grid)
-	go m.exec(j)
+	m.log.Info("job submitted", "id", id, "kind", kind, "points", len(pts))
+	go m.exec(j, pts)
 	return j
 }
 
@@ -311,7 +273,7 @@ func (m *Manager) evictLocked() {
 	m.order = kept
 }
 
-func (m *Manager) exec(j *Job) {
+func (m *Manager) exec(j *Job, pts []sweep.Point) {
 	defer m.jobDone()
 	select {
 	case m.sem <- struct{}{}:
@@ -325,19 +287,20 @@ func (m *Manager) exec(j *Job) {
 	j.setRunning()
 	var err error
 	if j.Kind == KindRun {
-		rec := m.eng.Measure(*j.point)
+		rec := m.eng.Measure(pts[0])
 		if rec.RequestedN != 0 {
 			// The engine clamped the dataset size up to the kernel's
 			// minimum; say so instead of silently serving a different point.
 			m.log.Info("dataset size clamped", "id", j.ID,
 				"kernel", rec.Name, "requestedN", rec.RequestedN, "effectiveN", rec.N)
 		}
-		j.append(rec)
+		j.out.Complete(0, rec)
 		if rec.Err != "" {
 			err = errors.New(rec.Err)
 		}
 	} else {
-		_, err = m.runner.Run(j.spec, j.append)
+		m.runner.Fill(pts, j.out)
+		_, err = j.out.Collect(nil) // complete: only joins the per-point errors
 	}
 	j.finish(err)
 	st := j.status()

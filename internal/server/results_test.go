@@ -18,22 +18,15 @@ import (
 	"repro/internal/sweep"
 )
 
-// stepRunner is a Runner that emits its grid's records one at a time, each
+// stepRunner is a Runner that lands its grid's records one at a time, each
 // when the test sends on step.
 type stepRunner struct{ step chan struct{} }
 
-func (r stepRunner) Run(spec *sweep.Spec, emit func(sweep.Record)) ([]sweep.Record, error) {
-	pts, err := spec.Points()
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]sweep.Record, len(pts))
+func (r stepRunner) Fill(pts []sweep.Point, out *sweep.Stream) {
 	for i, p := range pts {
 		<-r.step
-		recs[i] = sweep.Record{Point: p, Key: strconv.Itoa(i)}
-		emit(recs[i])
+		out.Complete(i, sweep.Record{Point: p, Key: strconv.Itoa(i)})
 	}
-	return recs, nil
 }
 
 // resultsReader is one GET of a results stream, served on its own goroutine
@@ -77,7 +70,7 @@ func startReader(ctx context.Context, h http.Handler, path string) *resultsReade
 }
 
 // awaitFlush waits until r has flushed at least n records: the handler has
-// written them and is back in watch.
+// written them and is back waiting on the stream.
 func (r *resultsReader) awaitFlush(t *testing.T, n int) {
 	t.Helper()
 	timeout := time.After(10 * time.Second)
@@ -151,6 +144,50 @@ func TestResultsReadersAtEveryStage(t *testing.T) {
 	startReader(ctx, h, st.Results).awaitEnd(t, "late", want.Bytes())
 }
 
+// TestDrainReleasesQueuedResultsReaders: a results reader of a sweep queued
+// behind a full job slot returns, with an empty body, once Drain fails the
+// sweep before it runs. Its stream never fills, so the job's end is what
+// releases the reader.
+func TestDrainReleasesQueuedResultsReaders(t *testing.T) {
+	step := make(chan struct{})
+	srv := New(Config{Engine: &sweep.Engine{}, Runner: stepRunner{step}, Log: quietLog(), MaxConcurrentJobs: 1})
+	h := srv.Handler()
+	submit := func() *Job {
+		post := httptest.NewRecorder()
+		h.ServeHTTP(post, httptest.NewRequest("POST", "/v1/sweeps", strings.NewReader(`{"kernels":[10],"sizes":[8],"cores":[1,2]}`)))
+		var st Status
+		if err := json.NewDecoder(post.Body).Decode(&st); err != nil || post.Code != http.StatusAccepted {
+			t.Fatalf("POST /v1/sweeps = %d, %v", post.Code, err)
+		}
+		j, _ := srv.mgr.Get(st.ID)
+		return j
+	}
+	running := submit()
+	for deadline := time.Now().Add(10 * time.Second); running.status().State != StateRunning; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the first sweep did not start within 10 s")
+		}
+	}
+	queued := submit() // waits for the slot the first holds
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	reader := startReader(ctx, h, queued.status().Results)
+	reader.awaitFlush(t, 0)
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(context.Background()) }()
+	reader.awaitEnd(t, "queued", nil)
+	if st := queued.status(); st.State != StateFailed || st.Done != 0 {
+		t.Errorf("queued sweep after Drain = %s with %d records, want failed with none", st.State, st.Done)
+	}
+	close(step) // the running sweep finishes, and the drain with it
+	if err := <-drained; err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	if st := running.status(); st.State != StateDone || st.Done != 2 {
+		t.Errorf("running sweep after Drain = %s with %d records, want done with 2", st.State, st.Done)
+	}
+}
+
 // discardWriter is a results reader that keeps only the number of records
 // (lines) it was sent.
 type discardWriter struct {
@@ -168,11 +205,13 @@ func (d *discardWriter) Write(b []byte) (int, error) {
 // TestServedPointAllocations is the read path's memory contract: a warm
 // 33-point grid (every kernel at n=8 on 1, 2 and 4 cores) served through
 // Handler(), a POST and then a GET of the results with no status polling,
-// costs at most 1 900 bytes and 5 allocations per served point, the job's
-// execution included. It costs 1 180 B and 3.65 allocations; with the
-// bookkeeping that grew with the grid (a set of its points, a record slice
-// grown by doubling, a wake channel per record, a record boxed per encode) it
-// cost 2 640 B and 6.66.
+// costs at most 1 100 bytes and 5 allocations per served point, the job's
+// execution included. It costs 840 B and 3.42 allocations, the grid expanded
+// once and its records held once, in the job's stream; 1 180 B and 3.65 with
+// a second copy of the records in the job and a second expansion of the grid;
+// and with the bookkeeping that grew with the grid (a set of its points, a
+// record slice grown by doubling, a wake channel per record, a record boxed
+// per encode) 2 640 B and 6.66.
 func TestServedPointAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under -race include the pool's dropped buffers")
@@ -226,7 +265,7 @@ func TestServedPointAllocations(t *testing.T) {
 	bytesPer := float64(after.TotalAlloc-before.TotalAlloc) / served
 	allocsPer := float64(after.Mallocs-before.Mallocs) / served
 	t.Logf("%.0f B and %.2f allocations per served point", bytesPer, allocsPer)
-	if bytesPer > 1900 || allocsPer > 5 {
-		t.Errorf("a served point costs %.0f B and %.2f allocations, want at most 1 900 B and 5", bytesPer, allocsPer)
+	if bytesPer > 1100 || allocsPer > 5 {
+		t.Errorf("a served point costs %.0f B and %.2f allocations, want at most 1 100 B and 5", bytesPer, allocsPer)
 	}
 }

@@ -19,11 +19,11 @@ type Config struct {
 	// Engine is the shared sweep engine (cache, worker pool, scheduler
 	// choice). Required.
 	Engine *sweep.Engine
-	// Runner, when non-nil, executes sweep grids instead of Engine.Run —
-	// the hook the fabric coordinator uses to shard sweeps across
-	// registered workers (single-point runs stay on the engine). It must
-	// honour the engine's Run contract: deterministic grid-order emit and
-	// identical records, so streamed JSONL stays byte-identical.
+	// Runner, when non-nil, fills sweep grids' streams instead of the
+	// engine's Fill — the hook the fabric coordinator uses to shard sweeps
+	// across registered workers (single-point runs stay on the engine). Grid
+	// order is the stream's; a runner only lands the records the engine
+	// would, so streamed JSONL stays byte-identical.
 	Runner Runner
 	// Log receives request and job-lifecycle records; slog.Default when nil.
 	Log *slog.Logger
@@ -181,21 +181,25 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
 	enc := json.NewEncoder(w)
-	n := 0
-	for {
-		recs, finished, wake := j.watch(n)
+	ended := j.ended
+	for n := 0; ; {
+		recs, wake := j.out.Next(n)
 		for i := range recs {
 			if err := enc.Encode(&recs[i]); err != nil {
 				return
 			}
-			n++
 		}
+		n += len(recs)
 		_ = rc.Flush()
-		if finished {
+		if wake == nil || ended == nil {
 			return
 		}
 		select {
 		case <-wake:
+		case <-ended:
+			// One more pass sends what landed before the job ended; a job
+			// failed before it ran never fills its stream.
+			ended = nil
 		case <-r.Context().Done():
 			return
 		}

@@ -311,12 +311,14 @@ var badBodies = []struct{ path, body string }{
 	{"/v1/sweeps", `{"topologies":["torus"]}`},         // unknown topology
 	{"/v1/sweeps", `{"sizes":[0]}`},                    // invalid axis value
 	{"/v1/sweeps", `{"kernels":[true]}`},               // wrong selector type
+	{"/v1/sweeps", `{"kernels":[2]}{"kernels":[3]}`},   // a second value
 	{"/v1/runs", `{`},                                  // malformed JSON
 	{"/v1/runs", `{}`},                                 // missing kernel
 	{"/v1/runs", `{"kernel":"sort"}`},                  // ambiguous selector
 	{"/v1/runs", `{"kernel":"10","topology":"torus"}`}, // unknown topology
 	{"/v1/runs", `{"kernel":"10","cores":-1}`},         // bad core count
 	{"/v1/runs", `{"kernel":"10","maxSections":-1}`},   // bad cap
+	{"/v1/runs", `{"kernel":"10"} garbage`},            // data after the value
 }
 
 func TestBadRequests(t *testing.T) {

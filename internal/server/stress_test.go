@@ -126,23 +126,15 @@ type stubRunner struct {
 	calls int
 }
 
-func (s *stubRunner) Run(spec *sweep.Spec, emit func(sweep.Record)) ([]sweep.Record, error) {
-	pts, err := spec.Points()
-	if err != nil {
-		return nil, err
-	}
-	recs := make([]sweep.Record, len(pts))
+func (s *stubRunner) Fill(pts []sweep.Point, out *sweep.Stream) {
 	for i, p := range pts {
-		recs[i].Point = p
-		recs[i].Cycles = 4242
-		if emit != nil {
-			emit(recs[i])
-		}
+		rec := sweep.Record{Point: p}
+		rec.Cycles = 4242
+		out.Complete(i, rec)
 	}
 	s.mu.Lock()
 	s.calls++
 	s.mu.Unlock()
-	return recs, nil
 }
 
 func (s *stubRunner) count() int {

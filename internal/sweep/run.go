@@ -69,31 +69,45 @@ func (e *Engine) Stats() Stats {
 // MeasureEach measures every point, at most Workers at a time (the bound and
 // its GOMAXPROCS default live in internal/fanout), and returns when all have
 // finished. done(i, rec) is called from the measuring goroutine as soon as
-// point i has its record, in no particular order — hand the records to a
-// Stream to get them back in grid order.
+// point i has its record, in no particular order; Fill lands them in a
+// Stream, which hands them back in grid order.
 func (e *Engine) MeasureEach(pts []Point, done func(i int, rec Record)) {
 	fanout.Each(len(pts), e.Workers, func(i int) { done(i, e.Measure(pts[i])) })
 }
 
-// Run measures every point of the grid. Points are measured concurrently
-// (MeasureEach), but emit (when non-nil) is called from this goroutine in
-// deterministic grid order, as soon as each prefix of the grid is complete —
-// the streaming hook for incremental JSONL output. The returned records are
-// in the same order. Per-point failures are reported inside the records
-// (Record.Err) and joined into the returned error (Stream.Collect).
+// Fill lands a record in out for every point, at the point's index, measuring
+// at most Workers points at a time (MeasureEach), and returns once every
+// record has landed.
+func (e *Engine) Fill(pts []Point, out *Stream) {
+	e.MeasureEach(pts, func(i int, rec Record) { out.Complete(i, rec) })
+}
+
+// Run measures every point of the grid: RunGrid with the engine's Fill.
 func (e *Engine) Run(spec *Spec, emit func(Record)) ([]Record, error) {
+	return RunGrid(spec, e.Fill, emit)
+}
+
+// RunGrid is the one body of Engine.Run and the fabric coordinator's Run. It
+// expands the grid once, has fill land its records in a Stream on a goroutine
+// of its own, and collects them on this one: emit (when non-nil) is called in
+// deterministic grid order as soon as each prefix of the grid is complete —
+// the streaming hook for incremental JSONL output — and the returned records
+// are in the same order. Per-point failures are reported inside the records
+// (Record.Err) and joined into the returned error (Stream.Collect). It
+// returns once fill has.
+func RunGrid(spec *Spec, fill func([]Point, *Stream), emit func(Record)) ([]Record, error) {
 	pts, err := spec.Points()
 	if err != nil {
 		return nil, err
 	}
 	out := NewStream(len(pts))
-	measured := make(chan struct{})
+	filled := make(chan struct{})
 	go func() {
-		defer close(measured)
-		e.MeasureEach(pts, func(i int, rec Record) { out.Complete(i, rec) })
+		defer close(filled)
+		fill(pts, out)
 	}()
 	recs, err := out.Collect(emit)
-	<-measured
+	<-filled
 	return recs, err
 }
 

@@ -6,26 +6,30 @@ import (
 	"sync"
 )
 
-// Stream is the ordered collector of one grid run, the host-side twin of the
+// Stream is the one store of a grid run's records, the host-side twin of the
 // paper's rule that sections complete out of order but retire in the total
 // section order: records land at their grid index from any goroutine, the
-// first record to land at an index wins, and Collect hands the grid out in
-// index order as each prefix completes. Engine.Run and the fabric
-// coordinator both deliver through it, so emit order and the per-point error
+// first record to land at an index wins, and readers see the grid in index
+// order as each prefix completes. Engine.Run, the fabric coordinator and the
+// job server all deliver through it, so emit order and the per-point error
 // join are defined here and nowhere else.
 type Stream struct {
 	mu     sync.Mutex
-	landed sync.Cond // signalled on every first Complete of an index
 	recs   []Record
 	done   []bool
+	landed int // the completed prefix: every index below it has its record
+	// wake is made by the first reader that has to wait and closed by the
+	// Complete that extends the prefix: nil while nobody waits.
+	wake chan struct{}
 }
 
-// NewStream returns a collector for a grid of n points.
+// NewStream returns a store for a grid of n points.
 func NewStream(n int) *Stream {
-	s := &Stream{recs: make([]Record, n), done: make([]bool, n)}
-	s.landed.L = &s.mu
-	return s
+	return &Stream{recs: make([]Record, n), done: make([]bool, n)}
 }
+
+// Len is the number of points in the grid.
+func (s *Stream) Len() int { return len(s.recs) }
 
 // Complete lands rec at grid index i. It reports whether this call was the
 // first for i; a later call leaves the first record in place and returns
@@ -38,7 +42,15 @@ func (s *Stream) Complete(i int, rec Record) bool {
 		return false
 	}
 	s.recs[i], s.done[i] = rec, true
-	s.landed.Broadcast()
+	if i == s.landed {
+		for s.landed < len(s.done) && s.done[s.landed] {
+			s.landed++
+		}
+		if s.wake != nil {
+			close(s.wake)
+			s.wake = nil
+		}
+	}
 	return true
 }
 
@@ -49,6 +61,31 @@ func (s *Stream) Done(i int) bool {
 	return s.done[i]
 }
 
+// Prefix returns the records of the completed prefix, in grid order. Unlike
+// Next it never makes a wake channel.
+func (s *Stream) Prefix() []Record {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.recs[:s.landed]
+}
+
+// Next returns the records of the completed prefix past index from and,
+// while the grid is incomplete, a channel that closes when the prefix next
+// grows; concurrent readers share it. The records are written once, before
+// the prefix covers them, so the returned slice is safe to read unlocked.
+func (s *Stream) Next(from int) ([]Record, <-chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	news := s.recs[min(from, s.landed):s.landed]
+	if s.landed == len(s.recs) {
+		return news, nil
+	}
+	if s.wake == nil {
+		s.wake = make(chan struct{})
+	}
+	return news, s.wake
+}
+
 // Collect blocks until every index has completed. It calls emit (when
 // non-nil) from the caller's goroutine, once per record, in grid order, as
 // soon as each prefix of the grid is complete, and returns the records in the
@@ -56,20 +93,21 @@ func (s *Stream) Done(i int) bool {
 // joined, in grid order, into the returned error.
 func (s *Stream) Collect(emit func(Record)) ([]Record, error) {
 	var errs []error
-	for i := range s.recs {
-		s.mu.Lock()
-		for !s.done[i] {
-			s.landed.Wait()
+	for n := 0; ; {
+		news, wake := s.Next(n)
+		for i := range news {
+			r := &news[i]
+			if emit != nil {
+				emit(*r)
+			}
+			if r.Err != "" {
+				errs = append(errs, fmt.Errorf("%s n=%d %s: %s", r.Name, r.N, r.Config(), r.Err))
+			}
 		}
-		s.mu.Unlock()
-		// recs[i] was written once, before done[i]; nothing writes it again.
-		r := &s.recs[i]
-		if emit != nil {
-			emit(*r)
+		if wake == nil {
+			return s.recs, errors.Join(errs...)
 		}
-		if r.Err != "" {
-			errs = append(errs, fmt.Errorf("%s n=%d %s: %s", r.Name, r.N, r.Config(), r.Err))
-		}
+		n += len(news)
+		<-wake
 	}
-	return s.recs, errors.Join(errs...)
 }

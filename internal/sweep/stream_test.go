@@ -100,6 +100,89 @@ func TestStreamCollectJoinsErrorsInGridOrder(t *testing.T) {
 	}
 }
 
+// TestStreamNextFollowsThePrefix: Next hands out the completed prefix only,
+// and its wake channel is shared by every waiter, closed when the prefix
+// grows and not when an index past a gap lands, and nil once the grid is
+// complete. Prefix never makes one.
+func TestStreamNextFollowsThePrefix(t *testing.T) {
+	s := NewStream(4)
+	closed := func(c <-chan struct{}) bool {
+		select {
+		case <-c:
+			return true
+		default:
+			return false
+		}
+	}
+	if p := s.Prefix(); len(p) != 0 || s.wake != nil {
+		t.Fatalf("Prefix of an empty stream = %d records, wake made %v", len(p), s.wake != nil)
+	}
+	// Four concurrent waiters, each with nothing to read yet.
+	waiters := make(chan (<-chan struct{}))
+	var released sync.WaitGroup
+	for range 4 {
+		released.Add(1)
+		go func() {
+			defer released.Done()
+			recs, w := s.Next(0)
+			if len(recs) != 0 {
+				t.Errorf("Next(0) before any record = %d records, want none", len(recs))
+			}
+			waiters <- w
+			<-w
+		}()
+	}
+	wake := <-waiters
+	for range 3 {
+		if w := <-waiters; w != wake {
+			t.Error("concurrent waiters got different channels, want one shared")
+		}
+	}
+	if wake == nil {
+		t.Fatal("Next(0) of an incomplete grid handed out no channel")
+	}
+	s.Complete(2, streamRec(2))
+	if closed(wake) {
+		t.Error("wake closed when index 2 landed past the gap at 0")
+	}
+	if recs, _ := s.Next(0); len(recs) != 0 {
+		t.Errorf("Next(0) with only index 2 landed = %d records, want none", len(recs))
+	}
+	s.Complete(0, streamRec(0))
+	if !closed(wake) {
+		t.Fatal("wake not closed when index 0 extended the prefix")
+	}
+	released.Wait()
+	recs, wake := s.Next(0)
+	if len(recs) != 1 || recs[0].N != 0 || wake == nil {
+		t.Fatalf("Next(0) after 2 and 0 landed = %d records, wake %v; want index 0 alone and a channel", len(recs), wake)
+	}
+	if recs, _ := s.Next(5); len(recs) != 0 {
+		t.Errorf("Next past the grid = %d records, want none", len(recs))
+	}
+	s.Complete(1, streamRec(1)) // fills the gap: the prefix jumps to 3
+	if !closed(wake) {
+		t.Fatal("wake not closed when index 1 extended the prefix over 2")
+	}
+	recs, wake = s.Next(1)
+	if len(recs) != 2 || recs[0].N != 1 || recs[1].N != 2 || wake == nil {
+		t.Fatalf("Next(1) after 0..2 landed = %d records, wake %v; want indexes 1 and 2 and a channel", len(recs), wake)
+	}
+	if p := s.Prefix(); len(p) != 3 {
+		t.Errorf("Prefix = %d records, want 3", len(p))
+	}
+	s.Complete(3, streamRec(3))
+	if !closed(wake) {
+		t.Fatal("wake not closed by the last record")
+	}
+	if recs, wake := s.Next(3); len(recs) != 1 || recs[0].N != 3 || wake != nil {
+		t.Errorf("Next(3) of a complete grid = %d records, wake %v; want index 3 and no channel", len(recs), wake)
+	}
+	if _, wake := s.Next(4); wake != nil {
+		t.Error("Next(4) of a complete grid handed out a channel")
+	}
+}
+
 // TestMeasureEachMeasuresEveryPointOnce: the engine's fan-out measures every
 // point once and calls done with the matching index.
 func TestMeasureEachMeasuresEveryPointOnce(t *testing.T) {
