@@ -206,8 +206,10 @@ func (d *discardWriter) Write(b []byte) (int, error) {
 // 33-point grid (every kernel at n=8 on 1, 2 and 4 cores) served through
 // Handler(), a POST and then a GET of the results with no status polling,
 // costs at most 1 100 bytes and 5 allocations per served point, the job's
-// execution included. It costs 840 B and 3.42 allocations, the grid expanded
-// once and its records held once, in the job's stream; 1 180 B and 3.65 with
+// execution included. It costs 843 B and 3.44 allocations, the grid expanded
+// once, its records held once, in the job's stream, and appended by hand into
+// one pooled buffer per batch (840 B and 3.42 through json.Encoder, which
+// allocates nothing per record either); 1 180 B and 3.65 with
 // a second copy of the records in the job and a second expansion of the grid;
 // and with the bookkeeping that grew with the grid (a set of its points, a
 // record slice grown by doubling, a wake channel per record, a record boxed
@@ -267,5 +269,79 @@ func TestServedPointAllocations(t *testing.T) {
 	t.Logf("%.0f B and %.2f allocations per served point", bytesPer, allocsPer)
 	if bytesPer > 1100 || allocsPer > 5 {
 		t.Errorf("a served point costs %.0f B and %.2f allocations, want at most 1 100 B and 5", bytesPer, allocsPer)
+	}
+}
+
+// landAllRunner lands every point of its grid at once, each record carrying
+// err, so that one batch of the stream holds the whole grid.
+type landAllRunner struct{ err string }
+
+func (r landAllRunner) Fill(pts []sweep.Point, out *sweep.Stream) {
+	for i, p := range pts {
+		out.Complete(i, sweep.Record{Point: p, Err: r.err})
+	}
+}
+
+// writeSizes is a results reader that keeps the body and the size of every
+// Write.
+type writeSizes struct {
+	body   bytes.Buffer
+	writes []int
+}
+
+func (w *writeSizes) Header() http.Header { return http.Header{} }
+func (w *writeSizes) WriteHeader(int)     {}
+func (w *writeSizes) Write(b []byte) (int, error) {
+	w.writes = append(w.writes, len(b))
+	return w.body.Write(b)
+}
+
+// TestResultsWriteABatchInBoundedPieces: a batch of about 80 KiB of records
+// is sent in Writes that stop at the first record past resultsFlushAt, so the
+// pooled buffer never holds the whole batch, and the body is still the
+// records' JSONL byte for byte.
+func TestResultsWriteABatchInBoundedPieces(t *testing.T) {
+	errText := strings.Repeat("a long failure message ", 30)
+	srv := New(Config{Engine: &sweep.Engine{}, Runner: landAllRunner{errText}, Log: quietLog()})
+	h := srv.Handler()
+	cores := make([]string, 100)
+	for i := range cores {
+		cores[i] = strconv.Itoa(i + 1)
+	}
+	body := `{"kernels":[10],"sizes":[8],"cores":[` + strings.Join(cores, ",") + `]}`
+	post := httptest.NewRecorder()
+	h.ServeHTTP(post, httptest.NewRequest("POST", "/v1/sweeps", strings.NewReader(body)))
+	var st Status
+	if err := json.NewDecoder(post.Body).Decode(&st); err != nil || post.Code != http.StatusAccepted {
+		t.Fatalf("POST /v1/sweeps = %d, %v", post.Code, err)
+	}
+	j, _ := srv.mgr.Get(st.ID)
+	select {
+	case <-j.ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the sweep did not end within 10 s")
+	}
+	var want []byte
+	line := 0 // the longest record's line
+	for _, rec := range j.out.Prefix() {
+		n := len(want)
+		var err error
+		if want, err = rec.AppendJSONL(want); err != nil {
+			t.Fatal(err)
+		}
+		line = max(line, len(want)-n)
+	}
+	got := &writeSizes{}
+	h.ServeHTTP(got, httptest.NewRequest("GET", st.Results, nil))
+	if !bytes.Equal(got.body.Bytes(), want) {
+		t.Fatalf("results differ from the records' JSONL:\n%s\nwant\n%s", got.body.Bytes(), want)
+	}
+	if len(got.writes) < 2 {
+		t.Errorf("%d B of records sent in %d Write, want one per %d B", len(want), len(got.writes), resultsFlushAt)
+	}
+	for i, n := range got.writes {
+		if n >= resultsFlushAt+line {
+			t.Errorf("Write %d sent %d B, past the %d B cap by more than a line (%d B)", i, n, resultsFlushAt, line)
+		}
 	}
 }

@@ -2,9 +2,9 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"log/slog"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/jsonhttp"
@@ -165,11 +165,20 @@ func (s *Server) handleStatus(kind Kind) http.HandlerFunc {
 	}
 }
 
+// resultsFlushAt is the size past which a results stream writes what it has
+// appended before the batch is done, so that a buffer kept in resultsBufs
+// stays near this size whatever the grid.
+const resultsFlushAt = 32 << 10
+
+// resultsBufs holds the results streams' line buffers between requests.
+var resultsBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // handleResults streams a sweep's records as JSONL in deterministic grid
-// order, flushing per record. If the job is still running the stream
-// follows it until completion, so a plain `curl` yields exactly the file
-// `repro sweep -o` would have written for the same grid over the same
-// cache.
+// order: each batch the stream hands out is appended into one pooled buffer
+// and sent with one Write (more past resultsFlushAt), then flushed. If the
+// job is still running the stream follows it until completion, so a plain
+// `curl` yields exactly the file `repro sweep -o` would have written for the
+// same grid over the same cache: both write Record.AppendJSONL's lines.
 func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	j, ok := s.mgr.Get(id)
@@ -180,13 +189,26 @@ func (s *Server) handleResults(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
+	bp := resultsBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	defer func() {
+		*bp = buf
+		resultsBufs.Put(bp)
+	}()
 	ended := j.ended
 	for n := 0; ; {
 		recs, wake := j.out.Next(n)
 		for i := range recs {
-			if err := enc.Encode(&recs[i]); err != nil {
+			var err error
+			if buf, err = recs[i].AppendJSONL(buf); err != nil {
+				_, _ = w.Write(buf) // the records before the one that failed
 				return
+			}
+			if len(buf) >= resultsFlushAt || i == len(recs)-1 {
+				if _, err := w.Write(buf); err != nil {
+					return
+				}
+				buf = buf[:0]
 			}
 		}
 		n += len(recs)
