@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 
+	"repro/internal/asm"
 	"repro/internal/minic"
 	"repro/internal/pbbs"
 )
@@ -58,18 +59,11 @@ func kernelsDump(sel string, n int, mode string) error {
 	if err != nil {
 		return err
 	}
-	prog, err := minic.Parse(src)
-	if err != nil {
-		return fmt.Errorf("kernels: %s: %w", k.Name, err)
-	}
-	if err := minic.Check(prog); err != nil {
-		return fmt.Errorf("kernels: %s: %w", k.Name, err)
-	}
-	asm, err := minic.Generate(prog, m)
+	prog, err := minic.Compile(src, m)
 	if err != nil {
 		return fmt.Errorf("kernels: %s: %w", k.Name, err)
 	}
 	fmt.Printf("// %s (#%d, lang=%s) at n=%d — generated mini-C\n%s\n", k.Name, k.ID, k.Lang, n, src)
-	fmt.Printf("// %s at n=%d — %s-mode assembly\n%s", k.Name, n, mode, asm)
+	fmt.Printf("// %s at n=%d — %s-mode assembly\n%s", k.Name, n, mode, asm.Listing(prog))
 	return nil
 }

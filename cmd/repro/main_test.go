@@ -56,13 +56,15 @@ func TestParseCaps(t *testing.T) {
 
 // TestSelectKernels drives the -kernel selector through cmdILP: "all" is
 // every kernel, a benchmark number and a name substring pick the same one,
-// and an unknown selector is refused before anything is measured.
+// a list of names picks each of them in benchmark order (CI's "smoke ilp"
+// row), and an unknown selector is refused before anything is measured.
 func TestSelectKernels(t *testing.T) {
-	rows := func(sel string) ([]string, error) {
-		out, err := capture(t, func() error { return cmdILP([]string{"-kernel", sel, "-sizes", "8"}) })
+	rowsAt := func(sel, sizes string) ([]string, error) {
+		out, err := capture(t, func() error { return cmdILP([]string{"-kernel", sel, "-sizes", sizes}) })
 		lines := strings.Split(strings.TrimSpace(out), "\n")
 		return lines[min(2, len(lines)):], err // past the title and header
 	}
+	rows := func(sel string) ([]string, error) { return rowsAt(sel, "8") }
 	all, err := rows("all")
 	if err != nil || len(all) != len(pbbs.Kernels()) {
 		t.Errorf("-kernel all = %d rows, %v; want %d", len(all), err, len(pbbs.Kernels()))
@@ -73,6 +75,14 @@ func TestSelectKernels(t *testing.T) {
 	}
 	if byName, err := rows("quicksort"); err != nil || !reflect.DeepEqual(byName, two) {
 		t.Errorf("-kernel quicksort = %q, %v; want -kernel 2's %q", byName, err, two)
+	}
+	listed, err := rowsAt("quicksort,radix", "64")
+	var ids []string
+	for _, row := range listed {
+		ids = append(ids, strings.Fields(row)[0])
+	}
+	if err != nil || !reflect.DeepEqual(ids, []string{"2", "5"}) {
+		t.Errorf("-kernel quicksort,radix -sizes 64 = benchmarks %q, %v; want 2 and 5:\n%s", ids, err, strings.Join(listed, "\n"))
 	}
 	if got, err := rows("zzz"); err == nil || len(got) != 0 {
 		t.Errorf("-kernel zzz = %q, %v; want an error and no rows", got, err)

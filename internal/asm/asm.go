@@ -1,9 +1,14 @@
-// Package asm implements a two-pass assembler for the gas-style (AT&T)
-// assembly syntax used by the paper's listings (the Fig. 2 call version and
-// the Fig. 5 fork version of the sum reduction), producing an isa.Program.
-// Its role is to let internal/progs carry those listings verbatim, so the
-// machine simulator is calibrated against exactly the code the paper
-// counts.
+// Package asm is the reproduction's assembler. Its one back end, the
+// Builder, lays a program out from instructions with symbolic targets and
+// data-symbol operands, data symbols with their words and zeroed bytes, and
+// applies the operand-form rules every program obeys. It has two front ends:
+// Assemble, a reader of the gas-style (AT&T) assembly syntax of the
+// paper's listings (the Fig. 2 call version and the Fig. 5 fork version of
+// the sum reduction), which lets internal/progs carry those listings
+// verbatim so the machine simulator is calibrated against exactly the code
+// the paper counts; and internal/minic's code generator, which emits
+// instructions into a Builder with no text in between. Listing prints a
+// program back as text (repro kernels -dump).
 //
 // Supported syntax (one statement per line; '#' and '//' start comments):
 //
@@ -33,26 +38,24 @@ import (
 	"repro/internal/isa"
 )
 
-// Error describes an assembly failure with its source line.
+// Error describes an assembly failure with its source line (0 when the
+// program did not come from text).
 type Error struct {
 	Line int
 	Msg  string
 }
 
-func (e *Error) Error() string { return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg) }
-
-type fixup struct {
-	instr int    // index into program text
-	sym   string // unresolved symbol
-	where int    // 0 = Target, 1 = Src, 2 = Dst
-	line  int
+func (e *Error) Error() string {
+	if e.Line == 0 {
+		return "asm: " + e.Msg
+	}
+	return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg)
 }
 
+// assembler is the text front end: it parses each line into the Builder.
 type assembler struct {
-	prog    *Program
+	b       *Builder
 	section string // "text" or "data"
-	fixups  []fixup
-	dataOff uint64
 }
 
 // Program aliases isa.Program for callers that only import asm.
@@ -61,23 +64,20 @@ type Program = isa.Program
 // Assemble assembles the given source. The entry point is the label "_start"
 // if present, else "main" if present, else instruction 0.
 func Assemble(src string) (*Program, error) {
-	a := &assembler{prog: isa.NewProgram(), section: "text"}
-	lines := strings.Split(src, "\n")
-	a.prog.Text = make([]isa.Instruction, 0, countInstructions(lines))
-	for i, raw := range lines {
-		if err := a.line(i+1, raw); err != nil {
+	a := &assembler{b: NewBuilder(), section: "text"}
+	for n := 1; src != ""; n++ {
+		line, rest, _ := strings.Cut(src, "\n")
+		src = rest
+		a.b.line = n
+		err := a.line(n, line)
+		if a.b.err != nil { // the line's first error, if the Builder found it
+			return nil, a.b.err
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
-	if err := a.resolve(); err != nil {
-		return nil, err
-	}
-	if e, ok := a.prog.Labels["_start"]; ok {
-		a.prog.Entry = e
-	} else if e, ok := a.prog.Labels["main"]; ok {
-		a.prog.Entry = e
-	}
-	return a.prog, nil
+	return a.b.Finish()
 }
 
 func stripComment(s string) string {
@@ -88,24 +88,6 @@ func stripComment(s string) string {
 		s = s[:i]
 	}
 	return strings.TrimSpace(s)
-}
-
-// countInstructions counts the lines that assemble to an instruction: what
-// is left after the comment and the labels, unless it is a directive. In the
-// data section such a line is an error, so on success the count is exact
-// and Text is allocated once, at the size it keeps.
-func countInstructions(lines []string) int {
-	n := 0
-	for _, raw := range lines {
-		s := stripComment(raw)
-		for _, rest, ok := cutLabel(s); ok; _, rest, ok = cutLabel(s) {
-			s = rest
-		}
-		if s != "" && s[0] != '.' {
-			n++
-		}
-	}
-	return n
 }
 
 // cutLabel splits a leading label ("name:") off s.
@@ -125,9 +107,7 @@ func (a *assembler) line(n int, raw string) error {
 	s := stripComment(raw)
 	// Peel off leading labels.
 	for name, rest, ok := cutLabel(s); ok; name, rest, ok = cutLabel(s) {
-		if err := a.defineLabel(n, name); err != nil {
-			return err
-		}
+		a.defineLabel(name)
 		s = rest
 	}
 	if s == "" {
@@ -160,19 +140,12 @@ func isIdent(s string) bool {
 	return true
 }
 
-func (a *assembler) defineLabel(n int, name string) error {
+func (a *assembler) defineLabel(name string) {
 	if a.section == "text" {
-		if _, dup := a.prog.Labels[name]; dup {
-			return &Error{n, fmt.Sprintf("duplicate label %q", name)}
-		}
-		a.prog.Labels[name] = int64(len(a.prog.Text))
-		return nil
+		a.b.Label(name)
+	} else {
+		a.b.Data(name)
 	}
-	if _, dup := a.prog.DataSyms[name]; dup {
-		return &Error{n, fmt.Sprintf("duplicate data symbol %q", name)}
-	}
-	a.prog.DataSyms[name] = isa.DataBase + a.dataOff
-	return nil
 }
 
 func (a *assembler) directive(n int, s string) error {
@@ -198,12 +171,7 @@ func (a *assembler) directive(n int, s string) error {
 			if err != nil {
 				return &Error{n, fmt.Sprintf("bad .quad value %q: %v", arg, err)}
 			}
-			if err := a.reserve(n, 8); err != nil {
-				return err
-			}
-			var w [8]byte
-			putU64(w[:], uint64(v))
-			a.prog.Data = append(a.prog.Data, w[:]...)
+			a.b.Quad(v)
 		}
 	case ".space", ".zero", ".skip":
 		if a.section != "data" {
@@ -216,31 +184,11 @@ func (a *assembler) directive(n int, s string) error {
 		if err != nil || v < 0 {
 			return &Error{n, fmt.Sprintf("bad size %q", fields[1])}
 		}
-		if err := a.reserve(n, uint64(v)); err != nil {
-			return err
-		}
-		a.prog.Data = append(a.prog.Data, make([]byte, v)...)
+		a.b.Space(uint64(v))
 	default:
 		return &Error{n, fmt.Sprintf("unknown directive %q", fields[0])}
 	}
 	return nil
-}
-
-// reserve grows the data segment by size bytes, or refuses to before
-// anything is allocated: a segment longer than StackTop-DataBase overlaps the
-// stack.
-func (a *assembler) reserve(n int, size uint64) error {
-	if size > isa.StackTop-isa.DataBase-a.dataOff {
-		return &Error{n, fmt.Sprintf("%d data bytes after the first %d would overlap the stack at %#x", size, a.dataOff, isa.StackTop)}
-	}
-	a.dataOff += size
-	return nil
-}
-
-func putU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 func parseInt(s string) (int64, error) {
@@ -323,103 +271,33 @@ func (a *assembler) instruction(n int, s string) error {
 		mn, rest = s[:i], strings.TrimSpace(s[i+1:])
 	}
 	in := isa.Instruction{}
-	emit := func() {
-		a.prog.Text = append(a.prog.Text, in)
-	}
-
 	if op, ok := zeroOperand[mn]; ok {
 		if rest != "" {
 			return &Error{n, fmt.Sprintf("%s takes no operands", mn)}
 		}
 		in.Op = op
-		emit()
+		a.b.Emit(in)
 		return nil
 	}
-	if op, ok := branchOps[mn]; ok {
-		in.Op = op
-		if !isIdent(rest) {
-			return &Error{n, fmt.Sprintf("%s needs a label target, got %q", mn, rest)}
-		}
-		in.Label = rest
-		a.fixups = append(a.fixups, fixup{len(a.prog.Text), rest, 0, n})
-		emit()
-		return nil
-	}
-	if strings.HasPrefix(mn, "j") && mn != "jmp" {
+	op, branch := branchOps[mn]
+	if !branch && strings.HasPrefix(mn, "j") {
 		cc, ok := isa.ParseCond(mn[1:])
 		if !ok {
 			return &Error{n, fmt.Sprintf("unknown mnemonic %q", mn)}
 		}
-		in.Op = isa.Jcc
-		in.Cond = cc
+		op, in.Cond, branch = isa.Jcc, cc, true
+	}
+	if branch {
 		if !isIdent(rest) {
 			return &Error{n, fmt.Sprintf("%s needs a label target, got %q", mn, rest)}
 		}
-		in.Label = rest
-		a.fixups = append(a.fixups, fixup{len(a.prog.Text), rest, 0, n})
-		emit()
+		in.Op, in.Label = op, rest
+		a.b.Emit(in)
 		return nil
 	}
-	if strings.HasPrefix(mn, "set") {
-		cc, ok := isa.ParseCond(mn[3:])
-		if !ok {
-			return &Error{n, fmt.Sprintf("unknown mnemonic %q", mn)}
-		}
-		in.Op = isa.SETcc
-		in.Cond = cc
-		ops := splitOperands(rest)
-		if len(ops) != 1 {
-			return &Error{n, mn + " needs one operand"}
-		}
-		o, sym, err := a.operand(ops[0])
-		if err != nil {
-			return &Error{n, err.Error()}
-		}
-		if o.Kind == isa.KindImm {
-			return &Error{n, mn + ": operand cannot be an immediate"}
-		}
-		in.Dst = o
-		if sym != "" {
-			a.fixups = append(a.fixups, fixup{len(a.prog.Text), sym, 2, n})
-		}
-		emit()
-		return nil
-	}
-	if op, ok := oneOperand[mn]; ok {
-		in.Op = op
-		ops := splitOperands(rest)
-		if len(ops) != 1 {
-			return &Error{n, mn + " needs one operand"}
-		}
-		o, sym, err := a.operand(ops[0])
-		if err != nil {
-			return &Error{n, err.Error()}
-		}
-		switch {
-		case o.Kind == isa.KindImm && op != isa.PUSH:
-			return &Error{n, mn + ": operand cannot be an immediate"}
-		case o.Kind == isa.KindMem && (op == isa.PUSH || op == isa.POP):
-			// The stack slot is the instruction's one data address.
-			return &Error{n, mn + ": a memory operand would be a second data address"}
-		case op == isa.POP && o.Kind == isa.KindReg && o.Reg == isa.RSP:
-			return &Error{n, "popq %rsp: the stack update and the loaded word would both be rsp"}
-		}
-		where := 2
-		if op == isa.PUSH {
-			in.Src = o
-			where = 1
-		} else {
-			in.Dst = o
-		}
-		if sym != "" {
-			a.fixups = append(a.fixups, fixup{len(a.prog.Text), sym, where, n})
-		}
-		emit()
-		return nil
-	}
+	ops := splitOperands(rest)
 	if op, ok := twoOperand[mn]; ok {
 		in.Op = op
-		ops := splitOperands(rest)
 		if len(ops) == 1 && (op == isa.SHL || op == isa.SHR || op == isa.SAR) {
 			// Single-operand shift-by-one form, as in the paper's
 			// "shrq %rsi" (Fig. 2 line 11).
@@ -428,66 +306,69 @@ func (a *assembler) instruction(n int, s string) error {
 		if len(ops) != 2 {
 			return &Error{n, mn + " needs two operands"}
 		}
-		src, ssym, err := a.operand(ops[0])
-		if err != nil {
+		var err error
+		if in.Src, err = operand(ops[0]); err != nil {
 			return &Error{n, err.Error()}
 		}
-		dst, dsym, err := a.operand(ops[1])
-		if err != nil {
+		if in.Dst, err = operand(ops[1]); err != nil {
 			return &Error{n, err.Error()}
 		}
-		if src.Kind == isa.KindMem && dst.Kind == isa.KindMem {
-			return &Error{n, mn + ": both operands cannot be memory"}
-		}
-		if dst.Kind == isa.KindImm {
-			return &Error{n, mn + ": destination cannot be an immediate"}
-		}
-		if op == isa.LEA && (src.Kind != isa.KindMem || dst.Kind != isa.KindReg) {
-			return &Error{n, "leaq needs a memory source and a register destination"}
-		}
-		in.Src, in.Dst = src, dst
-		if ssym != "" {
-			a.fixups = append(a.fixups, fixup{len(a.prog.Text), ssym, 1, n})
-		}
-		if dsym != "" {
-			a.fixups = append(a.fixups, fixup{len(a.prog.Text), dsym, 2, n})
-		}
-		emit()
+		a.b.Emit(in)
 		return nil
 	}
-	return &Error{n, fmt.Sprintf("unknown mnemonic %q", mn)}
+	if op, ok := oneOperand[mn]; ok {
+		in.Op = op
+	} else if cc, ok := isa.ParseCond(strings.TrimPrefix(mn, "set")); ok && strings.HasPrefix(mn, "set") {
+		in.Op, in.Cond = isa.SETcc, cc
+	} else {
+		return &Error{n, fmt.Sprintf("unknown mnemonic %q", mn)}
+	}
+	if len(ops) != 1 {
+		return &Error{n, mn + " needs one operand"}
+	}
+	o, err := operand(ops[0])
+	if err != nil {
+		return &Error{n, err.Error()}
+	}
+	if in.Op == isa.PUSH {
+		in.Src = o
+	} else {
+		in.Dst = o
+	}
+	a.b.Emit(in)
+	return nil
 }
 
-// operand parses one operand. If it references a data symbol whose address is
-// not yet known, it returns the symbol name for later fix-up.
-func (a *assembler) operand(s string) (isa.Operand, string, error) {
+// operand parses one operand. One that names a symbol carries it in Sym, for
+// the Builder to resolve.
+func operand(s string) (isa.Operand, error) {
 	switch {
 	case s == "":
-		return isa.Operand{}, "", fmt.Errorf("empty operand")
+		return isa.Operand{}, fmt.Errorf("empty operand")
 	case s[0] == '%':
 		r, ok := isa.ParseReg(s[1:])
 		if !ok {
-			return isa.Operand{}, "", fmt.Errorf("unknown register %q", s)
+			return isa.Operand{}, fmt.Errorf("unknown register %q", s)
 		}
-		return isa.RegOp(r), "", nil
+		return isa.RegOp(r), nil
 	case s[0] == '$':
 		body := s[1:]
 		if v, err := parseInt(body); err == nil {
-			return isa.ImmOp(v), "", nil
+			return isa.ImmOp(v), nil
 		}
 		if isIdent(body) {
 			o := isa.ImmOp(0)
 			o.Sym = body
-			return o, body, nil
+			return o, nil
 		}
-		return isa.Operand{}, "", fmt.Errorf("bad immediate %q", s)
+		return isa.Operand{}, fmt.Errorf("bad immediate %q", s)
 	}
 	// Memory operand: [sym|disp] [ '(' base [',' index [',' scale]] ')' ]
 	dispStr := s
 	regsPart := ""
 	if i := strings.IndexByte(s, '('); i >= 0 {
 		if !strings.HasSuffix(s, ")") {
-			return isa.Operand{}, "", fmt.Errorf("bad memory operand %q", s)
+			return isa.Operand{}, fmt.Errorf("bad memory operand %q", s)
 		}
 		dispStr = strings.TrimSpace(s[:i])
 		regsPart = s[i+1 : len(s)-1]
@@ -503,12 +384,12 @@ func (a *assembler) operand(s string) (isa.Operand, string, error) {
 			// sym+const or sym-const
 			v, err := parseInt(dispStr[i:])
 			if err != nil {
-				return isa.Operand{}, "", fmt.Errorf("bad displacement %q", dispStr)
+				return isa.Operand{}, fmt.Errorf("bad displacement %q", dispStr)
 			}
 			sym = dispStr[:i]
 			disp = v
 		} else {
-			return isa.Operand{}, "", fmt.Errorf("bad displacement %q", dispStr)
+			return isa.Operand{}, fmt.Errorf("bad displacement %q", dispStr)
 		}
 	}
 	base, index := isa.NoReg, isa.NoReg
@@ -516,16 +397,16 @@ func (a *assembler) operand(s string) (isa.Operand, string, error) {
 	if regsPart != "" {
 		parts := strings.Split(regsPart, ",")
 		if len(parts) > 3 {
-			return isa.Operand{}, "", fmt.Errorf("bad memory operand %q", s)
+			return isa.Operand{}, fmt.Errorf("bad memory operand %q", s)
 		}
 		p0 := strings.TrimSpace(parts[0])
 		if p0 != "" {
 			if p0[0] != '%' {
-				return isa.Operand{}, "", fmt.Errorf("bad base register %q", p0)
+				return isa.Operand{}, fmt.Errorf("bad base register %q", p0)
 			}
 			r, ok := isa.ParseReg(p0[1:])
 			if !ok {
-				return isa.Operand{}, "", fmt.Errorf("unknown register %q", p0)
+				return isa.Operand{}, fmt.Errorf("unknown register %q", p0)
 			}
 			base = r
 		}
@@ -533,11 +414,11 @@ func (a *assembler) operand(s string) (isa.Operand, string, error) {
 			p1 := strings.TrimSpace(parts[1])
 			if p1 != "" {
 				if p1[0] != '%' {
-					return isa.Operand{}, "", fmt.Errorf("bad index register %q", p1)
+					return isa.Operand{}, fmt.Errorf("bad index register %q", p1)
 				}
 				r, ok := isa.ParseReg(p1[1:])
 				if !ok {
-					return isa.Operand{}, "", fmt.Errorf("unknown register %q", p1)
+					return isa.Operand{}, fmt.Errorf("unknown register %q", p1)
 				}
 				index = r
 			}
@@ -545,44 +426,14 @@ func (a *assembler) operand(s string) (isa.Operand, string, error) {
 		if len(parts) == 3 {
 			v, err := parseInt(strings.TrimSpace(parts[2]))
 			if err != nil || (v != 1 && v != 2 && v != 4 && v != 8) {
-				return isa.Operand{}, "", fmt.Errorf("bad scale %q", parts[2])
+				return isa.Operand{}, fmt.Errorf("bad scale %q", parts[2])
 			}
 			scale = uint8(v)
 		}
 	} else if sym == "" && dispStr == "" {
-		return isa.Operand{}, "", fmt.Errorf("bad operand %q", s)
+		return isa.Operand{}, fmt.Errorf("bad operand %q", s)
 	}
 	o := isa.MemOp(disp, base, index, scale)
 	o.Sym = sym
-	return o, sym, nil
-}
-
-func (a *assembler) resolve() error {
-	for _, f := range a.fixups {
-		in := &a.prog.Text[f.instr]
-		switch f.where {
-		case 0: // control-flow target: code label
-			t, ok := a.prog.Labels[f.sym]
-			if !ok {
-				return &Error{f.line, fmt.Sprintf("undefined label %q", f.sym)}
-			}
-			in.Target = t
-		case 1, 2:
-			o := &in.Src
-			if f.where == 2 {
-				o = &in.Dst
-			}
-			if addr, ok := a.prog.DataSyms[f.sym]; ok {
-				o.Imm += int64(addr)
-				continue
-			}
-			if t, ok := a.prog.Labels[f.sym]; ok && o.Kind == isa.KindImm {
-				// Address-of a code label (e.g. function pointers).
-				o.Imm += t
-				continue
-			}
-			return &Error{f.line, fmt.Sprintf("undefined symbol %q", f.sym)}
-		}
-	}
-	return nil
+	return o, nil
 }

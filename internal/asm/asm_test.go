@@ -296,3 +296,40 @@ func TestEntrySelection(t *testing.T) {
 		t.Errorf("entry = %d, want 1 (_start preferred)", p.Entry)
 	}
 }
+
+// TestBuilderRefusesForms: the Builder holds every front end to the forms
+// Assemble refuses in text, and to operands the text cannot leave out. An
+// error found outside any text has no line, and the first one is what
+// Finish returns.
+func TestBuilderRefusesForms(t *testing.T) {
+	mem, rax := isa.MemBase(0, isa.RAX), isa.RegOp(isa.RAX)
+	for _, c := range []struct {
+		in   isa.Instruction
+		want string
+	}{
+		{isa.Instruction{Op: isa.MOV, Src: mem, Dst: mem}, "movq: both operands cannot be memory"},
+		{isa.Instruction{Op: isa.ADD, Src: rax, Dst: isa.ImmOp(1)}, "addq: destination cannot be an immediate"},
+		{isa.Instruction{Op: isa.LEA, Src: rax, Dst: rax}, "leaq needs a memory source"},
+		{isa.Instruction{Op: isa.PUSH, Src: mem}, "pushq: a memory operand would be a second data address"},
+		{isa.Instruction{Op: isa.POP, Dst: isa.RegOp(isa.RSP)}, "popq %rsp"},
+		{isa.Instruction{Op: isa.DIV, Dst: isa.ImmOp(3)}, "divq: operand cannot be an immediate"},
+		{isa.Instruction{Op: isa.SETcc, Cond: isa.CondLE, Dst: isa.ImmOp(0)}, "setle: operand cannot be an immediate"},
+		{isa.Instruction{Op: isa.Jcc, Cond: isa.CondNE}, "jne needs a label target"},
+		{isa.Instruction{Op: isa.SUB, Dst: rax}, "subq needs two operands"},
+		{isa.Instruction{Op: isa.NEG}, "negq needs one operand"},
+	} {
+		b := NewBuilder()
+		b.Label("f")
+		b.Emit(c.in)
+		b.Label("f") // a later error does not replace the first
+		_, err := b.Finish()
+		if err == nil || !strings.HasPrefix(err.Error(), "asm: "+c.want) {
+			t.Errorf("%v: err = %v, want %q", c.in, err, "asm: "+c.want)
+		}
+	}
+	b := NewBuilder()
+	b.Emit(isa.Instruction{Op: isa.CALL, Label: "nowhere"})
+	if _, err := b.Finish(); err == nil || err.Error() != `asm: undefined label "nowhere"` {
+		t.Errorf("a call of nowhere: err = %v", err)
+	}
+}

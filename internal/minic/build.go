@@ -62,19 +62,21 @@ func (p *Program) AddFunction(f *Function) error {
 	return nil
 }
 
-// CompileAST checks, generates and assembles an in-memory AST — Compile
-// without the front end, for programs built programmatically rather than
-// parsed. Check annotates the AST in place (types, frame offsets); the input
-// must be a freshly built or freshly parsed program.
+// CompileAST checks an in-memory AST and compiles it through the assembler's
+// Builder — Compile without the front end, for programs built
+// programmatically rather than parsed. Check annotates the AST in place
+// (types, frame offsets); the input must be a freshly built or freshly parsed
+// program. A form the Builder refuses is the code generator's fault, and is
+// reported as an internal error.
 func CompileAST(prog *Program, mode Mode) (*isa.Program, error) {
 	if err := Check(prog); err != nil {
 		return nil, err
 	}
-	text, err := Generate(prog, mode)
-	if err != nil {
+	b := asm.NewBuilder()
+	if err := generate(b, prog, mode); err != nil {
 		return nil, err
 	}
-	p, err := asm.Assemble(text)
+	p, err := b.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("minic: internal error assembling generated code: %w", err)
 	}

@@ -1,9 +1,9 @@
 package minic
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 )
 
@@ -32,56 +32,45 @@ func (m Mode) String() string {
 	return "call"
 }
 
-var argRegs = []string{"%rdi", "%rsi", "%rdx", "%rcx", "%r8", "%r9"}
+var argRegs = [...]isa.Reg{isa.RDI, isa.RSI, isa.RDX, isa.RCX, isa.R8, isa.R9}
 
-// gen is the code generator state.
+// The operands the generated code names.
+var (
+	rax = isa.RegOp(isa.RAX)
+	rcx = isa.RegOp(isa.RCX)
+	rdx = isa.RegOp(isa.RDX)
+	rbp = isa.RegOp(isa.RBP)
+	rsp = isa.RegOp(isa.RSP)
+)
+
+// at is the memory operand disp(base).
+func at(disp int64, base isa.Reg) isa.Operand { return isa.MemBase(disp, base) }
+
+// global is the memory operand holding the global named name, or with
+// addr its address as an immediate.
+func global(name string, addr bool) isa.Operand {
+	o := isa.MemOp(0, isa.NoReg, isa.NoReg, 1)
+	if addr {
+		o = isa.ImmOp(0)
+	}
+	o.Sym = name
+	return o
+}
+
+// gen is the code generator state: it emits a checked program's code into
+// an assembler Builder.
 type gen struct {
-	prog   *Program
 	mode   Mode
-	b      strings.Builder
+	b      *asm.Builder
 	fn     *Function
 	nlabel int
 	brk    []string // break targets
 	cont   []string // continue targets
+	name   []byte   // scratch for label names
 }
 
-// Generate emits gas-style assembly for a checked program.
-func Generate(prog *Program, mode Mode) (string, error) {
-	g := &gen{prog: prog, mode: mode}
-	for _, gv := range prog.Globals {
-		if prog.funcByName[gv.Name] != nil {
-			return "", errf(0, "name %q is both a function and a global", gv.Name)
-		}
-	}
-	// Driver: run main and halt. In fork mode the final hlt is the
-	// continuation section of the whole program.
-	g.emit("_start:")
-	if mode == ModeFork {
-		g.emit("\tfork main")
-	} else {
-		g.emit("\tcall main")
-	}
-	g.emit("\thlt")
-	for _, f := range prog.Functions {
-		if err := g.function(f); err != nil {
-			return "", err
-		}
-	}
-	if len(prog.Globals) > 0 {
-		g.emit(".data")
-		for _, gv := range prog.Globals {
-			if gv.Type.Kind == TypeArray {
-				g.emit(fmt.Sprintf("%s:\t.space %d", gv.Name, gv.Type.Size()))
-			} else {
-				g.emit(fmt.Sprintf("%s:\t.quad %d", gv.Name, int64(gv.Init)))
-			}
-		}
-	}
-	return g.b.String(), nil
-}
-
-// Compile parses, checks, generates and assembles src in one step: Parse,
-// then CompileAST.
+// Compile parses, checks and compiles src in one step: Parse, then
+// CompileAST.
 func Compile(src string, mode Mode) (*isa.Program, error) {
 	prog, err := Parse(src)
 	if err != nil {
@@ -90,33 +79,85 @@ func Compile(src string, mode Mode) (*isa.Program, error) {
 	return CompileAST(prog, mode)
 }
 
-func (g *gen) emit(s string) {
-	g.b.WriteString(s)
-	g.b.WriteByte('\n')
+// generate emits a checked program's code and data into b.
+func generate(b *asm.Builder, prog *Program, mode Mode) error {
+	g := &gen{mode: mode, b: b}
+	for _, gv := range prog.Globals {
+		if prog.funcByName[gv.Name] != nil {
+			return errf(0, "name %q is both a function and a global", gv.Name)
+		}
+	}
+	// Driver: run main and halt. In fork mode the final hlt is the
+	// continuation section of the whole program.
+	b.Label("_start")
+	g.jump(g.callOp(), "main")
+	g.op(isa.HLT)
+	for _, f := range prog.Functions {
+		if err := g.function(f); err != nil {
+			return err
+		}
+	}
+	for _, gv := range prog.Globals {
+		b.Data(gv.Name)
+		if gv.Type.Kind == TypeArray {
+			b.Space(uint64(gv.Type.Size()))
+		} else {
+			b.Quad(int64(gv.Init))
+		}
+	}
+	return nil
 }
 
-func (g *gen) op(format string, args ...any) {
-	g.b.WriteByte('\t')
-	fmt.Fprintf(&g.b, format, args...)
-	g.b.WriteByte('\n')
+// op emits an instruction without operands.
+func (g *gen) op(op isa.Op) { g.b.Emit(isa.Instruction{Op: op}) }
+
+// op1 emits a one-operand instruction on dst.
+func (g *gen) op1(op isa.Op, dst isa.Operand) { g.b.Emit(isa.Instruction{Op: op, Dst: dst}) }
+
+// op2 emits a two-operand instruction.
+func (g *gen) op2(op isa.Op, src, dst isa.Operand) {
+	g.b.Emit(isa.Instruction{Op: op, Src: src, Dst: dst})
 }
 
+func (g *gen) push(src isa.Operand) { g.b.Emit(isa.Instruction{Op: isa.PUSH, Src: src}) }
+
+// jump emits a jmp, call or fork to label.
+func (g *gen) jump(op isa.Op, label string) { g.b.Emit(isa.Instruction{Op: op, Label: label}) }
+
+// jcc emits a conditional jump to label.
+func (g *gen) jcc(cc isa.Cond, label string) {
+	g.b.Emit(isa.Instruction{Op: isa.Jcc, Cond: cc, Label: label})
+}
+
+// setcc sets %rax to whether cc holds.
+func (g *gen) setcc(cc isa.Cond) { g.b.Emit(isa.Instruction{Op: isa.SETcc, Cond: cc, Dst: rax}) }
+
+// callOp is the mode's call instruction.
+func (g *gen) callOp() isa.Op {
+	if g.mode == ModeFork {
+		return isa.FORK
+	}
+	return isa.CALL
+}
+
+// label returns a fresh local label, .L<function>_<n>.
 func (g *gen) label() string {
 	g.nlabel++
-	return fmt.Sprintf(".L%s_%d", g.fn.Name, g.nlabel)
+	g.name = append(append(append(g.name[:0], ".L"...), g.fn.Name...), '_')
+	g.name = strconv.AppendInt(g.name, int64(g.nlabel), 10)
+	return string(g.name)
 }
 
 func (g *gen) function(f *Function) error {
 	g.fn = f
-	g.emit(fmt.Sprintf("%s:\t# %s %s(%d params), frame %d bytes [%s mode]",
-		f.Name, f.Ret, f.Name, len(f.Params), f.FrameSize, g.mode))
-	g.op("pushq %%rbp")
-	g.op("movq %%rsp, %%rbp")
+	g.b.Label(f.Name)
+	g.push(rbp)
+	g.op2(isa.MOV, rsp, rbp)
 	if f.FrameSize > 0 {
-		g.op("subq $%d, %%rsp", f.FrameSize)
+		g.op2(isa.SUB, isa.ImmOp(f.FrameSize), rsp)
 	}
 	for i, p := range f.Params {
-		g.op("movq %s, %d(%%rbp)", argRegs[i], p.Offset)
+		g.op2(isa.MOV, isa.RegOp(argRegs[i]), at(p.Offset, isa.RBP))
 	}
 	if err := g.stmts(f.Body); err != nil {
 		return err
@@ -127,12 +168,12 @@ func (g *gen) function(f *Function) error {
 }
 
 func (g *gen) epilogue() {
-	g.op("movq %%rbp, %%rsp")
-	g.op("popq %%rbp")
+	g.op2(isa.MOV, rbp, rsp)
+	g.op1(isa.POP, rbp)
 	if g.mode == ModeFork {
-		g.op("endfork")
+		g.op(isa.ENDFORK)
 	} else {
-		g.op("ret")
+		g.op(isa.RET)
 	}
 }
 
@@ -154,7 +195,7 @@ func (g *gen) stmt(s *Stmt) error {
 			if err := g.expr(s.DeclInit); err != nil {
 				return err
 			}
-			g.op("movq %%rax, %d(%%rbp)", s.Decl.Offset)
+			g.op2(isa.MOV, rax, at(s.Decl.Offset, isa.RBP))
 		}
 		return nil
 	case StmtBlock:
@@ -172,18 +213,18 @@ func (g *gen) stmt(s *Stmt) error {
 			return err
 		}
 		if len(s.Else) > 0 {
-			g.op("jmp %s", end)
-			g.emit(els + ":")
+			g.jump(isa.JMP, end)
+			g.b.Label(els)
 			if err := g.stmts(s.Else); err != nil {
 				return err
 			}
 		}
-		g.emit(end + ":")
+		g.b.Label(end)
 		return nil
 	case StmtWhile:
 		top := g.label()
 		end := g.label()
-		g.emit(top + ":")
+		g.b.Label(top)
 		if err := g.condJump(s.E, end); err != nil {
 			return err
 		}
@@ -195,8 +236,8 @@ func (g *gen) stmt(s *Stmt) error {
 		if err != nil {
 			return err
 		}
-		g.op("jmp %s", top)
-		g.emit(end + ":")
+		g.jump(isa.JMP, top)
+		g.b.Label(end)
 		return nil
 	case StmtFor:
 		if s.Init != nil {
@@ -207,7 +248,7 @@ func (g *gen) stmt(s *Stmt) error {
 		top := g.label()
 		post := g.label()
 		end := g.label()
-		g.emit(top + ":")
+		g.b.Label(top)
 		if s.E != nil {
 			if err := g.condJump(s.E, end); err != nil {
 				return err
@@ -221,14 +262,14 @@ func (g *gen) stmt(s *Stmt) error {
 		if err != nil {
 			return err
 		}
-		g.emit(post + ":")
+		g.b.Label(post)
 		if s.Post != nil {
 			if err := g.stmt(s.Post); err != nil {
 				return err
 			}
 		}
-		g.op("jmp %s", top)
-		g.emit(end + ":")
+		g.jump(isa.JMP, top)
+		g.b.Label(end)
 		return nil
 	case StmtReturn:
 		if s.E != nil {
@@ -239,10 +280,10 @@ func (g *gen) stmt(s *Stmt) error {
 		g.epilogue()
 		return nil
 	case StmtBreak:
-		g.op("jmp %s", g.brk[len(g.brk)-1])
+		g.jump(isa.JMP, g.brk[len(g.brk)-1])
 		return nil
 	case StmtContinue:
-		g.op("jmp %s", g.cont[len(g.cont)-1])
+		g.jump(isa.JMP, g.cont[len(g.cont)-1])
 		return nil
 	}
 	return errf(s.Line, "unknown statement in codegen")
@@ -252,83 +293,63 @@ func (g *gen) stmt(s *Stmt) error {
 // the top level fuse into cmp + jcc; everything else tests against zero.
 func (g *gen) condJump(e *Expr, target string) error {
 	if e.Kind == ExprBinary {
-		if cc, signed := compareCond(e.Op); cc != "" {
-			unsigned := decay(e.L.Type).IsUnsigned() || decay(e.R.Type).IsUnsigned()
-			if err := g.expr(e.L); err != nil {
+		unsigned := decay(e.L.Type).IsUnsigned() || decay(e.R.Type).IsUnsigned()
+		if cc, ok := comparison(e.Op, unsigned); ok {
+			if err := g.operands(e); err != nil {
 				return err
 			}
-			g.op("pushq %%rax")
-			if err := g.expr(e.R); err != nil {
-				return err
-			}
-			g.op("movq %%rax, %%rcx")
-			g.op("popq %%rax")
-			g.op("cmpq %%rcx, %%rax")
-			g.op("j%s %s", negate(cc, signed && !unsigned), target)
+			g.op2(isa.CMP, rcx, rax)
+			g.jcc(inverse[cc], target)
 			return nil
 		}
 	}
 	if err := g.expr(e); err != nil {
 		return err
 	}
-	g.op("cmpq $0, %%rax")
-	g.op("je %s", target)
+	g.op2(isa.CMP, isa.ImmOp(0), rax)
+	g.jcc(isa.CondE, target)
 	return nil
 }
 
-// compareCond maps a comparison operator to its condition suffix for the
-// signed form and reports whether it is a relational (signedness-sensitive).
-func compareCond(op string) (string, bool) {
+// comparison returns the condition under which the comparison op holds of
+// signed or, if unsigned, of unsigned operands; ok is false when op is not a
+// comparison.
+func comparison(op string, unsigned bool) (cc isa.Cond, ok bool) {
 	switch op {
 	case "==":
-		return "e", false
+		return isa.CondE, true
 	case "!=":
-		return "ne", false
+		return isa.CondNE, true
 	case "<":
-		return "l", true
+		cc = isa.CondL
 	case "<=":
-		return "le", true
+		cc = isa.CondLE
 	case ">":
-		return "g", true
+		cc = isa.CondG
 	case ">=":
-		return "ge", true
-	}
-	return "", false
-}
-
-// negate returns the condition for the false branch; signed selects
-// l/le/g/ge, otherwise b/be/a/ae.
-func negate(cc string, signed bool) string {
-	inv := map[string]string{"e": "ne", "ne": "e", "l": "ge", "le": "g", "g": "le", "ge": "l"}
-	cc = inv[cc]
-	if signed {
-		return cc
-	}
-	uns := map[string]string{"l": "b", "le": "be", "g": "a", "ge": "ae", "e": "e", "ne": "ne"}
-	return uns[cc]
-}
-
-// setCond returns the setcc suffix for op with the given signedness.
-func setCond(op string, unsigned bool) string {
-	var s string
-	switch op {
-	case "==":
-		return "e"
-	case "!=":
-		return "ne"
-	case "<":
-		s = "l"
-	case "<=":
-		s = "le"
-	case ">":
-		s = "g"
-	case ">=":
-		s = "ge"
+		cc = isa.CondGE
+	default:
+		return 0, false
 	}
 	if unsigned {
-		return map[string]string{"l": "b", "le": "be", "g": "a", "ge": "ae"}[s]
+		cc = unsignedCond[cc]
 	}
-	return s
+	return cc, true
+}
+
+// unsignedCond is the unsigned form of each signed relation.
+var unsignedCond = [isa.NumConds]isa.Cond{
+	isa.CondL: isa.CondB, isa.CondLE: isa.CondBE, isa.CondG: isa.CondA, isa.CondGE: isa.CondAE,
+}
+
+// inverse is the condition that holds exactly when its index does not.
+var inverse = [isa.NumConds]isa.Cond{
+	isa.CondE: isa.CondNE, isa.CondNE: isa.CondE,
+	isa.CondA: isa.CondBE, isa.CondBE: isa.CondA,
+	isa.CondAE: isa.CondB, isa.CondB: isa.CondAE,
+	isa.CondG: isa.CondLE, isa.CondLE: isa.CondG,
+	isa.CondGE: isa.CondL, isa.CondL: isa.CondGE,
+	isa.CondS: isa.CondNS, isa.CondNS: isa.CondS,
 }
 
 // expr evaluates e into %rax. Temporaries are kept on the stack, so nested
@@ -337,45 +358,39 @@ func setCond(op string, unsigned bool) string {
 func (g *gen) expr(e *Expr) error {
 	switch e.Kind {
 	case ExprNum:
-		g.op("movq $%d, %%rax", int64(e.Num))
+		g.op2(isa.MOV, isa.ImmOp(int64(e.Num)), rax)
 		return nil
 	case ExprVar:
 		if e.Type.Kind == TypeArray {
 			return g.lvalueAddr(e) // arrays decay to their address
 		}
 		if e.Local != nil {
-			g.op("movq %d(%%rbp), %%rax", e.Local.Offset)
+			g.op2(isa.MOV, at(e.Local.Offset, isa.RBP), rax)
 		} else {
-			g.op("movq %s, %%rax", e.Global.Name)
+			g.op2(isa.MOV, global(e.Global.Name, false), rax)
 		}
 		return nil
 	case ExprUnary:
 		switch e.Op {
-		case "-":
-			if err := g.expr(e.L); err != nil {
-				return err
-			}
-			g.op("negq %%rax")
-		case "~":
-			if err := g.expr(e.L); err != nil {
-				return err
-			}
-			g.op("notq %%rax")
-		case "!":
-			if err := g.expr(e.L); err != nil {
-				return err
-			}
-			g.op("cmpq $0, %%rax")
-			g.op("sete %%rax")
-		case "*":
-			if err := g.expr(e.L); err != nil {
-				return err
-			}
-			if e.Type.Kind != TypeArray {
-				g.op("movq (%%rax), %%rax")
-			}
 		case "&":
 			return g.lvalueAddr(e.L)
+		case "-", "~", "!", "*":
+			if err := g.expr(e.L); err != nil {
+				return err
+			}
+		}
+		switch e.Op {
+		case "-":
+			g.op1(isa.NEG, rax)
+		case "~":
+			g.op1(isa.NOT, rax)
+		case "!":
+			g.op2(isa.CMP, isa.ImmOp(0), rax)
+			g.setcc(isa.CondE)
+		case "*":
+			if e.Type.Kind != TypeArray {
+				g.op2(isa.MOV, at(0, isa.RAX), rax)
+			}
 		}
 		return nil
 	case ExprBinary:
@@ -387,7 +402,7 @@ func (g *gen) expr(e *Expr) error {
 			return err
 		}
 		if e.Type.Kind != TypeArray {
-			g.op("movq (%%rax), %%rax")
+			g.op2(isa.MOV, at(0, isa.RAX), rax)
 		}
 		return nil
 	case ExprCall:
@@ -401,12 +416,12 @@ func (g *gen) expr(e *Expr) error {
 		if err := g.expr(e.L); err != nil {
 			return err
 		}
-		g.op("jmp %s", end)
-		g.emit(els + ":")
+		g.jump(isa.JMP, end)
+		g.b.Label(els)
 		if err := g.expr(e.R); err != nil {
 			return err
 		}
-		g.emit(end + ":")
+		g.b.Label(end)
 		return nil
 	}
 	return errf(e.Line, "unknown expression in codegen")
@@ -417,9 +432,9 @@ func (g *gen) lvalueAddr(e *Expr) error {
 	switch e.Kind {
 	case ExprVar:
 		if e.Local != nil {
-			g.op("leaq %d(%%rbp), %%rax", e.Local.Offset)
+			g.op2(isa.LEA, at(e.Local.Offset, isa.RBP), rax)
 		} else {
-			g.op("movq $%s, %%rax", e.Global.Name)
+			g.op2(isa.MOV, global(e.Global.Name, true), rax)
 		}
 		return nil
 	case ExprIndex:
@@ -431,12 +446,12 @@ func (g *gen) lvalueAddr(e *Expr) error {
 		if err := g.expr(base); err != nil { // arrays yield their address
 			return err
 		}
-		g.op("pushq %%rax")
+		g.push(rax)
 		if err := g.expr(e.R); err != nil {
 			return err
 		}
-		g.op("popq %%rcx")
-		g.op("leaq (%%rcx,%%rax,8), %%rax")
+		g.op1(isa.POP, rcx)
+		g.op2(isa.LEA, isa.MemOp(0, isa.RCX, isa.RAX, 8), rax)
 		return nil
 	case ExprUnary:
 		if e.Op == "*" {
@@ -446,116 +461,105 @@ func (g *gen) lvalueAddr(e *Expr) error {
 	return errf(e.Line, "not an lvalue in codegen")
 }
 
-func (g *gen) binary(e *Expr) error {
-	switch e.Op {
-	case "&&":
-		fail := g.label()
-		end := g.label()
-		if err := g.expr(e.L); err != nil {
-			return err
-		}
-		g.op("cmpq $0, %%rax")
-		g.op("je %s", fail)
-		if err := g.expr(e.R); err != nil {
-			return err
-		}
-		g.op("cmpq $0, %%rax")
-		g.op("je %s", fail)
-		g.op("movq $1, %%rax")
-		g.op("jmp %s", end)
-		g.emit(fail + ":")
-		g.op("movq $0, %%rax")
-		g.emit(end + ":")
-		return nil
-	case "||":
-		ok := g.label()
-		end := g.label()
-		if err := g.expr(e.L); err != nil {
-			return err
-		}
-		g.op("cmpq $0, %%rax")
-		g.op("jne %s", ok)
-		if err := g.expr(e.R); err != nil {
-			return err
-		}
-		g.op("cmpq $0, %%rax")
-		g.op("jne %s", ok)
-		g.op("movq $0, %%rax")
-		g.op("jmp %s", end)
-		g.emit(ok + ":")
-		g.op("movq $1, %%rax")
-		g.emit(end + ":")
-		return nil
-	}
-
-	lt, rt := decay(e.L.Type), decay(e.R.Type)
+// operands evaluates e's left operand into %rax and its right one into
+// %rcx, the left one kept on the stack meanwhile.
+func (g *gen) operands(e *Expr) error {
 	if err := g.expr(e.L); err != nil {
 		return err
 	}
-	g.op("pushq %%rax")
+	g.push(rax)
 	if err := g.expr(e.R); err != nil {
 		return err
 	}
-	g.op("movq %%rax, %%rcx")
-	g.op("popq %%rax")
-	// rax = L, rcx = R.
-	g.binopRegs(e, lt, rt)
+	g.op2(isa.MOV, rax, rcx)
+	g.op1(isa.POP, rax)
+	return nil
+}
+
+func (g *gen) binary(e *Expr) error {
+	if e.Op == "&&" || e.Op == "||" {
+		// Either operand decides when it is zero (&&) or not (||).
+		decides, value := isa.CondE, int64(0)
+		if e.Op == "||" {
+			decides, value = isa.CondNE, 1
+		}
+		decided := g.label()
+		end := g.label()
+		for _, x := range [2]*Expr{e.L, e.R} {
+			if err := g.expr(x); err != nil {
+				return err
+			}
+			g.op2(isa.CMP, isa.ImmOp(0), rax)
+			g.jcc(decides, decided)
+		}
+		g.op2(isa.MOV, isa.ImmOp(1-value), rax)
+		g.jump(isa.JMP, end)
+		g.b.Label(decided)
+		g.op2(isa.MOV, isa.ImmOp(value), rax)
+		g.b.Label(end)
+		return nil
+	}
+	if err := g.operands(e); err != nil {
+		return err
+	}
+	g.binopRegs(e.Op, decay(e.L.Type), decay(e.R.Type))
 	return nil
 }
 
 // binopRegs emits the operator with L in rax and R in rcx, result in rax.
-func (g *gen) binopRegs(e *Expr, lt, rt *Type) {
-	switch e.Op {
+func (g *gen) binopRegs(op string, lt, rt *Type) {
+	switch op {
 	case "+":
 		switch {
 		case lt.Kind == TypePtr && rt.IsInteger():
-			g.op("shlq $3, %%rcx")
+			g.op2(isa.SHL, isa.ImmOp(3), rcx)
 		case rt.Kind == TypePtr && lt.IsInteger():
-			g.op("shlq $3, %%rax")
+			g.op2(isa.SHL, isa.ImmOp(3), rax)
 		}
-		g.op("addq %%rcx, %%rax")
+		g.op2(isa.ADD, rcx, rax)
 	case "-":
 		switch {
 		case lt.Kind == TypePtr && rt.IsInteger():
-			g.op("shlq $3, %%rcx")
-			g.op("subq %%rcx, %%rax")
+			g.op2(isa.SHL, isa.ImmOp(3), rcx)
+			g.op2(isa.SUB, rcx, rax)
 		case lt.Kind == TypePtr && rt.Kind == TypePtr:
-			g.op("subq %%rcx, %%rax")
-			g.op("sarq $3, %%rax")
+			g.op2(isa.SUB, rcx, rax)
+			g.op2(isa.SAR, isa.ImmOp(3), rax)
 		default:
-			g.op("subq %%rcx, %%rax")
+			g.op2(isa.SUB, rcx, rax)
 		}
 	case "*":
-		g.op("imulq %%rcx, %%rax")
+		g.op2(isa.IMUL, rcx, rax)
 	case "/", "%":
 		if arith(lt, rt).IsUnsigned() {
-			g.op("movq $0, %%rdx")
-			g.op("divq %%rcx")
+			g.op2(isa.MOV, isa.ImmOp(0), rdx)
+			g.op1(isa.DIV, rcx)
 		} else {
-			g.op("cqto")
-			g.op("idivq %%rcx")
+			g.op(isa.CQTO)
+			g.op1(isa.IDIV, rcx)
 		}
-		if e.Op == "%" {
-			g.op("movq %%rdx, %%rax")
+		if op == "%" {
+			g.op2(isa.MOV, rdx, rax)
 		}
 	case "&":
-		g.op("andq %%rcx, %%rax")
+		g.op2(isa.AND, rcx, rax)
 	case "|":
-		g.op("orq %%rcx, %%rax")
+		g.op2(isa.OR, rcx, rax)
 	case "^":
-		g.op("xorq %%rcx, %%rax")
+		g.op2(isa.XOR, rcx, rax)
 	case "<<":
-		g.op("shlq %%rcx, %%rax")
+		g.op2(isa.SHL, rcx, rax)
 	case ">>":
 		if lt.IsUnsigned() {
-			g.op("shrq %%rcx, %%rax")
+			g.op2(isa.SHR, rcx, rax)
 		} else {
-			g.op("sarq %%rcx, %%rax")
+			g.op2(isa.SAR, rcx, rax)
 		}
-	case "==", "!=", "<", "<=", ">", ">=":
-		unsigned := lt.IsUnsigned() || rt.IsUnsigned()
-		g.op("cmpq %%rcx, %%rax")
-		g.op("set%s %%rax", setCond(e.Op, unsigned))
+	default:
+		if cc, ok := comparison(op, lt.IsUnsigned() || rt.IsUnsigned()); ok {
+			g.op2(isa.CMP, rcx, rax)
+			g.setcc(cc)
+		}
 	}
 }
 
@@ -568,36 +572,35 @@ func (g *gen) assign(e *Expr) error {
 		// Fast path: direct store to a scalar variable.
 		if e.L.Kind == ExprVar && e.L.Type.Kind != TypeArray {
 			if e.L.Local != nil {
-				g.op("movq %%rax, %d(%%rbp)", e.L.Local.Offset)
+				g.op2(isa.MOV, rax, at(e.L.Local.Offset, isa.RBP))
 			} else {
-				g.op("movq %%rax, %s", e.L.Global.Name)
+				g.op2(isa.MOV, rax, global(e.L.Global.Name, false))
 			}
 			return nil
 		}
-		g.op("pushq %%rax")
+		g.push(rax)
 		if err := g.lvalueAddr(e.L); err != nil {
 			return err
 		}
-		g.op("popq %%rcx")
-		g.op("movq %%rcx, (%%rax)")
-		g.op("movq %%rcx, %%rax")
+		g.op1(isa.POP, rcx)
+		g.op2(isa.MOV, rcx, at(0, isa.RAX))
+		g.op2(isa.MOV, rcx, rax)
 		return nil
 	}
 	// Compound assignment: evaluate the address once.
 	if err := g.lvalueAddr(e.L); err != nil {
 		return err
 	}
-	g.op("pushq %%rax")
+	g.push(rax)
 	if err := g.expr(e.R); err != nil {
 		return err
 	}
-	g.op("movq %%rax, %%rcx")
-	g.op("movq (%%rsp), %%rax") // the address
-	g.op("movq (%%rax), %%rax") // current value
-	fake := &Expr{Kind: ExprBinary, Op: e.Op, Line: e.Line, L: e.L, R: e.R}
-	g.binopRegs(fake, decay(e.L.Type), decay(e.R.Type))
-	g.op("popq %%rdx")
-	g.op("movq %%rax, (%%rdx)")
+	g.op2(isa.MOV, rax, rcx)
+	g.op2(isa.MOV, at(0, isa.RSP), rax) // the address
+	g.op2(isa.MOV, at(0, isa.RAX), rax) // current value
+	g.binopRegs(e.Op, decay(e.L.Type), decay(e.R.Type))
+	g.op1(isa.POP, rdx)
+	g.op2(isa.MOV, rax, at(0, isa.RDX))
 	return nil
 }
 
@@ -608,15 +611,11 @@ func (g *gen) call(e *Expr) error {
 		if err := g.expr(a); err != nil {
 			return err
 		}
-		g.op("pushq %%rax")
+		g.push(rax)
 	}
 	for i := len(e.Args) - 1; i >= 0; i-- {
-		g.op("popq %s", argRegs[i])
+		g.op1(isa.POP, isa.RegOp(argRegs[i]))
 	}
-	if g.mode == ModeFork {
-		g.op("fork %s", e.Name)
-	} else {
-		g.op("call %s", e.Name)
-	}
+	g.jump(g.callOp(), e.Name)
 	return nil
 }

@@ -10,7 +10,9 @@ import (
 
 // FuzzParseCheck is the front end's untrusted-input contract: any text
 // either parses and checks, or is refused with an *Error carrying a line —
-// never a panic, never a run-away. Plain `go test` replays the seeds (the
+// never a panic, never a run-away. What Check accepts the code generator
+// compiles, in both modes: the Builder refusing an instruction it emitted
+// would be an internal error. Plain `go test` replays the seeds (the
 // lowered and hand-written sources of all eleven kernels at two sizes, plus
 // testdata/fuzz/FuzzParseCheck); `go test -fuzz=FuzzParseCheck` explores.
 func FuzzParseCheck(f *testing.F) {
@@ -34,6 +36,11 @@ func FuzzParseCheck(f *testing.F) {
 			err = Check(prog)
 		}
 		if err == nil {
+			for _, mode := range []Mode{ModeCall, ModeFork} {
+				if _, err := Compile(src, mode); err != nil {
+					t.Fatalf("%s mode: Check accepts what does not compile: %v", mode, err)
+				}
+			}
 			return
 		}
 		var pos *Error

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/emu"
+	"repro/internal/isa"
 	"repro/internal/machine"
 )
 
@@ -325,30 +326,31 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestGeneratedAsmShape: a call site is a call and a return a ret in call
+// mode; in fork mode they are a fork and an endfork, and no call or ret is
+// left.
 func TestGeneratedAsmShape(t *testing.T) {
 	src := `long f(long x) { return x + 1; } long main(void) { return f(41); }`
-	prog, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
+	count := func(mode Mode) map[isa.Op]int {
+		p, err := Compile(src, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := map[isa.Op]int{}
+		for _, in := range p.Text {
+			ops[in.Op]++
+			if (in.Op == isa.CALL || in.Op == isa.FORK) && in.Label == "f" && in.Target != p.Labels["f"] {
+				t.Errorf("%s mode: %s resolves to %d, f is at %d", mode, in, in.Target, p.Labels["f"])
+			}
+		}
+		return ops
 	}
-	if err := Check(prog); err != nil {
-		t.Fatal(err)
+	// The driver calls (forks) main, main calls (forks) f, and each of
+	// main and f has a return statement and a fall-through epilogue.
+	if ops := count(ModeCall); ops[isa.CALL] != 2 || ops[isa.RET] != 4 || ops[isa.FORK]+ops[isa.ENDFORK] != 0 {
+		t.Errorf("call mode: %d call, %d ret, %d fork, %d endfork", ops[isa.CALL], ops[isa.RET], ops[isa.FORK], ops[isa.ENDFORK])
 	}
-	callAsm, err := Generate(prog, ModeCall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(callAsm, "call f") || !strings.Contains(callAsm, "ret") {
-		t.Errorf("call-mode asm missing call/ret:\n%s", callAsm)
-	}
-	forkAsm, err := Generate(prog, ModeFork)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(forkAsm, "fork f") || !strings.Contains(forkAsm, "endfork") {
-		t.Errorf("fork-mode asm missing fork/endfork:\n%s", forkAsm)
-	}
-	if strings.Contains(forkAsm, "call ") || strings.Contains(forkAsm, "\tret") {
-		t.Errorf("fork-mode asm still contains call/ret:\n%s", forkAsm)
+	if ops := count(ModeFork); ops[isa.FORK] != 2 || ops[isa.ENDFORK] != 4 || ops[isa.CALL]+ops[isa.RET] != 0 {
+		t.Errorf("fork mode: %d fork, %d endfork, %d call, %d ret", ops[isa.FORK], ops[isa.ENDFORK], ops[isa.CALL], ops[isa.RET])
 	}
 }

@@ -1,8 +1,10 @@
 package minic
 
+import "sync"
+
 // parser is a recursive-descent parser over the token stream.
 type parser struct {
-	toks  []token
+	toks  *tokens
 	pos   int
 	prog  *Program
 	depth int // statements and expressions open around the current token
@@ -36,7 +38,7 @@ func (p *parser) nested(production func() (*Expr, error)) (*Expr, error) {
 	return production()
 }
 
-func (p *parser) tok() token { return p.toks[p.pos] }
+func (p *parser) tok() token { return p.toks.at(p.pos) }
 
 func (p *parser) accept(text string) bool {
 	t := p.tok()
@@ -54,10 +56,20 @@ func (p *parser) expect(text string) error {
 	return nil
 }
 
+// tokenLists holds token lists between parses. Nothing outlives the parse
+// that lexed them (the tree keeps copies of what it needs, and its strings
+// are slices of the source), so each parse lexes into a list an earlier one
+// gave back.
+var tokenLists = sync.Pool{New: func() any { return new(tokens) }}
+
 // Parse parses a translation unit (without semantic checking).
 func Parse(src string) (*Program, error) {
-	toks, err := lex(src)
-	if err != nil {
+	toks := tokenLists.Get().(*tokens)
+	defer func() {
+		toks.reset()
+		tokenLists.Put(toks)
+	}()
+	if err := lex(src, toks); err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks, prog: &Program{

@@ -1,7 +1,11 @@
 // Package minic implements a compiler for mini-C — the C subset the
 // reproduction uses to express the paper's workloads (the sum reduction of
 // Fig. 1a and the ten PBBS-style kernels of Fig. 7) — targeting the
-// reproduction's x86-flavoured ISA through the internal/asm assembler.
+// reproduction's x86-flavoured ISA. Compile is Parse, then Check, then the
+// code generator emitting each instruction straight into internal/asm's
+// Builder, which resolves the labels and lays out the globals; no assembly
+// text is printed or parsed on the way (asm.Listing prints a compiled
+// program as text for reading).
 //
 // The language: `long` / `unsigned long` scalars (both 64-bit), pointers and
 // fixed-size arrays of those, functions with up to six parameters, `if` /
@@ -78,9 +82,38 @@ func errTok(t token, format string, args ...any) error {
 	return &Error{Line: t.line, Col: t.col, Msg: fmt.Sprintf(format, args...)}
 }
 
-// lex tokenises src.
-func lex(src string) ([]token, error) {
-	var toks []token
+// tokens is a lexed source, kept in chunks so that lexing copies nothing
+// as it grows: a token list that comes new from Parse's pool allocates
+// about the source's tokens once, and one an earlier parse gave back
+// allocates nothing more unless the source is longer.
+type tokens struct {
+	chunks [][]token // tokenChunk tokens each; those past n are spare
+	n      int
+}
+
+const tokenChunk = 64
+
+func (ts *tokens) add(t token) {
+	c := ts.n / tokenChunk
+	if c == len(ts.chunks) {
+		ts.chunks = append(ts.chunks, make([]token, tokenChunk))
+	}
+	ts.chunks[c][ts.n%tokenChunk] = t
+	ts.n++
+}
+
+func (ts *tokens) at(i int) token { return ts.chunks[i/tokenChunk][i%tokenChunk] }
+
+// reset empties ts, keeping its chunks.
+func (ts *tokens) reset() {
+	for c := 0; c*tokenChunk < ts.n; c++ {
+		clear(ts.chunks[c])
+	}
+	ts.n = 0
+}
+
+// lex tokenises src into toks.
+func lex(src string, toks *tokens) error {
 	line := 1
 	lineStart := 0 // byte offset of the current line's first column
 	i := 0
@@ -110,7 +143,7 @@ func lex(src string) ([]token, error) {
 				i++
 			}
 			if i+1 >= n {
-				return nil, &Error{Line: startLine, Col: startCol, Msg: "unterminated comment"}
+				return &Error{Line: startLine, Col: startCol, Msg: "unterminated comment"}
 			}
 			i += 2
 		case isIdentStart(c):
@@ -123,7 +156,7 @@ func lex(src string) ([]token, error) {
 			if keywords[word] {
 				k = tokKeyword
 			}
-			toks = append(toks, token{kind: k, text: word, line: line, col: col()})
+			toks.add(token{kind: k, text: word, line: line, col: col()})
 			i = j
 		case c >= '0' && c <= '9':
 			startCol := col()
@@ -136,7 +169,7 @@ func lex(src string) ([]token, error) {
 					j++
 				}
 				if j == i+2 {
-					return nil, &Error{Line: line, Col: startCol, Msg: "bad hex literal"}
+					return &Error{Line: line, Col: startCol, Msg: "bad hex literal"}
 				}
 			} else {
 				for j < n && src[j] >= '0' && src[j] <= '9' {
@@ -166,7 +199,7 @@ func lex(src string) ([]token, error) {
 			for j < n && (src[j] == 'u' || src[j] == 'U' || src[j] == 'l' || src[j] == 'L') {
 				j++
 			}
-			toks = append(toks, token{kind: tokNumber, num: v, text: src[i:j], line: line, col: startCol})
+			toks.add(token{kind: tokNumber, num: v, text: src[i:j], line: line, col: startCol})
 			i = j
 		default:
 			// Multi-character operators first.
@@ -176,22 +209,22 @@ func lex(src string) ([]token, error) {
 			}
 			switch two {
 			case "<<", ">>", "<=", ">=", "==", "!=", "&&", "||", "+=", "-=", "*=", "/=", "%=", "++", "--":
-				toks = append(toks, token{kind: tokPunct, text: two, line: line, col: col()})
+				toks.add(token{kind: tokPunct, text: two, line: line, col: col()})
 				i += 2
 				continue
 			}
 			switch c {
 			case '+', '-', '*', '/', '%', '&', '|', '^', '~', '!', '<', '>', '=',
 				'(', ')', '{', '}', '[', ']', ';', ',', '?', ':':
-				toks = append(toks, token{kind: tokPunct, text: string(c), line: line, col: col()})
+				toks.add(token{kind: tokPunct, text: string(c), line: line, col: col()})
 				i++
 			default:
-				return nil, &Error{Line: line, Col: col(), Msg: fmt.Sprintf("unexpected character %q", string(c))}
+				return &Error{Line: line, Col: col(), Msg: fmt.Sprintf("unexpected character %q", string(c))}
 			}
 		}
 	}
-	toks = append(toks, token{kind: tokEOF, line: line, col: col()})
-	return toks, nil
+	toks.add(token{kind: tokEOF, line: line, col: col()})
+	return nil
 }
 
 func isIdentStart(c byte) bool {

@@ -11,7 +11,7 @@ import (
 	"repro/internal/minic"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden mini-C files under testdata/golden")
+var updateGolden = flag.Bool("update", false, "rewrite the golden mini-C files under testdata/golden and the program digests of testdata/programs.sha256")
 
 // goldenName is the golden file for one kernel at one dataset size. Two
 // kernels share the "deterministicHash" short name; the ID prefix keeps the
