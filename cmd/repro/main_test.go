@@ -315,6 +315,35 @@ func TestCmdMachineSmoke(t *testing.T) {
 	}
 }
 
+// TestVetKernelSuite is the front-end gate: every kernel, hand-written
+// mini-C and lowered annotated Go alike, at its MinN (-n 1 clamps to it) and
+// at n=32 on 4 cores, runs on the machine and agrees with the emulator (rax
+// and the whole data segment) and with its reference checksum. A reference
+// that moves fails it.
+func TestVetKernelSuite(t *testing.T) {
+	const ok = "ok (rax and memory match emulator)"
+	for _, n := range []string{"1", "32"} {
+		out, err := capture(t, func() error { return cmdMachine([]string{"-n", n, "-cores", "4"}) })
+		if rows := strings.Count(out, ok); err != nil || rows != 11 {
+			t.Errorf("machine -n %s -cores 4: %d ok rows, %v; want 11:\n%s", n, rows, err, out)
+		}
+	}
+	k, err := pbbs.Find("quicksort")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := k.Ref
+	t.Cleanup(func() { k.Ref = ref })
+	k.Ref = func(n int, in pbbs.Inputs) (uint64, error) {
+		want, err := ref(n, in)
+		return want ^ 1, err
+	}
+	out, err := capture(t, func() error { return cmdMachine([]string{"-n", "32", "-cores", "4"}) })
+	if rows := strings.Count(out, ok); err == nil || rows != 10 || !strings.Contains(out, "machine checksum") {
+		t.Errorf("machine -n 32 with a doctored quickSort reference: %d ok rows, %v; want 10 and a checksum failure:\n%s", rows, err, out)
+	}
+}
+
 func TestCmdAnalyticSmoke(t *testing.T) {
 	out, err := capture(t, func() error { return cmdAnalytic([]string{"-maxn", "3"}) })
 	if err != nil {

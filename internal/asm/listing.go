@@ -23,8 +23,7 @@ func Listing(p *Program) string {
 		for ; k < len(labels) && labels[k].at <= int64(i); k++ {
 			fmt.Fprintf(&b, "%s:\n", labels[k].name)
 		}
-		in.Src, in.Dst = symbolic(p, in.Src), symbolic(p, in.Dst)
-		fmt.Fprintf(&b, "\t%s\n", in)
+		fmt.Fprintf(&b, "\t%s\n", in.Format(func(o isa.Operand) string { return symbolic(p, o) }))
 	}
 	for ; k < len(labels); k++ {
 		fmt.Fprintf(&b, "%s:\n", labels[k].name)
@@ -44,14 +43,15 @@ func Listing(p *Program) string {
 	return b.String()
 }
 
-// symbolic is p's operand o as the text names it: relative to its symbol.
-func symbolic(p *Program, o isa.Operand) isa.Operand {
+// symbolic prints p's operand o as the text names it: relative to its
+// symbol.
+func symbolic(p *Program, o isa.Operand) string {
 	if addr, ok := p.DataSyms[o.Sym]; ok {
-		o.Imm -= int64(addr)
+		return o.Relative(int64(addr))
 	} else if t, ok := p.Labels[o.Sym]; ok && o.Kind == isa.KindImm {
-		o.Imm -= t
+		return o.Relative(t)
 	}
-	return o
+	return o.String()
 }
 
 // listWords prints data as .quad for each non-zero word and .space for each

@@ -2,7 +2,9 @@ package asm_test
 
 import (
 	"bytes"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -109,4 +111,32 @@ func TestListingReassembles(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("sum fork over a vector", sum)
+}
+
+// TestAssembledOperandsPrintTheirAddress: an assembled data-symbol operand
+// holds the symbol's address plus the text's offset, so Instruction.String
+// prints that address (with the symbol it came from), and Listing prints the
+// operand as the text wrote it.
+func TestAssembledOperandsPrintTheirAddress(t *testing.T) {
+	p, err := asm.Assemble(".data\nx: .quad 1\nt: .space 16\n.text\nmain: movq t+8, %rax\nmovq t(,%rcx,8), %rax\nmovq $t, %rdx\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.DataSyms["t"] != isa.DataBase+8 {
+		t.Fatalf("t at %#x, want %#x", p.DataSyms["t"], isa.DataBase+8)
+	}
+	for i, want := range []string{
+		fmt.Sprintf("movq %#x<t>, %%rax", isa.DataBase+16),
+		fmt.Sprintf("movq %#x<t>(,%%rcx,8), %%rax", isa.DataBase+8),
+		fmt.Sprintf("movq $%#x<t>, %%rdx", isa.DataBase+8),
+	} {
+		if got := p.Text[i].String(); got != want {
+			t.Errorf("instruction %d prints %q, want %q", i, got, want)
+		}
+	}
+	for _, want := range []string{"\tmovq t+8, %rax\n", "\tmovq t(,%rcx,8), %rax\n", "\tmovq $t, %rdx\n"} {
+		if l := asm.Listing(p); !strings.Contains(l, want) {
+			t.Errorf("listing lacks %q:\n%s", want, l)
+		}
+	}
 }

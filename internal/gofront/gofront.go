@@ -1,8 +1,9 @@
 // Package gofront is the compile-from-Go front end of the kernel suite: it
 // scans Go source files for //repro:kernel annotations, lowers the annotated
 // entry function and its helpers from a checked Go subset into the
-// internal/minic AST, and derives the reference checksum by interpreting that
-// same AST in pure Go.
+// internal/minic AST, and derives the reference checksum by running that
+// same AST in pure Go: each lowering is compiled to Go closures once, on its
+// first Ref, and kept with it.
 //
 // The point is single-definition kernels. A hand-written kernel needs three
 // artifacts that nothing forces to agree — a mini-C source template, an input
@@ -12,8 +13,8 @@
 //   - the machine program is minic.Compile of the lowered source
 //     (minic.Format of the lowered AST is the canonical surface, so the
 //     lowering is inspectable and pinnable byte for byte), and
-//   - the reference checksum is Interp over the very same AST, so the
-//     program and its reference cannot drift apart, and
+//   - the reference checksum is a run of the very same AST, compiled to
+//     closures, so the program and its reference cannot drift apart, and
 //   - the input arrays come from //repro:array annotations (distribution +
 //     length expression), not from hand-kept generator code.
 //
@@ -99,11 +100,20 @@ type Kernel struct {
 	cache map[int]*lowered
 }
 
-// lowered is one per-n lowering: the canonical source text and the checked
-// AST the interpreter runs.
+// lowered is one per-n lowering: the canonical source text, the checked
+// AST, and that AST compiled for Ref, on the lowering's first Ref.
 type lowered struct {
 	src  string
 	prog *minic.Program
+
+	compileOnce sync.Once
+	code        *program
+}
+
+// compiled returns the lowering compiled to closures, compiling it once.
+func (l *lowered) compiled() *program {
+	l.compileOnce.Do(func() { l.code = compile(l.prog) })
+	return l.code
 }
 
 // Expr is an annotation expression over the dataset size n.
@@ -472,12 +482,14 @@ func (k *Kernel) Source(n int) (string, error) {
 	return l.src, nil
 }
 
-// Ref derives the reference checksum for a dataset size by interpreting the
-// lowered AST over the given inputs (data-segment symbol -> words).
+// Ref derives the reference checksum for a dataset size by running the
+// lowered AST over the given inputs (data-segment symbol -> words). The
+// lowering is compiled on its first Ref and kept with it; concurrent Refs
+// share it.
 func (k *Kernel) Ref(n int, in map[string][]uint64) (uint64, error) {
 	l, err := k.lower(n)
 	if err != nil {
 		return 0, err
 	}
-	return Interp(l.prog, in)
+	return l.compiled().run(in)
 }

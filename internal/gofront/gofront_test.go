@@ -2,6 +2,7 @@ package gofront
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/backend"
@@ -198,6 +199,8 @@ func TestInterpSemantics(t *testing.T) {
 		// Signed vs unsigned comparison follows the operand types.
 		{"signed-cmp", "x := int64(0) - 1\nif x < 1 {\n\treturn 1\n}\nreturn 0", 1},
 		{"unsigned-cmp", "x := uint64(0) - 1\nif x < 1 {\n\treturn 1\n}\nreturn 0", 0},
+		{"signed-cmps", "x := int64(0) - 1\ns := uint64(0)\nif x <= 1 {\n\ts = s + 1\n}\nif 1 > x {\n\ts = s + 2\n}\nif 1 >= x {\n\ts = s + 4\n}\nreturn s", 7},
+		{"unsigned-cmps", "x := uint64(0) - 1\ns := uint64(0)\nif x <= 1 {\n\ts = s + 1\n}\nif 1 > x {\n\ts = s + 2\n}\nif 1 >= x {\n\ts = s + 4\n}\nreturn s", 0},
 		// Short-circuit: the divide on the right must not execute.
 		{"short-circuit", "z := uint64(0)\nif z != 0 && 10/z > 0 {\n\treturn 9\n}\nreturn 1", 1},
 		// Compound assignment and while-lowered loops.
@@ -219,23 +222,117 @@ func TestInterpSemantics(t *testing.T) {
 	}
 }
 
+// TestInterpFaults pins the text of every fault a run of a lowered kernel
+// can end in, and the inputs' faults before it starts.
 func TestInterpFaults(t *testing.T) {
 	cases := []struct {
-		name, body, wantErr string
+		name, body string
+		in         map[string][]uint64
+		wantErr    string
 	}{
-		{"div-zero", "z := uint64(0)\nreturn 10 / z", "division by zero"},
-		{"oob", "a[N] = 1\nreturn 0", "out of range"},
+		{"div-zero", "z := uint64(0)\nreturn 10 / z", nil, "interp: division by zero"},
+		{"mod-zero", "z := int64(0)\nreturn uint64(10 % z)", nil, "interp: division by zero"},
+		{"signed-overflow", "m := int64(0) - 9223372036854775807 - 1\nd := int64(0) - 1\nreturn uint64(m / d)", nil, "interp: signed division overflow"},
+		{"oob", "a[N] = 1\nreturn 0", nil, `interp: index 4 out of range for "a" (4 words)`},
+		{"oob-read", "return a[N+3]", nil, `interp: index 7 out of range for "a" (4 words)`},
+		{"oob-compound", "i := 0 - 1\na[i] += 1\nreturn 0", nil, `interp: index 18446744073709551615 out of range for "a" (4 words)`},
+		{"unknown-input", "return a[0]", map[string][]uint64{"b": {1}}, `interp: input for unknown symbol "b"`},
+		{"input-overflow", "return a[0]", map[string][]uint64{"a": {1, 2, 3, 4, 5}}, `interp: 5 input words overflow "a" (4 words)`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			k := scan(t, "package kernels\n\n//repro:array len=n\nvar a []uint64\n\n//repro:kernel id=1 name=test/"+c.name+" minn=2\nfunc f() uint64 {\n\t"+
 				strings.ReplaceAll(c.body, "\n", "\n\t")+"\n}\n")
-			_, err := k.Ref(4, nil)
-			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+			_, err := k.Ref(4, c.in)
+			if err == nil || err.Error() != c.wantErr {
 				t.Errorf("err = %v, want %q", err, c.wantErr)
 			}
 		})
 	}
+	// The checker refuses a program without main; a checked one whose main
+	// is renamed afterwards has none.
+	for _, c := range []struct {
+		name, src, wantErr string
+		rename             bool
+	}{
+		{"no-main", "unsigned long main(void) { return 1; }", "interp: no main function", true},
+		{"falls-off-the-end", "unsigned long main(void) { unsigned long x = 1; x = x + 1; }", "interp: main fell off the end without returning", false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			prog, err := minic.Parse(c.src)
+			if err == nil {
+				err = minic.Check(prog)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.rename {
+				prog.Functions[0].Name = "f"
+			}
+			if _, err := Interp(prog, nil); err == nil || err.Error() != c.wantErr {
+				t.Errorf("err = %v, want %q", err, c.wantErr)
+			}
+		})
+	}
+}
+
+// TestStepBudget: a run counts one step per statement and per loop
+// iteration, so a budget of exactly the steps a kernel takes runs it, one
+// fewer stops it at its last step, and a loop that never ends stops with the
+// non-termination text.
+func TestStepBudget(t *testing.T) {
+	const exhausted = "interp: step budget exhausted (possible non-termination)"
+	// s, the for, i, three iterations of the body, the post and the loop's
+	// own step, and the return: 13 steps.
+	k := scan(t, "package kernels\n\n//repro:kernel id=1 name=test/steps minn=2\nfunc f() uint64 {\n\ts := uint64(0)\n\tfor i := 0; i < 3; i++ {\n\t\ts = s + uint64(i)\n\t}\n\treturn s\n}\n")
+	SetStepBudget(t, 13)
+	if got, err := k.Ref(2, nil); err != nil || got != 3 {
+		t.Errorf("13 steps: %d, %v; want 3", got, err)
+	}
+	SetStepBudget(t, 12)
+	if _, err := k.Ref(2, nil); err == nil || err.Error() != exhausted {
+		t.Errorf("12 steps: err = %v, want %q", err, exhausted)
+	}
+	loop := scan(t, "package kernels\n\n//repro:kernel id=1 name=test/loop minn=2\nfunc f() uint64 {\n\ts := uint64(0)\n\tfor s < 1 {\n\t\ts = s * 2\n\t}\n\treturn s\n}\n")
+	SetStepBudget(t, 10_000)
+	if _, err := loop.Ref(2, nil); err == nil || err.Error() != exhausted {
+		t.Errorf("err = %v, want %q", err, exhausted)
+	}
+}
+
+// TestConcurrentRefsShareOneLowering: Refs of one lowering share the program
+// compiled on the first and keep their state apart, so concurrent Refs over
+// different inputs each get what a Ref alone gets.
+func TestConcurrentRefsShareOneLowering(t *testing.T) {
+	k := scan(t, sumKernel)
+	const n, G = 64, 8
+	ins := make([]map[string][]uint64, G)
+	want := make([]uint64, G)
+	for g := range ins {
+		a := make([]uint64, n)
+		for i := range a {
+			a[i] = uint64(g*1000 + i*i)
+		}
+		ins[g] = map[string][]uint64{"a": a}
+		var err error
+		if want[g], err = k.Ref(n, ins[g]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := range G {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 50 {
+				if got, err := k.Ref(n, ins[g]); err != nil || got != want[g] {
+					t.Errorf("goroutine %d: %d, %v; want %d", g, got, err, want[g])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestInterpFrames pins what a frame indexed by the checker's offsets has to

@@ -308,32 +308,47 @@ func MemOp(disp int64, base, index Reg, scale uint8) Operand {
 // MemBase returns the common disp(base) memory operand.
 func MemBase(disp int64, base Reg) Operand { return MemOp(disp, base, NoReg, 1) }
 
-// String renders the operand in gas syntax.
+// String prints the operand in gas syntax, as the machine reads it. An
+// assembled operand that names a symbol holds the symbol's address plus the
+// text's offset in Imm, so it prints that value in hex, with the symbol it
+// was resolved from in angle brackets: `movq t+8, %rax` with t at 0x10008
+// prints `movq 0x10010<t>, %rax`. asm.Listing prints it as the text wrote it
+// (Relative).
 func (o Operand) String() string {
+	switch {
+	case o.Sym != "":
+		return o.format(fmt.Sprintf("%#x<%s>", o.Imm, o.Sym))
+	case o.Kind == KindImm || o.Imm != 0:
+		return o.format(fmt.Sprint(o.Imm))
+	}
+	return o.format("")
+}
+
+// Relative prints a symbol operand as assembly text names it, relative to
+// the symbol, whose value is at: `t+8` for Imm 0x10010 and at 0x10008.
+func (o Operand) Relative(at int64) string {
+	disp := o.Sym
+	if off := o.Imm - at; off != 0 {
+		disp += fmt.Sprintf("%+d", off)
+	}
+	return o.format(disp)
+}
+
+// format prints the operand with its displacement or immediate already
+// written as disp.
+func (o Operand) format(disp string) string {
 	switch o.Kind {
 	case KindNone:
 		return ""
 	case KindReg:
 		return "%" + o.Reg.String()
 	case KindImm:
-		if o.Sym != "" {
-			return "$" + o.Sym
-		}
-		return fmt.Sprintf("$%d", o.Imm)
+		return "$" + disp
 	case KindMem:
-		s := ""
-		if o.Sym != "" {
-			s = o.Sym
-			if o.Imm != 0 {
-				s += fmt.Sprintf("%+d", o.Imm)
-			}
-		} else if o.Imm != 0 {
-			s = fmt.Sprintf("%d", o.Imm)
-		}
 		if o.Base == NoReg && o.Index == NoReg {
-			return s
+			return disp
 		}
-		s += "("
+		s := disp + "("
 		if o.Base != NoReg {
 			s += "%" + o.Base.String()
 		}
@@ -358,8 +373,13 @@ type Instruction struct {
 	Label  string // symbolic target, what String prints for a jump, call or fork
 }
 
-// String disassembles the instruction in gas syntax.
-func (in Instruction) String() string {
+// String prints the instruction in gas syntax, its operands as the machine
+// reads them (Operand.String).
+func (in Instruction) String() string { return in.Format(Operand.String) }
+
+// Format prints the instruction in gas syntax with each operand printed by
+// operand.
+func (in Instruction) Format(operand func(Operand) string) string {
 	switch in.Op {
 	case NOP, CQTO, RET, ENDFORK, HLT:
 		return in.Op.String()
@@ -374,13 +394,13 @@ func (in Instruction) String() string {
 		}
 		return fmt.Sprintf("j%s %d", in.Cond, in.Target)
 	case SETcc:
-		return fmt.Sprintf("set%s %s", in.Cond, in.Dst)
+		return fmt.Sprintf("set%s %s", in.Cond, operand(in.Dst))
 	case NEG, NOT, INC, DEC, DIV, IDIV, POP:
-		return fmt.Sprintf("%s %s", in.Op, in.Dst)
+		return fmt.Sprintf("%s %s", in.Op, operand(in.Dst))
 	case PUSH:
-		return fmt.Sprintf("%s %s", in.Op, in.Src)
+		return fmt.Sprintf("%s %s", in.Op, operand(in.Src))
 	default:
-		return fmt.Sprintf("%s %s, %s", in.Op, in.Src, in.Dst)
+		return fmt.Sprintf("%s %s, %s", in.Op, operand(in.Src), operand(in.Dst))
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"repro/internal/minic"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the golden mini-C files under testdata/golden and the program digests of testdata/programs.sha256")
+var updateGolden = flag.Bool("update", false, "rewrite the golden mini-C files under testdata/golden, the program digests of testdata/programs.sha256 and the reference checksums of testdata/references.txt")
 
 // goldenName is the golden file for one kernel at one dataset size. Two
 // kernels share the "deterministicHash" short name; the ID prefix keeps the
@@ -50,11 +50,15 @@ func canonical(t *testing.T, k *Kernel, n int) string {
 // hand-written templates before the quickSort/dedup/radixSort migration to
 // annotated Go, so a diff here means the compiled program changed — which
 // would silently re-key the sweep cache and move benchmark/expected.json's
-// counts. Run with -update to rewrite them deliberately.
+// counts. A file under testdata/golden that no kernel generates is stale and
+// fails it too. Run with -update to rewrite them deliberately (and remove the
+// stale ones).
 func TestGoldenSources(t *testing.T) {
+	generated := map[string]bool{}
 	for _, k := range Kernels() {
 		for _, n := range []int{k.MinN, 64} {
 			path := goldenName(k, n)
+			generated[path] = true
 			got := canonical(t, k, n)
 			if *updateGolden {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
@@ -70,6 +74,21 @@ func TestGoldenSources(t *testing.T) {
 				t.Errorf("%s at n=%d: generated mini-C drifted from %s\n--- golden\n%s\n--- generated\n%s",
 					k.Name, n, path, want, got)
 			}
+		}
+	}
+	files, err := filepath.Glob(filepath.Join("testdata", "golden", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		switch {
+		case generated[path]:
+		case *updateGolden:
+			if err := os.Remove(path); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			t.Errorf("%s: no kernel generates it (run with -update to remove it)", path)
 		}
 	}
 }

@@ -18,8 +18,9 @@ import (
 //
 // The program and the inputs are shared read-only by every machine the
 // engine binds to them: the machine, the emulator and backend.Inject only
-// read Text, Data and DataSyms, and Inject and the reference checksums only
-// read the inputs.
+// read Text, Data and DataSyms, and Inject and the reference checksum only
+// read the inputs. The reference checksum is the same for every chip, so it
+// is derived once, by the first point that simulates (reference).
 type frontEnd struct {
 	once   sync.Once
 	front  Front
@@ -27,6 +28,10 @@ type frontEnd struct {
 	in     pbbs.Inputs
 	prefix []byte
 	err    error
+
+	refOnce sync.Once
+	ref     uint64
+	refErr  error
 
 	// Guarded by frontMemo.mu.
 	size     int // bytes charged: the build, and outcomeSize per remembered outcome
@@ -127,6 +132,14 @@ func (fe *frontEnd) build(k *pbbs.Kernel, n int, seed uint64) int {
 		size += 8 * len(words)
 	}
 	return size
+}
+
+// reference returns the checksum every simulated chip of the front end is
+// checked against, deriving it on the first call; concurrent callers wait
+// for the one derivation.
+func (fe *frontEnd) reference(k *pbbs.Kernel) (uint64, error) {
+	fe.refOnce.Do(func() { fe.ref, fe.refErr = k.Ref(fe.front.N, fe.in) })
+	return fe.ref, fe.refErr
 }
 
 // join returns the flight of chip c in the front end the memo holds for fe's

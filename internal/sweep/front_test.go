@@ -3,10 +3,12 @@ package sweep
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/minic"
@@ -226,4 +228,60 @@ func mustKernel(t *testing.T, id int) *pbbs.Kernel {
 		t.Fatal(err)
 	}
 	return k
+}
+
+// TestReferenceDerivedOncePerFrontEnd: every chip of a front end runs one
+// program over one set of inputs, so the reference checksum is derived once,
+// by the first point that simulates, however many of its points run at once;
+// a point served from the cache derives none; and a point that disagrees
+// with it still fails with the checksum text.
+func TestReferenceDerivedOncePerFrontEnd(t *testing.T) {
+	k := mustKernel(t, 2)
+	ref := k.Ref
+	t.Cleanup(func() { k.Ref = ref })
+	var refs atomic.Int32
+	k.Ref = func(n int, in pbbs.Inputs) (uint64, error) {
+		refs.Add(1)
+		return ref(n, in)
+	}
+	spec := &Spec{Kernels: []int{2}, Sizes: []int{8}, Cores: []int{1, 2, 4}, Topologies: []string{TopoCrossbar, TopoRing}}
+	pts, err := spec.Points()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache, err := NewCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	measureAll := func(e *Engine) {
+		var wg sync.WaitGroup
+		for _, p := range pts {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if rec := e.Measure(p); rec.Err != "" {
+					t.Errorf("%+v: %s", p, rec.Err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	measureAll(&Engine{Cache: cache})
+	if got := refs.Load(); got != 1 {
+		t.Errorf("%d points of one front end derived the reference %d times, want once", len(pts), got)
+	}
+	refs.Store(0)
+	measureAll(&Engine{Cache: cache})
+	if got := refs.Load(); got != 0 {
+		t.Errorf("a warm re-run derived the reference %d times, want none", got)
+	}
+
+	k.Ref = func(n int, in pbbs.Inputs) (uint64, error) {
+		want, err := ref(n, in)
+		return want + 1, err
+	}
+	rec := (&Engine{}).Measure(pts[0])
+	if want, _ := ref(8, k.Gen(8, pts[0].Seed)); rec.Err != fmt.Sprintf("checksum %d, reference %d", want, want+1) {
+		t.Errorf("doctored reference: error %q", rec.Err)
+	}
 }

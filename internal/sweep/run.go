@@ -209,7 +209,7 @@ func (e *Engine) Measure(p Point) Record {
 	// A faulted machine is not returned to the pool; this one ran clean.
 	e.Pool.Put("", sim)
 	e.count(func(s *Stats) { s.Simulated++ })
-	want, err := k.Ref(p.N, fe.in)
+	want, err := fe.reference(k)
 	if err != nil {
 		return fail(fmt.Errorf("reference: %w", err))
 	}
